@@ -52,12 +52,6 @@ let opt_admission = ref false
    including the replay digest tier1.sh compares across double runs. *)
 let opt_sanitize = ref false
 
-(* [--fence-cache]: enable the swizzled-leaf fence cache on every table's
-   row-id tree. Point lookups that stay inside the last-descended leaf
-   skip the per-level descent, so the instruction-charge schedule (and
-   thus tpmC) changes — keep it off when comparing replay digests. *)
-let opt_fence_cache = ref false
-
 (* Workload seed ([--seed <n>], default 42): drives transaction mixes,
    keys and think times in every harness. Same seed, same config =>
    byte-identical --json output. *)
@@ -85,8 +79,7 @@ let phoebe_config ~warehouses ~workers ~slots ~buffer_mb =
       }
     else cfg
   in
-  let cfg = if !opt_sanitize then { cfg with Config.sanitize = true } else cfg in
-  if !opt_fence_cache then { cfg with Config.leaf_fence_cache = true } else cfg
+  if !opt_sanitize then { cfg with Config.sanitize = true } else cfg
 
 (* Aborts broken down by reason, for the machine-readable output. *)
 let abort_reasons_json db =

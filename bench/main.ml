@@ -146,8 +146,7 @@ let usage () =
     \       [--check-json <path>]   validate that <path> parses as JSON, then exit\n\
     \       [--deadline-ms <n>]     arm an n-millisecond (virtual) per-transaction deadline\n\
     \       [--admission]           enable overload admission control (default thresholds)\n\
-    \       [--sanitize]            enable the kernel sanitizer plane (exports sanitize.* counters)\n\
-    \       [--fence-cache]         enable the swizzled-leaf fence cache (changes the charge schedule)"
+    \       [--sanitize]            enable the kernel sanitizer plane (exports sanitize.* counters)"
 
 (* Pull "<key> <value>" out of the argument list. *)
 let rec extract_opt key = function
@@ -182,7 +181,6 @@ let () =
   let experiment, args = extract_opt "--experiment" args in
   let admission, args = extract_flag "--admission" args in
   let sanitize, args = extract_flag "--sanitize" args in
-  let fence_cache, args = extract_flag "--fence-cache" args in
   (match seed_arg with
   | Some s -> (
     match int_of_string_opt s with
@@ -202,7 +200,6 @@ let () =
   | None -> ());
   Experiments.opt_admission := admission;
   Experiments.opt_sanitize := sanitize;
-  Experiments.opt_fence_cache := fence_cache;
   (match check_path with
   | Some path -> (
     match Json.of_file path with

@@ -36,11 +36,8 @@ type t = {
   mutable idepth : int;
 }
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
-let charge_search () = Scheduler.charge Component.Effective (costs ()).Cost.btree_search_per_level
-let charge_leaf_op () = Scheduler.charge Component.Effective (costs ()).Cost.btree_leaf_op
+let charge_search () = Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.btree_search_per_level
+let charge_leaf_op () = Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.btree_leaf_op
 
 let new_leaf fanout =
   let l = { keys = Array.make fanout ""; rids = Array.make fanout 0; ln = 0; llatch = Latch.create () } (* lint: allow hot-alloc — node construction on split, amortized *) in

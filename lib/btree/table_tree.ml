@@ -41,20 +41,17 @@ type t = {
   block_id_alloc : unit -> int;
   mutable live_tuples : int;
   mutable nleaves : int;
-  (* Swizzled-leaf fence cache (off by default, Config.leaf_fence_cache):
-     the last leaf a point lookup descended to, with its row-id fences.
-     A hit skips the per-level descent and the buffer-manager resolve.
-     Safe because hot rows never migrate between leaves: the only row
-     movement is freezing, which both drops the leaf's frame (making the
-     swip non-resident, a miss) and advances [max_frozen] past its rids. *)
-  mutable fc_on : bool;
+  (* Swizzled-leaf fence cache: the last leaf a point lookup descended
+     to, with its row-id fences. A hit skips the per-level descent and
+     the buffer-manager resolve. Safe because hot rows never migrate
+     between leaves: the only row movement is freezing, which drops the
+     leaf's frame (a non-resident frame is a miss) and advances
+     [max_frozen] past its live rows (the frozen branch intercepts
+     them first). *)
   mutable fc_swip : leaf_swip;
   mutable fc_lo : int;  (** cache valid iff [fc_lo <= fc_hi] *)
   mutable fc_hi : int;
 }
-
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
 
 let charge_effective n = Scheduler.charge Component.Effective n
 
@@ -101,16 +98,10 @@ let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256
     block_id_alloc;
     live_tuples = 0;
     nleaves = 1;
-    fc_on = false;
     fc_swip = swip;
     fc_lo = 1;
     fc_hi = 0;
   }
-
-let set_fence_cache t on =
-  t.fc_on <- on;
-  t.fc_lo <- 1;
-  t.fc_hi <- 0
 
 let name t = t.tname
 let schema t = t.tschema
@@ -168,7 +159,7 @@ let add_rightmost_leaf t key leaf =
    land out of order across leaves. The rightmost leaf is an inherent
    serialisation point of the monotone-row_id design. *)
 let append ?on_page t row =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Latch.with_exclusive t.append_latch (fun () ->
       let rid = t.next_rid in
       t.next_rid <- t.next_rid + 1;
@@ -234,7 +225,7 @@ let find_block t rid =
   !found
 
 let rec descend_to_leaf t node rid =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   match node with
   | Leaf swip -> Some swip
   | Inner inner ->
@@ -251,7 +242,7 @@ let locate_descend ~touch t ~row_id =
   | Some swip -> (
     let frame = Bufmgr.resolve ~touch t.buf swip in
     let page = Bufmgr.payload frame in
-    if t.fc_on then begin
+    if not (Pax.is_empty page) then begin
       t.fc_swip <- swip;
       t.fc_lo <- Pax.min_row_id page;
       t.fc_hi <- Pax.max_row_id page
@@ -265,25 +256,30 @@ let locate ?(touch = true) t ~row_id =
   else if row_id <= t.max_frozen then
     match find_block t row_id with
     | Some b ->
-      Scheduler.charge Component.Effective (costs ()).Cost.frozen_decode_per_tuple;
+      Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.frozen_decode_per_tuple;
       Some (In_frozen b)
     | None -> None
-  else if t.fc_on && row_id >= t.fc_lo && row_id <= t.fc_hi then begin
+  else if row_id >= t.fc_lo && row_id <= t.fc_hi then begin
     match Bufmgr.resident_frame_of_swip t.fc_swip with
-    | Some frame -> (
+    | Some frame when Bufmgr.is_resident frame -> (
       (* fence hit: one probe charge replaces the per-level descent and
-         the buffer-manager resolve *)
-      charge_effective (costs ()).Cost.btree_search_per_level;
-      let page = Bufmgr.payload frame in
-      match Pax.find page ~row_id with
-      | Some slot -> Some (In_page (frame, slot))
-      | None -> None)
-    | None -> locate_descend ~touch t ~row_id
+         the buffer-manager resolve. The resolve's bookkeeping still
+         happens, charge-free and before the charge can suspend: without
+         it a leaf served from the cache would look cold to eviction and
+         to the freeze policy. *)
+      Bufmgr.touch_frame t.buf frame ~touch;
+      charge_effective (Scheduler.current_cost ()).Cost.btree_search_per_level;
+      if not (Bufmgr.is_resident frame) then locate_descend ~touch t ~row_id
+      else
+        match Pax.find (Bufmgr.payload frame) ~row_id with
+        | Some slot -> Some (In_page (frame, slot))
+        | None -> None)
+    | _ -> locate_descend ~touch t ~row_id
   end
   else locate_descend ~touch t ~row_id
 
 let read ?(touch = true) t ~row_id =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   match locate ~touch t ~row_id with
   | None -> None
   | Some (In_frozen b) -> Frozen.get b ~row_id
@@ -627,7 +623,6 @@ let restore ~name ~schema ~buf ~block_store ~block_id_alloc ?(leaf_capacity = 25
         block_id_alloc;
         live_tuples = 0;
         nleaves = 1;
-        fc_on = false;
         fc_swip = first_swip;
         fc_lo = 1;
         fc_hi = 0;

@@ -48,15 +48,13 @@ val append :
 
 val locate : ?touch:bool -> t -> row_id:int -> location option
 (** Find where a row id lives. [None] if out of range or the slot was
-    never allocated. The caller checks delete marks / visibility. *)
+    never allocated. The caller checks delete marks / visibility.
 
-val set_fence_cache : t -> bool -> unit
-(** Enable the swizzled-leaf fence cache ({!Config.leaf_fence_cache}):
-    {!locate} remembers the last leaf it descended to together with its
-    row-id fences, and a point lookup inside the fences whose leaf is
-    still buffer-resident skips the descent and the resolve for a single
-    probe charge. Changes the instruction-charge schedule, so it is off
-    by default and excluded from the replay-digest configurations. *)
+    Every tree keeps a swizzled-leaf fence cache: the last leaf a
+    descent reached, with its row-id fences. A lookup inside the fences
+    whose leaf is still buffer-resident skips the descent and the
+    resolve for a single probe charge, refreshing the frame's recency
+    and access count exactly as the resolve would. *)
 
 val read : ?touch:bool -> t -> row_id:int -> Phoebe_storage.Value.t array option
 (** Raw current version (ignores MVCC, skips delete-marked rows). *)

@@ -32,7 +32,6 @@ type t = {
   block_device : Phoebe_io.Device.config;
   faults : Phoebe_io.Device.fault_config option;
   sanitize : bool;
-  leaf_fence_cache : bool;
 }
 
 let default =
@@ -60,7 +59,6 @@ let default =
     block_device = Phoebe_io.Device.pm9a3;
     faults = None;
     sanitize = false;
-    leaf_fence_cache = false;
   }
 
 let paper_scale = { default with n_workers = 100; slots_per_worker = 32 }

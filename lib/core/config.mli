@@ -56,14 +56,6 @@ type t = {
           default) the hooks are unreachable and the event schedule is
           bit-identical to a build without them; on, a detected violation
           raises [Phoebe_util.Phoebe_error.Bug]. *)
-  leaf_fence_cache : bool;
-      (** enable the swizzled-leaf fence cache on every table's row-id
-          tree ({!Phoebe_btree.Table_tree.set_fence_cache}): point
-          lookups that stay within the last-touched leaf skip the
-          per-level descent and buffer-manager resolve. Changes the
-          instruction-charge schedule, so it is off by default — the
-          replay digest is only comparable between runs that agree on
-          this flag. *)
 }
 
 val default : t

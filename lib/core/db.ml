@@ -270,7 +270,6 @@ let create_table t ~name ~schema =
       ~block_store:t.block_store ~block_id_alloc ~txnmgr:t.txns ~wal:t.walmgr
       ~leaf_capacity:t.cfg.Config.leaf_capacity
   in
-  if t.cfg.Config.leaf_fence_cache then Phoebe_btree.Table_tree.set_fence_cache (Table.tree table) true;
   t.table_list <- table :: t.table_list;
   Hashtbl.replace t.by_name name table;
   Hashtbl.replace t.by_id (Table.id table) table;
@@ -290,7 +289,6 @@ let restore_table t ~name ~schema ~leaves ~block_ids ~next_rid ~max_frozen =
       ~block_store:t.block_store ~block_id_alloc ~txnmgr:t.txns ~wal:t.walmgr
       ~leaf_capacity:t.cfg.Config.leaf_capacity ~leaves ~block_ids ~next_rid ~max_frozen
   in
-  if t.cfg.Config.leaf_fence_cache then Phoebe_btree.Table_tree.set_fence_cache (Table.tree table) true;
   t.table_list <- table :: t.table_list;
   Hashtbl.replace t.by_name name table;
   Hashtbl.replace t.by_id (Table.id table) table;

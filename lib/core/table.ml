@@ -47,9 +47,6 @@ let name t = t.tbl_name
 let schema t = t.tschema
 let tree t = t.ttree
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
 let create ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~leaf_capacity =
   {
     tid = id;
@@ -174,7 +171,7 @@ let log_frozen_write t (txn : txn) op =
 let statement_begin t txn =
   Txnmgr.lock_table t.txnmgr txn t.tlock ~mode:Tablelock.Shared;
   Txnmgr.refresh_snapshot t.txnmgr txn;
-  Scheduler.charge Component.Effective (costs ()).Cost.app_logic_per_stmt
+  Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.app_logic_per_stmt
 
 let lock_exclusive t txn = Txnmgr.lock_table t.txnmgr txn t.tlock ~mode:Tablelock.Exclusive
 
@@ -200,7 +197,7 @@ let visible_at t (txn : txn) ~rid =
   | None -> None
   | Some (Table_tree.In_page (frame, slot)) ->
     let page = Bufmgr.payload frame in
-    Scheduler.charge Component.Effective (costs ()).Cost.pax_read;
+    Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
     let current = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
     Pax.get_into page ~slot current;
     let deleted = Pax.is_deleted page ~slot in
@@ -337,11 +334,26 @@ let insert t (txn : txn) row =
 (* ------------------------------------------------------------------ *)
 (* Update *)
 
-let changed_indexes t cols_idx =
-  List.filter (fun ix -> Array.exists (fun kc -> List.mem_assoc kc cols_idx) ix.key_cols) t.indexes
+(* Whether writing the columns of [cols] (an update's column list or an
+   undo before-image) can change [ix]'s key. An update, its rollback and
+   its GC touch index entries only for such indexes; most OLTP updates
+   write no key column and skip index maintenance entirely. *)
+let rec col_written (cols : (int * Value.t) array) kc i =
+  i < Array.length cols && (Int.equal (fst cols.(i)) kc || col_written cols kc (i + 1))
+
+(* module-level loops rather than closures: this runs on every update *)
+let rec key_col_written key_cols cols j =
+  j < Array.length key_cols
+  && (col_written cols key_cols.(j) 0 || key_col_written key_cols cols (j + 1))
+
+let writes_key ix cols = key_col_written ix.key_cols cols 0
+
+let rec writes_any_key cols = function
+  | [] -> false
+  | ix :: rest -> writes_key ix cols || writes_any_key cols rest
 
 let update_in_page t (txn : txn) ~page_key ~rid compute =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   let twin, entry = write_entry t txn ~page_key ~rid in
   (* write_entry may have waited (suspension): the frame seen by our
      caller can have been evicted and reloaded meanwhile — re-locate *)
@@ -371,12 +383,12 @@ let update_in_page t (txn : txn) ~page_key ~rid compute =
           Array.of_list (List.map (fun (col, _) -> (col, Pax.get_col page ~slot ~col)) cols_idx) (* lint: allow hot-alloc — before-image is retained by the undo log; allocation inherent *)
         in
         let old_row_for_index =
-          match changed_indexes t cols_idx with
-          | [] -> None
-          | _ ->
+          if writes_any_key before t.indexes then begin
             let r = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
             Pax.get_into page ~slot r;
             Some r
+          end
+          else None
         in
         let undo =
           Undo.make ~table_id:t.tid ~rid ~kind:(Undo.Updated before) ~sts:(sts_for entry)
@@ -402,9 +414,11 @@ let update_in_page t (txn : txn) ~page_key ~rid compute =
           Pax.get_into page ~slot new_row;
           List.iter
             (fun ix ->
-              let old_key = key_of_row ix old_row and new_key = key_of_row ix new_row in
-              if old_key <> new_key then Index_tree.insert ix.ix ~key:new_key ~rid)
-            (changed_indexes t cols_idx));
+              if writes_key ix before then begin
+                let old_key = key_of_row ix old_row and new_key = key_of_row ix new_row in
+                if old_key <> new_key then Index_tree.insert ix.ix ~key:new_key ~rid
+              end)
+            t.indexes);
         true)
   end
 
@@ -607,43 +621,43 @@ let pop_chain t ~page_key ~rid (undo : Undo.t) =
       | Some u when u == undo -> entry.Twin.head <- undo.Undo.next
       | _ -> ()))
 
-let page_key_of_rid t ~rid =
-  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Some (Table_tree.In_page (frame, _)) -> Some (Bufmgr.page_id frame, `Page frame)
-  | Some (Table_tree.In_frozen b) -> Some (frozen_twin_key t rid, `Frozen b)
-  | None -> None
-
 let rollback_undo t (undo : Undo.t) =
   let rid = undo.Undo.rid in
-  match page_key_of_rid t ~rid with
+  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
   | None -> ()
-  | Some (page_key, loc) ->
-    (match (undo.Undo.kind, loc) with
-    | Undo.Created, `Page _ ->
+  | Some (Table_tree.In_frozen _) ->
+    (match undo.Undo.kind with
+    | Undo.Deleted _ -> ignore (Table_tree.undelete t.ttree ~row_id:rid)
+    | Undo.Created | Undo.Updated _ -> ());
+    pop_chain t ~page_key:(frozen_twin_key t rid) ~rid undo
+  | Some (Table_tree.In_page (frame, slot)) ->
+    let page_key = Bufmgr.page_id frame in
+    (match undo.Undo.kind with
+    | Undo.Created ->
       (* aborted insert: remove index entries, delete-mark the row *)
       (match Table_tree.read ~touch:false t.ttree ~row_id:rid with
       | Some row ->
         List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row ix row) ~rid)) t.indexes
       | None -> ());
       ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
-    | Undo.Updated before, `Page frame -> (
-      match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-      | Some (Table_tree.In_page (frame', slot)) ->
-        let page = Bufmgr.payload frame' in
-        let new_row = Pax.get page ~slot in
-        Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) before;
-        Bufmgr.mark_dirty frame';
-        ignore frame;
-        (* drop the new-key index entries this update added *)
+    | Undo.Updated before ->
+      let page = Bufmgr.payload frame in
+      (* drop the new-key index entries this update added *)
+      let new_row = if writes_any_key before t.indexes then Some (Pax.get page ~slot) else None in
+      Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) before;
+      Bufmgr.mark_dirty frame;
+      (match new_row with
+      | None -> ()
+      | Some new_row ->
         let old_row = Pax.get page ~slot in
         List.iter
           (fun ix ->
-            let nk = key_of_row ix new_row and ok = key_of_row ix old_row in
-            if nk <> ok then ignore (Index_tree.delete ix.ix ~key:nk ~rid))
-          t.indexes
-      | _ -> ())
-    | Undo.Deleted _, _ -> ignore (Table_tree.undelete t.ttree ~row_id:rid)
-    | Undo.Created, `Frozen _ | Undo.Updated _, `Frozen _ -> ());
+            if writes_key ix before then begin
+              let nk = key_of_row ix new_row and ok = key_of_row ix old_row in
+              if nk <> ok then ignore (Index_tree.delete ix.ix ~key:nk ~rid)
+            end)
+          t.indexes)
+    | Undo.Deleted _ -> ignore (Table_tree.undelete t.ttree ~row_id:rid));
     pop_chain t ~page_key ~rid undo
 
 let gc_reclaim_undo t (undo : Undo.t) =
@@ -653,8 +667,9 @@ let gc_reclaim_undo t (undo : Undo.t) =
     (* the deletion is globally visible: strip the index entries; the
        delete-marked slot itself is reclaimed by freeze/compaction *)
     List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row ix row) ~rid)) t.indexes
-  | Undo.Updated before -> (
-    (* drop old-key index entries that were kept for older snapshots *)
+  | Undo.Updated before when writes_any_key before t.indexes -> (
+    (* drop old-key index entries that were kept for older snapshots; an
+       update that wrote no key column left none, and costs nothing here *)
     match Table_tree.read ~touch:false t.ttree ~row_id:rid with
     | None -> ()
     | Some current ->
@@ -662,10 +677,12 @@ let gc_reclaim_undo t (undo : Undo.t) =
       Array.iter (fun (col, v) -> old_row.(col) <- v) before;
       List.iter
         (fun ix ->
-          let ok = key_of_row ix old_row and ck = key_of_row ix current in
-          if ok <> ck then ignore (Index_tree.delete ix.ix ~key:ok ~rid))
+          if writes_key ix before then begin
+            let ok = key_of_row ix old_row and ck = key_of_row ix current in
+            if ok <> ck then ignore (Index_tree.delete ix.ix ~key:ok ~rid)
+          end)
         t.indexes)
-  | Undo.Created -> ()
+  | Undo.Updated _ | Undo.Created -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Recovery replay *)

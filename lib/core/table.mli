@@ -137,7 +137,9 @@ val scan : t -> txn -> (int -> Phoebe_storage.Value.t array -> unit) -> unit
 val rollback_undo : t -> Phoebe_txn.Undo.t -> unit
 val gc_reclaim_undo : t -> Phoebe_txn.Undo.t -> unit
 (** Physical cleanup when an UNDO log is reclaimed: strip index entries
-    of deleted tuples and stale entries of key updates (§7.3). *)
+    of deleted tuples and stale entries of key updates (§7.3). An update
+    that wrote no index key column left no stale entry: reclaiming it
+    reads no tuple and charges nothing. *)
 
 val raw_insert : t -> rid:int -> Phoebe_storage.Value.t array -> unit
 (** Recovery replay: non-transactional insert preserving [rid]. *)

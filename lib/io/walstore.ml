@@ -2,7 +2,12 @@
    absorbed into the durable frontier. Appends to one file are absorbed
    in order: an extent's bytes only join [durable] once every earlier
    extent of that file is on media, so the frontier is always a
-   contiguous prefix of [buf]. *)
+   contiguous prefix of the history.
+
+   The history is kept as fixed-size chunks rather than one growing
+   buffer: a doubling buffer holds up to twice the log it stores and
+   copies all of it on every growth, while chunks hold at most one
+   partly filled chunk beyond the log and are never copied. *)
 
 module Engine = Phoebe_sim.Engine
 module Sanitize = Phoebe_sanitize.Sanitize
@@ -13,8 +18,13 @@ type extent = {
   e_ack : unit -> unit;
 }
 
+let chunk_size = 65536
+
 type wfile = {
-  buf : Buffer.t;  (** every appended byte, in append order *)
+  mutable chunks : Bytes.t array;
+      (** every appended byte, in append order: byte [i] is at offset
+          [i mod chunk_size] of chunk [i / chunk_size] *)
+  mutable len : int;  (** bytes appended (and not lost to a crash) *)
   mutable durable : int;  (** contiguous media frontier, in bytes *)
   extents : extent Queue.t;  (** appended but not yet absorbed, in order *)
 }
@@ -46,9 +56,52 @@ let file_for t file =
   match Hashtbl.find_opt t.files file with
   | Some f -> f
   | None ->
-    let f = { buf = Buffer.create 4096; durable = 0; extents = Queue.create () } in
+    let f = { chunks = [||]; len = 0; durable = 0; extents = Queue.create () } in
     Hashtbl.add t.files file f;
     f
+
+let chunks_for len = (len + chunk_size - 1) / chunk_size
+
+(* Copy [bytes] from [src] on into the history at byte [pos], one chunk
+   at a time. Chunks [0, chunks_for f.len) are allocated; later slots
+   hold [Bytes.empty] until a write reaches them. *)
+let rec write_from f bytes src pos =
+  if src < Bytes.length bytes then begin
+    let i = pos / chunk_size and off = pos mod chunk_size in
+    if Bytes.length f.chunks.(i) = 0 then f.chunks.(i) <- Bytes.create chunk_size;
+    let k = min (Bytes.length bytes - src) (chunk_size - off) in
+    Bytes.blit bytes src f.chunks.(i) off k;
+    write_from f bytes (src + k) (pos + k)
+  end
+
+let add_bytes f bytes =
+  let need = chunks_for (f.len + Bytes.length bytes) in
+  let have = Array.length f.chunks in
+  if need > have then begin
+    let grown = Array.make (max need (2 * have)) Bytes.empty in
+    Array.blit f.chunks 0 grown 0 have;
+    f.chunks <- grown
+  end;
+  write_from f bytes 0 f.len;
+  f.len <- f.len + Bytes.length bytes
+
+(* Fill [out] from byte [pos] on with the history's bytes at [pos]. *)
+let rec read_into f out pos =
+  if pos < Bytes.length out then begin
+    let off = pos mod chunk_size in
+    let k = min (Bytes.length out - pos) (chunk_size - off) in
+    Bytes.blit f.chunks.(pos / chunk_size) off out pos k;
+    read_into f out (pos + k)
+  end
+
+(* Drop the history past [len] bytes, freeing the chunks it no longer
+   reaches. *)
+let truncate f len =
+  let keep = chunks_for len in
+  for i = keep to Array.length f.chunks - 1 do
+    f.chunks.(i) <- Bytes.empty
+  done;
+  f.len <- len
 
 (* Absorb the longest all-on-media prefix of the extent queue into the
    durable frontier. Acks fire in append order; a lost-ack extent
@@ -75,11 +128,11 @@ let advance t file f =
   in
   go ();
   if Sanitize.on () then
-    Sanitize.wal_frontier ~scope:t.sid ~file ~durable:f.durable ~appended:(Buffer.length f.buf)
+    Sanitize.wal_frontier ~scope:t.sid ~file ~durable:f.durable ~appended:f.len
 
 let append t ~file bytes ~on_durable =
   let f = file_for t file in
-  Buffer.add_bytes f.buf bytes;
+  add_bytes f bytes;
   t.appended <- t.appended + Bytes.length bytes;
   let e = { e_len = Bytes.length bytes; e_state = `Pending; e_ack = on_durable } in
   Queue.push e f.extents;
@@ -106,7 +159,10 @@ let append t ~file bytes ~on_durable =
    volatile tail actually disappear. *)
 let contents t ~file =
   match Hashtbl.find_opt t.files file with
-  | Some f -> Buffer.to_bytes f.buf
+  | Some f ->
+    let out = Bytes.create f.len in
+    read_into f out 0;
+    out
   | None -> Bytes.empty
 
 let durable_frontier t ~file =
@@ -114,7 +170,7 @@ let durable_frontier t ~file =
 
 let pending_bytes t ~file =
   match Hashtbl.find_opt t.files file with
-  | Some f -> Buffer.length f.buf - f.durable
+  | Some f -> f.len - f.durable
   | None -> 0
 
 let crash ?tear t =
@@ -145,10 +201,8 @@ let crash ?tear t =
            | _ -> 0
          in
          let survive = f.durable + extra in
-         let total = Buffer.length f.buf in
-         let image = Buffer.sub f.buf 0 survive in
-         Buffer.clear f.buf;
-         Buffer.add_string f.buf image;
+         let total = f.len in
+         truncate f survive;
          f.durable <- survive;
          Queue.clear f.extents;
          (file, survive, total - survive))

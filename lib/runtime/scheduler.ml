@@ -697,7 +697,7 @@ let current_slot () =
   let f = current_fiber () in
   (f.fworker.wid * f.fworker.wsched.cfg.slots_per_worker) + f.fslot
 
-let current_scheduler () = match !cur with Some f -> Some f.fworker.wsched | None -> None
+let current_cost () = match !cur with Some f -> f.fworker.wsched.cfg.cost | None -> Cost.default
 
 (* ------------------------------------------------------------------ *)
 (* Span probes callable from kernel code (Txnmgr, Wal, benchmarks).

@@ -173,7 +173,10 @@ val current_slot : unit -> int
     engine state (WAL writers, UNDO arenas, tuple-lock registers) indexes
     off this. @raise Phoebe_util.Phoebe_error.Bug outside a fiber. *)
 
-val current_scheduler : unit -> t option
+val current_cost : unit -> Phoebe_sim.Cost.t
+(** Cost model of the running fiber's scheduler, or
+    {!Phoebe_sim.Cost.default} outside a fiber. Allocation-free: kernel
+    hot paths call it once per operation to price their charges. *)
 
 (** {1 Span probes}
 

@@ -37,6 +37,7 @@ let run_until t ~time =
     | Some ev when ev.time <= time ->
       ignore (Phoebe_util.Binheap.pop t.heap);
       t.now <- ev.time;
+      t.processed <- t.processed + 1;
       if Sanitize.on () then Sanitize.digest_event ev.time ev.seq;
       ev.action ();
       loop ()

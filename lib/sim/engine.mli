@@ -33,4 +33,5 @@ val pending : t -> int
 (** Number of queued events (for tests and liveness checks). *)
 
 val processed : t -> int
-(** Total events executed since creation (performance introspection). *)
+(** Total events executed since creation, by {!run} and {!run_until}
+    alike (performance introspection). *)

@@ -155,9 +155,6 @@ let set_budget t ~budget_bytes =
   let per = budget_bytes / max 1 (Array.length t.parts) in
   Array.iter (fun p -> p.budget <- per) t.parts
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
 let now t = Engine.now t.engine
 
 let alloc t ~partition payload =
@@ -230,11 +227,11 @@ let resolve ?(touch = true) t swip =
     (* recency first: the charge may suspend at a coalescing boundary,
        and an un-refreshed frame could be evicted in that window *)
     touch_frame t frame ~touch;
-    Scheduler.charge Component.Buffer (costs ()).Cost.buffer_hit;
+    Scheduler.charge Component.Buffer (Scheduler.current_cost ()).Cost.buffer_hit;
     touch_frame t frame ~touch:false;
     frame
   | Unswizzled pid -> (
-    Scheduler.charge Component.Buffer (costs ()).Cost.buffer_miss;
+    Scheduler.charge Component.Buffer (Scheduler.current_cost ()).Cost.buffer_miss;
     let raw = Pagestore.read t.pstore ~page_id:pid in
     (* The calling fiber suspended for the read: someone else may have
        faulted the same page in meanwhile. *)
@@ -250,10 +247,7 @@ let resolve ?(touch = true) t swip =
       (* Allocate into the faulting worker's partition: ownership of a
          page follows whoever re-heats it. *)
       let partition =
-        match Scheduler.current_scheduler () with
-        | Some _ when Scheduler.in_fiber () ->
-          Scheduler.current_worker () mod Array.length t.parts
-        | _ -> 0
+        if Scheduler.in_fiber () then Scheduler.current_worker () mod Array.length t.parts else 0
       in
       let part = t.parts.(partition) in
       let frame =
@@ -416,7 +410,7 @@ let refill_cooling t part =
 let rec cleaner_service t partition =
   let part = t.parts.(partition) in
   let cfg = t.cleaner_cfg in
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   (* Frames deferred this pass because their image would need stripping
      (entries not yet durably committed); they rejoin the queue only
      after the pass so [collect] cannot pull them again at the same
@@ -555,7 +549,7 @@ and kick_cleaner ?(force = false) t ~partition =
 (* Eviction *)
 
 and evict_one t part =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   let cleaner = cleaner_on t in
   (* dirty frames deferred to the cleaner during this scan; returned to
      the cooling queue afterwards so they keep their second chance *)

@@ -62,6 +62,12 @@ val resolve : ?touch:bool -> 'p t -> 'p swip -> 'p frame
     OLTP access for temperature tracking; pass [false] for scans so they
     do not warm data (§5.2). *)
 
+val touch_frame : 'p t -> 'p frame -> touch:bool -> unit
+(** The bookkeeping half of a hot {!resolve}, without its charge: refresh
+    the frame's eviction recency, swizzle a Cooling frame back to Hot,
+    and with [touch] count an OLTP access. For callers that already hold
+    a resident frame (the table tree's leaf fence cache). *)
+
 val payload : 'p frame -> 'p
 (** @raise Invalid_argument if the frame is not resident. *)
 

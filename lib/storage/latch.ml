@@ -26,9 +26,6 @@ let set_class t name = if Sanitize.on () then Sanitize.latch_class ~uid:t.uid ~n
 let version t = t.lversion
 let is_exclusive t = t.mode = Exclusive
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
 (* Latch waits keep the charge + high-urgency-yield spin of §7.1 (they
    are short and parking them would perturb instruction accounting),
    but every turn goes through the wait core's cancellable spin step:
@@ -36,14 +33,14 @@ let costs () =
    raises {!Timeout} instead of spinning forever behind a stalled
    holder. With no deadline set this is the original spin exactly. *)
 let spin () =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Latch c.Cost.latch_acquire;
   match Scheduler.spin_yield Scheduler.High with
   | Scheduler.Signalled -> ()
   | Scheduler.Timed_out | Scheduler.Cancelled -> raise Timeout
 
 let rec optimistic_read t f =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   if t.mode = Exclusive then begin
     spin ();
     optimistic_read t f
@@ -69,10 +66,10 @@ let rec raw_acquire_shared t =
   match t.mode with
   | Free ->
     t.mode <- Shared 1;
-    Scheduler.charge Component.Latch (costs ()).Cost.latch_acquire
+    Scheduler.charge Component.Latch (Scheduler.current_cost ()).Cost.latch_acquire
   | Shared n ->
     t.mode <- Shared (n + 1);
-    Scheduler.charge Component.Latch (costs ()).Cost.latch_acquire
+    Scheduler.charge Component.Latch (Scheduler.current_cost ()).Cost.latch_acquire
   | Exclusive ->
     spin ();
     raw_acquire_shared t
@@ -81,7 +78,7 @@ let rec raw_acquire_exclusive t =
   match t.mode with
   | Free ->
     t.mode <- Exclusive;
-    Scheduler.charge Component.Latch (costs ()).Cost.latch_acquire
+    Scheduler.charge Component.Latch (Scheduler.current_cost ()).Cost.latch_acquire
   | Shared _ | Exclusive ->
     spin ();
     raw_acquire_exclusive t

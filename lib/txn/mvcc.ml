@@ -3,11 +3,8 @@ module Scheduler = Phoebe_runtime.Scheduler
 module Component = Phoebe_sim.Component
 module Cost = Phoebe_sim.Cost
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
 let visible_version ~xid ~snapshot ~current ~deleted_in_page ~head =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Mvcc c.Cost.visibility_check;
   match head with
   | None ->
@@ -55,7 +52,7 @@ let visible_version ~xid ~snapshot ~current ~deleted_in_page ~head =
 type write_check = Write_ok | Write_conflict of int | Write_wait of int
 
 let check_write ~xid ~snapshot ~head =
-  Scheduler.charge Component.Mvcc (costs ()).Cost.visibility_check;
+  Scheduler.charge Component.Mvcc (Scheduler.current_cost ()).Cost.visibility_check;
   match head with
   | None -> Write_ok
   | Some (header : Undo.t) ->

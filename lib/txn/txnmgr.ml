@@ -118,9 +118,6 @@ let set_commit_barrier t b = t.commit_barrier <- b
 let clock t = t.tclock
 let wal t = t.twal
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
 (* Pass through a globally serialised resource: queue behind everyone
    ahead, hold it for [hold_ns], resume when service completes. *)
 let serialize eng r ~hold_ns =
@@ -139,7 +136,7 @@ let through_proc_array t =
   | _ -> ()
 
 let take_snapshot t =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   match t.snapshot_mode with
   | O1_timestamp ->
     Scheduler.charge Component.Mvcc c.Cost.snapshot_acquire;
@@ -153,7 +150,7 @@ let take_snapshot t =
     Clock.current t.tclock
 
 let begin_txn t ~isolation ~slot =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.span_begin ();
   Scheduler.charge Component.Effective c.Cost.txn_begin;
   let start_ts = Clock.next t.tclock in
@@ -187,7 +184,7 @@ let refresh_snapshot t txn =
   | Repeatable_read -> ()
 
 let add_undo t txn undo =
-  Scheduler.charge Component.Mvcc (costs ()).Cost.undo_create;
+  Scheduler.charge Component.Mvcc (Scheduler.current_cost ()).Cost.undo_create;
   undo.Undo.next_in_txn <- txn.undo_newest;
   txn.undo_newest <- Some undo;
   txn.undo_count <- txn.undo_count + 1;
@@ -212,7 +209,7 @@ let finish t txn final_state =
    decision arrives later as a plain {!commit} or {!abort}. *)
 let prepare t txn ~gxid ~coord =
   if txn.state <> Active then invalid_arg "Txnmgr.prepare: transaction not active";
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Effective c.Cost.txn_finalize;
   if txn.wrote then begin
     let gsn = Wal.next_gsn t.twal ~slot:txn.slot ~page_gsn:0 in
@@ -232,7 +229,7 @@ let commit t txn =
   (match txn.state with
   | Active | Prepared -> ()
   | Committed | Aborted -> invalid_arg "Txnmgr.commit: transaction not active");
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Effective c.Cost.txn_finalize;
   let cts = Clock.next t.tclock in
   txn.cts <- cts;
@@ -308,7 +305,7 @@ let abort ?(reason = User) t txn ~rollback =
   (match txn.state with
   | Active | Prepared -> ()
   | Committed | Aborted -> invalid_arg "Txnmgr.abort: transaction not active");
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Effective c.Cost.txn_finalize;
   Undo.iter_txn txn.undo_newest (fun u ->
       rollback u;
@@ -363,7 +360,7 @@ let lock_wait_interrupted txn reason what =
   | Scheduler.Cancelled -> raise (Abort (User, Printf.sprintf "%s cancelled" what))
 
 let wait_for_txn t txn ~holder_xid =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   through_lock_table t;
   Scheduler.charge Component.Lock c.Cost.txnid_lock;
   match Hashtbl.find_opt t.active holder_xid with
@@ -398,7 +395,7 @@ let twin_of_page t ~page_id = Hashtbl.find_opt t.twins page_id
 let durable_commit_ts t ~slot = t.slot_durable_cts.(slot)
 
 let lock_tuple t txn (entry : Twin.entry) =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   through_lock_table t;
   (match t.contention with
   | Some { lock_table = Some _; _ } -> Scheduler.charge Component.Lock c.Cost.global_lock_table
@@ -437,7 +434,7 @@ let unlock_tuple _t txn (entry : Twin.entry) =
   end
 
 let lock_table t txn tl ~mode =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   let already =
     match (Tablelock.held_by tl ~xid:txn.xid, mode) with
     | Some Tablelock.Exclusive, _ -> true
@@ -474,7 +471,7 @@ let lock_table t txn tl ~mode =
 let min_active_start_ts t =
   (* one pass over the active transactions — computed once per GC cycle
      and passed to every slot's reclaim *)
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Gc (30 * max 1 (Hashtbl.length t.active));
   ignore c;
   Hashtbl.fold (fun _ txn acc -> min acc txn.start_ts) t.active max_int
@@ -483,7 +480,7 @@ let max_frozen_xid t =
   Array.fold_left (fun acc x -> min acc x) max_int t.slot_last_reclaimed_xid
 
 let gc_slot t ~slot ~watermark ~on_reclaim =
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   let q = t.slot_bundles.(slot) in
   let reclaimed = ref 0 in
   let rec go () =

@@ -105,9 +105,6 @@ let create ?obs ?(resume = false) engine ~store ~n_slots cfg =
 
 let config t = t.cfg
 
-let costs () =
-  match Scheduler.current_scheduler () with Some s -> Scheduler.cost s | None -> Cost.default
-
 (* The durable-GSN floor: every record with GSN <= floor is durable in
    every writer. A writer with no unflushed records imposes no bound. *)
 let durable_floor t =
@@ -190,7 +187,7 @@ let append t ~slot op ~gsn =
   w.cur_gsn <- max w.cur_gsn gsn;
   Obs.Counter.incr t.records;
   Obs.Counter.add t.bytes size;
-  let c = costs () in
+  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Wal (c.Cost.wal_record_base + (size / 16 * c.Cost.wal_record_per_byte_x16));
   (* RFA waiters block on the global durable floor: any freshly buffered
      record could be holding it down (registration-time nudges only cover
@@ -217,7 +214,7 @@ let wal_wait register =
 
 let commit_durable t ~slot ~lsn ~needs_remote ~remote_gsn =
   if !debug then Printf.printf "commit_durable slot=%d lsn=%d flushed=%d remote=%b\n%!" slot lsn t.writers.(slot).flushed_lsn needs_remote;
-  Scheduler.charge Component.Wal (costs ()).Cost.wal_commit;
+  Scheduler.charge Component.Wal (Scheduler.current_cost ()).Cost.wal_commit;
   if t.cfg.sync_commit then begin
     let slot = effective_slot t slot in
     let w = t.writers.(slot) in

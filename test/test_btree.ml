@@ -20,7 +20,7 @@ let row k s = [| Value.Int k; Value.Str s |]
 let pax_codec : Pax.t Bufmgr.codec =
   { Bufmgr.encode = Pax.encode; decode = Pax.decode; size = Pax.size_bytes }
 
-let make_tree ?(leaf_capacity = 8) ?(budget = 100_000_000) () =
+let make_env ?(leaf_capacity = 8) ?(budget = 100_000_000) () =
   let eng = Engine.create () in
   let data_dev = Device.create eng ~name:"data" Device.pm9a3 in
   let block_dev = Device.create eng ~name:"blocks" Device.pm9a3 in
@@ -28,8 +28,14 @@ let make_tree ?(leaf_capacity = 8) ?(budget = 100_000_000) () =
     Bufmgr.create eng ~store:(Pagestore.create data_dev) ~partitions:1 ~budget_bytes:budget
       ~codec:pax_codec
   in
-  Table_tree.create ~name:"t" ~schema ~buf ~block_store:(Pagestore.create block_dev)
-    ~leaf_capacity ()
+  ( eng,
+    buf,
+    Table_tree.create ~name:"t" ~schema ~buf ~block_store:(Pagestore.create block_dev)
+      ~leaf_capacity () )
+
+let make_tree ?leaf_capacity ?budget () =
+  let _, _, t = make_env ?leaf_capacity ?budget () in
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Table tree *)
@@ -212,6 +218,114 @@ let test_tt_model_random_ops () =
   done;
   check_int "live counts agree" (Hashtbl.length model) (Table_tree.tuple_count_estimate t)
 
+(* Fence cache: a lookup served from the cached leaf fences must find
+   exactly what a full descent finds, whatever happened to the tree in
+   between — rightmost-leaf appends, deletes, eviction and reload in a
+   tiny pool, and freezing. Each probe first looks up a rid in another
+   leaf (so the next lookup descends), then looks the probe rid up twice:
+   a descent, then a fence hit. *)
+
+(* eviction honours a recency guard: hop virtual time forward so that
+   untouched leaves become eligible *)
+let age eng = Engine.run_until eng ~time:(Engine.now eng + 1_000_000)
+
+let location_id = function
+  | None -> `Absent
+  | Some (Table_tree.In_frozen b) -> `Frozen (Phoebe_storage.Frozen.first_row_id b)
+  | Some (Table_tree.In_page (frame, slot)) -> `Page (Bufmgr.page_id frame, slot)
+
+let test_tt_fence_hit_matches_descent () =
+  let rng = Phoebe_util.Prng.create ~seed:2024 in
+  let eng, buf, t = make_env ~leaf_capacity:4 ~budget:4096 () in
+  let model : (int, string) Hashtbl.t = Hashtbl.create 256 in
+  let compared = ref 0 in
+  for step = 1 to 3000 do
+    match Phoebe_util.Prng.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 ->
+      let s = Printf.sprintf "s%d" step in
+      Hashtbl.replace model (Table_tree.append t (row step s)) s
+    | 5 ->
+      let rid = 1 + Phoebe_util.Prng.int rng (Table_tree.next_row_id t) in
+      if Table_tree.mark_deleted t ~row_id:rid then Hashtbl.remove model rid
+    | 6 ->
+      age eng;
+      Bufmgr.maintain buf ~partition:0
+    | 7 ->
+      if step mod 5 = 0 then
+        ignore (Table_tree.freeze_prefix t ~up_to_rid:(Table_tree.max_frozen_row_id t + 6))
+    | _ ->
+      let hi = Table_tree.next_row_id t - 1 in
+      if hi > 0 then begin
+        let rid = 1 + Phoebe_util.Prng.int rng hi in
+        let elsewhere = if rid > hi / 2 then Table_tree.max_frozen_row_id t + 1 else hi in
+        let bust = location_id (Table_tree.locate ~touch:false t ~row_id:elsewhere) in
+        let descent = Table_tree.locate t ~row_id:rid in
+        let count_after_descent =
+          match descent with
+          | Some (Table_tree.In_page (frame, _)) -> Bufmgr.access_count frame
+          | _ -> 0
+        in
+        if Phoebe_util.Prng.int rng 2 = 0 then age eng;
+        let hit = Table_tree.locate t ~row_id:rid in
+        if location_id descent <> location_id hit then
+          Alcotest.failf "step %d: rid %d located differently by descent and fence hit" step rid;
+        (match (descent, bust) with
+        | Some (Table_tree.In_page (frame, _)), `Page (pid, _) when pid <> Bufmgr.page_id frame ->
+          incr compared;
+          (* the hit did a resolve's bookkeeping: one access, fresh recency *)
+          check_int "hit counts one access" (count_after_descent + 1) (Bufmgr.access_count frame);
+          check_int "hit refreshes recency" (Engine.now eng) (Bufmgr.last_access frame)
+        | _ -> ());
+        match (Table_tree.read t ~row_id:rid, Hashtbl.find_opt model rid) with
+        | Some r, Some s ->
+          if not (Value.equal r.(1) (Value.Str s)) then Alcotest.failf "step %d: rid %d mismatch" step rid
+        | None, None -> ()
+        | Some _, None -> Alcotest.failf "step %d: tree has rid %d, model does not" step rid
+        | None, Some _ -> Alcotest.failf "step %d: model has rid %d, tree does not" step rid
+      end
+  done;
+  check_bool "many descent/hit pairs compared" true (!compared > 200);
+  check_bool "the pool evicted leaves" true (Pagestore.page_count (Bufmgr.store buf) > 0);
+  check_bool "the tree froze leaves" true (Table_tree.frozen_block_count t > 0)
+
+(* Freezing drops a leaf's frame while the cache may still hold its
+   fences, and a deleted tail row of a frozen leaf stays above
+   [max_frozen_row_id]: the lookup must miss the cache and find
+   nothing. *)
+let test_tt_fence_skips_frozen_leaf () =
+  let t = make_tree ~leaf_capacity:4 () in
+  for i = 1 to 12 do
+    ignore (Table_tree.append t (row i "x"))
+  done;
+  ignore (Table_tree.mark_deleted t ~row_id:8);
+  ignore (Table_tree.read t ~row_id:7);
+  ignore (Table_tree.freeze_prefix t ~up_to_rid:8);
+  check_int "block ends at the last live row" 7 (Table_tree.max_frozen_row_id t);
+  check_bool "deleted tail row is absent" true (Table_tree.locate t ~row_id:8 = None);
+  check_bool "frozen row readable" true (Table_tree.read t ~row_id:7 <> None)
+
+(* A fence hit refreshes eviction recency: after virtual time passes, a
+   leaf read only through the cache stays resident while an untouched
+   leaf is evicted. *)
+let test_tt_fence_hit_keeps_leaf_warm () =
+  let eng, buf, t = make_env ~leaf_capacity:4 () in
+  for i = 1 to 8 do
+    ignore (Table_tree.append t (row i "x"))
+  done;
+  let frame_of rid =
+    match Table_tree.locate ~touch:false t ~row_id:rid with
+    | Some (Table_tree.In_page (frame, _)) -> frame
+    | _ -> Alcotest.failf "rid %d not in a page" rid
+  in
+  let first = frame_of 2 and rightmost = frame_of 6 in
+  ignore (Table_tree.read t ~row_id:2);
+  age eng;
+  ignore (Table_tree.read t ~row_id:3);
+  Bufmgr.set_budget buf ~budget_bytes:1;
+  Bufmgr.maintain buf ~partition:0;
+  check_bool "untouched leaf evicted" false (Bufmgr.is_resident rightmost);
+  check_bool "leaf read through the cache stays resident" true (Bufmgr.is_resident first)
+
 (* ------------------------------------------------------------------ *)
 (* Index tree *)
 
@@ -373,6 +487,9 @@ let () =
           Alcotest.test_case "cold reads under tiny buffer" `Quick test_tt_eviction_cold_reads;
           Alcotest.test_case "scan with rid gaps" `Quick test_tt_scan_with_rid_gaps;
           Alcotest.test_case "model random ops" `Quick test_tt_model_random_ops;
+          Alcotest.test_case "fence hit matches descent" `Quick test_tt_fence_hit_matches_descent;
+          Alcotest.test_case "fence hit keeps leaf warm" `Quick test_tt_fence_hit_keeps_leaf_warm;
+          Alcotest.test_case "fence skips frozen leaf" `Quick test_tt_fence_skips_frozen_leaf;
         ] );
       ( "index_tree",
         Alcotest.test_case "insert/lookup" `Quick test_ix_insert_lookup

@@ -445,6 +445,65 @@ let test_gc_removes_deleted_tuples_from_index () =
       check_bool "index entry stripped or invisible" true
         (Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "purge" ] = []))
 
+(* GC inside a fiber, so its charges land in the scheduler's counters:
+   returns (undo entries reclaimed, Effective, Buffer instructions). *)
+let gc_in_fiber db =
+  let sched = Db.scheduler db in
+  let ctrs = Scheduler.counters sched in
+  let get c = Phoebe_sim.Counters.get ctrs c in
+  let eff0 = get Phoebe_sim.Component.Effective and buf0 = get Phoebe_sim.Component.Buffer in
+  let reclaimed = ref 0 in
+  Scheduler.submit sched (fun () -> reclaimed := Db.gc db);
+  Db.run db;
+  (!reclaimed, get Phoebe_sim.Component.Effective - eff0, get Phoebe_sim.Component.Buffer - buf0)
+
+let inserts_ok db t owner =
+  match insert_account db t owner 0 with _ -> true | exception Txnmgr.Abort _ -> false
+
+let test_gc_non_key_update_is_free () =
+  let db, t = accounts_db () in
+  let rid = insert_account db t "carol" 10 in
+  ignore (gc_in_fiber db);
+  ignore (Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("balance", Value.Int 11) ]));
+  let reclaimed, effective, buffer = gc_in_fiber db in
+  check_bool "the update's undo was reclaimed" true (reclaimed > 0);
+  check_int "no Effective instructions" 0 effective;
+  check_int "no tuple read (no buffer access)" 0 buffer;
+  check_int "value intact" 11 (balance_of db t rid)
+
+(* A key-changing update keeps its old-key index entry for older
+   snapshots until GC; the entry makes the old key look taken. *)
+let test_gc_drops_old_key_entry () =
+  let db, t = accounts_db () in
+  let rid = insert_account db t "carol" 10 in
+  ignore (Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("owner", Value.Str "dave") ]));
+  check_bool "old key still indexed before GC" false (inserts_ok db t "carol");
+  let _, effective, _ = gc_in_fiber db in
+  check_bool "a key update costs GC a tuple read" true (effective > 0);
+  check_bool "old key free after GC" true (inserts_ok db t "carol");
+  Db.with_txn db (fun txn ->
+      match Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "dave" ] with
+      | [ (r, _) ] -> check_int "new key finds the row" rid r
+      | l -> Alcotest.failf "new key finds %d rows" (List.length l))
+
+(* Rolling back a key-changing update restores the row and removes the
+   new-key entry the update added. *)
+let test_rollback_drops_new_key_entry () =
+  let db, t = accounts_db () in
+  let rid = insert_account db t "erin" 10 in
+  (try
+     Db.with_txn db (fun txn ->
+         ignore (Table.update t txn ~rid [ ("owner", Value.Str "frank") ]);
+         failwith "user error")
+   with Failure _ -> ());
+  check_bool "new key free after rollback" true (inserts_ok db t "frank");
+  Db.with_txn db (fun txn ->
+      match Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "erin" ] with
+      | [ (r, row) ] ->
+        check_int "old key finds the row" rid r;
+        check_bool "owner restored" true (Value.equal row.(0) (Value.Str "erin"))
+      | l -> Alcotest.failf "old key finds %d rows" (List.length l))
+
 (* ------------------------------------------------------------------ *)
 (* Freeze *)
 
@@ -582,6 +641,7 @@ let () =
           Alcotest.test_case "update rollback" `Quick test_abort_rolls_back_update;
           Alcotest.test_case "insert rollback" `Quick test_abort_rolls_back_insert;
           Alcotest.test_case "delete rollback" `Quick test_abort_rolls_back_delete;
+          Alcotest.test_case "key update rollback" `Quick test_rollback_drops_new_key_entry;
         ] );
       ( "unique",
         [
@@ -623,6 +683,8 @@ let () =
         [
           Alcotest.test_case "undo reclaimed" `Quick test_gc_reclaims_undo;
           Alcotest.test_case "deleted tuples purged" `Quick test_gc_removes_deleted_tuples_from_index;
+          Alcotest.test_case "non-key update is free" `Quick test_gc_non_key_update_is_free;
+          Alcotest.test_case "old key entry dropped" `Quick test_gc_drops_old_key_entry;
         ] );
       ("freeze", [ Alcotest.test_case "freeze and read" `Quick test_freeze_and_read_back ]);
       ( "recovery",

@@ -247,6 +247,57 @@ let test_walstore_crash_tear () =
   | r -> Alcotest.failf "unexpected crash report (%d files)" (List.length r));
   Engine.clear eng
 
+(* The store keeps each file as fixed-size chunks; a plain buffer per
+   file is the reference. Extents range from a few bytes to more than a
+   chunk, so appends straddle chunk boundaries, and crashes (every other
+   one torn) cut files mid-chunk before appends resume. *)
+let test_walstore_chunks_vs_model () =
+  let rng = Phoebe_util.Prng.create ~seed:31 in
+  let eng = Engine.create () in
+  let ws = Walstore.create (small_dev eng) in
+  let files = 3 in
+  let model = Array.init files (fun _ -> Buffer.create 16) in
+  let check_contents what =
+    Array.iteri
+      (fun file m ->
+        if Buffer.length m <> Bytes.length (Walstore.contents ws ~file) then
+          Alcotest.failf "%s: file %d holds %d bytes, model %d" what file
+            (Bytes.length (Walstore.contents ws ~file)) (Buffer.length m);
+        check_bool (Printf.sprintf "%s: file %d bytes" what file) true
+          (String.equal (Buffer.contents m) (Bytes.to_string (Walstore.contents ws ~file))))
+      model
+  in
+  for round = 1 to 6 do
+    for _ = 1 to 40 do
+      let file = Phoebe_util.Prng.int rng files in
+      let len =
+        if Phoebe_util.Prng.int rng 4 = 0 then Phoebe_util.Prng.int rng 100_000
+        else Phoebe_util.Prng.int rng 700
+      in
+      let b = Bytes.init len (fun _ -> Char.chr (Phoebe_util.Prng.int rng 256)) in
+      Buffer.add_bytes model.(file) b;
+      Walstore.append ws ~file b ~on_durable:ignore;
+      if Phoebe_util.Prng.int rng 3 = 0 then
+        Engine.run_until eng ~time:(Engine.now eng + Phoebe_util.Prng.int rng 2_000_000)
+    done;
+    check_contents "live view";
+    let durable = Array.init files (fun file -> Walstore.durable_frontier ws ~file) in
+    let tear = if round mod 2 = 0 then Some (Phoebe_util.Prng.create ~seed:round) else None in
+    let report = Walstore.crash ?tear ws in
+    Engine.clear eng;
+    List.iter
+      (fun (file, survive, lost) ->
+        let m = model.(file) in
+        check_int "nothing vanishes" (Buffer.length m) (survive + lost);
+        if tear = None then check_int "untorn crash keeps the frontier" durable.(file) survive
+        else check_bool "torn crash keeps at least the frontier" true (survive >= durable.(file));
+        let kept = Buffer.sub m 0 survive in
+        Buffer.clear m;
+        Buffer.add_string m kept)
+      report;
+    check_contents "after crash"
+  done
+
 let fault_dev ?(faults = { Device.fault_seed = 3; torn_write_p = 0.0; lost_ack_p = 0.0;
                            delayed_ack_p = 0.0; max_delay_ns = 0 }) eng =
   Device.create eng ~name:"faulty" ~faults
@@ -360,7 +411,11 @@ let () =
           Alcotest.test_case "copy isolation" `Quick test_pagestore_write_isolated_from_caller;
           Alcotest.test_case "write batch" `Quick test_pagestore_write_batch;
         ] );
-      ("walstore", [ Alcotest.test_case "append order" `Quick test_walstore_append_order ]);
+      ( "walstore",
+        [
+          Alcotest.test_case "append order" `Quick test_walstore_append_order;
+          Alcotest.test_case "chunks vs model" `Quick test_walstore_chunks_vs_model;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "durable frontier" `Quick test_walstore_durable_frontier;

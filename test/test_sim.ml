@@ -43,6 +43,16 @@ let test_engine_run_until () =
   check_int "clock moved to horizon" 500 (Engine.now e);
   check_int "one pending" 1 (Engine.pending e)
 
+let test_engine_processed_counts_both_drivers () =
+  let e = Engine.create () in
+  for d = 1 to 3 do
+    Engine.schedule e ~delay:(d * 100) ignore
+  done;
+  Engine.run_until e ~time:250;
+  check_int "run_until counts its events" 2 (Engine.processed e);
+  Engine.run e;
+  check_int "run adds the rest" 3 (Engine.processed e)
+
 let test_engine_past_schedule_clamped () =
   let e = Engine.create () in
   let at = ref (-1) in
@@ -113,6 +123,8 @@ let () =
           Alcotest.test_case "fifo same time" `Quick test_engine_fifo_same_time;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
+          Alcotest.test_case "processed counts run and run_until" `Quick
+            test_engine_processed_counts_both_drivers;
           Alcotest.test_case "past schedule clamped" `Quick test_engine_past_schedule_clamped;
         ] );
       ("counters", [ Alcotest.test_case "accounting" `Quick test_counters ]);
