@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Latch = Phoebe_storage.Latch
 module Value = Phoebe_storage.Value
 module Scheduler = Phoebe_runtime.Scheduler
@@ -40,7 +39,7 @@ let charge_search () = Scheduler.charge Component.Effective (Scheduler.current_c
 let charge_leaf_op () = Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.btree_leaf_op
 
 let new_leaf fanout =
-  let l = { keys = Array.make fanout ""; rids = Array.make fanout 0; ln = 0; llatch = Latch.create () } (* lint: allow hot-alloc — node construction on split, amortized *) in
+  let l = { keys = Array.make fanout ""; rids = Array.make fanout 0; ln = 0; llatch = Latch.create () } in
   Latch.set_class l.llatch "index_tree.llatch";
   l
 
@@ -90,9 +89,9 @@ let split_inner t inner =
   let half = inner.inn / 2 in
   let right =
     {
-      sep_keys = Array.make t.fanout ""; (* lint: allow hot-alloc — split, amortized *)
-      sep_rids = Array.make t.fanout 0; (* lint: allow hot-alloc — split, amortized *)
-      kids = Array.make t.fanout inner.kids.(0); (* lint: allow hot-alloc — split, amortized *)
+      sep_keys = Array.make t.fanout "";
+      sep_rids = Array.make t.fanout 0;
+      kids = Array.make t.fanout inner.kids.(0);
       inn = inner.inn - half;
       platch = Latch.create ();
     }
@@ -139,9 +138,9 @@ let insert t ~key ~rid =
       let old = t.root in
       let fresh =
         {
-          sep_keys = Array.make t.fanout ""; (* lint: allow hot-alloc — root growth, rare *)
-          sep_rids = Array.make t.fanout 0; (* lint: allow hot-alloc — root growth, rare *)
-          kids = Array.make t.fanout old; (* lint: allow hot-alloc — root growth, rare *)
+          sep_keys = Array.make t.fanout "";
+          sep_rids = Array.make t.fanout 0;
+          kids = Array.make t.fanout old;
           inn = 1;
           platch = Latch.create ();
         }
@@ -295,6 +294,6 @@ let prefix t ~prefix:p f =
          if has_prefix k p then f k rid else String.compare k p < 0))
 
 let encode_key values =
-  let buf = Buffer.create 32 in (* lint: allow hot-alloc — convenience key builder for cold callers *)
+  let buf = Buffer.create 32 in
   List.iter (Value.encode_key buf) values;
   Buffer.contents buf

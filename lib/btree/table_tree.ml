@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Pax = Phoebe_storage.Pax
 module Frozen = Phoebe_storage.Frozen
 module Bufmgr = Phoebe_storage.Bufmgr
@@ -56,7 +55,7 @@ type t = {
 let charge_effective n = Scheduler.charge Component.Effective n
 
 let new_inner child key =
-  let node = { keys = Array.make inner_fanout key; children = Array.make inner_fanout child; n = 1; ilatch = Latch.create () } (* lint: allow hot-alloc — inner-node construction on split, amortized *) in
+  let node = { keys = Array.make inner_fanout key; children = Array.make inner_fanout child; n = 1; ilatch = Latch.create () } in
   Latch.set_class node.ilatch "table_tree.ilatch";
   node
 
@@ -637,7 +636,7 @@ let restore ~name ~schema ~buf ~block_store ~block_id_alloc ?(leaf_capacity = 25
       rest;
     t.blocks <-
       Array.of_list
-        (List.map (fun bid -> Frozen.decode (Pagestore.read block_store ~page_id:bid)) block_ids); (* lint: allow hot-alloc — checkpoint restore, cold *)
+        (List.map (fun bid -> Frozen.decode (Pagestore.read block_store ~page_id:bid)) block_ids);
     t.block_ids <- Array.of_list block_ids;
     let live = ref 0 in
     Array.iter (fun b -> live := !live + Frozen.live_count b) t.blocks;

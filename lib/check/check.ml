@@ -1,9 +1,10 @@
-(* phoebe_check: interprocedural effect analysis over the typed ASTs of
-   the kernel libraries (DESIGN.md section 4k). Orchestrates the cmt
-   loader, per-unit extraction, the effect-summary fixpoint, and the
-   four rule families; findings are filtered through phoebe_lint-style
-   allow pragmas and rendered deterministically (byte-identical across
-   runs on the same tree). *)
+(* phoebe_check: the repository's static gate over the typed ASTs of the
+   kernel libraries (DESIGN.md section 4k). Orchestrates the cmt loader,
+   the per-unit determinism and idiom rules (Lint), per-unit effect
+   extraction, the effect-summary fixpoint and the interprocedural rule
+   families; findings are filtered through source-comment allow pragmas
+   (Pragma) and rendered deterministically (byte-identical across runs
+   on the same tree). *)
 
 type config = {
   cmt_dirs : string list;
@@ -11,8 +12,14 @@ type config = {
   recovery_units : string list;  (** units whose functions are recovery entry points *)
 }
 
+(* WAL replay, the record codec and both log-shipping paths: an
+   exception in any of them turns a crash into a failed restart. *)
 let default_config =
-  { cmt_dirs = []; src_root = "."; recovery_units = [ "Recovery" ] }
+  {
+    cmt_dirs = [];
+    src_root = ".";
+    recovery_units = [ "Recovery"; "Wal"; "Record"; "Quorum"; "Replication" ];
+  }
 
 type result = {
   findings : Report.finding list;
@@ -153,6 +160,22 @@ let analyze config =
         d.Extract.is_fun && List.exists (String.equal d.Extract.unit_name) config.recovery_units)
       defs
   in
+  (* an allow naming no rule suppresses nothing; most likely it outlived
+     the rule it was written for *)
+  let unknown_pragmas (u : Loader.unit_info) =
+    Pragma.allows (pragmas_for u.Loader.source u.Loader.source)
+    |> List.filter_map (fun (rule, line) ->
+           if List.exists (String.equal rule) Report.rules then None
+           else
+             Some
+               {
+                 Report.rule = "unknown-pragma";
+                 file = u.Loader.source;
+                 line;
+                 extra = [];
+                 msg = Printf.sprintf "allow pragma names %s, which is no phoebe_check rule" rule;
+               })
+  in
   let findings =
     g.Lattice.findings
     @ cycle_findings edges
@@ -160,6 +183,7 @@ let analyze config =
         ~describe:(fun _ -> "allocates on the heap")
     @ reach_findings g ~entries:recovery_entries ~kind:`Raise ~rule:"recovery-raise"
         ~describe:(fun _ -> "may raise out of recovery")
+    @ List.concat_map (fun u -> Lint.findings u @ unknown_pragmas u) loaded.Loader.units
   in
   (* pragma filtering: a finding is suppressed by an allow at its site or
      at any of its extra locations (e.g. the chain's entry point) *)

@@ -1,8 +1,10 @@
-(** Interprocedural static analyzer over the compiler's typed ASTs
-    ([.cmt] files produced by the dune build): proves the kernel's
-    park/latch/allocation disciplines at build time (DESIGN.md §4k).
+(** The repository's static gate over the compiler's typed ASTs ([.cmt]
+    files produced by the dune build): proves the kernel's determinism,
+    park/latch, allocation and recovery disciplines at build time
+    (DESIGN.md §4k).
 
-    Four rule families, each named stably in findings:
+    Rules, each named stably in findings. Interprocedural, over the
+    whole-program call graph:
     - [park-while-latched]: a non-I/O [Scheduler.park] reachable while a
       latch is held, with the call chain as witness;
     - [latch-order-cycle]: a cycle in the static latch
@@ -12,7 +14,12 @@
     - [hot-path-alloc]: heap allocation reachable from a
       [(* lint: hot-path *)]-tagged entry point;
     - [recovery-raise]: a raising stdlib partial ([Hashtbl.find],
-      [List.hd], [Option.get], ...) reachable from WAL-replay code.
+      [List.hd], [Option.get], ...) reachable from WAL-replay or
+      log-shipping code.
+
+    Per unit ({!Lint}): [random], [wall-clock], [poly-compare],
+    [hashtbl-iter-mutate] and [missing-mli]. And [unknown-pragma]: an
+    allow pragma naming none of these rules.
 
     Findings honor [(* lint: allow <rule> [file] *)] pragmas, at the
     finding site or — for reachability chains — at the entry point. *)
@@ -22,7 +29,7 @@ type config = {
   src_root : string;  (** root for resolving compiler-recorded source paths *)
   recovery_units : string list;
       (** units whose toplevel functions are recovery entry points
-          (default [["Recovery"]]) *)
+          (default [Recovery], [Wal], [Record], [Quorum], [Replication]) *)
 }
 
 val default_config : config

@@ -101,7 +101,8 @@ let latch_special = function
    in the walker. *)
 let alloc_prims =
   [
-    "Buffer.create"; "Bytes.create"; "Bytes.make"; "Bytes.sub"; "Bytes.to_string";
+    "Buffer.create"; "Buffer.contents"; "Buffer.to_bytes"; "Buffer.sub"; "Bytes.create";
+    "Bytes.make"; "Bytes.sub"; "Bytes.sub_string"; "Bytes.copy"; "Bytes.to_string";
     "Bytes.of_string"; "Bytes.extend"; "String.make"; "String.sub"; "String.concat";
     "String.init"; "String.split_on_char"; "Array.make"; "Array.init"; "Array.append";
     "Array.sub"; "Array.of_list"; "Array.to_list"; "Array.copy"; "List.map"; "List.mapi";

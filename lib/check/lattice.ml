@@ -71,11 +71,18 @@ let build defs_list =
 (* ------------------------------------------------------------------ *)
 (* Fixpoint *)
 
-let multiset_union a b =
-  (* per-class max, preserving order of first appearance *)
-  let count l x = List.length (List.filter (fun y -> y = x) l) in
-  let keys = List.sort_uniq compare (a @ b) in (* lint: allow poly-compare — keys are string options *)
+(* Per-class max of two held-latch multisets, in [cmp] order. Held
+   states are class lists in the fixpoint and (class, exclusive) pairs
+   in the final walk, hence the comparator parameter. *)
+let multiset_union cmp a b =
+  let count l x = List.length (List.filter (fun y -> cmp x y = 0) l) in
+  let keys = List.sort_uniq cmp (a @ b) in
   List.concat_map (fun k -> List.init (max (count a k) (count b k)) (fun _ -> k)) keys
+
+let cls_compare = Option.compare String.compare
+
+let held_compare (c, e) (c', e') =
+  match cls_compare c c' with 0 -> Bool.compare e e' | n -> n
 
 let rec summarize_acts g (s : summary) ~held acts changed =
   List.fold_left (fun held act -> summarize_act g s ~held act changed) held acts
@@ -125,7 +132,7 @@ and summarize_act g s ~held act changed =
     let outs = List.map (fun b -> summarize_acts g s ~held b changed) branches in
     (match outs with
     | [] -> held
-    | first :: rest -> List.fold_left multiset_union first rest)
+    | first :: rest -> List.fold_left (multiset_union cls_compare) first rest)
 
 let fixpoint g =
   let changed = ref true in
@@ -244,7 +251,9 @@ and final_act g d ~held act =
       List.fold_left (fun held h -> (h, true) :: held) held cs.holds)
   | Extract.Abranch branches ->
     let outs = List.map (fun b -> final_acts g d ~held b) branches in
-    (match outs with [] -> held | first :: rest -> List.fold_left multiset_union first rest)
+    (match outs with
+    | [] -> held
+    | first :: rest -> List.fold_left (multiset_union held_compare) first rest)
 
 let final_pass g =
   let defs = Hashtbl.fold (fun _ d acc -> d :: acc) g.defs [] in

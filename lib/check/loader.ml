@@ -13,7 +13,7 @@
 type unit_info = {
   unit_name : string;  (** short module name, e.g. "Latch" *)
   source : string;  (** source path as recorded by the compiler, e.g. "lib/storage/latch.ml" *)
-  builddir : string;  (** absolute dir the compiler ran in (for source lookup) *)
+  has_intf : bool;  (** a sibling .cmti exists: the unit has an .mli *)
   str : Typedtree.structure;
 }
 
@@ -65,7 +65,7 @@ let load_dirs dirs =
               {
                 unit_name = short_of_modname cmt.Cmt_format.cmt_modname;
                 source;
-                builddir = cmt.Cmt_format.cmt_builddir;
+                has_intf = Sys.file_exists (Filename.remove_extension path ^ ".cmti");
                 str;
               }
               :: !units
@@ -75,12 +75,3 @@ let load_dirs dirs =
     units = List.sort (fun a b -> String.compare a.unit_name b.unit_name) !units;
     lib_roots = List.sort_uniq String.compare !roots;
   }
-
-(* Resolve a compiler-recorded source path to a readable file: the
-   compiler's build dir first (dune copies sources into _build), then
-   the caller's source root, then the path as-is. *)
-let resolve_source ~src_root u =
-  let candidates =
-    [ Filename.concat u.builddir u.source; Filename.concat src_root u.source; u.source ]
-  in
-  List.find_opt Sys.file_exists candidates

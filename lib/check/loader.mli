@@ -4,7 +4,7 @@
 type unit_info = {
   unit_name : string;  (** short module name, e.g. "Latch" *)
   source : string;  (** source path as recorded by the compiler *)
-  builddir : string;  (** absolute dir the compiler ran in *)
+  has_intf : bool;  (** a sibling .cmti exists: the unit has an .mli *)
   str : Typedtree.structure;
 }
 
@@ -16,6 +16,3 @@ type t = {
 val load_dirs : string list -> t
 (** Recursively collect and read every .cmt under the given directories.
     Unreadable or interface-only cmts are skipped. *)
-
-val resolve_source : src_root:string -> unit_info -> string option
-(** Resolve a unit's compiler-recorded source path to a readable file. *)

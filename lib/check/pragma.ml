@@ -1,18 +1,20 @@
-(* Source-comment pragmas, sharing phoebe_lint's syntax:
+(* Source-comment pragmas, the analyzer's one pragma syntax:
 
      (* lint: allow <rule> *)        on the finding line or the line above
      (* lint: allow <rule> file *)   anywhere, whole file
 
    and the hot entry-point tag — "hot-path" after the usual "lint:"
    prefix, in a comment within two lines above a toplevel [let] — which
-   marks that definition a hot entry point
+   marks that definition a hot entry point.
 
    Pragmas are only honored inside comments: the scanner strips string
    literals (including {|...|} quoted strings) first, so a pragma-shaped
-   string constant does not suppress findings. *)
+   string constant does not suppress findings. A rule is a word of
+   lowercase letters, digits and hyphens; other text after the marker,
+   such as the placeholder above, is prose. *)
 
 type t = {
-  allows : (string * int * bool) list;  (** rule, line, file_scoped *)
+  allows : (string * int * bool) list;  (** rule, line, file_scoped; last line first *)
   hot_lines : int list;  (** lines carrying the hot-path tag *)
 }
 
@@ -88,6 +90,8 @@ let contains_at ~from line sub =
   let rec go i = if i + m > n then None else if String.sub line i m = sub then Some i else go (i + 1) in
   go from
 
+let rule_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-'
+
 let of_source src =
   let com = comments_only src in
   let lines = String.split_on_char '\n' com in
@@ -112,8 +116,9 @@ let of_source src =
             String.split_on_char ' ' rest |> List.filter (fun w -> w <> "" && w <> "*)" && w <> "*")
           in
           (match words with
-          | rule :: tl -> allows := (rule, lineno, List.mem "file" tl) :: !allows
-          | [] -> ());
+          | rule :: tl when String.for_all rule_char rule ->
+            allows := (rule, lineno, List.mem "file" tl) :: !allows
+          | _ -> ());
           all start
       in
       all 0;
@@ -131,6 +136,8 @@ let allowed t ~rule ~line =
   List.exists
     (fun (r, l, file_scoped) -> String.equal r rule && (file_scoped || l = line || l = line - 1))
     t.allows
+
+let allows t = List.rev_map (fun (rule, line, _) -> (rule, line)) t.allows
 
 let is_hot_entry t ~def_line =
   List.exists (fun l -> l = def_line - 1 || l = def_line - 2) t.hot_lines

@@ -3,7 +3,20 @@
      park-while-latched   non-I/O suspension reachable under a latch
      latch-order-cycle    cycle in the static acquisition-order graph
      hot-path-alloc       allocation reachable from a hot entry point
-     recovery-raise       raising stdlib partial reachable from recovery *)
+     recovery-raise       raising stdlib partial reachable from recovery
+     random               Stdlib.Random in kernel code
+     wall-clock           a host-clock read
+     poly-compare         polymorphic comparison at a type variable or a
+                          function type
+     hashtbl-iter-mutate  mutating a table inside its own Hashtbl.iter
+     missing-mli          implementation without an interface
+     unknown-pragma       allow pragma naming none of the above *)
+
+let rules =
+  [
+    "park-while-latched"; "latch-order-cycle"; "hot-path-alloc"; "recovery-raise"; "random";
+    "wall-clock"; "poly-compare"; "hashtbl-iter-mutate"; "missing-mli"; "unknown-pragma";
+  ]
 
 type finding = {
   rule : string;

@@ -1,5 +1,8 @@
 (** Findings with stable rule names and deterministic ordering. *)
 
+val rules : string list
+(** Every rule name a finding can carry. *)
+
 type finding = {
   rule : string;
   file : string;

@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Value = Phoebe_storage.Value
 module Pax = Phoebe_storage.Pax
 module Frozen = Phoebe_storage.Frozen
@@ -60,7 +59,7 @@ let create ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~lea
     frozen_read_counts = Hashtbl.create 16;
     frozen_reads_total = 0;
     scratch = Tupbuf.create ~arity:(Value.Schema.arity schema);
-    key_scratch = Buffer.create 64; (* lint: allow hot-alloc — table construction, cold *)
+    key_scratch = Buffer.create 64;
   }
 
 let restore ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~leaf_capacity
@@ -79,11 +78,11 @@ let restore ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~le
     frozen_read_counts = Hashtbl.create 16;
     frozen_reads_total = 0;
     scratch = Tupbuf.create ~arity:(Value.Schema.arity schema);
-    key_scratch = Buffer.create 64; (* lint: allow hot-alloc — table construction, cold *)
+    key_scratch = Buffer.create 64;
   }
 
 let key_of_row index (row : Value.t array) =
-  let buf = Buffer.create 32 in (* lint: allow hot-alloc — checkpoint restore, cold *)
+  let buf = Buffer.create 32 in
   Array.iter (fun c -> Value.encode_key buf row.(c)) index.key_cols;
   Buffer.contents buf
 
@@ -100,7 +99,7 @@ let add_index t ~name ~cols ~unique =
       Index_tree.insert index.ix ~key:(key_of_row index row) ~rid);
   t.indexes <- index :: t.indexes
 
-let index_names t = List.map (fun ix -> ix.ix_name) t.indexes (* lint: allow hot-alloc — DDL introspection, cold *)
+let index_names t = List.map (fun ix -> ix.ix_name) t.indexes
 
 let index_is_unique t name =
   match List.find_opt (fun ix -> ix.ix_name = name) t.indexes with
@@ -380,7 +379,7 @@ let update_in_page t (txn : txn) ~page_key ~rid compute =
         Pax.get_into page ~slot cur;
         let cols_idx = compute cur in
         let before =
-          Array.of_list (List.map (fun (col, _) -> (col, Pax.get_col page ~slot ~col)) cols_idx) (* lint: allow hot-alloc — before-image is retained by the undo log; allocation inherent *)
+          Array.of_list (List.map (fun (col, _) -> (col, Pax.get_col page ~slot ~col)) cols_idx)
         in
         let old_row_for_index =
           if writes_any_key before t.indexes then begin
@@ -454,7 +453,7 @@ let update_frozen t (txn : txn) block ~rid compute =
     end
 
 let cols_to_idx t cols =
-  List.map (fun (name, v) -> (Value.Schema.column_index t.tschema name, v)) cols (* lint: allow hot-alloc — name-to-index resolution of the column-list API *)
+  List.map (fun (name, v) -> (Value.Schema.column_index t.tschema name, v)) cols
 
 let update_general t txn ~rid compute =
   statement_begin t txn;

@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Varint = Phoebe_util.Varint
 module Value = Phoebe_storage.Value
 
@@ -46,12 +45,13 @@ let encode_body buf t =
 (* Staging scratch, same discipline as {!Phoebe_wal.Record}: the only
    per-message allocation is the wire copy itself ([Buffer.to_bytes]),
    which models the send buffer handed to the simulated NIC. *)
-let body_scratch = Buffer.create 256 (* lint: allow hot-alloc — module scratch, one-time *)
+let body_scratch = Buffer.create 256
 
+(* lint: hot-path *)
 let encode t =
   Buffer.clear body_scratch;
   encode_body body_scratch t;
-  Buffer.to_bytes body_scratch
+  Buffer.to_bytes body_scratch (* lint: allow hot-path-alloc — the wire copy is the send buffer *)
 
 let size_bytes t =
   Buffer.clear body_scratch;

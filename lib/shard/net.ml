@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Engine = Phoebe_sim.Engine
 module Netchan = Phoebe_sim.Netchan
 module Obs = Phoebe_obs.Obs
@@ -25,9 +24,7 @@ let create ?obs eng ~nodes cfg =
       nodes;
       drop_p = cfg.drop_p;
       rng = Prng.create ~seed:cfg.seed;
-      (* lint: allow hot-alloc — cold setup *)
       handlers = Array.make nodes None;
-      (* lint: allow hot-alloc — cold setup *)
       partitioned = Array.make nodes false;
       dropped = 0;
     }

@@ -1,5 +1,3 @@
-(* lint: hot-path *)
-
 (* Reusable flat tuple scratch (DESIGN.md §4h). A pool hands out
    pre-sized [Value.t array] row buffers keyed by scheduler slot, so the
    execute path decodes tuples into caller-owned storage instead of
@@ -26,18 +24,17 @@ type t = {
 let create ~arity = { arity; slots = [||]; cursor = [||]; res = [||] }
 
 let grow t slot =
-  (* lint: allow hot-alloc — one-time pool growth, off the steady state *)
   let n = Array.length t.slots in
   let n' = max (slot + 1) (max 4 (2 * n)) in
-  let slots = Array.make n' [||] in (* lint: allow hot-alloc — pool growth, off steady state *) (* lint: allow hot-path-alloc — pool growth, off steady state *)
+  let slots = Array.make n' [||] in (* lint: allow hot-path-alloc — pool growth, off steady state *)
   Array.blit t.slots 0 slots 0 n;
-  let cursor = Array.make n' 0 in (* lint: allow hot-alloc — pool growth, off steady state *) (* lint: allow hot-path-alloc — pool growth, off steady state *)
+  let cursor = Array.make n' 0 in (* lint: allow hot-path-alloc — pool growth, off steady state *)
   Array.blit t.cursor 0 cursor 0 n;
-  let res = Array.make n' [||] in (* lint: allow hot-alloc — pool growth, off steady state *) (* lint: allow hot-path-alloc — pool growth, off steady state *)
+  let res = Array.make n' [||] in (* lint: allow hot-path-alloc — pool growth, off steady state *)
   Array.blit t.res 0 res 0 n;
   for i = n to n' - 1 do
-    slots.(i) <- Array.init ring (fun _ -> Array.make t.arity Value.Null); (* lint: allow hot-alloc — pool growth, off steady state *) (* lint: allow hot-path-alloc — pool growth, off steady state *)
-    res.(i) <- Array.make t.arity Value.Null (* lint: allow hot-alloc — pool growth, off steady state *) (* lint: allow hot-path-alloc — pool growth, off steady state *)
+    slots.(i) <- Array.init ring (fun _ -> Array.make t.arity Value.Null); (* lint: allow hot-path-alloc — pool growth, off steady state *)
+    res.(i) <- Array.make t.arity Value.Null (* lint: allow hot-path-alloc — pool growth, off steady state *)
   done;
   t.slots <- slots;
   t.cursor <- cursor;

@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Value = Phoebe_storage.Value
 
 type kind = Created | Updated of (int * Value.t) array | Deleted of Value.t array
@@ -45,7 +44,7 @@ let make ~table_id ~rid ~kind ~sts ~xid ~slot ~prev =
     u.reclaimed <- false;
     u
   | None ->
-    (* lint: allow hot-alloc — cold start / freelist empty *) (* lint: allow hot-path-alloc — cold start / freelist empty *)
+    (* lint: allow hot-path-alloc — cold start / freelist empty *)
     {
       table_id;
       rid;

@@ -1,4 +1,3 @@
-(* lint: hot-path *)
 module Varint = Phoebe_util.Varint
 module Crc32 = Phoebe_util.Crc32
 module Value = Phoebe_storage.Value
@@ -60,14 +59,15 @@ let encode_body buf t =
    fresh [Buffer.create 64] per record — [encode] runs once per tuple
    write on the execute hot path. Safe because the kernel is single-
    domain and nothing inside [encode_body] can suspend a fiber. *)
-let body_scratch = Buffer.create 256 (* lint: allow hot-alloc — module scratch, one-time *)
-let crc_scratch = ref (Bytes.create 256) (* lint: allow hot-alloc — module scratch, one-time *)
+let body_scratch = Buffer.create 256
+let crc_scratch = ref (Bytes.create 256)
 
+(* lint: hot-path *)
 let encode buf t =
   Buffer.clear body_scratch;
   encode_body body_scratch t;
   let len = Buffer.length body_scratch in
-  if Bytes.length !crc_scratch < len then crc_scratch := Bytes.create (2 * len); (* lint: allow hot-alloc — scratch growth, amortized *)
+  if Bytes.length !crc_scratch < len then crc_scratch := Bytes.create (2 * len); (* lint: allow hot-path-alloc — scratch growth, amortized *)
   Buffer.blit body_scratch 0 !crc_scratch 0 len;
   Varint.write_uint buf len;
   Varint.write_uint buf (Crc32.bytes !crc_scratch ~pos:0 ~len);
@@ -159,7 +159,7 @@ let decode_all b ~slot:_ =
   in
   go 0 []
 
-let size_scratch = Buffer.create 256 (* lint: allow hot-alloc — module scratch, one-time *)
+let size_scratch = Buffer.create 256
 
 let size_bytes t =
   Buffer.clear size_scratch;
@@ -171,11 +171,11 @@ let is_commit t = match t.op with Commit _ -> true | _ -> false
 let pp fmt t =
   let kind =
     match t.op with
-    | Insert { table; rid; _ } -> Printf.sprintf "INSERT t%d r%d" table rid (* lint: allow hot-alloc — debug printer *)
-    | Update { table; rid; cols } -> Printf.sprintf "UPDATE t%d r%d (%d cols)" table rid (Array.length cols) (* lint: allow hot-alloc — debug printer *)
-    | Delete { table; rid } -> Printf.sprintf "DELETE t%d r%d" table rid (* lint: allow hot-alloc — debug printer *)
-    | Commit { xid; cts } -> Printf.sprintf "COMMIT xid=%d cts=%d" xid cts (* lint: allow hot-alloc — debug printer *)
-    | Abort { xid } -> Printf.sprintf "ABORT xid=%d" xid (* lint: allow hot-alloc — debug printer *)
-    | Prepare { xid; gxid; coord } -> Printf.sprintf "PREPARE xid=%d gxid=%d coord=%d" xid gxid coord (* lint: allow hot-alloc — debug printer *)
+    | Insert { table; rid; _ } -> Printf.sprintf "INSERT t%d r%d" table rid
+    | Update { table; rid; cols } -> Printf.sprintf "UPDATE t%d r%d (%d cols)" table rid (Array.length cols)
+    | Delete { table; rid } -> Printf.sprintf "DELETE t%d r%d" table rid
+    | Commit { xid; cts } -> Printf.sprintf "COMMIT xid=%d cts=%d" xid cts
+    | Abort { xid } -> Printf.sprintf "ABORT xid=%d" xid
+    | Prepare { xid; gxid; coord } -> Printf.sprintf "PREPARE xid=%d gxid=%d coord=%d" xid gxid coord
   in
   Format.fprintf fmt "[slot=%d lsn=%d gsn=%d %s]" t.slot t.lsn t.gsn kind

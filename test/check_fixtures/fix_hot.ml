@@ -1,12 +1,16 @@
 (* Fixture: a hot-path-tagged entry point reaching a closure-capturing
-   allocation through a helper — phoebe_check must report
-   [hot-path-alloc] with the chain, where the token linter
-   (phoebe_lint's hot-alloc rule) sees only the helper's own file. *)
+   allocation and a [Buffer.to_bytes] copy through helpers —
+   phoebe_check must report [hot-path-alloc] with the chain, while an
+   untagged entry reaching the same helper stays clean. *)
 
 let helper base xs = List.map (fun x -> x + base) xs
+let scratch = Buffer.create 16
+let copy_helper () = Buffer.to_bytes scratch
 
 (* lint: hot-path *)
-let hot_entry base xs = helper base xs
+let hot_entry base xs =
+  ignore (copy_helper ());
+  helper base xs
 
 (* untagged: same body, no finding *)
 let cold_entry base xs = helper base xs

@@ -1,12 +1,14 @@
 (* Static-analyzer tests: each rule family must fire by name on the
    seeded fixtures in test/check_fixtures (with call-chain witnesses and
-   the documented exemptions), the shipped lib/ tree must analyze clean,
+   the documented exemptions), pragmas are honored only inside comments,
+   the shipped lib/ tree must analyze clean,
    the rendered report must be byte-identical across runs, and the
    runtime sanitizer's observed lock-order class edges from a sanitized
    TPC-C run must be a subset of the static acquisition-order graph. *)
 open Phoebe_core
 module Check = Phoebe_check.Check
 module Report = Phoebe_check.Report
+module Pragma = Phoebe_check.Pragma
 module Sanitize = Phoebe_sanitize.Sanitize
 module Latch = Phoebe_storage.Latch
 module T = Phoebe_tpcc.Tpcc
@@ -86,7 +88,9 @@ let test_hot_path_alloc_fixture () =
          same way and must stay clean *)
       check_bool "chain starts at the tagged entry" true (contains f.Report.msg "Fix_hot.hot_entry");
       check_bool "chain reaches the allocating helper" true (contains f.Report.msg "helper"))
-    hot
+    hot;
+  check_bool "Buffer.to_bytes counts as an allocation" true
+    (List.exists (fun (f : Report.finding) -> contains f.Report.msg "Buffer.to_bytes") hot)
 
 let test_recovery_raise_fixture () =
   let r = analyze_fixtures () in
@@ -100,6 +104,65 @@ let test_recovery_raise_fixture () =
     raises;
   (* both the direct site and the chain through [lookup] are reported *)
   check_bool "direct and transitive entry points both reported" true (List.length raises >= 2)
+
+(* Per-unit rules: fix_lint.ml marks each seeded line "seeds <rule>". A
+   rule must fire on exactly its marked lines, so the exemptions there
+   (constant-constructor and tag operands, a local compare, a comparison
+   at int, mutating another table) stay clean. *)
+let test_lint_rules_fixture () =
+  let r = analyze_fixtures () in
+  let in_fixture (f : Report.finding) = contains f.Report.file "fix_lint.ml" in
+  let file =
+    match List.find_opt in_fixture r.Check.findings with
+    | Some f -> f.Report.file
+    | None -> Alcotest.fail "no finding in fix_lint.ml"
+  in
+  let ic = open_in_bin (Filename.concat src_root file) in
+  let lines = String.split_on_char '\n' (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  List.iter
+    (fun rule ->
+      let seeded =
+        List.mapi (fun i l -> (i + 1, l)) lines
+        |> List.filter_map (fun (n, l) -> if contains l ("seeds " ^ rule) then Some n else None)
+      in
+      let fired =
+        List.filter in_fixture (with_rule r rule)
+        |> List.map (fun (f : Report.finding) -> f.Report.line)
+        |> List.sort_uniq Int.compare
+      in
+      check_bool (rule ^ " is seeded") true (seeded <> []);
+      Alcotest.(check (list int)) (rule ^ " fires on exactly its seeded lines") seeded fired)
+    [ "random"; "wall-clock"; "poly-compare"; "hashtbl-iter-mutate"; "missing-mli"; "unknown-pragma" ]
+
+(* Pragmas are read from comments only. *)
+let test_pragma_scanning () =
+  let allowed src ~rule ~line = Pragma.allowed (Pragma.of_source src) ~rule ~line in
+  let next = "\nlet x = 1\n" in
+  check_bool "a comment pragma covers the next line" true
+    (allowed ("(* lint: allow random *)" ^ next) ~rule:"random" ~line:2);
+  check_bool "a line pragma stops there" false
+    (allowed ("(* lint: allow random *)\n" ^ next) ~rule:"random" ~line:3);
+  check_bool "a pragma in a string is not honored" false
+    (allowed ("let s = \"lint: allow random file\"" ^ next) ~rule:"random" ~line:2);
+  check_bool "a pragma in a quoted string is not honored" false
+    (allowed ("let s = {|lint: allow random file|}" ^ next) ~rule:"random" ~line:2);
+  check_bool "a nested comment does not end the outer one" true
+    (allowed ("(* outer (* inner *) lint: allow random *)" ^ next) ~rule:"random" ~line:2);
+  check_bool "a string in a comment may hold *)" true
+    (allowed ("(* \"*)\" lint: allow random *)" ^ next) ~rule:"random" ~line:2);
+  let two = "let x = 1 (* lint: allow random — a *) (* lint: allow wall-clock — b *)\n" in
+  check_bool "first of two pragmas on one line" true (allowed two ~rule:"random" ~line:1);
+  check_bool "second of two pragmas on one line" true (allowed two ~rule:"wall-clock" ~line:1);
+  check_bool "file scope covers every line" true
+    (allowed ("(* lint: allow random file *)\n" ^ String.make 40 '\n') ~rule:"random" ~line:40);
+  Alcotest.(check (list (pair string int)))
+    "only rule-shaped words are pragmas" [ ("random", 1) ]
+    (Pragma.allows (Pragma.of_source "(* lint: allow random *) (* lint: allow <rule> *)\n"));
+  let hot src = Pragma.is_hot_entry (Pragma.of_source src) ~def_line:2 in
+  check_bool "a hot tag in a comment marks the next definition" true
+    (hot "(* lint: hot-path *)\nlet f () = ()\n");
+  check_bool "a hot tag in a string marks nothing" false (hot "let s = \"lint: hot-path\"\nlet f () = ()\n")
 
 let test_fixture_findings_confined () =
   let r = analyze_fixtures () in
@@ -192,6 +255,9 @@ let () =
             test_latch_order_cycle_fixture;
           Alcotest.test_case "hot-path-alloc fires on fixture" `Quick test_hot_path_alloc_fixture;
           Alcotest.test_case "recovery-raise fires on fixture" `Quick test_recovery_raise_fixture;
+          Alcotest.test_case "per-unit rules fire on exactly their seeded lines" `Quick
+            test_lint_rules_fixture;
+          Alcotest.test_case "pragmas honored only in comments" `Quick test_pragma_scanning;
           Alcotest.test_case "fixture findings confined to fixtures" `Quick
             test_fixture_findings_confined;
           Alcotest.test_case "shipped lib tree analyzes clean" `Quick test_lib_tree_clean;

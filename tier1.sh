@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 gate: formatting, build, unit/property tests, and a
+# Tier-1 gate: formatting, build, unit/property tests, static analysis, and a
 # 5-virtual-second Exp-1-shaped benchmark smoke whose --json output must
 # parse (guards the JSON emitter and the observability registry export).
 set -eu
@@ -17,11 +17,7 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== lint (phoebe_lint self-test + lib scan)"
-dune exec bin/phoebe_lint.exe -- --self-test
-dune exec bin/phoebe_lint.exe -- lib
-
-echo "== static check (phoebe_check over the build's typed ASTs, double-run identical)"
+echo "== static analysis (phoebe_check: determinism, idiom and effect rules over the typed ASTs, double-run identical)"
 check_a="$tmpdir/check-a.txt"
 check_b="$tmpdir/check-b.txt"
 dune exec bin/phoebe_check.exe -- --root . _build/default/lib > "$check_a"
