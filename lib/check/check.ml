@@ -12,13 +12,13 @@ type config = {
   recovery_units : string list;  (** units whose functions are recovery entry points *)
 }
 
-(* WAL replay, the record codec and both log-shipping paths: an
+(* WAL replay, the record codec and the log-shipping path: an
    exception in any of them turns a crash into a failed restart. *)
 let default_config =
   {
     cmt_dirs = [];
     src_root = ".";
-    recovery_units = [ "Recovery"; "Wal"; "Record"; "Quorum"; "Replication" ];
+    recovery_units = [ "Recovery"; "Wal"; "Record"; "Quorum" ];
   }
 
 type result = {

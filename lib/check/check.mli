@@ -29,7 +29,7 @@ type config = {
   src_root : string;  (** root for resolving compiler-recorded source paths *)
   recovery_units : string list;
       (** units whose toplevel functions are recovery entry points
-          (default [Recovery], [Wal], [Record], [Quorum], [Replication]) *)
+          (default [Recovery], [Wal], [Record], [Quorum]) *)
 }
 
 val default_config : config

@@ -299,6 +299,11 @@ let table t name =
 
 let tables t = List.rev t.table_list
 
+let table_by_id t id =
+  match Hashtbl.find_opt t.by_id id with
+  | Some tbl -> tbl
+  | None -> Phoebe_error.bug ~subsystem:"core.db" "unknown table id %d" id
+
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
 
@@ -502,17 +507,12 @@ let freeze_tables t =
     0 (tables t)
 
 let replay_wal ?after ?decide_in_doubt t ~from =
-  let table_for id =
-    match Hashtbl.find_opt t.by_id id with
-    | Some tbl -> tbl
-    | None -> Phoebe_error.bug ~subsystem:"core.db" "replay_wal: unknown table id %d" id
-  in
   let report =
     Recovery.replay ?after ?decide_in_doubt from
       {
-        Recovery.insert = (fun ~table ~rid row -> Table.raw_insert (table_for table) ~rid row);
-        update = (fun ~table ~rid cols -> Table.raw_update (table_for table) ~rid cols);
-        delete = (fun ~table ~rid -> Table.raw_delete (table_for table) ~rid);
+        Recovery.insert = (fun ~table ~rid row -> Table.raw_insert (table_by_id t table) ~rid row);
+        update = (fun ~table ~rid cols -> Table.raw_update (table_by_id t table) ~rid cols);
+        delete = (fun ~table ~rid -> Table.raw_delete (table_by_id t table) ~rid);
       }
   in
   (* a lossy restore must be visible, not silent *)

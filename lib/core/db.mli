@@ -65,6 +65,10 @@ val table : t -> string -> Table.t
 
 val tables : t -> Table.t list
 
+val table_by_id : t -> int -> Table.t
+(** The table whose {!Table.id} is the given id (as WAL records name
+    it). @raise Phoebe_util.Phoebe_error.Bug for an unknown id. *)
+
 (** {1 Transactions} *)
 
 val begin_txn : ?isolation:Phoebe_txn.Txnmgr.isolation -> t -> Table.txn

@@ -703,11 +703,6 @@ let raw_insert t ~rid row =
     Table_tree.append_exact t.ttree ~row_id:rid row;
     List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row ix row) ~rid) t.indexes
 
-let raw_insert_mapped t row =
-  let rid = Table_tree.append t.ttree row in
-  List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row ix row) ~rid) t.indexes;
-  rid
-
 let raw_exists t ~rid =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with Some _ -> true | None -> false
 

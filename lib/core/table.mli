@@ -144,12 +144,8 @@ val gc_reclaim_undo : t -> Phoebe_txn.Undo.t -> unit
 val raw_insert : t -> rid:int -> Phoebe_storage.Value.t array -> unit
 (** Recovery replay: non-transactional insert preserving [rid]. *)
 
-val raw_insert_mapped : t -> Phoebe_storage.Value.t array -> int
-(** Logical-replication apply: non-transactional insert under a fresh
-    local row id (the replica keeps a primary-rid map). *)
-
 val raw_exists : t -> rid:int -> bool
-(** Replication apply: does [rid] currently locate to a stored tuple?
+(** Quorum replica apply: does [rid] currently locate to a stored tuple?
     [raw_update] silently no-ops on an absent rid, so appliers that must
     fail loudly on a missing base row check first. *)
 

@@ -264,11 +264,6 @@ let advance_durable nd =
 (* ------------------------------------------------------------------ *)
 (* Replica-side apply: rid-preserving, recovery-ordered *)
 
-let table_of db id =
-  match List.find_opt (fun tbl -> Table.id tbl = id) (Db.tables db) with
-  | Some tbl -> tbl
-  | None -> Error.bug ~subsystem:"replication.quorum" "replica has no table id %d" id
-
 (* Replicas preserve the primary's row-id space ([raw_insert ~rid]), so
    after promotion the stream and the database agree on rids — no
    translation map to lose at failover. Returns false when the base row
@@ -276,17 +271,17 @@ let table_of db id =
 let apply_op db ((_view, r) : int * Record.t) =
   match r.Record.op with
   | Record.Insert { table; rid; row } ->
-    Table.raw_insert (table_of db table) ~rid row;
+    Table.raw_insert (Db.table_by_id db table) ~rid row;
     true
   | Record.Update { table; rid; cols } ->
-    let tbl = table_of db table in
+    let tbl = Db.table_by_id db table in
     if Table.raw_exists tbl ~rid then begin
       Table.raw_update tbl ~rid cols;
       true
     end
     else false
   | Record.Delete { table; rid } ->
-    let tbl = table_of db table in
+    let tbl = Db.table_by_id db table in
     if Table.raw_exists tbl ~rid then begin
       Table.raw_delete tbl ~rid;
       true

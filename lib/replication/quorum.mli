@@ -1,5 +1,5 @@
-(** Quorum-replicated commit with automated failover: the N-replica
-    generalisation of the warm standby in {!Replication}.
+(** Quorum-replicated commit with automated failover (the paper's
+    future-work item 2): the only log-shipping path in the kernel.
 
     A group is one primary plus [replicas] followers, all simulated on
     one discrete-event engine. The primary serialises its durable WAL

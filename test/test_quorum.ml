@@ -1,8 +1,9 @@
 (* Tests for quorum replication with automated failover: group
-   convergence, quorum-gated commit visibility, primary-kill view
-   change, follower reads under a staleness bound, follower restart
-   through the recovery path, and the 100-seed randomized
-   crash-during-replication durability property. *)
+   convergence under inserts, updates/deletes and aborts, quorum-gated
+   commit visibility, durable-prefix-only shipping, primary-kill view
+   change, in-doubt resolution at promotion, follower reads under a
+   staleness bound, follower restart through the recovery path, and the
+   100-seed randomized crash-during-replication durability property. *)
 open Phoebe_core
 module Quorum = Phoebe_replication.Quorum
 module Value = Phoebe_storage.Value
@@ -20,43 +21,116 @@ let ddl db =
   Db.create_index db t ~name:"kv_pk" ~cols:[ "k" ] ~unique:true
 
 let kv db = Db.table db "kv"
+let int_of = function Value.Int v -> v | _ -> Alcotest.fail "int expected"
 
 let dump db =
   let t = kv db in
   Db.with_txn db (fun txn ->
       let acc = ref [] in
-      Table.scan t txn (fun _ row ->
-          match (row.(0), row.(1)) with
-          | Value.Int k, Value.Int v -> acc := (k, v) :: !acc
-          | _ -> ());
+      Table.scan t txn (fun _ row -> acc := (int_of row.(0), int_of row.(1)) :: !acc);
       List.sort compare !acc)
 
 let insert_kv db k v txn = ignore (Table.insert (kv db) txn [| Value.Int k; Value.Int v |])
 
-let test_convergence () =
-  let q = Quorum.create cfg ~ddl in
-  let prim = Option.get (Quorum.primary_db q) in
+(* A fresh group and its initial primary's database. *)
+let group ?group ?decide_in_doubt ?(cfg = cfg) () =
+  let q = Quorum.create ?group ?decide_in_doubt cfg ~ddl in
+  (q, Option.get (Quorum.primary_db q))
+
+let elected q =
+  match Quorum.primary q with
+  | Some p -> p
+  | None -> Alcotest.fail "no primary elected after the kill"
+
+let elected_db q = Quorum.db q ~node:(elected q)
+
+(* Workloads for [test_convergence]: each drives the primary, runs the
+   group and checks its own outcome on the primary. *)
+let inserts q prim =
   let acked = ref 0 in
   for k = 1 to 60 do
     Db.submit prim ~on_done:(fun () -> incr acked) (insert_kv prim k k)
   done;
   Quorum.run_for q ~ns:60_000_000;
   check_int "every commit quorum-acknowledged" 60 !acked;
+  check_int "primary holds all rows" 60 (List.length (dump prim))
+
+(* Multi-row transactions ship and apply whole at commit boundaries. *)
+let batched_inserts q prim =
+  for b = 0 to 9 do
+    Db.submit prim (fun txn -> for k = (b * 5) + 1 to (b * 5) + 5 do insert_kv prim k k txn done)
+  done;
+  Quorum.run_for q ~ns:60_000_000;
+  check_bool "records shipped" true (Quorum.stream_len q > 0 && Quorum.net_utilization q > 0.0);
+  check_int "primary holds all rows" 50 (List.length (dump prim))
+
+(* Updates and deletes must apply on the replicas in the primary's
+   order, on the rows the primary's rids name. *)
+let updates_and_deletes q prim =
+  let rng = Prng.create ~seed:4 in
+  let rids = ref [] in
+  for k = 1 to 30 do
+    Db.submit prim (fun txn -> rids := Table.insert (kv prim) txn [| Value.Int k; Value.Int 0 |] :: !rids)
+  done;
+  Quorum.run_for q ~ns:10_000_000;
+  for _ = 1 to 100 do
+    let rid = List.nth !rids (Prng.int rng (List.length !rids)) in
+    let delete = Prng.int rng 10 = 0 in
+    Db.submit prim (fun txn ->
+        if delete then ignore (Table.delete (kv prim) txn ~rid)
+        else ignore (Table.update_with (kv prim) txn ~rid (fun row -> [ ("v", Value.Int (int_of row.(1) + 1)) ])))
+  done;
+  Quorum.run_for q ~ns:60_000_000;
+  check_bool "the mix updated rows" true (List.exists (fun (_, v) -> v > 0) (dump prim))
+
+(* An aborted transaction's records reach the durable stream, but its
+   insert must never apply anywhere. *)
+let aborted_txn q prim =
+  (try
+     Db.with_txn prim (fun txn ->
+         insert_kv prim 666 666 txn;
+         failwith "abort me")
+   with Failure _ -> ());
+  Phoebe_wal.Wal.flush_all (Db.wal prim) ~on_done:(fun () -> ());
+  Db.submit prim (insert_kv prim 1 1);
+  Quorum.run_for q ~ns:60_000_000;
+  check_rows "only the committed row" [ (1, 1) ] (dump prim)
+
+(* Every follower converges onto the primary, and the follower elected
+   after the primary is killed holds exactly the same rows. *)
+let test_convergence workload () =
+  let q, prim = group () in
+  workload q prim;
   let d = dump prim in
-  check_int "primary holds all rows" 60 (List.length d);
   for node = 1 to Quorum.nodes q - 1 do
     check_rows "follower converged" d (dump (Quorum.db q ~node))
   done;
   check_int "both replicas durable to the stream end" (Quorum.stream_len q)
     (min (Quorum.durable_off q ~node:1) (Quorum.durable_off q ~node:2));
+  Quorum.kill q ~node:0;
+  Quorum.run_for q ~ns:60_000_000;
+  check_rows "elected primary holds the same rows" d (dump (elected_db q));
+  Quorum.shutdown q
+
+(* Outside a fiber, commit durability waits no-op (loader semantics),
+   so these commits sit in the primary's volatile WAL tail, which is
+   exactly what a primary crash loses. Killed at that instant, the
+   primary must have shipped none of them. *)
+let test_volatile_tail_withheld () =
+  let q, prim = group () in
+  for k = 1 to 10 do
+    Db.with_txn prim (insert_kv prim k k)
+  done;
+  Quorum.kill q ~node:0;
+  Quorum.run_for q ~ns:60_000_000;
+  check_int "volatile tail never ships" 0 (List.length (dump (elected_db q)));
   Quorum.shutdown q
 
 (* Commit visibility must be gated on the quorum: with every follower
    partitioned away no commit may be acknowledged, and healing the
    partition releases them all. *)
 let test_commit_gated_on_quorum () =
-  let q = Quorum.create cfg ~ddl in
-  let prim = Option.get (Quorum.primary_db q) in
+  let q, prim = group () in
   Quorum.set_partitioned q ~node:1 true;
   Quorum.set_partitioned q ~node:2 true;
   let acked = ref 0 in
@@ -72,8 +146,7 @@ let test_commit_gated_on_quorum () =
   Quorum.shutdown q
 
 let test_automated_failover () =
-  let q = Quorum.create cfg ~ddl in
-  let prim0 = Option.get (Quorum.primary_db q) in
+  let q, prim0 = group () in
   let acked = ref [] in
   for k = 1 to 40 do
     Db.submit prim0 ~on_done:(fun () -> acked := k :: !acked) (insert_kv prim0 k k)
@@ -82,11 +155,7 @@ let test_automated_failover () =
   check_bool "some commits acknowledged before the kill" true (!acked <> []);
   Quorum.kill q ~node:0;
   Quorum.run_for q ~ns:60_000_000;
-  let p =
-    match Quorum.primary q with
-    | Some p -> p
-    | None -> Alcotest.fail "no primary elected after the kill"
-  in
+  let p = elected q in
   check_bool "a follower took over" true (p <> 0);
   check_bool "view advanced" true (Quorum.view q >= 2);
   let pdb = Quorum.db q ~node:p in
@@ -106,9 +175,64 @@ let test_automated_failover () =
   check_rows "surviving follower converged" (dump pdb) (dump (Quorum.db q ~node:other));
   Quorum.shutdown q
 
+(* Right after a burst the followers trail the primary; with the
+   group left running they catch up to the stream end. *)
+let test_lag_and_catchup () =
+  let q, prim = group () in
+  for k = 1 to 40 do
+    Db.submit prim (insert_kv prim k k)
+  done;
+  Quorum.run_for q ~ns:300_000;
+  check_bool "follower trailed during the burst" true (List.length (dump (Quorum.db q ~node:2)) < 40);
+  Quorum.run_for q ~ns:50_000_000;
+  check_rows "caught up afterwards" (dump prim) (dump (Quorum.db q ~node:2));
+  check_int "no residual lag" (Quorum.stream_len q) (Quorum.durable_off q ~node:2);
+  Quorum.shutdown q
+
+(* The promoted follower holds every row the old primary committed and
+   serves new writes through its own indexes. *)
+let test_failover_promote () =
+  let q, prim = group () in
+  for k = 1 to 20 do
+    Db.submit prim (insert_kv prim k k)
+  done;
+  Quorum.run_for q ~ns:20_000_000;
+  let d = dump prim in
+  Quorum.kill q ~node:0;
+  Quorum.run_for q ~ns:60_000_000;
+  check_bool "old primary is down" false (Quorum.is_alive q ~node:0);
+  let pdb = elected_db q in
+  check_rows "committed txns survived failover" d (dump pdb);
+  Db.with_txn pdb (insert_kv pdb 999 1);
+  Db.with_txn pdb (fun txn ->
+      match Table.index_lookup_first (kv pdb) txn ~index:"kv_pk" ~key:[ Value.Int 999 ] with
+      | Some _ -> ()
+      | None -> Alcotest.fail "promoted follower must accept writes");
+  Quorum.shutdown q
+
+(* A branch transaction that prepared and never hears its decision must
+   reach [decide_in_doubt] at promotion, not be silently dropped. *)
+let test_promote_resolves_in_doubt () =
+  let seen = ref (-1) in
+  let decide_in_doubt (d : Phoebe_wal.Recovery.in_doubt) =
+    seen := d.gxid;
+    true
+  in
+  let q, prim = group ~decide_in_doubt () in
+  Db.submit prim (insert_kv prim 1 1);
+  Quorum.run_for q ~ns:5_000_000;
+  let txn = Db.begin_txn prim in
+  insert_kv prim 2 2 txn;
+  Phoebe_txn.Txnmgr.prepare (Db.txnmgr prim) txn ~gxid:77 ~coord:1;
+  Quorum.run_for q ~ns:5_000_000;
+  Quorum.kill q ~node:0;
+  Quorum.run_for q ~ns:60_000_000;
+  check_int "in-doubt branch surfaced with its gxid" 77 !seen;
+  check_rows "decided-commit branch applied at promotion" [ (1, 1); (2, 2) ] (dump (elected_db q));
+  Quorum.shutdown q
+
 let test_follower_reads_and_staleness () =
-  let q = Quorum.create cfg ~ddl in
-  let prim = Option.get (Quorum.primary_db q) in
+  let q, prim = group () in
   for k = 1 to 20 do
     Db.submit prim (insert_kv prim k k)
   done;
@@ -141,8 +265,7 @@ let test_follower_reads_and_staleness () =
   Quorum.shutdown q
 
 let test_follower_restart () =
-  let q = Quorum.create cfg ~ddl in
-  let prim = Option.get (Quorum.primary_db q) in
+  let q, prim = group () in
   for k = 1 to 30 do
     Db.submit prim (insert_kv prim k k)
   done;
@@ -160,35 +283,21 @@ let test_follower_restart () =
   check_int "re-synced to the stream end" (Quorum.stream_len q) (Quorum.durable_off q ~node:2);
   Quorum.shutdown q
 
-(* The failover durability property, randomized over 100 seeds: a
-   3-node group with fault-injected WAL and mirror devices and a lossy
-   network runs a random workload; the primary is killed at a random
-   virtual instant mid-replication. Afterwards: a new primary must be
+(* The failover durability check: a 3-node group with fault-injected
+   WAL and mirror devices on network [net] commits [n_txns] inserts; the
+   primary is killed at virtual instant [crash_at], mid-replication.
+   Afterwards: a new primary must be
    elected; every commit whose quorum acknowledgement reached the
    client must be present on it; the promoted state must equal an
    independent crash-recovery replay of its own journal (the oracle);
    and the surviving follower must converge onto the new history. *)
-let crash_property seed =
-  let faults =
-    {
-      Device.fault_seed = (seed * 31) + 7;
-      torn_write_p = 0.02;
-      lost_ack_p = 0.02;
-      delayed_ack_p = 0.05;
-      max_delay_ns = 200_000;
-    }
-  in
+let check_failover ~seed ~faults ~net ~n_txns ~crash_at =
   let fcfg = { cfg with Config.faults = Some faults } in
-  let group = { Quorum.default_config with drop_p = 0.02; net_seed = (seed * 13) + 5 } in
-  let q = Quorum.create ~group fcfg ~ddl in
-  let rng = Prng.create ~seed in
-  let prim = Option.get (Quorum.primary_db q) in
+  let q, prim = group ~group:net ~cfg:fcfg () in
   let acked = ref [] in
-  let n_txns = 20 + Prng.int rng 40 in
   for k = 1 to n_txns do
     Db.submit prim ~on_done:(fun () -> acked := k :: !acked) (insert_kv prim k (k * 3))
   done;
-  let crash_at = 500_000 + Prng.int rng 20_000_000 in
   Quorum.run_for q ~ns:crash_at;
   Quorum.kill q ~node:0;
   Quorum.run_for q ~ns:150_000_000;
@@ -215,6 +324,32 @@ let crash_property seed =
       Alcotest.fail (Printf.sprintf "seed %d: surviving follower diverged after catch-up" seed));
   Quorum.shutdown q
 
+(* The durability property, randomized over 100 seeds: a lossy network,
+   a random workload size and a random kill instant. *)
+let crash_property seed =
+  let faults =
+    {
+      Device.fault_seed = (seed * 31) + 7;
+      torn_write_p = 0.02;
+      lost_ack_p = 0.02;
+      delayed_ack_p = 0.05;
+      max_delay_ns = 200_000;
+    }
+  in
+  let net = { Quorum.default_config with drop_p = 0.02; net_seed = (seed * 13) + 5 } in
+  let rng = Prng.create ~seed in
+  let n_txns = 20 + Prng.int rng 40 in
+  let crash_at = 500_000 + Prng.int rng 20_000_000 in
+  check_failover ~seed ~faults ~net ~n_txns ~crash_at
+
+(* Fixed-seed case with heavier WAL-device faults on a loss-free
+   network, killing the primary mid-flight. *)
+let test_promote_equals_crash_recovery_under_faults () =
+  let faults =
+    { Device.fault_seed = 17; torn_write_p = 0.05; lost_ack_p = 0.05; delayed_ack_p = 0.1; max_delay_ns = 200_000 }
+  in
+  check_failover ~seed:17 ~faults ~net:Quorum.default_config ~n_txns:40 ~crash_at:8_000_000
+
 let test_crash_property_100_seeds () =
   for seed = 1 to 100 do
     crash_property seed
@@ -225,15 +360,27 @@ let () =
     [
       ( "group",
         [
-          Alcotest.test_case "convergence" `Quick test_convergence;
+          Alcotest.test_case "convergence" `Quick (test_convergence inserts);
           Alcotest.test_case "commit gated on quorum" `Quick test_commit_gated_on_quorum;
           Alcotest.test_case "follower reads and staleness" `Quick
             test_follower_reads_and_staleness;
           Alcotest.test_case "follower restart" `Quick test_follower_restart;
         ] );
+      ( "shipping",
+        [
+          Alcotest.test_case "basic convergence" `Quick (test_convergence batched_inserts);
+          Alcotest.test_case "lag and catch-up" `Quick test_lag_and_catchup;
+          Alcotest.test_case "promote == crash recovery under faults" `Quick
+            test_promote_equals_crash_recovery_under_faults;
+          Alcotest.test_case "updates and deletes" `Quick (test_convergence updates_and_deletes);
+          Alcotest.test_case "uncommitted withheld" `Quick (test_convergence aborted_txn);
+          Alcotest.test_case "volatile tail withheld" `Quick test_volatile_tail_withheld;
+        ] );
       ( "failover",
         [
+          Alcotest.test_case "promote" `Quick test_failover_promote;
           Alcotest.test_case "automated failover" `Quick test_automated_failover;
+          Alcotest.test_case "promote resolves in-doubt" `Quick test_promote_resolves_in_doubt;
           Alcotest.test_case "primary crash property (100 seeds)" `Slow
             test_crash_property_100_seeds;
         ] );

@@ -8,6 +8,25 @@ cd "$(dirname "$0")"
 tmpdir="$(mktemp -d /tmp/phoebe-tier1-XXXXXX)"
 trap 'rm -rf "$tmpdir"' EXIT
 
+# bench_json NAME BENCH-ARGS...: run the bench with --json output to
+# "$tmpdir/NAME.json" and check that the output parses.
+bench_json() {
+  name="$1"
+  shift
+  dune exec bench/main.exe -- "$@" --json "$tmpdir/$name.json"
+  dune exec bench/main.exe -- --check-json "$tmpdir/$name.json"
+}
+
+# double_run NAME BENCH-ARGS...: bench_json, then run the same
+# fixed-seed arguments again and require byte-identical output.
+double_run() {
+  bench_json "$@"
+  name="$1"
+  shift
+  dune exec bench/main.exe -- "$@" --json "$tmpdir/$name-b.json" > /dev/null
+  cmp "$tmpdir/$name.json" "$tmpdir/$name-b.json"
+}
+
 echo "== dune build @fmt"
 dune build @fmt
 
@@ -26,9 +45,7 @@ cmp "$check_a" "$check_b"
 cat "$check_a"
 
 echo "== bench smoke (5 virtual seconds of exp1 at W=2, --json)"
-json_tmp="$tmpdir/smoke.json"
-dune exec bench/main.exe -- smoke --json "$json_tmp"
-dune exec bench/main.exe -- --check-json "$json_tmp"
+bench_json smoke smoke
 
 echo "== allocation regression gate (txn.alloc.minor_words_per_txn)"
 # Checked-in budget: the seed-42 smoke measured 7,505 minor words per
@@ -38,7 +55,7 @@ echo "== allocation regression gate (txn.alloc.minor_words_per_txn)"
 # ~14% headroom. If this trips, something put fresh allocation back on
 # the execute path — see DESIGN.md section 4h.
 alloc_budget=8600
-alloc_measured="$(sed -n 's/.*"txn\.alloc\.minor_words_per_txn": *\([0-9.]*\).*/\1/p' "$json_tmp" | head -n 1)"
+alloc_measured="$(sed -n 's/.*"txn\.alloc\.minor_words_per_txn": *\([0-9.]*\).*/\1/p' "$tmpdir/smoke.json" | head -n 1)"
 if [ -z "$alloc_measured" ]; then
   echo "   FAIL: txn.alloc.minor_words_per_txn missing from smoke --json output" >&2
   exit 1
@@ -49,42 +66,24 @@ if awk -v m="$alloc_measured" -v b="$alloc_budget" 'BEGIN { exit !(m > b) }'; th
 fi
 echo "   $alloc_measured minor words/txn (budget $alloc_budget)"
 
-echo "== determinism (fixed-seed double run under --sanitize, byte-identical json + digest)"
-det_a="$tmpdir/det-a.json"
-det_b="$tmpdir/det-b.json"
-dune exec bench/main.exe -- smoke --sanitize --seed 42 --json "$det_a" > /dev/null
-dune exec bench/main.exe -- smoke --sanitize --seed 42 --json "$det_b" > /dev/null
-cmp "$det_a" "$det_b"
-grep -q '"sanitize.replay_digest"' "$det_a"
-grep -q '"sanitize.findings": 0' "$det_a"
+echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + digest)"
+double_run det smoke --sanitize --seed 42 > /dev/null
+grep -q '"sanitize.replay_digest"' "$tmpdir/det.json"
+grep -q '"sanitize.findings": 0' "$tmpdir/det.json"
 echo "   double run byte-identical, replay digest present, zero findings"
 
 echo "== overload smoke (offered-load sweep, admission on vs off, --json)"
-overload_tmp="$tmpdir/overload.json"
-dune exec bench/main.exe -- overload --json "$overload_tmp"
-dune exec bench/main.exe -- --check-json "$overload_tmp"
+bench_json overload overload
 
 echo "== recovery smoke (fixed-seed crash + replay vs checkpoint cadence, --json)"
-recovery_tmp="$tmpdir/recovery.json"
-dune exec bench/main.exe -- --experiment recovery --seed 42 --json "$recovery_tmp"
-dune exec bench/main.exe -- --check-json "$recovery_tmp"
+bench_json recovery --experiment recovery --seed 42
 
 echo "== sharded smoke (K x offered-load scaling grid with 2PC, --json, double-run identical)"
-sharded_a="$tmpdir/sharded-a.json"
-sharded_b="$tmpdir/sharded-b.json"
-dune exec bench/main.exe -- --experiment sharded --seed 42 --json "$sharded_a"
-dune exec bench/main.exe -- --check-json "$sharded_a"
-dune exec bench/main.exe -- --experiment sharded --seed 42 --json "$sharded_b" > /dev/null
-cmp "$sharded_a" "$sharded_b"
+double_run sharded --experiment sharded --seed 42
 echo "   scaling grid parses, double run byte-identical"
 
 echo "== ha_failover smoke (quorum failover grid, --json, double-run identical)"
-ha_a="$tmpdir/ha-a.json"
-ha_b="$tmpdir/ha-b.json"
-dune exec bench/main.exe -- --experiment ha_failover --seed 42 --json "$ha_a"
-dune exec bench/main.exe -- --check-json "$ha_a"
-dune exec bench/main.exe -- --experiment ha_failover --seed 42 --json "$ha_b" > /dev/null
-cmp "$ha_a" "$ha_b"
+double_run ha --experiment ha_failover --seed 42
 echo "   failover grid parses, double run byte-identical"
 
 echo "== tier-1: OK"
