@@ -1,28 +1,33 @@
 #!/bin/sh
 # Tier-1 gate: formatting, build, unit/property tests, static analysis, and a
 # 5-virtual-second Exp-1-shaped benchmark smoke whose --json output must
-# parse (guards the JSON emitter and the observability registry export).
+# parse and hold its section (guards the JSON emitter and the
+# observability registry export). A harness check that fails (TPC-C
+# consistency, recovered rows) exits the bench non-zero.
 set -eu
 cd "$(dirname "$0")"
 
 tmpdir="$(mktemp -d /tmp/phoebe-tier1-XXXXXX)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-# bench_json NAME BENCH-ARGS...: run the bench with --json output to
-# "$tmpdir/NAME.json" and check that the output parses.
+# bench_json NAME KEY BENCH-ARGS...: run the bench with --json output to
+# "$tmpdir/NAME.json", check that the output parses and that it holds
+# the top-level section KEY (a harness that emits nothing writes {}).
 bench_json() {
   name="$1"
-  shift
+  key="$2"
+  shift 2
   dune exec bench/main.exe -- "$@" --json "$tmpdir/$name.json"
   dune exec bench/main.exe -- --check-json "$tmpdir/$name.json"
+  grep -q "^  \"$key\": " "$tmpdir/$name.json"
 }
 
-# double_run NAME BENCH-ARGS...: bench_json, then run the same
+# double_run NAME KEY BENCH-ARGS...: bench_json, then run the same
 # fixed-seed arguments again and require byte-identical output.
 double_run() {
   bench_json "$@"
   name="$1"
-  shift
+  shift 2
   dune exec bench/main.exe -- "$@" --json "$tmpdir/$name-b.json" > /dev/null
   cmp "$tmpdir/$name.json" "$tmpdir/$name-b.json"
 }
@@ -45,7 +50,7 @@ cmp "$check_a" "$check_b"
 cat "$check_a"
 
 echo "== bench smoke (5 virtual seconds of exp1 at W=2, --json)"
-bench_json smoke smoke
+bench_json smoke exp1 smoke
 
 echo "== allocation regression gate (txn.alloc.minor_words_per_txn)"
 # Checked-in budget: the seed-42 smoke measured 7,505 minor words per
@@ -67,23 +72,23 @@ fi
 echo "   $alloc_measured minor words/txn (budget $alloc_budget)"
 
 echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + digest)"
-double_run det smoke --sanitize --seed 42 > /dev/null
+double_run det exp1 smoke --sanitize --seed 42 > /dev/null
 grep -q '"sanitize.replay_digest"' "$tmpdir/det.json"
 grep -q '"sanitize.findings": 0' "$tmpdir/det.json"
 echo "   double run byte-identical, replay digest present, zero findings"
 
 echo "== overload smoke (offered-load sweep, admission on vs off, --json)"
-bench_json overload overload
+bench_json overload overload overload
 
 echo "== recovery smoke (fixed-seed crash + replay vs checkpoint cadence, --json)"
-bench_json recovery --experiment recovery --seed 42
+bench_json recovery recovery --experiment recovery --seed 42
 
 echo "== sharded smoke (K x offered-load scaling grid with 2PC, --json, double-run identical)"
-double_run sharded --experiment sharded --seed 42
+double_run sharded sharded --experiment sharded --seed 42
 echo "   scaling grid parses, double run byte-identical"
 
 echo "== ha_failover smoke (quorum failover grid, --json, double-run identical)"
-double_run ha --experiment ha_failover --seed 42
+double_run ha ha_failover --experiment ha_failover --seed 42
 echo "   failover grid parses, double run byte-identical"
 
 echo "== tier-1: OK"
