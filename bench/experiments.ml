@@ -848,7 +848,9 @@ let ha_failover () =
   note "  one write per %d us, primary killed at %d ms of %d ms" (period_ns / 1000)
     (kill_at_ns / 1_000_000) (total_ns / 1_000_000);
   let run_cell replicas (link, latency_ns, drop_p) =
-    let cfg = { Config.default with Config.n_workers = 2; slots_per_worker = 4 } in
+    let cfg =
+      { Config.default with Config.n_workers = 2; slots_per_worker = 4; sanitize = !opt_sanitize }
+    in
     let group =
       { Quorum.default_config with Quorum.replicas; latency_ns; drop_p; net_seed = !opt_seed }
     in

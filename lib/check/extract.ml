@@ -20,6 +20,8 @@
    get no class (they still count as held for the park rule, but add no
    order edges). *)
 
+module Trace = Phoebe_obs.Trace
+
 type loc = { file : string; line : int }
 
 type act =
@@ -93,7 +95,6 @@ let latch_special = function
   | "Latch.with_shared" -> `With false
   | "Latch.optimistic_read" -> `Optimistic
   | "Scheduler.park" -> `Park
-  | "Scheduler.io_wait" -> `Io_wait
   | _ -> `No
 
 (* Heap-allocating primitives visible by name. Closures, records,
@@ -155,6 +156,18 @@ let is_latch_type ctx (ty : Types.type_expr) =
   | Types.Tconstr (p, _, _) ->
     String.equal (normalize ~lib_roots:ctx.lib_roots ~aliases:ctx.aliases (Path.name p)) "Latch.t"
   | _ -> false
+
+(* The [Trace.phase] a park's [~phase] constructor names: constructors
+   are matched through [Trace.phase_label], their lower-case name. A
+   phase the analyzer cannot resolve is not exempt. *)
+let park_phase ctx (cd : Types.constructor_description) =
+  match Types.get_desc cd.Types.cstr_res with
+  | Types.Tconstr (p, _, _)
+    when String.equal (normalize ~lib_roots:ctx.lib_roots ~aliases:ctx.aliases (Path.name p)) "Trace.phase"
+    ->
+    let label = String.lowercase_ascii cd.Types.cstr_name in
+    List.find_opt (fun ph -> String.equal (Trace.phase_label ph) label) Trace.all_phases
+  | _ -> None
 
 let ident_name e =
   match e.exp_desc with Texp_ident (p, _, _) -> Some (Path.name p) | _ -> None
@@ -286,14 +299,12 @@ and walk_apply ctx loc fe args =
       List.exists
         (fun (lbl, a) ->
           match (lbl, a) with
-          | Asttypes.Labelled "phase", Some { exp_desc = Texp_construct (_, cd, _); _ } ->
-            String.equal cd.Types.cstr_name "Io_wait"
+          | Asttypes.Labelled "phase", Some { exp_desc = Texp_construct (_, cd, _); _ } -> (
+            match park_phase ctx cd with Some p -> Trace.latch_exempt p | None -> false)
           | _ -> false)
         args
     in
     List.concat_map (walk_funarg_body_or_expr ctx) arg_exprs @ [ Apark { exempt; loc } ]
-  | `Io_wait ->
-    List.concat_map (walk_funarg_body_or_expr ctx) arg_exprs @ [ Apark { exempt = true; loc } ]
   | `No ->
     let fn_acts = match ident_name fe with Some _ -> [] | None -> walk ctx fe in
     let arg_acts = List.concat_map (walk_funarg_or_callee ctx) arg_exprs in

@@ -10,7 +10,8 @@ type act =
   | Arelease of { cls : string option }
   | Awith of { cls : string option; excl : bool; body : act list; loc : loc }
   | Apark of { exempt : bool; loc : loc }
-      (** [exempt]: an I/O wait, the one legal suspension under a latch *)
+      (** [exempt]: [Trace.latch_exempt] of the park's [~phase] (device
+          I/O, the one legal suspension under a latch) *)
   | Aalloc of { prim : string; loc : loc }
   | Araise of { prim : string; loc : loc }
   | Abranch of act list list  (** union over if/match arms *)

@@ -21,12 +21,9 @@ type t = {
   snapshot_mode : Phoebe_txn.Txnmgr.snapshot_mode;
   lock_style : lock_style;
   isolation : Phoebe_txn.Txnmgr.isolation;
-  gc_every_n_commits : int;
-  max_txn_retries : int;
   txn_deadline_ns : int;
   admission : admission;
   spans : bool;
-  freeze_max_access : int;
   data_device : Phoebe_io.Device.config;
   wal_device : Phoebe_io.Device.config;
   block_device : Phoebe_io.Device.config;
@@ -48,12 +45,9 @@ let default =
     snapshot_mode = Phoebe_txn.Txnmgr.O1_timestamp;
     lock_style = Decentralized;
     isolation = Phoebe_txn.Txnmgr.Read_committed;
-    gc_every_n_commits = 64;
-    max_txn_retries = 8;
     txn_deadline_ns = 0;
     admission = { enabled = false; max_inflight = 0; max_lock_wait_p95_ns = 0 };
     spans = true;
-    freeze_max_access = 2;
     data_device = Phoebe_io.Device.pm9a3;
     wal_device = Phoebe_io.Device.pm9a3;
     block_device = Phoebe_io.Device.pm9a3;

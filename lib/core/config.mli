@@ -31,15 +31,12 @@ type t = {
   snapshot_mode : Phoebe_txn.Txnmgr.snapshot_mode;
   lock_style : lock_style;
   isolation : Phoebe_txn.Txnmgr.isolation;  (** default isolation (paper runs read committed) *)
-  gc_every_n_commits : int;  (** per-worker GC cadence (§7.1) *)
-  max_txn_retries : int;  (** automatic retries after an MVCC abort *)
   txn_deadline_ns : int;
       (** per-transaction deadline in virtual ns (0 = none). Waits past
           the deadline wake with [Timed_out] and the transaction aborts
           with reason [Deadline] through the normal UNDO rollback. *)
   admission : admission;  (** overload shedding at {!Db.submit} (default off) *)
   spans : bool;  (** collect per-transaction trace spans (default on) *)
-  freeze_max_access : int;  (** access-count threshold for freezing (§5.2) *)
   data_device : Phoebe_io.Device.config;
   wal_device : Phoebe_io.Device.config;  (** Exp 3 puts WAL on its own disk *)
   block_device : Phoebe_io.Device.config;

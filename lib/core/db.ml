@@ -43,6 +43,17 @@ type t = {
 
 exception Overloaded
 
+(* Housekeeping cadence: a worker schedules UNDO GC after this many
+   commits (§7.1). *)
+let gc_every_n_commits = 64
+
+(* Automatic retries of a transaction after a transient abort. *)
+let max_txn_retries = 8
+
+(* Freezing threshold: leaves accessed at most this often join the
+   frozen prefix (§5.2). *)
+let freeze_max_access = 2
+
 let pax_codec : Pax.t Bufmgr.codec =
   { Bufmgr.encode = Pax.encode; decode = Pax.decode; size = Pax.size_bytes }
 
@@ -346,7 +357,7 @@ let with_txn ?isolation t body =
     | exception Txnmgr.Abort (reason, msg) ->
       disarm_deadline ();
       Txnmgr.abort ~reason t.txns txn ~rollback:(rollback_one t);
-      if retryable reason && n < t.cfg.Config.max_txn_retries then begin
+      if retryable reason && n < max_txn_retries then begin
         (* back off before retrying so transactions we just woke get to
            run first — retrying inline would starve them *)
         Scheduler.yield Scheduler.Low;
@@ -388,7 +399,7 @@ let after_commit_housekeeping t =
     let w = Scheduler.current_worker () in
     t.commits_since_gc.(w) <- t.commits_since_gc.(w) + 1;
     let due =
-      t.commits_since_gc.(w) >= t.cfg.Config.gc_every_n_commits
+      t.commits_since_gc.(w) >= gc_every_n_commits
       || (t.commits_since_gc.(w) >= 8 && Bufmgr.needs_maintenance t.buf ~partition:w)
     in
     if due && not (t.gc_pending.(w)) then begin
@@ -503,7 +514,7 @@ let gc t =
 
 let freeze_tables t =
   List.fold_left
-    (fun acc table -> acc + Table.maybe_freeze table ~max_access:t.cfg.Config.freeze_max_access)
+    (fun acc table -> acc + Table.maybe_freeze table ~max_access:freeze_max_access)
     0 (tables t)
 
 let replay_wal ?after ?decide_in_doubt t ~from =

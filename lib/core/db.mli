@@ -80,7 +80,7 @@ val abort_txn : t -> Table.txn -> unit
 
 val with_txn : ?isolation:Phoebe_txn.Txnmgr.isolation -> t -> (Table.txn -> 'a) -> 'a
 (** Run a transaction body with commit / rollback / automatic retry on
-    {!Phoebe_txn.Txnmgr.Abort} (up to [max_txn_retries]; only transient
+    {!Phoebe_txn.Txnmgr.Abort} (up to 8 retries; only transient
     reasons — [Deadlock] and [Conflict] — are retried, deadline/shed/user
     aborts propagate). When {!Config.t.txn_deadline_ns} is set and the
     caller runs in a fiber, each attempt arms a virtual-time deadline on
@@ -125,7 +125,7 @@ val run : t -> unit
 
 val after_commit_housekeeping : t -> unit
 (** The per-worker housekeeping cadence (§7.1): counts a commit and,
-    every [gc_every_n_commits] (or when the worker's buffer partition is
+    every 64 commits (or when the worker's buffer partition is
     over budget), schedules a housekeeping fiber on this worker's
     dedicated task slot — per-slot UNDO GC, twin-table sweeps, buffer
     cooling/eviction. [Db.submit] calls this automatically; drivers that

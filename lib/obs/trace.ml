@@ -1,14 +1,38 @@
 module Stats = Phoebe_util.Stats
 
-type phase = Execute | Lock_wait | Io_wait | Wal_wait
+type phase = Execute | Lock_wait | Io_wait | Wal_wait | Quorum_wait | Remote_wait
 type outcome = Committed | Aborted | Cancelled
 
-let n_phases = 4
-let phase_index = function Execute -> 0 | Lock_wait -> 1 | Io_wait -> 2 | Wal_wait -> 3
-let phase_label = function Execute -> "execute" | Lock_wait -> "lock_wait" | Io_wait -> "io_wait" | Wal_wait -> "wal_wait"
+let all_phases = [ Execute; Lock_wait; Io_wait; Wal_wait; Quorum_wait; Remote_wait ]
+let n_phases = List.length all_phases
+
+let phase_index = function
+  | Execute -> 0
+  | Lock_wait -> 1
+  | Io_wait -> 2
+  | Wal_wait -> 3
+  | Quorum_wait -> 4
+  | Remote_wait -> 5
+
+let phase_label = function
+  | Execute -> "execute"
+  | Lock_wait -> "lock_wait"
+  | Io_wait -> "io_wait"
+  | Wal_wait -> "wal_wait"
+  | Quorum_wait -> "quorum_wait"
+  | Remote_wait -> "remote_wait"
+
+(* The paper's scheduler lets a latched co-routine suspend only on an
+   asynchronous page read (§7.1); every other wait under a latch is a
+   bug. Both latch checkers call this. *)
+let latch_exempt = function
+  | Io_wait -> true
+  | Execute | Lock_wait | Wal_wait | Quorum_wait | Remote_wait -> false
 
 (* Export suffixes; index-aligned with [phase_index]. *)
-let phase_suffix = [| "execute_ns"; "lock_wait_ns"; "io_wait_ns"; "wal_flush_wait_ns" |]
+let phase_suffix =
+  [| "execute_ns"; "lock_wait_ns"; "io_wait_ns"; "wal_flush_wait_ns"; "quorum_wait_ns"; "remote_wait_ns" |]
+
 let max_kinds = 8
 
 (* Per-slot span state: all-int record, so every probe is pure
@@ -141,11 +165,8 @@ let cpu_off t ~slot =
 let suspend t ~slot phase ~now =
   if slot >= 0 && slot < Array.length t.slots then begin
     let s = t.slots.(slot) in
-    (* Only leave Execute: a specific wait hint (Wal_wait) placed just
-       before the scheduler's generic Io_wait probe must not be
-       overwritten by it. *)
-    if s.active && s.phase = 0 then begin
-      s.acc.(0) <- s.acc.(0) + (now - s.seg_start);
+    if s.active then begin
+      s.acc.(s.phase) <- s.acc.(s.phase) + (now - s.seg_start);
       s.seg_start <- now;
       s.phase <- phase_index phase
     end

@@ -1,11 +1,12 @@
 (** Lightweight per-fiber transaction trace spans.
 
     A span covers one transaction attempt from begin to commit/abort
-    and is segmented into phases: useful execution vs. the three ways a
-    transaction fiber can stall (lock wait, generic I/O wait, WAL flush
-    wait). Segments telescope — each phase change closes the previous
-    segment at the same timestamp — so the phase times of a span sum
-    to its wall-clock (virtual) duration exactly.
+    and is segmented into phases: useful execution vs. the ways a
+    transaction fiber can stall, one per {!phase} constructor. The phase
+    a fiber parks with is also what the latch checkers judge
+    ({!latch_exempt}). Segments telescope — each phase change closes
+    the previous segment at the same timestamp — so the phase times of
+    a span sum to its wall-clock (virtual) duration exactly.
 
     Span state lives in one pre-allocated record per scheduler slot;
     every probe ([begin_span], [suspend], [resume], [set_kind],
@@ -18,18 +19,34 @@ type t
 
 type phase =
   | Execute  (** running on the CPU (or charged instruction time) *)
-  | Lock_wait  (** blocked on a lock / wait queue *)
+  | Lock_wait
+      (** blocked on a lock, a wait queue or a globally serialised
+          resource (the PG-style lock table and proc array) *)
   | Io_wait  (** suspended on device I/O *)
-  | Wal_wait  (** waiting for a WAL flush (local or RFA remote floor) *)
+  | Wal_wait  (** waiting for a local WAL flush (own slot or RFA remote floor) *)
+  | Quorum_wait  (** waiting for a replication quorum to acknowledge a commit *)
+  | Remote_wait
+      (** waiting on a round trip to another node: 2PC votes and
+          decisions, remote statement replies *)
 
 type outcome =
   | Committed
   | Aborted  (** conflict/deadlock/user abort (typically retried) *)
   | Cancelled  (** cut short by a transaction deadline or admission shed *)
 
+val all_phases : phase list
+(** Every phase, in declaration order. *)
+
 val phase_label : phase -> string
-(** Stable lower-snake name of a phase (diagnostics, sanitizer
-    reports). *)
+(** Stable lower-snake name of a phase: its constructor name in lower
+    case (diagnostics, sanitizer reports, static-analyzer resolution). *)
+
+val latch_exempt : phase -> bool
+(** Whether a fiber may park with this phase while holding a latch:
+    true only for {!Io_wait}, the page fault a latched holder
+    legitimately suspends on (see latch.mli). The one place the
+    exemption is decided — the runtime sanitizer ([Scheduler.park]) and
+    the static analyzer ([phoebe_check]) both call it. *)
 
 val max_kinds : int
 (** Kind indices are [0 .. max_kinds - 1]; kind 0 is ["other"]. *)
@@ -51,9 +68,7 @@ val begin_span : t -> slot:int -> now:int -> unit
 val set_kind : t -> slot:int -> int -> unit
 
 val suspend : t -> slot:int -> phase -> now:int -> unit
-(** Enter a wait phase. Only takes effect from [Execute], so a specific
-    hint (e.g. {!Wal_wait} placed just before the scheduler's generic
-    {!Io_wait} probe fires) is not overwritten by the generic one. *)
+(** Enter a wait phase, closing the current segment. *)
 
 val resume : t -> slot:int -> now:int -> unit
 (** Back to [Execute]; no-op if already executing. *)

@@ -757,7 +757,7 @@ and commit_barrier t nd ~slot ~lsn:_ =
       done;
       if (not (satisfied ())) && Scheduler.in_fiber () then
         ignore
-          (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Wal_wait
+          (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Quorum_wait
              (fun wt ->
                nd.waiters <-
                  {
@@ -774,7 +774,7 @@ and commit_barrier t nd ~slot ~lsn:_ =
        park the fiber with no waker. *)
     if Scheduler.in_fiber () then
       ignore
-        (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Wal_wait
+        (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Quorum_wait
            (fun _ -> ()))
 
 and schedule_tick t nd gen =

@@ -622,12 +622,10 @@ let park ?(deadline = Inherit) ~urgency ~phase register =
     let t = f.fworker.wsched in
     (* The sanitizer's park-while-latched rule fires fiber-side, before
        the effect, so the Bug unwinds this fiber like any kernel
-       exception. Device I/O is exempt: latched holders legitimately
-       suspend on page faults (see latch.mli). *)
+       exception. [Trace.latch_exempt] decides which waits may hold a
+       latch, for this check and the static analyzer alike. *)
     if Sanitize.on () then
-      Sanitize.on_park ~fiber:f.fid
-        ~io:(match phase with Trace.Io_wait -> true | _ -> false)
-        ~phase:(Trace.phase_label phase);
+      Sanitize.on_park ~fiber:f.fid ~exempt:(Trace.latch_exempt phase) ~label:(Trace.phase_label phase);
     let dl = resolve_bound f deadline in
     let t0 = Engine.now t.eng in
     Effect.perform (E_park { purgency = urgency; pdeadline = dl; pphase = phase; pregister = register });
@@ -729,11 +727,6 @@ let span_kind k =
     match f.fworker.wsched.trace with
     | Some tr -> Trace.set_kind tr ~slot:(global_slot f) k
     | None -> ())
-
-let span_wait phase =
-  match !cur with
-  | None -> ()
-  | Some f -> probe_suspend f.fworker.wsched f phase
 
 let set_local l =
   let f = current_fiber () in

@@ -120,9 +120,15 @@ val park :
     wake source (a device completion list, a wait queue, a WAL waiter
     list). The fiber resumes — re-queued at [urgency] — when someone
     calls {!wake_waiter}, when the resolved [deadline] expires, or when
-    it is cancelled; the delivered {!reason} says which. [phase] labels
-    the suspension for trace spans. Waits parked with
-    {!Phoebe_obs.Trace.Lock_wait} feed the {!lock_wait_p95_ns} window.
+    it is cancelled; the delivered {!reason} says which. [phase] names
+    what the fiber waits on, and is the one description of the wait:
+    - trace spans file the suspension under it;
+    - under the sanitizer, parking while holding a latch is a
+      [park_latched] violation unless {!Phoebe_obs.Trace.latch_exempt}
+      holds for it (device I/O only); [phoebe_check] applies the same
+      predicate statically;
+    - only {!Phoebe_obs.Trace.Lock_wait} waits feed the
+      {!lock_wait_p95_ns} window.
     @raise Phoebe_util.Phoebe_error.Bug outside a fiber. *)
 
 val wake_waiter : waiter -> reason -> bool
@@ -193,11 +199,6 @@ val span_end : Phoebe_obs.Trace.outcome -> unit
 val span_kind : int -> unit
 (** Label the open span with a transaction-kind index (see
     {!Phoebe_obs.Trace.set_kind}). *)
-
-val span_wait : Phoebe_obs.Trace.phase -> unit
-(** Hint that the imminent suspension belongs to a specific wait phase
-    (e.g. {!Phoebe_obs.Trace.Wal_wait} just before a flush wait);
-    overrides the generic probe the scheduler would fire. *)
 
 (** {1 Fiber-local storage} *)
 

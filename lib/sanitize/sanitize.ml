@@ -248,11 +248,11 @@ let locks_released_all ~fiber =
     s.tuple_locks <- 0;
     s.table_locks <- 0
 
-let on_park ~fiber ~io ~phase =
-  if not io then begin
+let on_park ~fiber ~exempt ~label =
+  if not exempt then begin
     match Hashtbl.find_opt fibers fiber with
     | Some s when s.held <> [] ->
-      violation Park_latched "fiber %d parked (%s) while holding latches; held %s" fiber phase
+      violation Park_latched "fiber %d parked (%s) while holding latches; held %s" fiber label
         (describe_held s)
     | _ -> ()
   end

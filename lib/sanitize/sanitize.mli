@@ -21,7 +21,9 @@
       device I/O while holding a latch is the cooperative analogue of
       blocking while spinlocked. Device I/O is exempt by design: a
       latched holder faulting a page suspends on [io_wait]
-      (see latch.mli).
+      (see latch.mli). [Scheduler.park] decides the exemption with
+      [Trace.latch_exempt] and passes the verdict in, so this library
+      stays free of the tracing plane.
     - {b frame state machine}: residency mirror + legal
       resident/dirty/pinned/cooling transitions for buffer frames.
     - {b WAL monotonicity}: per-file strictly-increasing LSNs and
@@ -33,7 +35,7 @@
 
 type rule =
   | Lock_order  (** latch acquisition-order cycle *)
-  | Park_latched  (** non-I/O suspension while holding a latch *)
+  | Park_latched  (** a park [Trace.latch_exempt] rejects (any non-I/O wait) while holding a latch *)
   | Latch_state  (** unbalanced acquire/release or phantom wait state *)
   | Frame_state  (** illegal buffer-frame transition *)
   | Wal_mono  (** LSN or durable-frontier monotonicity breach *)
@@ -126,9 +128,10 @@ val locks_released_all : fiber:int -> unit
 (** Transaction finish: every tuple/table lock the fiber held is
     released at once. *)
 
-val on_park : fiber:int -> io:bool -> phase:string -> unit
-(** Fired by [Scheduler.park] before suspending. [io] exempts device
-    I/O waits. *)
+val on_park : fiber:int -> exempt:bool -> label:string -> unit
+(** Fired by [Scheduler.park] before suspending. [exempt] is the
+    wait's [Trace.latch_exempt] verdict (true only for device I/O);
+    [label] names the wait in the report. *)
 
 val on_fiber_done : fiber:int -> unit
 (** Fiber ran to completion: latches still held become {!Latch_leak}

@@ -177,7 +177,7 @@ let rec branch_loop t p br txn =
   | None ->
     let deadline = Scheduler.At (Engine.now t.ceng + t.decision_poll_ns) in
     let r =
-      Scheduler.park ~deadline ~urgency:Scheduler.Low ~phase:Trace.Io_wait (fun w ->
+      Scheduler.park ~deadline ~urgency:Scheduler.Low ~phase:Trace.Remote_wait (fun w ->
           br.br_waiter <- Some w)
     in
     br.br_waiter <- None;
@@ -225,7 +225,7 @@ let wake_coord dtx = wake dtx.dt_waiter
 let park_coord t dtx =
   let deadline = Scheduler.At (Engine.now t.ceng + t.msg_timeout_ns) in
   let r =
-    Scheduler.park ~deadline ~urgency:Scheduler.High ~phase:Trace.Io_wait (fun w ->
+    Scheduler.park ~deadline ~urgency:Scheduler.High ~phase:Trace.Remote_wait (fun w ->
         dtx.dt_waiter <- Some w)
   in
   dtx.dt_waiter <- None;
@@ -296,7 +296,7 @@ let prepare_phase t dtx =
     (* crash-test hook: every vote is in, the decision is not yet
        logged — freeze here until the cluster is crashed *)
     ignore
-      (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.Low ~phase:Trace.Io_wait
+      (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.Low ~phase:Trace.Remote_wait
          (fun w -> dtx.dt_waiter <- Some w))
 
 let submit_dtxn ?affinity ?(on_done = fun ~committed:_ -> ()) t ~home body =

@@ -119,11 +119,21 @@ let clock t = t.tclock
 let wal t = t.twal
 
 (* Pass through a globally serialised resource: queue behind everyone
-   ahead, hold it for [hold_ns], resume when service completes. *)
+   ahead, hold it for [hold_ns], resume when service completes. The
+   queueing is lock-table contention, so it parks as a lock wait.
+   Outside a fiber (bulk load) the pass completes at once, but the
+   service-end event is still scheduled: the event schedule, and so the
+   replay digest, does not depend on who passed through. *)
 let serialize eng r ~hold_ns =
   let finish = Resource.acquire_for r ~hold_ns in
   if finish > Engine.now eng then
-    Scheduler.io_wait (fun resume -> Engine.schedule_at eng ~time:finish resume)
+    if Scheduler.in_fiber () then
+      ignore
+        (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Lock_wait
+           (fun wt ->
+             Engine.schedule_at eng ~time:finish (fun () ->
+                 ignore (Scheduler.wake_waiter wt Scheduler.Signalled))))
+    else Engine.schedule_at eng ~time:finish ignore
 
 let through_lock_table t =
   match t.contention with
@@ -287,9 +297,7 @@ let commit t txn =
   (* Only now — after the durability wait — may the sanitizer treat this
      transaction's after-images as safe to put on data pages. Before this
      point a stolen page flush could persist data whose commit record
-     never reaches the device. With sync_commit off the wait is a no-op
-     and the watermark advances eagerly: relaxed durability is that
-     configuration's contract. *)
+     never reaches the device. *)
   if Sanitize.on () && cts < t.slot_durable_cts.(txn.slot) then
     Sanitize.violation Sanitize.Undo_chain "slot %d: commit ts %d below the durable watermark %d"
       txn.slot cts t.slot_durable_cts.(txn.slot);

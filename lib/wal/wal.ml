@@ -10,7 +10,6 @@ module Sanitize = Phoebe_sanitize.Sanitize
 type config = {
   group_flush_bytes : int;
   group_flush_interval_ns : int;
-  sync_commit : bool;
   rfa : bool;
   single_writer : bool;
 }
@@ -19,7 +18,6 @@ let default_config =
   {
     group_flush_bytes = 16 * 1024;
     group_flush_interval_ns = 50_000;
-    sync_commit = true;
     rfa = true;
     single_writer = false;
   }
@@ -126,17 +124,14 @@ let wake_lsn_waiters w =
   w.lsn_waiters <- waiting;
   List.iter (fun (_, resume) -> resume ()) ready
 
-let debug = ref false
 let rec flush t w =
   if (not w.inflight) && Buffer.length w.buf > 0 then begin
-    if !debug then Printf.printf "flush slot=%d bytes=%d next_lsn=%d\n%!" w.wslot (Buffer.length w.buf) w.next_lsn;
     let data = Buffer.to_bytes w.buf in
     Buffer.clear w.buf;
     w.inflight <- true;
     w.inflight_lsn <- w.next_lsn - 1;
     w.inflight_gsn <- w.max_buffered_gsn;
     Walstore.append t.wstore ~file:w.wslot data ~on_durable:(fun () ->
-        if !debug then Printf.printf "durable slot=%d lsn=%d\n%!" w.wslot w.inflight_lsn;
         Obs.Counter.add t.bytes_durable (Bytes.length data);
         w.flushed_lsn <- w.inflight_lsn;
         w.max_flushed_gsn <- max w.max_flushed_gsn w.inflight_gsn;
@@ -213,34 +208,31 @@ let wal_wait register =
   else register (fun () -> ())
 
 let commit_durable t ~slot ~lsn ~needs_remote ~remote_gsn =
-  if !debug then Printf.printf "commit_durable slot=%d lsn=%d flushed=%d remote=%b\n%!" slot lsn t.writers.(slot).flushed_lsn needs_remote;
   Scheduler.charge Component.Wal (Scheduler.current_cost ()).Cost.wal_commit;
-  if t.cfg.sync_commit then begin
-    let slot = effective_slot t slot in
-    let w = t.writers.(slot) in
-    if lsn > w.flushed_lsn then begin
-      flush t w;
+  let slot = effective_slot t slot in
+  let w = t.writers.(slot) in
+  if lsn > w.flushed_lsn then begin
+    flush t w;
+    wal_wait (fun resume ->
+        if lsn <= w.flushed_lsn then resume ()
+        else w.lsn_waiters <- (lsn, resume) :: w.lsn_waiters)
+  end;
+  if needs_remote then begin
+    Obs.Counter.incr t.n_remote_waits;
+    if durable_floor t < remote_gsn then begin
+      (* nudge the writers still holding back the floor *)
+      Array.iter
+        (fun w' ->
+          match Queue.peek_opt w'.pending with
+          | Some (_, gsn) when gsn <= remote_gsn -> flush t w'
+          | _ -> ())
+        t.writers;
       wal_wait (fun resume ->
-          if lsn <= w.flushed_lsn then resume ()
-          else w.lsn_waiters <- (lsn, resume) :: w.lsn_waiters)
-    end;
-    if needs_remote then begin
-      Obs.Counter.incr t.n_remote_waits;
-      if durable_floor t < remote_gsn then begin
-        (* nudge the writers still holding back the floor *)
-        Array.iter
-          (fun w' ->
-            match Queue.peek_opt w'.pending with
-            | Some (_, gsn) when gsn <= remote_gsn -> flush t w'
-            | _ -> ())
-          t.writers;
-        wal_wait (fun resume ->
-            if durable_floor t >= remote_gsn then resume ()
-            else t.remote_waiters <- (remote_gsn, resume) :: t.remote_waiters)
-      end
+          if durable_floor t >= remote_gsn then resume ()
+          else t.remote_waiters <- (remote_gsn, resume) :: t.remote_waiters)
     end
-    else Obs.Counter.incr t.n_local_commits
   end
+  else Obs.Counter.incr t.n_local_commits
 
 let rec schedule_tick t =
   if t.running then

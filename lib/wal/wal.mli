@@ -16,7 +16,6 @@ type t
 type config = {
   group_flush_bytes : int;  (** flush a writer when this much is buffered *)
   group_flush_interval_ns : int;  (** periodic background flush cadence *)
-  sync_commit : bool;  (** false = asynchronous commit (no durability wait) *)
   rfa : bool;  (** false disables RFA: every commit waits for all writers (ablation) *)
   single_writer : bool;
       (** true = all slots funnel into one WAL writer, the traditional
@@ -76,8 +75,8 @@ val commit_durable :
   t -> slot:int -> lsn:int -> needs_remote:bool -> remote_gsn:int -> unit
 (** Block the calling fiber until the commit record at [lsn] in [slot]'s
     WAL is durable — and, if [needs_remote], until every writer has
-    flushed all records with GSN [<= remote_gsn]. No-op when
-    [sync_commit] is off. *)
+    flushed all records with GSN [<= remote_gsn]. Every commit waits:
+    there is no asynchronous-commit mode. *)
 
 val start_background_flusher : t -> unit
 (** Schedule the periodic group-flush events on the simulation engine.
@@ -108,8 +107,6 @@ val local_commits : t -> int
 (** Commits satisfied by the local writer alone (RFA hits). *)
 
 val store : t -> Phoebe_io.Walstore.t
-
-val debug : bool ref
 
 val dump_writers : t -> (int * int * int * bool * int * int) list
 (** (slot, buffered_bytes, pending_records, inflight, flushed_lsn,

@@ -1,7 +1,8 @@
 (* Fixture: a park reachable three calls deep under an exclusively held
    latch — phoebe_check must report [park-while-latched] in [update]
-   with the full chain — plus an I/O wait under the same latch, which is
-   exempt by design (a latched page-fault holder suspends on io_wait;
+   with the full chain — a network round trip parked under the same
+   latch, which must be reported too, and an I/O wait under it, which
+   is exempt by design (a latched page-fault holder suspends on io_wait;
    see latch.mli). *)
 
 module Latch = Phoebe_storage.Latch
@@ -27,3 +28,8 @@ let update t =
 (* exempt: device I/O while latched is the one legal suspension *)
 let fault_under_latch t =
   Latch.with_exclusive t.guard (fun () -> Scheduler.io_wait (fun resume -> resume ()))
+
+(* not exempt: only device I/O may hold a latch across a park *)
+let remote_under_latch t =
+  Latch.with_exclusive t.guard (fun () ->
+      ignore (Scheduler.park ~urgency:Scheduler.High ~phase:Trace.Remote_wait (fun _w -> ())))

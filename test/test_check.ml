@@ -55,17 +55,23 @@ let with_rule r rule = List.filter (fun (f : Report.finding) -> f.Report.rule = 
 
 let test_park_while_latched_fixture () =
   let r = analyze_fixtures () in
-  match with_rule r "park-while-latched" with
+  let fs = with_rule r "park-while-latched" in
+  List.iter
+    (fun (f : Report.finding) -> check_bool "sited in fix_park.ml" true (contains f.Report.file "fix_park.ml"))
+    fs;
+  let named s = List.filter (fun (f : Report.finding) -> contains f.Report.msg s) fs in
+  (* exactly two: fault_under_latch suspends via Scheduler.io_wait,
+     whose Io_wait park is the one exempt phase *)
+  check_int "park-while-latched findings" 2 (List.length fs);
+  (match named "Fix_park.update" with
   | [ f ] ->
-    check_bool "sited in fix_park.ml" true (contains f.Report.file "fix_park.ml");
     (* the full call chain is the witness; the parking leaf and the
        latched caller must both be named *)
-    check_bool "witness names the parking function" true (contains f.Report.msg "wait_for_signal");
-    check_bool "witness names the latched entry" true (contains f.Report.msg "Fix_park.update")
-  | fs ->
-    (* exactly one: fault_under_latch suspends via Scheduler.io_wait,
-       which is exempt by design *)
-    Alcotest.failf "expected exactly one park-while-latched finding, got %d" (List.length fs)
+    check_bool "witness names the parking function" true (contains f.Report.msg "wait_for_signal")
+  | l -> Alcotest.failf "expected one finding in Fix_park.update, got %d" (List.length l));
+  check_int "a Remote_wait park under a latch is reported" 1
+    (List.length (named "Fix_park.remote_under_latch"));
+  check_int "the io_wait under a latch stays clean" 0 (List.length (named "fault_under_latch"))
 
 let test_latch_order_cycle_fixture () =
   let r = analyze_fixtures () in

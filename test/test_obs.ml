@@ -10,6 +10,10 @@ module Scheduler = Phoebe_runtime.Scheduler
 module Stats = Phoebe_util.Stats
 module Phoebe_error = Phoebe_util.Phoebe_error
 module Json = Phoebe_util.Json
+module Prng = Phoebe_util.Prng
+module Engine = Phoebe_sim.Engine
+module Cluster = Phoebe_shard.Cluster
+module TS = Phoebe_tpcc.Tpcc_sharded
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -74,22 +78,25 @@ let run_small ~spans ~seed =
   ignore (T.run_mix t ~concurrency:8 ~duration_ns:300_000_000 ~seed ());
   (db, Db.committed db - committed0)
 
-let all_phases = [ Trace.Execute; Trace.Lock_wait; Trace.Io_wait; Trace.Wal_wait ]
+let phases_sum_to_wall tr =
+  for kind = 0 to Trace.max_kinds - 1 do
+    let phase_sum =
+      List.fold_left (fun acc p -> acc +. Trace.phase_ns tr ~kind p) 0.0 Trace.all_phases
+    in
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "kind %d phases sum to wall time" kind)
+      (Trace.total_ns tr ~kind) phase_sum
+  done
 
 let test_span_phases_sum_to_wall () =
   let db, committed = run_small ~spans:true ~seed:3 in
   let tr = match Db.trace db with Some tr -> tr | None -> Alcotest.fail "trace missing" in
   let finished_total = ref 0 in
   let committed_total = ref 0 in
+  phases_sum_to_wall tr;
   for kind = 0 to Trace.max_kinds - 1 do
     finished_total := !finished_total + Trace.finished tr ~kind;
     committed_total := !committed_total + Trace.committed tr ~kind;
-    let phase_sum =
-      List.fold_left (fun acc p -> acc +. Trace.phase_ns tr ~kind p) 0.0 all_phases
-    in
-    Alcotest.(check (float 0.0))
-      (Printf.sprintf "kind %d phases sum to wall time" kind)
-      (Trace.total_ns tr ~kind) phase_sum;
     check_int
       (Printf.sprintf "kind %d hist count = finished" kind)
       (Trace.finished tr ~kind)
@@ -111,6 +118,36 @@ let test_span_phases_sum_to_wall () =
   match Json.of_string (Json.to_string (Obs.to_json (Db.obs db))) with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("registry export is not valid JSON: " ^ msg)
+
+(* Two shards, NewOrder only: a coordinator waiting on a remote
+   statement or on 2PC votes is filed under Remote_wait, never under
+   device I/O, and the phases of every span still telescope. *)
+let test_sharded_remote_wait () =
+  let eng = Engine.create () in
+  let cl = Cluster.create eng ~shards:2 small_cfg in
+  let ts = TS.create cl ~scale:tiny_scale ~warehouses_per_shard:1 ~seed:7 () in
+  let trace k = match Db.trace (Cluster.shard cl k) with Some tr -> tr | None -> Alcotest.fail "trace missing" in
+  List.iter (fun k -> Trace.set_kind_names (trace k) [| "new_order" |]) [ 0; 1 ];
+  let rng = Prng.create ~seed:5 in
+  for i = 0 to 299 do
+    let home_g = 1 + (i mod 2) in
+    Cluster.submit_dtxn cl ~home:(fst (TS.locate ts home_g)) (fun dtx ->
+        Scheduler.span_kind 1;
+        TS.new_order ts dtx rng ~home_g)
+  done;
+  Cluster.run cl;
+  check_bool "some new_orders went cross-shard" true ((Cluster.stats cl).Cluster.started > 0);
+  let remote = ref 0.0 in
+  List.iter
+    (fun k ->
+      let tr = trace k in
+      phases_sum_to_wall tr;
+      check_bool "new_order spans finished" true (Trace.finished tr ~kind:1 > 0);
+      remote := !remote +. Trace.phase_ns tr ~kind:1 Trace.Remote_wait)
+    [ 0; 1 ];
+  check_bool "new_order remote_wait_ns > 0" true (!remote > 0.0);
+  let snap = Obs.snapshot (Db.obs (Cluster.shard cl 0)) in
+  check_bool "remote wait export present" true (List.mem_assoc "trace.txn.new_order.remote_wait_ns" snap)
 
 let test_spans_transparent () =
   let db_on, committed_on = run_small ~spans:true ~seed:11 in
@@ -163,6 +200,7 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "phases sum to wall time" `Quick test_span_phases_sum_to_wall;
+          Alcotest.test_case "sharded waits are remote waits" `Quick test_sharded_remote_wait;
           Alcotest.test_case "on/off transparency" `Quick test_spans_transparent;
         ] );
       ("alloc", [ Alcotest.test_case "hot path allocation-free" `Quick test_hot_path_alloc_free ]);

@@ -88,6 +88,24 @@ let test_park_while_latched () =
   check_bool "park_latched finding recorded" true
     (List.exists (fun (r, _) -> r = Sanitize.Park_latched) (Sanitize.findings ()))
 
+(* Only device I/O is exempt: a network round trip under a latch is a
+   violation like any other non-I/O park. *)
+let test_remote_wait_while_latched () =
+  with_sanitizer @@ fun () ->
+  let _, s = make_sched () in
+  let l = Latch.create () in
+  Scheduler.submit s (fun () ->
+      Latch.acquire_exclusive l;
+      ignore
+        (Scheduler.park ~urgency:Scheduler.High ~phase:Trace.Remote_wait (fun wt ->
+             ignore (Scheduler.wake_waiter wt Scheduler.Signalled)));
+      Latch.release_exclusive l);
+  expect_bug "sanitize.park_latched" (fun () -> Scheduler.run_until_quiescent s);
+  check_bool "park_latched finding names the wait" true
+    (List.exists
+       (fun (r, msg) -> r = Sanitize.Park_latched && contains msg "remote_wait")
+       (Sanitize.findings ()))
+
 let test_io_wait_while_latched_is_exempt () =
   with_sanitizer @@ fun () ->
   let eng, s = make_sched () in
@@ -274,6 +292,8 @@ let () =
           Alcotest.test_case "lock-order inversion caught" `Quick test_lock_order_inversion;
           Alcotest.test_case "consistent order is clean" `Quick test_lock_order_consistent_is_clean;
           Alcotest.test_case "park while latched caught" `Quick test_park_while_latched;
+          Alcotest.test_case "remote wait while latched caught" `Quick
+            test_remote_wait_while_latched;
           Alcotest.test_case "io wait while latched exempt" `Quick
             test_io_wait_while_latched_is_exempt;
           Alcotest.test_case "latch timeout cleans up" `Quick test_latch_timeout_cleans_up;

@@ -13,6 +13,8 @@ module Engine = Phoebe_sim.Engine
 module Value = Phoebe_storage.Value
 module Device = Phoebe_io.Device
 module Prng = Phoebe_util.Prng
+module Latch = Phoebe_storage.Latch
+module Sanitize = Phoebe_sanitize.Sanitize
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -79,10 +81,11 @@ let insert_proc ~shard:_ db txn args =
   ignore (Table.insert (Db.table db "xfer") txn [| args.(0); args.(1) |]);
   [||]
 
-let make_cluster ?net ?msg_timeout_ns ?decision_poll_ns ?faults ~shards () =
+let make_cluster ?net ?msg_timeout_ns ?decision_poll_ns ?faults ?(sanitize = false) ~shards () =
   let eng = Engine.create () in
   let cl =
-    Cluster.create ?net ?msg_timeout_ns ?decision_poll_ns eng ~shards (base_cfg ?faults ())
+    Cluster.create ?net ?msg_timeout_ns ?decision_poll_ns eng ~shards
+      { (base_cfg ?faults ()) with Config.sanitize }
   in
   for k = 0 to shards - 1 do
     xfer_ddl k (Cluster.shard cl k)
@@ -122,6 +125,23 @@ let test_happy_path () =
   check_int "committed" 1 s.Cluster.committed;
   check_int "branch prepared" 1 s.Cluster.branches_prepared;
   check_int "branch committed" 1 s.Cluster.branches_committed
+
+(* The coordinator's wait for a remote reply is a network round trip,
+   not device I/O: holding a latch across [remote_exec] trips the
+   sanitizer's park-while-latched rule. *)
+let test_remote_exec_under_latch_caught () =
+  Fun.protect ~finally:(fun () -> Sanitize.disable ()) @@ fun () ->
+  let cl, proc = make_cluster ~sanitize:true ~shards:2 () in
+  let l = Latch.create () in
+  Cluster.submit_dtxn cl ~home:0 (fun dtx ->
+      Latch.with_exclusive l (fun () ->
+          ignore (Cluster.remote_exec cl dtx ~shard:1 ~proc ~args:[| Value.Int 1; Value.Int 1 |])));
+  (match Cluster.run cl with
+  | () -> Alcotest.fail "expected the sanitizer to raise"
+  | exception Phoebe_util.Phoebe_error.Bug { subsystem; _ } ->
+    Alcotest.(check string) "bug subsystem" "sanitize.park_latched" subsystem);
+  check_bool "park_latched finding recorded" true
+    (List.exists (fun (r, _) -> r = Sanitize.Park_latched) (Sanitize.findings ()))
 
 let test_partition_timeout_then_heal () =
   let cl, proc = make_cluster ~shards:2 () in
@@ -275,6 +295,8 @@ let () =
       ( "twopc",
         [
           Alcotest.test_case "happy path" `Quick test_happy_path;
+          Alcotest.test_case "remote_exec under a latch caught" `Quick
+            test_remote_exec_under_latch_caught;
           Alcotest.test_case "partition: timeout-abort, then heal" `Quick
             test_partition_timeout_then_heal;
           Alcotest.test_case "crash in the decision window" `Quick test_crash_in_decision_window;

@@ -1,9 +1,8 @@
 (* TPC-C correctness tests: loader cardinalities, each transaction's
    effects, mix runs with consistency checks, recovery mid-benchmark,
-   plus the generic workload driver and the baseline configurations. *)
+   plus the baseline configurations. *)
 open Phoebe_core
 module T = Phoebe_tpcc.Tpcc
-module W = Phoebe_workload.Workload
 module B = Phoebe_baseline.Baseline
 module Value = Phoebe_storage.Value
 module Prng = Phoebe_util.Prng
@@ -200,28 +199,6 @@ let test_recovery_after_mix () =
     [ "warehouse"; "district"; "customer"; "orders"; "orderline"; "neworder"; "history" ]
 
 (* ------------------------------------------------------------------ *)
-(* Workload driver *)
-
-let test_workload_runs () =
-  let db = Db.create small_cfg in
-  let w = W.setup db ~rows:500 ~value_bytes:32 ~seed:1 () in
-  let r = W.run w ~mix:W.mixed ~concurrency:8 ~duration_ns:100_000_000 ~seed:2 () in
-  check_bool "committed" true (r.W.committed > 20);
-  check_bool "throughput positive" true (r.W.txn_per_s > 0.0)
-
-let test_workload_zipf_vs_uniform_contention () =
-  (* Skew on an update-heavy mix must produce at least as many aborts /
-     no more throughput than uniform access. *)
-  let run dist =
-    let db = Db.create small_cfg in
-    let w = W.setup db ~rows:200 ~value_bytes:16 ~seed:1 () in
-    W.run w ~dist ~mix:W.update_heavy ~ops_per_txn:8 ~concurrency:8 ~duration_ns:100_000_000
-      ~seed:2 ()
-  in
-  let z = run (W.Zipfian 0.99) and u = run W.Uniform in
-  check_bool "both committed" true (z.W.committed > 0 && u.W.committed > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Baselines *)
 
 let test_pg_like_slower_than_phoebe () =
@@ -272,11 +249,6 @@ let () =
         ] );
       ("recovery", [ Alcotest.test_case "after mix" `Quick test_recovery_after_mix ]);
       ("rfa", [ Alcotest.test_case "mostly local commits" `Quick test_rfa_mostly_local_commits ]);
-      ( "workload",
-        [
-          Alcotest.test_case "runs" `Quick test_workload_runs;
-          Alcotest.test_case "zipf vs uniform" `Quick test_workload_zipf_vs_uniform_contention;
-        ] );
       ( "baseline",
         [
           Alcotest.test_case "pg-like slower" `Quick test_pg_like_slower_than_phoebe;

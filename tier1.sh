@@ -83,12 +83,22 @@ bench_json overload overload overload
 echo "== recovery smoke (fixed-seed crash + replay vs checkpoint cadence, --json)"
 bench_json recovery recovery --experiment recovery --seed 42
 
-echo "== sharded smoke (K x offered-load scaling grid with 2PC, --json, double-run identical)"
-double_run sharded sharded --experiment sharded --seed 42
-echo "   scaling grid parses, double run byte-identical"
+echo "== sharded smoke (K x offered-load scaling grid with 2PC, --sanitize, --json, double-run identical)"
+double_run sharded sharded --experiment sharded --seed 42 --sanitize
+# every shard of every cell exports its sanitize.findings; all must be 0
+if ! grep -q 'sanitize\.findings": ' "$tmpdir/sharded.json"; then
+  echo "   FAIL: no sanitize.findings in the sanitized sharded --json output" >&2
+  exit 1
+fi
+if grep 'sanitize\.findings": ' "$tmpdir/sharded.json" | grep -qv 'sanitize\.findings": 0,\?$'; then
+  echo "   FAIL: sanitizer findings in the sharded run:" >&2
+  grep 'sanitize\.findings": ' "$tmpdir/sharded.json" | grep -v 'sanitize\.findings": 0,\?$' >&2
+  exit 1
+fi
+echo "   scaling grid parses, double run byte-identical, zero sanitizer findings"
 
-echo "== ha_failover smoke (quorum failover grid, --json, double-run identical)"
-double_run ha ha_failover --experiment ha_failover --seed 42
-echo "   failover grid parses, double run byte-identical"
+echo "== ha_failover smoke (quorum failover grid, --sanitize, --json, double-run identical)"
+double_run ha ha_failover --experiment ha_failover --seed 42 --sanitize
+echo "   failover grid parses, double run byte-identical, no sanitizer violation"
 
 echo "== tier-1: OK"
