@@ -683,7 +683,9 @@ let overload () =
 let recovery () =
   section "Recovery: WAL replay vs checkpoint cadence";
   let n_base = 64 and n_txns = 150 in
-  let cfg = { Config.default with Config.n_workers = 2; slots_per_worker = 4 } in
+  let cfg =
+    { Config.default with Config.n_workers = 2; slots_per_worker = 4; sanitize = !opt_sanitize }
+  in
   note "  each transaction: 1 update + 0-2 inserts; power loss after the last commit";
   let module Checkpoint = Phoebe_core.Checkpoint in
   let module Recovery = Phoebe_wal.Recovery in

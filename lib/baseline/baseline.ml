@@ -48,7 +48,7 @@ let pg_like ?(workers = 100) ?(buffer_bytes = 256 * 1024 * 1024) () =
     buffer_bytes;
     snapshot_mode = Txnmgr.Scan_active;
     lock_style = Config.Global_serialized { lock_hold_ns = 700; snapshot_hold_ns = 1400 };
-    wal = { Wal.default_config with Wal.rfa = false; single_writer = true };
+    wal = { Wal.rfa = false; single_writer = true };
   }
 
 (* The commercial engine: a well-optimized buffer-pool architecture,
@@ -88,7 +88,7 @@ let odb_like ?(workers = 100) ?(buffer_bytes = 128 * 1024 * 1024) () =
     buffer_bytes;
     snapshot_mode = Txnmgr.Scan_active;
     lock_style = Config.Global_serialized { lock_hold_ns = 100; snapshot_hold_ns = 150 };
-    wal = { Wal.default_config with Wal.rfa = false; single_writer = true };
+    wal = { Wal.rfa = false; single_writer = true };
     data_device = odb_device;
     wal_device = odb_device;
   }

@@ -269,15 +269,6 @@ let range t ~lo ~hi f =
   ignore
     (iter_from t.root lo min_int (fun k rid -> if String.compare k hi > 0 then false else f k rid))
 
-let prefix_upper_bound p =
-  (* Increment the last byte that is not 0xff; drop any trailing 0xff. *)
-  let rec go i =
-    if i < 0 then String.make (String.length p + 1) '\xff'
-    else if p.[i] = '\xff' then go (i - 1)
-    else String.sub p 0 i ^ String.make 1 (Char.chr (Char.code p.[i] + 1))
-  in
-  go (String.length p - 1)
-
 (* [String.sub]-free prefix test: [prefix] runs once per visited entry
    on the scan path, so carving a fresh substring per key would allocate
    all through stock-level and by-name scans. *)

@@ -45,6 +45,3 @@ val depth : t -> int
 val encode_key : Phoebe_storage.Value.t list -> string
 (** Memcomparable composite key from column values. *)
 
-val prefix_upper_bound : string -> string
-(** Smallest string strictly greater than every string with the given
-    prefix (for building [range] bounds from prefixes). *)

@@ -20,13 +20,11 @@ type t = {
   wal : Phoebe_wal.Wal.config;
   snapshot_mode : Phoebe_txn.Txnmgr.snapshot_mode;
   lock_style : lock_style;
-  isolation : Phoebe_txn.Txnmgr.isolation;
   txn_deadline_ns : int;
   admission : admission;
   spans : bool;
   data_device : Phoebe_io.Device.config;
   wal_device : Phoebe_io.Device.config;
-  block_device : Phoebe_io.Device.config;
   faults : Phoebe_io.Device.fault_config option;
   sanitize : bool;
 }
@@ -44,13 +42,11 @@ let default =
     wal = Phoebe_wal.Wal.default_config;
     snapshot_mode = Phoebe_txn.Txnmgr.O1_timestamp;
     lock_style = Decentralized;
-    isolation = Phoebe_txn.Txnmgr.Read_committed;
     txn_deadline_ns = 0;
     admission = { enabled = false; max_inflight = 0; max_lock_wait_p95_ns = 0 };
     spans = true;
     data_device = Phoebe_io.Device.pm9a3;
     wal_device = Phoebe_io.Device.pm9a3;
-    block_device = Phoebe_io.Device.pm9a3;
     faults = None;
     sanitize = false;
   }

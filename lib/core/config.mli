@@ -30,7 +30,6 @@ type t = {
   wal : Phoebe_wal.Wal.config;
   snapshot_mode : Phoebe_txn.Txnmgr.snapshot_mode;
   lock_style : lock_style;
-  isolation : Phoebe_txn.Txnmgr.isolation;  (** default isolation (paper runs read committed) *)
   txn_deadline_ns : int;
       (** per-transaction deadline in virtual ns (0 = none). Waits past
           the deadline wake with [Timed_out] and the transaction aborts
@@ -39,7 +38,6 @@ type t = {
   spans : bool;  (** collect per-transaction trace spans (default on) *)
   data_device : Phoebe_io.Device.config;
   wal_device : Phoebe_io.Device.config;  (** Exp 3 puts WAL on its own disk *)
-  block_device : Phoebe_io.Device.config;
   faults : Phoebe_io.Device.fault_config option;
       (** deterministic device fault injection (torn writes, lost and
           delayed completions). [None] (the default) never consults the

@@ -145,7 +145,7 @@ let create_on eng (cfg : Config.t) =
     Device.create ~obs ?faults:(fault_cfg cfg 1) eng ~name:"wal" cfg.Config.wal_device
   in
   let block_dev =
-    Device.create ~obs ?faults:(fault_cfg cfg 2) eng ~name:"blocks" cfg.Config.block_device
+    Device.create ~obs ?faults:(fault_cfg cfg 2) eng ~name:"blocks" Device.pm9a3
   in
   let buf =
     Bufmgr.create ~obs eng ~store:(Pagestore.create data_dev) ~partitions:cfg.Config.n_workers
@@ -325,8 +325,7 @@ let rollback_one t (undo : Phoebe_txn.Undo.t) =
   | Some table -> Table.rollback_undo table undo
   | None -> ()
 
-let begin_txn ?isolation t =
-  let isolation = Option.value isolation ~default:t.cfg.Config.isolation in
+let begin_txn ?(isolation = Txnmgr.Read_committed) t =
   Txnmgr.begin_txn t.txns ~isolation ~slot:(current_slot_or_zero ())
 
 let abort_txn t txn = Txnmgr.abort t.txns txn ~rollback:(rollback_one t)
@@ -344,8 +343,7 @@ let disarm_deadline () = Scheduler.set_txn_deadline None
 
 let retryable = function Txnmgr.Deadlock | Txnmgr.Conflict -> true | _ -> false
 
-let with_txn ?isolation t body =
-  let isolation = Option.value isolation ~default:t.cfg.Config.isolation in
+let with_txn ?(isolation = Txnmgr.Read_committed) t body =
   let rec attempt n =
     arm_deadline t;
     let txn = Txnmgr.begin_txn t.txns ~isolation ~slot:(current_slot_or_zero ()) in
@@ -471,7 +469,6 @@ type crash_report = {
    The handle must not run transactions afterwards; hand the surviving
    stores to [Checkpoint.restore]. *)
 let crash ?tear t =
-  Wal.stop t.walmgr;
   Engine.clear t.eng;
   let wal_files = Walstore.crash ?tear (Wal.store t.walmgr) in
   let data_lost = Pagestore.crash (Bufmgr.store t.buf) in
@@ -517,15 +514,15 @@ let freeze_tables t =
     (fun acc table -> acc + Table.maybe_freeze table ~max_access:freeze_max_access)
     0 (tables t)
 
+let raw_apply t =
+  {
+    Recovery.insert = (fun ~table ~rid row -> Table.raw_insert (table_by_id t table) ~rid row);
+    update = (fun ~table ~rid cols -> Table.raw_update (table_by_id t table) ~rid cols);
+    delete = (fun ~table ~rid -> Table.raw_delete (table_by_id t table) ~rid);
+  }
+
 let replay_wal ?after ?decide_in_doubt t ~from =
-  let report =
-    Recovery.replay ?after ?decide_in_doubt from
-      {
-        Recovery.insert = (fun ~table ~rid row -> Table.raw_insert (table_by_id t table) ~rid row);
-        update = (fun ~table ~rid cols -> Table.raw_update (table_by_id t table) ~rid cols);
-        delete = (fun ~table ~rid -> Table.raw_delete (table_by_id t table) ~rid);
-      }
-  in
+  let report = Recovery.replay ?after ?decide_in_doubt from (raw_apply t) in
   (* a lossy restore must be visible, not silent *)
   Obs.Counter.add (Obs.counter t.obs "wal.recovery.torn_tails") report.Recovery.torn_tails;
   Obs.Counter.add (Obs.counter t.obs "wal.recovery.bytes_skipped") report.Recovery.bytes_skipped;

@@ -198,6 +198,11 @@ val replay_wal :
     is presumed abort — and are listed in the report's [in_doubt]
     either way. *)
 
+val raw_apply : t -> Phoebe_wal.Recovery.apply
+(** The rid-preserving, non-transactional insert/update/delete dispatch
+    {!replay_wal} hands to recovery; quorum replicas apply the stream
+    through it too. *)
+
 (** {1 Statistics} *)
 
 type stats = {

@@ -36,7 +36,6 @@ type t = {
           WAL monotonicity state is keyed on [(sid, file)] *)
   files : (int, wfile) Hashtbl.t;
   mutable appended : int;
-  mutable durable_total : int;
   mutable crashes : int;
 }
 
@@ -46,7 +45,6 @@ let create dev =
     sid = Sanitize.next_uid ();
     files = Hashtbl.create 64;
     appended = 0;
-    durable_total = 0;
     crashes = 0;
   }
 
@@ -115,13 +113,11 @@ let advance t file f =
     | Some e when e.e_state = `Done ->
       ignore (Queue.pop f.extents);
       f.durable <- f.durable + e.e_len;
-      t.durable_total <- t.durable_total + e.e_len;
       e.e_ack ();
       go ()
     | Some e when e.e_state = `Media_no_ack ->
       ignore (Queue.pop f.extents);
       f.durable <- f.durable + e.e_len;
-      t.durable_total <- t.durable_total + e.e_len;
       Engine.schedule (Device.engine t.dev) ~delay:Device.fault_recovery_ns e.e_ack;
       go ()
     | _ -> ()
@@ -211,12 +207,5 @@ let files t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.files [] |> List.sort Int.compare
 
 let total_appended t = t.appended
-let total_durable t = t.durable_total
 let crash_count t = t.crashes
 let device t = t.dev
-
-let reset t =
-  if Sanitize.on () then Sanitize.wal_detach ~scope:t.sid;
-  Hashtbl.reset t.files;
-  t.appended <- 0;
-  t.durable_total <- 0

@@ -43,10 +43,5 @@ val crash : ?tear:Phoebe_util.Prng.t -> t -> (int * int * int) list
 val files : t -> int list
 val total_appended : t -> int
 
-val total_durable : t -> int
-(** Bytes absorbed into durable frontiers (includes lost-ack extents —
-    they are on media even though the host was never told). *)
-
 val crash_count : t -> int
 val device : t -> Device.t
-val reset : t -> unit

@@ -79,14 +79,6 @@ type role = Primary | Follower | Candidate | Down
 
 let is_primary nd_role = match nd_role with Primary -> true | _ -> false
 
-(* Per stream-file record run awaiting its decision record (the
-   streaming analogue of recovery's per-slot runs). Ops are
-   view-tagged so cross-view batches sort correctly. *)
-type run = {
-  mutable r_ops : (int * Record.t) list;  (** newest first *)
-  mutable r_prep : (int * int) option;  (** (gxid, coord) once prepared *)
-}
-
 (* A quorum commit wait. The committing transaction's records all carry
    GSN <= [w_gsn]; they are guaranteed to be in the stream only once
    the WAL's durable-GSN floor passes [w_gsn] (pulls clamp to the
@@ -115,7 +107,7 @@ type node = {
   mutable safe_off : int;
   mutable applied_chunks : int;
   mutable applied_as_of : int;  (** primary time the applied state reflects *)
-  runs : (int, run) Hashtbl.t;  (** per stream file: undecided record run *)
+  mutable runs : Recovery.runs;  (** per stream file: undecided record runs *)
   mutable parked : (int * Record.t) list;  (** committed ops missing their base row *)
   (* role / view *)
   mutable role : role;
@@ -145,13 +137,10 @@ type t = {
   decide : Recovery.in_doubt -> bool;
   obs : Obs.t;
   chan : Netchan.t;
-  net_rng : Prng.t;
-  partitioned : bool array;
   mutable nodes : node array;
   n : int;
   majority : int;
   mutable stopped : bool;
-  mutable net_dropped : int;
   mutable replay_seq : int;
   c_ships : Obs.Counter.t;
   c_acks : Obs.Counter.t;
@@ -262,94 +251,55 @@ let advance_durable nd =
   !advanced
 
 (* ------------------------------------------------------------------ *)
-(* Replica-side apply: rid-preserving, recovery-ordered *)
+(* Replica-side apply: crash recovery's run machine and apply order, fed
+   chunk by chunk. Replicas preserve the primary's row-id space (the
+   raw, rid-keyed apply crash recovery uses), so after promotion the
+   stream and the database agree on rids — no translation map to lose at
+   failover. *)
 
-(* Replicas preserve the primary's row-id space ([raw_insert ~rid]), so
-   after promotion the stream and the database agree on rids — no
-   translation map to lose at failover. Returns false when the base row
-   has not arrived (parked; must be resolved by promotion). *)
-let apply_op db ((_view, r) : int * Record.t) =
+let fresh_runs () = Recovery.runs ~lead:view_of_file ()
+
+(* An update or delete whose base row has not arrived parks until a
+   later batch brings it; promotion refuses to serve while any is
+   parked. *)
+let base_missing db (r : Record.t) =
   match r.Record.op with
-  | Record.Insert { table; rid; row } ->
-    Table.raw_insert (Db.table_by_id db table) ~rid row;
-    true
-  | Record.Update { table; rid; cols } ->
-    let tbl = Db.table_by_id db table in
-    if Table.raw_exists tbl ~rid then begin
-      Table.raw_update tbl ~rid cols;
-      true
-    end
-    else false
-  | Record.Delete { table; rid } ->
-    let tbl = Db.table_by_id db table in
-    if Table.raw_exists tbl ~rid then begin
-      Table.raw_delete tbl ~rid;
-      true
-    end
-    else false
-  | Record.Commit _ | Record.Abort _ | Record.Prepare _ -> true
+  | Record.Update { table; rid; _ } | Record.Delete { table; rid } ->
+    not (Table.raw_exists (Db.table_by_id db table) ~rid)
+  | Record.Insert _ | Record.Commit _ | Record.Abort _ | Record.Prepare _ -> false
 
-let compare_op (va, (a : Record.t)) (vb, (b : Record.t)) =
-  let c = Int.compare va vb in
-  if c <> 0 then c
-  else begin
-    let c = Int.compare a.Record.gsn b.Record.gsn in
-    if c <> 0 then c
-    else begin
-      let c = Int.compare a.Record.slot b.Record.slot in
-      if c <> 0 then c else Int.compare a.Record.lsn b.Record.lsn
-    end
-  end
-
-let apply_batch nd ops =
-  let ordered = List.sort compare_op (nd.parked @ ops) in
-  nd.parked <- [];
-  List.iter (fun op -> if not (apply_op nd.db op) then nd.parked <- op :: nd.parked) ordered
-
-let run_of nd file =
-  match Hashtbl.find_opt nd.runs file with
-  | Some r -> r
-  | None ->
-    let r = { r_ops = []; r_prep = None } in
-    Hashtbl.add nd.runs file r;
-    r
-
-let consume_chunk nd c completed =
-  let view = view_of_file c.c_file in
-  let run = run_of nd c.c_file in
+let consume_chunk nd c =
   let len = Bytes.length c.c_bytes in
   let off = ref 0 in
   while !off < len do
     match Record.decode c.c_bytes !off with
     | r, off' ->
       off := off';
-      (match r.Record.op with
-      | Record.Commit _ ->
-        completed := List.rev_append run.r_ops !completed;
-        run.r_ops <- [];
-        run.r_prep <- None
-      | Record.Abort _ ->
-        run.r_ops <- [];
-        run.r_prep <- None
-      | Record.Prepare { gxid; coord; _ } -> run.r_prep <- Some (gxid, coord)
-      | _ -> run.r_ops <- (view, r) :: run.r_ops)
+      Recovery.feed nd.runs ~file:c.c_file r
     | exception Failure msg ->
       Error.bug ~subsystem:"replication.quorum" "corrupt stream chunk on node %d: %s" nd.id msg
   done
 
-(* Consume chunks [applied_chunks, upto) and apply their completed
-   transactions in one recovery-ordered batch. Callers cut only at pull
-   barriers, so the batch is transactionally closed. *)
-let apply_upto nd ~upto =
-  if nd.applied_chunks < upto then begin
-    let completed = ref [] in
+(* Consume chunks [applied_chunks, upto) and apply their committed
+   transactions — at promotion also the in-doubt branches [decide]
+   commits — in one recovery-ordered batch with the parked ops. Callers
+   cut only at pull barriers, so the batch is transactionally closed. *)
+let apply_upto ?decide nd ~upto =
+  if nd.applied_chunks < upto || Option.is_some decide then begin
     for i = nd.applied_chunks to upto - 1 do
       let c = nd.chunks.(i) in
-      consume_chunk nd c completed;
+      consume_chunk nd c;
       nd.applied_as_of <- c.c_as_of
     done;
     nd.applied_chunks <- upto;
-    apply_batch nd (List.rev !completed)
+    Option.iter (fun decide -> ignore (Recovery.resolve nd.runs ~decide)) decide;
+    let apply = Db.raw_apply nd.db in
+    let ordered = Recovery.order_ops (List.rev_append nd.parked (Recovery.take_committed nd.runs)) in
+    nd.parked <- [];
+    List.iter
+      (fun ((_, r) as op) ->
+        if base_missing nd.db r then nd.parked <- op :: nd.parked else Recovery.apply_op apply r)
+      ordered
   end
 
 let apply_safe nd =
@@ -359,11 +309,8 @@ let apply_safe nd =
 (* The protocol *)
 
 let rec send t ~src ~dst m =
-  if (not t.stopped) && (not t.partitioned.(src)) && not t.partitioned.(dst) then begin
-    if t.gcfg.drop_p > 0.0 && Prng.float t.net_rng 1.0 < t.gcfg.drop_p then
-      t.net_dropped <- t.net_dropped + 1
-    else Netchan.send t.chan ~src ~dst ~bytes:(msg_bytes m) (fun () -> deliver t ~dst m)
-  end
+  if not t.stopped then
+    Netchan.send t.chan ~src ~dst ~bytes:(msg_bytes m) (fun () -> deliver t ~dst m)
 
 and broadcast t ~src m =
   for j = 0 to t.n - 1 do
@@ -614,24 +561,15 @@ and become_primary t nd =
      durable >= T; this node won a majority of votes, each granted only
      because its durable prefix >= the voter's; the two majorities
      intersect, so durable_off >= T and hence safe_off >= T: truncation
-     never discards an acknowledged commit. *)
-  apply_upto nd ~upto:nd.safe_chunks;
+     never discards an acknowledged commit. In-doubt prepared runs are
+     resolved exactly like crash recovery: the branches decided commit
+     join the last batch's ordered apply. *)
+  apply_upto nd ~upto:nd.safe_chunks ~decide:t.decide;
   truncate_stream nd ~off:nd.safe_off;
   nd.durable_chunks <- nd.n_chunks;
   nd.durable_off <- nd.safe_off;
   Hashtbl.reset nd.chunk_done;
-  (* resolve in-doubt prepared runs exactly like crash recovery *)
-  let in_doubt =
-    Hashtbl.fold
-      (fun file r acc -> match r.r_prep with Some (gxid, coord) -> (file, r, gxid, coord) :: acc | None -> acc)
-      nd.runs []
-  in
-  List.iter
-    (fun (_file, r, gxid, coord) ->
-      let ops = List.rev_map snd r.r_ops in
-      if t.decide { Recovery.gxid; coord; ops } then apply_batch nd (List.rev r.r_ops))
-    (List.sort (fun (fa, _, _, _) (fb, _, _, _) -> Int.compare fa fb) in_doubt);
-  Hashtbl.reset nd.runs;
+  nd.runs <- fresh_runs ();
   (* a parked op here is a committed transaction whose base row never
      arrived — the stream lost acknowledged writes; refuse to serve *)
   (match nd.parked with
@@ -700,8 +638,7 @@ and on_new_view t nd ~view ~primary ~stream_len =
 and rebuild_follower t nd =
   Obs.Counter.incr t.c_rebuilds;
   nd.gen <- nd.gen + 1;
-  nd.db <- fresh_db t;
-  install_barrier t nd;
+  reset_replica t nd;
   nd.chunks <- [||];
   nd.n_chunks <- 0;
   Hashtbl.reset nd.chunk_done;
@@ -710,20 +647,22 @@ and rebuild_follower t nd =
   nd.durable_off <- 0;
   nd.safe_chunks <- 0;
   nd.safe_off <- 0;
-  nd.applied_chunks <- 0;
-  nd.applied_as_of <- 0;
-  Hashtbl.reset nd.runs;
-  nd.parked <- [];
   Hashtbl.reset nd.pulled;
   nd.waiters <- []
 (* the mirror keeps orphaned bytes of the abandoned stream copy;
    re-shipped chunks append again (append-only media) and replay reads
    the chunk stream, so orphans are never decoded *)
 
-and fresh_db t =
-  let db = Db.create_on t.eng t.dbcfg in
-  t.ddl db;
-  db
+(* A fresh database with nothing applied: the stream is re-applied
+   from its first chunk. *)
+and reset_replica t nd =
+  nd.db <- Db.create_on t.eng t.dbcfg;
+  t.ddl nd.db;
+  install_barrier t nd;
+  nd.runs <- fresh_runs ();
+  nd.parked <- [];
+  nd.applied_chunks <- 0;
+  nd.applied_as_of <- 0
 
 and install_barrier t nd = Txnmgr.set_commit_barrier (Db.txnmgr nd.db) (Some (commit_barrier t nd))
 
@@ -804,14 +743,15 @@ let rec schedule_monitor t nd =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Catch-up / oracle replay through the crash-recovery path *)
+(* Oracle replay through the crash-recovery path *)
 
-let replay_stream t ~chunks ~count ~into =
+let replay_durable_prefix t ~node ~into =
+  let nd = t.nodes.(node) in
   (* group the journaled chunk prefix per view and replay each primary
      generation in order, exactly like recovering from that WAL *)
   let views = Hashtbl.create 4 in
-  for i = 0 to count - 1 do
-    let c = chunks.(i) in
+  for i = 0 to nd.safe_chunks - 1 do
+    let c = nd.chunks.(i) in
     let v = view_of_file c.c_file in
     let l = Option.value ~default:[] (Hashtbl.find_opt views v) in
     Hashtbl.replace views v (c :: l)
@@ -838,7 +778,10 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
   let n = group.replicas + 1 in
   let eng = Engine.create () in
   let obs = Obs.create () in
-  let chan = Netchan.create eng ~nodes:n ~latency_ns:group.latency_ns ~gbps:group.gbps in
+  let chan =
+    Netchan.create ~drop_p:group.drop_p ~seed:group.net_seed eng ~nodes:n
+      ~latency_ns:group.latency_ns ~gbps:group.gbps
+  in
   let t =
     {
       eng;
@@ -848,13 +791,10 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       decide = decide_in_doubt;
       obs;
       chan;
-      net_rng = Prng.create ~seed:group.net_seed;
-      partitioned = Array.make n false;
       nodes = [||];
       n;
       majority = (n / 2) + 1;
       stopped = false;
-      net_dropped = 0;
       replay_seq = 0;
       c_ships = Obs.counter obs "quorum.ship_msgs";
       c_acks = Obs.counter obs "quorum.acks";
@@ -894,7 +834,7 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       safe_off = 0;
       applied_chunks = 0;
       applied_as_of = 0;
-      runs = Hashtbl.create 16;
+      runs = fresh_runs ();
       parked = [];
       role = (if id = 0 then Primary else Follower);
       view = 1;
@@ -918,7 +858,7 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
   Array.iter (fun nd -> install_barrier t nd) t.nodes;
   Obs.int_fn obs "quorum.view" (fun () ->
       Array.fold_left (fun a nd -> max a nd.view) 0 t.nodes);
-  Obs.int_fn obs "quorum.net_dropped" (fun () -> t.net_dropped);
+  Obs.int_fn obs "quorum.net_dropped" (fun () -> Netchan.dropped chan);
   Obs.int_fn obs "quorum.net_msgs" (fun () -> Netchan.msgs chan);
   Obs.int_fn obs "quorum.net_bytes" (fun () -> Netchan.bytes chan);
   schedule_tick t t.nodes.(0) 0;
@@ -956,7 +896,7 @@ let net_utilization t = Netchan.utilization t.chan
 let mirror_utilization t ~node = Device.busy_fraction (Walstore.device t.nodes.(node).mirror)
 let run_for t ~ns = Engine.run_until t.eng ~time:(Engine.now t.eng + ns)
 let shutdown t = t.stopped <- true
-let set_partitioned t ~node p = t.partitioned.(node) <- p
+let set_partitioned t ~node p = Netchan.set_partitioned t.chan ~node p
 
 let kill t ~node =
   let nd = t.nodes.(node) in
@@ -968,8 +908,7 @@ let kill t ~node =
        those commits were never acknowledged to anyone. *)
     nd.gen <- nd.gen + 1;
     nd.role <- Down;
-    t.partitioned.(node) <- true;
-    Wal.stop (Db.wal nd.db);
+    Netchan.set_partitioned t.chan ~node true;
     nd.waiters <- []
 
 let staleness_ns t ~node =
@@ -997,24 +936,15 @@ let restart_follower t ~node =
   | Down -> invalid_arg "Quorum.restart_follower: node is down"
   | Follower | Candidate -> ());
   (* process restart: the volatile tail past the last durable pull
-     barrier is lost; the journaled chunk prefix is recovered into a
-     fresh instance through the crash-recovery replay path *)
+     barrier is lost; the journaled chunk prefix is re-applied into a
+     fresh instance through the streaming applier, so a branch still in
+     doubt stays held until its decision arrives *)
   truncate_stream nd ~off:nd.safe_off;
   nd.durable_chunks <- nd.n_chunks;
   nd.durable_off <- nd.safe_off;
   Hashtbl.reset nd.chunk_done;
-  Hashtbl.reset nd.runs;
-  nd.parked <- [];
-  nd.db <- fresh_db t;
-  install_barrier t nd;
-  nd.applied_chunks <- 0;
-  replay_stream t ~chunks:nd.chunks ~count:nd.safe_chunks ~into:nd.db;
-  nd.applied_chunks <- nd.safe_chunks;
-  nd.applied_as_of <- (if nd.safe_chunks > 0 then nd.chunks.(nd.safe_chunks - 1).c_as_of else 0);
+  reset_replica t nd;
+  apply_upto nd ~upto:nd.safe_chunks;
   nd.role <- Follower;
   nd.votes <- 0;
   nd.last_heard <- Engine.now t.eng
-
-let replay_durable_prefix t ~node ~into =
-  let nd = t.nodes.(node) in
-  replay_stream t ~chunks:nd.chunks ~count:nd.safe_chunks ~into

@@ -35,7 +35,7 @@ type config = {
   replicas : int;  (** followers; group size is [replicas + 1] *)
   latency_ns : int;  (** one-way fabric latency *)
   gbps : float;  (** per-link fabric bandwidth *)
-  drop_p : float;  (** i.i.d. message-drop probability *)
+  drop_p : float;  (** i.i.d. message-drop probability ({!Phoebe_sim.Netchan}) *)
   net_seed : int;  (** PRNG seed for message drops *)
   poll_interval_ns : int;  (** primary pull/ship/heartbeat tick *)
   election_timeout_ns : int;  (** base primary-silence timeout *)
@@ -120,9 +120,12 @@ val set_partitioned : t -> node:int -> bool -> unit
 val restart_follower : t -> node:int -> unit
 (** Follower process restart: volatile stream state past the last
     durable pull barrier is lost, and the surviving journaled prefix is
-    replayed into a fresh instance through the crash-recovery path
-    (per primary generation, in view order). The follower then
-    re-syncs from the primary via the normal ack-rewind rule. *)
+    re-applied into a fresh instance through the same streaming applier
+    the follower runs live ({!Phoebe_wal.Recovery}'s run machine and
+    apply order). A prepared branch whose decision has not arrived stays
+    in doubt, so its later Commit or Abort applies as on every other
+    node. The follower then re-syncs from the primary via the normal
+    ack-rewind rule. *)
 
 (** {1 Follower reads} *)
 
@@ -149,6 +152,7 @@ val replay_durable_prefix : t -> node:int -> into:Phoebe_core.Db.t -> unit
     [quorum.ship_msgs] / [quorum.acks] / [quorum.retransmits] /
     [quorum.elections] / [quorum.view_changes] / [quorum.commit_waits] /
     [quorum.follower_reads] / [quorum.stale_reads] / [quorum.rebuilds],
-    gauges [quorum.view] / [quorum.net_dropped] / [quorum.net_msgs] /
-    [quorum.net_bytes], plus per-mirror device accounting
+    gauges [quorum.view] / [quorum.net_dropped] (messages the fabric
+    lost to a partition, a killed node or the loss draw) /
+    [quorum.net_msgs] / [quorum.net_bytes], plus per-mirror device accounting
     ([io.mirror<i>.*]). *)

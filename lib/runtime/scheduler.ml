@@ -646,7 +646,6 @@ let park ?(deadline = Inherit) ~urgency ~phase register =
     r
 
 let cancel_waiter wt = wake_waiter wt Cancelled
-let waiter_parked wt = wt.wstate = Parked
 
 (* A cancellable spin step: latch acquisition keeps its charge +
    high-urgency-yield shape (parking would alter instruction counts and
@@ -670,9 +669,6 @@ let set_txn_deadline d =
   match !cur with
   | None -> ()
   | Some f -> f.fdeadline <- (match d with None -> no_deadline | Some abs_ns -> abs_ns)
-
-let txn_deadline () =
-  match !cur with Some f when f.fdeadline < no_deadline -> Some f.fdeadline | _ -> None
 
 let io_wait register =
   match !cur with

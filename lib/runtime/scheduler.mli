@@ -140,10 +140,6 @@ val wake_waiter : waiter -> reason -> bool
 val cancel_waiter : waiter -> bool
 (** [wake_waiter w Cancelled]. *)
 
-val waiter_parked : waiter -> bool
-(** Still parked (not yet woken)? Wake sources use this to skip stale
-    entries — e.g. a timed-out waiter still sitting in a wait queue. *)
-
 val spin_yield : ?deadline:bound -> urgency -> reason
 (** One turn of a cancellable spin wait (latch acquisition): returns
     [Timed_out] immediately if the resolved [deadline] (default: the
@@ -155,8 +151,6 @@ val set_txn_deadline : int option -> unit
 (** Install (absolute virtual time) or clear the running fiber's
     transaction deadline — the deadline that [Inherit]-bound waits and
     spins resolve to. No-op outside a fiber. *)
-
-val txn_deadline : unit -> int option
 
 val io_wait : ((unit -> unit) -> unit) -> unit
 (** [io_wait register] parks the fiber ({!Never} bound, high urgency,

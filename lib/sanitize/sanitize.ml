@@ -34,7 +34,6 @@ let rule_index = function
 (* Global switch + findings *)
 
 let enabled = ref false
-let fail_fast = ref true
 let findings_rev : (rule * string) list ref = ref []
 let counts = Array.make (List.length all_rules) 0
 let uid_counter = ref 0
@@ -44,7 +43,6 @@ let next_uid () =
   !uid_counter
 
 let on () = !enabled
-let set_fail_fast b = fail_fast := b
 let findings () = List.rev !findings_rev
 let total_findings () = List.fold_left ( + ) 0 (Array.to_list counts)
 let finding_counts () = List.map (fun r -> (rule_label r, counts.(rule_index r))) all_rules
@@ -109,7 +107,6 @@ let reset () = reset_state ()
 
 let enable () =
   enabled := true;
-  fail_fast := true;
   reset_state ()
 
 let disable () =
@@ -124,8 +121,7 @@ let violation rule fmt =
   Printf.ksprintf
     (fun msg ->
       add_finding rule msg;
-      if !fail_fast then
-        raise (Phoebe_error.Bug { subsystem = "sanitize." ^ rule_label rule; context = msg }))
+      (raise (Phoebe_error.Bug { subsystem = "sanitize." ^ rule_label rule; context = msg }) : unit))
     fmt
 
 let record rule fmt = Printf.ksprintf (fun msg -> add_finding rule msg) fmt
@@ -337,10 +333,6 @@ let drop_scope tbl scope =
   List.iter (fun file -> Hashtbl.remove tbl (scope, file)) dead
 
 let wal_crash ~scope = drop_scope wal_lsns scope
-
-let wal_detach ~scope =
-  drop_scope wal_lsns scope;
-  drop_scope wal_durables scope
 
 (* ------------------------------------------------------------------ *)
 (* Replay digest: FNV-1a over each event's (time, seq). *)

@@ -56,11 +56,6 @@ val reset : unit -> unit
 (** Clear findings, held-resource state, graphs, mirrors and the replay
     digest without changing the on/off switch. *)
 
-val set_fail_fast : bool -> unit
-(** When true (the default), {!violation} raises
-    [Phoebe_util.Phoebe_error.Bug] after recording; when false,
-    findings only accumulate. *)
-
 val findings : unit -> (rule * string) list
 (** Recorded findings, oldest first. *)
 
@@ -70,8 +65,8 @@ val finding_counts : unit -> (string * int) list
 val total_findings : unit -> int
 
 val violation : rule -> ('a, unit, string, unit) format4 -> 'a
-(** Record a finding; raise [Bug] with subsystem
-    ["sanitize.<rule>"] when fail-fast is set. For kernel layers whose
+(** Record a finding, then raise [Bug] with subsystem
+    ["sanitize.<rule>"]. For kernel layers whose
     invariants are checked in their own code (e.g. [Txnmgr]'s undo
     rules). No-op formatting cost is only paid when called — callers
     must guard with {!on}. *)
@@ -166,9 +161,6 @@ val wal_frontier : scope:int -> file:int -> durable:int -> appended:int -> unit
 val wal_crash : scope:int -> unit
 (** A crash legitimately discards appended-but-not-durable records;
     drop the per-file LSN history (the durable frontiers survive). *)
-
-val wal_detach : scope:int -> unit
-(** [Walstore.reset]: drop all state for the scope. *)
 
 (** {1 Replay digest} *)
 

@@ -101,13 +101,6 @@ let engine t = t.ceng
 let obs t = t.cobs
 let net t = t.cnet
 
-(* Workload-key routing: stable multiplicative hash so one key always
-   lands on one shard. TPC-C warehouse routing (a range partition over
-   warehouses) lives in [Tpcc_sharded]. *)
-let shard_of_key t key =
-  let h = key * 0x9E3779B1 land max_int in
-  h mod Array.length t.cshards
-
 let register_proc t f =
   let id = Array.length t.procs in
   t.procs <- Array.append t.procs [| f |];

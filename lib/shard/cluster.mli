@@ -54,9 +54,6 @@ val obs : t -> Phoebe_obs.Obs.t
 
 val net : t -> Net.t
 
-val shard_of_key : t -> int -> int
-(** Stable hash routing for workload keys. *)
-
 (** {1 Cross-shard transactions} *)
 
 type proc = shard:int -> Phoebe_core.Db.t -> Phoebe_core.Table.txn -> Phoebe_storage.Value.t array -> Phoebe_storage.Value.t array

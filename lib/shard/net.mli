@@ -1,8 +1,8 @@
 (** The cluster's view of the network: {!Phoebe_sim.Netchan} (latency,
-    bandwidth, FIFO links) plus the failure policy — deterministic
-    PRNG message loss and per-shard partitions — and per-shard delivery
-    handlers. Messages are {!Msg.t}s, encoded at send and decoded at
-    delivery so byte charges are honest. *)
+    bandwidth, FIFO links, deterministic PRNG message loss and per-shard
+    partitions) plus per-shard delivery handlers. Messages are
+    {!Msg.t}s, encoded at send and decoded at delivery so byte charges
+    are honest. *)
 
 type config = {
   latency_ns : int;  (** one-way propagation latency *)
@@ -29,8 +29,6 @@ val send : t -> Msg.t -> unit
 
 val set_partitioned : t -> node:int -> bool -> unit
 (** A partitioned shard neither sends nor receives until healed. *)
-
-val is_partitioned : t -> node:int -> bool
 
 val msgs : t -> int
 val bytes : t -> int

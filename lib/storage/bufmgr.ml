@@ -46,11 +46,12 @@ type 'p partition = {
 type cleaner_config = {
   cl_enabled : bool;
   cl_batch_pages : int;  (** max pages per vectored device submission (K) *)
-  cl_wm_low : float;  (** used/budget fraction at which the cleaner starts draining *)
-  cl_wm_high : float;  (** fraction at which the cleaner also demotes hot frames itself *)
 }
 
-let default_cleaner = { cl_enabled = true; cl_batch_pages = 16; cl_wm_low = 0.7; cl_wm_high = 0.9 }
+let default_cleaner = { cl_enabled = true; cl_batch_pages = 16 }
+
+(* used/budget fraction at which the cleaner starts draining *)
+let cleaner_wm_low = 0.7
 
 type cleaner_stats = {
   batches_submitted : int;
@@ -313,19 +314,6 @@ let would_strip t f =
   | Some sf, Some p -> sf ~page_id:f.fpage_id p != p
   | _ -> false
 
-let write_back t frame =
-  match frame.fpayload with
-  | Some p when frame.fdirty ->
-    let raw, stripped = encode_image t ~page_id:frame.fpage_id p in
-    Pagestore.write t.pstore ~page_id:frame.fpage_id raw;
-    if not stripped then begin
-      frame.fdirty <- false;
-      if Sanitize.on () then
-        Sanitize.frame_clean ~scope:t.scope ~page_id:frame.fpage_id
-          ~resident:(frame.fpayload <> None)
-    end
-  | _ -> ()
-
 let set_write_sanitizer t f = t.sanitize <- Some f
 
 let access_count f = f.faccess_count
@@ -335,7 +323,6 @@ let set_page_gsn f g = f.fgsn <- g
 let last_writer_slot f = f.fwriter_slot
 let set_last_writer_slot f s = f.fwriter_slot <- s
 
-let reset_access_stats f = f.faccess_count <- 0
 let halve_access_count f = f.faccess_count <- f.faccess_count / 2
 
 let resident_frame_of_swip swip =
@@ -487,7 +474,7 @@ let rec cleaner_service t partition =
     if
       attempts > 0
       && Queue.length part.dirty_cooling < cfg.cl_batch_pages
-      && over_watermark part cfg.cl_wm_low
+      && over_watermark part cleaner_wm_low
     then begin
       let before = Queue.length part.dirty_cooling + Queue.length part.cooling in
       refill_cooling t part;
@@ -538,7 +525,7 @@ and kick_cleaner ?(force = false) t ~partition =
     if
       (not part.cleaner_active)
       && Queue.length part.dirty_cooling >= quorum
-      && over_watermark part t.cleaner_cfg.cl_wm_low
+      && over_watermark part cleaner_wm_low
     then begin
       part.cleaner_active <- true;
       Scheduler.submit ~affinity:partition sched (fun () -> cleaner_service t partition)
@@ -729,7 +716,6 @@ let flush_all_dirty t ~on_done =
 
 let resident_bytes t = Array.fold_left (fun acc p -> acc + p.used_bytes) 0 t.parts
 let resident_pages t = Array.fold_left (fun acc p -> acc + Hashtbl.length p.frames) 0 t.parts
-let partition_of_frame f = f.fpartition
 let is_resident f = f.fpayload <> None
 let store t = t.pstore
 let n_partitions t = Array.length t.parts

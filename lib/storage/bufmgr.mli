@@ -103,10 +103,6 @@ val set_write_sanitizer : 'p t -> (page_id:int -> 'p -> 'p) -> unit
     image is flushed again later rather than silently lost to a
     clean-frame eviction. *)
 
-val write_back : 'p t -> 'p frame -> unit
-(** Persist a dirty resident frame to the store without evicting it
-    (checkpointing). No-op on clean or non-resident frames. *)
-
 (** {1 Temperature metadata (read by the freeze engine and RFA)} *)
 
 val access_count : 'p frame -> int
@@ -115,7 +111,6 @@ val page_gsn : 'p frame -> int
 val set_page_gsn : 'p frame -> int -> unit
 val last_writer_slot : 'p frame -> int
 val set_last_writer_slot : 'p frame -> int -> unit
-val reset_access_stats : 'p frame -> unit
 
 val halve_access_count : 'p frame -> unit
 (** Exponential decay step for "access frequency over time" (§5.2). *)
@@ -143,13 +138,12 @@ val cold_swip : 'p t -> int -> 'p swip
 type cleaner_config = {
   cl_enabled : bool;
   cl_batch_pages : int;  (** max pages per vectored device submission (K) *)
-  cl_wm_low : float;  (** used/budget fraction at which the cleaner starts draining *)
-  cl_wm_high : float;  (** fraction at which the cleaner also demotes hot frames itself *)
 }
 
 val default_cleaner : cleaner_config
-(** Enabled, K = 16, watermarks 0.7 / 0.9. Pools start with the cleaner
-    disabled until {!attach_cleaner} is called. *)
+(** Enabled, K = 16. The cleaner drains a partition once its used bytes
+    pass 0.7 of its budget. Pools start with the cleaner disabled until
+    {!attach_cleaner} is called. *)
 
 type cleaner_stats = {
   batches_submitted : int;
@@ -201,7 +195,6 @@ val needs_maintenance : 'p t -> partition:int -> bool
 
 val resident_bytes : 'p t -> int
 val resident_pages : 'p t -> int
-val partition_of_frame : 'p frame -> int
 val is_resident : 'p frame -> bool
 val store : 'p t -> Phoebe_io.Pagestore.t
 val n_partitions : 'p t -> int

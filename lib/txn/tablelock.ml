@@ -10,7 +10,6 @@ type t = {
 
 let create () = { x_holder = 0; shared = Hashtbl.create 8; q = Waitq.create () }
 
-let holders t = if t.x_holder <> 0 then 1 else Hashtbl.length t.shared
 let exclusive_holder t = t.x_holder
 
 let is_free_for t mode ~xid =
@@ -38,5 +37,4 @@ let held_by t ~xid =
   else None
 
 let wait ?deadline t = Waitq.wait_r ?deadline t.q
-let wake_waiters t = Waitq.signal_all t.q
 let waiter_count t = Waitq.length t.q

@@ -9,9 +9,6 @@ type mode = Shared | Exclusive
 
 val create : unit -> t
 
-val holders : t -> int
-(** Number of shared holders (0 or 1 exclusive holder counts as 1). *)
-
 val exclusive_holder : t -> int
 (** XID of the exclusive holder, or 0. *)
 
@@ -27,8 +24,5 @@ val wait :
     (every release wakes all waiters, who re-check compatibility), the
     resolved deadline expires, or the wait is cancelled. The queue itself
     is internal — callers only wait and wake. *)
-
-val wake_waiters : t -> unit
-(** Wake every parked waiter; {!remove_holder} does this automatically. *)
 
 val waiter_count : t -> int

@@ -338,7 +338,6 @@ let abort ?(reason = User) t txn ~rollback =
   Scheduler.span_end (match reason with Deadline | Shed -> Trace.Cancelled | _ -> Trace.Aborted);
   finish t txn Aborted
 
-let find_active t ~xid = Hashtbl.find_opt t.active xid
 let active_count t = Hashtbl.length t.active
 
 (* ------------------------------------------------------------------ *)
@@ -379,14 +378,6 @@ let wait_for_txn t txn ~holder_xid =
     txn.waiting_on <- holder_xid;
     let r = Waitq.wait_r holder.waiters in
     lock_wait_interrupted txn r (Printf.sprintf "wait for xid %d" holder_xid)
-
-let holder_state_after_wait t ~xid =
-  match Hashtbl.find_opt t.active xid with
-  | Some _ -> Active
-  | None -> Committed
-(* Aborted holders are also absent from the active table; the caller
-   distinguishes them by re-examining the version chain header: an
-   aborted writer's UNDO log is marked reclaimed during rollback. *)
 
 (* ------------------------------------------------------------------ *)
 (* Twin tables *)
@@ -557,11 +548,6 @@ let gc_twins t ~watermark =
     t.twins;
   List.iter (Hashtbl.remove t.twins) !dead_tables;
   !removed
-
-let limbo_length t = List.length t.undo_limbo
-
-let dump_active t =
-  Hashtbl.fold (fun _ txn acc -> (txn.xid, txn.slot, txn.waiting_on) :: acc) t.active []
 
 let undo_bytes t = Obs.Counter.get t.live_undo_bytes
 let stats_aborted t = Obs.Counter.get t.n_aborted

@@ -138,7 +138,6 @@ val set_commit_barrier : t -> (slot:int -> lsn:int -> unit) option -> unit
     durability — the branch is never taken and the event schedule is
     bit-identical. *)
 
-val find_active : t -> xid:int -> txn option
 val active_count : t -> int
 
 (** {1 Waiting (transaction-ID locks)} *)
@@ -147,10 +146,6 @@ val wait_for_txn : t -> txn -> holder_xid:int -> unit
 (** Take a shared lock on [holder_xid]'s ID lock: block until that
     transaction finishes. Detects wait-for cycles and raises {!Abort}
     on deadlock. Returns immediately if the holder already finished. *)
-
-val holder_state_after_wait : t -> xid:int -> state
-(** After a wait, what became of the holder (for the RR commit/abort
-    decision). [Committed] if it is no longer active. *)
 
 (** {1 Twin tables} *)
 
@@ -181,10 +176,6 @@ val min_active_start_ts : t -> int
 (** The low watermark: UNDO logs with cts below it are reclaimable.
     [max_int] when no transaction is active. *)
 
-val max_frozen_xid : t -> int
-(** High watermark: all transactions with XID at or below it are
-    globally visible (by-product of UNDO GC). *)
-
 val gc_slot : t -> slot:int -> watermark:int -> on_reclaim:(Undo.t -> unit) -> int
 (** Reclaim committed UNDO bundles of one slot queue-style up to
     [watermark] (from {!min_active_start_ts}, computed once per GC
@@ -204,9 +195,6 @@ val gc_twins : t -> watermark:int -> int
     started — a reader suspended mid-chain-walk can therefore never see
     a recycled entry (DESIGN.md §4h). *)
 
-val limbo_length : t -> int
-(** Number of undo batches awaiting their recycling grace period. *)
-
 val undo_bytes : t -> int
 (** Live UNDO memory (decreases as GC reclaims). *)
 
@@ -215,7 +203,3 @@ val stats_committed : t -> int
 
 val stats_aborted_for : t -> abort_reason -> int
 (** Aborts broken down by reason (sums to {!stats_aborted}). *)
-
-val dump_active : t -> (int * int * int) list
-(** (xid, slot, waiting_on) of every active transaction — deadlock
-    diagnostics for tests and tooling. *)

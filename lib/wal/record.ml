@@ -147,7 +147,7 @@ let classify b off =
     | exception (Failure _ | Invalid_argument _) -> Torn
     | _crc, off'' -> if len < 0 || off'' + len > Bytes.length b then Torn else Corrupt)
 
-let decode_all b ~slot:_ =
+let decode_all b =
   let n = Bytes.length b in
   let rec go off acc =
     if off >= n then (List.rev acc, { stop_offset = off; reason = Eof; bytes_skipped = 0 })

@@ -46,7 +46,7 @@ type stop = {
   bytes_skipped : int;  (** bytes from [stop_offset] to end of file *)
 }
 
-val decode_all : Bytes.t -> slot:int -> t list * stop
+val decode_all : Bytes.t -> t list * stop
 (** Decode a whole WAL file prefix and say exactly why decoding stopped.
     Never raises: truncation, checksum damage and malformed headers all
     yield a typed {!stop}. *)

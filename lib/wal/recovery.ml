@@ -20,52 +20,39 @@ type report = {
   in_doubt : in_doubt list;
 }
 
-let read_all store =
-  List.concat_map
-    (fun file -> fst (Record.decode_all (Walstore.contents store ~file) ~slot:file))
-    (Walstore.files store)
-
 (* Inserts are applied first, in (table, rid) order, then everything
-   else in (GSN, slot, LSN) order. Row ids are allocated monotonically
-   and never reused, so every update/delete of a rid follows its
-   insert anyway; ordering the inserts by rid (rather than GSN) keeps
-   the rebuild appending in allocation order — two inserts that landed
-   on different pages carry GSNs from different Lamport clocks, and
-   their GSN order need not match rid order. *)
-let order_ops ops =
-  let inserts, others =
-    List.partition
-      (fun (r : Record.t) -> match r.Record.op with Record.Insert _ -> true | _ -> false)
-      ops
-  in
-  List.sort
-    (fun (a : Record.t) (b : Record.t) ->
-      match (a.Record.op, b.Record.op) with
-      | Record.Insert { table = ta; rid = ra; _ }, Record.Insert { table = tb; rid = rb; _ } ->
-        if ta <> tb then Int.compare ta tb else Int.compare ra rb
-      | _ -> 0)
-    inserts
-  @ List.sort
-      (fun (a : Record.t) (b : Record.t) ->
-        let c = Int.compare a.gsn b.gsn in
-        if c <> 0 then c
-        else begin
-          let c = Int.compare a.slot b.slot in
-          if c <> 0 then c else Int.compare a.lsn b.lsn
-        end)
-      others
+   else in (GSN, slot, LSN) order, all after the caller's leading key.
+   Row ids are allocated monotonically and never reused, so every
+   update/delete of a rid follows its insert anyway; ordering the
+   inserts by rid (rather than GSN) keeps the rebuild appending in
+   allocation order — two inserts that landed on different pages carry
+   GSNs from different Lamport clocks, and their GSN order need not
+   match rid order. *)
+let compare_op (la, (a : Record.t)) (lb, (b : Record.t)) =
+  let c = Int.compare la lb in
+  if c <> 0 then c
+  else
+    match (a.Record.op, b.Record.op) with
+    | Record.Insert { table = ta; rid = ra; _ }, Record.Insert { table = tb; rid = rb; _ } ->
+      if ta <> tb then Int.compare ta tb else Int.compare ra rb
+    | Record.Insert _, _ -> -1
+    | _, Record.Insert _ -> 1
+    | _ ->
+      let c = Int.compare a.gsn b.gsn in
+      if c <> 0 then c
+      else begin
+        let c = Int.compare a.slot b.slot in
+        if c <> 0 then c else Int.compare a.lsn b.lsn
+      end
 
-let apply_ops apply ops =
-  let ordered = order_ops ops in
-  List.iter
-    (fun (r : Record.t) ->
-      match r.Record.op with
-      | Record.Insert { table; rid; row } -> apply.insert ~table ~rid row
-      | Record.Update { table; rid; cols } -> apply.update ~table ~rid cols
-      | Record.Delete { table; rid } -> apply.delete ~table ~rid
-      | Record.Commit _ | Record.Abort _ | Record.Prepare _ -> ())
-    ordered;
-  List.length ordered
+let order_ops ops = List.sort compare_op ops
+
+let apply_op apply (r : Record.t) =
+  match r.Record.op with
+  | Record.Insert { table; rid; row } -> apply.insert ~table ~rid row
+  | Record.Update { table; rid; cols } -> apply.update ~table ~rid cols
+  | Record.Delete { table; rid } -> apply.delete ~table ~rid
+  | Record.Commit _ | Record.Abort _ | Record.Prepare _ -> ()
 
 (* A transaction's data records carry no xid (they are ordered within
    their slot's file); its commit record in the same file covers every
@@ -74,31 +61,96 @@ let apply_ops apply ops =
    slot's LSN order* — exactly how the slot writer interleaves them:
    [ops of txn1][commit txn1][ops of txn2][commit txn2]... A trailing run
    of data records without a commit belongs to an uncommitted
-   transaction and is dropped.
+   transaction and is never applied.
 
    Two-phase commit adds one wrinkle: a run may end
    [ops][Prepare {gxid; coord}] with the decision record (Commit/Abort)
-   cut off by the crash. A fiber that has prepared keeps its slot parked
+   not (yet) seen. A fiber that has prepared keeps its slot parked
    until the decision arrives, so at most one prepared run exists per
-   file and it is always the *last* run. [decide_in_doubt] resolves it
-   at replay time: [true] merges its ops into the replay set (where the
-   global ordering keeps row-id allocation order intact — applying them
-   after the fact would append out of order), [false] — or no callback —
-   withholds them (presumed abort). Either way the branch is surfaced
-   in [in_doubt]. *)
+   file and it is always the *last* run. It is held as in-doubt until
+   its decision record arrives or [resolve] decides it. *)
+type run = {
+  mutable pending : Record.t list;  (** newest first *)
+  mutable prepared : in_doubt option;
+}
+
+type runs = {
+  lead : int -> int;
+  files : (int, run) Hashtbl.t;
+  mutable committed : (int * Record.t) list;
+  mutable commits : int;
+  mutable dropped : int;
+}
+
+let runs ?(lead = fun _ -> 0) () =
+  { lead; files = Hashtbl.create 16; committed = []; commits = 0; dropped = 0 }
+
+let commit_ops runs ~file ops =
+  let lead = runs.lead file in
+  runs.committed <- List.fold_left (fun acc r -> (lead, r) :: acc) runs.committed ops
+
+let feed runs ~file (r : Record.t) =
+  let run =
+    match Hashtbl.find_opt runs.files file with
+    | Some run -> run
+    | None ->
+      let run = { pending = []; prepared = None } in
+      Hashtbl.add runs.files file run;
+      run
+  in
+  match r.Record.op with
+  | Record.Commit _ ->
+    runs.commits <- runs.commits + 1;
+    Option.iter (fun d -> commit_ops runs ~file d.ops) run.prepared;
+    commit_ops runs ~file run.pending;
+    run.prepared <- None;
+    run.pending <- []
+  | Record.Abort _ ->
+    Option.iter (fun d -> runs.dropped <- runs.dropped + List.length d.ops) run.prepared;
+    runs.dropped <- runs.dropped + List.length run.pending;
+    run.prepared <- None;
+    run.pending <- []
+  | Record.Prepare { gxid; coord; _ } ->
+    (* the prepared fiber holds its slot until the decision, so a
+       second Prepare before a Commit/Abort cannot happen *)
+    if Option.is_some run.prepared then
+      raise
+        (Phoebe_util.Phoebe_error.Bug
+           {
+             subsystem = "recovery";
+             context =
+               Printf.sprintf "slot=%d: two Prepare records without a decision between" r.Record.slot;
+           });
+    run.prepared <- Some { gxid; coord; ops = List.rev run.pending };
+    run.pending <- []
+  | Record.Insert _ | Record.Update _ | Record.Delete _ -> run.pending <- r :: run.pending
+
+let take_committed runs =
+  let ops = runs.committed in
+  runs.committed <- [];
+  ops
+
+let resolve runs ~decide =
+  Hashtbl.fold
+    (fun file run acc -> match run.prepared with Some d -> (file, run, d) :: acc | None -> acc)
+    runs.files []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.map (fun (file, run, d) ->
+         run.prepared <- None;
+         if decide d then commit_ops runs ~file d.ops
+         else runs.dropped <- runs.dropped + List.length d.ops;
+         d)
+
 let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store apply =
   let files = Walstore.files store in
+  let runs = runs () in
   let records_read = ref 0 in
-  let committed = ref 0 in
-  let replayable = ref [] in
-  let dropped = ref 0 in
   let torn_tails = ref 0 in
   let bytes_skipped = ref 0 in
   let corrupt = ref 0 in
-  let in_doubt = ref [] in
   List.iter
     (fun file ->
-      let records, stop = Record.decode_all (Walstore.contents store ~file) ~slot:file in
+      let records, stop = Record.decode_all (Walstore.contents store ~file) in
       (match stop.Record.reason with
       | Record.Eof -> ()
       | Record.Torn ->
@@ -130,78 +182,40 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
                          r.Record.slot r.Record.lsn;
                    }))
         records;
-      let records =
-        List.filter (fun (r : Record.t) -> r.Record.lsn > after r.Record.slot) records
-      in
-      records_read := !records_read + List.length records;
       (* records are already in LSN order within the file *)
-      let pending = ref [] in
-      let prepared = ref None in
       List.iter
         (fun (r : Record.t) ->
-          match r.Record.op with
-          | Record.Commit _ ->
-            incr committed;
-            (match !prepared with
-            | Some (_, _, ops) ->
-              replayable := List.rev_append ops !replayable;
-              prepared := None
-            | None -> ());
-            replayable := List.rev_append !pending !replayable;
-            pending := []
-          | Record.Abort _ ->
-            (match !prepared with
-            | Some (_, _, ops) ->
-              dropped := !dropped + List.length ops;
-              prepared := None
-            | None -> ());
-            dropped := !dropped + List.length !pending;
-            pending := []
-          | Record.Prepare { gxid; coord; _ } ->
-            (* the prepared fiber holds its slot until the decision, so
-               a second Prepare before a Commit/Abort cannot happen *)
-            (match !prepared with
-            | Some _ ->
-              raise
-                (Phoebe_util.Phoebe_error.Bug
-                   {
-                     subsystem = "recovery";
-                     context =
-                       Printf.sprintf "slot=%d: two Prepare records without a decision between"
-                         r.Record.slot;
-                   })
-            | None -> ());
-            prepared := Some (gxid, coord, List.rev !pending);
-            pending := []
-          | _ -> pending := r :: !pending)
-        records;
-      (match !prepared with
-      | Some (gxid, coord, ops) ->
-        let d = { gxid; coord; ops } in
-        in_doubt := d :: !in_doubt;
-        if decide_in_doubt d then replayable := List.rev_append ops !replayable
-        else dropped := !dropped + List.length ops
-      | None -> ());
-      dropped := !dropped + List.length !pending)
+          if r.Record.lsn > after r.Record.slot then begin
+            incr records_read;
+            feed runs ~file r
+          end)
+        records)
     files;
-  let ops_replayed = apply_ops apply !replayable in
+  (* a run still prepared at the end of its file lost its decision
+     record to the crash: the branch is in doubt *)
+  let in_doubt = resolve runs ~decide:decide_in_doubt in
+  let ordered = order_ops (take_committed runs) in
+  List.iter (fun (_, r) -> apply_op apply r) ordered;
   {
     files_read = List.length files;
     records_read = !records_read;
-    committed_txns = !committed;
-    ops_replayed;
-    ops_dropped = !dropped;
+    committed_txns = runs.commits;
+    ops_replayed = List.length ordered;
+    ops_dropped = Hashtbl.fold (fun _ run n -> n + List.length run.pending) runs.files runs.dropped;
     torn_tails = !torn_tails;
     bytes_skipped = !bytes_skipped;
     corrupt_records = !corrupt;
-    in_doubt = List.rev !in_doubt;
+    in_doubt;
   }
 
 let committed_transactions store =
   let commits =
-    List.filter_map
-      (fun (r : Record.t) ->
-        match r.Record.op with Record.Commit { xid; cts } -> Some (xid, cts) | _ -> None)
-      (read_all store)
+    List.concat_map
+      (fun file ->
+        List.filter_map
+          (fun (r : Record.t) ->
+            match r.Record.op with Record.Commit { xid; cts } -> Some (xid, cts) | _ -> None)
+          (fst (Record.decode_all (Walstore.contents store ~file))))
+      (Walstore.files store)
   in
   List.sort (fun (_, a) (_, b) -> Int.compare a b) commits

@@ -1,12 +1,17 @@
 (** Crash recovery: rebuild committed state from the per-slot WAL files.
 
-    Pass 1 collects commit records (xid → cts) from every file; pass 2
-    merges all files by (GSN, slot, LSN) — the GSN Lamport order makes
-    same-page operations globally ordered — and replays the operations of
-    committed transactions through the caller's apply callbacks. Records
-    from uncommitted transactions are dropped, implementing the redo side
-    of "Non-Force, Steal" (in-memory UNDO never survives a crash, so
-    nothing needs rolling back). *)
+    This module is the only place that decides how WAL records become
+    committed transactions and in what order their operations apply.
+    The {!runs} machine groups each file's records into transactions:
+    data records accumulate until the file's next Commit (applied) or
+    Abort (dropped), and a trailing Prepare holds its run as an in-doubt
+    branch until its decision arrives or {!resolve} decides it. Crash
+    recovery feeds it file by file; quorum replication feeds it chunk by
+    chunk. Committed operations then apply in one {!order_ops} order —
+    the GSN Lamport order makes same-page operations globally ordered.
+    Records from uncommitted transactions are dropped, implementing the
+    redo side of "Non-Force, Steal" (in-memory UNDO never survives a
+    crash, so nothing needs rolling back). *)
 
 type apply = {
   insert : table:int -> rid:int -> Phoebe_storage.Value.t array -> unit;
@@ -51,3 +56,35 @@ val replay :
 
 val committed_transactions : Phoebe_io.Walstore.t -> (int * int) list
 (** (xid, cts) pairs found in the logs, sorted by cts. *)
+
+(** {1 The transaction-run machine} *)
+
+type runs
+(** Per-file run state plus the committed operations not yet taken. *)
+
+val runs : ?lead:(int -> int) -> unit -> runs
+(** [lead file] is the leading {!order_ops} key of the operations of
+    [file] (default 0): quorum replication passes the primary's view,
+    so each primary generation applies after the one before it. *)
+
+val feed : runs -> file:int -> Record.t -> unit
+(** Feed [file]'s next record, in LSN order.
+    @raise Phoebe_util.Phoebe_error.Bug on a second Prepare in a run
+    without a decision between. *)
+
+val take_committed : runs -> (int * Record.t) list
+(** The [(lead, record)] operations committed since the last take, in
+    no particular order: pass them through {!order_ops}. *)
+
+val resolve : runs -> decide:(in_doubt -> bool) -> in_doubt list
+(** Decide every held prepared branch, in file order: [true] makes its
+    operations committed (taken with the next {!take_committed}, so they
+    join the same ordered apply), [false] drops them. Returns the
+    branches. *)
+
+val order_ops : (int * Record.t) list -> (int * Record.t) list
+(** The one apply order: by leading key, then inserts in (table, rid)
+    order, then every other operation in (GSN, slot, LSN) order. *)
+
+val apply_op : apply -> Record.t -> unit
+(** Dispatch one data record to [apply]; decision records are no-ops. *)

@@ -7,20 +7,14 @@ module Obs = Phoebe_obs.Obs
 module Trace = Phoebe_obs.Trace
 module Sanitize = Phoebe_sanitize.Sanitize
 
-type config = {
-  group_flush_bytes : int;
-  group_flush_interval_ns : int;
-  rfa : bool;
-  single_writer : bool;
-}
+type config = { rfa : bool; single_writer : bool }
 
-let default_config =
-  {
-    group_flush_bytes = 16 * 1024;
-    group_flush_interval_ns = 50_000;
-    rfa = true;
-    single_writer = false;
-  }
+let default_config = { rfa = true; single_writer = false }
+
+(* Group commit is driven by commits: a waiting committer triggers a
+   flush, bytes buffered while a flush is in flight go in the next one,
+   and a writer also flushes once this much is buffered. *)
+let group_flush_bytes = 16 * 1024
 
 type writer = {
   wslot : int;
@@ -43,7 +37,6 @@ type t = {
   cfg : config;
   writers : writer array;
   mutable remote_waiters : (int * (unit -> unit)) list;  (** (gsn, resume) *)
-  mutable running : bool;
   records : Obs.Counter.t;
   bytes : Obs.Counter.t;
   bytes_durable : Obs.Counter.t;
@@ -77,7 +70,6 @@ let create ?obs ?(resume = false) engine ~store ~n_slots cfg =
             lsn_waiters = [];
           });
     remote_waiters = [];
-    running = false;
     records = counter "wal.records";
     bytes = counter "wal.bytes";
     bytes_durable = counter "wal.bytes.durable";
@@ -96,7 +88,7 @@ let create ?obs ?(resume = false) engine ~store ~n_slots cfg =
               w.flushed_lsn <- max w.flushed_lsn r.Record.lsn;
               w.cur_gsn <- max w.cur_gsn r.Record.gsn;
               w.max_flushed_gsn <- max w.max_flushed_gsn r.Record.gsn)
-            (fst (Record.decode_all (Walstore.contents t.wstore ~file) ~slot:file))
+            (fst (Record.decode_all (Walstore.contents t.wstore ~file)))
         end)
       (Walstore.files t.wstore);
   t
@@ -152,7 +144,7 @@ let rec flush t w =
         if
           Buffer.length w.buf > 0
           && (w.lsn_waiters <> [] || t.remote_waiters <> []
-             || Buffer.length w.buf >= t.cfg.group_flush_bytes)
+             || Buffer.length w.buf >= group_flush_bytes)
         then flush t w)
   end
 
@@ -187,10 +179,9 @@ let append t ~slot op ~gsn =
   (* RFA waiters block on the global durable floor: any freshly buffered
      record could be holding it down (registration-time nudges only cover
      records that already existed), so flush eagerly while they wait. *)
-  if Buffer.length w.buf >= t.cfg.group_flush_bytes || t.remote_waiters <> [] then flush t w;
+  if Buffer.length w.buf >= group_flush_bytes || t.remote_waiters <> [] then flush t w;
   lsn
 
-let current_lsn t ~slot = t.writers.(effective_slot t slot).next_lsn - 1
 let flushed_lsn t ~slot = t.writers.(effective_slot t slot).flushed_lsn
 let flushed_gsn t ~slot = t.writers.(effective_slot t slot).max_flushed_gsn
 
@@ -234,22 +225,6 @@ let commit_durable t ~slot ~lsn ~needs_remote ~remote_gsn =
   end
   else Obs.Counter.incr t.n_local_commits
 
-let rec schedule_tick t =
-  if t.running then
-    Engine.schedule t.engine ~delay:t.cfg.group_flush_interval_ns (fun () ->
-        if t.running then begin
-          Array.iter (fun w -> flush t w) t.writers;
-          schedule_tick t
-        end)
-
-let start_background_flusher t =
-  if not t.running then begin
-    t.running <- true;
-    schedule_tick t
-  end
-
-let stop t = t.running <- false
-
 let flush_all t ~on_done =
   Array.iter (fun w -> flush t w) t.writers;
   let rec check () =
@@ -260,17 +235,6 @@ let flush_all t ~on_done =
     else on_done ()
   in
   check ()
-
-let dump_writers t =
-  Array.to_list t.writers
-  |> List.filter_map (fun w ->
-         if Int.equal w.next_lsn 0 then None
-         else
-           Some
-             (w.wslot, Buffer.length w.buf, Queue.length w.pending, w.inflight, w.flushed_lsn,
-              List.length w.lsn_waiters))
-
-let remote_waiter_count t = List.length t.remote_waiters
 
 let total_records t = Obs.Counter.get t.records
 let total_bytes t = Obs.Counter.get t.bytes

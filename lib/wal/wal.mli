@@ -13,9 +13,11 @@
 
 type t
 
+(** Group commit is driven by commits: a committer waiting on its
+    record flushes its writer, bytes buffered while a flush is in flight
+    go in the next one, and a writer also flushes once 16 KB are
+    buffered. The two fields are the ablations of §8. *)
 type config = {
-  group_flush_bytes : int;  (** flush a writer when this much is buffered *)
-  group_flush_interval_ns : int;  (** periodic background flush cadence *)
   rfa : bool;  (** false disables RFA: every commit waits for all writers (ablation) *)
   single_writer : bool;
       (** true = all slots funnel into one WAL writer, the traditional
@@ -55,7 +57,6 @@ val observe_page : t -> slot:int -> page_gsn:int -> writer_slot:int -> bool
 val append : t -> slot:int -> Record.op -> gsn:int -> int
 (** Append a record to the slot's WAL buffer; returns its LSN. *)
 
-val current_lsn : t -> slot:int -> int
 val flushed_lsn : t -> slot:int -> int
 
 val durable_floor : t -> int
@@ -77,12 +78,6 @@ val commit_durable :
     WAL is durable — and, if [needs_remote], until every writer has
     flushed all records with GSN [<= remote_gsn]. Every commit waits:
     there is no asynchronous-commit mode. *)
-
-val start_background_flusher : t -> unit
-(** Schedule the periodic group-flush events on the simulation engine.
-    Stops automatically when [stop] is called. *)
-
-val stop : t -> unit
 
 val flush_all : t -> on_done:(unit -> unit) -> unit
 (** Force-flush every writer (shutdown / quiesce path). *)
@@ -107,9 +102,3 @@ val local_commits : t -> int
 (** Commits satisfied by the local writer alone (RFA hits). *)
 
 val store : t -> Phoebe_io.Walstore.t
-
-val dump_writers : t -> (int * int * int * bool * int * int) list
-(** (slot, buffered_bytes, pending_records, inflight, flushed_lsn,
-    lsn_waiters) for every writer with any activity — diagnostics. *)
-
-val remote_waiter_count : t -> int

@@ -38,7 +38,6 @@ let base_cfg ~small_buffer ~faults =
       leaf_capacity = 8;
       cleaner =
         {
-          Phoebe_storage.Bufmgr.default_cleaner with
           Phoebe_storage.Bufmgr.cl_enabled = true;
           Phoebe_storage.Bufmgr.cl_batch_pages = 8;
         };

@@ -353,7 +353,6 @@ let cleaner_trial ~cleaner_enabled =
       Config.leaf_capacity = 8;
       Config.cleaner =
         {
-          Phoebe_storage.Bufmgr.default_cleaner with
           Phoebe_storage.Bufmgr.cl_enabled = cleaner_enabled;
           Phoebe_storage.Bufmgr.cl_batch_pages = 8;
         };

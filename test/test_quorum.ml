@@ -2,7 +2,8 @@
    convergence under inserts, updates/deletes and aborts, quorum-gated
    commit visibility, durable-prefix-only shipping, primary-kill view
    change, in-doubt resolution at promotion, follower reads under a
-   staleness bound, follower restart through the recovery path, and the
+   staleness bound, follower restart through the streaming applier
+   (an undecided prepared branch stays in doubt across it), and the
    100-seed randomized crash-during-replication durability property. *)
 open Phoebe_core
 module Quorum = Phoebe_replication.Quorum
@@ -271,7 +272,7 @@ let test_follower_restart () =
   done;
   Quorum.run_for q ~ns:25_000_000;
   (* restart node 2: volatile stream state is lost, the journaled
-     prefix replays through the crash-recovery path *)
+     prefix is re-applied through the streaming applier *)
   Quorum.restart_follower q ~node:2;
   check_rows "restart recovered the journaled prefix" (dump prim) (dump (Quorum.db q ~node:2));
   for k = 31 to 50 do
@@ -281,6 +282,26 @@ let test_follower_restart () =
   check_rows "restarted follower re-synced and converged" (dump prim)
     (dump (Quorum.db q ~node:2));
   check_int "re-synced to the stream end" (Quorum.stream_len q) (Quorum.durable_off q ~node:2);
+  Quorum.shutdown q
+
+(* A follower restarted while a prepared branch awaits its decision
+   must keep the branch in doubt, not decide it on the spot: when the
+   Commit arrives afterwards, the restarted follower applies it like
+   every other node. *)
+let test_follower_restart_keeps_prepared () =
+  let q, prim = group () in
+  Db.submit prim (insert_kv prim 1 1);
+  Quorum.run_for q ~ns:5_000_000;
+  let txn = Db.begin_txn prim in
+  insert_kv prim 2 2 txn;
+  Phoebe_txn.Txnmgr.prepare (Db.txnmgr prim) txn ~gxid:77 ~coord:1;
+  Quorum.run_for q ~ns:5_000_000;
+  Quorum.restart_follower q ~node:2;
+  Phoebe_txn.Txnmgr.commit (Db.txnmgr prim) txn;
+  Quorum.run_for q ~ns:30_000_000;
+  for node = 0 to Quorum.nodes q - 1 do
+    check_rows "branch committed on every node" [ (1, 1); (2, 2) ] (dump (Quorum.db q ~node))
+  done;
   Quorum.shutdown q
 
 (* The failover durability check: a 3-node group with fault-injected
@@ -365,6 +386,8 @@ let () =
           Alcotest.test_case "follower reads and staleness" `Quick
             test_follower_reads_and_staleness;
           Alcotest.test_case "follower restart" `Quick test_follower_restart;
+          Alcotest.test_case "follower restart keeps an undecided prepared branch" `Quick
+            test_follower_restart_keeps_prepared;
         ] );
       ( "shipping",
         [

@@ -324,7 +324,7 @@ let test_record_roundtrip () =
   let buf = Buffer.create 256 in
   List.iter (Record.encode buf) sample_records;
   let b = Buffer.to_bytes buf in
-  let decoded, stop = Record.decode_all b ~slot:0 in
+  let decoded, stop = Record.decode_all b in
   check_int "count" (List.length sample_records) (List.length decoded);
   check_bool "clean eof" true (stop.Record.reason = Record.Eof);
   List.iter2
@@ -340,7 +340,7 @@ let test_record_torn_tail_tolerated () =
   List.iter (Record.encode buf) sample_records;
   let b = Buffer.to_bytes buf in
   let cut = Bytes.sub b 0 (Bytes.length b - 4) in
-  let decoded, stop = Record.decode_all cut ~slot:0 in
+  let decoded, stop = Record.decode_all cut in
   check_int "one record lost to the tear" (List.length sample_records - 1) (List.length decoded);
   check_bool "typed as torn" true (stop.Record.reason = Record.Torn);
   check_int "skipped bytes accounted" (Bytes.length cut - stop.Record.stop_offset)
@@ -402,7 +402,7 @@ let test_record_fuzz_roundtrip () =
     let records = List.init (1 + Prng.int rng 10) (fun _ -> random_record rng) in
     let buf = Buffer.create 512 in
     List.iter (Record.encode buf) records;
-    let decoded, stop = Record.decode_all (Buffer.to_bytes buf) ~slot:0 in
+    let decoded, stop = Record.decode_all (Buffer.to_bytes buf) in
     check_bool "clean eof" true (stop.Record.reason = Record.Eof);
     check_int "skipped nothing" 0 stop.Record.bytes_skipped;
     check_int "count" (List.length records) (List.length decoded);
@@ -474,7 +474,7 @@ let test_record_fuzz_truncation () =
   in
   let b = Buffer.to_bytes buf in
   for cut = 0 to Bytes.length b do
-    let decoded, stop = Record.decode_all (Bytes.sub b 0 cut) ~slot:0 in
+    let decoded, stop = Record.decode_all (Bytes.sub b 0 cut) in
     let full = List.length (List.filter (fun off -> off <= cut) boundaries) in
     check_int "prefix length" full (List.length decoded);
     List.iteri
@@ -505,7 +505,7 @@ let test_record_fuzz_bitflips () =
     let pos = Prng.int rng (Bytes.length b) in
     let bit = Prng.int rng 8 in
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-    let decoded, stop = Record.decode_all b ~slot:0 in
+    let decoded, stop = Record.decode_all b in
     (* records wholly before the damaged byte must decode exactly *)
     let intact = List.length (List.filter (fun off -> off <= pos) boundaries) in
     check_bool "undamaged prefix intact" true (List.length decoded >= intact);

@@ -80,8 +80,9 @@ echo "   double run byte-identical, replay digest present, zero findings"
 echo "== overload smoke (offered-load sweep, admission on vs off, --json)"
 bench_json overload overload overload
 
-echo "== recovery smoke (fixed-seed crash + replay vs checkpoint cadence, --json)"
-bench_json recovery recovery --experiment recovery --seed 42
+echo "== recovery smoke (fixed-seed crash + replay vs checkpoint cadence, --sanitize, --json, double-run identical)"
+double_run recovery recovery --experiment recovery --seed 42 --sanitize
+echo "   recovery rows parse, double run byte-identical, no sanitizer violation"
 
 echo "== sharded smoke (K x offered-load scaling grid with 2PC, --sanitize, --json, double-run identical)"
 double_run sharded sharded --experiment sharded --seed 42 --sanitize
