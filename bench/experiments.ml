@@ -798,29 +798,41 @@ let sharded () =
               if r.TS.offered > 0 then float_of_int r.TS.shed /. float_of_int r.TS.offered else 0.0 );
           ])
     in
-    [
-      ("shards", Json.Int k);
-      ("warehouses_per_shard", Json.Int wps);
-      ("offered_per_s", Json.Float offered);
-      ("virtual_s", Json.Float r.TS.duration_s);
-      ("offered", Json.Int r.TS.offered);
-      ("admitted", Json.Int r.TS.admitted);
-      ("shed", Json.Int r.TS.shed);
-      ("completed", Json.Int r.TS.completed);
-      ("committed", Json.Int r.TS.committed);
-      ("new_orders", Json.Int r.TS.new_orders);
-      ("tpmc", Json.Float r.TS.tpmc);
-      ("cross_shard_started", Json.Int r.TS.cross_shard_started);
-      ("cross_shard_committed", Json.Int r.TS.cross_shard_committed);
-      ("cross_shard_aborted", Json.Int r.TS.cross_shard_aborted);
-      ("prepare_timeouts", Json.Int r.TS.prepare_timeouts);
-      ("exec_timeouts", Json.Int r.TS.exec_timeouts);
-      ("latency_p50_us", Json.Float r.TS.latency_p50_us);
-      ("latency_p99_us", Json.Float r.TS.latency_p99_us);
-      ("saturating_resource", Json.Str saturated);
-      ("saturating_utilization", Json.Float sat_util);
-      ("registry", Json.Obj (Cluster.registry_json cl));
-    ]
+    let row =
+      [
+        ("shards", Json.Int k);
+        ("warehouses_per_shard", Json.Int wps);
+        ("offered_per_s", Json.Float offered);
+        ("virtual_s", Json.Float r.TS.duration_s);
+        ("offered", Json.Int r.TS.offered);
+        ("admitted", Json.Int r.TS.admitted);
+        ("shed", Json.Int r.TS.shed);
+        ("completed", Json.Int r.TS.completed);
+        ("committed", Json.Int r.TS.committed);
+        ("new_orders", Json.Int r.TS.new_orders);
+        ("tpmc", Json.Float r.TS.tpmc);
+        ("cross_shard_started", Json.Int r.TS.cross_shard_started);
+        ("cross_shard_committed", Json.Int r.TS.cross_shard_committed);
+        ("cross_shard_aborted", Json.Int r.TS.cross_shard_aborted);
+        ("prepare_timeouts", Json.Int r.TS.prepare_timeouts);
+        ("exec_timeouts", Json.Int r.TS.exec_timeouts);
+        ("latency_p50_us", Json.Float r.TS.latency_p50_us);
+        ("latency_p99_us", Json.Float r.TS.latency_p99_us);
+        ("saturating_resource", Json.Str saturated);
+        ("saturating_utilization", Json.Float sat_util);
+        ("registry", Json.Obj (Cluster.registry_json cl));
+      ]
+    in
+    (* after the row: the checks' own transactions stay out of its registry *)
+    for i = 0 to k - 1 do
+      let violated =
+        List.filter_map (fun (n, ok) -> if ok then None else Some n) (T.consistency_checks (TS.part ts i))
+      in
+      require (violated = [])
+        (Printf.sprintf "K=%d at %.0f/s, shard %d: consistency violated: %s" k offered i
+           (String.concat ", " violated))
+    done;
+    row
   in
   emit "sharded"
     (List.concat_map (fun k -> List.map (run_cell k) [ 1000.0; 4000.0; 16000.0 ]) [ 1; 2; 4 ])

@@ -323,8 +323,83 @@ let customer_by_name t txn ~w ~d ~last =
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
 
-let new_order t txn rng ~w_id =
+type customer = By_id of int | By_name of string
+
+type stmt =
+  | Stock_line of { i_id : int; qty : int }
+  | Pay_customer of { d_id : int; customer : customer; amount : float; h_d_id : int; h_w_id : int }
+
+type placement = {
+  total_warehouses : int;
+  home : int;
+  local : int -> int option;
+  remote : int -> stmt -> string;
+}
+
+(* A uniformly chosen warehouse other than [home], out of [total]. *)
+let other_warehouse rng ~home ~total = 1 + ((home + Prng.int rng (total - 1)) mod total)
+
+(* One order line's stock update on warehouse [w_id]; returns S_DIST_xx.
+   [remote]: the line's order is homed at another warehouse. *)
+let stock_line t txn ~w_id ~i_id ~qty ~remote =
+  let srid, srow = find_one t t.stock txn ~index:"stock_pk" ~key:[ vi w_id; vi i_id ] "stock" in
+  ignore
+    (Table.update_with t.stock txn ~rid:srid (fun row ->
+         let s_qty = iv row.(s_quantity) in
+         let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
+         [
+           ("s_quantity", vi new_qty);
+           ("s_ytd", vi (iv row.(s_ytd) + qty));
+           ("s_order_cnt", vi (iv row.(s_order_cnt) + 1));
+           ("s_remote_cnt", vi (iv row.(s_remote_cnt) + if remote then 1 else 0));
+         ]));
+  sv srow.(s_dist)
+
+(* Payment's customer half on warehouse [w_id]: balance update (plus
+   C_DATA for bad credit) and the history row, whose H_W_ID/H_D_ID name
+   the paying warehouse and district. *)
+let pay_customer t txn ~w_id ~d_id ~customer ~amount ~h_d_id ~h_w_id =
+  let target =
+    match customer with
+    | By_name last -> customer_by_name t txn ~w:w_id ~d:d_id ~last
+    | By_id cid -> Table.index_lookup_first t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d_id; vi cid ]
+  in
+  match target with
+  | None -> () (* a last name with no customers: spec allows skipping *)
+  | Some (crid, crow) ->
+    ignore
+      (Table.update_with t.customer txn ~rid:crid (fun row ->
+           let updates =
+             [
+               ("c_balance", vf (fv row.(c_balance) -. amount));
+               ("c_ytd_payment", vf (fv row.(c_ytd_payment) +. amount));
+               ("c_payment_cnt", vi (iv row.(c_payment_cnt) + 1));
+             ]
+           in
+           if sv row.(c_credit) = "BC" then
+             ("c_data",
+              vs
+                (Printf.sprintf "%d-%d-%.2f|%s" h_w_id h_d_id amount
+                   (String.sub (sv row.(c_data)) 0 (min 40 (String.length (sv row.(c_data)))))))
+             :: updates
+           else updates));
+    ignore
+      (Table.insert t.history txn
+         [|
+           crow.(c_id); crow.(c_d_id); crow.(c_w_id); vi h_d_id; vi h_w_id; vi (Db.now t.tdb); vf amount;
+           vs "payment";
+         |])
+
+let run_stmt t txn ~w_id = function
+  | Stock_line { i_id; qty } -> stock_line t txn ~w_id ~i_id ~qty ~remote:true
+  | Pay_customer { d_id; customer; amount; h_d_id; h_w_id } ->
+    pay_customer t txn ~w_id ~d_id ~customer ~amount ~h_d_id ~h_w_id;
+    ""
+
+let new_order ?at t txn rng ~w_id =
   let sc = t.sc in
+  let home = match at with Some p -> p.home | None -> w_id in
+  let total = match at with Some p -> p.total_warehouses | None -> t.n_warehouses in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
   let ol_cnt = Prng.int_incl rng 5 15 in
@@ -342,12 +417,11 @@ let new_order t txn rng ~w_id =
   let _, crow = find_one t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ] "customer" in
   let c_disc = fv crow.(c_discount) in
   let d_tax_v = fv drow.(d_tax) in
-  let all_local = ref 1 in
   ignore
     (Table.insert t.orders txn
        [| vi next_o; vi d; vi w_id; vi cid; vi (Db.now t.tdb); vi 0; vi ol_cnt; vi 1 |]);
   ignore (Table.insert t.neworder txn [| vi next_o; vi d; vi w_id |]);
-  let total = ref 0.0 in
+  let total_amount = ref 0.0 in
   for line = 1 to ol_cnt do
     let invalid = rollback_last && line = ol_cnt in
     let iid =
@@ -355,46 +429,35 @@ let new_order t txn rng ~w_id =
       else 1 + Zipf.nurand rng ~a:8191 ~c:t.c_olid ~x:0 ~y:(sc.items - 1)
     in
     let supply_w =
-      if t.n_warehouses > 1 && Prng.int rng 100 = 0 then begin
-        all_local := 0;
-        1 + ((w_id + Prng.int rng (t.n_warehouses - 1)) mod t.n_warehouses)
-      end
-      else w_id
+      if total > 1 && Prng.int rng 100 = 0 then other_warehouse rng ~home ~total else home
     in
     (match Table.index_lookup_first t.item txn ~index:"item_pk" ~key:[ vi iid ] with
     | None -> raise Rollback (* spec: 1% of NewOrders roll back on a bad item *)
     | Some (_, irow) ->
       let price = fv irow.(i_price) in
       let qty = Prng.int_incl rng 1 10 in
-      let srid, srow =
-        find_one t t.stock txn ~index:"stock_pk" ~key:[ vi supply_w; vi iid ] "stock"
+      let remote = supply_w <> home in
+      let dist =
+        match at with
+        | None -> stock_line t txn ~w_id:supply_w ~i_id:iid ~qty ~remote
+        | Some p -> (
+          match p.local supply_w with
+          | Some w_id -> stock_line t txn ~w_id ~i_id:iid ~qty ~remote
+          | None -> p.remote supply_w (Stock_line { i_id = iid; qty }))
       in
-      ignore
-        (Table.update_with t.stock txn ~rid:srid (fun row ->
-             let s_qty = iv row.(s_quantity) in
-             let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
-             [
-               ("s_quantity", vi new_qty);
-               ("s_ytd", vi (iv row.(s_ytd) + qty));
-               ("s_order_cnt", vi (iv row.(s_order_cnt) + 1));
-               ("s_remote_cnt", vi (iv row.(s_remote_cnt) + if supply_w <> w_id then 1 else 0));
-             ]));
       let amount = float_of_int qty *. price in
-      total := !total +. amount;
+      total_amount := !total_amount +. amount;
       ignore
         (Table.insert t.orderline txn
-           [|
-             vi next_o; vi d; vi w_id; vi line; vi iid; vi supply_w; vi 0; vi qty; vf amount;
-             vs (sv srow.(s_dist));
-           |]))
+           [| vi next_o; vi d; vi w_id; vi line; vi iid; vi supply_w; vi 0; vi qty; vf amount; vs dist |]))
   done;
   (* the computed order total exercises the tax/discount arithmetic *)
-  ignore (!total *. (1.0 +. w_tax +. d_tax_v) *. (1.0 -. c_disc));
-  if !all_local = 0 then
-    ignore !all_local
+  ignore (!total_amount *. (1.0 +. w_tax +. d_tax_v) *. (1.0 -. c_disc))
 
-let payment t txn rng ~w_id =
+let payment ?at t txn rng ~w_id =
   let sc = t.sc in
+  let home = match at with Some p -> p.home | None -> w_id in
+  let total = match at with Some p -> p.total_warehouses | None -> t.n_warehouses in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let amount = float_of_int (Prng.int_incl rng 100 500_000) /. 100.0 in
   let wrid, _ = find_one t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse" in
@@ -405,50 +468,26 @@ let payment t txn rng ~w_id =
   ignore
     (Table.update_with t.district txn ~rid:drid (fun row ->
          [ ("d_ytd", vf (fv row.(d_ytd) +. amount)) ]));
-  (* 85% home district customer, 15% remote (spec 2.5.1.2) *)
+  (* 85% home district customer, 15% remote (spec 2.5.1.2); the remote
+     district is drawn before the remote warehouse *)
   let c_w, c_d =
-    if t.n_warehouses > 1 && Prng.int rng 100 < 15 then
-      (1 + ((w_id + Prng.int rng (t.n_warehouses - 1)) mod t.n_warehouses),
-       Prng.int_incl rng 1 sc.districts_per_warehouse)
-    else (w_id, d)
-  in
-  let target =
-    if Prng.int rng 100 < 60 then begin
-      let last =
-        c_last_of (Zipf.nurand rng ~a:255 ~c:t.c_last ~x:0 ~y:(min 999 (sc.customers_per_district - 1)))
-      in
-      customer_by_name t txn ~w:c_w ~d:c_d ~last
+    if total > 1 && Prng.int rng 100 < 15 then begin
+      let c_d = Prng.int_incl rng 1 sc.districts_per_warehouse in
+      (other_warehouse rng ~home ~total, c_d)
     end
-    else begin
-      let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
-      Table.index_lookup_first t.customer txn ~index:"customer_pk" ~key:[ vi c_w; vi c_d; vi cid ]
-    end
+    else (home, d)
   in
-  (match target with
-  | None -> () (* a last name with no customers: spec allows skipping *)
-  | Some (crid, crow) ->
-    ignore
-      (Table.update_with t.customer txn ~rid:crid (fun row ->
-           let updates =
-             [
-               ("c_balance", vf (fv row.(c_balance) -. amount));
-               ("c_ytd_payment", vf (fv row.(c_ytd_payment) +. amount));
-               ("c_payment_cnt", vi (iv row.(c_payment_cnt) + 1));
-             ]
-           in
-           if sv row.(c_credit) = "BC" then
-             ("c_data",
-              vs
-                (Printf.sprintf "%d-%d-%.2f|%s" w_id d amount
-                   (String.sub (sv row.(c_data)) 0 (min 40 (String.length (sv row.(c_data)))))))
-             :: updates
-           else updates));
-    ignore
-      (Table.insert t.history txn
-         [|
-           crow.(c_id); crow.(c_d_id); crow.(c_w_id); vi d; vi w_id; vi (Db.now t.tdb); vf amount;
-           vs "payment";
-         |]))
+  let customer =
+    if Prng.int rng 100 < 60 then
+      By_name (c_last_of (Zipf.nurand rng ~a:255 ~c:t.c_last ~x:0 ~y:(min 999 (sc.customers_per_district - 1))))
+    else By_id (1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1))
+  in
+  match at with
+  | None -> pay_customer t txn ~w_id:c_w ~d_id:c_d ~customer ~amount ~h_d_id:d ~h_w_id:home
+  | Some p -> (
+    match p.local c_w with
+    | Some w_id -> pay_customer t txn ~w_id ~d_id:c_d ~customer ~amount ~h_d_id:d ~h_w_id:home
+    | None -> ignore (p.remote c_w (Pay_customer { d_id = c_d; customer; amount; h_d_id = d; h_w_id = home })))
 
 let order_status t txn rng ~w_id =
   let sc = t.sc in
@@ -564,6 +603,17 @@ type results = {
   per_kind : (txn_kind * int) list;
 }
 
+let kind_index = function New_order -> 0 | Payment -> 1 | Order_status -> 2 | Delivery -> 3 | Stock_level -> 4
+
+(* Trace kind indices are [kind_index + 1]: slot 0 is the generic
+   "other" kind for non-TPC-C transactions. *)
+let span_kind kind = kind_index kind + 1
+
+let label_spans database =
+  match Db.trace database with
+  | Some tr -> Trace.set_kind_names tr [| "new_order"; "payment"; "order_status"; "delivery"; "stock_level" |]
+  | None -> ()
+
 let pick_kind rng mix =
   let r = Prng.float rng 1.0 in
   let rec go acc = function
@@ -572,10 +622,10 @@ let pick_kind rng mix =
   in
   go 0.0 mix
 
-let run_txn t kind txn rng ~w_id =
+let run_txn ?at t kind txn rng ~w_id =
   match kind with
-  | New_order -> new_order t txn rng ~w_id
-  | Payment -> payment t txn rng ~w_id
+  | New_order -> new_order ?at t txn rng ~w_id
+  | Payment -> payment ?at t txn rng ~w_id
   | Order_status -> order_status t txn rng ~w_id
   | Delivery -> delivery t txn rng ~w_id
   | Stock_level -> stock_level t txn rng ~w_id
@@ -588,15 +638,7 @@ let run_mix t ?(affinity = true) ?(mix = standard_mix) ~concurrency ~duration_ns
   let start = Engine.now eng in
   let deadline = start + duration_ns in
   let committed = Array.make 5 0 in
-  let kind_index = function
-    | New_order -> 0 | Payment -> 1 | Order_status -> 2 | Delivery -> 3 | Stock_level -> 4
-  in
-  (* Trace kind indices are [kind_index + 1]: slot 0 is the generic
-     "other" kind for non-TPC-C transactions. *)
-  (match Db.trace database with
-  | Some tr ->
-    Trace.set_kind_names tr [| "new_order"; "payment"; "order_status"; "delivery"; "stock_level" |]
-  | None -> ());
+  label_spans database;
   let rollbacks = ref 0 in
   let deadline_aborts = ref 0 in
   let n_sheds = ref 0 in
@@ -636,7 +678,7 @@ let run_mix t ?(affinity = true) ?(mix = standard_mix) ~concurrency ~duration_ns
       in
       match
         Db.submit ?affinity:submit_affinity database ~on_done:finish (fun txn ->
-            Scheduler.span_kind (kind_index kind + 1);
+            Scheduler.span_kind (span_kind kind);
             (try run_txn t kind txn rng ~w_id with
             | Rollback ->
               (* the spec-mandated user rollback: abort without retry *)

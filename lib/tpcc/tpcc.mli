@@ -49,15 +49,57 @@ val standard_mix : (txn_kind * float) list
     MVCC conflicts raise {!Phoebe_txn.Txnmgr.Abort} as usual. [rng]
     drives the input generation (NURand etc.). *)
 
-val new_order : t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
-(** 1% of order lines request an invalid item and roll back, per spec. *)
+(** The two cross-warehouse statements: NewOrder's stock update for an
+    order line supplied by another warehouse, and Payment's customer
+    update plus history row for a customer of another warehouse. *)
+type customer = By_id of int | By_name of string
 
-val payment : t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
+type stmt =
+  | Stock_line of { i_id : int; qty : int }
+  | Pay_customer of { d_id : int; customer : customer; amount : float; h_d_id : int; h_w_id : int }
+      (** [h_d_id]/[h_w_id]: the paying district and warehouse (global id) *)
+
+val run_stmt : t -> Phoebe_core.Table.txn -> w_id:int -> stmt -> string
+(** Run [stmt] against local warehouse [w_id] on behalf of a transaction
+    homed at another warehouse. Returns the stock line's S_DIST_xx, [""]
+    for a Payment customer. *)
+
+type placement = {
+  total_warehouses : int;  (** across every part *)
+  home : int;  (** global id of the home warehouse *)
+  local : int -> int option;  (** a global id's local id, [None] when another part holds it *)
+  remote : int -> stmt -> string;  (** run a statement for global warehouse [g] on its part *)
+}
+(** Where the warehouses live when one {!t} holds only some of them.
+    Without a placement a body sees exactly this {!t}'s warehouses, ids
+    being global. With one, [w_id] is the home warehouse's local id,
+    cross-warehouse draws range over [total_warehouses], and a statement
+    for a warehouse [local] does not hold goes through [remote]. *)
+
+val new_order : ?at:placement -> t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
+(** 1% of order lines request an invalid item and roll back, per spec.
+    O_ALL_LOCAL is always written as 1. *)
+
+val payment : ?at:placement -> t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
 val order_status : t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
 val delivery : t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
 val stock_level : t -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
 
+val run_txn :
+  ?at:placement -> t -> txn_kind -> Phoebe_core.Table.txn -> Phoebe_util.Prng.t -> w_id:int -> unit
+(** The body of [kind]; only NewOrder and Payment use [at]. *)
+
 (** {1 Mix driver} *)
+
+val pick_kind : Phoebe_util.Prng.t -> (txn_kind * float) list -> txn_kind
+(** One draw from a mix of (kind, probability) pairs. *)
+
+val span_kind : txn_kind -> int
+(** The trace span kind of a TPC-C transaction, 1..5; 0 stays the
+    generic "other" kind. *)
+
+val label_spans : Phoebe_core.Db.t -> unit
+(** Name the five span kinds on the database's tracer (no-op untraced). *)
 
 type results = {
   duration_s : float;  (** virtual seconds *)

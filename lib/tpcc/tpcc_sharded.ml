@@ -1,46 +1,17 @@
-module Db = Phoebe_core.Db
-module Table = Phoebe_core.Table
 module Value = Phoebe_storage.Value
 module Txnmgr = Phoebe_txn.Txnmgr
+module Scheduler = Phoebe_runtime.Scheduler
 module Engine = Phoebe_sim.Engine
-module Prng = Phoebe_util.Prng
 module Zipf = Phoebe_util.Zipf
 module Stats = Phoebe_util.Stats
 module Cluster = Phoebe_shard.Cluster
 module Open_loop = Phoebe_workload.Open_loop
 
-(* Column positions, mirrored from {!Tpcc}'s schema layouts (the remote
-   procedures reach the tables by name through [Db.table], so the
-   positions must stay in lock step with tpcc.ml). *)
-let w_tax, w_ytd = (2, 3)
-let d_tax, d_ytd, d_next_o_id = (3, 4, 5)
-let c_discount, c_balance, c_ytd_payment, c_payment_cnt = (6, 7, 8, 9)
-let i_price = 3
-let s_quantity, s_dist, s_ytd, s_order_cnt, s_remote_cnt = (2, 3, 4, 5, 6)
-
-let vi v = Value.Int v
-let vf v = Value.Float v
-let vs v = Value.Str v
-let iv = function Value.Int v -> v | v -> Fmt.failwith "expected int, got %s" (Value.to_string v)
-
-let fv = function
-  | Value.Float v -> v
-  | Value.Int v -> float_of_int v
-  | v -> Fmt.failwith "expected float, got %s" (Value.to_string v)
-
-let sv = function Value.Str v -> v | v -> Value.to_string v
-
 type t = {
   cl : Cluster.t;
   parts : Tpcc.t array;
   wps : int;
-  sc : Tpcc.scale;
-  proc_stock : int;
-  proc_payment : int;
-  (* driver-side NURand constants (one set for the whole cluster, like
-     one client park driving every warehouse) *)
-  dc_cid : int;
-  dc_olid : int;
+  proc_stmt : int;
   mutable cross_offered : int;
 }
 
@@ -56,52 +27,27 @@ let ddl ~warehouses_per_shard ~scale ~seed k db =
   ignore (Tpcc.load db ~load_data:false ~warehouses:warehouses_per_shard ~scale ~seed:(seed + k) ())
 
 (* ------------------------------------------------------------------ *)
-(* Remote procedures (the participant half of the cross-shard paths) *)
+(* Wire form of a cross-warehouse statement: the target shard's local
+   warehouse id, a tag, then the statement's fields. *)
 
-(* args: [w_local; i_id; qty] → [s_dist] — the remote stock decrement of
-   a NewOrder line whose supply warehouse lives on another shard. *)
-let stock_update_proc ~shard:_ db txn args =
-  let w_local = iv args.(0) and iid = iv args.(1) and qty = iv args.(2) in
-  let stock = Db.table db "stock" in
-  match Table.index_lookup_first stock txn ~index:"stock_pk" ~key:[ vi w_local; vi iid ] with
-  | None -> raise (Txnmgr.Abort (Txnmgr.User, "sharded stock_update: missing stock row"))
-  | Some (srid, srow) ->
-    let dist = sv srow.(s_dist) in
-    ignore
-      (Table.update_with stock txn ~rid:srid (fun row ->
-           let s_qty = iv row.(s_quantity) in
-           let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
-           [
-             ("s_quantity", vi new_qty);
-             ("s_ytd", vi (iv row.(s_ytd) + qty));
-             ("s_order_cnt", vi (iv row.(s_order_cnt) + 1));
-             ("s_remote_cnt", vi (iv row.(s_remote_cnt) + 1));
-           ]));
-    [| vs dist |]
+let encode_stmt ~w_id : Tpcc.stmt -> Value.t array = function
+  | Tpcc.Stock_line { i_id; qty } -> [| Value.Int w_id; Value.Int 0; Value.Int i_id; Value.Int qty |]
+  | Tpcc.Pay_customer { d_id; customer; amount; h_d_id; h_w_id } ->
+    let customer = match customer with Tpcc.By_id c -> Value.Int c | Tpcc.By_name last -> Value.Str last in
+    [| Value.Int w_id; Value.Int 1; Value.Int d_id; customer; Value.Float amount; Value.Int h_d_id; Value.Int h_w_id |]
 
-(* args: [c_w_local; c_d; c_id; amount; h_d; h_w_global] → [] — the
-   remote-customer half of Payment: balance update plus the history row,
-   both on the customer's shard. Remote selection is always by customer
-   id (the by-last-name path stays a home-shard-only concern). *)
-let payment_remote_proc ~shard:_ db txn args =
-  let c_w = iv args.(0) and c_d = iv args.(1) and cid = iv args.(2) in
-  let amount = fv args.(3) in
-  let h_d = iv args.(4) and h_w = iv args.(5) in
-  let customer = Db.table db "customer" in
-  (match Table.index_lookup_first customer txn ~index:"customer_pk" ~key:[ vi c_w; vi c_d; vi cid ] with
-  | None -> ()
-  | Some (crid, _) ->
-    ignore
-      (Table.update_with customer txn ~rid:crid (fun row ->
-           [
-             ("c_balance", vf (fv row.(c_balance) -. amount));
-             ("c_ytd_payment", vf (fv row.(c_ytd_payment) +. amount));
-             ("c_payment_cnt", vi (iv row.(c_payment_cnt) + 1));
-           ]));
-    ignore
-      (Table.insert (Db.table db "history") txn
-         [| vi cid; vi c_d; vi c_w; vi h_d; vi h_w; vi (Db.now db); vf amount; vs "payment-2pc" |]));
-  [||]
+let decode_stmt : Value.t array -> int * Tpcc.stmt = function
+  | [| Value.Int w_id; Value.Int 0; Value.Int i_id; Value.Int qty |] -> (w_id, Tpcc.Stock_line { i_id; qty })
+  | [| Value.Int w_id; Value.Int 1; Value.Int d_id; customer; Value.Float amount; Value.Int h_d_id; Value.Int h_w_id |]
+    ->
+    let customer =
+      match customer with
+      | Value.Int c -> Tpcc.By_id c
+      | Value.Str last -> Tpcc.By_name last
+      | v -> invalid_arg ("Tpcc_sharded.decode_stmt: customer " ^ Value.to_string v)
+    in
+    (w_id, Tpcc.Pay_customer { d_id; customer; amount; h_d_id; h_w_id })
+  | _ -> invalid_arg "Tpcc_sharded.decode_stmt: malformed statement"
 
 let create cl ?(scale = Tpcc.default_scale) ~warehouses_per_shard ~seed () =
   if warehouses_per_shard <= 0 then invalid_arg "Tpcc_sharded.create: need at least one warehouse";
@@ -109,187 +55,47 @@ let create cl ?(scale = Tpcc.default_scale) ~warehouses_per_shard ~seed () =
     Array.init (Cluster.shards cl) (fun k ->
         Tpcc.load (Cluster.shard cl k) ~warehouses:warehouses_per_shard ~scale ~seed:(seed + k) ())
   in
-  let rng = Prng.create ~seed:(seed lxor 0x5bd1e995) in
-  let t =
-    {
-      cl;
-      parts;
-      wps = warehouses_per_shard;
-      sc = scale;
-      proc_stock = Cluster.register_proc cl stock_update_proc;
-      proc_payment = Cluster.register_proc cl payment_remote_proc;
-      dc_cid = Prng.int rng 1024;
-      dc_olid = Prng.int rng 8192;
-      cross_offered = 0;
-    }
+  (* the participant half: one procedure runs either statement *)
+  let proc_stmt =
+    Cluster.register_proc cl (fun ~shard _db txn args ->
+        let w_id, stmt = decode_stmt args in
+        [| Value.Str (Tpcc.run_stmt parts.(shard) txn ~w_id stmt) |])
   in
-  t
+  { cl; parts; wps = warehouses_per_shard; proc_stmt; cross_offered = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Coordinator-side transaction bodies.
+(* Coordinator side: {!Tpcc}'s own bodies on the home shard's part. A
+   warehouse on the home shard stays a plain local access, exactly like
+   unsharded TPC-C; one on another shard is a {!Cluster.remote_exec}. *)
 
-   These mirror {!Tpcc.new_order} / {!Tpcc.payment} with one change:
-   the remote-warehouse branches (1%-per-order-line supply warehouse,
-   15% remote Payment customer — the spec's own cross-warehouse rates,
-   which compose to roughly 10% of NewOrders touching another
-   warehouse) route through {!Cluster.remote_exec} whenever the chosen
-   warehouse lives on another shard. A remote warehouse on the *same*
-   shard stays a plain local access, exactly like unsharded TPC-C. *)
+let placement t dtx ~home_g =
+  let home_shard, _ = locate t home_g in
+  {
+    Tpcc.total_warehouses = total_warehouses t;
+    home = home_g;
+    local =
+      (fun g ->
+        let shard, w_id = locate t g in
+        if shard = home_shard then Some w_id else None);
+    remote =
+      (fun g stmt ->
+        let shard, w_id = locate t g in
+        t.cross_offered <- t.cross_offered + 1;
+        match Cluster.remote_exec t.cl dtx ~shard ~proc:t.proc_stmt ~args:(encode_stmt ~w_id stmt) with
+        | [| Value.Str reply |] -> reply
+        | _ -> invalid_arg "Tpcc_sharded: malformed statement reply");
+  }
 
-let pick_remote_warehouse t rng ~home_g =
-  let total = total_warehouses t in
-  1 + ((home_g + Prng.int rng (total - 1)) mod total)
-
-let new_order t dtx rng ~home_g =
-  let sc = t.sc in
+let run_dtxn t kind dtx rng ~home_g =
   let home_shard, w_id = locate t home_g in
-  let part = t.parts.(home_shard) in
-  let db = Tpcc.db part in
-  let txn = Cluster.dtxn_txn dtx in
-  let warehouse = Db.table db "warehouse" and district = Db.table db "district" in
-  let customer = Db.table db "customer" and item = Db.table db "item" in
-  let stock = Db.table db "stock" in
-  let orders = Db.table db "orders" and neworder = Db.table db "neworder" in
-  let orderline = Db.table db "orderline" in
-  let d = Prng.int_incl rng 1 sc.Tpcc.districts_per_warehouse in
-  let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.dc_cid ~x:0 ~y:(sc.Tpcc.customers_per_district - 1) in
-  let ol_cnt = Prng.int_incl rng 5 15 in
-  let rollback_last = Prng.int rng 100 = 0 in
-  let wrow =
-    match Table.index_lookup_first warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] with
-    | Some (_, row) -> row
-    | None -> Fmt.failwith "tpcc_sharded: missing warehouse %d on shard %d" w_id home_shard
-  in
-  let w_tax_v = fv wrow.(w_tax) in
-  let drid, drow =
-    match Table.index_lookup_first district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] with
-    | Some hit -> hit
-    | None -> Fmt.failwith "tpcc_sharded: missing district"
-  in
-  let next_o = ref 0 in
-  ignore
-    (Table.update_with district txn ~rid:drid (fun row ->
-         next_o := iv row.(d_next_o_id);
-         [ ("d_next_o_id", vi (!next_o + 1)) ]));
-  let next_o = !next_o in
-  let c_disc =
-    match Table.index_lookup_first customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ] with
-    | Some (_, crow) -> fv crow.(c_discount)
-    | None -> 0.0
-  in
-  let all_local = ref 1 in
-  ignore
-    (Table.insert orders txn
-       [| vi next_o; vi d; vi w_id; vi cid; vi (Db.now db); vi 0; vi ol_cnt; vi 1 |]);
-  ignore (Table.insert neworder txn [| vi next_o; vi d; vi w_id |]);
-  let total = ref 0.0 in
-  for line = 1 to ol_cnt do
-    let invalid = rollback_last && line = ol_cnt in
-    let iid =
-      if invalid then sc.Tpcc.items + 1
-      else 1 + Zipf.nurand rng ~a:8191 ~c:t.dc_olid ~x:0 ~y:(sc.Tpcc.items - 1)
-    in
-    let supply_g =
-      if total_warehouses t > 1 && Prng.int rng 100 = 0 then begin
-        all_local := 0;
-        pick_remote_warehouse t rng ~home_g
-      end
-      else home_g
-    in
-    (match Table.index_lookup_first item txn ~index:"item_pk" ~key:[ vi iid ] with
-    | None ->
-      (* the spec's 1% invalid-item rollback; surfaced as a user abort so
-         the runner neither retries nor counts it as an MVCC conflict *)
-      raise (Txnmgr.Abort (Txnmgr.User, "user-initiated rollback"))
-    | Some (_, irow) ->
-      let price = fv irow.(i_price) in
-      let qty = Prng.int_incl rng 1 10 in
-      let supply_shard, supply_local = locate t supply_g in
-      let dist_info =
-        if supply_shard <> home_shard then begin
-          t.cross_offered <- t.cross_offered + 1;
-          let reply =
-            Cluster.remote_exec t.cl dtx ~shard:supply_shard ~proc:t.proc_stock
-              ~args:[| vi supply_local; vi iid; vi qty |]
-          in
-          sv reply.(0)
-        end
-        else begin
-          match Table.index_lookup_first stock txn ~index:"stock_pk" ~key:[ vi supply_local; vi iid ] with
-          | None -> Fmt.failwith "tpcc_sharded: missing stock row"
-          | Some (srid, srow) ->
-            let dist = sv srow.(s_dist) in
-            ignore
-              (Table.update_with stock txn ~rid:srid (fun row ->
-                   let s_qty = iv row.(s_quantity) in
-                   let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
-                   [
-                     ("s_quantity", vi new_qty);
-                     ("s_ytd", vi (iv row.(s_ytd) + qty));
-                     ("s_order_cnt", vi (iv row.(s_order_cnt) + 1));
-                     ("s_remote_cnt", vi (iv row.(s_remote_cnt) + if supply_g <> home_g then 1 else 0));
-                   ]));
-            dist
-        end
-      in
-      let amount = float_of_int qty *. price in
-      total := !total +. amount;
-      ignore
-        (Table.insert orderline txn
-           [|
-             vi next_o; vi d; vi w_id; vi line; vi iid; vi supply_g; vi 0; vi qty; vf amount;
-             vs dist_info;
-           |]))
-  done;
-  ignore (!total *. (1.0 +. w_tax_v +. fv drow.(d_tax)) *. (1.0 -. c_disc))
+  try Tpcc.run_txn ~at:(placement t dtx ~home_g) t.parts.(home_shard) kind (Cluster.dtxn_txn dtx) rng ~w_id
+  with Tpcc.Rollback ->
+    (* the spec's 1% invalid-item rollback; surfaced as a user abort so
+       the runner neither retries nor counts it as an MVCC conflict *)
+    raise (Txnmgr.Abort (Txnmgr.User, "user-initiated rollback"))
 
-let payment t dtx rng ~home_g =
-  let sc = t.sc in
-  let home_shard, w_id = locate t home_g in
-  let db = Tpcc.db t.parts.(home_shard) in
-  let txn = Cluster.dtxn_txn dtx in
-  let warehouse = Db.table db "warehouse" and district = Db.table db "district" in
-  let customer = Db.table db "customer" in
-  let d = Prng.int_incl rng 1 sc.Tpcc.districts_per_warehouse in
-  let amount = float_of_int (Prng.int_incl rng 100 500_000) /. 100.0 in
-  (match Table.index_lookup_first warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] with
-  | Some (wrid, _) ->
-    ignore
-      (Table.update_with warehouse txn ~rid:wrid (fun row ->
-           [ ("w_ytd", vf (fv row.(w_ytd) +. amount)) ]))
-  | None -> ());
-  (match Table.index_lookup_first district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] with
-  | Some (drid, _) ->
-    ignore
-      (Table.update_with district txn ~rid:drid (fun row ->
-           [ ("d_ytd", vf (fv row.(d_ytd) +. amount)) ]))
-  | None -> ());
-  let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.dc_cid ~x:0 ~y:(sc.Tpcc.customers_per_district - 1) in
-  let remote = total_warehouses t > 1 && Prng.int rng 100 < 15 in
-  let c_g = if remote then pick_remote_warehouse t rng ~home_g else home_g in
-  let c_d = if remote then Prng.int_incl rng 1 sc.Tpcc.districts_per_warehouse else d in
-  let c_shard, c_local = locate t c_g in
-  if c_shard <> home_shard then begin
-    t.cross_offered <- t.cross_offered + 1;
-    ignore
-      (Cluster.remote_exec t.cl dtx ~shard:c_shard ~proc:t.proc_payment
-         ~args:[| vi c_local; vi c_d; vi cid; vf amount; vi d; vi home_g |])
-  end
-  else begin
-    match Table.index_lookup_first customer txn ~index:"customer_pk" ~key:[ vi c_local; vi c_d; vi cid ] with
-    | None -> ()
-    | Some (crid, _) ->
-      ignore
-        (Table.update_with customer txn ~rid:crid (fun row ->
-             [
-               ("c_balance", vf (fv row.(c_balance) -. amount));
-               ("c_ytd_payment", vf (fv row.(c_ytd_payment) +. amount));
-               ("c_payment_cnt", vi (iv row.(c_payment_cnt) + 1));
-             ]));
-      ignore
-        (Table.insert (Db.table db "history") txn
-           [| vi cid; vi c_d; vi c_local; vi d; vi w_id; vi (Db.now db); vf amount; vs "payment" |])
-  end
+let new_order t dtx rng ~home_g = run_dtxn t Tpcc.New_order dtx rng ~home_g
+let payment t dtx rng ~home_g = run_dtxn t Tpcc.Payment dtx rng ~home_g
 
 (* ------------------------------------------------------------------ *)
 (* Open-loop driver *)
@@ -320,49 +126,36 @@ let run_open t ?(mix = Tpcc.standard_mix) ?(theta = 0.6) ~shape ~duration_ns ~se
   let committed = ref 0 in
   let new_orders = ref 0 in
   let s0 = Cluster.stats t.cl in
-  let pick_kind rng =
-    let r = Prng.float rng 1.0 in
-    let rec go acc = function
-      | [] -> Tpcc.New_order
-      | (k, p) :: rest -> if r < acc +. p then k else go (acc +. p) rest
-    in
-    go 0.0 mix
-  in
+  Array.iter (fun part -> Tpcc.label_spans (Tpcc.db part)) t.parts;
   let gen =
     Open_loop.start eng ~shape ~duration_ns ~seed ~submit:(fun ~rng ~on_done ->
         let home_g = 1 + Zipf.sample zipf rng in
-        let home_shard, w_local = locate t home_g in
-        let kind = pick_kind rng in
+        let home_shard, w_id = locate t home_g in
+        let kind = Tpcc.pick_kind rng mix in
         let began = Engine.now eng in
-        let finish ok is_new_order =
+        let finish ok =
           Stats.Histogram.add latency (Engine.now eng - began);
           if ok then begin
             incr committed;
-            if is_new_order then incr new_orders
+            match kind with Tpcc.New_order -> incr new_orders | _ -> ()
           end;
           on_done ()
         in
         match kind with
-        | Tpcc.New_order ->
+        | Tpcc.New_order | Tpcc.Payment ->
           Cluster.submit_dtxn t.cl ~home:home_shard
-            ~on_done:(fun ~committed:ok -> finish ok true)
-            (fun dtx -> new_order t dtx rng ~home_g)
-        | Tpcc.Payment ->
-          Cluster.submit_dtxn t.cl ~home:home_shard
-            ~on_done:(fun ~committed:ok -> finish ok false)
-            (fun dtx -> payment t dtx rng ~home_g)
-        | kind ->
+            ~on_done:(fun ~committed:ok -> finish ok)
+            (fun dtx ->
+              Scheduler.span_kind (Tpcc.span_kind kind);
+              run_dtxn t kind dtx rng ~home_g)
+        | Tpcc.Order_status | Tpcc.Delivery | Tpcc.Stock_level ->
+          (* single-warehouse kinds: never cross a shard, never roll back *)
           let ok = ref false in
           Cluster.submit_local t.cl ~shard:home_shard
-            ~on_done:(fun () -> finish !ok false)
+            ~on_done:(fun () -> finish !ok)
             (fun txn ->
-              (try
-                 match kind with
-                 | Tpcc.Order_status -> Tpcc.order_status t.parts.(home_shard) txn rng ~w_id:w_local
-                 | Tpcc.Delivery -> Tpcc.delivery t.parts.(home_shard) txn rng ~w_id:w_local
-                 | _ -> Tpcc.stock_level t.parts.(home_shard) txn rng ~w_id:w_local
-               with Tpcc.Rollback ->
-                 raise (Txnmgr.Abort (Txnmgr.User, "user-initiated rollback")));
+              Scheduler.span_kind (Tpcc.span_kind kind);
+              Tpcc.run_txn t.parts.(home_shard) kind txn rng ~w_id;
               ok := true))
   in
   Cluster.run t.cl;

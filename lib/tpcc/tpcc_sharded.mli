@@ -7,9 +7,11 @@
 
     Each shard holds [warehouses_per_shard] local warehouses (ids
     1..wps within the shard); global warehouse [g] (1-based) lives on
-    shard [(g-1)/wps]. Remote statements run as registered cluster
-    procedures — a stock decrement for NewOrder, a customer
-    balance/history update for Payment. *)
+    shard [(g-1)/wps]. There is one NewOrder body and one Payment body,
+    {!Tpcc}'s own: run on the home shard's part with a
+    {!Tpcc.placement} that keeps same-shard warehouses local and ships
+    each statement for another shard's warehouse ({!Tpcc.stmt}) to one
+    registered cluster procedure, which runs it with {!Tpcc.run_stmt}. *)
 
 type t
 
@@ -42,11 +44,26 @@ val locate : t -> int -> int * int
 (** {1 Transaction bodies} *)
 
 val new_order : t -> Phoebe_shard.Cluster.dtxn -> Phoebe_util.Prng.t -> home_g:int -> unit
-(** NewOrder homed at global warehouse [home_g]; runs inside a
+(** {!Tpcc.new_order} homed at global warehouse [home_g]; runs inside a
     {!Phoebe_shard.Cluster.submit_dtxn} body. The 1% invalid-item case
     raises {!Phoebe_txn.Txnmgr.Abort} with reason [User] (no retry). *)
 
 val payment : t -> Phoebe_shard.Cluster.dtxn -> Phoebe_util.Prng.t -> home_g:int -> unit
+(** {!Tpcc.payment} homed at global warehouse [home_g]. *)
+
+val placement : t -> Phoebe_shard.Cluster.dtxn -> home_g:int -> Tpcc.placement
+(** The placement both bodies run with: [local] holds the home shard's
+    warehouses, [remote] counts one {!cross_shard_statements} and runs
+    the statement on the warehouse's shard through
+    {!Phoebe_shard.Cluster.remote_exec}. *)
+
+val encode_stmt : w_id:int -> Tpcc.stmt -> Phoebe_storage.Value.t array
+(** The wire form of a statement for local warehouse [w_id] of the
+    target shard. *)
+
+val decode_stmt : Phoebe_storage.Value.t array -> int * Tpcc.stmt
+(** Inverse of {!encode_stmt}: [(w_id, stmt)]. Raises [Invalid_argument]
+    on a malformed array. *)
 
 (** {1 Open-loop driver} *)
 
@@ -81,7 +98,8 @@ val run_open :
     [theta], default 0.6) for a virtual-time window and drain the
     cluster to quiescence. NewOrder and Payment go through
     {!Phoebe_shard.Cluster.submit_dtxn}; the read-heavy kinds stay
-    single-shard. *)
+    single-shard. Coordinator spans carry their TPC-C kind
+    ({!Tpcc.span_kind}); participant branches stay kind 0. *)
 
 val cross_shard_statements : t -> int
 (** Remote statements shipped so far (lifetime of [t]). *)

@@ -149,6 +149,31 @@ let test_sharded_remote_wait () =
   let snap = Obs.snapshot (Db.obs (Cluster.shard cl 0)) in
   check_bool "remote wait export present" true (List.mem_assoc "trace.txn.new_order.remote_wait_ns" snap)
 
+(* Two shards under the open-loop driver: coordinator spans carry their
+   TPC-C kind on every shard; participant branches are the only spans
+   left as kind 0 ("other"). *)
+let test_sharded_spans_labelled () =
+  let cl = Cluster.create (Engine.create ()) ~shards:2 small_cfg in
+  let ts = TS.create cl ~scale:tiny_scale ~warehouses_per_shard:1 ~seed:7 () in
+  ignore
+    (TS.run_open ts ~shape:(Phoebe_workload.Open_loop.Steady 4000.0) ~duration_ns:100_000_000 ~seed:3 ());
+  let others = ref 0 in
+  for k = 0 to 1 do
+    let tr = match Db.trace (Cluster.shard cl k) with Some tr -> tr | None -> Alcotest.fail "trace missing" in
+    List.iter
+      (fun kind ->
+        check_bool
+          (Printf.sprintf "shard %d %s spans" k (T.kind_name kind))
+          true
+          (Trace.finished tr ~kind:(T.span_kind kind) > 0))
+      [ T.New_order; T.Payment ];
+    check_bool "payment label installed" true (Trace.kind_name tr (T.span_kind T.Payment) = "payment");
+    others := !others + Trace.finished tr ~kind:0
+  done;
+  let s = Cluster.stats cl in
+  check_bool "some branches ran" true (s.Cluster.branches_committed > 0);
+  check_int "kind-0 spans = participant branches" (s.Cluster.branches_committed + s.Cluster.branches_aborted) !others
+
 let test_spans_transparent () =
   let db_on, committed_on = run_small ~spans:true ~seed:11 in
   let db_off, committed_off = run_small ~spans:false ~seed:11 in
@@ -201,6 +226,7 @@ let () =
         [
           Alcotest.test_case "phases sum to wall time" `Quick test_span_phases_sum_to_wall;
           Alcotest.test_case "sharded waits are remote waits" `Quick test_sharded_remote_wait;
+          Alcotest.test_case "sharded spans carry their TPC-C kind" `Quick test_sharded_spans_labelled;
           Alcotest.test_case "on/off transparency" `Quick test_spans_transparent;
         ] );
       ("alloc", [ Alcotest.test_case "hot path allocation-free" `Quick test_hot_path_alloc_free ]);

@@ -1,12 +1,16 @@
 (* TPC-C correctness tests: loader cardinalities, each transaction's
    effects, mix runs with consistency checks, recovery mid-benchmark,
-   plus the baseline configurations. *)
+   sharded TPC-C over a cluster, plus the baseline configurations. *)
 open Phoebe_core
 module T = Phoebe_tpcc.Tpcc
 module B = Phoebe_baseline.Baseline
 module Value = Phoebe_storage.Value
 module Prng = Phoebe_util.Prng
 module Wal = Phoebe_wal.Wal
+module Engine = Phoebe_sim.Engine
+module Cluster = Phoebe_shard.Cluster
+module Open_loop = Phoebe_workload.Open_loop
+module TS = Phoebe_tpcc.Tpcc_sharded
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -199,6 +203,105 @@ let test_recovery_after_mix () =
     [ "warehouse"; "district"; "customer"; "orders"; "orderline"; "neworder"; "history" ]
 
 (* ------------------------------------------------------------------ *)
+(* Sharded TPC-C *)
+
+let sharded ~shards ~wps =
+  let cl = Cluster.create (Engine.create ()) ~shards small_cfg in
+  (cl, TS.create cl ~scale:tiny_scale ~warehouses_per_shard:wps ~seed:7 ())
+
+let run_open ts =
+  TS.run_open ts ~shape:(Open_loop.Steady 4000.0) ~duration_ns:100_000_000 ~seed:3 ()
+
+let shards_consistent cl ts =
+  for k = 0 to Cluster.shards cl - 1 do
+    List.iter
+      (fun (n, ok) -> check_bool (Printf.sprintf "shard %d: %s" k n) true ok)
+      (T.consistency_checks (TS.part ts k))
+  done
+
+let test_sharded_one_shard_stays_local () =
+  (* a remote warehouse on the same shard is a plain local access *)
+  let cl, ts = sharded ~shards:1 ~wps:2 in
+  let r = run_open ts in
+  check_bool "committed" true (r.TS.committed > 100);
+  check_int "no statement shipped" 0 (TS.cross_shard_statements ts);
+  check_int "no global transaction" 0 r.TS.cross_shard_started;
+  shards_consistent cl ts
+
+let test_sharded_two_shards_ship_statements () =
+  let cl, ts = sharded ~shards:2 ~wps:1 in
+  let r = run_open ts in
+  check_bool "committed" true (r.TS.committed > 100);
+  check_bool "statements shipped" true (TS.cross_shard_statements ts > 0);
+  check_bool "global transactions committed" true (r.TS.cross_shard_committed > 0);
+  shards_consistent cl ts
+
+(* Payment history rows ([h_data] "payment") of one shard, as
+   (h_c_w_id, h_w_id). *)
+let payment_history db =
+  Db.with_txn db (fun txn ->
+      let rows = ref [] in
+      Table.scan (Db.table db "history") txn (fun _ row ->
+          match (row.(2), row.(4), row.(7)) with
+          | Value.Int c_w, Value.Int h_w, Value.Str "payment" -> rows := (c_w, h_w) :: !rows
+          | _ -> ());
+      !rows)
+
+let test_sharded_payment_history () =
+  (* 2 shards x 2 warehouses; global warehouse 3 is shard 1's local 1.
+     A customer of global warehouse 1 (shard 0) picked by last name gets
+     exactly one history row on shard 0, naming the paying warehouse by
+     its global id. *)
+  let cl, ts = sharded ~shards:2 ~wps:2 in
+  let shard0 = Cluster.shard cl 0 in
+  let last =
+    Db.with_txn shard0 (fun txn ->
+        match
+          Table.index_lookup_first (Db.table shard0 "customer") txn ~index:"customer_pk"
+            ~key:[ Value.Int 1; Value.Int 1; Value.Int 1 ]
+        with
+        | Some (_, row) -> ( match row.(4) with Value.Str s -> s | _ -> Alcotest.fail "c_last")
+        | None -> Alcotest.fail "customer (1, 1, 1) missing")
+  in
+  Cluster.submit_dtxn cl ~home:1 (fun dtx ->
+      let at = TS.placement ts dtx ~home_g:3 in
+      check_bool "warehouse 1 is not on shard 1" true (at.T.local 1 = None);
+      ignore
+        (at.T.remote 1
+           (T.Pay_customer { d_id = 1; customer = T.By_name last; amount = 12.5; h_d_id = 2; h_w_id = 3 })));
+  Cluster.run cl;
+  check_int "one statement shipped" 1 (TS.cross_shard_statements ts);
+  check_int "global transaction committed" 1 (Cluster.stats cl).Cluster.committed;
+  Alcotest.(check (list (pair int int))) "one history row on shard 0" [ (1, 3) ] (payment_history shard0);
+  check_int "none on the paying shard" 0 (List.length (payment_history (Cluster.shard cl 1)));
+  (* real Payments homed at global 3: every history row, local or
+     shipped, carries H_W_ID 3 *)
+  let rng = Prng.create ~seed:31 in
+  for _ = 1 to 100 do
+    Cluster.submit_dtxn cl ~home:1 (fun dtx -> TS.payment ts dtx rng ~home_g:3)
+  done;
+  Cluster.run cl;
+  let rows = payment_history shard0 @ payment_history (Cluster.shard cl 1) in
+  check_int "every Payment landed one row" 101 (List.length rows);
+  check_bool "H_W_ID is the home's global id" true (List.for_all (fun (_, h_w) -> h_w = 3) rows);
+  check_int "shipped rows = statements shipped"
+    (TS.cross_shard_statements ts)
+    (List.length (payment_history shard0));
+  shards_consistent cl ts
+
+let test_stmt_wire_round_trip () =
+  List.iter
+    (fun (w_id, stmt) ->
+      check_bool "decode (encode stmt) = stmt" true (TS.decode_stmt (TS.encode_stmt ~w_id stmt) = (w_id, stmt)))
+    [
+      (2, T.Stock_line { i_id = 77; qty = 9 });
+      (1, T.Pay_customer { d_id = 3; customer = T.By_name "BARPRIESE"; amount = 4321.09; h_d_id = 2; h_w_id = 5 });
+      (4, T.Pay_customer { d_id = 1; customer = T.By_id 17; amount = 1.0; h_d_id = 1; h_w_id = 1 });
+    ];
+  check_bool "malformed array rejected" true
+    (match TS.decode_stmt [| Value.Int 1 |] with _ -> false | exception Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* Baselines *)
 
 let test_pg_like_slower_than_phoebe () =
@@ -248,6 +351,13 @@ let () =
           Alcotest.test_case "throughput series" `Quick test_throughput_series_nonempty;
         ] );
       ("recovery", [ Alcotest.test_case "after mix" `Quick test_recovery_after_mix ]);
+      ( "sharded",
+        [
+          Alcotest.test_case "one shard stays local" `Quick test_sharded_one_shard_stays_local;
+          Alcotest.test_case "two shards ship statements" `Quick test_sharded_two_shards_ship_statements;
+          Alcotest.test_case "payment history" `Quick test_sharded_payment_history;
+          Alcotest.test_case "statement wire round trip" `Quick test_stmt_wire_round_trip;
+        ] );
       ("rfa", [ Alcotest.test_case "mostly local commits" `Quick test_rfa_mostly_local_commits ]);
       ( "baseline",
         [
