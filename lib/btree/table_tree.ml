@@ -22,6 +22,14 @@ and inner = {
   ilatch : Latch.t;
 }
 
+(* Declared before [t] so that [t]'s same-named fields take precedence. *)
+type manifest = {
+  leaves : (int * int) list;
+  block_ids : int list;
+  next_rid : int;
+  max_frozen : int;
+}
+
 type location = In_page of Pax.t Bufmgr.frame * int | In_frozen of Frozen.t
 
 type t = {
@@ -63,44 +71,6 @@ let new_inner child key =
    (paper: each worker manages its own buffer pool partition). *)
 let current_partition buf =
   if Scheduler.in_fiber () then Scheduler.current_worker () mod Bufmgr.n_partitions buf else 0
-
-let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256) () =
-  let block_id_alloc =
-    match block_id_alloc with
-    | Some f -> f
-    | None ->
-      let n = ref 0 in
-      fun () ->
-        incr n;
-        !n
-  in
-  let first_page = Pax.create schema ~capacity:leaf_capacity in
-  let frame = Bufmgr.alloc buf ~partition:(current_partition buf) first_page in
-  let swip = Bufmgr.swip_of frame in
-  Bufmgr.set_parent frame swip;
-  let root = new_inner (Leaf swip) 1 in
-  let append_latch = Latch.create () in
-  Latch.set_class append_latch "table_tree.append_latch";
-  {
-    tname = name;
-    tschema = schema;
-    buf;
-    block_store;
-    leaf_capacity;
-    append_latch;
-    root = Inner root;
-    rightmost = swip;
-    next_rid = 1;
-    max_frozen = 0;
-    blocks = [||];
-    block_ids = [||];
-    block_id_alloc;
-    live_tuples = 0;
-    nleaves = 1;
-    fc_swip = swip;
-    fc_lo = 1;
-    fc_hi = 0;
-  }
 
 let name t = t.tname
 let schema t = t.tschema
@@ -537,7 +507,7 @@ let iter_blocks t f = Array.iter f t.blocks
 (* ------------------------------------------------------------------ *)
 (* Checkpoint support *)
 
-let leaf_manifest t =
+let manifest t : manifest =
   (* Write back dirty resident leaves so every page id in the manifest is
      durable in the Data Page File (cold leaves are durable by
      construction: eviction writes back). Each leaf's minimum row id is
@@ -563,11 +533,12 @@ let leaf_manifest t =
   (* one vectored submission per K dirty leaves instead of a device op
      per page *)
   Bufmgr.write_back_batch t.buf (List.rev !resident);
-  List.rev !acc
-
-let block_manifest t = Array.to_list t.block_ids
-
-let next_rid_value t = t.next_rid
+  {
+    leaves = List.rev !acc;
+    block_ids = Array.to_list t.block_ids;
+    next_rid = t.next_rid;
+    max_frozen = t.max_frozen;
+  }
 
 let compression_ratio t =
   let unc = Array.fold_left (fun acc b -> acc + Frozen.uncompressed_bytes b) 0 t.blocks in
@@ -590,43 +561,60 @@ let iter_leaf_pages t f =
           cursor := Pax.max_row_id (Bufmgr.payload frame) + 1)
   done
 
-(* Rebuild a tree from a checkpoint: cold leaf swips + frozen blocks
-   decoded from the Data Block File. The inner structure is regrown by
-   right-edge pushes, exactly as the leaves were first created. *)
-let restore ~name ~schema ~buf ~block_store ~block_id_alloc ?(leaf_capacity = 256) ~leaves
-    ~block_ids ~next_rid ~max_frozen () =
-  match leaves with
-  | [] ->
-    let t = create ~name ~schema ~buf ~block_store ~block_id_alloc ~leaf_capacity () in
-    t.next_rid <- max next_rid t.next_rid;
-    t
-  | (first_pid, first_key) :: rest ->
-    let first_swip = Bufmgr.cold_swip buf first_pid in
-    let root = new_inner (Leaf first_swip) first_key in
-    let append_latch = Latch.create () in
-    Latch.set_class append_latch "table_tree.append_latch";
-    let t =
-      {
-        tname = name;
-        tschema = schema;
-        buf;
-        block_store;
-        leaf_capacity;
-        append_latch;
-        root = Inner root;
-        rightmost = first_swip;
-        next_rid;
-        max_frozen;
-        blocks = [||];
-        block_ids = [||];
-        block_id_alloc;
-        live_tuples = 0;
-        nleaves = 1;
-        fc_swip = first_swip;
-        fc_lo = 1;
-        fc_hi = 0;
-      }
-    in
+(* ------------------------------------------------------------------ *)
+(* Construction *)
+
+(* The first leaf is a fresh empty page, or on restore the manifest's
+   first cold leaf; the inner structure is then regrown by right-edge
+   pushes, exactly as the leaves were first created. *)
+let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256) ?manifest () =
+  let block_id_alloc =
+    match block_id_alloc with
+    | Some f -> f
+    | None ->
+      let n = ref 0 in
+      fun () ->
+        incr n;
+        !n
+  in
+  let first_swip, first_key, rest =
+    match manifest with
+    | Some { leaves = (pid, key) :: rest; _ } -> (Bufmgr.cold_swip buf pid, key, rest)
+    | _ ->
+      let page = Pax.create schema ~capacity:leaf_capacity in
+      let frame = Bufmgr.alloc buf ~partition:(current_partition buf) page in
+      let swip = Bufmgr.swip_of frame in
+      Bufmgr.set_parent frame swip;
+      (swip, 1, [])
+  in
+  let root = new_inner (Leaf first_swip) first_key in
+  let append_latch = Latch.create () in
+  Latch.set_class append_latch "table_tree.append_latch";
+  let t =
+    {
+      tname = name;
+      tschema = schema;
+      buf;
+      block_store;
+      leaf_capacity;
+      append_latch;
+      root = Inner root;
+      rightmost = first_swip;
+      next_rid = 1;
+      max_frozen = 0;
+      blocks = [||];
+      block_ids = [||];
+      block_id_alloc;
+      live_tuples = 0;
+      nleaves = 1;
+      fc_swip = first_swip;
+      fc_lo = 1;
+      fc_hi = 0;
+    }
+  in
+  (match (manifest : manifest option) with
+  | None -> ()
+  | Some m ->
     List.iter
       (fun (pid, min_rid) ->
         let swip = Bufmgr.cold_swip buf pid in
@@ -634,13 +622,15 @@ let restore ~name ~schema ~buf ~block_store ~block_id_alloc ?(leaf_capacity = 25
         t.rightmost <- swip;
         add_rightmost_leaf t min_rid swip)
       rest;
+    t.next_rid <- m.next_rid;
+    t.max_frozen <- m.max_frozen;
     t.blocks <-
       Array.of_list
-        (List.map (fun bid -> Frozen.decode (Pagestore.read block_store ~page_id:bid)) block_ids);
-    t.block_ids <- Array.of_list block_ids;
+        (List.map (fun bid -> Frozen.decode (Pagestore.read block_store ~page_id:bid)) m.block_ids);
+    t.block_ids <- Array.of_list m.block_ids;
     let live = ref 0 in
     Array.iter (fun b -> live := !live + Frozen.live_count b) t.blocks;
     (* count live page-tier tuples *)
     iter_leaf_pages t (fun frame -> live := !live + Pax.live_count (Bufmgr.payload frame));
-    t.live_tuples <- !live;
-    t
+    t.live_tuples <- !live);
+  t

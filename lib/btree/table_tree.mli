@@ -20,6 +20,15 @@ type location =
   | In_frozen of Phoebe_storage.Frozen.t
       (** row is inside a frozen block *)
 
+type manifest = {
+  leaves : (int * int) list;  (** (page id, min row id) of every leaf, in row-id order *)
+  block_ids : int list;  (** Data Block File ids of the frozen blocks, in row-id order *)
+  next_rid : int;
+  max_frozen : int;
+}
+(** What a checkpoint records of a tree: enough to rebuild it over the
+    existing Data Page / Data Block files. *)
+
 val create :
   name:string ->
   schema:Phoebe_storage.Value.Schema.t ->
@@ -27,10 +36,14 @@ val create :
   block_store:Phoebe_io.Pagestore.t ->
   ?block_id_alloc:(unit -> int) ->
   ?leaf_capacity:int ->
+  ?manifest:manifest ->
   unit ->
   t
 (** [block_id_alloc] hands out ids in the (shared) Data Block File; the
     default private counter is only safe when a single tree uses the
+    store. Without [manifest] the tree starts with one empty leaf. With
+    it the tree is rebuilt from a checkpoint: leaves come back cold
+    (faulted on demand) and frozen blocks are decoded from the block
     store. *)
 
 val name : t -> string
@@ -122,28 +135,6 @@ val compression_ratio : t -> float
 
 (** {1 Checkpoint support} *)
 
-val leaf_manifest : t -> (int * int) list
-(** (page id, min row id) of every leaf in row-id order; dirty resident
-    leaves are written back first so the manifest is durable. *)
-
-val block_manifest : t -> int list
-(** Data Block File ids of the frozen blocks, in row-id order. *)
-
-val next_rid_value : t -> int
-
-val restore :
-  name:string ->
-  schema:Phoebe_storage.Value.Schema.t ->
-  buf:Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.t ->
-  block_store:Phoebe_io.Pagestore.t ->
-  block_id_alloc:(unit -> int) ->
-  ?leaf_capacity:int ->
-  leaves:(int * int) list ->
-  block_ids:int list ->
-  next_rid:int ->
-  max_frozen:int ->
-  unit ->
-  t
-(** Rebuild a tree from a checkpoint manifest over existing Data Page /
-    Data Block files: leaves come back cold (faulted on demand), frozen
-    blocks are decoded from the block store. *)
+val manifest : t -> manifest
+(** The tree's checkpoint manifest. Dirty resident leaves are written
+    back first, so every page the manifest names is durable. *)

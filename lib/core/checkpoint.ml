@@ -6,39 +6,6 @@ module Clock = Phoebe_txn.Clock
 module Wal = Phoebe_wal.Wal
 module Recovery = Phoebe_wal.Recovery
 
-let write_schema buf schema =
-  let cols = Value.Schema.columns schema in
-  Varint.write_uint buf (Array.length cols);
-  Array.iter
-    (fun (c : Value.Schema.column) ->
-      Varint.write_string buf c.Value.Schema.name;
-      Buffer.add_char buf
-        (match c.Value.Schema.ctype with
-        | Value.T_int -> 'i'
-        | Value.T_float -> 'f'
-        | Value.T_str -> 's'
-        | Value.T_bool -> 'b'))
-    cols
-
-let read_schema b off =
-  let n, off = Varint.read_uint b off in
-  let off = ref off in
-  let cols =
-    List.init n (fun _ ->
-        let name, o = Varint.read_string b !off in
-        let ty =
-          match Bytes.get b o with
-          | 'i' -> Value.T_int
-          | 'f' -> Value.T_float
-          | 's' -> Value.T_str
-          | 'b' -> Value.T_bool
-          | c -> Fmt.failwith "Checkpoint: bad column tag %C" c
-        in
-        off := o + 1;
-        (name, ty))
-  in
-  (cols, !off)
-
 let take db =
   if Txnmgr.active_count (Db.txnmgr db) > 0 then
     invalid_arg "Checkpoint.take: transactions still active";
@@ -56,21 +23,21 @@ let take db =
   Varint.write_uint buf (List.length tables);
   List.iter
     (fun table ->
-      let tree = Table.tree table in
       Varint.write_string buf (Table.name table);
-      write_schema buf (Table.schema table);
-      Varint.write_uint buf (Table_tree.next_rid_value tree);
-      Varint.write_uint buf (Table_tree.max_frozen_row_id tree);
-      let leaves = Table_tree.leaf_manifest tree in
+      Value.Schema.write buf (Table.schema table);
+      let { Table_tree.leaves; block_ids; next_rid; max_frozen } =
+        Table_tree.manifest (Table.tree table)
+      in
+      Varint.write_uint buf next_rid;
+      Varint.write_uint buf max_frozen;
       Varint.write_uint buf (List.length leaves);
       List.iter
         (fun (pid, min_rid) ->
           Varint.write_uint buf pid;
           Varint.write_uint buf min_rid)
         leaves;
-      let blocks = Table_tree.block_manifest tree in
-      Varint.write_uint buf (List.length blocks);
-      List.iter (fun bid -> Varint.write_uint buf bid) blocks;
+      Varint.write_uint buf (List.length block_ids);
+      List.iter (fun bid -> Varint.write_uint buf bid) block_ids;
       let indexes = Table.index_names table in
       Varint.write_uint buf (List.length indexes);
       List.iter
@@ -108,7 +75,7 @@ let restore ~from ~snapshot cfg =
   let deferred_indexes = ref [] in
   for _ = 1 to n_tables do
     let name, o = Varint.read_string b !off in
-    let schema, o = read_schema b o in
+    let schema, o = Value.Schema.read b o in
     let next_rid, o = Varint.read_uint b o in
     let max_frozen, o = Varint.read_uint b o in
     let n_leaves, o = Varint.read_uint b o in
@@ -128,7 +95,12 @@ let restore ~from ~snapshot cfg =
           off := o;
           bid)
     in
-    let table = Db.restore_table db ~name ~schema ~leaves ~block_ids ~next_rid ~max_frozen in
+    let schema =
+      Array.to_list (Value.Schema.columns schema)
+      |> List.map (fun (c : Value.Schema.column) -> (c.name, c.ctype))
+    in
+    let manifest = { Table_tree.leaves; block_ids; next_rid; max_frozen } in
+    let table = Db.create_table db ~name ~schema ~manifest in
     let n_ix, o = Varint.read_uint b !off in
     off := o;
     for _ = 1 to n_ix do

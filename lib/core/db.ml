@@ -25,7 +25,6 @@ type t = {
   sched : Scheduler.t;
   data_dev : Device.t;
   wal_dev : Device.t;
-  block_dev : Device.t;
   buf : Pax.t Bufmgr.t;
   block_store : Pagestore.t;
   walmgr : Wal.t;
@@ -122,8 +121,20 @@ let fault_cfg (cfg : Config.t) i =
     (fun (fc : Device.fault_config) -> { fc with Device.fault_seed = fc.Device.fault_seed + i })
     cfg.Config.faults
 
-let create_on eng (cfg : Config.t) =
-  if cfg.Config.sanitize then Sanitize.enable ();
+(* The one instance builder. A fresh build ([old] absent) creates the
+   three devices and their stores; a restart ([old] given) attaches to
+   the crashed instance's engine, devices, Data Page / Data Block stores
+   and WAL store, resumes its WAL sequences and block ids, and rebuilds
+   every volatile part exactly as a fresh build would. Construction
+   order is part of the contract: sanitizer scope ids and registry names
+   follow it. *)
+let build ?old eng (cfg : Config.t) =
+  (* A fresh build resets the sanitizer; a restart enables it only if it
+     is off: the shared WAL store's durable frontiers must keep their
+     cross-crash monotonicity history. *)
+  if cfg.Config.sanitize && (Option.is_none old || not (Sanitize.on ())) then Sanitize.enable ();
+  (* On restart the shared devices keep reporting into the old
+     instance's registry; this one gets the rebuilt components. *)
   let obs = Obs.create () in
   if cfg.Config.sanitize then export_sanitizer obs;
   let sched_cfg =
@@ -138,21 +149,26 @@ let create_on eng (cfg : Config.t) =
   let sched = Scheduler.create ~obs eng sched_cfg in
   let n_slots = cfg.Config.n_workers * cfg.Config.slots_per_worker in
   if cfg.Config.spans then Scheduler.set_trace sched (Trace.create ~obs ~n_slots ());
-  let data_dev =
-    Device.create ~obs ?faults:(fault_cfg cfg 0) eng ~name:"data" cfg.Config.data_device
-  in
-  let wal_dev =
-    Device.create ~obs ?faults:(fault_cfg cfg 1) eng ~name:"wal" cfg.Config.wal_device
-  in
-  let block_dev =
-    Device.create ~obs ?faults:(fault_cfg cfg 2) eng ~name:"blocks" Device.pm9a3
+  let data_dev, wal_dev, data_store, block_store =
+    match old with
+    | Some o -> (o.data_dev, o.wal_dev, Bufmgr.store o.buf, o.block_store)
+    | None ->
+      let dev i name dcfg = Device.create ~obs ?faults:(fault_cfg cfg i) eng ~name dcfg in
+      let data_dev = dev 0 "data" cfg.Config.data_device in
+      let wal_dev = dev 1 "wal" cfg.Config.wal_device in
+      let block_dev = dev 2 "blocks" Device.pm9a3 in
+      (data_dev, wal_dev, Pagestore.create data_dev, Pagestore.create block_dev)
   in
   let buf =
-    Bufmgr.create ~obs eng ~store:(Pagestore.create data_dev) ~partitions:cfg.Config.n_workers
+    Bufmgr.create ~obs eng ~store:data_store ~partitions:cfg.Config.n_workers
       ~budget_bytes:cfg.Config.buffer_bytes ~codec:pax_codec
   in
   Bufmgr.attach_cleaner buf ~scheduler:sched cfg.Config.cleaner;
-  let walmgr = Wal.create ~obs eng ~store:(Walstore.create wal_dev) ~n_slots cfg.Config.wal in
+  (* after the pool, not with the devices: scope ids follow this order *)
+  let wal_store = match old with Some o -> Wal.store o.walmgr | None -> Walstore.create wal_dev in
+  let walmgr =
+    Wal.create ~obs ~resume:(Option.is_some old) eng ~store:wal_store ~n_slots cfg.Config.wal
+  in
   let clock = Clock.create () in
   let contention =
     match cfg.Config.lock_style with
@@ -177,82 +193,24 @@ let create_on eng (cfg : Config.t) =
     sched;
     data_dev;
     wal_dev;
-    block_dev;
     buf;
-    block_store = Pagestore.create block_dev;
+    block_store;
     walmgr;
     txns;
     table_list = [];
     by_name = Hashtbl.create 16;
     by_id = Hashtbl.create 16;
     next_table_id = 0;
-    next_block_id = 0;
+    next_block_id = (match old with Some o -> o.next_block_id | None -> 0);
     commits_since_gc = Array.make cfg.Config.n_workers 0;
     gc_pending = Array.make cfg.Config.n_workers false;
     n_shed = Obs.counter obs "db.shed";
     inflight = 0;
   }
 
-let create cfg = create_on (Engine.create ()) cfg
-
-(* Same engine + devices + store contents, fresh volatile state: the
-   restart-after-crash topology used by checkpoint restore. *)
-let create_attached old (cfg : Config.t) =
-  let eng = old.eng in
-  (* Enable without reset on restart: the shared WAL store's durable
-     frontiers must keep their cross-crash monotonicity history. *)
-  if cfg.Config.sanitize && not (Sanitize.on ()) then Sanitize.enable ();
-  (* Fresh registry for the restarted instance's own components; the
-     shared devices keep reporting into the old instance's registry. *)
-  let obs = Obs.create () in
-  if cfg.Config.sanitize then export_sanitizer obs;
-  let sched_cfg =
-    {
-      Scheduler.model = cfg.Config.model;
-      n_workers = cfg.Config.n_workers;
-      slots_per_worker = cfg.Config.slots_per_worker;
-      cpu = cfg.Config.cpu;
-      cost = cfg.Config.cost;
-    }
-  in
-  let sched = Scheduler.create ~obs eng sched_cfg in
-  let n_slots = cfg.Config.n_workers * cfg.Config.slots_per_worker in
-  if cfg.Config.spans then Scheduler.set_trace sched (Trace.create ~obs ~n_slots ());
-  let buf =
-    Bufmgr.create ~obs eng ~store:(Bufmgr.store old.buf) ~partitions:cfg.Config.n_workers
-      ~budget_bytes:cfg.Config.buffer_bytes ~codec:pax_codec
-  in
-  Bufmgr.attach_cleaner buf ~scheduler:sched cfg.Config.cleaner;
-  let walmgr =
-    Wal.create ~obs ~resume:true eng ~store:(Wal.store old.walmgr) ~n_slots cfg.Config.wal
-  in
-  let clock = Clock.create () in
-  let txns =
-    Txnmgr.create ~obs ~clock ~wal:walmgr ~n_slots ~snapshot_mode:cfg.Config.snapshot_mode ()
-  in
-  Bufmgr.set_write_sanitizer buf (fun ~page_id p -> sanitize_page txns ~page_id p);
-  {
-    cfg;
-    eng;
-    obs;
-    sched;
-    data_dev = old.data_dev;
-    wal_dev = old.wal_dev;
-    block_dev = old.block_dev;
-    buf;
-    block_store = old.block_store;
-    walmgr;
-    txns;
-    table_list = [];
-    by_name = Hashtbl.create 16;
-    by_id = Hashtbl.create 16;
-    next_table_id = 0;
-    next_block_id = old.next_block_id;
-    commits_since_gc = Array.make cfg.Config.n_workers 0;
-    gc_pending = Array.make cfg.Config.n_workers false;
-    n_shed = Obs.counter obs "db.shed";
-    inflight = 0;
-  }
+let create_on eng cfg = build eng cfg
+let create cfg = build (Engine.create ()) cfg
+let create_attached old cfg = build ~old old.eng cfg
 
 let config t = t.cfg
 let engine t = t.eng
@@ -269,7 +227,7 @@ let now t = Engine.now t.eng
 (* ------------------------------------------------------------------ *)
 (* DDL *)
 
-let create_table t ~name ~schema =
+let create_table ?manifest t ~name ~schema =
   if Hashtbl.mem t.by_name name then invalid_arg ("Db.create_table: duplicate table " ^ name);
   t.next_table_id <- t.next_table_id + 1;
   let block_id_alloc () =
@@ -277,9 +235,9 @@ let create_table t ~name ~schema =
     t.next_block_id
   in
   let table =
-    Table.create ~id:t.next_table_id ~name ~schema:(Value.Schema.make schema) ~buf:t.buf
+    Table.create ?manifest ~id:t.next_table_id ~name ~schema:(Value.Schema.make schema) ~buf:t.buf
       ~block_store:t.block_store ~block_id_alloc ~txnmgr:t.txns ~wal:t.walmgr
-      ~leaf_capacity:t.cfg.Config.leaf_capacity
+      ~leaf_capacity:t.cfg.Config.leaf_capacity ()
   in
   t.table_list <- table :: t.table_list;
   Hashtbl.replace t.by_name name table;
@@ -287,23 +245,6 @@ let create_table t ~name ~schema =
   table
 
 let create_index _t table ~name ~cols ~unique = Table.add_index table ~name ~cols ~unique
-
-let restore_table t ~name ~schema ~leaves ~block_ids ~next_rid ~max_frozen =
-  if Hashtbl.mem t.by_name name then invalid_arg ("Db.restore_table: duplicate table " ^ name);
-  t.next_table_id <- t.next_table_id + 1;
-  let block_id_alloc () =
-    t.next_block_id <- t.next_block_id + 1;
-    t.next_block_id
-  in
-  let table =
-    Table.restore ~id:t.next_table_id ~name ~schema:(Value.Schema.make schema) ~buf:t.buf
-      ~block_store:t.block_store ~block_id_alloc ~txnmgr:t.txns ~wal:t.walmgr
-      ~leaf_capacity:t.cfg.Config.leaf_capacity ~leaves ~block_ids ~next_rid ~max_frozen
-  in
-  t.table_list <- table :: t.table_list;
-  Hashtbl.replace t.by_name name table;
-  Hashtbl.replace t.by_id (Table.id table) table;
-  table
 
 let table t name =
   match Hashtbl.find_opt t.by_name name with Some tbl -> tbl | None -> raise Not_found
@@ -487,13 +428,6 @@ let sync_stores t =
   Engine.run t.eng;
   if !pending <> 0 then
     Phoebe_error.bug ~subsystem:"core.db" "sync_stores: page-store sync did not converge"
-
-let flush_pages t =
-  let completed = ref false in
-  Bufmgr.flush_all_dirty t.buf ~on_done:(fun () -> completed := true);
-  Engine.run t.eng;
-  if not !completed then
-    Phoebe_error.bug ~subsystem:"core.db" "flush_pages: dirty-page flush did not complete after engine drain"
 
 let gc t =
   let reclaim (undo : Phoebe_txn.Undo.t) =

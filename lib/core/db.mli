@@ -10,29 +10,21 @@
 type t
 
 val create : Config.t -> t
+(** A fresh instance on its own simulation engine: new devices, empty
+    stores. *)
 
 val create_on : Phoebe_sim.Engine.t -> Config.t -> t
 (** Create a database on an existing simulation engine — several
     instances then share one virtual clock (replication topologies). *)
 
 val create_attached : t -> Config.t -> t
-(** A fresh instance on the same engine reusing the old instance's
-    devices and on-"disk" stores — the restart-after-crash shape: the
-    Data Page / Data Block / WAL files survive, the in-memory state does
-    not. WAL writers resume their LSN/GSN sequences. Used by
-    {!Checkpoint.restore}. *)
-
-val restore_table :
-  t ->
-  name:string ->
-  schema:(string * Phoebe_storage.Value.col_type) list ->
-  leaves:(int * int) list ->
-  block_ids:int list ->
-  next_rid:int ->
-  max_frozen:int ->
-  Table.t
-(** Register a table rebuilt from a checkpoint manifest (no initial
-    empty page; leaves fault in from the existing Data Page File). *)
+(** The restart-after-crash shape: a fresh instance on the old one's
+    engine that reuses its devices and on-"disk" stores — the Data Page
+    / Data Block / WAL files survive, the in-memory state does not. WAL
+    writers resume their LSN/GSN sequences and frozen-block ids continue
+    past the old instance's. Everything volatile is built exactly as by
+    {!create_on}, including the configured {!Config.t.lock_style}
+    contention. Used by {!Checkpoint.restore}. *)
 
 (** {1 Accessors} *)
 
@@ -58,7 +50,17 @@ val now : t -> int
 
 (** {1 DDL} *)
 
-val create_table : t -> name:string -> schema:(string * Phoebe_storage.Value.col_type) list -> Table.t
+val create_table :
+  ?manifest:Phoebe_btree.Table_tree.manifest ->
+  t ->
+  name:string ->
+  schema:(string * Phoebe_storage.Value.col_type) list ->
+  Table.t
+(** Register a table. With [manifest] (a checkpoint restore) the table is
+    rebuilt over the existing Data Page / Data Block files: no initial
+    empty page, leaves fault in on demand.
+    @raise Invalid_argument for a duplicate table name. *)
+
 val create_index : t -> Table.t -> name:string -> cols:string list -> unique:bool -> unit
 val table : t -> string -> Table.t
 (** @raise Not_found for an unknown table. *)
@@ -149,10 +151,6 @@ val sync_stores : t -> unit
     [Checkpoint.take] calls this before publishing a snapshot — the
     image is not a recovery point while any page it references is
     volatile. *)
-
-val flush_pages : t -> unit
-(** Write back every dirty buffer page through the cleaner's vectored
-    batch path and drive the engine until the batches complete. *)
 
 type crash_report = {
   wal_files : (int * int * int) list;

@@ -46,31 +46,14 @@ let name t = t.tbl_name
 let schema t = t.tschema
 let tree t = t.ttree
 
-let create ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~leaf_capacity =
-  {
-    tid = id;
-    tbl_name = name;
-    tschema = schema;
-    ttree = Table_tree.create ~name ~schema ~buf ~block_store ~block_id_alloc ~leaf_capacity ();
-    txnmgr;
-    wal;
-    indexes = [];
-    tlock = Tablelock.create ();
-    frozen_read_counts = Hashtbl.create 16;
-    frozen_reads_total = 0;
-    scratch = Tupbuf.create ~arity:(Value.Schema.arity schema);
-    key_scratch = Buffer.create 64;
-  }
-
-let restore ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~leaf_capacity
-    ~leaves ~block_ids ~next_rid ~max_frozen =
+let create ?manifest ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr ~wal ~leaf_capacity
+    () =
   {
     tid = id;
     tbl_name = name;
     tschema = schema;
     ttree =
-      Table_tree.restore ~name ~schema ~buf ~block_store ~block_id_alloc ~leaf_capacity ~leaves
-        ~block_ids ~next_rid ~max_frozen ();
+      Table_tree.create ~name ~schema ~buf ~block_store ~block_id_alloc ~leaf_capacity ?manifest ();
     txnmgr;
     wal;
     indexes = [];
@@ -270,6 +253,31 @@ let rec write_entry t (txn : txn) ~page_key ~rid =
 let sts_for entry =
   match Twin.chain_head entry with Some h -> h.Undo.ets | None -> 0
 
+(* Push this transaction's new version of a tuple: an UNDO log holding
+   the before-image [kind] becomes the head of the twin entry's version
+   chain and joins the transaction's rollback list. *)
+let push_version t (txn : txn) twin entry ~rid kind =
+  let undo =
+    Undo.make ~table_id:t.tid ~rid ~kind ~sts:(sts_for entry) ~xid:txn.Txnmgr.xid
+      ~slot:txn.Txnmgr.slot ~prev:entry.Twin.head
+  in
+  entry.Twin.head <- Some undo;
+  Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
+  Txnmgr.add_undo t.txnmgr txn undo
+
+(* [write_entry] may have waited (suspension): the frame the caller saw
+   can have been evicted and reloaded meanwhile. Re-locate [rid]; a row
+   that is gone, frozen meanwhile or delete-marked releases the tuple
+   lock and yields [None]. *)
+let relocate_live t (txn : txn) entry ~rid =
+  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
+  | Some (Table_tree.In_page (frame, slot)) as hit
+    when not (Pax.is_deleted (Bufmgr.payload frame) ~slot) ->
+    hit
+  | _ ->
+    Txnmgr.unlock_tuple t.txnmgr txn entry;
+    None
+
 (* Uniqueness against the live row set: a same-key entry conflicts
    unless its row is delete-marked by a committed deletion or by this
    very transaction. An uncommitted deletion by another transaction
@@ -313,13 +321,7 @@ let insert t (txn : txn) row =
     Table_tree.append t.ttree row ~on_page:(fun frame rid ->
         let twin = Txnmgr.twin_for_page t.txnmgr ~page_id:(Bufmgr.page_id frame) in
         let entry = Twin.find_or_add twin ~rid in
-        let undo =
-          Undo.make ~table_id:t.tid ~rid ~kind:Undo.Created ~sts:0 ~xid:txn.Txnmgr.xid
-            ~slot:txn.Txnmgr.slot ~prev:None
-        in
-        entry.Twin.head <- Some undo;
-        Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
-        Txnmgr.add_undo t.txnmgr txn undo;
+        push_version t txn twin entry ~rid Undo.Created;
         log_page_write ~entry t txn frame (Record.Insert { table = t.tid; rid; row }))
   in
   List.iter
@@ -354,19 +356,9 @@ let rec writes_any_key cols = function
 let update_in_page t (txn : txn) ~page_key ~rid compute =
   let c = Scheduler.current_cost () in
   let twin, entry = write_entry t txn ~page_key ~rid in
-  (* write_entry may have waited (suspension): the frame seen by our
-     caller can have been evicted and reloaded meanwhile — re-locate *)
-  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | None | Some (Table_tree.In_frozen _) ->
-    Txnmgr.unlock_tuple t.txnmgr txn entry;
-    false
+  match relocate_live t txn entry ~rid with
   | Some (Table_tree.In_page (frame, slot)) ->
-  let page = Bufmgr.payload frame in
-  if Pax.is_deleted page ~slot then begin
-    Txnmgr.unlock_tuple t.txnmgr txn entry;
-    false
-  end
-  else begin
+    let page = Bufmgr.payload frame in
     Fun.protect
       ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
       (fun () ->
@@ -389,13 +381,7 @@ let update_in_page t (txn : txn) ~page_key ~rid compute =
           end
           else None
         in
-        let undo =
-          Undo.make ~table_id:t.tid ~rid ~kind:(Undo.Updated before) ~sts:(sts_for entry)
-            ~xid:txn.Txnmgr.xid ~slot:txn.Txnmgr.slot ~prev:entry.Twin.head
-        in
-        entry.Twin.head <- Some undo;
-        Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
-        Txnmgr.add_undo t.txnmgr txn undo;
+        push_version t txn twin entry ~rid (Undo.Updated before);
         List.iter
           (fun (col, v) ->
             Scheduler.charge Component.Effective c.Cost.pax_write_per_col;
@@ -419,38 +405,34 @@ let update_in_page t (txn : txn) ~page_key ~rid compute =
               end)
             t.indexes);
         true)
-  end
+  | _ -> false
 
-(* Out-of-place update of a frozen row (§5.2 case 3): delete-mark the
-   frozen copy under MVCC, re-insert the new version into hot storage. *)
-let update_frozen t (txn : txn) block ~rid compute =
+(* Delete-mark a frozen row under MVCC. Frozen rows are updated out of
+   place (§5.2 case 3): with [reinsert], that new version is inserted
+   into hot storage before the tuple lock is released. *)
+let delete_frozen ?reinsert t (txn : txn) block ~rid old_row =
+  let twin, entry = write_entry t txn ~page_key:(frozen_twin_key t rid) ~rid in
+  if Frozen.is_deleted block ~row_id:rid then begin
+    Txnmgr.unlock_tuple t.txnmgr txn entry;
+    false
+  end
+  else
+    Fun.protect
+      ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
+      (fun () ->
+        push_version t txn twin entry ~rid (Undo.Deleted old_row);
+        ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
+        log_frozen_write t txn (Record.Delete { table = t.tid; rid });
+        (match reinsert with Some row -> ignore (insert t txn row) | None -> ());
+        true)
+
+let update_frozen t txn block ~rid compute =
   match Frozen.get_raw block ~row_id:rid with
   | None -> false
   | Some old_row ->
-    let cols_idx = compute old_row in
-    let twin, entry = write_entry t txn ~page_key:(frozen_twin_key t rid) ~rid in
-    if Frozen.is_deleted block ~row_id:rid then begin
-      Txnmgr.unlock_tuple t.txnmgr txn entry;
-      false
-    end
-    else begin
-      Fun.protect
-        ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
-        (fun () ->
-          let undo =
-            Undo.make ~table_id:t.tid ~rid ~kind:(Undo.Deleted old_row) ~sts:(sts_for entry)
-              ~xid:txn.Txnmgr.xid ~slot:txn.Txnmgr.slot ~prev:entry.Twin.head
-          in
-          entry.Twin.head <- Some undo;
-          Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
-          Txnmgr.add_undo t.txnmgr txn undo;
-          ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
-          log_frozen_write t txn (Record.Delete { table = t.tid; rid });
-          let new_row = Array.copy old_row in
-          List.iter (fun (col, v) -> new_row.(col) <- v) cols_idx;
-          ignore (insert t txn new_row);
-          true)
-    end
+    let new_row = Array.copy old_row in
+    List.iter (fun (col, v) -> new_row.(col) <- v) (compute old_row);
+    delete_frozen ~reinsert:new_row t txn block ~rid old_row
 
 let cols_to_idx t cols =
   List.map (fun (name, v) -> (Value.Schema.column_index t.tschema name, v)) cols
@@ -478,56 +460,20 @@ let delete t (txn : txn) ~rid =
   | None -> false
   | Some (Table_tree.In_page (frame0, _)) -> (
     let twin, entry = write_entry t txn ~page_key:(Bufmgr.page_id frame0) ~rid in
-    match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-    | None | Some (Table_tree.In_frozen _) ->
-      Txnmgr.unlock_tuple t.txnmgr txn entry;
-      false
+    match relocate_live t txn entry ~rid with
     | Some (Table_tree.In_page (frame, slot)) ->
-    let page = Bufmgr.payload frame in
-    if Pax.is_deleted page ~slot then begin
-      Txnmgr.unlock_tuple t.txnmgr txn entry;
-      false
-    end
-    else begin
       Fun.protect
         ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
         (fun () ->
-          let before = Pax.get page ~slot in
-          let undo =
-            Undo.make ~table_id:t.tid ~rid ~kind:(Undo.Deleted before) ~sts:(sts_for entry)
-              ~xid:txn.Txnmgr.xid ~slot:txn.Txnmgr.slot ~prev:entry.Twin.head
-          in
-          entry.Twin.head <- Some undo;
-          Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
-          Txnmgr.add_undo t.txnmgr txn undo;
+          push_version t txn twin entry ~rid (Undo.Deleted (Pax.get (Bufmgr.payload frame) ~slot));
           ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
           log_page_write ~entry t txn frame (Record.Delete { table = t.tid; rid });
           true)
-    end)
+    | _ -> false)
   | Some (Table_tree.In_frozen block) -> (
     match Frozen.get_raw block ~row_id:rid with
     | None -> false
-    | Some old_row ->
-      let twin, entry = write_entry t txn ~page_key:(frozen_twin_key t rid) ~rid in
-      if Frozen.is_deleted block ~row_id:rid then begin
-        Txnmgr.unlock_tuple t.txnmgr txn entry;
-        false
-      end
-      else begin
-        Fun.protect
-          ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
-          (fun () ->
-            let undo =
-              Undo.make ~table_id:t.tid ~rid ~kind:(Undo.Deleted old_row) ~sts:(sts_for entry)
-                ~xid:txn.Txnmgr.xid ~slot:txn.Txnmgr.slot ~prev:entry.Twin.head
-            in
-            entry.Twin.head <- Some undo;
-            Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
-            Txnmgr.add_undo t.txnmgr txn undo;
-            ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
-            log_frozen_write t txn (Record.Delete { table = t.tid; rid });
-            true)
-      end)
+    | Some old_row -> delete_frozen t txn block ~rid old_row)
 
 (* ------------------------------------------------------------------ *)
 (* Index access *)

@@ -27,6 +27,7 @@ val tree : t -> Phoebe_btree.Table_tree.t
 (** {1 DDL} *)
 
 val create :
+  ?manifest:Phoebe_btree.Table_tree.manifest ->
   id:int ->
   name:string ->
   schema:Phoebe_storage.Value.Schema.t ->
@@ -36,25 +37,10 @@ val create :
   txnmgr:Phoebe_txn.Txnmgr.t ->
   wal:Phoebe_wal.Wal.t ->
   leaf_capacity:int ->
+  unit ->
   t
-
-val restore :
-  id:int ->
-  name:string ->
-  schema:Phoebe_storage.Value.Schema.t ->
-  buf:Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.t ->
-  block_store:Phoebe_io.Pagestore.t ->
-  block_id_alloc:(unit -> int) ->
-  txnmgr:Phoebe_txn.Txnmgr.t ->
-  wal:Phoebe_wal.Wal.t ->
-  leaf_capacity:int ->
-  leaves:(int * int) list ->
-  block_ids:int list ->
-  next_rid:int ->
-  max_frozen:int ->
-  t
-(** Rebuild a table over existing Data Page / Data Block files from a
-    checkpoint manifest (see {!Checkpoint}). *)
+(** A new, empty table; with [manifest] (see {!Checkpoint}), the table
+    is rebuilt over the existing Data Page / Data Block files instead. *)
 
 val add_index : t -> name:string -> cols:string list -> unique:bool -> unit
 (** Create a secondary index over the named columns and backfill it from

@@ -688,32 +688,6 @@ let write_back_batch t frames =
       (chunked batch_pages dirty)
   end
 
-let flush_all_dirty t ~on_done =
-  let batch_pages = max 1 t.cleaner_cfg.cl_batch_pages in
-  let chunks =
-    Array.to_list t.parts
-    |> List.concat_map (fun part ->
-           Hashtbl.fold
-             (fun _ f acc -> if f.fdirty && f.fpayload <> None then f :: acc else acc)
-             part.frames []
-           |> List.sort (fun a b -> Int.compare a.fpage_id b.fpage_id)
-           |> chunked batch_pages)
-  in
-  match chunks with
-  | [] -> on_done ()
-  | _ ->
-    let remaining = ref (List.length chunks) in
-    List.iter
-      (fun chunk ->
-        let pages = snapshot_chunk t chunk in
-        Obs.Counter.incr t.cl_batches;
-        Obs.Counter.add t.cl_pages (List.length pages);
-        Stats.Scalar.add t.cl_batch_sizes (float_of_int (List.length pages));
-        Pagestore.write_batch t.pstore pages ~on_complete:(fun () ->
-            decr remaining;
-            if !remaining = 0 then on_done ()))
-      chunks
-
 let resident_bytes t = Array.fold_left (fun acc p -> acc + p.used_bytes) 0 t.parts
 let resident_pages t = Array.fold_left (fun acc p -> acc + Hashtbl.length p.frames) 0 t.parts
 let is_resident f = f.fpayload <> None

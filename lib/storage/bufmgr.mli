@@ -172,12 +172,6 @@ val write_back_batch : 'p t -> 'p frame list -> unit
     suspends until every chunk completes. Clean or non-resident frames
     are skipped. Must run inside a scheduler fiber. *)
 
-val flush_all_dirty : 'p t -> on_done:(unit -> unit) -> unit
-(** Write back every dirty resident frame in every partition (sorted by
-    page id, chunked at [cl_batch_pages]) and call [on_done] once all
-    batches complete. Callback-style so the checkpoint path can drive it
-    from outside a fiber; frames stay resident. *)
-
 (** {1 Replacement} *)
 
 val maintain : 'p t -> partition:int -> unit

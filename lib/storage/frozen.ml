@@ -293,25 +293,12 @@ let uncompressed_bytes t = t.raw_bytes
    run on the freeze/eviction path and never interleave (single domain,
    no suspension points inside encode). *)
 let encode_scratch = Buffer.create 4096
-let encode_out_scratch = Buffer.create 4096
 
 let encode t =
   let buf = encode_scratch in
   Buffer.clear buf;
-  let n = count t in
-  Varint.write_uint buf n;
-  let ncols = Value.Schema.arity t.fschema in
-  Varint.write_uint buf ncols;
-  Array.iter
-    (fun (c : Value.Schema.column) ->
-      Varint.write_string buf c.Value.Schema.name;
-      Buffer.add_char buf
-        (match c.Value.Schema.ctype with
-        | Value.T_int -> 'i'
-        | Value.T_float -> 'f'
-        | Value.T_str -> 's'
-        | Value.T_bool -> 'b'))
-    (Value.Schema.columns t.fschema);
+  Varint.write_uint buf (count t);
+  Value.Schema.write buf t.fschema;
   Array.iter (fun rid -> Varint.write_uint buf rid) t.row_ids;
   Buffer.add_bytes buf t.deleted;
   Array.iter (fun bm -> Buffer.add_bytes buf bm) t.nulls;
@@ -341,36 +328,13 @@ let encode t =
         Array.iter (Varint.write_string buf) dict;
         Array.iter (fun c -> Varint.write_uint buf c) codes)
     t.cols;
-  let body = Buffer.to_bytes buf in
-  let crc = Crc32.bytes body ~pos:0 ~len:(Bytes.length body) in
-  let out = encode_out_scratch in
-  Buffer.clear out;
-  Varint.write_uint out crc;
-  Buffer.add_bytes out body;
-  Buffer.to_bytes out
+  Crc32.seal buf
 
 let decode b =
-  let crc, body_off = Varint.read_uint b 0 in
-  if crc <> Crc32.bytes b ~pos:body_off ~len:(Bytes.length b - body_off) then
-    failwith "Frozen.decode: checksum mismatch";
-  let n, off = Varint.read_uint b body_off in
-  let ncols, off = Varint.read_uint b off in
+  let n, off = Varint.read_uint b (Crc32.unseal b) in
+  let schema, off = Value.Schema.read b off in
+  let ncols = Value.Schema.arity schema in
   let off = ref off in
-  let specs =
-    List.init ncols (fun _ ->
-        let name, o = Varint.read_string b !off in
-        let ctype =
-          match Bytes.get b o with
-          | 'i' -> Value.T_int
-          | 'f' -> Value.T_float
-          | 's' -> Value.T_str
-          | 'b' -> Value.T_bool
-          | c -> Fmt.failwith "Frozen.decode: bad column type %C" c
-        in
-        off := o + 1;
-        (name, ctype))
-  in
-  let schema = Value.Schema.make specs in
   let row_ids = Array.make n 0 in
   for i = 0 to n - 1 do
     let rid, o = Varint.read_uint b !off in

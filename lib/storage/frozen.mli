@@ -53,4 +53,8 @@ val compressed_bytes : t -> int
 val uncompressed_bytes : t -> int
 
 val encode : t -> Bytes.t
+(** Serialise into a {!Phoebe_util.Crc32.seal}ed image; the schema goes
+    through {!Value.Schema.write}. *)
+
 val decode : Bytes.t -> t
+(** @raise Failure on checksum mismatch or malformed input. *)

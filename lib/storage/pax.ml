@@ -193,75 +193,40 @@ let size_bytes t =
   (t.pcapacity * per_row) + t.str_bytes + 64
 
 (* [encode] runs on the cleaner/eviction path for every dirtied page;
-   the two intermediate buffers are module-level scratch so repeated
-   encodes do not rebuild them. Single-domain kernel: no concurrent
-   encode can interleave (fibers cannot suspend inside encode). *)
+   the body buffer is module-level scratch so repeated encodes do not
+   rebuild it. Single-domain kernel: no concurrent encode can interleave
+   (fibers cannot suspend inside encode). *)
 let encode_scratch = Buffer.create 4096
-let encode_out_scratch = Buffer.create 4096
 
 let encode t =
   let buf = encode_scratch in
   Buffer.clear buf;
   Varint.write_uint buf t.pcapacity;
   Varint.write_uint buf t.n;
-  let ncols = Value.Schema.arity t.pschema in
-  Varint.write_uint buf ncols;
-  Array.iter
-    (fun (c : Value.Schema.column) ->
-      Varint.write_string buf c.Value.Schema.name;
-      Buffer.add_char buf
-        (match c.Value.Schema.ctype with
-        | Value.T_int -> 'i'
-        | Value.T_float -> 'f'
-        | Value.T_str -> 's'
-        | Value.T_bool -> 'b'))
-    (Value.Schema.columns t.pschema);
+  Value.Schema.write buf t.pschema;
   for slot = 0 to t.n - 1 do
     Varint.write_uint buf t.row_ids.(slot);
     Buffer.add_char buf (if bitmap_get t.deleted slot then '\x01' else '\x00')
   done;
   (* column-major payload, preserving the PAX layout on disk *)
-  for col = 0 to ncols - 1 do
+  for col = 0 to Value.Schema.arity t.pschema - 1 do
     for slot = 0 to t.n - 1 do
       Value.encode buf (store_get t ~slot ~col)
     done
   done;
-  let body = Buffer.to_bytes buf in
-  let crc = Crc32.bytes body ~pos:0 ~len:(Bytes.length body) in
-  let out = encode_out_scratch in
-  Buffer.clear out;
-  Varint.write_uint out crc;
-  Buffer.add_bytes out body;
-  Buffer.to_bytes out
+  Crc32.seal buf
 
 let decode b =
-  let crc, body_off = Varint.read_uint b 0 in
-  let actual = Crc32.bytes b ~pos:body_off ~len:(Bytes.length b - body_off) in
-  if crc <> actual then failwith "Pax.decode: checksum mismatch";
-  let capacity, off = Varint.read_uint b body_off in
+  let capacity, off = Varint.read_uint b (Crc32.unseal b) in
   let n, off = Varint.read_uint b off in
-  let ncols, off = Varint.read_uint b off in
+  let schema, off = Value.Schema.read b off in
+  let ncols = Value.Schema.arity schema in
   let off = ref off in
-  let specs =
-    List.init ncols (fun _ ->
-        let name, o = Varint.read_string b !off in
-        let ctype =
-          match Bytes.get b o with
-          | 'i' -> Value.T_int
-          | 'f' -> Value.T_float
-          | 's' -> Value.T_str
-          | 'b' -> Value.T_bool
-          | c -> Fmt.failwith "Pax.decode: bad column type %C" c
-        in
-        off := o + 1;
-        (name, ctype))
-  in
-  let t = create (Value.Schema.make specs) ~capacity in
-  let dels = Array.make n false in
+  let t = create schema ~capacity in
   for slot = 0 to n - 1 do
     let rid, o = Varint.read_uint b !off in
     t.row_ids.(slot) <- rid;
-    dels.(slot) <- Bytes.get b o = '\x01';
+    if Bytes.get b o = '\x01' then bitmap_set t.deleted slot true;
     off := o + 1
   done;
   t.n <- n;
@@ -271,8 +236,5 @@ let decode b =
       store_set t ~slot ~col v;
       off := o
     done
-  done;
-  for slot = 0 to n - 1 do
-    if dels.(slot) then bitmap_set t.deleted slot true
   done;
   t

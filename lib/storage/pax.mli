@@ -74,7 +74,8 @@ val size_bytes : t -> int
 (** Current storage footprint estimate (for buffer budgets). *)
 
 val encode : t -> Bytes.t
-(** Serialise with a trailing CRC32. *)
+(** Serialise into a {!Phoebe_util.Crc32.seal}ed image; the schema goes
+    through {!Value.Schema.write}. *)
 
 val decode : Bytes.t -> t
 (** @raise Failure on checksum mismatch or malformed input. *)

@@ -138,4 +138,32 @@ module Schema = struct
     && Array.for_all2
          (fun v c -> match type_of v with None -> true | Some ty -> ty = c.ctype)
          row t.cols
+
+  let write buf t =
+    Varint.write_uint buf (Array.length t.cols);
+    Array.iter
+      (fun c ->
+        Varint.write_string buf c.name;
+        Buffer.add_char buf
+          (match c.ctype with T_int -> 'i' | T_float -> 'f' | T_str -> 's' | T_bool -> 'b'))
+      t.cols
+
+  let read b off =
+    let n, off = Varint.read_uint b off in
+    let off = ref off in
+    let specs =
+      List.init n (fun _ ->
+          let name, o = Varint.read_string b !off in
+          let ctype =
+            match Bytes.get b o with
+            | 'i' -> T_int
+            | 'f' -> T_float
+            | 's' -> T_str
+            | 'b' -> T_bool
+            | c -> Fmt.failwith "Value.Schema.read: bad column type %C" c
+          in
+          off := o + 1;
+          (name, ctype))
+    in
+    (make specs, !off)
 end

@@ -51,4 +51,14 @@ module Schema : sig
 
   val check_row : t -> value array -> bool
   (** Arity matches and every non-null value matches its column type. *)
+
+  val write : Buffer.t -> t -> unit
+  (** The one on-disk schema format, shared by PAX pages, frozen blocks
+      and checkpoint catalogs: the column count, then per column its
+      length-prefixed name and a one-byte type tag ([i]nt, [f]loat,
+      [s]tring, [b]ool). *)
+
+  val read : Bytes.t -> int -> t * int
+  (** Decode a {!write}n schema at an offset; returns the offset after it.
+      @raise Failure on an unknown type tag. *)
 end

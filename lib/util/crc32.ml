@@ -18,3 +18,24 @@ let bytes b ~pos ~len =
   crc_loop table b pos (pos + len) 0xFFFFFFFF lxor 0xFFFFFFFF
 
 let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+
+(* Module-level header scratch: sealing never interleaves (single
+   domain, no suspension point inside). *)
+let header = Buffer.create 8
+
+let seal body =
+  let body = Buffer.to_bytes body in
+  let len = Bytes.length body in
+  Buffer.clear header;
+  Varint.write_uint header (bytes body ~pos:0 ~len);
+  let h = Buffer.length header in
+  let image = Bytes.create (h + len) in
+  Buffer.blit header 0 image 0 h;
+  Bytes.blit body 0 image h len;
+  image
+
+let unseal image =
+  let crc, off = Varint.read_uint image 0 in
+  if crc <> bytes image ~pos:off ~len:(Bytes.length image - off) then
+    failwith "Crc32.unseal: checksum mismatch";
+  off

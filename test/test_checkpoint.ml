@@ -137,6 +137,28 @@ let test_checkpoint_after_concurrent_run () =
   Alcotest.(check (list (pair int int))) "image + suffix = primary state" (dump db1 t1)
     (dump db2 (Db.table db2 "kv"))
 
+(* A restart is a fresh build over the surviving stores: a PG-style
+   instance must keep its lock-table and proc-array contention after a
+   checkpoint restore, not fall back to decentralized locking. *)
+let test_restore_keeps_lock_style () =
+  let cfg = { (Phoebe_baseline.Baseline.pg_like ~workers:2 ()) with Config.spans = true } in
+  let update_lock_wait db =
+    let t = Db.table db "kv" in
+    Db.submit db (fun txn -> ignore (Table.update t txn ~rid:1 [ ("v", Value.Int 7) ]));
+    Db.run db;
+    match Db.trace db with
+    | Some tr -> Phoebe_obs.Trace.phase_ns tr ~kind:0 Phoebe_obs.Trace.Lock_wait
+    | None -> Alcotest.fail "spans are on"
+  in
+  let db1 = Db.create cfg in
+  let t1 = kv_ddl db1 in
+  Db.with_txn db1 (fun txn -> ignore (Table.insert t1 txn [| Value.Int 1; Value.Int 1 |]));
+  check_bool "fresh instance waits on the lock table" true (update_lock_wait db1 > 0.);
+  let snapshot = Checkpoint.take db1 in
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  check_bool "restored instance waits on the lock table" true (update_lock_wait db2 > 0.)
+
 let () =
   Alcotest.run "phoebe_checkpoint"
     [
@@ -147,5 +169,6 @@ let () =
           Alcotest.test_case "frozen tier" `Quick test_checkpoint_with_frozen_tier;
           Alcotest.test_case "rejects active txns" `Quick test_checkpoint_rejects_active_txns;
           Alcotest.test_case "after concurrent run" `Quick test_checkpoint_after_concurrent_run;
+          Alcotest.test_case "restore keeps lock style" `Quick test_restore_keeps_lock_style;
         ] );
     ]

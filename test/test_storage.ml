@@ -6,6 +6,7 @@ open Phoebe_storage
 module Engine = Phoebe_sim.Engine
 module Device = Phoebe_io.Device
 module Pagestore = Phoebe_io.Pagestore
+module Crc32 = Phoebe_util.Crc32
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -621,6 +622,82 @@ let test_get_into_alloc_savings () =
     Alcotest.failf "get_into allocated %.0f minor words over %d probes — more than boxing alone"
       dw_into probes
 
+(* ------------------------------------------------------------------ *)
+(* On-disk formats *)
+
+(* A page with every column type, a null and a delete mark. The device
+   model charges by image size, so a format change would move every
+   fixed-seed result: the encoded bytes are pinned, not just
+   round-tripped. *)
+let golden_page () =
+  let schema =
+    Value.Schema.make
+      [ ("id", Value.T_int); ("price", Value.T_float); ("name", Value.T_str); ("ok", Value.T_bool) ]
+  in
+  let p = Pax.create schema ~capacity:8 in
+  List.iter
+    (fun (rid, id, price, name, ok) ->
+      ignore (Pax.append p ~row_id:rid [| Value.Int id; price; Value.Str name; Value.Bool ok |]))
+    [
+      (3, 7, Value.Float 1.5, "ab", true);
+      (5, -2, Value.Null, "ab", false);
+      (9, 300, Value.Float (-0.25), "xyz", true);
+      (12, 301, Value.Float 2.0, "ab", false);
+    ];
+  Pax.mark_deleted p ~slot:1;
+  p
+
+let golden_pax =
+  "8e8992d00d0804040269646905707269636566046e616d6573026f6b620300050109000c00010e010301d80401da0402000000000000f83f0002000000000000d0bf0200000000000000400302616203026162030378797a030261620401040004010400"
+
+let golden_frozen =
+  "f2e6f0c70a03040269646905707269636566046e616d6573026f6b6203090c02000000004064040eca04026618000000000000f83f000000000000d0bf000000000000004044020261620378797a000100420103"
+
+let hex b =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
+let unhex s =
+  Bytes.init (String.length s / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+
+let test_golden_bytes () =
+  let p = golden_page () in
+  Alcotest.(check string) "pax page image" golden_pax (hex (Pax.encode p));
+  Alcotest.(check string) "pax decode re-encodes" golden_pax
+    (hex (Pax.encode (Pax.decode (unhex golden_pax))));
+  let f = Frozen.freeze [ p ] in
+  ignore (Frozen.mark_deleted f ~row_id:9);
+  Alcotest.(check string) "frozen block image" golden_frozen (hex (Frozen.encode f));
+  Alcotest.(check string) "frozen decode re-encodes" golden_frozen
+    (hex (Frozen.encode (Frozen.decode (unhex golden_frozen))))
+
+let test_schema_rejects_unknown_tag () =
+  let buf = Buffer.create 16 in
+  Value.Schema.write buf (Value.Schema.make [ ("k", Value.T_int) ]);
+  let b = Buffer.to_bytes buf in
+  let s, off = Value.Schema.read b 0 in
+  check_int "read back" 1 (Value.Schema.arity s);
+  check_int "consumed" (Bytes.length b) off;
+  Bytes.set b (Bytes.length b - 1) 'x';
+  check_bool "unknown tag rejected" true
+    (try
+       ignore (Value.Schema.read b 0);
+       false
+     with Failure _ -> true)
+
+let test_unseal_rejects_flipped_byte () =
+  let body = Buffer.create 16 in
+  Buffer.add_string body "page body";
+  let image = Crc32.seal body in
+  let off = Crc32.unseal image in
+  Alcotest.(check string) "body follows the checksum" "page body"
+    (Bytes.sub_string image off (Bytes.length image - off));
+  Bytes.set image off 'P';
+  check_bool "flipped body byte rejected" true
+    (try
+       ignore (Crc32.unseal image);
+       false
+     with Failure _ -> true)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -648,6 +725,12 @@ let () =
         :: Alcotest.test_case "compression" `Quick test_frozen_compresses_repetitive_data
         :: Alcotest.test_case "codec roundtrip" `Quick test_frozen_codec_roundtrip
         :: qsuite [ prop_frozen_roundtrip ] );
+      ( "formats",
+        [
+          Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+          Alcotest.test_case "schema rejects unknown tag" `Quick test_schema_rejects_unknown_tag;
+          Alcotest.test_case "unseal rejects flipped byte" `Quick test_unseal_rejects_flipped_byte;
+        ] );
       ( "scratch",
         [
           Alcotest.test_case "pax/frozen reuse byte-identical" `Quick test_scratch_reuse_pax_frozen;

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Tier-1 gate: formatting, build, unit/property tests, static analysis, and a
-# 5-virtual-second Exp-1-shaped benchmark smoke whose --json output must
-# parse and hold its section (guards the JSON emitter and the
+# Tier-1 gate: formatting, build, unit/property tests, the examples, static
+# analysis, and a 5-virtual-second Exp-1-shaped benchmark smoke whose
+# --json output must parse and hold its section (guards the JSON emitter and the
 # observability registry export). A harness check that fails (TPC-C
 # consistency, recovered rows) exits the bench non-zero.
 set -eu
@@ -40,6 +40,17 @@ dune build
 
 echo "== dune runtest"
 dune runtest
+
+echo "== examples (every examples/*.exe exits 0; quickstart restarts through WAL replay)"
+for src in examples/*.ml; do
+  name="$(basename "$src" .ml)"
+  if ! dune exec "examples/$name.exe" > "$tmpdir/example-$name.txt" 2>&1; then
+    echo "   FAIL: examples/$name.exe exited non-zero:" >&2
+    cat "$tmpdir/example-$name.txt" >&2
+    exit 1
+  fi
+done
+echo "   all examples exit 0"
 
 echo "== static analysis (phoebe_check: determinism, idiom and effect rules over the typed ASTs, double-run identical)"
 check_a="$tmpdir/check-a.txt"
