@@ -921,6 +921,14 @@ let ha_failover () =
               (Printf.sprintf "mirror%d" i, Quorum.mirror_utilization q ~node:i))
         @ [ ("net", Quorum.net_utilization q) ])
     in
+    (* the group's registry, then every node's under [node.<i>.]: a
+       sanitized run exports each node's [sanitize.*] *)
+    let registry =
+      Obs.to_json_prefixed (Quorum.obs q) ~prefix:""
+      @ List.concat
+          (List.init (Quorum.nodes q) (fun i ->
+               Obs.to_json_prefixed (Db.obs (Quorum.db q ~node:i)) ~prefix:(Printf.sprintf "node.%d." i)))
+    in
     Quorum.shutdown q;
     [
       ("replicas", Json.Int replicas);
@@ -937,6 +945,7 @@ let ha_failover () =
       ("stream_len_bytes", Json.Int (Quorum.stream_len q));
       ("saturating_resource", Json.Str saturated);
       ("saturating_utilization", Json.Float sat_util);
+      ("registry", Json.Obj registry);
     ]
   in
   let links = [ ("clean", 50_000, 0.0); ("lossy", 200_000, 0.02) ] in

@@ -55,26 +55,30 @@ let cmp_entry k1 r1 k2 r2 =
   let c = String.compare k1 k2 in
   if c <> 0 then c else Int.compare r1 r2
 
-(* First slot in the leaf with entry >= (key, rid). *)
-let leaf_lower_bound l key rid =
-  let lo = ref 0 and hi = ref l.ln in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp_entry l.keys.(mid) l.rids.(mid) key rid < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* First slot in [lo, hi) of the leaf with entry >= (key, rid). The
+   bisections are module-level loops rather than [ref] cells so that the
+   equal-key walk below is visibly allocation-free to [phoebe_check]. *)
+let rec leaf_bound l key rid lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if cmp_entry l.keys.(mid) l.rids.(mid) key rid < 0 then leaf_bound l key rid (mid + 1) hi
+    else leaf_bound l key rid lo mid
+
+let leaf_lower_bound l key rid = leaf_bound l key rid 0 l.ln
 
 (* Child index for an entry: the separator of child i+1 is its smallest
    entry, so descend into the rightmost child whose separator is <= the
    probe entry. *)
-let inner_child_index inner key rid =
-  let lo = ref 0 and hi = ref (inner.inn - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if cmp_entry inner.sep_keys.(mid - 1) inner.sep_rids.(mid - 1) key rid <= 0 then lo := mid
-    else hi := mid - 1
-  done;
-  !lo
+let rec child_bound inner key rid lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi + 1) / 2 in
+    if cmp_entry inner.sep_keys.(mid - 1) inner.sep_rids.(mid - 1) key rid <= 0 then
+      child_bound inner key rid mid hi
+    else child_bound inner key rid lo (mid - 1)
+
+let inner_child_index inner key rid = child_bound inner key rid 0 (inner.inn - 1)
 
 let split_leaf t l =
   let half = l.ln / 2 in
@@ -254,37 +258,70 @@ let iter_key t ~key f =
          end
          else false))
 
-let lookup_first t ~key =
-  let result = ref None in
-  ignore
-    (iter_from t.root key min_int (fun k rid ->
-         if k = key then begin
-           result := Some rid;
-           false
-         end
-         else false));
-  !result
+(* The equal-key walk: store the rids of [key]'s entries in [dst], in
+   ascending order, and return how many there are. Module-level loops
+   with every variable passed explicitly, so no closure or cell is
+   built. A walk's count is [lnot n] once it has met a greater key, which
+   stops the walk over the remaining children. *)
+let rec collect_leaf l key dst i n =
+  if i >= l.ln then n
+  else if String.equal l.keys.(i) key then begin
+    if n < Array.length dst then dst.(n) <- l.rids.(i);
+    collect_leaf l key dst (i + 1) (n + 1)
+  end
+  else lnot n
+
+let rec collect_from node key dst n =
+  match node with
+  | Leaf l -> collect_leaf l key dst (leaf_lower_bound l key min_int) n
+  | Inner inner -> collect_kids inner key dst (inner_child_index inner key min_int) n
+
+and collect_kids inner key dst i n =
+  if n < 0 || i >= inner.inn then n
+  else collect_kids inner key dst (i + 1) (collect_from inner.kids.(i) key dst n)
+
+(* lint: hot-path *)
+let collect_key t ~key dst =
+  let n = collect_from t.root key dst 0 in
+  if n < 0 then lnot n else n
+
+(* [lookup_first]'s one-entry destination; the walk makes no charge, so
+   no fiber can interleave while it holds a rid *)
+let first_scratch = [| 0 |]
+
+let lookup_first t ~key = if collect_key t ~key first_scratch = 0 then None else Some first_scratch.(0)
 
 let range t ~lo ~hi f =
   ignore
     (iter_from t.root lo min_int (fun k rid -> if String.compare k hi > 0 then false else f k rid))
 
-(* [String.sub]-free prefix test: [prefix] runs once per visited entry
-   on the scan path, so carving a fresh substring per key would allocate
-   all through stock-level and by-name scans. *)
-let has_prefix k p =
-  let n = String.length p in
-  String.length k >= n
-  &&
-  let rec go i = i >= n || (String.unsafe_get k i = String.unsafe_get p i && go (i + 1)) in
-  go 0
+(* [String.sub]-free, closure-free prefix test: [prefix] runs once per
+   visited entry on the scan path, so carving a fresh substring (or
+   building a loop closure) per key would allocate all through
+   stock-level and by-name scans. *)
+let rec same_from k p i =
+  i >= String.length p || (Char.equal (String.unsafe_get k i) (String.unsafe_get p i) && same_from k p (i + 1))
+
+let has_prefix k p = String.length k >= String.length p && same_from k p 0
 
 let prefix t ~prefix:p f =
   ignore
     (iter_from t.root p min_int (fun k rid ->
          if has_prefix k p then f k rid else String.compare k p < 0))
 
+(* Module-level key scratch: encoding makes no charge, so a fiber
+   finishes an encode before any other can start one (the same argument
+   as [Record.encode]'s body scratch). *)
+let key_scratch = Buffer.create 64
+
+let rec add_key_values buf = function
+  | [] -> ()
+  | v :: rest ->
+    Value.encode_key buf v;
+    add_key_values buf rest
+
 let encode_key values =
-  let buf = Buffer.create 32 in
-  List.iter (Value.encode_key buf) values;
-  Buffer.contents buf
+  Buffer.clear key_scratch;
+  add_key_values key_scratch values;
+  (* lint: allow hot-path-alloc — the probe key string, one per statement, not per row *)
+  Buffer.contents key_scratch

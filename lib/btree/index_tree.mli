@@ -31,6 +31,14 @@ val iter_key : t -> key:string -> (int -> unit) -> unit
 
 val lookup_first : t -> key:string -> int option
 
+val collect_key : t -> key:string -> int array -> int
+(** [collect_key t ~key dst] writes the row ids of [key]'s entries into
+    [dst] in ascending order and returns how many there are. When that
+    count exceeds [Array.length dst], only the first [Array.length dst]
+    are written: grow [dst] and walk again. Makes no charge and allocates
+    nothing, so a caller can take every candidate first and probe them
+    afterwards. *)
+
 val range : t -> lo:string -> hi:string -> (string -> int -> bool) -> unit
 (** In-order visit of entries with [lo <= key <= hi]; the callback
     returns [false] to stop early. *)
@@ -43,5 +51,6 @@ val depth : t -> int
 (** {1 Key encoding helpers} *)
 
 val encode_key : Phoebe_storage.Value.t list -> string
-(** Memcomparable composite key from column values. *)
+(** Memcomparable composite key from column values. Encodes through one
+    module-level buffer; only the returned string is allocated. *)
 

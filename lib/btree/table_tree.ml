@@ -30,7 +30,7 @@ type manifest = {
   max_frozen : int;
 }
 
-type location = In_page of Pax.t Bufmgr.frame * int | In_frozen of Frozen.t
+type location = In_page of Pax.t Bufmgr.frame * int | In_frozen of Frozen.t | Absent
 
 type t = {
   tname : string;
@@ -174,63 +174,70 @@ let append_exact t ~row_id row =
 
 (* Index of the child whose subtree contains [rid]: the rightmost child
    whose minimum key is <= rid. *)
-let child_index inner rid =
-  let lo = ref 0 and hi = ref (inner.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if inner.keys.(mid) <= rid then lo := mid else hi := mid - 1
-  done;
-  !lo
+let rec child_bound inner rid lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi + 1) / 2 in
+    if inner.keys.(mid) <= rid then child_bound inner rid mid hi else child_bound inner rid lo (mid - 1)
+
+let child_index inner rid = child_bound inner rid 0 (inner.n - 1)
+
+let child_at inner rid = inner.children.(child_index inner rid)
+
+(* Index of the frozen block holding [rid] in [lo, hi], or -1. *)
+let rec block_index (blocks : Frozen.t array) rid lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let b = blocks.(mid) in
+    if rid < Frozen.first_row_id b then block_index blocks rid lo (mid - 1)
+    else if rid > Frozen.last_row_id b then block_index blocks rid (mid + 1) hi
+    else mid
 
 let find_block t rid =
-  let lo = ref 0 and hi = ref (Array.length t.blocks - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let b = t.blocks.(mid) in
-    if rid < Frozen.first_row_id b then hi := mid - 1
-    else if rid > Frozen.last_row_id b then lo := mid + 1
-    else found := Some b
-  done;
-  !found
+  match block_index t.blocks rid 0 (Array.length t.blocks - 1) with -1 -> None | i -> Some t.blocks.(i)
 
-let rec descend_to_leaf t node rid =
-  let c = Scheduler.current_cost () in
+(* The slot of [row_id] in a resident leaf frame, as a location. *)
+let in_frame frame ~row_id =
+  match Pax.find (Bufmgr.payload frame) ~row_id with
+  | -1 -> Absent
+  | slot -> In_page (frame, slot) (* lint: allow hot-path-alloc — the located row, 3 words per probe *)
+
+let locate_in_leaf ~touch t swip ~row_id =
+  (* constant optional arguments: [~touch] of a variable would box a
+     fresh [Some] on every descent *)
+  let frame = if touch then Bufmgr.resolve t.buf swip else Bufmgr.resolve ~touch:false t.buf swip in
+  let page = Bufmgr.payload frame in
+  if not (Pax.is_empty page) then begin
+    t.fc_swip <- swip;
+    t.fc_lo <- Pax.min_row_id page;
+    t.fc_hi <- Pax.max_row_id page
+  end;
+  in_frame frame ~row_id
+
+let rec locate_descend ~touch t node ~row_id =
   match node with
-  | Leaf swip -> Some swip
+  | Leaf swip -> locate_in_leaf ~touch t swip ~row_id
   | Inner inner ->
-    if inner.n = 0 || inner.keys.(0) > rid then None
+    if inner.n = 0 || inner.keys.(0) > row_id then Absent
     else begin
-      charge_effective c.Cost.btree_search_per_level;
-      let child = Latch.optimistic_read inner.ilatch (fun () -> inner.children.(child_index inner rid)) in
-      descend_to_leaf t child rid
+      charge_effective (Scheduler.current_cost ()).Cost.btree_search_per_level;
+      locate_descend ~touch t (Latch.optimistic_read_with inner.ilatch child_at inner row_id) ~row_id
     end
 
-let locate_descend ~touch t ~row_id =
-  match descend_to_leaf t t.root row_id with
-  | None -> None
-  | Some swip -> (
-    let frame = Bufmgr.resolve ~touch t.buf swip in
-    let page = Bufmgr.payload frame in
-    if not (Pax.is_empty page) then begin
-      t.fc_swip <- swip;
-      t.fc_lo <- Pax.min_row_id page;
-      t.fc_hi <- Pax.max_row_id page
-    end;
-    match Pax.find page ~row_id with
-    | Some slot -> Some (In_page (frame, slot))
-    | None -> None)
-
+(* lint: hot-path *)
 let locate ?(touch = true) t ~row_id =
-  if row_id <= 0 || row_id >= t.next_rid then None
+  if row_id <= 0 || row_id >= t.next_rid then Absent
   else if row_id <= t.max_frozen then
-    match find_block t row_id with
-    | Some b ->
+    match block_index t.blocks row_id 0 (Array.length t.blocks - 1) with
+    | -1 -> Absent
+    | i ->
+      let b = t.blocks.(i) in
       Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.frozen_decode_per_tuple;
-      Some (In_frozen b)
-    | None -> None
+      In_frozen b (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
   else if row_id >= t.fc_lo && row_id <= t.fc_hi then begin
-    match Bufmgr.resident_frame_of_swip t.fc_swip with
-    | Some frame when Bufmgr.is_resident frame -> (
+    match t.fc_swip.Bufmgr.ptr with
+    | Bufmgr.Swizzled frame when Bufmgr.is_resident frame ->
       (* fence hit: one probe charge replaces the per-level descent and
          the buffer-manager resolve. The resolve's bookkeeping still
          happens, charge-free and before the charge can suspend: without
@@ -238,21 +245,18 @@ let locate ?(touch = true) t ~row_id =
          to the freeze policy. *)
       Bufmgr.touch_frame t.buf frame ~touch;
       charge_effective (Scheduler.current_cost ()).Cost.btree_search_per_level;
-      if not (Bufmgr.is_resident frame) then locate_descend ~touch t ~row_id
-      else
-        match Pax.find (Bufmgr.payload frame) ~row_id with
-        | Some slot -> Some (In_page (frame, slot))
-        | None -> None)
-    | _ -> locate_descend ~touch t ~row_id
+      if not (Bufmgr.is_resident frame) then locate_descend ~touch t t.root ~row_id
+      else in_frame frame ~row_id
+    | _ -> locate_descend ~touch t t.root ~row_id
   end
-  else locate_descend ~touch t ~row_id
+  else locate_descend ~touch t t.root ~row_id
 
 let read ?(touch = true) t ~row_id =
   let c = Scheduler.current_cost () in
   match locate ~touch t ~row_id with
-  | None -> None
-  | Some (In_frozen b) -> Frozen.get b ~row_id
-  | Some (In_page (frame, slot)) ->
+  | Absent -> None
+  | In_frozen b -> Frozen.get b ~row_id
+  | In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
     if Pax.is_deleted page ~slot then None
     else begin
@@ -262,18 +266,18 @@ let read ?(touch = true) t ~row_id =
 
 let is_deleted t ~row_id =
   match locate ~touch:false t ~row_id with
-  | None -> true
-  | Some (In_frozen b) -> Frozen.is_deleted b ~row_id
-  | Some (In_page (frame, slot)) -> Pax.is_deleted (Bufmgr.payload frame) ~slot
+  | Absent -> true
+  | In_frozen b -> Frozen.is_deleted b ~row_id
+  | In_page (frame, slot) -> Pax.is_deleted (Bufmgr.payload frame) ~slot
 
 let mark_deleted t ~row_id =
   match locate ~touch:true t ~row_id with
-  | None -> false
-  | Some (In_frozen b) ->
+  | Absent -> false
+  | In_frozen b ->
     let ok = Frozen.mark_deleted b ~row_id in
     if ok then t.live_tuples <- t.live_tuples - 1;
     ok
-  | Some (In_page (frame, slot)) ->
+  | In_page (frame, slot) ->
     (* latch acquisition can spin across suspensions: pin the frame so
        eviction cannot detach it meanwhile *)
     Bufmgr.pin frame;
@@ -292,12 +296,12 @@ let mark_deleted t ~row_id =
 
 let undelete t ~row_id =
   match locate ~touch:false t ~row_id with
-  | None -> false
-  | Some (In_frozen b) ->
+  | Absent -> false
+  | In_frozen b ->
     let ok = Frozen.unmark_deleted b ~row_id in
     if ok then t.live_tuples <- t.live_tuples + 1;
     ok
-  | Some (In_page (frame, slot)) ->
+  | In_page (frame, slot) ->
     Bufmgr.pin frame;
     Fun.protect
       ~finally:(fun () -> Bufmgr.unpin frame)

@@ -19,6 +19,7 @@ type location =
       (** resident/cold leaf frame and slot *)
   | In_frozen of Phoebe_storage.Frozen.t
       (** row is inside a frozen block *)
+  | Absent  (** out of range, or the slot was never allocated *)
 
 type manifest = {
   leaves : (int * int) list;  (** (page id, min row id) of every leaf, in row-id order *)
@@ -59,9 +60,10 @@ val append :
     new row id — the MVCC/WAL hooks use it so that per-table WAL (GSN)
     order matches row-id order, which recovery replay relies on. *)
 
-val locate : ?touch:bool -> t -> row_id:int -> location option
-(** Find where a row id lives. [None] if out of range or the slot was
-    never allocated. The caller checks delete marks / visibility.
+val locate : ?touch:bool -> t -> row_id:int -> location
+(** Find where a row id lives. The caller checks delete marks /
+    visibility. A miss is the constant [Absent], not an option, so a
+    point lookup allocates no [Some] per probe.
 
     Every tree keeps a swizzled-leaf fence cache: the last leaf a
     descent reached, with its row-id fences. A lookup inside the fences

@@ -85,11 +85,15 @@ let cycle_findings edges =
     nodes
 
 (* hot-path-alloc / recovery-raise: BFS from entry points to defs with
-   direct effect sites of the matching kind. *)
-let reach_findings g ~entries ~kind ~rule ~describe =
+   direct effect sites of the matching kind. A call site that carries an
+   allow for [rule] is a cut: the callee is not reached through it, so
+   one pragma names a cold branch (a lock wait, a buffer miss, the
+   frozen tier) instead of one per allocation behind it. *)
+let reach_findings g ~allowed ~entries ~kind ~rule ~describe =
+  let cut (loc : Extract.loc) = allowed ~rule ~file:loc.Extract.file ~line:loc.Extract.line in
   List.concat_map
     (fun (entry : Extract.def) ->
-      let paths = Lattice.reachable_with_paths g entry.Extract.fqn in
+      let paths = Lattice.reachable_with_paths ~cut g entry.Extract.fqn in
       let reached = Hashtbl.fold (fun fqn path acc -> (fqn, path) :: acc) paths [] in
       let reached = List.sort (fun (a, _) (b, _) -> String.compare a b) reached in
       List.concat_map
@@ -176,12 +180,13 @@ let analyze config =
                  msg = Printf.sprintf "allow pragma names %s, which is no phoebe_check rule" rule;
                })
   in
+  let allowed ~rule ~file ~line = Pragma.allowed (pragmas_for "" file) ~rule ~line in
   let findings =
     g.Lattice.findings
     @ cycle_findings edges
-    @ reach_findings g ~entries:hot_entries ~kind:`Alloc ~rule:"hot-path-alloc"
+    @ reach_findings g ~allowed ~entries:hot_entries ~kind:`Alloc ~rule:"hot-path-alloc"
         ~describe:(fun _ -> "allocates on the heap")
-    @ reach_findings g ~entries:recovery_entries ~kind:`Raise ~rule:"recovery-raise"
+    @ reach_findings g ~allowed ~entries:recovery_entries ~kind:`Raise ~rule:"recovery-raise"
         ~describe:(fun _ -> "may raise out of recovery")
     @ List.concat_map (fun u -> Lint.findings u @ unknown_pragmas u) loaded.Loader.units
   in
@@ -189,8 +194,7 @@ let analyze config =
      at any of its extra locations (e.g. the chain's entry point) *)
   let suppressed (f : Report.finding) =
     List.exists
-      (fun (file, line) ->
-        file <> "<order-graph>" && Pragma.allowed (pragmas_for "" file) ~rule:f.Report.rule ~line)
+      (fun (file, line) -> file <> "<order-graph>" && allowed ~rule:f.Report.rule ~file ~line)
       ((f.Report.file, f.Report.line) :: f.Report.extra)
   in
   let findings = Report.sort (List.filter (fun f -> not (suppressed f)) findings) in

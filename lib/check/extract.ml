@@ -93,7 +93,7 @@ let latch_special = function
   | "Latch.release_exclusive" | "Latch.release_shared" -> `Release
   | "Latch.with_exclusive" -> `With true
   | "Latch.with_shared" -> `With false
-  | "Latch.optimistic_read" -> `Optimistic
+  | "Latch.optimistic_read" | "Latch.optimistic_read_with" -> `Optimistic
   | "Scheduler.park" -> `Park
   | _ -> `No
 
@@ -179,6 +179,25 @@ let candidates ctx name =
   if String.contains n '.' then [ n ]
   else List.map (fun p -> p ^ "." ^ n) (ctx.prefixes @ [ ctx.cunit ]) @ [ n ]
 
+(* A structured constant ([Some Exclusive], [Some 0], [None]): the
+   compiler emits it once, statically, so building one allocates
+   nothing. *)
+let rec is_static e =
+  match e.exp_desc with
+  | Texp_constant _ -> true
+  | Texp_construct (_, _, es) -> List.for_all is_static es
+  | _ -> false
+
+(* A match case that takes a tuple scrutinee apart without binding it
+   whole (no variable or alias pattern at the top). *)
+let rec destructures_tuple : type k. k general_pattern -> bool =
+ fun p ->
+  match p.pat_desc with
+  | Tpat_value v -> destructures_tuple (v :> value general_pattern)
+  | Tpat_exception _ | Tpat_tuple _ | Tpat_any -> true
+  | Tpat_or (a, b, _) -> destructures_tuple a && destructures_tuple b
+  | _ -> false
+
 let rec walk ctx e : act list =
   let loc = loc_of ctx e.exp_loc in
   match e.exp_desc with
@@ -191,11 +210,18 @@ let rec walk ctx e : act list =
        executed here *)
     Aalloc { prim = "closure"; loc } :: walk_cases ctx cases
   | Texp_apply (fe, args) -> walk_apply ctx loc fe args
+  | Texp_match ({ exp_desc = Texp_tuple es; _ }, cases, _)
+    when List.for_all (fun c -> destructures_tuple c.c_lhs) cases ->
+    (* [match (a, b) with (x, y) -> ...]: the compiler matches the
+       components in place and never builds the pair *)
+    List.concat_map (walk ctx) es @ [ Abranch (List.map (walk_case ctx) cases) ]
   | Texp_match (scrut, cases, _) -> walk ctx scrut @ [ Abranch (List.map (walk_case ctx) cases) ]
   | Texp_try (body, cases) -> walk ctx body @ [ Abranch ([] :: List.map (walk_case ctx) cases) ]
   | Texp_tuple es -> (Aalloc { prim = "tuple"; loc } :: List.concat_map (walk ctx) es)
   | Texp_construct (_, cd, es) ->
-    let alloc = if es = [] then [] else [ Aalloc { prim = "constructor " ^ cd.Types.cstr_name; loc } ] in
+    let alloc =
+      if List.for_all is_static es then [] else [ Aalloc { prim = "constructor " ^ cd.Types.cstr_name; loc } ]
+    in
     alloc @ List.concat_map (walk ctx) es
   | Texp_variant (_, eo) -> (
     match eo with None -> [] | Some e -> Aalloc { prim = "variant"; loc } :: walk ctx e)
@@ -351,6 +377,25 @@ and is_arrow ty =
    layer is a parameter match and contributes its cases directly. *)
 let rec collect_fun_body ctx e depth =
   match e.exp_desc with
+  | Texp_function
+      {
+        arg_label = Asttypes.Optional _;
+        cases =
+          [
+            {
+              c_lhs = { pat_desc = Tpat_var (opt, _); _ };
+              c_guard = None;
+              c_rhs = { exp_desc = Texp_let (Asttypes.Nonrecursive, [ default ], rest); _ };
+            };
+          ];
+        _;
+      }
+    when String.equal (Ident.name opt) "*opt*" ->
+    (* [?(x = d)]: the compiler binds the default and carries on with
+       the next parameter inside the same function, so the layer after
+       the [let] is no closure either *)
+    let body, depth, acts = collect_fun_body ctx rest (depth + 1) in
+    (body, depth, walk ctx default.vb_expr @ acts)
   | Texp_function { cases = [ { c_guard = None; c_rhs; _ } ]; _ } ->
     collect_fun_body ctx c_rhs (depth + 1)
   | Texp_function { cases; _ } -> (None, depth + 1, walk_cases ctx cases)

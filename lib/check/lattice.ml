@@ -305,7 +305,7 @@ let direct_sites (d : Extract.def) ~kind =
    the entry (entry itself has the empty path). Deterministic: sorted
    frontier expansion, first (shortest, lexicographically-first) path
    wins. *)
-let reachable_with_paths g entry_fqn =
+let reachable_with_paths ?(cut = fun (_ : loc) -> false) g entry_fqn =
   let paths : (string, (string * loc) list) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace paths entry_fqn [];
   let frontier = ref [ entry_fqn ] in
@@ -319,7 +319,7 @@ let reachable_with_paths g entry_fqn =
           let base = Hashtbl.find paths fqn in
           List.iter
             (fun s ->
-              if not (Hashtbl.mem paths s.callee_fqn) then begin
+              if not (cut s.site_loc || Hashtbl.mem paths s.callee_fqn) then begin
                 Hashtbl.replace paths s.callee_fqn (base @ [ (s.callee_fqn, s.site_loc) ]);
                 next := s.callee_fqn :: !next
               end)

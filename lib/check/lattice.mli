@@ -38,6 +38,8 @@ type site = { callee_fqn : string; site_loc : loc }
 val call_sites : Extract.def -> graph -> site list
 val direct_sites : Extract.def -> kind:[ `Alloc | `Raise ] -> (string * loc) list
 
-val reachable_with_paths : graph -> string -> (string, (string * loc) list) Hashtbl.t
+val reachable_with_paths :
+  ?cut:(loc -> bool) -> graph -> string -> (string, (string * loc) list) Hashtbl.t
 (** Deterministic BFS from an entry fqn; each reached def maps to the
-    call-site path from the entry (the entry itself to []). *)
+    call-site path from the entry (the entry itself to []). The BFS does
+    not follow a call site for which [cut] holds. *)

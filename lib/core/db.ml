@@ -88,8 +88,8 @@ let sanitize_page txns ~page_id (p : Pax.t) =
       let copy = Pax.copy p in
       Twin.iter twin (fun rid entry ->
           match Pax.find copy ~row_id:rid with
-          | None -> ()
-          | Some slot ->
+          | -1 -> ()
+          | slot ->
             let rec undo = function
               | Some (u : Undo.t)
                 when (not u.Undo.reclaimed) && not (durably_committed txns u) ->

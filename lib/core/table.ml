@@ -96,10 +96,13 @@ let index_cols t name =
     Array.to_list (Array.map (fun c -> cols.(c).Value.Schema.name) ix.key_cols)
   | None -> invalid_arg ("Table.index_cols: no such index " ^ name)
 
-let find_index t name =
-  match List.find_opt (fun ix -> ix.ix_name = name) t.indexes with
-  | Some ix -> ix
-  | None -> invalid_arg ("Table: no such index " ^ name)
+let rec find_in name = function
+  | [] -> invalid_arg ("Table: no such index " ^ name) (* lint: allow hot-path-alloc — error path *)
+  | ix :: rest -> if String.equal ix.ix_name name then ix else find_in name rest
+
+(* a module-level search rather than [List.find_opt] and a closure: it
+   runs once per index statement *)
+let find_index t name = find_in name t.indexes
 
 (* ------------------------------------------------------------------ *)
 (* WAL + RFA bookkeeping *)
@@ -157,10 +160,7 @@ let statement_begin t txn =
 
 let lock_exclusive t txn = Txnmgr.lock_table t.txnmgr txn t.tlock ~mode:Tablelock.Exclusive
 
-let chain_head_for t ~page_key ~rid =
-  match Txnmgr.twin_of_page t.txnmgr ~page_id:page_key with
-  | None -> None
-  | Some twin -> ( match Twin.find twin ~rid with None -> None | Some e -> Twin.chain_head e)
+let chain_head_for t ~page_key ~rid = Txnmgr.chain_head t.txnmgr ~page_id:page_key ~rid
 
 let count_frozen_read t block =
   t.frozen_reads_total <- t.frozen_reads_total + 1;
@@ -169,33 +169,76 @@ let count_frozen_read t block =
   | Some r -> incr r
   | None -> Hashtbl.add t.frozen_read_counts key (ref 1)
 
-(* Reads decode into a per-slot scratch ring instead of allocating a
-   fresh array per tuple; {!Mvcc.visible_version} assembles before-image
-   deltas into the same buffer in place. The returned row obeys the
-   {!Tupbuf} ownership rule: valid until this slot reads a few more rows
-   of this table; paths that retain a row copy it. *)
-let visible_at t (txn : txn) ~rid =
+(* Column projection (DESIGN.md §4h). A projected read decodes the
+   index key columns and the columns in [cols]; every other cell reads
+   [Value.Null], so a read outside the projection fails loudly instead
+   of returning whatever an earlier row left in the scratch ring. *)
+let rec mem_col (cols : int array) c i = i < Array.length cols && (cols.(i) = c || mem_col cols c (i + 1))
+
+let mask_unprojected ~key_cols cols (row : Value.t array) =
+  match cols with
+  | None -> ()
+  | Some cols ->
+    for c = 0 to Array.length row - 1 do
+      if not (mem_col key_cols c 0 || mem_col cols c 0) then row.(c) <- Value.Null
+    done
+
+let decode_in_page page ~slot ~key_cols cols dst =
+  match cols with
+  | None -> Pax.get_into page ~slot dst
+  | Some cols ->
+    Array.fill dst 0 (Array.length dst) Value.Null;
+    Pax.get_cols_into page ~slot key_cols dst;
+    Pax.get_cols_into page ~slot cols dst
+
+(* Algorithm 1 over the decoded row. Before-image deltas can write
+   columns outside the projection, so a row with a version chain is
+   masked again. *)
+let visible_into t (txn : txn) ~key_cols cols dst ~deleted ~page_key ~rid =
+  let head = chain_head_for t ~page_key ~rid in
+  Mvcc.visible_version ~xid:txn.Txnmgr.xid ~snapshot:txn.Txnmgr.snapshot ~current:dst
+    ~deleted_in_page:deleted ~head
+  && begin
+       (match head with Some _ -> mask_unprojected ~key_cols cols dst | None -> ());
+       true
+     end
+
+(* A frozen row decodes whole from its compressed block, then takes the
+   projection's mask. *)
+let read_frozen t txn block ~rid ~key_cols cols dst =
+  count_frozen_read t block;
+  Frozen.get_raw_into block ~row_id:rid dst
+  && begin
+       mask_unprojected ~key_cols cols dst;
+       visible_into t txn ~key_cols cols dst ~deleted:(Frozen.is_deleted block ~row_id:rid)
+         ~page_key:(frozen_twin_key t rid) ~rid
+     end
+
+(* The row read: decode [rid]'s version visible to [txn] into the
+   caller-owned [dst] (a {!Tupbuf} scratch row, DESIGN.md §4h) and say
+   whether there is one. {!Mvcc.visible_version} assembles before-image
+   deltas into the same buffer in place. With [cols] (see
+   [mask_unprojected]) only [key_cols] and [cols] are decoded. *)
+(* lint: hot-path *)
+let read_into t (txn : txn) ~rid ~key_cols cols dst =
   match Table_tree.locate t.ttree ~row_id:rid with
-  | None -> None
-  | Some (Table_tree.In_page (frame, slot)) ->
+  | Table_tree.Absent -> false
+  | Table_tree.In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
     Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
-    let current = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-    Pax.get_into page ~slot current;
-    let deleted = Pax.is_deleted page ~slot in
-    let head = chain_head_for t ~page_key:(Bufmgr.page_id frame) ~rid in
-    Mvcc.visible_version ~xid:txn.Txnmgr.xid ~snapshot:txn.Txnmgr.snapshot ~current
-      ~deleted_in_page:deleted ~head
-  | Some (Table_tree.In_frozen block) ->
-    count_frozen_read t block;
-    let current = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-    if not (Frozen.get_raw_into block ~row_id:rid current) then None
-    else begin
-      let deleted = Frozen.is_deleted block ~row_id:rid in
-      let head = chain_head_for t ~page_key:(frozen_twin_key t rid) ~rid in
-      Mvcc.visible_version ~xid:txn.Txnmgr.xid ~snapshot:txn.Txnmgr.snapshot ~current
-        ~deleted_in_page:deleted ~head
-    end
+    decode_in_page page ~slot ~key_cols cols dst;
+    visible_into t txn ~key_cols cols dst ~deleted:(Pax.is_deleted page ~slot)
+      ~page_key:(Bufmgr.page_id frame) ~rid
+  | Table_tree.In_frozen block ->
+    (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
+    read_frozen t txn block ~rid ~key_cols cols dst
+
+(* A whole-row read into the slot's scratch ring. The returned row obeys
+   the {!Tupbuf} ownership rule: valid until this slot reads a few more
+   rows of this table; paths that retain a row copy it. *)
+let visible_at t (txn : txn) ~rid =
+  let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+  if read_into t txn ~rid ~key_cols:[||] None row then Some row else None
 
 let get t txn ~rid =
   statement_begin t txn;
@@ -268,15 +311,14 @@ let push_version t (txn : txn) twin entry ~rid kind =
 (* [write_entry] may have waited (suspension): the frame the caller saw
    can have been evicted and reloaded meanwhile. Re-locate [rid]; a row
    that is gone, frozen meanwhile or delete-marked releases the tuple
-   lock and yields [None]. *)
+   lock and yields [Absent]. *)
 let relocate_live t (txn : txn) entry ~rid =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Some (Table_tree.In_page (frame, slot)) as hit
-    when not (Pax.is_deleted (Bufmgr.payload frame) ~slot) ->
+  | Table_tree.In_page (frame, slot) as hit when not (Pax.is_deleted (Bufmgr.payload frame) ~slot) ->
     hit
   | _ ->
     Txnmgr.unlock_tuple t.txnmgr txn entry;
-    None
+    Table_tree.Absent
 
 (* Uniqueness against the live row set: a same-key entry conflicts
    unless its row is delete-marked by a committed deletion or by this
@@ -288,10 +330,9 @@ let check_unique t (txn : txn) ix ~key ~inserting_rid =
       if rid <> inserting_rid then begin
         let live =
           match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-          | None -> false
-          | Some (Table_tree.In_page (frame, slot)) ->
-            not (Pax.is_deleted (Bufmgr.payload frame) ~slot)
-          | Some (Table_tree.In_frozen b) -> not (Frozen.is_deleted b ~row_id:rid)
+          | Table_tree.Absent -> false
+          | Table_tree.In_page (frame, slot) -> not (Pax.is_deleted (Bufmgr.payload frame) ~slot)
+          | Table_tree.In_frozen b -> not (Frozen.is_deleted b ~row_id:rid)
         in
         if live then raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"))
         else begin
@@ -299,7 +340,7 @@ let check_unique t (txn : txn) ix ~key ~inserting_rid =
              foreign transaction *)
           let page_key =
             match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-            | Some (Table_tree.In_page (frame, _)) -> Bufmgr.page_id frame
+            | Table_tree.In_page (frame, _) -> Bufmgr.page_id frame
             | _ -> frozen_twin_key t rid
           in
           match chain_head_for t ~page_key ~rid with
@@ -357,7 +398,7 @@ let update_in_page t (txn : txn) ~page_key ~rid compute =
   let c = Scheduler.current_cost () in
   let twin, entry = write_entry t txn ~page_key ~rid in
   match relocate_live t txn entry ~rid with
-  | Some (Table_tree.In_page (frame, slot)) ->
+  | Table_tree.In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
     Fun.protect
       ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
@@ -440,10 +481,9 @@ let cols_to_idx t cols =
 let update_general t txn ~rid compute =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
-  | None -> false
-  | Some (Table_tree.In_page (frame, _)) ->
-    update_in_page t txn ~page_key:(Bufmgr.page_id frame) ~rid compute
-  | Some (Table_tree.In_frozen block) -> update_frozen t txn block ~rid compute
+  | Table_tree.Absent -> false
+  | Table_tree.In_page (frame, _) -> update_in_page t txn ~page_key:(Bufmgr.page_id frame) ~rid compute
+  | Table_tree.In_frozen block -> update_frozen t txn block ~rid compute
 
 let update t txn ~rid cols =
   let cols_idx = cols_to_idx t cols in
@@ -457,11 +497,11 @@ let update_with t txn ~rid f = update_general t txn ~rid (fun row -> cols_to_idx
 let delete t (txn : txn) ~rid =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
-  | None -> false
-  | Some (Table_tree.In_page (frame0, _)) -> (
+  | Table_tree.Absent -> false
+  | Table_tree.In_page (frame0, _) -> (
     let twin, entry = write_entry t txn ~page_key:(Bufmgr.page_id frame0) ~rid in
     match relocate_live t txn entry ~rid with
-    | Some (Table_tree.In_page (frame, slot)) ->
+    | Table_tree.In_page (frame, slot) ->
       Fun.protect
         ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
         (fun () ->
@@ -470,7 +510,7 @@ let delete t (txn : txn) ~rid =
           log_page_write ~entry t txn frame (Record.Delete { table = t.tid; rid });
           true)
     | _ -> false)
-  | Some (Table_tree.In_frozen block) -> (
+  | Table_tree.In_frozen block -> (
     match Frozen.get_raw block ~row_id:rid with
     | None -> false
     | Some old_row -> delete_frozen t txn block ~rid old_row)
@@ -488,17 +528,23 @@ let rec key_matches_vals (cols : int array) i (row : Value.t array) = function
   | v :: tl ->
     i < Array.length cols && Value.equal row.(cols.(i)) v && key_matches_vals cols (i + 1) row tl
 
+let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
+  if i < Array.length cols then begin
+    Value.encode_key buf row.(cols.(i));
+    encode_row_key buf cols row (i + 1)
+  end
+
+let rec buffer_equals buf key i =
+  i >= String.length key
+  || (Char.equal (Buffer.nth buf i) (String.unsafe_get key i) && buffer_equals buf key (i + 1))
+
 (* Prefix-scan candidate check: encode the row's key into the table's
    scratch buffer and compare against the tree key in place. *)
 let row_key_equals t ix (row : Value.t array) key =
   let buf = t.key_scratch in
   Buffer.clear buf;
-  Array.iter (fun c -> Value.encode_key buf row.(c)) ix.key_cols;
-  Buffer.length buf = String.length key
-  &&
-  let n = String.length key in
-  let rec go i = i >= n || (Buffer.nth buf i = String.unsafe_get key i && go (i + 1)) in
-  go 0
+  encode_row_key buf ix.key_cols row 0;
+  Buffer.length buf = String.length key && buffer_equals buf key 0
 
 let index_lookup t txn ~index ~key =
   statement_begin t txn;
@@ -513,36 +559,65 @@ let index_lookup t txn ~index ~key =
       | _ -> ());
   List.rev !acc
 
+(* The equal-key rids of [key_bytes] in the slot's rid scratch, grown
+   until they all fit; returns how many. The walk makes no charge. *)
+let rec collect_candidates t ix ~slot key_bytes =
+  let dst = Tupbuf.rids t.scratch ~slot in
+  let n = Index_tree.collect_key ix.ix ~key:key_bytes dst in
+  if n <= Array.length dst then n
+  else begin
+    Tupbuf.grow_rids t.scratch ~slot n;
+    collect_candidates t ix ~slot key_bytes
+  end
+
+(* Probe candidates [i..n) in rid order, the order the index walk
+   visits them in; the first visible row whose key still matches is
+   blitted into [res]. Every candidate is read, hit or not. *)
+let rec probe_candidates t txn ix ~key cols rids n i res hit =
+  if i >= n then hit
+  else begin
+    let rid = rids.(i) in
+    let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+    let hit =
+      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && key_matches_vals ix.key_cols 0 row key
+         && hit < 0
+      then begin
+        Array.blit row 0 res 0 (Array.length row);
+        rid
+      end
+      else hit
+    in
+    probe_candidates t txn ix ~key cols rids n (i + 1) res hit
+  end
+
 (* Point-lookup fast path: every candidate rid is still probed (the
    visibility work is identical to {!index_lookup}, keeping the charge
-   schedule unchanged), but the first hit is blitted into the slot's
+   schedule unchanged), but the candidates are taken first, in one
+   charge-free index walk, and the first hit is blitted into the slot's
    dedicated result buffer instead of copied — so the returned row stays
    valid across later ring takes, clobbered only by this transaction's
    next [index_lookup_first] on the same table. *)
-let index_lookup_first t txn ~index ~key =
+(* lint: hot-path *)
+let index_lookup_first ?cols t txn ~index ~key =
   statement_begin t txn;
   let ix = find_index t index in
   let key_bytes = Index_tree.encode_key key in
-  let res = Tupbuf.result t.scratch ~slot:txn.Txnmgr.slot in
-  let hit = ref (-1) in
-  Index_tree.iter_key ix.ix ~key:key_bytes (fun rid ->
-      match visible_at t txn ~rid with
-      | Some row when key_matches_vals ix.key_cols 0 row key ->
-        if !hit < 0 then begin
-          hit := rid;
-          Array.blit row 0 res 0 (Array.length row)
-        end
-      | _ -> ());
-  if !hit < 0 then None else Some (!hit, res)
+  let slot = txn.Txnmgr.slot in
+  let n = collect_candidates t ix ~slot key_bytes in
+  let res = Tupbuf.result t.scratch ~slot in
+  let hit = probe_candidates t txn ix ~key cols (Tupbuf.rids t.scratch ~slot) n 0 res (-1) in
+  (* lint: allow hot-path-alloc — the result pair, once per statement *)
+  if hit < 0 then None else Some (hit, res)
 
-let index_prefix t txn ~index ~prefix f =
+let index_prefix ?cols t txn ~index ~prefix f =
   statement_begin t txn;
   let ix = find_index t index in
   let prefix_bytes = Index_tree.encode_key prefix in
   Index_tree.prefix ix.ix ~prefix:prefix_bytes (fun key rid ->
-      match visible_at t txn ~rid with
-      | Some row when row_key_equals t ix row key -> f rid row
-      | _ -> true)
+      let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_equals t ix row key then
+        f rid row
+      else true)
 
 let scan t txn f =
   statement_begin t txn;
@@ -569,13 +644,13 @@ let pop_chain t ~page_key ~rid (undo : Undo.t) =
 let rollback_undo t (undo : Undo.t) =
   let rid = undo.Undo.rid in
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | None -> ()
-  | Some (Table_tree.In_frozen _) ->
+  | Table_tree.Absent -> ()
+  | Table_tree.In_frozen _ ->
     (match undo.Undo.kind with
     | Undo.Deleted _ -> ignore (Table_tree.undelete t.ttree ~row_id:rid)
     | Undo.Created | Undo.Updated _ -> ());
     pop_chain t ~page_key:(frozen_twin_key t rid) ~rid undo
-  | Some (Table_tree.In_page (frame, slot)) ->
+  | Table_tree.In_page (frame, slot) ->
     let page_key = Bufmgr.page_id frame in
     (match undo.Undo.kind with
     | Undo.Created ->
@@ -638,23 +713,25 @@ let gc_reclaim_undo t (undo : Undo.t) =
    rid already present. Overwrite in place instead of raising. *)
 let raw_insert t ~rid row =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Some (Table_tree.In_page (frame, slot)) ->
+  | Table_tree.In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
     Array.iteri (fun col v -> Pax.set_col page ~slot ~col v) row;
     Pax.unmark_deleted page ~slot;
     Bufmgr.mark_dirty frame;
     List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row ix row) ~rid) t.indexes
-  | Some (Table_tree.In_frozen _) -> () (* block images are immutable and already durable *)
-  | None ->
+  | Table_tree.In_frozen _ -> () (* block images are immutable and already durable *)
+  | Table_tree.Absent ->
     Table_tree.append_exact t.ttree ~row_id:rid row;
     List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row ix row) ~rid) t.indexes
 
 let raw_exists t ~rid =
-  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with Some _ -> true | None -> false
+  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
+  | Table_tree.Absent -> false
+  | Table_tree.In_page _ | Table_tree.In_frozen _ -> true
 
 let raw_update t ~rid cols =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Some (Table_tree.In_page (frame, slot)) ->
+  | Table_tree.In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
     let old_row = Pax.get page ~slot in
     Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) cols;
@@ -701,7 +778,7 @@ let warm_hot_frozen t txn ~read_threshold =
     (fun first_rid ->
       Hashtbl.remove t.frozen_read_counts first_rid;
       match Table_tree.locate ~touch:false t.ttree ~row_id:first_rid with
-      | Some (Table_tree.In_frozen block) ->
+      | Table_tree.In_frozen block ->
         let rids = ref [] in
         Frozen.iter_all block (fun rid ~deleted row ->
             ignore row;

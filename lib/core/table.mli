@@ -99,19 +99,27 @@ val index_lookup :
     Rows in the returned list are caller-owned copies. *)
 
 val index_lookup_first :
+  ?cols:int array ->
   t -> txn -> index:string -> key:Phoebe_storage.Value.t list ->
   (int * Phoebe_storage.Value.t array) option
 (** First visible match. The row lives in the slot's dedicated result
     buffer: it survives subsequent reads and updates, and is only
     overwritten by this transaction's next [index_lookup_first] on the
-    same table; copy to retain beyond that. *)
+    same table; copy to retain beyond that.
+
+    [cols] projects the read (DESIGN.md §4h): only the index key columns
+    and the listed column indexes are decoded, and every other cell of
+    the row is [Value.Null]. Apart from the returned pair, the lookup
+    allocates nothing per candidate row. *)
 
 val index_prefix :
+  ?cols:int array ->
   t -> txn -> index:string -> prefix:Phoebe_storage.Value.t list ->
   (int -> Phoebe_storage.Value.t array -> bool) -> unit
 (** Visit visible rows with the given key prefix in key order; callback
     returns false to stop. The row argument is scratch, valid only for
-    the duration of the callback; copy to retain. *)
+    the duration of the callback; copy to retain. [cols] projects each
+    row as in {!index_lookup_first}. *)
 
 val scan : t -> txn -> (int -> Phoebe_storage.Value.t array -> unit) -> unit
 (** Full-table scan of visible rows (does not warm pages, §5.2). The

@@ -574,7 +574,7 @@ let flush_pending () =
   | Some f when f.pending_instr > 0 ->
     let n = f.pending_instr in
     f.pending_instr <- 0;
-    Effect.perform (E_charge_time n)
+    Effect.perform (E_charge_time n) (* lint: allow hot-path-alloc — one suspension per charge granule *)
   | _ -> ()
 
 let charge comp instr =

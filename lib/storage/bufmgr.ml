@@ -222,6 +222,54 @@ let touch_frame t frame ~touch =
   frame.flast_access <- now t;
   if frame.fstate = Cooling then frame.fstate <- Hot
 
+(* A buffer miss: read the page from the store and swizzle it in. *)
+let fault_in t swip pid ~touch =
+  Scheduler.charge Component.Buffer (Scheduler.current_cost ()).Cost.buffer_miss;
+  let raw = Pagestore.read t.pstore ~page_id:pid in
+  (* The calling fiber suspended for the read: someone else may have
+     faulted the same page in meanwhile. *)
+  match swip.ptr with
+  | Swizzled frame ->
+    touch_frame t frame ~touch;
+    frame
+  | Unswizzled _ ->
+    let payload = t.codec.decode raw in
+    let gsn, writer_slot =
+      match Hashtbl.find_opt t.gsn_sidecar pid with Some meta -> meta | None -> (0, -1)
+    in
+    (* Allocate into the faulting worker's partition: ownership of a
+       page follows whoever re-heats it. *)
+    let partition =
+      if Scheduler.in_fiber () then Scheduler.current_worker () mod Array.length t.parts else 0
+    in
+    let part = t.parts.(partition) in
+    let frame =
+      {
+        fpage_id = pid;
+        fpartition = partition;
+        flatch = Latch.create ();
+        fpayload = Some payload;
+        fstate = Hot;
+        fdirty = false;
+        fin_flight = false;
+        fqueued = false;
+        fpinned = 0;
+        fsize = t.codec.size payload;
+        faccess_count = (if touch then 1 else 0);
+        flast_access = now t;
+        fgsn = gsn;
+        fwriter_slot = writer_slot;
+        fparent = Some swip;
+      }
+    in
+    Latch.set_tag frame.flatch pid;
+    Latch.set_class frame.flatch "bufmgr.flatch";
+    Hashtbl.replace part.frames pid frame;
+    part.used_bytes <- part.used_bytes + frame.fsize;
+    swip.ptr <- Swizzled frame;
+    if Sanitize.on () then Sanitize.frame_fault_in ~scope:t.scope ~page_id:pid;
+    frame
+
 let resolve ?(touch = true) t swip =
   match swip.ptr with
   | Swizzled frame ->
@@ -231,52 +279,9 @@ let resolve ?(touch = true) t swip =
     Scheduler.charge Component.Buffer (Scheduler.current_cost ()).Cost.buffer_hit;
     touch_frame t frame ~touch:false;
     frame
-  | Unswizzled pid -> (
-    Scheduler.charge Component.Buffer (Scheduler.current_cost ()).Cost.buffer_miss;
-    let raw = Pagestore.read t.pstore ~page_id:pid in
-    (* The calling fiber suspended for the read: someone else may have
-       faulted the same page in meanwhile. *)
-    match swip.ptr with
-    | Swizzled frame ->
-      touch_frame t frame ~touch;
-      frame
-    | Unswizzled _ ->
-      let payload = t.codec.decode raw in
-      let gsn, writer_slot =
-        match Hashtbl.find_opt t.gsn_sidecar pid with Some meta -> meta | None -> (0, -1)
-      in
-      (* Allocate into the faulting worker's partition: ownership of a
-         page follows whoever re-heats it. *)
-      let partition =
-        if Scheduler.in_fiber () then Scheduler.current_worker () mod Array.length t.parts else 0
-      in
-      let part = t.parts.(partition) in
-      let frame =
-        {
-          fpage_id = pid;
-          fpartition = partition;
-          flatch = Latch.create ();
-          fpayload = Some payload;
-          fstate = Hot;
-          fdirty = false;
-          fin_flight = false;
-          fqueued = false;
-          fpinned = 0;
-          fsize = t.codec.size payload;
-          faccess_count = (if touch then 1 else 0);
-          flast_access = now t;
-          fgsn = gsn;
-          fwriter_slot = writer_slot;
-          fparent = Some swip;
-        }
-      in
-      Latch.set_tag frame.flatch pid;
-      Latch.set_class frame.flatch "bufmgr.flatch";
-      Hashtbl.replace part.frames pid frame;
-      part.used_bytes <- part.used_bytes + frame.fsize;
-      swip.ptr <- Swizzled frame;
-      if Sanitize.on () then Sanitize.frame_fault_in ~scope:t.scope ~page_id:pid;
-      frame)
+  | Unswizzled pid ->
+    (* lint: allow hot-path-alloc — buffer miss: an I/O wait for the page read *)
+    fault_in t swip pid ~touch
 
 let drop t frame =
   let part = t.parts.(frame.fpartition) in

@@ -22,7 +22,12 @@ type 'p t
 
 type 'p frame
 
-type 'p swip
+type 'p ref_state = private Swizzled of 'p frame | Unswizzled of int
+
+type 'p swip = private { mutable ptr : 'p ref_state }
+(** A swip is read-only outside this module: matching [ptr] reaches a
+    hot frame without the [Some] that {!resident_frame_of_swip} builds
+    (the table tree's fence cache does this on every point lookup). *)
 
 (** {1 Construction} *)
 

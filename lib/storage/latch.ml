@@ -39,15 +39,15 @@ let spin () =
   | Scheduler.Signalled -> ()
   | Scheduler.Timed_out | Scheduler.Cancelled -> raise Timeout
 
-let rec optimistic_read t f =
+let rec optimistic_read_with t f a b =
   let c = Scheduler.current_cost () in
   if t.mode = Exclusive then begin
     spin ();
-    optimistic_read t f
+    optimistic_read_with t f a b
   end
   else begin
     let v0 = t.lversion in
-    let result = f () in
+    let result = f a b in
     Scheduler.charge Component.Latch c.Cost.olc_validate;
     if t.mode <> Exclusive && t.lversion = v0 then result
     else begin
@@ -55,9 +55,12 @@ let rec optimistic_read t f =
       (match Scheduler.spin_yield Scheduler.High with
       | Scheduler.Signalled -> ()
       | Scheduler.Timed_out | Scheduler.Cancelled -> raise Timeout);
-      optimistic_read t f
+      optimistic_read_with t f a b
     end
   end
+
+let apply_unit f () = f ()
+let optimistic_read t f = optimistic_read_with t apply_unit f ()
 
 (* State transitions happen before any charge: a charge suspends the
    fiber in virtual time, and the acquisition must be atomic w.r.t.

@@ -41,6 +41,11 @@ val optimistic_read : t -> (unit -> 'a) -> 'a
 (** Run a read-only section, validating the version afterwards; retries
     (with restart cost) until a consistent view is obtained. *)
 
+val optimistic_read_with : t -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [optimistic_read_with t f a b] is [optimistic_read t (fun () -> f a b)]
+    without building that closure: a descent passes a module-level [f]
+    and its node and key, and allocates nothing per level. *)
+
 val acquire_shared : t -> unit
 val release_shared : t -> unit
 

@@ -107,11 +107,13 @@ let store_set t ~slot ~col v =
 let store_get t ~slot ~col =
   if bitmap_get t.nulls.(col) slot then Value.Null
   else
+    (* a decoded cell is a boxed [Value.t]; a projected read (Table's
+       [?cols]) decodes only the cells it needs *)
     match t.cols.(col) with
-    | Ints a -> Value.Int a.(slot)
-    | Floats a -> Value.Float a.(slot)
-    | Strs a -> Value.Str a.(slot)
-    | Bools bm -> Value.Bool (bitmap_get bm slot)
+    | Ints a -> Value.Int a.(slot) (* lint: allow hot-path-alloc — the decoded cell *)
+    | Floats a -> Value.Float a.(slot) (* lint: allow hot-path-alloc — the decoded cell *)
+    | Strs a -> Value.Str a.(slot) (* lint: allow hot-path-alloc — the decoded cell *)
+    | Bools bm -> Value.Bool (bitmap_get bm slot) (* lint: allow hot-path-alloc — the decoded cell *)
 
 let append t ~row_id row =
   if is_full t then invalid_arg "Pax.append: page full";
@@ -124,14 +126,16 @@ let append t ~row_id row =
   t.n <- t.n + 1;
   slot
 
-let find t ~row_id =
-  let lo = ref 0 and hi = ref (t.n - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.row_ids.(mid) in
-    if v = row_id then found := Some mid else if v < row_id then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
+let rec bisect (row_ids : int array) row_id lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let v = row_ids.(mid) in
+    if v = row_id then mid
+    else if v < row_id then bisect row_ids row_id (mid + 1) hi
+    else bisect row_ids row_id lo (mid - 1)
+
+let find t ~row_id = bisect t.row_ids row_id 0 (t.n - 1)
 
 let get t ~slot =
   if slot < 0 || slot >= t.n then invalid_arg "Pax.get: bad slot";
@@ -142,6 +146,13 @@ let get_into t ~slot dst =
   let arity = Value.Schema.arity t.pschema in
   if Array.length dst < arity then invalid_arg "Pax.get_into: dst too small";
   for col = 0 to arity - 1 do
+    dst.(col) <- store_get t ~slot ~col
+  done
+
+let get_cols_into t ~slot (cols : int array) dst =
+  if slot < 0 || slot >= t.n then invalid_arg "Pax.get_cols_into: bad slot";
+  for i = 0 to Array.length cols - 1 do
+    let col = cols.(i) in
     dst.(col) <- store_get t ~slot ~col
   done
 

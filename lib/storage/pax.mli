@@ -38,8 +38,10 @@ val append : t -> row_id:int -> Value.t array -> int
     order. @raise Invalid_argument if full, out of order, or the row
     does not match the schema. *)
 
-val find : t -> row_id:int -> int option
-(** Slot of [row_id] (even if delete-marked); [None] if absent. *)
+val find : t -> row_id:int -> int
+(** Slot of [row_id] (even if delete-marked); [-1] if absent. A point
+    lookup runs it on every probe, so it returns a bare slot rather than
+    an option. *)
 
 val get : t -> slot:int -> Value.t array
 
@@ -48,6 +50,12 @@ val get_into : t -> slot:int -> Value.t array -> unit
     [arity] cells of the caller-owned [dst] — the allocation-free
     variant of {!get} for the execute hot path (typically paired with a
     {!Tupbuf} pool). @raise Invalid_argument if [dst] is too small. *)
+
+val get_cols_into : t -> slot:int -> int array -> Value.t array -> unit
+(** [get_cols_into t ~slot cols dst] decodes only the listed columns of
+    the tuple at [slot], each into its own cell of [dst]; other cells
+    are left alone. A projected read touches just those minipages
+    (§5.2). *)
 
 val get_col : t -> slot:int -> col:int -> Value.t
 val set_col : t -> slot:int -> col:int -> Value.t -> unit

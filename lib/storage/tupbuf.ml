@@ -19,9 +19,10 @@ type t = {
   mutable slots : Value.t array array array;  (** slot -> ring -> row *)
   mutable cursor : int array;  (** per-slot ring cursor *)
   mutable res : Value.t array array;  (** slot -> dedicated result row *)
+  mutable rids : int array array;  (** slot -> candidate row ids of a point lookup *)
 }
 
-let create ~arity = { arity; slots = [||]; cursor = [||]; res = [||] }
+let create ~arity = { arity; slots = [||]; cursor = [||]; res = [||]; rids = [||] }
 
 let grow t slot =
   let n = Array.length t.slots in
@@ -32,13 +33,17 @@ let grow t slot =
   Array.blit t.cursor 0 cursor 0 n;
   let res = Array.make n' [||] in (* lint: allow hot-path-alloc — pool growth, off steady state *)
   Array.blit t.res 0 res 0 n;
+  let rids = Array.make n' [||] in (* lint: allow hot-path-alloc — pool growth, off steady state *)
+  Array.blit t.rids 0 rids 0 n;
   for i = n to n' - 1 do
     slots.(i) <- Array.init ring (fun _ -> Array.make t.arity Value.Null); (* lint: allow hot-path-alloc — pool growth, off steady state *)
-    res.(i) <- Array.make t.arity Value.Null (* lint: allow hot-path-alloc — pool growth, off steady state *)
+    res.(i) <- Array.make t.arity Value.Null; (* lint: allow hot-path-alloc — pool growth, off steady state *)
+    rids.(i) <- Array.make 8 0 (* lint: allow hot-path-alloc — pool growth, off steady state *)
   done;
   t.slots <- slots;
   t.cursor <- cursor;
-  t.res <- res
+  t.res <- res;
+  t.rids <- rids
 
 (* lint: hot-path *)
 let take t ~slot =
@@ -51,5 +56,16 @@ let take t ~slot =
 let result t ~slot =
   if slot >= Array.length t.slots then grow t slot;
   t.res.(slot)
+
+(* lint: hot-path *)
+let rids t ~slot =
+  if slot >= Array.length t.slots then grow t slot;
+  t.rids.(slot)
+
+let grow_rids t ~slot n =
+  if slot >= Array.length t.slots then grow t slot;
+  if Array.length t.rids.(slot) < n then
+    (* lint: allow hot-path-alloc — pool growth, off steady state *)
+    t.rids.(slot) <- Array.make (max n (2 * Array.length t.rids.(slot))) 0
 
 let arity t = t.arity

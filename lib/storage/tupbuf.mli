@@ -29,4 +29,13 @@ val result : t -> slot:int -> Value.t array
     [result] for the same slot. Used for point-lookup results that must
     survive the probing of later index candidates. *)
 
+val rids : t -> slot:int -> int array
+(** A per-slot row-id scratch, outside the ring: a point lookup writes
+    its candidate row ids here in one charge-free index walk, then
+    probes them. Valid until the slot's next lookup on this table. *)
+
+val grow_rids : t -> slot:int -> int -> unit
+(** Make the slot's {!rids} hold at least [n] row ids (the old contents
+    are dropped). *)
+
 val arity : t -> int

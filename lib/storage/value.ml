@@ -85,30 +85,32 @@ let decode b off =
    bytewise order matches value order. Ints are biased to unsigned
    big-endian; floats get the standard sign-flip trick; strings are
    escaped with 0x00->0x00 0xFF so that the 0x00 0x00 terminator sorts
-   shorter strings first. *)
+   shorter strings first.
+
+   Runs on every index probe, so it allocates nothing: each number is
+   one [Buffer.add_int64_be] of an expression the compiler keeps
+   unboxed, and the string escape is a module-level loop, not a
+   closure. *)
+let rec add_escaped buf s i =
+  if i < String.length s then begin
+    let c = String.unsafe_get s i in
+    Buffer.add_char buf c;
+    if Char.equal c '\x00' then Buffer.add_char buf '\xff';
+    add_escaped buf s (i + 1)
+  end
+
+(* lint: hot-path *)
 let encode_key buf v =
-  Buffer.add_char buf (Char.chr (rank v));
+  Buffer.add_char buf (Char.unsafe_chr (rank v));
   match v with
   | Null -> ()
-  | Int x ->
-    let biased = Int64.add (Int64.of_int x) Int64.min_int in
-    for i = 7 downto 0 do
-      Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical biased (i * 8)) land 0xff))
-    done
+  | Int x -> Buffer.add_int64_be buf (Int64.add (Int64.of_int x) Int64.min_int)
   | Float f ->
     let bits = Int64.bits_of_float f in
-    let bits =
-      if Int64.compare bits 0L >= 0 then Int64.logxor bits Int64.min_int else Int64.lognot bits
-    in
-    for i = 7 downto 0 do
-      Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical bits (i * 8)) land 0xff))
-    done
+    Buffer.add_int64_be buf
+      (if Int64.compare bits 0L >= 0 then Int64.logxor bits Int64.min_int else Int64.lognot bits)
   | Str s ->
-    String.iter
-      (fun c ->
-        Buffer.add_char buf c;
-        if c = '\x00' then Buffer.add_char buf '\xff')
-      s;
+    add_escaped buf s 0;
     Buffer.add_string buf "\x00\x00"
   | Bool b -> Buffer.add_char buf (if b then '\x01' else '\x00')
 

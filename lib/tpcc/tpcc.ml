@@ -294,6 +294,16 @@ let load database ?(load_data = true) ~warehouses ~scale ~seed () =
 (* ------------------------------------------------------------------ *)
 (* Row access helpers *)
 
+(* Column projections for the read-only bodies (Table.index_lookup_first
+   and index_prefix [?cols]): only the index key columns and these are
+   decoded; every other cell reads Null. Built once, so passing one
+   allocates nothing. *)
+let key_cols_only = Some [||]
+let ol_i_id_only = Some [| ol_i_id |]
+let ol_quantity_only = Some [| ol_quantity |]
+let ol_amount_only = Some [| ol_amount |]
+let s_quantity_only = Some [| s_quantity |]
+
 let find_one t table txn ~index ~key what =
   match Table.index_lookup_first table txn ~index ~key with
   | Some hit -> hit
@@ -500,7 +510,8 @@ let order_status t txn rng ~w_id =
       customer_by_name t txn ~w:w_id ~d ~last
     else
       let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
-      Table.index_lookup_first t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
+      Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
+        ~key:[ vi w_id; vi d; vi cid ]
   in
   match target with
   | None -> ()
@@ -508,16 +519,16 @@ let order_status t txn rng ~w_id =
     let cid = iv crow.(c_id) in
     (* most recent order of this customer *)
     let last_order = ref None in
-    Table.index_prefix t.orders txn ~index:"orders_by_customer" ~prefix:[ vi w_id; vi d; vi cid ]
-      (fun _ row ->
+    Table.index_prefix ?cols:key_cols_only t.orders txn ~index:"orders_by_customer"
+      ~prefix:[ vi w_id; vi d; vi cid ] (fun _ row ->
         (* the prefix row is scratch: keep only the order id *)
         last_order := Some (iv row.(o_id));
         true);
     (match !last_order with
     | None -> ()
     | Some oid ->
-      Table.index_prefix t.orderline txn ~index:"orderline_pk" ~prefix:[ vi w_id; vi d; vi oid ]
-        (fun _ olrow ->
+      Table.index_prefix ?cols:ol_quantity_only t.orderline txn ~index:"orderline_pk"
+        ~prefix:[ vi w_id; vi d; vi oid ] (fun _ olrow ->
           ignore (iv olrow.(ol_quantity));
           true))
 
@@ -541,8 +552,8 @@ let delivery t txn rng ~w_id =
           let cid = iv orow.(o_c_id) in
           let sum = ref 0.0 in
           let lines = ref [] in
-          Table.index_prefix t.orderline txn ~index:"orderline_pk" ~prefix:[ vi w_id; vi d; vi oid ]
-            (fun rid row ->
+          Table.index_prefix ?cols:ol_amount_only t.orderline txn ~index:"orderline_pk"
+            ~prefix:[ vi w_id; vi d; vi oid ] (fun rid row ->
               sum := !sum +. fv row.(ol_amount);
               lines := rid :: !lines;
               true);
@@ -573,12 +584,15 @@ let stock_level t txn rng ~w_id =
   let seen = Hashtbl.create 64 in
   let low = ref 0 in
   for oid = max 1 (next_o - 20) to next_o - 1 do
-    Table.index_prefix t.orderline txn ~index:"orderline_pk" ~prefix:[ vi w_id; vi d; vi oid ]
-      (fun _ row ->
+    Table.index_prefix ?cols:ol_i_id_only t.orderline txn ~index:"orderline_pk"
+      ~prefix:[ vi w_id; vi d; vi oid ] (fun _ row ->
         let iid = iv row.(ol_i_id) in
         if not (Hashtbl.mem seen iid) then begin
           Hashtbl.add seen iid ();
-          match Table.index_lookup_first t.stock txn ~index:"stock_pk" ~key:[ vi w_id; vi iid ] with
+          match
+            Table.index_lookup_first ?cols:s_quantity_only t.stock txn ~index:"stock_pk"
+              ~key:[ vi w_id; vi iid ]
+          with
           | Some (_, srow) -> if iv srow.(s_quantity) < threshold then incr low
           | None -> ()
         end;

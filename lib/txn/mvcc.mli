@@ -12,16 +12,17 @@ val visible_version :
   current:Phoebe_storage.Value.t array ->
   deleted_in_page:bool ->
   head:Undo.t option ->
-  Phoebe_storage.Value.t array option
-(** [None] means the row is invisible at this snapshot (deleted, or not
-    yet inserted). [head] should come from {!Twin.chain_head} (reclaimed
-    chains read as [None], making the in-page version visible).
+  bool
+(** Whether the row is visible at this snapshot; [false] means deleted,
+    or not yet inserted. On [true] the visible version is in [current].
+    [head] should come from {!Twin.chain_head} (reclaimed chains read as
+    [None], making the in-page version visible).
 
     Ownership: [current] must be a caller-owned buffer (a scratch row or
     a fresh decode, never page-backed storage). Before-image deltas are
-    assembled into it {e in place}; on [Some row], [row == current].
-    Callers that need the unmodified in-page image afterwards must pass
-    a copy (DESIGN.md §4h). *)
+    assembled into it {e in place}, and only the columns a delta names
+    are written. Callers that need the unmodified in-page image
+    afterwards must pass a copy (DESIGN.md §4h). *)
 
 type write_check =
   | Write_ok  (** no newer committed version, no concurrent writer *)

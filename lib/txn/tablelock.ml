@@ -17,6 +17,7 @@ let is_free_for t mode ~xid =
   | Shared -> Int.equal t.x_holder 0 || Int.equal t.x_holder xid
   | Exclusive ->
     (Int.equal t.x_holder 0 || Int.equal t.x_holder xid)
+    (* lint: allow hot-path-alloc — exclusive mode: DDL only, never a DML statement *)
     && Hashtbl.fold (fun holder () ok -> ok && Int.equal holder xid) t.shared true
 
 let add_holder t mode ~xid =

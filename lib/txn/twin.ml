@@ -27,10 +27,15 @@ let max_modifier_xid t = t.max_xid
 let note_modifier t ~xid = if xid > t.max_xid then t.max_xid <- xid
 let entry_count t = Hashtbl.length t.entries
 
+(* returns the entry's own [Some], never a fresh one: visibility reads
+   this on every probe of a versioned row *)
 let chain_head entry =
   match entry.head with
-  | Some u when not u.Undo.reclaimed -> Some u
+  | Some u as head when not u.Undo.reclaimed -> head
   | _ -> None
+
+let row_head t ~rid =
+  match Hashtbl.find t.entries rid with e -> chain_head e | exception Not_found -> None
 
 let sweep ?on_dead t =
   let dead =

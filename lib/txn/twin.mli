@@ -46,3 +46,7 @@ val chain_head : entry -> Undo.t option
 (** The head, filtered through the reclaimed flag: reclaimed heads read
     as [None] (the paper's "invalid pointer" case), without taking any
     latch — the queue-like reclamation order makes the flag check safe. *)
+
+val row_head : t -> rid:int -> Undo.t option
+(** {!chain_head} of [rid]'s entry, [None] without one; allocates
+    nothing. *)

@@ -152,6 +152,11 @@ val wait_for_txn : t -> txn -> holder_xid:int -> unit
 val twin_for_page : t -> page_id:int -> Twin.t
 val twin_of_page : t -> page_id:int -> Twin.t option
 
+val chain_head : t -> page_id:int -> rid:int -> Undo.t option
+(** {!Twin.row_head} of [rid] in [page_id]'s twin table; [None] without
+    one. Builds no option on the way: visibility reads it on every
+    probe. *)
+
 val durable_commit_ts : t -> slot:int -> int
 (** Highest commit timestamp in [slot] whose commit record has passed
     its durability wait. A commit-stamped undo entry with

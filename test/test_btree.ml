@@ -230,9 +230,9 @@ let test_tt_model_random_ops () =
 let age eng = Engine.run_until eng ~time:(Engine.now eng + 1_000_000)
 
 let location_id = function
-  | None -> `Absent
-  | Some (Table_tree.In_frozen b) -> `Frozen (Phoebe_storage.Frozen.first_row_id b)
-  | Some (Table_tree.In_page (frame, slot)) -> `Page (Bufmgr.page_id frame, slot)
+  | Table_tree.Absent -> `Absent
+  | Table_tree.In_frozen b -> `Frozen (Phoebe_storage.Frozen.first_row_id b)
+  | Table_tree.In_page (frame, slot) -> `Page (Bufmgr.page_id frame, slot)
 
 let test_tt_fence_hit_matches_descent () =
   let rng = Phoebe_util.Prng.create ~seed:2024 in
@@ -262,7 +262,7 @@ let test_tt_fence_hit_matches_descent () =
         let descent = Table_tree.locate t ~row_id:rid in
         let count_after_descent =
           match descent with
-          | Some (Table_tree.In_page (frame, _)) -> Bufmgr.access_count frame
+          | Table_tree.In_page (frame, _) -> Bufmgr.access_count frame
           | _ -> 0
         in
         if Phoebe_util.Prng.int rng 2 = 0 then age eng;
@@ -270,7 +270,7 @@ let test_tt_fence_hit_matches_descent () =
         if location_id descent <> location_id hit then
           Alcotest.failf "step %d: rid %d located differently by descent and fence hit" step rid;
         (match (descent, bust) with
-        | Some (Table_tree.In_page (frame, _)), `Page (pid, _) when pid <> Bufmgr.page_id frame ->
+        | Table_tree.In_page (frame, _), `Page (pid, _) when pid <> Bufmgr.page_id frame ->
           incr compared;
           (* the hit did a resolve's bookkeeping: one access, fresh recency *)
           check_int "hit counts one access" (count_after_descent + 1) (Bufmgr.access_count frame);
@@ -301,7 +301,7 @@ let test_tt_fence_skips_frozen_leaf () =
   ignore (Table_tree.read t ~row_id:7);
   ignore (Table_tree.freeze_prefix t ~up_to_rid:8);
   check_int "block ends at the last live row" 7 (Table_tree.max_frozen_row_id t);
-  check_bool "deleted tail row is absent" true (Table_tree.locate t ~row_id:8 = None);
+  check_bool "deleted tail row is absent" true (location_id (Table_tree.locate t ~row_id:8) = `Absent);
   check_bool "frozen row readable" true (Table_tree.read t ~row_id:7 <> None)
 
 (* A fence hit refreshes eviction recency: after virtual time passes, a
@@ -314,7 +314,7 @@ let test_tt_fence_hit_keeps_leaf_warm () =
   done;
   let frame_of rid =
     match Table_tree.locate ~touch:false t ~row_id:rid with
-    | Some (Table_tree.In_page (frame, _)) -> frame
+    | Table_tree.In_page (frame, _) -> frame
     | _ -> Alcotest.failf "rid %d not in a page" rid
   in
   let first = frame_of 2 and rightmost = frame_of 6 in

@@ -96,7 +96,9 @@ let test_hot_path_alloc_fixture () =
       check_bool "chain reaches the allocating helper" true (contains f.Report.msg "helper"))
     hot;
   check_bool "Buffer.to_bytes counts as an allocation" true
-    (List.exists (fun (f : Report.finding) -> contains f.Report.msg "Buffer.to_bytes") hot)
+    (List.exists (fun (f : Report.finding) -> contains f.Report.msg "Buffer.to_bytes") hot);
+  check_bool "an allowed call site cuts the chain" false
+    (List.exists (fun (f : Report.finding) -> contains f.Report.msg "rare_helper") hot)
 
 let test_recovery_raise_fixture () =
   let r = analyze_fixtures () in

@@ -164,6 +164,140 @@ let test_index_prefix_scan () =
           true);
       Alcotest.(check (list int)) "prefix rows in order" [ 1; 2; 3; 4 ] (List.rev !seen))
 
+(* ------------------------------------------------------------------ *)
+(* Column projection ([?cols]) *)
+
+let row_t = Alcotest.(array (testable Value.pp Value.equal))
+
+(* (k, a, b, note), unique on k; row k holds a = 10k, b = 100k *)
+let projection_db () =
+  let db = make_db () in
+  let t =
+    Db.create_table db ~name:"proj"
+      ~schema:[ ("k", Value.T_int); ("a", Value.T_int); ("b", Value.T_int); ("note", Value.T_str) ]
+  in
+  Db.create_index db t ~name:"proj_pk" ~cols:[ "k" ] ~unique:true;
+  Db.with_txn db (fun txn ->
+      for k = 1 to 20 do
+        ignore (Table.insert t txn [| Value.Int k; Value.Int (10 * k); Value.Int (100 * k); Value.Str "n" |])
+      done);
+  (* reclaim the inserts' undo logs: rows without a version chain are
+     masked by the decode alone *)
+  ignore (Db.gc db);
+  (db, t)
+
+let test_projection_nulls_other_cells () =
+  let db, t = projection_db () in
+  Db.with_txn db (fun txn ->
+      (* whole-row reads first, so the scratch rows hold data in every cell *)
+      Table.index_prefix t txn ~index:"proj_pk" ~prefix:[] (fun _ _ -> true);
+      ignore (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 3 ]);
+      (match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 4 ] with
+      | Some (_, row) ->
+        Alcotest.check row_t "key and a decoded, the rest Null"
+          [| Value.Int 4; Value.Int 40; Value.Null; Value.Null |]
+          row
+      | None -> Alcotest.fail "k = 4 not found");
+      let seen = ref 0 in
+      Table.index_prefix ~cols:[| 2 |] t txn ~index:"proj_pk" ~prefix:[] (fun _ row ->
+          incr seen;
+          let k = match row.(0) with Value.Int k -> k | _ -> -1 in
+          Alcotest.check row_t "key and b decoded, the rest Null"
+            [| Value.Int k; Value.Null; Value.Int (100 * k); Value.Null |]
+            row;
+          true);
+      check_int "every row visited" 20 !seen)
+
+(* A reader whose snapshot predates an update that wrote every payload
+   column: the before-image restores the projected column, and the
+   columns outside the projection stay Null although the undo delta
+   wrote them. *)
+let test_projection_at_older_snapshot () =
+  let db, t = projection_db () in
+  let rid =
+    Db.with_txn db (fun txn ->
+        match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
+        | Some (rid, _) -> rid
+        | None -> Alcotest.fail "k = 5 not found")
+  in
+  let old_view = ref [||] and new_view = ref [||] in
+  let q = Scheduler.Waitq.create () in
+  Scheduler.submit (Db.scheduler db) (fun () ->
+      let txn =
+        Txnmgr.begin_txn (Db.txnmgr db) ~isolation:Txnmgr.Repeatable_read
+          ~slot:(Scheduler.current_slot ())
+      in
+      ignore (Table.get t txn ~rid);
+      Scheduler.Waitq.wait q;
+      (match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
+      | Some (_, row) -> old_view := Array.copy row
+      | None -> ());
+      Txnmgr.commit (Db.txnmgr db) txn);
+  Scheduler.submit (Db.scheduler db) (fun () ->
+      Scheduler.charge Phoebe_sim.Component.Effective 100_000;
+      Db.with_txn db (fun txn ->
+          ignore
+            (Table.update t txn ~rid
+               [ ("a", Value.Int 0); ("b", Value.Int 0); ("note", Value.Str "updated") ]));
+      Scheduler.Waitq.signal_all q);
+  Db.run db;
+  Alcotest.check row_t "the old snapshot reads the before-image of a"
+    [| Value.Int 5; Value.Int 50; Value.Null; Value.Null |]
+    !old_view;
+  Db.with_txn db (fun txn ->
+      match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
+      | Some (_, row) -> new_view := Array.copy row
+      | None -> ());
+  Alcotest.check row_t "a new snapshot reads the update"
+    [| Value.Int 5; Value.Int 0; Value.Null; Value.Null |]
+    !new_view
+
+(* A key update leaves the old-key entry in the index until GC, for
+   older snapshots. A projected lookup of the old key must still drop
+   it: the visible version's key (always decoded) no longer matches. *)
+let test_projection_filters_stale_entry () =
+  let db, t = projection_db () in
+  let rid =
+    Db.with_txn db (fun txn ->
+        match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 6 ] with
+        | Some (rid, _) -> rid
+        | None -> Alcotest.fail "k = 6 not found")
+  in
+  let old_hit = ref None in
+  let q = Scheduler.Waitq.create () in
+  Scheduler.submit (Db.scheduler db) (fun () ->
+      let txn =
+        Txnmgr.begin_txn (Db.txnmgr db) ~isolation:Txnmgr.Repeatable_read
+          ~slot:(Scheduler.current_slot ())
+      in
+      ignore (Table.get t txn ~rid);
+      Scheduler.Waitq.wait q;
+      old_hit :=
+        Option.map fst
+          (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ]);
+      Txnmgr.commit (Db.txnmgr db) txn);
+  Scheduler.submit (Db.scheduler db) (fun () ->
+      Scheduler.charge Phoebe_sim.Component.Effective 100_000;
+      Db.with_txn db (fun txn -> ignore (Table.update t txn ~rid [ ("k", Value.Int 60) ]));
+      Scheduler.Waitq.signal_all q);
+  Db.run db;
+  Alcotest.(check (option int)) "the old snapshot still finds k = 6 (entry kept)" (Some rid) !old_hit;
+  Db.with_txn db (fun txn ->
+      Alcotest.(check (option int))
+        "the stale k = 6 entry is filtered" None
+        (Option.map fst
+           (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ]));
+      let prefix_hits = ref 0 in
+      Table.index_prefix ~cols:[| 1 |] t txn ~index:"proj_pk" ~prefix:[ Value.Int 6 ] (fun _ _ ->
+          incr prefix_hits;
+          true);
+      check_int "the stale entry is filtered from a prefix scan" 0 !prefix_hits;
+      match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 60 ] with
+      | Some (r, row) ->
+        check_int "the new key finds the row" rid r;
+        Alcotest.check row_t "under its new key" [| Value.Int 60; Value.Int 60; Value.Null; Value.Null |] row
+      | None -> Alcotest.fail "k = 60 not found")
+
 let test_scan_visibility () =
   let db, t = accounts_db () in
   let _r1 = insert_account db t "s1" 1 in
@@ -653,6 +787,14 @@ let () =
           Alcotest.test_case "lookup" `Quick test_index_lookup;
           Alcotest.test_case "prefix scan" `Quick test_index_prefix_scan;
           Alcotest.test_case "scan visibility" `Quick test_scan_visibility;
+        ] );
+      ( "projection",
+        [
+          Alcotest.test_case "cells outside the projection are Null" `Quick
+            test_projection_nulls_other_cells;
+          Alcotest.test_case "older snapshot reads projected before-images" `Quick
+            test_projection_at_older_snapshot;
+          Alcotest.test_case "stale index entry filtered" `Quick test_projection_filters_stale_entry;
         ] );
       ( "isolation",
         [

@@ -124,8 +124,8 @@ let test_pax_append_get () =
   check_int "count" 2 (Pax.count p);
   Alcotest.check value_eq "col read" (Value.Str "b") (Pax.get_col p ~slot:1 ~col:1);
   check_int "row id" 20 (Pax.row_id_at p ~slot:1);
-  check_bool "find present" true (Pax.find p ~row_id:10 = Some 0);
-  check_bool "find absent" true (Pax.find p ~row_id:15 = None)
+  check_bool "find present" true (Pax.find p ~row_id:10 = 0);
+  check_bool "find absent" true (Pax.find p ~row_id:15 = -1)
 
 let test_pax_ordering_enforced () =
   let p = Pax.create schema2 ~capacity:8 in
@@ -162,7 +162,7 @@ let test_pax_update_delete_compact () =
   Alcotest.(check (list int)) "iter skips deleted" [ 2; 3 ] (List.rev !seen);
   let q = Pax.compact p in
   check_int "compacted count" 2 (Pax.count q);
-  check_bool "compacted find" true (Pax.find q ~row_id:1 = None)
+  check_bool "compacted find" true (Pax.find q ~row_id:1 = -1)
 
 let test_pax_null_handling () =
   let p = Pax.create schema2 ~capacity:4 in
@@ -622,6 +622,100 @@ let test_get_into_alloc_savings () =
     Alcotest.failf "get_into allocated %.0f minor words over %d probes — more than boxing alone"
       dw_into probes
 
+(* Allocation pins for the read path (DESIGN.md §4h). An [Int64] the
+   compiler fails to keep unboxed has no constructor for phoebe_check
+   to see, so only a measured pin notices such an allocation. *)
+let test_encode_key_allocates_nothing () =
+  let ints = Array.init 1000 (fun i -> Value.Int ((i * 7919) - 3_000_000)) in
+  let floats = Array.init 1000 (fun i -> Value.Float (float_of_int (i - 500) *. 0.37)) in
+  let strs = Array.init 1000 (fun i -> Value.Str (Printf.sprintf "key\x00%d" i)) in
+  let buf = Buffer.create (32 * 1024) in
+  let encode_all vs () =
+    Buffer.clear buf;
+    for i = 0 to Array.length vs - 1 do
+      Value.encode_key buf vs.(i)
+    done
+  in
+  check_int "Int keys: minor words" 0 (int_of_float (measure_minor_words (encode_all ints)));
+  check_int "Float keys: minor words" 0 (int_of_float (measure_minor_words (encode_all floats)));
+  check_int "Str keys: minor words" 0 (int_of_float (measure_minor_words (encode_all strs)))
+
+(* A stock-shaped table: (w, i) unique, two payload columns. *)
+let stock_db ~rows =
+  let module Db = Phoebe_core.Db in
+  let db = Db.create { Phoebe_core.Config.default with Phoebe_core.Config.n_workers = 1 } in
+  let t =
+    Db.create_table db ~name:"stock"
+      ~schema:[ ("w", Value.T_int); ("i", Value.T_int); ("qty", Value.T_int); ("dist", Value.T_str) ]
+  in
+  Db.create_index db t ~name:"stock_pk" ~cols:[ "w"; "i" ] ~unique:true;
+  Db.with_txn db (fun txn ->
+      for i = 1 to rows do
+        ignore
+          (Phoebe_core.Table.insert t txn
+             [| Value.Int (1 + (i mod 2)); Value.Int i; Value.Int (i mod 90); Value.Str "dist-info" |])
+      done);
+  (db, t)
+
+(* Per-hit words of a warm point lookup: the probe key string (4), the
+   located row's [In_page] (3), the returned pair and its [Some] (5),
+   and the boxed cells the projection decodes (2 each: w, i, qty). *)
+let lookup_words_bound = 18
+
+(* Per-row words of a warm prefix scan: [In_page] (3) and the projected
+   boxed cells (2 each: w, i, qty); plus, once per scan, the probe key
+   string and the scan's two closures. *)
+let prefix_row_words_bound = 9
+let prefix_scan_words_bound = 32
+
+let test_index_lookup_first_alloc_pin () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let rows = 2000 and probes = 500 in
+  let db, t = stock_db ~rows in
+  let keys =
+    Array.init probes (fun k ->
+        let i = 1 + (k * 37 mod rows) in
+        [ Value.Int (1 + (i mod 2)); Value.Int i ])
+  in
+  let cols = Some [| 2 |] in
+  Db.with_txn db (fun txn ->
+      let hits = ref 0 in
+      let probe () =
+        for k = 0 to probes - 1 do
+          match Table.index_lookup_first ?cols t txn ~index:"stock_pk" ~key:keys.(k) with
+          | Some _ -> incr hits
+          | None -> ()
+        done
+      in
+      let words = measure_minor_words probe in
+      check_int "every probe hits" (2 * probes) !hits;
+      let per_hit = words /. float_of_int probes in
+      if per_hit > float_of_int lookup_words_bound then
+        Alcotest.failf "a warm index_lookup_first hit allocated %.1f words (bound %d)" per_hit
+          lookup_words_bound)
+
+let test_index_prefix_alloc_pin () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let rows = 2000 in
+  let db, t = stock_db ~rows in
+  let prefix = [ Value.Int 1 ] in
+  let cols = Some [| 2 |] in
+  Db.with_txn db (fun txn ->
+      let visited = ref 0 in
+      let scan () =
+        Table.index_prefix ?cols t txn ~index:"stock_pk" ~prefix (fun _ _ ->
+            incr visited;
+            true)
+      in
+      let words = measure_minor_words scan in
+      check_int "the prefix visits half the rows, twice" rows !visited;
+      let bound = (prefix_row_words_bound * (rows / 2)) + prefix_scan_words_bound in
+      if words > float_of_int bound then
+        Alcotest.failf "index_prefix allocated %.0f words over %d rows (bound %d per row + %d)" words
+          (rows / 2) prefix_row_words_bound prefix_scan_words_bound)
+
 (* ------------------------------------------------------------------ *)
 (* On-disk formats *)
 
@@ -735,6 +829,11 @@ let () =
         [
           Alcotest.test_case "pax/frozen reuse byte-identical" `Quick test_scratch_reuse_pax_frozen;
           Alcotest.test_case "get_into saves the row allocation" `Quick test_get_into_alloc_savings;
+          Alcotest.test_case "encode_key allocates nothing" `Quick
+            test_encode_key_allocates_nothing;
+          Alcotest.test_case "warm index_lookup_first hit allocation pin" `Quick
+            test_index_lookup_first_alloc_pin;
+          Alcotest.test_case "index_prefix per-row allocation pin" `Quick test_index_prefix_alloc_pin;
         ] );
       ( "latch",
         [

@@ -124,6 +124,11 @@ let test_twin_max_modifier () =
    Reader: XID3 with snapshot 5. *)
 let str s = [| Value.Str s |]
 
+(* [Mvcc.visible_version] as an option: the visible version is the
+   assembled [current] *)
+let visible ~xid ~snapshot ~current ~deleted_in_page ~head =
+  if Mvcc.visible_version ~xid ~snapshot ~current ~deleted_in_page ~head then Some current else None
+
 let test_example_6_2 () =
   let xid7 = Clock.xid_of_start_ts 7 in
   let xid3 = Clock.xid_of_start_ts 3 in
@@ -138,7 +143,7 @@ let test_example_6_2 () =
       ~slot:0 ~prev:(Some old1)
   in
   (match
-     Mvcc.visible_version ~xid:xid3 ~snapshot:5 ~current:(str "a") ~deleted_in_page:false
+     visible ~xid:xid3 ~snapshot:5 ~current:(str "a") ~deleted_in_page:false
        ~head:(Some head1)
    with
   | Some row -> Alcotest.(check string) "rid1 reads c" "c" (Value.to_string row.(0))
@@ -150,7 +155,7 @@ let test_example_6_2 () =
   in
   head2.Undo.ets <- 3;
   (match
-     Mvcc.visible_version ~xid:xid3 ~snapshot:5 ~current:(str "b") ~deleted_in_page:false
+     visible ~xid:xid3 ~snapshot:5 ~current:(str "b") ~deleted_in_page:false
        ~head:(Some head2)
    with
   | Some row -> Alcotest.(check string) "rid2 reads b" "b" (Value.to_string row.(0))
@@ -162,7 +167,7 @@ let test_example_6_2 () =
   in
   head3.Undo.ets <- 6;
   match
-    Mvcc.visible_version ~xid:xid3 ~snapshot:5 ~current:(str "c") ~deleted_in_page:false
+    visible ~xid:xid3 ~snapshot:5 ~current:(str "c") ~deleted_in_page:false
       ~head:(Some head3)
   with
   | Some row -> Alcotest.(check string) "rid3 reads a" "a" (Value.to_string row.(0))
@@ -175,7 +180,7 @@ let test_visibility_own_writes () =
       ~slot:0 ~prev:None
   in
   match
-    Mvcc.visible_version ~xid ~snapshot:5 ~current:(str "mine") ~deleted_in_page:false
+    visible ~xid ~snapshot:5 ~current:(str "mine") ~deleted_in_page:false
       ~head:(Some head)
   with
   | Some row -> Alcotest.(check string) "own write visible" "mine" (Value.to_string row.(0))
@@ -186,7 +191,7 @@ let test_visibility_uncommitted_insert_invisible () =
   let xid_reader = Clock.xid_of_start_ts 4 in
   let head = Undo.make ~table_id:1 ~rid:1 ~kind:Undo.Created ~sts:0 ~xid:xid_writer ~slot:0 ~prev:None in
   check_bool "uncommitted insert invisible" true
-    (Mvcc.visible_version ~xid:xid_reader ~snapshot:8 ~current:(str "new") ~deleted_in_page:false
+    (visible ~xid:xid_reader ~snapshot:8 ~current:(str "new") ~deleted_in_page:false
        ~head:(Some head)
     = None)
 
@@ -198,24 +203,24 @@ let test_visibility_deleted_row_for_old_snapshot () =
   in
   head.Undo.ets <- 10;
   (match
-     Mvcc.visible_version ~xid:(Clock.xid_of_start_ts 3) ~snapshot:5 ~current:(str "content")
+     visible ~xid:(Clock.xid_of_start_ts 3) ~snapshot:5 ~current:(str "content")
        ~deleted_in_page:true ~head:(Some head)
    with
   | Some row -> Alcotest.(check string) "old snapshot sees content" "content" (Value.to_string row.(0))
   | None -> Alcotest.fail "old snapshot must see the row");
   (* New snapshot: invisible. *)
   check_bool "new snapshot sees deletion" true
-    (Mvcc.visible_version ~xid:(Clock.xid_of_start_ts 11) ~snapshot:12 ~current:(str "content")
+    (visible ~xid:(Clock.xid_of_start_ts 11) ~snapshot:12 ~current:(str "content")
        ~deleted_in_page:true ~head:(Some head)
     = None)
 
 let test_visibility_no_chain () =
   check_bool "plain row visible" true
-    (Mvcc.visible_version ~xid:(Clock.xid_of_start_ts 1) ~snapshot:1 ~current:(str "x")
+    (visible ~xid:(Clock.xid_of_start_ts 1) ~snapshot:1 ~current:(str "x")
        ~deleted_in_page:false ~head:None
     <> None);
   check_bool "deleted, no chain: invisible" true
-    (Mvcc.visible_version ~xid:(Clock.xid_of_start_ts 1) ~snapshot:1 ~current:(str "x")
+    (visible ~xid:(Clock.xid_of_start_ts 1) ~snapshot:1 ~current:(str "x")
        ~deleted_in_page:true ~head:None
     = None)
 
@@ -293,7 +298,7 @@ let prop_visibility_oracle =
           (* visible_version assembles into [current] in place: each
              probe needs its own buffer *)
           let got =
-            Mvcc.visible_version ~xid:reader ~snapshot:s ~current:(str current_value)
+            visible ~xid:reader ~snapshot:s ~current:(str current_value)
               ~deleted_in_page:deleted_at_end ~head
           in
           let want = oracle commit_times ~deleted_at_end s in
