@@ -693,6 +693,7 @@ let recovery () =
     let db = Db.create cfg in
     let t = Db.create_table db ~name:"kv" ~schema:[ ("k", Value.T_int); ("v", Value.T_int) ] in
     Db.create_index db t ~name:"kv_pk" ~cols:[ "k" ] ~unique:true;
+    let v_col = Phoebe_core.Table.col t "v" in
     let rng = Phoebe_util.Prng.create ~seed:!opt_seed in
     Db.with_txn db (fun txn ->
         for k = 1 to n_base do
@@ -711,7 +712,7 @@ let recovery () =
                ~key:[ Value.Int (1 + (i mod n_base)) ]
            with
           | Some (rid, _) ->
-            ignore (Phoebe_core.Table.update t txn ~rid [ ("v", Value.Int i) ])
+            ignore (Phoebe_core.Table.update ~reads:[||] t txn ~rid (fun _ -> [| (v_col, Value.Int i) |]))
           | None -> ());
           for j = 0 to n_ins - 1 do
             ignore

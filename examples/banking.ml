@@ -27,6 +27,7 @@ let () =
     Db.create_table db ~name:"accounts" ~schema:[ ("owner", Value.T_str); ("balance", Value.T_int) ]
   in
   Db.create_index db accounts ~name:"accounts_by_owner" ~cols:[ "owner" ] ~unique:true;
+  let balance_col = Table.col accounts "balance" in
   let rids =
     Array.init n_accounts (fun i ->
         Db.with_txn db (fun txn ->
@@ -55,9 +56,13 @@ let () =
           in
           let src_balance = bal src in
           if src_balance >= amount then begin
-            ignore (Table.update accounts txn ~rid:src [ ("balance", Value.Int (src_balance - amount)) ]);
+            ignore
+              (Table.update ~reads:[||] accounts txn ~rid:src (fun _ ->
+                   [| (balance_col, Value.Int (src_balance - amount)) |]));
             let dst_balance = bal dst in
-            ignore (Table.update accounts txn ~rid:dst [ ("balance", Value.Int (dst_balance + amount)) ])
+            ignore
+              (Table.update ~reads:[||] accounts txn ~rid:dst (fun _ ->
+                   [| (balance_col, Value.Int (dst_balance + amount)) |]))
           end)
     end
   done;
@@ -93,8 +98,10 @@ let () =
       Scheduler.charge Phoebe_sim.Component.Effective 200_000;
       Db.with_txn db (fun txn ->
           ignore
-            (Table.update_with accounts txn ~rid (fun row ->
-                 match row.(1) with Value.Int v -> [ ("balance", Value.Int (v + 777)) ] | _ -> [])));
+            (Table.update accounts txn ~rid (fun row ->
+                 match row.(balance_col) with
+                 | Value.Int v -> [| (balance_col, Value.Int (v + 777)) |]
+                 | _ -> [||])));
       Scheduler.Waitq.signal_all q);
   Db.run db;
   let rc_before, rc_after = !rc and rr_before, rr_after = !rr in

@@ -22,6 +22,7 @@ let () =
       ~schema:[ ("sku", Value.T_str); ("price", Value.T_float); ("in_stock", Value.T_int) ]
   in
   Db.create_index db products ~name:"products_by_sku" ~cols:[ "sku" ] ~unique:true;
+  let in_stock = Table.col products "in_stock" in
   let orders =
     Db.create_table db ~name:"orders"
       ~schema:
@@ -64,12 +65,12 @@ let () =
         in
         let reserved = ref false in
         ignore
-          (Table.update_with products txn ~rid:product (fun row ->
-               match row.(2) with
+          (Table.update products txn ~rid:product (fun row ->
+               match row.(in_stock) with
                | Value.Int stock when stock >= quantity ->
                  reserved := true;
-                 [ ("in_stock", Value.Int (stock - quantity)) ]
-               | _ -> []));
+                 [| (in_stock, Value.Int (stock - quantity)) |]
+               | _ -> [||]));
         let status = if !reserved then "placed" else "rejected" in
         if !reserved then incr placed else incr rejected;
         ignore

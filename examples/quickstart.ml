@@ -26,6 +26,7 @@ let () =
     Db.create_table db ~name:"users" ~schema:[ ("name", Value.T_str); ("karma", Value.T_int) ]
   in
   Db.create_index db users ~name:"users_by_name" ~cols:[ "name" ] ~unique:true;
+  let karma = Table.col users "karma" in
 
   (* Transactions: everything inside with_txn commits atomically. *)
   let alice =
@@ -41,10 +42,10 @@ let () =
   (* Atomic read-modify-write (SQL UPDATE semantics). *)
   ignore
     (Db.with_txn db (fun txn ->
-         Table.update_with users txn ~rid:alice (fun row ->
-             match row.(1) with
-             | Value.Int k -> [ ("karma", Value.Int (k + 5)) ]
-             | _ -> [])));
+         Table.update users txn ~rid:alice (fun row ->
+             match row.(karma) with
+             | Value.Int k -> [| (karma, Value.Int (k + 5)) |]
+             | _ -> [||])));
 
   (* Point lookup through the secondary index. *)
   Db.with_txn db (fun txn ->
@@ -56,7 +57,7 @@ let () =
   (* A failed transaction rolls back everything it did. *)
   (try
      Db.with_txn db (fun txn ->
-         ignore (Table.update users txn ~rid:bob [ ("karma", Value.Int 1000) ]);
+         ignore (Table.update ~reads:[||] users txn ~rid:bob (fun _ -> [| (karma, Value.Int 1000) |]));
          failwith "changed my mind")
    with Failure _ -> print_endline "transaction aborted; bob's karma is unchanged:");
   print_user db users bob;

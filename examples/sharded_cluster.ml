@@ -19,6 +19,15 @@ let accounts_per_shard = 100
 let shard_of_account id = id / accounts_per_shard
 let local_id id = id mod accounts_per_shard
 
+(* a read-modify-write of one account's balance, by column index *)
+let add_balance t txn ~rid delta =
+  let balance = Table.col t "balance" in
+  ignore
+    (Table.update ~reads:[| balance |] t txn ~rid (fun row ->
+         match row.(balance) with
+         | Value.Int b -> [| (balance, Value.Int (b + delta)) |]
+         | _ -> assert false))
+
 let () =
   print_endline "== 4-shard cluster: local deposits + cross-shard transfers ==";
   let eng = Phoebe_sim.Engine.create () in
@@ -48,11 +57,7 @@ let () =
     (match Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ args.(0) ] with
     | Some (rid, _) ->
       let amount = match args.(1) with Value.Int a -> a | _ -> assert false in
-      ignore
-        (Table.update_with t txn ~rid (fun row ->
-             match row.(1) with
-             | Value.Int b -> [ ("balance", Value.Int (b + amount)) ]
-             | _ -> assert false))
+      add_balance t txn ~rid amount
     | None -> raise (Phoebe_txn.Txnmgr.Abort (Phoebe_txn.Txnmgr.User, "no such account")));
     [||]
   in
@@ -79,11 +84,7 @@ let () =
              Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ Value.Int (local_id src) ]
            with
           | Some (rid, _) ->
-            ignore
-              (Table.update_with t txn ~rid (fun row ->
-                   match row.(1) with
-                   | Value.Int b -> [ ("balance", Value.Int (b - 10)) ]
-                   | _ -> assert false))
+            add_balance t txn ~rid (-10)
           | None -> assert false);
           ignore
             (Cluster.remote_exec cl dtx ~shard:(shard_of_account dst) ~proc:credit_proc
@@ -99,11 +100,7 @@ let () =
             Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ Value.Int (local_id src) ]
           with
           | Some (rid, _) ->
-            ignore
-              (Table.update_with t txn ~rid (fun row ->
-                   match row.(1) with
-                   | Value.Int b -> [ ("balance", Value.Int (b + 1)) ]
-                   | _ -> assert false))
+            add_balance t txn ~rid 1
           | None -> assert false))
   done;
   Cluster.run cl;

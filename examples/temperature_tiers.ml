@@ -89,7 +89,9 @@ let () =
      delete-marked and the new version re-inserted into hot storage. *)
   let live_before = Table_tree.tuple_count_estimate tree in
   let updated =
-    Db.with_txn db (fun txn -> Table.update events txn ~rid:10 [ ("kind", Value.Str "corrected") ])
+    Db.with_txn db (fun txn ->
+        Table.update ~reads:[||] events txn ~rid:10 (fun _ ->
+            [| (Table.col events "kind", Value.Str "corrected") |]))
   in
   Printf.printf "frozen update rid=10: %b (live tuples %d -> %d; the row moved to hot storage)\n"
     updated live_before (Table_tree.tuple_count_estimate tree);

@@ -167,7 +167,7 @@ let build ?old eng (cfg : Config.t) =
   (* after the pool, not with the devices: scope ids follow this order *)
   let wal_store = match old with Some o -> Wal.store o.walmgr | None -> Walstore.create wal_dev in
   let walmgr =
-    Wal.create ~obs ~resume:(Option.is_some old) eng ~store:wal_store ~n_slots cfg.Config.wal
+    Wal.create ~obs eng ~store:wal_store ~n_slots cfg.Config.wal
   in
   let clock = Clock.create () in
   let contention =
@@ -457,6 +457,14 @@ let raw_apply t =
 
 let replay_wal ?after ?decide_in_doubt t ~from =
   let report = Recovery.replay ?after ?decide_in_doubt from (raw_apply t) in
+  (* replaying its own log (a restart): the writers continue each
+     file's sequences from the replay's decode *)
+  if Int.equal (Walstore.id from) (Walstore.id (Wal.store t.walmgr)) then
+    List.iter
+      (fun (tl : Recovery.tail) ->
+        Wal.resume t.walmgr ~file:tl.Recovery.file ~last_lsn:tl.Recovery.last_lsn
+          ~max_gsn:tl.Recovery.max_gsn)
+      report.Recovery.tails;
   (* a lossy restore must be visible, not silent *)
   Obs.Counter.add (Obs.counter t.obs "wal.recovery.torn_tails") report.Recovery.torn_tails;
   Obs.Counter.add (Obs.counter t.obs "wal.recovery.bytes_skipped") report.Recovery.bytes_skipped;

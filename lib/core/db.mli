@@ -20,9 +20,10 @@ val create_on : Phoebe_sim.Engine.t -> Config.t -> t
 val create_attached : t -> Config.t -> t
 (** The restart-after-crash shape: a fresh instance on the old one's
     engine that reuses its devices and on-"disk" stores — the Data Page
-    / Data Block / WAL files survive, the in-memory state does not. WAL
-    writers resume their LSN/GSN sequences and frozen-block ids continue
-    past the old instance's. Everything volatile is built exactly as by
+    / Data Block / WAL files survive, the in-memory state does not.
+    Frozen-block ids and buffer page ids continue past the old
+    instance's, and {!replay_wal} of the surviving WAL resumes the WAL
+    writers' LSN/GSN sequences. Everything volatile is built exactly as by
     {!create_on}, including the configured {!Config.t.lock_style}
     contention. Used by {!Checkpoint.restore}. *)
 
@@ -194,7 +195,9 @@ val replay_wal :
     branch transactions are resolved through [decide_in_doubt] — the
     cluster layer answers from the coordinator shard's log; the default
     is presumed abort — and are listed in the report's [in_doubt]
-    either way. *)
+    either way. When [from] is this instance's own WAL store (a
+    restart), each writer resumes its file's LSN/GSN sequence from the
+    replay's decode (the report's [tails]). *)
 
 val raw_apply : t -> Phoebe_wal.Recovery.apply
 (** The rid-preserving, non-transactional insert/update/delete dispatch

@@ -64,9 +64,23 @@ let create ?manifest ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr
     key_scratch = Buffer.create 64;
   }
 
-let key_of_row index (row : Value.t array) =
-  let buf = Buffer.create 32 in
-  Array.iter (fun c -> Value.encode_key buf row.(c)) index.key_cols;
+let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
+  if i < Array.length cols then begin
+    Value.encode_key buf row.(cols.(i));
+    encode_row_key buf cols row (i + 1)
+  end
+
+(* Shared empty arrays: an empty column list and a row not taken. *)
+let no_cols : int array = [||]
+let no_row : Value.t array = [||]
+
+(* [index]'s key of [row], encoded through the table's key scratch: one
+   string per key and no [Buffer.create]. *)
+let key_of_row t index (row : Value.t array) =
+  let buf = t.key_scratch in
+  Buffer.clear buf;
+  encode_row_key buf index.key_cols row 0;
+  (* lint: allow hot-path-alloc — the key string, one per index entry touched *)
   Buffer.contents buf
 
 let add_index t ~name ~cols ~unique =
@@ -79,7 +93,7 @@ let add_index t ~name ~cols ~unique =
      enforced at this layer against the *live* row set. *)
   let index = { ix_name = name; ix = Index_tree.create ~name ~unique:false (); key_cols; ix_unique = unique } in
   Table_tree.scan ~touch:false t.ttree (fun rid row ->
-      Index_tree.insert index.ix ~key:(key_of_row index row) ~rid);
+      Index_tree.insert index.ix ~key:(key_of_row t index row) ~rid);
   t.indexes <- index :: t.indexes
 
 let index_names t = List.map (fun ix -> ix.ix_name) t.indexes
@@ -118,27 +132,19 @@ let frozen_twin_key t rid = -((t.tid lsl 40) lor rid)
    false cross-slot dependencies. The page GSN is still advanced and
    stamped (it makes WAL replay order consistent with same-page write
    order, surviving twin-table GC and page eviction). *)
-let log_page_write ?entry t (txn : txn) frame op =
+let log_page_write t (txn : txn) (e : Twin.entry) frame op =
   let page_gsn = Bufmgr.page_gsn frame in
-  (match entry with
-  | Some (e : Twin.entry) ->
-    if
-      Wal.observe_page t.wal ~slot:txn.Txnmgr.slot ~page_gsn:e.Twin.wgsn
-        ~writer_slot:e.Twin.wslot
-    then begin
-      txn.Txnmgr.needs_remote <- true;
-      txn.Txnmgr.remote_gsn <- max txn.Txnmgr.remote_gsn e.Twin.wgsn
-    end
-  | None -> () (* a fresh tuple depends on no prior log record *));
+  if Wal.observe_page t.wal ~slot:txn.Txnmgr.slot ~page_gsn:e.Twin.wgsn ~writer_slot:e.Twin.wslot
+  then begin
+    txn.Txnmgr.needs_remote <- true;
+    txn.Txnmgr.remote_gsn <- max txn.Txnmgr.remote_gsn e.Twin.wgsn
+  end;
   let gsn = Wal.next_gsn t.wal ~slot:txn.Txnmgr.slot ~page_gsn in
   ignore (Wal.append t.wal ~slot:txn.Txnmgr.slot op ~gsn);
   Bufmgr.set_page_gsn frame gsn;
   Bufmgr.set_last_writer_slot frame txn.Txnmgr.slot;
-  (match entry with
-  | Some e ->
-    e.Twin.wgsn <- gsn;
-    e.Twin.wslot <- txn.Txnmgr.slot
-  | None -> ());
+  e.Twin.wgsn <- gsn;
+  e.Twin.wslot <- txn.Txnmgr.slot;
   txn.Txnmgr.wrote <- true
 
 let log_frozen_write t (txn : txn) op =
@@ -258,20 +264,19 @@ let get_col t txn ~rid ~col =
    holder's transaction-ID lock always drops the tuple lock first — the
    holder may need it to finish. *)
 let rec write_entry t (txn : txn) ~page_key ~rid =
-  let twin = Txnmgr.twin_for_page t.txnmgr ~page_id:page_key in
-  let entry = Twin.find_or_add twin ~rid in
+  let entry = Twin.find_or_add (Txnmgr.twin_for_page t.txnmgr ~page_id:page_key) ~rid in
   Txnmgr.lock_tuple t.txnmgr txn entry;
   match
     Mvcc.check_write ~xid:txn.Txnmgr.xid ~snapshot:txn.Txnmgr.snapshot
       ~head:(Twin.chain_head entry)
   with
-  | Mvcc.Write_ok -> (twin, entry)
+  | Mvcc.Write_ok -> entry
   | Mvcc.Write_conflict cts -> (
     match txn.Txnmgr.isolation with
     | Txnmgr.Read_committed ->
       (* update the latest committed version: take a fresher snapshot *)
       Txnmgr.refresh_snapshot t.txnmgr txn;
-      if cts <= txn.Txnmgr.snapshot then (twin, entry)
+      if cts <= txn.Txnmgr.snapshot then entry
       else begin
         Txnmgr.unlock_tuple t.txnmgr txn entry;
         write_entry t txn ~page_key ~rid
@@ -281,6 +286,7 @@ let rec write_entry t (txn : txn) ~page_key ~rid =
       raise (Txnmgr.Abort (Txnmgr.Conflict, "serialization failure: tuple updated since snapshot")))
   | Mvcc.Write_wait holder_xid -> (
     Txnmgr.unlock_tuple t.txnmgr txn entry;
+    (* lint: allow hot-path-alloc — lock wait: an uncommitted writer holds the tuple *)
     Txnmgr.wait_for_txn t.txnmgr txn ~holder_xid;
     match txn.Txnmgr.isolation with
     | Txnmgr.Read_committed ->
@@ -298,14 +304,16 @@ let sts_for entry =
 
 (* Push this transaction's new version of a tuple: an UNDO log holding
    the before-image [kind] becomes the head of the twin entry's version
-   chain and joins the transaction's rollback list. *)
-let push_version t (txn : txn) twin entry ~rid kind =
+   chain and joins the transaction's rollback list. The tuple lock is
+   held, so [page_key]'s twin table, which holds [entry], is live. *)
+let push_version t (txn : txn) ~page_key entry ~rid kind =
   let undo =
     Undo.make ~table_id:t.tid ~rid ~kind ~sts:(sts_for entry) ~xid:txn.Txnmgr.xid
       ~slot:txn.Txnmgr.slot ~prev:entry.Twin.head
   in
+  (* lint: allow hot-path-alloc — the version chain's head cell *)
   entry.Twin.head <- Some undo;
-  Twin.note_modifier twin ~xid:txn.Txnmgr.xid;
+  Twin.note_modifier (Txnmgr.twin_for_page t.txnmgr ~page_id:page_key) ~xid:txn.Txnmgr.xid;
   Txnmgr.add_undo t.txnmgr txn undo
 
 (* [write_entry] may have waited (suspension): the frame the caller saw
@@ -354,23 +362,34 @@ let check_unique t (txn : txn) ix ~key ~inserting_rid =
 (* ------------------------------------------------------------------ *)
 (* Insert *)
 
+(* Every index's entry for a new row; a module-level loop rather than a
+   closure. The key string is what the index tree stores. *)
+let rec insert_keys t txn ~rid row = function
+  | [] -> ()
+  | ix :: rest ->
+    let key = key_of_row t ix row in
+    (* lint: allow hot-path-alloc — unique-key check: its equal-key walk's callback *)
+    if ix.ix_unique then check_unique t txn ix ~key ~inserting_rid:rid;
+    (* lint: allow hot-path-alloc — the index entry: node growth and splits in the tree *)
+    Index_tree.insert ix.ix ~key ~rid;
+    insert_keys t txn ~rid row rest
+
+(* lint: hot-path *)
 let insert t (txn : txn) row =
   statement_begin t txn;
   if not (Value.Schema.check_row t.tschema row) then
     invalid_arg "Table.insert: row does not match schema";
   let rid =
+    (* lint: allow hot-path-alloc — the row append: its hook, and a leaf every leaf_capacity rows *)
     Table_tree.append t.ttree row ~on_page:(fun frame rid ->
-        let twin = Txnmgr.twin_for_page t.txnmgr ~page_id:(Bufmgr.page_id frame) in
-        let entry = Twin.find_or_add twin ~rid in
-        push_version t txn twin entry ~rid Undo.Created;
-        log_page_write ~entry t txn frame (Record.Insert { table = t.tid; rid; row }))
+        let page_key = Bufmgr.page_id frame in
+        let entry = Twin.find_or_add (Txnmgr.twin_for_page t.txnmgr ~page_id:page_key) ~rid in
+        push_version t txn ~page_key entry ~rid Undo.Created;
+        (* lint: allow hot-path-alloc — the redo record's op, one per write *)
+        let op = Record.Insert { table = t.tid; rid; row } in
+        log_page_write t txn entry frame op)
   in
-  List.iter
-    (fun ix ->
-      let key = key_of_row ix row in
-      if ix.ix_unique then check_unique t txn ix ~key ~inserting_rid:rid;
-      Index_tree.insert ix.ix ~key ~rid)
-    t.indexes;
+  insert_keys t txn ~rid row t.indexes;
   rid
 
 (* ------------------------------------------------------------------ *)
@@ -394,65 +413,90 @@ let rec writes_any_key cols = function
   | [] -> false
   | ix :: rest -> writes_key ix cols || writes_any_key cols rest
 
-let update_in_page t (txn : txn) ~page_key ~rid compute =
+(* A key-column update: add the new-key entries; the old-key entries
+   stay until GC so older snapshots can still find the row. *)
+let rec add_new_keys t ~rid cols old_row new_row = function
+  | [] -> ()
+  | ix :: rest ->
+    if writes_key ix cols then begin
+      let old_key = key_of_row t ix old_row and new_key = key_of_row t ix new_row in
+      if not (String.equal old_key new_key) then Index_tree.insert ix.ix ~key:new_key ~rid
+    end;
+    add_new_keys t ~rid cols old_row new_row rest
+
+(* The before-image of [cols]: the cells the closure already decoded,
+   the rest read from the page. It outlives the statement, so it is the
+   one array the write allocates. *)
+let before_image page ~slot reads (cur : Value.t array) (cols : (int * Value.t) array) =
+  (* lint: allow hot-path-alloc — the before-image, retained by the undo entry *)
+  let before = Array.make (Array.length cols) (0, Value.Null) in
+  for i = 0 to Array.length cols - 1 do
+    let col = fst cols.(i) in
+    let v =
+      match reads with
+      | Some r when not (mem_col r col 0) -> Pax.get_col page ~slot ~col
+      | _ -> cur.(col)
+    in
+    (* lint: allow hot-path-alloc — the before-image, retained by the undo entry *)
+    before.(i) <- (col, v)
+  done;
+  before
+
+(* The in-place write under the held tuple lock. The closure sees the
+   row as of lock grant, so read-modify-write is atomic with respect to
+   other writers; it is decoded into a scratch ring row at only the
+   columns in [reads] (all with [None]), valid for the duration of the
+   closure. The written pairs go to the WAL record as they are. *)
+let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
   let c = Scheduler.current_cost () in
-  let twin, entry = write_entry t txn ~page_key ~rid in
+  let page = Bufmgr.payload frame in
+  let cur = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+  decode_in_page page ~slot ~key_cols:no_cols reads cur;
+  let cols = compute cur in
+  let before = before_image page ~slot reads cur cols in
+  let key_write = writes_any_key cols t.indexes in
+  let old_row = if key_write then Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot else no_row in
+  if key_write then Pax.get_into page ~slot old_row;
+  (* lint: allow hot-path-alloc — the undo entry's before-image delta *)
+  let kind = Undo.Updated before in
+  push_version t txn ~page_key entry ~rid kind;
+  for i = 0 to Array.length cols - 1 do
+    let col, v = cols.(i) in
+    Scheduler.charge Component.Effective c.Cost.pax_write_per_col;
+    Pax.set_col page ~slot ~col v
+  done;
+  Bufmgr.mark_dirty frame;
+  (* lint: allow hot-path-alloc — the redo record's op, one per write *)
+  let op = Record.Update { table = t.tid; rid; cols } in
+  log_page_write t txn entry frame op;
+  if key_write then begin
+    let new_row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+    Pax.get_into page ~slot new_row;
+    (* lint: allow hot-path-alloc — a key-column update: index maintenance, which no TPC-C update needs *)
+    add_new_keys t ~rid cols old_row new_row t.indexes
+  end
+
+(* The tuple lock is released on both exits of the write, without
+   [Fun.protect]'s closures. *)
+let update_in_page t (txn : txn) ~page_key ~rid reads compute =
+  let entry = write_entry t txn ~page_key ~rid in
   match relocate_live t txn entry ~rid with
-  | Table_tree.In_page (frame, slot) ->
-    let page = Bufmgr.payload frame in
-    Fun.protect
-      ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
-      (fun () ->
-        (* the closure sees the row as of lock grant: read-modify-write
-           is atomic with respect to other writers. It is decoded into a
-           scratch ring row (valid for the duration of the closure); the
-           undo before-image is freshly allocated because it outlives
-           the statement. *)
-        let cur = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-        Pax.get_into page ~slot cur;
-        let cols_idx = compute cur in
-        let before =
-          Array.of_list (List.map (fun (col, _) -> (col, Pax.get_col page ~slot ~col)) cols_idx)
-        in
-        let old_row_for_index =
-          if writes_any_key before t.indexes then begin
-            let r = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-            Pax.get_into page ~slot r;
-            Some r
-          end
-          else None
-        in
-        push_version t txn twin entry ~rid (Undo.Updated before);
-        List.iter
-          (fun (col, v) ->
-            Scheduler.charge Component.Effective c.Cost.pax_write_per_col;
-            Pax.set_col page ~slot ~col v)
-          cols_idx;
-        Bufmgr.mark_dirty frame;
-        log_page_write ~entry t txn frame
-          (Record.Update { table = t.tid; rid; cols = Array.of_list cols_idx });
-        (* key updates: add the new-key entries; the old-key entries stay
-           until GC so older snapshots can still find the row *)
-        (match old_row_for_index with
-        | None -> ()
-        | Some old_row ->
-          let new_row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-          Pax.get_into page ~slot new_row;
-          List.iter
-            (fun ix ->
-              if writes_key ix before then begin
-                let old_key = key_of_row ix old_row and new_key = key_of_row ix new_row in
-                if old_key <> new_key then Index_tree.insert ix.ix ~key:new_key ~rid
-              end)
-            t.indexes);
-        true)
+  | Table_tree.In_page (frame, slot) -> (
+    match write_in_page t txn ~page_key entry frame ~slot ~rid reads compute with
+    | () ->
+      Txnmgr.unlock_tuple t.txnmgr txn entry;
+      true
+    | exception e ->
+      Txnmgr.unlock_tuple t.txnmgr txn entry;
+      raise e)
   | _ -> false
 
 (* Delete-mark a frozen row under MVCC. Frozen rows are updated out of
    place (§5.2 case 3): with [reinsert], that new version is inserted
    into hot storage before the tuple lock is released. *)
 let delete_frozen ?reinsert t (txn : txn) block ~rid old_row =
-  let twin, entry = write_entry t txn ~page_key:(frozen_twin_key t rid) ~rid in
+  let page_key = frozen_twin_key t rid in
+  let entry = write_entry t txn ~page_key ~rid in
   if Frozen.is_deleted block ~row_id:rid then begin
     Txnmgr.unlock_tuple t.txnmgr txn entry;
     false
@@ -461,54 +505,64 @@ let delete_frozen ?reinsert t (txn : txn) block ~rid old_row =
     Fun.protect
       ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
       (fun () ->
-        push_version t txn twin entry ~rid (Undo.Deleted old_row);
+        push_version t txn ~page_key entry ~rid (Undo.Deleted old_row);
         ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
         log_frozen_write t txn (Record.Delete { table = t.tid; rid });
         (match reinsert with Some row -> ignore (insert t txn row) | None -> ());
         true)
 
-let update_frozen t txn block ~rid compute =
+(* A frozen row decodes whole; the closure sees it masked to [reads]. *)
+let update_frozen t txn block ~rid reads compute =
   match Frozen.get_raw block ~row_id:rid with
   | None -> false
   | Some old_row ->
+    let seen = Array.copy old_row in
+    mask_unprojected ~key_cols:no_cols reads seen;
     let new_row = Array.copy old_row in
-    List.iter (fun (col, v) -> new_row.(col) <- v) (compute old_row);
+    Array.iter (fun (col, v) -> new_row.(col) <- v) (compute seen);
     delete_frozen ~reinsert:new_row t txn block ~rid old_row
 
-let cols_to_idx t cols =
-  List.map (fun (name, v) -> (Value.Schema.column_index t.tschema name, v)) cols
+let col t name =
+  match Value.Schema.column_index t.tschema name with
+  | c -> c
+  | exception Not_found -> invalid_arg (Printf.sprintf "Table.col: %s has no column %s" t.tbl_name name)
 
-let update_general t txn ~rid compute =
+(* lint: hot-path *)
+let update ?reads t txn ~rid compute =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
   | Table_tree.Absent -> false
-  | Table_tree.In_page (frame, _) -> update_in_page t txn ~page_key:(Bufmgr.page_id frame) ~rid compute
-  | Table_tree.In_frozen block -> update_frozen t txn block ~rid compute
-
-let update t txn ~rid cols =
-  let cols_idx = cols_to_idx t cols in
-  update_general t txn ~rid (fun _ -> cols_idx)
-
-let update_with t txn ~rid f = update_general t txn ~rid (fun row -> cols_to_idx t (f row))
+  | Table_tree.In_page (frame, _) -> update_in_page t txn ~page_key:(Bufmgr.page_id frame) ~rid reads compute
+  | Table_tree.In_frozen block ->
+    (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
+    update_frozen t txn block ~rid reads compute
 
 (* ------------------------------------------------------------------ *)
 (* Delete *)
+
+(* The delete-mark under the held tuple lock; the before-image is the
+   whole row. *)
+let delete_in_page t txn ~page_key entry frame ~slot ~rid =
+  push_version t txn ~page_key entry ~rid (Undo.Deleted (Pax.get (Bufmgr.payload frame) ~slot));
+  ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
+  log_page_write t txn entry frame (Record.Delete { table = t.tid; rid })
 
 let delete t (txn : txn) ~rid =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
   | Table_tree.Absent -> false
   | Table_tree.In_page (frame0, _) -> (
-    let twin, entry = write_entry t txn ~page_key:(Bufmgr.page_id frame0) ~rid in
+    let page_key = Bufmgr.page_id frame0 in
+    let entry = write_entry t txn ~page_key ~rid in
     match relocate_live t txn entry ~rid with
-    | Table_tree.In_page (frame, slot) ->
-      Fun.protect
-        ~finally:(fun () -> Txnmgr.unlock_tuple t.txnmgr txn entry)
-        (fun () ->
-          push_version t txn twin entry ~rid (Undo.Deleted (Pax.get (Bufmgr.payload frame) ~slot));
-          ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
-          log_page_write ~entry t txn frame (Record.Delete { table = t.tid; rid });
-          true)
+    | Table_tree.In_page (frame, slot) -> (
+      match delete_in_page t txn ~page_key entry frame ~slot ~rid with
+      | () ->
+        Txnmgr.unlock_tuple t.txnmgr txn entry;
+        true
+      | exception e ->
+        Txnmgr.unlock_tuple t.txnmgr txn entry;
+        raise e)
     | _ -> false)
   | Table_tree.In_frozen block -> (
     match Frozen.get_raw block ~row_id:rid with
@@ -527,12 +581,6 @@ let rec key_matches_vals (cols : int array) i (row : Value.t array) = function
   | [] -> i = Array.length cols
   | v :: tl ->
     i < Array.length cols && Value.equal row.(cols.(i)) v && key_matches_vals cols (i + 1) row tl
-
-let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
-  if i < Array.length cols then begin
-    Value.encode_key buf row.(cols.(i));
-    encode_row_key buf cols row (i + 1)
-  end
 
 let rec buffer_equals buf key i =
   i >= String.length key
@@ -657,7 +705,7 @@ let rollback_undo t (undo : Undo.t) =
       (* aborted insert: remove index entries, delete-mark the row *)
       (match Table_tree.read ~touch:false t.ttree ~row_id:rid with
       | Some row ->
-        List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row ix row) ~rid)) t.indexes
+        List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes
       | None -> ());
       ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
     | Undo.Updated before ->
@@ -673,7 +721,7 @@ let rollback_undo t (undo : Undo.t) =
         List.iter
           (fun ix ->
             if writes_key ix before then begin
-              let nk = key_of_row ix new_row and ok = key_of_row ix old_row in
+              let nk = key_of_row t ix new_row and ok = key_of_row t ix old_row in
               if nk <> ok then ignore (Index_tree.delete ix.ix ~key:nk ~rid)
             end)
           t.indexes)
@@ -686,7 +734,7 @@ let gc_reclaim_undo t (undo : Undo.t) =
   | Undo.Deleted row ->
     (* the deletion is globally visible: strip the index entries; the
        delete-marked slot itself is reclaimed by freeze/compaction *)
-    List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row ix row) ~rid)) t.indexes
+    List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes
   | Undo.Updated before when writes_any_key before t.indexes -> (
     (* drop old-key index entries that were kept for older snapshots; an
        update that wrote no key column left none, and costs nothing here *)
@@ -698,7 +746,7 @@ let gc_reclaim_undo t (undo : Undo.t) =
       List.iter
         (fun ix ->
           if writes_key ix before then begin
-            let ok = key_of_row ix old_row and ck = key_of_row ix current in
+            let ok = key_of_row t ix old_row and ck = key_of_row t ix current in
             if ok <> ck then ignore (Index_tree.delete ix.ix ~key:ok ~rid)
           end)
         t.indexes)
@@ -718,11 +766,11 @@ let raw_insert t ~rid row =
     Array.iteri (fun col v -> Pax.set_col page ~slot ~col v) row;
     Pax.unmark_deleted page ~slot;
     Bufmgr.mark_dirty frame;
-    List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row ix row) ~rid) t.indexes
+    List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row t ix row) ~rid) t.indexes
   | Table_tree.In_frozen _ -> () (* block images are immutable and already durable *)
   | Table_tree.Absent ->
     Table_tree.append_exact t.ttree ~row_id:rid row;
-    List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row ix row) ~rid) t.indexes
+    List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row t ix row) ~rid) t.indexes
 
 let raw_exists t ~rid =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
@@ -739,7 +787,7 @@ let raw_update t ~rid cols =
     let new_row = Pax.get page ~slot in
     List.iter
       (fun ix ->
-        let ok = key_of_row ix old_row and nk = key_of_row ix new_row in
+        let ok = key_of_row t ix old_row and nk = key_of_row t ix new_row in
         if ok <> nk then begin
           ignore (Index_tree.delete ix.ix ~key:ok ~rid);
           Index_tree.insert ix.ix ~key:nk ~rid
@@ -750,7 +798,7 @@ let raw_update t ~rid cols =
 let raw_delete t ~rid =
   (match Table_tree.read ~touch:false t.ttree ~row_id:rid with
   | Some row ->
-    List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row ix row) ~rid)) t.indexes
+    List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes
   | None -> ());
   ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
 
@@ -787,7 +835,7 @@ let warm_hot_frozen t txn ~read_threshold =
           (fun rid ->
             (* out-of-place move via the normal update machinery with an
                identity column list: delete frozen copy + hot re-insert *)
-            if update_frozen t txn block ~rid (fun _ -> []) then incr warmed)
+            if update_frozen t txn block ~rid None (fun _ -> [||]) then incr warmed)
           (List.rev !rids)
       | _ -> ())
     hot_blocks;

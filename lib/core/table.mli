@@ -65,18 +65,31 @@ val lock_exclusive : t -> txn -> unit
 val insert : t -> txn -> Phoebe_storage.Value.t array -> int
 (** Returns the new row id. @raise Txnmgr.Abort on a unique-key conflict. *)
 
-val update : t -> txn -> rid:int -> (string * Phoebe_storage.Value.t) list -> bool
-(** In-place update of named columns; false if the row is not visible /
-    does not exist. May block on a concurrent writer; raises
-    {!Phoebe_txn.Txnmgr.Abort} on serialization failure (repeatable
-    read) or deadlock. *)
+val col : t -> string -> int
+(** The index of the named column: resolve names once, then write by
+    index through {!update}.
+    @raise Invalid_argument for an unknown column. *)
 
-val update_with :
-  t -> txn -> rid:int -> (Phoebe_storage.Value.t array -> (string * Phoebe_storage.Value.t) list) -> bool
-(** Atomic read-modify-write: the closure receives the current row
-    *after* the tuple lock is granted and the pre-write check passed, so
-    [SET x = x + 1]-style updates never lose increments — the semantics
-    a SQL UPDATE has under read committed. *)
+val update :
+  ?reads:int array ->
+  t -> txn -> rid:int ->
+  (Phoebe_storage.Value.t array -> (int * Phoebe_storage.Value.t) array) ->
+  bool
+(** In-place read-modify-write of row [rid]: the closure receives the
+    current row *after* the tuple lock is granted and the pre-write
+    check passed, and returns the [(column index, value)] pairs to
+    write, so [SET x = x + 1]-style updates never lose increments — the
+    semantics a SQL UPDATE has under read committed. False if the row is
+    not visible / does not exist. May block on a concurrent writer;
+    raises {!Phoebe_txn.Txnmgr.Abort} on serialization failure
+    (repeatable read) or deadlock.
+
+    [reads] projects the row the closure sees (DESIGN.md §4h): only the
+    listed columns are decoded and every other cell is
+    [Value.Null]; without it the whole row is decoded. The row is
+    scratch, valid for the duration of the closure. The returned array
+    becomes the WAL record's column list; the closure must not keep or
+    reuse it. *)
 
 val delete : t -> txn -> rid:int -> bool
 

@@ -125,6 +125,8 @@ let read t ~page_id =
 
 let mem t ~page_id = Hashtbl.mem t.latest page_id
 
+let max_page_id t = Hashtbl.fold (fun id _ acc -> max id acc) t.latest 0
+
 let delete t ~page_id =
   (match Hashtbl.find_opt t.latest page_id with
   | Some old ->

@@ -41,6 +41,9 @@ val read : t -> page_id:int -> Bytes.t
 val mem : t -> page_id:int -> bool
 val delete : t -> page_id:int -> unit
 
+val max_page_id : t -> int
+(** The largest page id holding an image (latest view); 0 when empty. *)
+
 val crash : t -> int
 (** Power loss: drop the latest view, revert every page to its durable
     image; pages never durably written disappear. Returns how many pages

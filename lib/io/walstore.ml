@@ -54,34 +54,36 @@ let file_for t file =
   match Hashtbl.find_opt t.files file with
   | Some f -> f
   | None ->
+    (* lint: allow hot-path-alloc — a WAL file's first append *)
     let f = { chunks = [||]; len = 0; durable = 0; extents = Queue.create () } in
     Hashtbl.add t.files file f;
     f
 
 let chunks_for len = (len + chunk_size - 1) / chunk_size
 
-(* Copy [bytes] from [src] on into the history at byte [pos], one chunk
-   at a time. Chunks [0, chunks_for f.len) are allocated; later slots
-   hold [Bytes.empty] until a write reaches them. *)
-let rec write_from f bytes src pos =
-  if src < Bytes.length bytes then begin
+(* Copy [n] bytes of [src] from [srcoff] on into the history at byte
+   [pos], one chunk at a time, with [blit] ([Bytes.blit] or
+   [Buffer.blit]). Chunks [0, chunks_for f.len) are allocated; later
+   slots hold [Bytes.empty] until a write reaches them. *)
+let rec write_from f blit src n srcoff pos =
+  if srcoff < n then begin
     let i = pos / chunk_size and off = pos mod chunk_size in
     if Bytes.length f.chunks.(i) = 0 then f.chunks.(i) <- Bytes.create chunk_size;
-    let k = min (Bytes.length bytes - src) (chunk_size - off) in
-    Bytes.blit bytes src f.chunks.(i) off k;
-    write_from f bytes (src + k) (pos + k)
+    let k = min (n - srcoff) (chunk_size - off) in
+    blit src srcoff f.chunks.(i) off k;
+    write_from f blit src n (srcoff + k) (pos + k)
   end
 
-let add_bytes f bytes =
-  let need = chunks_for (f.len + Bytes.length bytes) in
+let add_bytes f blit src n =
+  let need = chunks_for (f.len + n) in
   let have = Array.length f.chunks in
   if need > have then begin
     let grown = Array.make (max need (2 * have)) Bytes.empty in
     Array.blit f.chunks 0 grown 0 have;
     f.chunks <- grown
   end;
-  write_from f bytes 0 f.len;
-  f.len <- f.len + Bytes.length bytes
+  write_from f blit src n 0 f.len;
+  f.len <- f.len + n
 
 (* Fill [out] from byte [pos] on with the history's bytes at [pos]. *)
 let rec read_into f out pos =
@@ -126,11 +128,9 @@ let advance t file f =
   if Sanitize.on () then
     Sanitize.wal_frontier ~scope:t.sid ~file ~durable:f.durable ~appended:f.len
 
-let append t ~file bytes ~on_durable =
-  let f = file_for t file in
-  add_bytes f bytes;
-  t.appended <- t.appended + Bytes.length bytes;
-  let e = { e_len = Bytes.length bytes; e_state = `Pending; e_ack = on_durable } in
+let submit t ~file f n ~on_durable =
+  t.appended <- t.appended + n;
+  let e = { e_len = n; e_state = `Pending; e_ack = on_durable } in
   Queue.push e f.extents;
   let epoch = t.crashes in
   let rec on_outcome _ outcome =
@@ -148,7 +148,21 @@ let append t ~file bytes ~on_durable =
             Device.submit_writes t.dev ~sizes:[ e.e_len ] ~on_outcome));
     advance t file f
   in
-  Device.submit_writes t.dev ~sizes:[ Bytes.length bytes ] ~on_outcome
+  Device.submit_writes t.dev ~sizes:[ n ] ~on_outcome
+
+let append t ~file bytes ~on_durable =
+  let f = file_for t file in
+  add_bytes f Bytes.blit bytes (Bytes.length bytes);
+  submit t ~file f (Bytes.length bytes) ~on_durable
+
+(* The WAL writer's flush: the bytes are blitted straight from its
+   buffer into the chunks, with no intermediate copy, and the buffer is
+   cleared for the writer's next batch. *)
+let append_buffer t ~file buf ~on_durable =
+  let f = file_for t file and n = Buffer.length buf in
+  add_bytes f Buffer.blit buf n;
+  Buffer.clear buf;
+  submit t ~file f n ~on_durable
 
 (* The live view: everything appended, durable or not. A running system
    reading its own WAL sees its own writes; [crash] is what makes the

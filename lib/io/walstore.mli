@@ -22,6 +22,10 @@ val append : t -> file:int -> Bytes.t -> on_durable:(unit -> unit) -> unit
     an append may tear (its sector prefix reaches media, no ack ever)
     or lose its ack (bytes on media, frontier advances, no ack ever). *)
 
+val append_buffer : t -> file:int -> Buffer.t -> on_durable:(unit -> unit) -> unit
+(** {!append} of the buffer's contents, blitted into the file without an
+    intermediate copy. The buffer is left empty. *)
+
 val contents : t -> file:int -> Bytes.t
 (** The live view: everything appended, durable or not. After {!crash}
     this is exactly the surviving media image. *)

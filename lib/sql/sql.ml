@@ -295,21 +295,24 @@ let run_insert s txn ~tname ~columns ~rows =
 let run_update s txn ~tname ~assignments ~where =
   let table = table_of s tname in
   let schema = Table.schema table in
+  (* resolve the SET columns once, not per row *)
+  let assignments = List.map (fun (c, e) -> (c, col_index schema c, e)) assignments in
   let targets = matching_rows s txn table where ~limit_hint:None in
   let applied = ref 0 in
   List.iter
     (fun (rid, _) ->
       ignore
-        (Table.update_with table txn ~rid (fun current ->
+        (Table.update table txn ~rid (fun current ->
              (* re-check under the tuple lock: the row may have changed
                 since the probe (PostgreSQL re-evaluates the same way) *)
              if matches_all schema current where then begin
                incr applied;
-               List.map
-                 (fun (c, e) -> (c, coerce_for_column schema c (eval_expr schema current e)))
-                 assignments
+               Array.of_list
+                 (List.map
+                    (fun (c, i, e) -> (i, coerce_for_column schema c (eval_expr schema current e)))
+                    assignments)
              end
-             else [])))
+             else [||])))
     targets;
   Affected !applied
 

@@ -110,7 +110,9 @@ let create ?obs engine ~store ~partitions ~budget_bytes ~codec =
             clock = [];
           });
     codec;
-    next_page_id = 0;
+    (* over a surviving store (a restart), fresh ids start past every
+       stored image: the restored tree's cold swips still name them *)
+    next_page_id = Pagestore.max_page_id store;
     cleaner_cfg = { default_cleaner with cl_enabled = false };
     cleaner_sched = None;
     sanitize = None;

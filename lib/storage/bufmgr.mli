@@ -46,7 +46,9 @@ val create :
   codec:'p codec ->
   'p t
 (** [budget_bytes] is the total pool budget, split evenly across
-    partitions. With [obs], cleaner accounting registers under
+    partitions. Page ids are allocated past the largest id [store]
+    already holds, so a pool over a surviving store never reuses one.
+    With [obs], cleaner accounting registers under
     [buf.cleaner.*] and residency under [buf.resident_{bytes,pages}]
     (pull metrics). *)
 

@@ -135,11 +135,14 @@ module Schema = struct
 
   let column_type t i = t.cols.(i).ctype
 
-  let check_row t row =
-    Array.length row = Array.length t.cols
-    && Array.for_all2
-         (fun v c -> match type_of v with None -> true | Some ty -> ty = c.ctype)
-         row t.cols
+  (* a module-level loop rather than [Array.for_all2]: every insert
+     checks its row *)
+  let rec cells_match (row : value array) cols i =
+    i >= Array.length row
+    || (match type_of row.(i) with None -> true | Some ty -> ty = cols.(i).ctype)
+       && cells_match row cols (i + 1)
+
+  let check_row t row = Array.length row = Array.length t.cols && cells_match row t.cols 0
 
   let write buf t =
     Varint.write_uint buf (Array.length t.cols);

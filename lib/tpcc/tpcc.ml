@@ -294,25 +294,40 @@ let load database ?(load_data = true) ~warehouses ~scale ~seed () =
 (* ------------------------------------------------------------------ *)
 (* Row access helpers *)
 
-(* Column projections for the read-only bodies (Table.index_lookup_first
-   and index_prefix [?cols]): only the index key columns and these are
-   decoded; every other cell reads Null. Built once, so passing one
-   allocates nothing. *)
+(* Column projections (Table.index_lookup_first and index_prefix
+   [?cols]): only the index key columns and these are decoded; every
+   other cell reads Null. Built once, so passing one allocates nothing. *)
 let key_cols_only = Some [||]
 let ol_i_id_only = Some [| ol_i_id |]
 let ol_quantity_only = Some [| ol_quantity |]
 let ol_amount_only = Some [| ol_amount |]
 let s_quantity_only = Some [| s_quantity |]
+let s_dist_only = Some [| s_dist |]
+let w_tax_only = Some [| w_tax |]
+let d_tax_only = Some [| d_tax |]
+let c_discount_only = Some [| c_discount |]
+let i_price_only = Some [| i_price |]
+let o_c_id_only = Some [| o_c_id |]
+let c_first_and_id = Some [| c_first; c_id |]
 
-let find_one t table txn ~index ~key what =
-  match Table.index_lookup_first table txn ~index ~key with
+(* The columns each update's closure reads (Table.update [?reads]). *)
+let stock_rmw = [| s_quantity; s_ytd; s_order_cnt; s_remote_cnt |]
+let payment_rmw = [| c_balance; c_ytd_payment; c_payment_cnt; c_credit; c_data |]
+let delivery_rmw = [| c_balance; c_delivery_cnt |]
+let d_next_o_id_rmw = [| d_next_o_id |]
+let d_ytd_rmw = [| d_ytd |]
+let w_ytd_rmw = [| w_ytd |]
+let blind = [||]
+
+let find_one ?cols t table txn ~index ~key what =
+  match Table.index_lookup_first ?cols table txn ~index ~key with
   | Some hit -> hit
   | None -> Fmt.failwith "tpcc: missing %s (warehouses=%d)" what t.n_warehouses
 
-let customer_by_name t txn ~w ~d ~last =
+let customer_by_name ?cols t txn ~w ~d ~last =
   (* spec 2.5.2.2: position ceil(n/2) in first-name order *)
   let hits = ref [] in
-  Table.index_prefix t.customer txn ~index:"customer_by_name" ~prefix:[ vi w; vi d; vs last ]
+  Table.index_prefix ?cols t.customer txn ~index:"customer_by_name" ~prefix:[ vi w; vi d; vs last ]
     (fun rid row ->
       (* index_prefix rows are scratch: copy the retained candidates *)
       hits := (sv row.(c_first), rid, Array.copy row) :: !hits;
@@ -352,17 +367,19 @@ let other_warehouse rng ~home ~total = 1 + ((home + Prng.int rng (total - 1)) mo
 (* One order line's stock update on warehouse [w_id]; returns S_DIST_xx.
    [remote]: the line's order is homed at another warehouse. *)
 let stock_line t txn ~w_id ~i_id ~qty ~remote =
-  let srid, srow = find_one t t.stock txn ~index:"stock_pk" ~key:[ vi w_id; vi i_id ] "stock" in
+  let srid, srow =
+    find_one ?cols:s_dist_only t t.stock txn ~index:"stock_pk" ~key:[ vi w_id; vi i_id ] "stock"
+  in
   ignore
-    (Table.update_with t.stock txn ~rid:srid (fun row ->
+    (Table.update ~reads:stock_rmw t.stock txn ~rid:srid (fun row ->
          let s_qty = iv row.(s_quantity) in
          let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
-         [
-           ("s_quantity", vi new_qty);
-           ("s_ytd", vi (iv row.(s_ytd) + qty));
-           ("s_order_cnt", vi (iv row.(s_order_cnt) + 1));
-           ("s_remote_cnt", vi (iv row.(s_remote_cnt) + if remote then 1 else 0));
-         ]));
+         [|
+           (s_quantity, vi new_qty);
+           (s_ytd, vi (iv row.(s_ytd) + qty));
+           (s_order_cnt, vi (iv row.(s_order_cnt) + 1));
+           (s_remote_cnt, vi (iv row.(s_remote_cnt) + if remote then 1 else 0));
+         |]));
   sv srow.(s_dist)
 
 (* Payment's customer half on warehouse [w_id]: balance update (plus
@@ -371,28 +388,31 @@ let stock_line t txn ~w_id ~i_id ~qty ~remote =
 let pay_customer t txn ~w_id ~d_id ~customer ~amount ~h_d_id ~h_w_id =
   let target =
     match customer with
-    | By_name last -> customer_by_name t txn ~w:w_id ~d:d_id ~last
-    | By_id cid -> Table.index_lookup_first t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d_id; vi cid ]
+    | By_name last -> customer_by_name ?cols:c_first_and_id t txn ~w:w_id ~d:d_id ~last
+    | By_id cid ->
+      Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
+        ~key:[ vi w_id; vi d_id; vi cid ]
   in
   match target with
   | None -> () (* a last name with no customers: spec allows skipping *)
   | Some (crid, crow) ->
     ignore
-      (Table.update_with t.customer txn ~rid:crid (fun row ->
-           let updates =
-             [
-               ("c_balance", vf (fv row.(c_balance) -. amount));
-               ("c_ytd_payment", vf (fv row.(c_ytd_payment) +. amount));
-               ("c_payment_cnt", vi (iv row.(c_payment_cnt) + 1));
-             ]
-           in
+      (Table.update ~reads:payment_rmw t.customer txn ~rid:crid (fun row ->
+           let balance = (c_balance, vf (fv row.(c_balance) -. amount))
+           and ytd = (c_ytd_payment, vf (fv row.(c_ytd_payment) +. amount))
+           and cnt = (c_payment_cnt, vi (iv row.(c_payment_cnt) + 1)) in
            if sv row.(c_credit) = "BC" then
-             ("c_data",
-              vs
-                (Printf.sprintf "%d-%d-%.2f|%s" h_w_id h_d_id amount
-                   (String.sub (sv row.(c_data)) 0 (min 40 (String.length (sv row.(c_data)))))))
-             :: updates
-           else updates));
+             let data = sv row.(c_data) in
+             [|
+               ( c_data,
+                 vs
+                   (Printf.sprintf "%d-%d-%.2f|%s" h_w_id h_d_id amount
+                      (String.sub data 0 (min 40 (String.length data)))) );
+               balance;
+               ytd;
+               cnt;
+             |]
+           else [| balance; ytd; cnt |]));
     ignore
       (Table.insert t.history txn
          [|
@@ -414,17 +434,24 @@ let new_order ?at t txn rng ~w_id =
   let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
   let ol_cnt = Prng.int_incl rng 5 15 in
   let rollback_last = Prng.int rng 100 = 0 in
-  let _, wrow = find_one t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse" in
+  let _, wrow =
+    find_one ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse"
+  in
   let w_tax = fv wrow.(w_tax) in
-  let drid, drow = find_one t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district" in
+  let drid, drow =
+    find_one ?cols:d_tax_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
+  in
   (* claim the order id atomically: the closure runs under the tuple lock *)
   let next_o = ref 0 in
   ignore
-    (Table.update_with t.district txn ~rid:drid (fun row ->
+    (Table.update ~reads:d_next_o_id_rmw t.district txn ~rid:drid (fun row ->
          next_o := iv row.(d_next_o_id);
-         [ ("d_next_o_id", vi (!next_o + 1)) ]));
+         [| (d_next_o_id, vi (!next_o + 1)) |]));
   let next_o = !next_o in
-  let _, crow = find_one t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ] "customer" in
+  let _, crow =
+    find_one ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
+      "customer"
+  in
   let c_disc = fv crow.(c_discount) in
   let d_tax_v = fv drow.(d_tax) in
   ignore
@@ -441,7 +468,7 @@ let new_order ?at t txn rng ~w_id =
     let supply_w =
       if total > 1 && Prng.int rng 100 = 0 then other_warehouse rng ~home ~total else home
     in
-    (match Table.index_lookup_first t.item txn ~index:"item_pk" ~key:[ vi iid ] with
+    (match Table.index_lookup_first ?cols:i_price_only t.item txn ~index:"item_pk" ~key:[ vi iid ] with
     | None -> raise Rollback (* spec: 1% of NewOrders roll back on a bad item *)
     | Some (_, irow) ->
       let price = fv irow.(i_price) in
@@ -470,14 +497,18 @@ let payment ?at t txn rng ~w_id =
   let total = match at with Some p -> p.total_warehouses | None -> t.n_warehouses in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let amount = float_of_int (Prng.int_incl rng 100 500_000) /. 100.0 in
-  let wrid, _ = find_one t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse" in
+  let wrid, _ =
+    find_one ?cols:key_cols_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse"
+  in
   ignore
-    (Table.update_with t.warehouse txn ~rid:wrid (fun row ->
-         [ ("w_ytd", vf (fv row.(w_ytd) +. amount)) ]));
-  let drid, _ = find_one t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district" in
+    (Table.update ~reads:w_ytd_rmw t.warehouse txn ~rid:wrid (fun row ->
+         [| (w_ytd, vf (fv row.(w_ytd) +. amount)) |]));
+  let drid, _ =
+    find_one ?cols:key_cols_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
+  in
   ignore
-    (Table.update_with t.district txn ~rid:drid (fun row ->
-         [ ("d_ytd", vf (fv row.(d_ytd) +. amount)) ]));
+    (Table.update ~reads:d_ytd_rmw t.district txn ~rid:drid (fun row ->
+         [| (d_ytd, vf (fv row.(d_ytd) +. amount)) |]));
   (* 85% home district customer, 15% remote (spec 2.5.1.2); the remote
      district is drawn before the remote warehouse *)
   let c_w, c_d =
@@ -538,17 +569,22 @@ let delivery t txn rng ~w_id =
   for d = 1 to sc.districts_per_warehouse do
     (* oldest undelivered order in this district *)
     let oldest = ref None in
-    Table.index_prefix t.neworder txn ~index:"neworder_pk" ~prefix:[ vi w_id; vi d ] (fun rid row ->
+    Table.index_prefix ?cols:key_cols_only t.neworder txn ~index:"neworder_pk" ~prefix:[ vi w_id; vi d ]
+      (fun rid row ->
         oldest := Some (rid, iv row.(no_o_id));
         false);
     match !oldest with
     | None -> ()
     | Some (no_rid, oid) ->
       if Table.delete t.neworder txn ~rid:no_rid then begin
-        match Table.index_lookup_first t.orders txn ~index:"orders_pk" ~key:[ vi w_id; vi d; vi oid ] with
+        match
+          Table.index_lookup_first ?cols:o_c_id_only t.orders txn ~index:"orders_pk"
+            ~key:[ vi w_id; vi d; vi oid ]
+        with
         | None -> ()
         | Some (orid, orow) ->
-          ignore (Table.update t.orders txn ~rid:orid [ ("o_carrier_id", vi carrier) ]);
+          ignore
+            (Table.update ~reads:blind t.orders txn ~rid:orid (fun _ -> [| (o_carrier_id, vi carrier) |]));
           let cid = iv orow.(o_c_id) in
           let sum = ref 0.0 in
           let lines = ref [] in
@@ -559,19 +595,24 @@ let delivery t txn rng ~w_id =
               true);
           List.iter
             (fun rid ->
-              ignore (Table.update t.orderline txn ~rid [ ("ol_delivery_d", vi (Db.now t.tdb + 1)) ]))
+              (* the delivery date is read before the statement starts,
+                 not under its lock *)
+              let delivered = vi (Db.now t.tdb + 1) in
+              ignore
+                (Table.update ~reads:blind t.orderline txn ~rid (fun _ -> [| (ol_delivery_d, delivered) |])))
             !lines;
           (match
-             Table.index_lookup_first t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
+             Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
+               ~key:[ vi w_id; vi d; vi cid ]
            with
           | None -> ()
           | Some (crid, _) ->
             ignore
-              (Table.update_with t.customer txn ~rid:crid (fun row ->
-                   [
-                     ("c_balance", vf (fv row.(c_balance) +. !sum));
-                     ("c_delivery_cnt", vi (iv row.(c_delivery_cnt) + 1));
-                   ])))
+              (Table.update ~reads:delivery_rmw t.customer txn ~rid:crid (fun row ->
+                   [|
+                     (c_balance, vf (fv row.(c_balance) +. !sum));
+                     (c_delivery_cnt, vi (iv row.(c_delivery_cnt) + 1));
+                   |])))
       end
   done
 

@@ -60,6 +60,8 @@ let check_write ~xid ~snapshot ~head =
   | None -> Write_ok
   | Some (header : Undo.t) ->
     if Int.equal header.Undo.ets xid then Write_ok
+    (* lint: allow hot-path-alloc — a write conflict: contended rows only *)
     else if Clock.is_xid header.Undo.ets then Write_wait header.Undo.ets
+    (* lint: allow hot-path-alloc — a write conflict: contended rows only *)
     else if header.Undo.ets > snapshot then Write_conflict header.Undo.ets
     else Write_ok

@@ -15,9 +15,10 @@ let create () = { entries = Hashtbl.create 16; max_xid = 0 }
 let find t ~rid = Hashtbl.find_opt t.entries rid
 
 let find_or_add t ~rid =
-  match Hashtbl.find_opt t.entries rid with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.entries rid with
+  | e -> e
+  | exception Not_found ->
+    (* lint: allow hot-path-alloc — a row's first write since its entry was swept *)
     let e = { head = None; lock_xid = 0; lock_waiters = Waitq.create (); wgsn = 0; wslot = -1 } in
     Hashtbl.add t.entries rid e;
     e

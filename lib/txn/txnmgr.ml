@@ -197,6 +197,7 @@ let refresh_snapshot t txn =
 let add_undo t txn undo =
   Scheduler.charge Component.Mvcc (Scheduler.current_cost ()).Cost.undo_create;
   undo.Undo.next_in_txn <- txn.undo_newest;
+  (* lint: allow hot-path-alloc — the rollback list's head cell *)
   txn.undo_newest <- Some undo;
   txn.undo_count <- txn.undo_count + 1;
   txn.wrote <- true;
@@ -384,9 +385,10 @@ let wait_for_txn t txn ~holder_xid =
 (* Twin tables *)
 
 let twin_for_page t ~page_id =
-  match Hashtbl.find_opt t.twins page_id with
-  | Some tw -> tw
-  | None ->
+  match Hashtbl.find t.twins page_id with
+  | tw -> tw
+  | exception Not_found ->
+    (* lint: allow hot-path-alloc — a page's first write: its twin table *)
     let tw = Twin.create () in
     Hashtbl.add t.twins page_id tw;
     tw
@@ -400,42 +402,50 @@ let chain_head t ~page_id ~rid =
 
 let durable_commit_ts t ~slot = t.slot_durable_cts.(slot)
 
+(* A module-level loop rather than a closure: every write runs it. *)
+let rec acquire_tuple t txn (entry : Twin.entry) (c : Cost.t) =
+  if Int.equal entry.Twin.lock_xid 0 || Int.equal entry.Twin.lock_xid txn.xid then begin
+    if Int.equal entry.Twin.lock_xid 0 && Sanitize.on () then
+      (* lint: allow hot-path-alloc — sanitizer bookkeeping, sanitized runs only *)
+      Sanitize.lock_acquired ~fiber:(Scheduler.current_fiber_id ()) ~table:false;
+    entry.Twin.lock_xid <- txn.xid
+  end
+  else begin
+    if Hashtbl.mem t.active entry.Twin.lock_xid then
+      (* lint: allow hot-path-alloc — lock wait: another writer holds the tuple *)
+      wait_tuple_lock t txn entry c
+    else entry.Twin.lock_xid <- 0;
+    acquire_tuple t txn entry c
+  end
+
+and wait_tuple_lock t txn (entry : Twin.entry) (c : Cost.t) =
+  if would_deadlock t ~requester:txn ~holder_xid:entry.Twin.lock_xid then
+    raise (Abort (Deadlock, "deadlock on tuple lock"));
+  txn.waiting_on <- entry.Twin.lock_xid;
+  let r = Waitq.wait_r entry.Twin.lock_waiters in
+  lock_wait_interrupted txn r "tuple lock wait";
+  (* re-acquisition work; charged after the wake — a charge can
+     suspend, and nothing may suspend between the liveness check and
+     the wait *)
+  Scheduler.charge Component.Lock c.Cost.tuple_lock
+
 let lock_tuple t txn (entry : Twin.entry) =
   let c = Scheduler.current_cost () in
+  (* lint: allow hot-path-alloc — PG-like baseline only: the global lock table queue model parks *)
   through_lock_table t;
   (match t.contention with
   | Some { lock_table = Some _; _ } -> Scheduler.charge Component.Lock c.Cost.global_lock_table
   | _ -> ());
   Scheduler.charge Component.Lock c.Cost.tuple_lock;
-  let rec acquire () =
-    if Int.equal entry.Twin.lock_xid 0 || Int.equal entry.Twin.lock_xid txn.xid then begin
-      if Int.equal entry.Twin.lock_xid 0 && Sanitize.on () then
-        Sanitize.lock_acquired ~fiber:(Scheduler.current_fiber_id ()) ~table:false;
-      entry.Twin.lock_xid <- txn.xid
-    end
-    else begin
-      (match Hashtbl.find_opt t.active entry.Twin.lock_xid with
-      | Some _ when would_deadlock t ~requester:txn ~holder_xid:entry.Twin.lock_xid ->
-        raise (Abort (Deadlock, "deadlock on tuple lock"))
-      | Some _ ->
-        txn.waiting_on <- entry.Twin.lock_xid;
-        let r = Waitq.wait_r entry.Twin.lock_waiters in
-        lock_wait_interrupted txn r "tuple lock wait";
-        (* re-acquisition work; charged after the wake — a charge can
-           suspend, and nothing may suspend between the liveness check
-           and the wait *)
-        Scheduler.charge Component.Lock c.Cost.tuple_lock
-      | None -> entry.Twin.lock_xid <- 0);
-      acquire ()
-    end
-  in
-  acquire ()
+  acquire_tuple t txn entry c
 
 let unlock_tuple _t txn (entry : Twin.entry) =
   if Int.equal entry.Twin.lock_xid txn.xid then begin
     entry.Twin.lock_xid <- 0;
     if Sanitize.on () then
+      (* lint: allow hot-path-alloc — sanitizer bookkeeping, sanitized runs only *)
       Sanitize.lock_released ~fiber:(Scheduler.current_fiber_id ()) ~table:false;
+    (* lint: allow hot-path-alloc — wakes lock waiters: contention only, an empty queue wakes no one *)
     Waitq.signal_all entry.Twin.lock_waiters
   end
 

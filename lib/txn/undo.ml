@@ -89,11 +89,18 @@ let txn_length head =
   iter_txn head (fun _ -> incr n);
   !n
 
+(* module-level loops rather than folds: every write sizes its undo *)
+let rec delta_bytes (cols : (int * Value.t) array) i acc =
+  if i >= Array.length cols then acc else delta_bytes cols (i + 1) (acc + Value.size_bytes (snd cols.(i)))
+
+let rec row_bytes (row : Value.t array) i acc =
+  if i >= Array.length row then acc else row_bytes row (i + 1) (acc + Value.size_bytes row.(i))
+
 let size_bytes t =
   let delta =
     match t.kind with
     | Created -> 0
-    | Updated cols -> Array.fold_left (fun acc (_, v) -> acc + Value.size_bytes v) 0 cols
-    | Deleted row -> Array.fold_left (fun acc v -> acc + Value.size_bytes v) 0 row
+    | Updated cols -> delta_bytes cols 0 0
+    | Deleted row -> row_bytes row 0 0
   in
   64 + delta

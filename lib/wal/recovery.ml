@@ -8,6 +8,8 @@ type apply = {
 
 type in_doubt = { gxid : int; coord : int; ops : Record.t list }
 
+type tail = { file : int; last_lsn : int; max_gsn : int }
+
 type report = {
   files_read : int;
   records_read : int;
@@ -18,6 +20,7 @@ type report = {
   bytes_skipped : int;
   corrupt_records : int;
   in_doubt : in_doubt list;
+  tails : tail list;
 }
 
 (* Inserts are applied first, in (table, rid) order, then everything
@@ -148,9 +151,19 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
   let torn_tails = ref 0 in
   let bytes_skipped = ref 0 in
   let corrupt = ref 0 in
+  let tails = ref [] in
   List.iter
     (fun file ->
       let records, stop = Record.decode_all (Walstore.contents store ~file) in
+      (match records with
+      | [] -> ()
+      | _ ->
+        let last_lsn, max_gsn =
+          List.fold_left
+            (fun (l, g) (r : Record.t) -> (max l r.Record.lsn, max g r.Record.gsn))
+            (-1, 0) records
+        in
+        tails := { file; last_lsn; max_gsn } :: !tails);
       (match stop.Record.reason with
       | Record.Eof -> ()
       | Record.Torn ->
@@ -206,6 +219,7 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
     bytes_skipped = !bytes_skipped;
     corrupt_records = !corrupt;
     in_doubt;
+    tails = List.rev !tails;
   }
 
 let committed_transactions store =

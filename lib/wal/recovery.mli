@@ -26,6 +26,12 @@ type in_doubt = { gxid : int; coord : int; ops : Record.t list }
     the gxid is the coordinator's local xid, so a Commit for it there
     means commit, anything else means presumed abort. *)
 
+type tail = { file : int; last_lsn : int; max_gsn : int }
+(** The end of one WAL file's decodable prefix: its last record's LSN
+    and the largest GSN of any of its records, frontier or not. A
+    restart resumes the file's writer from it ({!Phoebe_wal.Wal.resume}),
+    so the file is decoded once, by the replay. *)
+
 type report = {
   files_read : int;
   records_read : int;
@@ -38,6 +44,7 @@ type report = {
       (** files where decoding stopped on a damaged record with more
           data after it — never produced by a clean crash *)
   in_doubt : in_doubt list;  (** prepared-but-undecided branches, per slot *)
+  tails : tail list;  (** one per file that decoded at least one record, in file order *)
 }
 
 val replay :

@@ -29,17 +29,20 @@ val default_config : config
 
 val create :
   ?obs:Phoebe_obs.Obs.t ->
-  ?resume:bool ->
   Phoebe_sim.Engine.t ->
   store:Phoebe_io.Walstore.t ->
   n_slots:int ->
   config ->
   t
-(** [resume:true] (restore path) initialises each writer's LSN/GSN
-    counters from the store's existing file contents so new records
-    extend the old sequence. With [obs], record/byte/RFA accounting
-    registers under [wal.records], [wal.bytes] and
-    [wal.rfa.{local_commits,remote_waits}]. *)
+(** With [obs], record/byte/RFA accounting registers under
+    [wal.records], [wal.bytes] and [wal.rfa.{local_commits,remote_waits}]. *)
+
+val resume : t -> file:int -> last_lsn:int -> max_gsn:int -> unit
+(** Restore path: continue writer [file]'s sequences after the records
+    its file already holds, as found by the replay's decode
+    ({!Recovery.report}'s [tails]). Its next record gets LSN
+    [last_lsn + 1], and its GSN clock and durable GSN start at
+    [max_gsn]. A file at or past the slot count is ignored. *)
 
 val config : t -> config
 

@@ -8,6 +8,11 @@ module Txnmgr = Phoebe_txn.Txnmgr
 module Scheduler = Phoebe_runtime.Scheduler
 module Prng = Phoebe_util.Prng
 
+(* A blind write of one named column through the index-based update. *)
+let set_col t txn ~rid name v =
+  let c = Table.col t name in
+  Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-6))
@@ -92,7 +97,7 @@ let test_agreement_after_mutations () =
     else
       ignore
         (Db.with_txn db (fun txn ->
-             Table.update t txn ~rid [ ("amount", Value.Float (float_of_int (Prng.int rng 100))) ]))
+             set_col t txn ~rid "amount" (Value.Float (float_of_int (Prng.int rng 100)))))
   done;
   agree db t;
   ignore (Db.gc db);
@@ -105,7 +110,7 @@ let test_uncommitted_writer_invisible () =
   let baseline = Db.with_txn db (fun txn -> (A.aggregate_column db t txn ~col:"amount").A.sum) in
   (* writer holds an enormous uncommitted update *)
   Db.submit db (fun txn ->
-      ignore (Table.update t txn ~rid:5 [ ("amount", Value.Float 1_000_000.0) ]);
+      ignore (set_col t txn ~rid:5 "amount" (Value.Float 1_000_000.0));
       Scheduler.Waitq.wait q);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;

@@ -6,6 +6,11 @@ module Value = Phoebe_storage.Value
 module Wal = Phoebe_wal.Wal
 module Prng = Phoebe_util.Prng
 
+(* A blind write of one named column through the index-based update. *)
+let set_col t txn ~rid name v =
+  let c = Table.col t name in
+  Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -40,7 +45,7 @@ let test_checkpoint_restore_roundtrip () =
   ignore
     (Db.with_txn db1 (fun txn ->
          match Table.index_lookup_first t1 txn ~index:"kv_pk" ~key:[ Value.Int 7 ] with
-         | Some (rid, _) -> ignore (Table.update t1 txn ~rid [ ("v", Value.Int 777) ])
+         | Some (rid, _) -> ignore (set_col t1 txn ~rid "v" (Value.Int 777))
          | None -> ()));
   Db.checkpoint db1;
   (* crash + restore over the surviving stores *)
@@ -121,15 +126,15 @@ let test_checkpoint_after_concurrent_run () =
     let rid = 1 + Prng.int rng 50 in
     Db.submit db1 (fun txn ->
         ignore
-          (Table.update_with t1 txn ~rid (fun row ->
-               match row.(1) with Value.Int v -> [ ("v", Value.Int (v + 1)) ] | _ -> [])))
+          (Table.update t1 txn ~rid (fun row ->
+               match row.(1) with Value.Int v -> [| (1, Value.Int (v + 1)) |] | _ -> [||])))
   done;
   Db.run db1;
   let snapshot = Checkpoint.take db1 in
   (* more concurrent traffic after the checkpoint *)
   for _ = 1 to 60 do
     let rid = 1 + Prng.int rng 50 in
-    Db.submit db1 (fun txn -> ignore (Table.update t1 txn ~rid [ ("v", Value.Int 9999) ]))
+    Db.submit db1 (fun txn -> ignore (set_col t1 txn ~rid "v" (Value.Int 9999)))
   done;
   Db.run db1;
   Db.checkpoint db1;
@@ -144,7 +149,7 @@ let test_restore_keeps_lock_style () =
   let cfg = { (Phoebe_baseline.Baseline.pg_like ~workers:2 ()) with Config.spans = true } in
   let update_lock_wait db =
     let t = Db.table db "kv" in
-    Db.submit db (fun txn -> ignore (Table.update t txn ~rid:1 [ ("v", Value.Int 7) ]));
+    Db.submit db (fun txn -> ignore (set_col t txn ~rid:1 "v" (Value.Int 7)));
     Db.run db;
     match Db.trace db with
     | Some tr -> Phoebe_obs.Trace.phase_ns tr ~kind:0 Phoebe_obs.Trace.Lock_wait
@@ -159,6 +164,104 @@ let test_restore_keeps_lock_style () =
   let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
   check_bool "restored instance waits on the lock table" true (update_lock_wait db2 > 0.)
 
+(* ------------------------------------------------------------------ *)
+(* Restart state: WAL writer sequences and page ids *)
+
+module Record = Phoebe_wal.Record
+module Walstore = Phoebe_io.Walstore
+module Pagestore = Phoebe_io.Pagestore
+module Bufmgr = Phoebe_storage.Bufmgr
+module Table_tree = Phoebe_btree.Table_tree
+
+(* A loaded kv table, a checkpoint, then [txns] concurrent transactions
+   after it, each one update and [inserts] inserts, left running for
+   [ns] virtual ns ([None]: to the end). *)
+let kv_after_checkpoint ?(inserts = 1) ~rows ~txns ~ns () =
+  let db = Db.create cfg in
+  let t = kv_ddl db in
+  Db.with_txn db (fun txn ->
+      for k = 1 to rows do
+        ignore (Table.insert t txn [| Value.Int k; Value.Int 0 |])
+      done);
+  let snapshot = Checkpoint.take db in
+  for i = 1 to txns do
+    Db.submit db (fun txn ->
+        ignore (set_col t txn ~rid:(1 + (i * 7 mod rows)) "v" (Value.Int i));
+        for j = 0 to inserts - 1 do
+          ignore (Table.insert t txn [| Value.Int (rows + (i * inserts) + j); Value.Int i |])
+        done)
+  done;
+  (match ns with Some ns -> Db.run_for db ~ns | None -> Db.run db);
+  (db, snapshot)
+
+(* Every restored writer continues its file where a full decode of the
+   file ends: the next LSN follows the file's last one, and the flushed
+   GSN is the file's largest. *)
+let check_writers_match_files db2 =
+  let wal = Db.wal db2 in
+  let store = Wal.store wal in
+  List.iter
+    (fun file ->
+      match fst (Record.decode_all (Walstore.contents store ~file)) with
+      | [] -> ()
+      | records ->
+        let last = List.fold_left (fun acc (r : Record.t) -> max acc r.Record.lsn) (-1) records in
+        let gsn = List.fold_left (fun acc (r : Record.t) -> max acc r.Record.gsn) 0 records in
+        check_int (Printf.sprintf "file %d: last LSN" file) last (Wal.flushed_lsn wal ~slot:file);
+        check_int (Printf.sprintf "file %d: largest GSN" file) gsn (Wal.flushed_gsn wal ~slot:file))
+    (Walstore.files store)
+
+let test_restore_resumes_wal_writers () =
+  let db1, snapshot = kv_after_checkpoint ~rows:200 ~txns:60 ~ns:None () in
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  check_writers_match_files db2;
+  (* a new record takes the next LSN: each file stays one unbroken
+     sequence *)
+  let t2 = Db.table db2 "kv" in
+  ignore (Db.with_txn db2 (fun txn -> Table.insert t2 txn [| Value.Int 9_999; Value.Int 1 |]));
+  ignore (Db.with_txn db2 (fun txn -> set_col t2 txn ~rid:3 "v" (Value.Int 5)));
+  let store = Wal.store (Db.wal db2) in
+  List.iter
+    (fun file ->
+      let records = fst (Record.decode_all (Walstore.contents store ~file)) in
+      let lsns = List.map (fun (r : Record.t) -> r.Record.lsn) records in
+      List.iteri (fun i lsn -> check_int (Printf.sprintf "file %d: LSN %d" file i) i lsn) lsns)
+    (Walstore.files store)
+
+(* A crash in the middle of a flush, with the in-flight write torn at a
+   sector boundary: the writers resume from the decodable prefix. Each
+   transaction's commit flush spans several sectors, so a tear can land
+   inside a record. *)
+let test_restore_resumes_after_torn_tail () =
+  let rec attempt seed =
+    if seed > 40 then Alcotest.fail "no crash point left a torn WAL tail"
+    else begin
+      let db1, snapshot =
+        kv_after_checkpoint ~inserts:30 ~rows:200 ~txns:40 ~ns:(Some (100_000 + (seed * 37_000))) ()
+      in
+      ignore (Db.crash ~tear:(Prng.create ~seed) db1);
+      let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
+      if report.Phoebe_wal.Recovery.torn_tails = 0 then attempt (seed + 1) else check_writers_match_files db2
+    end
+  in
+  attempt 1
+
+(* A pool over a surviving store must not hand out an id the restored
+   tree's cold swips (its manifest leaves) or any stored image use. *)
+let test_restore_allocates_fresh_page_ids () =
+  let db1, snapshot = kv_after_checkpoint ~rows:3_000 ~txns:20 ~ns:None () in
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let t2 = Db.table db2 "kv" in
+  let buf = Db.buffer db2 in
+  let leaves = (Table_tree.manifest (Table.tree t2)).Table_tree.leaves in
+  check_bool "the restored tree spans several leaves" true (List.length leaves > 4);
+  let frame = Bufmgr.alloc buf ~partition:0 (Phoebe_storage.Pax.create (Table.schema t2) ~capacity:4) in
+  let id = Bufmgr.page_id frame in
+  check_bool "no stored image has the fresh id" false (Pagestore.mem (Bufmgr.store buf) ~page_id:id);
+  check_bool "no manifest leaf has the fresh id" false (List.exists (fun (pid, _) -> pid = id) leaves)
+
 let () =
   Alcotest.run "phoebe_checkpoint"
     [
@@ -170,5 +273,8 @@ let () =
           Alcotest.test_case "rejects active txns" `Quick test_checkpoint_rejects_active_txns;
           Alcotest.test_case "after concurrent run" `Quick test_checkpoint_after_concurrent_run;
           Alcotest.test_case "restore keeps lock style" `Quick test_restore_keeps_lock_style;
+          Alcotest.test_case "restore resumes WAL writers" `Quick test_restore_resumes_wal_writers;
+          Alcotest.test_case "restore resumes after a torn tail" `Quick test_restore_resumes_after_torn_tail;
+          Alcotest.test_case "restore allocates fresh page ids" `Quick test_restore_allocates_fresh_page_ids;
         ] );
     ]

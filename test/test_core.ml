@@ -7,6 +7,11 @@ module Txnmgr = Phoebe_txn.Txnmgr
 module Scheduler = Phoebe_runtime.Scheduler
 module Wal = Phoebe_wal.Wal
 
+(* A blind write of one named column through the index-based update. *)
+let set_col t txn ~rid name v =
+  let c = Table.col t name in
+  Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -48,13 +53,13 @@ let test_insert_get () =
 let test_update () =
   let db, t = accounts_db () in
   let rid = insert_account db t "bob" 50 in
-  let ok = Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("balance", Value.Int 75) ]) in
+  let ok = Db.with_txn db (fun txn -> set_col t txn ~rid "balance" (Value.Int 75)) in
   check_bool "updated" true ok;
   check_int "new balance" 75 (balance_of db t rid)
 
 let test_update_missing_row () =
   let db, t = accounts_db () in
-  let ok = Db.with_txn db (fun txn -> Table.update t txn ~rid:999 [ ("balance", Value.Int 1) ]) in
+  let ok = Db.with_txn db (fun txn -> set_col t txn ~rid:999 "balance" (Value.Int 1)) in
   check_bool "no such row" false ok
 
 let test_delete () =
@@ -71,8 +76,8 @@ let test_multi_statement_txn () =
   let a = insert_account db t "a" 100 in
   let b = insert_account db t "b" 100 in
   Db.with_txn db (fun txn ->
-      ignore (Table.update t txn ~rid:a [ ("balance", Value.Int 60) ]);
-      ignore (Table.update t txn ~rid:b [ ("balance", Value.Int 140) ]));
+      ignore (set_col t txn ~rid:a "balance" (Value.Int 60));
+      ignore (set_col t txn ~rid:b "balance" (Value.Int 140)));
   check_int "a" 60 (balance_of db t a);
   check_int "b" 140 (balance_of db t b)
 
@@ -84,7 +89,7 @@ let test_abort_rolls_back_update () =
   let rid = insert_account db t "dave" 100 in
   (try
      Db.with_txn db (fun txn ->
-         ignore (Table.update t txn ~rid [ ("balance", Value.Int 0) ]);
+         ignore (set_col t txn ~rid "balance" (Value.Int 0));
          failwith "user error")
    with Failure _ -> ());
   check_int "balance restored" 100 (balance_of db t rid)
@@ -237,8 +242,8 @@ let test_projection_at_older_snapshot () =
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
       Db.with_txn db (fun txn ->
           ignore
-            (Table.update t txn ~rid
-               [ ("a", Value.Int 0); ("b", Value.Int 0); ("note", Value.Str "updated") ]));
+            (Table.update ~reads:[||] t txn ~rid (fun _ ->
+                 [| (1, Value.Int 0); (2, Value.Int 0); (3, Value.Str "updated") |])));
       Scheduler.Waitq.signal_all q);
   Db.run db;
   Alcotest.check row_t "the old snapshot reads the before-image of a"
@@ -278,7 +283,7 @@ let test_projection_filters_stale_entry () =
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
-      Db.with_txn db (fun txn -> ignore (Table.update t txn ~rid [ ("k", Value.Int 60) ]));
+      Db.with_txn db (fun txn -> ignore (set_col t txn ~rid "k" (Value.Int 60)));
       Scheduler.Waitq.signal_all q);
   Db.run db;
   Alcotest.(check (option int)) "the old snapshot still finds k = 6 (entry kept)" (Some rid) !old_hit;
@@ -318,7 +323,7 @@ let test_uncommitted_writes_invisible () =
   let q = Scheduler.Waitq.create () in
   (* writer: update then park (uncommitted) until reader has looked *)
   Db.submit db (fun txn ->
-      ignore (Table.update t txn ~rid [ ("balance", Value.Int 999) ]);
+      ignore (set_col t txn ~rid "balance" (Value.Int 999));
       Scheduler.Waitq.wait q);
   Scheduler.submit (Db.scheduler db) (fun () ->
       (* big enough to flush past the coalescing granule, so the reader
@@ -346,7 +351,7 @@ let test_read_committed_sees_new_commits () =
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
-      Db.with_txn db (fun txn -> ignore (Table.update t txn ~rid [ ("balance", Value.Int 2) ]));
+      Db.with_txn db (fun txn -> ignore (set_col t txn ~rid "balance" (Value.Int 2)));
       Scheduler.Waitq.signal_all q);
   Db.run db;
   check_int "before" 1 !before;
@@ -365,7 +370,7 @@ let test_repeatable_read_stable () =
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
-      Db.with_txn db (fun txn -> ignore (Table.update t txn ~rid [ ("balance", Value.Int 2) ]));
+      Db.with_txn db (fun txn -> ignore (set_col t txn ~rid "balance" (Value.Int 2)));
       Scheduler.Waitq.signal_all q);
   Db.run db;
   check_int "before" 1 !before;
@@ -386,7 +391,7 @@ let test_concurrent_increments_serialize () =
         | Some row ->
           let v = match row.(1) with Value.Int v -> v | _ -> 0 in
           Scheduler.charge Phoebe_sim.Component.Effective 5_000;
-          ignore (Table.update t txn ~rid [ ("balance", Value.Int (v + 1)) ])
+          ignore (set_col t txn ~rid "balance" (Value.Int (v + 1)))
         | None -> ())
   done;
   Db.run db;
@@ -405,7 +410,7 @@ let test_rr_first_committer_wins () =
         match
           ignore (Table.get t txn ~rid);
           Scheduler.charge Phoebe_sim.Component.Effective 50_000;
-          Table.update t txn ~rid [ ("balance", Value.Int 1) ]
+          set_col t txn ~rid "balance" (Value.Int 1)
         with
         | _ -> Txnmgr.commit (Db.txnmgr db) txn
         | exception Txnmgr.Abort _ ->
@@ -426,10 +431,10 @@ let test_deadlock_detected_and_resolved () =
      retry loop then lets both finish. *)
   let submit_pair first second =
     Db.submit ~isolation:Txnmgr.Repeatable_read db (fun txn ->
-        ignore (Table.update t txn ~rid:first [ ("balance", Value.Int 1) ]);
+        ignore (set_col t txn ~rid:first "balance" (Value.Int 1));
         Scheduler.charge Phoebe_sim.Component.Effective 50_000;
         Scheduler.yield Scheduler.Low;
-        ignore (Table.update t txn ~rid:second [ ("balance", Value.Int 2) ]))
+        ignore (set_col t txn ~rid:second "balance" (Value.Int 2)))
   in
   submit_pair a b;
   submit_pair b a;
@@ -453,14 +458,14 @@ let test_txn_deadline_aborts_stalled_wait () =
      while still active *)
   Scheduler.submit (Db.scheduler db) (fun () ->
       Db.with_txn db (fun txn ->
-          ignore (Table.update t txn ~rid [ ("balance", Value.Int 1) ]);
+          ignore (set_col t txn ~rid "balance" (Value.Int 1));
           Scheduler.io_wait (fun resume ->
               Phoebe_sim.Engine.schedule eng ~delay:1_000_000 (fun () -> resume ()))));
   (* waiter: blocks behind the holder and hits its 100 µs deadline long
      before the holder resumes *)
   let reason = ref None in
   Scheduler.submit (Db.scheduler db) (fun () ->
-      try Db.with_txn db (fun txn -> ignore (Table.update t txn ~rid [ ("balance", Value.Int 2) ]))
+      try Db.with_txn db (fun txn -> ignore (set_col t txn ~rid "balance" (Value.Int 2)))
       with Txnmgr.Abort (r, _) -> reason := Some r);
   Db.run db;
   check_bool "aborted with reason Deadline" true (!reason = Some Txnmgr.Deadline);
@@ -478,10 +483,10 @@ let test_no_deadline_means_no_timeouts () =
   let eng = Db.engine db in
   Scheduler.submit (Db.scheduler db) (fun () ->
       Db.with_txn db (fun txn ->
-          ignore (Table.update t txn ~rid [ ("balance", Value.Int 1) ]);
+          ignore (set_col t txn ~rid "balance" (Value.Int 1));
           Scheduler.io_wait (fun resume ->
               Phoebe_sim.Engine.schedule eng ~delay:1_000_000 (fun () -> resume ()))));
-  Db.submit db (fun txn -> ignore (Table.update t txn ~rid [ ("balance", Value.Int 2) ]));
+  Db.submit db (fun txn -> ignore (set_col t txn ~rid "balance" (Value.Int 2)));
   Db.run db;
   let s = Db.stats db in
   check_int "no wait ever timed out" 0 s.Db.wait_timeouts;
@@ -538,9 +543,9 @@ let test_transfers_conserve_money () =
           in
           let fb = bal from_ in
           if fb >= amount then begin
-            ignore (Table.update t txn ~rid:from_ [ ("balance", Value.Int (fb - amount)) ]);
+            ignore (set_col t txn ~rid:from_ "balance" (Value.Int (fb - amount)));
             let tb = bal to_ in
-            ignore (Table.update t txn ~rid:to_ [ ("balance", Value.Int (tb + amount)) ])
+            ignore (set_col t txn ~rid:to_ "balance" (Value.Int (tb + amount)))
           end)
   done;
   Db.run db;
@@ -554,7 +559,7 @@ let test_gc_reclaims_undo () =
   let db, t = accounts_db () in
   let rid = insert_account db t "gc" 0 in
   for i = 1 to 200 do
-    Db.submit db (fun txn -> ignore (Table.update t txn ~rid [ ("balance", Value.Int i) ]))
+    Db.submit db (fun txn -> ignore (set_col t txn ~rid "balance" (Value.Int i)))
   done;
   Db.run db;
   let before = balance_of db t rid in
@@ -598,7 +603,7 @@ let test_gc_non_key_update_is_free () =
   let db, t = accounts_db () in
   let rid = insert_account db t "carol" 10 in
   ignore (gc_in_fiber db);
-  ignore (Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("balance", Value.Int 11) ]));
+  ignore (Db.with_txn db (fun txn -> set_col t txn ~rid "balance" (Value.Int 11)));
   let reclaimed, effective, buffer = gc_in_fiber db in
   check_bool "the update's undo was reclaimed" true (reclaimed > 0);
   check_int "no Effective instructions" 0 effective;
@@ -610,7 +615,7 @@ let test_gc_non_key_update_is_free () =
 let test_gc_drops_old_key_entry () =
   let db, t = accounts_db () in
   let rid = insert_account db t "carol" 10 in
-  ignore (Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("owner", Value.Str "dave") ]));
+  ignore (Db.with_txn db (fun txn -> set_col t txn ~rid "owner" (Value.Str "dave")));
   check_bool "old key still indexed before GC" false (inserts_ok db t "carol");
   let _, effective, _ = gc_in_fiber db in
   check_bool "a key update costs GC a tuple read" true (effective > 0);
@@ -627,7 +632,7 @@ let test_rollback_drops_new_key_entry () =
   let rid = insert_account db t "erin" 10 in
   (try
      Db.with_txn db (fun txn ->
-         ignore (Table.update t txn ~rid [ ("owner", Value.Str "frank") ]);
+         ignore (set_col t txn ~rid "owner" (Value.Str "frank"));
          failwith "user error")
    with Failure _ -> ());
   check_bool "new key free after rollback" true (inserts_ok db t "frank");
@@ -659,7 +664,7 @@ let test_freeze_and_read_back () =
       | Some row -> check_bool "frozen row readable" true (row.(0) = Value.Int 1)
       | None -> Alcotest.fail "frozen row lost");
   (* frozen rows can still be updated (out-of-place) *)
-  let ok = Db.with_txn db (fun txn -> Table.update t txn ~rid:1 [ ("s", Value.Str "warmed") ]) in
+  let ok = Db.with_txn db (fun txn -> set_col t txn ~rid:1 "s" (Value.Str "warmed")) in
   check_bool "frozen update ok" true ok;
   Db.with_txn db (fun txn ->
       let found = ref false in
@@ -682,7 +687,7 @@ let test_recovery_end_to_end () =
   let db1, t1 = same_ddl () in
   let a = insert_account db1 t1 "alice" 100 in
   let b = insert_account db1 t1 "bob" 50 in
-  ignore (Db.with_txn db1 (fun txn -> Table.update t1 txn ~rid:a [ ("balance", Value.Int 80) ]));
+  ignore (Db.with_txn db1 (fun txn -> set_col t1 txn ~rid:a "balance" (Value.Int 80)));
   ignore (Db.with_txn db1 (fun txn -> Table.delete t1 txn ~rid:b));
   (* an aborted transaction must not survive recovery *)
   (try
@@ -712,7 +717,7 @@ let test_recovery_after_concurrent_run () =
         match Table.get t1 txn ~rid with
         | Some row ->
           let v = match row.(1) with Value.Int v -> v | _ -> 0 in
-          ignore (Table.update t1 txn ~rid [ ("balance", Value.Int (v + amount)) ])
+          ignore (set_col t1 txn ~rid "balance" (Value.Int (v + amount)))
         | None -> ())
   done;
   Db.run db1;
@@ -739,7 +744,7 @@ let test_table_lock_blocks_dml () =
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
       Db.with_txn db (fun txn ->
-          ignore (Table.update t txn ~rid [ ("balance", Value.Int 2) ]);
+          ignore (set_col t txn ~rid "balance" (Value.Int 2));
           order := `Dml :: !order));
   Phoebe_sim.Engine.schedule (Db.engine db) ~delay:1_000_000 (fun () -> Scheduler.Waitq.signal_all q);
   Db.run db;
@@ -753,11 +758,89 @@ let test_table_lock_shared_dml_compatible () =
   let db, t = accounts_db () in
   let a = insert_account db t "s1" 0 and b = insert_account db t "s2" 0 in
   for _ = 1 to 20 do
-    Db.submit db (fun txn -> ignore (Table.update t txn ~rid:a [ ("balance", Value.Int 1) ]));
-    Db.submit db (fun txn -> ignore (Table.update t txn ~rid:b [ ("balance", Value.Int 1) ]))
+    Db.submit db (fun txn -> ignore (set_col t txn ~rid:a "balance" (Value.Int 1)));
+    Db.submit db (fun txn -> ignore (set_col t txn ~rid:b "balance" (Value.Int 1)))
   done;
   Db.run db;
   check_bool "all dml committed" true (Db.committed db >= 42)
+
+(* ------------------------------------------------------------------ *)
+(* The index-based update *)
+
+let row_of db t rid =
+  Db.with_txn db (fun txn ->
+      match Table.get t txn ~rid with Some row -> Array.copy row | None -> Alcotest.fail "row missing")
+
+let rid_of_k db t k =
+  Db.with_txn db (fun txn ->
+      match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int k ] with
+      | Some (rid, _) -> rid
+      | None -> Alcotest.failf "k = %d not found" k)
+
+(* The closure sees its declared columns and Null elsewhere, even after
+   whole-row reads left data in every cell of the scratch ring. *)
+let test_update_projects_closure_row () =
+  let db, t = projection_db () in
+  let rid = rid_of_k db t 4 in
+  let seen = ref [||] in
+  let ok =
+    Db.with_txn db (fun txn ->
+        Table.index_prefix t txn ~index:"proj_pk" ~prefix:[] (fun _ _ -> true);
+        Table.update ~reads:[| Table.col t "b" |] t txn ~rid (fun row ->
+            seen := Array.copy row;
+            match row.(2) with
+            | Value.Int b -> [| (2, Value.Int (b + 1)) |]
+            | _ -> Alcotest.fail "b not decoded"))
+  in
+  check_bool "updated" true ok;
+  Alcotest.check row_t "the closure saw b only"
+    [| Value.Null; Value.Null; Value.Int 400; Value.Null |]
+    !seen;
+  Alcotest.check row_t "the write landed, the other cells kept"
+    [| Value.Int 4; Value.Int 40; Value.Int 401; Value.Str "n" |]
+    (row_of db t rid)
+
+(* A rollback restores every written column, whether the closure read it
+   (its cell is reused for the before-image) or not (read from the page). *)
+let test_update_rollback_restores_before_image () =
+  let db, t = projection_db () in
+  let rid = rid_of_k db t 7 in
+  let before = row_of db t rid in
+  (try
+     Db.with_txn db (fun txn ->
+         ignore
+           (Table.update ~reads:[| 1 |] t txn ~rid (fun row ->
+                match row.(1) with
+                | Value.Int a -> [| (1, Value.Int (a * 2)); (2, Value.Int 0); (3, Value.Str "gone") |]
+                | _ -> Alcotest.fail "a not decoded"));
+         Alcotest.check row_t "the transaction sees its own write"
+           [| Value.Int 7; Value.Int 140; Value.Int 0; Value.Str "gone" |]
+           (match Table.get t txn ~rid with Some row -> Array.copy row | None -> [||]);
+         failwith "abort")
+   with Failure _ -> ());
+  Alcotest.check row_t "every written column restored" before (row_of db t rid)
+
+(* Writing a key column from a closure that does not read it still adds
+   the new-key index entry. *)
+let test_update_key_column_adds_entry () =
+  let db, t = projection_db () in
+  let rid = rid_of_k db t 9 in
+  let ok =
+    Db.with_txn db (fun txn -> Table.update ~reads:[||] t txn ~rid (fun _ -> [| (0, Value.Int 90) |]))
+  in
+  check_bool "updated" true ok;
+  check_int "found under the new key" rid (rid_of_k db t 90);
+  Db.with_txn db (fun txn ->
+      Alcotest.(check (option int))
+        "the old key no longer matches" None
+        (Option.map fst (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 9 ])))
+
+let test_col_resolves_names () =
+  let _, t = projection_db () in
+  check_int "b is column 2" 2 (Table.col t "b");
+  match Table.col t "nope" with
+  | _ -> Alcotest.fail "an unknown column must raise"
+  | exception Invalid_argument _ -> ()
 
 let () =
   Alcotest.run "phoebe_core"
@@ -795,6 +878,14 @@ let () =
           Alcotest.test_case "older snapshot reads projected before-images" `Quick
             test_projection_at_older_snapshot;
           Alcotest.test_case "stale index entry filtered" `Quick test_projection_filters_stale_entry;
+        ] );
+      ( "update",
+        [
+          Alcotest.test_case "closure sees only its reads" `Quick test_update_projects_closure_row;
+          Alcotest.test_case "rollback restores the before-image" `Quick
+            test_update_rollback_restores_before_image;
+          Alcotest.test_case "key column write adds the entry" `Quick test_update_key_column_adds_entry;
+          Alcotest.test_case "col resolves names" `Quick test_col_resolves_names;
         ] );
       ( "isolation",
         [

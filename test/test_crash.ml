@@ -14,6 +14,11 @@ module Value = Phoebe_storage.Value
 module Prng = Phoebe_util.Prng
 module Device = Phoebe_io.Device
 
+(* A blind write of one named column through the index-based update. *)
+let set_col t txn ~rid name v =
+  let c = Table.col t name in
+  Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
+
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -79,7 +84,7 @@ let submit_plan db t (plan : txn_record) =
           match op with
           | Upd { k; v } -> (
             match Table.index_lookup_first t txn ~index:"kv_pk" ~key:[ Value.Int k ] with
-            | Some (rid, _) -> ignore (Table.update t txn ~rid [ ("v", Value.Int v) ])
+            | Some (rid, _) -> ignore (set_col t txn ~rid "v" (Value.Int v))
             | None -> Alcotest.failf "base row %d missing" k)
           | Ins { k; v } -> ignore (Table.insert t txn [| Value.Int k; Value.Int v |]))
         plan.ops;

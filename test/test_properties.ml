@@ -8,6 +8,11 @@ module Scheduler = Phoebe_runtime.Scheduler
 module Prng = Phoebe_util.Prng
 module Wal = Phoebe_wal.Wal
 
+(* A blind write of one named column through the index-based update. *)
+let set_col t txn ~rid name v =
+  let c = Table.col t name in
+  Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -40,7 +45,7 @@ let test_no_dirty_reads () =
           try
             Db.with_txn db (fun txn ->
                 ignore
-                  (Table.update t txn ~rid [ ("v", Value.Int (if aborts then poison else i)) ]);
+                  (set_col t txn ~rid "v" (Value.Int (if aborts then poison else i)));
                 Scheduler.charge Phoebe_sim.Component.Effective 30_000;
                 if aborts then failwith "writer crashes")
           with Failure _ -> ())
@@ -70,7 +75,7 @@ let test_repeatable_read_property () =
   let violations = ref 0 in
   for i = 1 to 150 do
     (* writer traffic *)
-    Db.submit db (fun txn -> ignore (Table.update t txn ~rid [ ("v", Value.Int i) ]));
+    Db.submit db (fun txn -> ignore (set_col t txn ~rid "v" (Value.Int i)));
     (* RR reader with a pause between two reads *)
     Scheduler.submit (Db.scheduler db) (fun () ->
         let txn =
@@ -166,7 +171,7 @@ let test_gc_transparency () =
       let k = Prng.int rng 40 in
       match Hashtbl.find_opt rid_of_k k with
       | Some rid when Hashtbl.mem model k ->
-        ignore (Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("v", Value.Int step) ]));
+        ignore (Db.with_txn db (fun txn -> set_col t txn ~rid "v" (Value.Int step)));
         Hashtbl.replace model k step
       | _ -> ())
     | 2 -> (
@@ -219,7 +224,7 @@ let test_freeze_transparency () =
         (* an update of a frozen row moves it to a fresh rid and
            delete-marks this one, which the model tracks as a delete *)
         let frozen = rid <= Phoebe_btree.Table_tree.max_frozen_row_id (Table.tree t) in
-        ignore (Db.with_txn db (fun txn -> Table.update t txn ~rid [ ("v", Value.Int step) ]));
+        ignore (Db.with_txn db (fun txn -> set_col t txn ~rid "v" (Value.Int step)));
         if frozen then Hashtbl.remove model rid else Hashtbl.replace model rid step
       end
     | 1 ->
@@ -267,7 +272,7 @@ let test_frozen_update_moves_row () =
   (* update a frozen row through its index *)
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 5 ] with
-      | Some (rid, _) -> ignore (Table.update t txn ~rid [ ("v", Value.Int 5555) ])
+      | Some (rid, _) -> ignore (set_col t txn ~rid "v" (Value.Int 5555))
       | None -> Alcotest.fail "frozen row not found via index");
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 5 ] with
@@ -370,7 +375,7 @@ let cleaner_trial ~cleaner_enabled =
   for i = 1 to 400 do
     let k = 1 + Prng.int rng 200 in
     let rid = Hashtbl.find rids k in
-    Db.submit db (fun txn -> ignore (Table.update t txn ~rid [ ("v", Value.Int i) ]))
+    Db.submit db (fun txn -> ignore (set_col t txn ~rid "v" (Value.Int i)))
   done;
   Db.run db;
   let contents db t =
@@ -441,7 +446,7 @@ let lock_graph_trial ~deadline_ns ~seed =
           Db.with_txn db (fun txn ->
               List.iter
                 (fun rid ->
-                  ignore (Table.update t txn ~rid [ ("v", Value.Int i) ]);
+                  ignore (set_col t txn ~rid "v" (Value.Int i));
                   Scheduler.charge Phoebe_sim.Component.Effective think)
                 walk)
         with

@@ -79,7 +79,7 @@ let updates_and_deletes q prim =
     let delete = Prng.int rng 10 = 0 in
     Db.submit prim (fun txn ->
         if delete then ignore (Table.delete (kv prim) txn ~rid)
-        else ignore (Table.update_with (kv prim) txn ~rid (fun row -> [ ("v", Value.Int (int_of row.(1) + 1)) ])))
+        else ignore (Table.update (kv prim) txn ~rid (fun row -> [| (1, Value.Int (int_of row.(1) + 1)) |])))
   done;
   Quorum.run_for q ~ns:60_000_000;
   check_bool "the mix updated rows" true (List.exists (fun (_, v) -> v > 0) (dump prim))

@@ -12,6 +12,11 @@ module Component = Phoebe_sim.Component
 module Trace = Phoebe_obs.Trace
 module T = Phoebe_tpcc.Tpcc
 
+(* A blind write of one named column through the index-based update. *)
+let set_col t txn ~rid name v =
+  let c = Table.col t name in
+  Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -263,7 +268,7 @@ let test_recycled_undo_in_commit_chain_caught () =
   check_int "clean before the seeded fault" 0 (Sanitize.total_findings ());
   expect_bug "sanitize.undo_chain" (fun () ->
       Db.with_txn db (fun txn ->
-          ignore (Table.update t txn ~rid [ ("v", Phoebe_storage.Value.Int 1) ]);
+          ignore (set_col t txn ~rid "v" (Phoebe_storage.Value.Int 1));
           match txn.Phoebe_txn.Txnmgr.undo_newest with
           | Some u -> u.Phoebe_txn.Undo.reclaimed <- true
           | None -> Alcotest.fail "update left no undo entry"));

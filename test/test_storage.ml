@@ -716,6 +716,109 @@ let test_index_prefix_alloc_pin () =
         Alcotest.failf "index_prefix allocated %.0f words over %d rows (bound %d per row + %d)" words
           (rows / 2) prefix_row_words_bound prefix_scan_words_bound)
 
+(* Allocation pins for the write path (DESIGN.md §4h), each bound
+   measured when the write path lost its per-write copies. *)
+
+(* Per-update words of a warm non-key [Table.update] with a one-column
+   read: the closure and the pair array it returns with its boxed value,
+   the undo entry (a fresh one inside a long transaction) with its
+   before-image and chain-head cell, the redo record and its op, the
+   [In_page] of the locate and of the relocate, and the WAL buffer's
+   amortised growth. Measured 55.0; the bound keeps ~12% headroom. *)
+let update_words_bound = 62
+
+let test_update_alloc_pin () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let rows = 2000 and updates = 500 in
+  let db, t = stock_db ~rows in
+  let qty = Table.col t "qty" in
+  let reads = [| qty |] in
+  let rids =
+    Db.with_txn db (fun txn ->
+        Array.init updates (fun k ->
+            let i = 1 + (k * 37 mod rows) in
+            let key = [ Value.Int (1 + (i mod 2)); Value.Int i ] in
+            match Table.index_lookup_first t txn ~index:"stock_pk" ~key with
+            | Some (rid, _) -> rid
+            | None -> Alcotest.fail "stock row missing"))
+  in
+  Db.with_txn db (fun txn ->
+      let bump () =
+        for k = 0 to updates - 1 do
+          ignore
+            (Table.update ~reads t txn ~rid:rids.(k) (fun row ->
+                 match row.(qty) with Value.Int q -> [| (qty, Value.Int (q + 1)) |] | _ -> [||]))
+        done
+      in
+      let per_update = measure_minor_words bump /. float_of_int updates in
+      if per_update > float_of_int update_words_bound then
+        Alcotest.failf "a warm non-key Table.update allocated %.1f words (bound %d)" per_update
+          update_words_bound)
+
+(* Per-insert words into a table with one unique index: the row array
+   and its boxed cells, the append hook and its latch closure, the undo
+   entry and chain-head cell, the new row's twin entry and wait queue,
+   the redo record, the key string, the unique check's walk and the
+   index tree's descent, and the leaves' share of splits. Measured
+   132.9; the bound keeps ~12% headroom. *)
+let insert_words_bound = 148
+
+let test_insert_alloc_pin () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let inserts = 500 in
+  let db, t = stock_db ~rows:10 in
+  let next = ref 1_000 in
+  Db.with_txn db (fun txn ->
+      let add () =
+        for _ = 1 to inserts do
+          incr next;
+          ignore (Table.insert t txn [| Value.Int 3; Value.Int !next; Value.Int 7; Value.Str "dist-info" |])
+        done
+      in
+      let per_insert = measure_minor_words add /. float_of_int inserts in
+      if per_insert > float_of_int insert_words_bound then
+        Alcotest.failf "a Table.insert allocated %.1f words (bound %d)" per_insert insert_words_bound)
+
+(* One WAL flush: the completion closure, the device extent and its
+   scheduled completion. The bytes are blitted into the log, not copied
+   out: the test checks that the buffer is large enough for a copy
+   alone to break the bound. Measured 92; the bound keeps ~12%
+   headroom. *)
+let flush_words_bound = 104
+
+let test_wal_flush_alloc_pin () =
+  let module Wal = Phoebe_wal.Wal in
+  let module Record = Phoebe_wal.Record in
+  let module Walstore = Phoebe_io.Walstore in
+  let eng = Engine.create () in
+  let store = Walstore.create (Device.create eng ~name:"wal" Device.pm9a3) in
+  let wal = Wal.create eng ~store ~n_slots:1 Wal.default_config in
+  let gsn = ref 0 in
+  let flush_once () =
+    for rid = 1 to 40 do
+      incr gsn;
+      ignore
+        (Wal.append wal ~slot:0
+           (Record.Update { table = 1; rid; cols = [| (2, Value.Int rid); (3, Value.Str "0123456789") |] })
+           ~gsn:!gsn)
+    done;
+    let bytes = Wal.total_bytes wal - Wal.total_durable_bytes wal in
+    let w0 = Gc.minor_words () in
+    Wal.flush_all wal ~on_done:ignore;
+    let words = Gc.minor_words () -. w0 in
+    Engine.run eng;
+    (bytes, words)
+  in
+  ignore (flush_once ()) (* warm up: buffer and chunk growth *);
+  let bytes, words = flush_once () in
+  check_bool "the flush reached the log" true (Wal.flushed_lsn wal ~slot:0 = 79);
+  check_bool "a copy of the flushed bytes alone would break the bound" true
+    (bytes / 8 > flush_words_bound);
+  if words > float_of_int flush_words_bound then
+    Alcotest.failf "one WAL flush allocated %.0f words (bound %d)" words flush_words_bound
+
 (* ------------------------------------------------------------------ *)
 (* On-disk formats *)
 
@@ -834,6 +937,9 @@ let () =
           Alcotest.test_case "warm index_lookup_first hit allocation pin" `Quick
             test_index_lookup_first_alloc_pin;
           Alcotest.test_case "index_prefix per-row allocation pin" `Quick test_index_prefix_alloc_pin;
+          Alcotest.test_case "warm non-key update allocation pin" `Quick test_update_alloc_pin;
+          Alcotest.test_case "insert allocation pin" `Quick test_insert_alloc_pin;
+          Alcotest.test_case "WAL flush allocation pin" `Quick test_wal_flush_alloc_pin;
         ] );
       ( "latch",
         [

@@ -79,14 +79,14 @@ echo "== bench smoke (5 virtual seconds of exp1 at W=2, --json)"
 bench_json smoke exp1 smoke
 
 echo "== allocation regression gate (txn.alloc.minor_words_per_txn)"
-# Checked-in budget: the seed-42 smoke measured 5,551 minor words per
-# transaction once point lookups and row reads stopped allocating per
-# probe (unboxed key encoding, option-free locate and visibility,
-# closure-free probes, projected reads; EXPERIMENTS.md, down from
-# 7,500); the budget keeps the same ~14% headroom. If this trips,
+# Checked-in budget: the seed-42 smoke measured 3,611 minor words per
+# transaction once writes stopped allocating per write as well
+# (index-based projected updates, scratch-encoded index keys, a
+# copy-free WAL flush; EXPERIMENTS.md, down from 5,551 after the read
+# path's turn); the budget keeps the same ~14% headroom. If this trips,
 # something put fresh allocation back on the execute path — see
 # DESIGN.md section 4h.
-alloc_budget=6350
+alloc_budget=4130
 alloc_measured="$(sed -n 's/.*"txn\.alloc\.minor_words_per_txn": *\([0-9.]*\).*/\1/p' "$tmpdir/smoke.json" | head -n 1)"
 if [ -z "$alloc_measured" ]; then
   echo "   FAIL: txn.alloc.minor_words_per_txn missing from smoke --json output" >&2
