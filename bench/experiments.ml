@@ -169,7 +169,13 @@ let instr_during db f =
 (* One Exp 1 point, TPC-C-consistency checked after the run. *)
 let exp1_row ~w ~slots ~seconds ~buffer_mb =
   let db, t = load_tpcc (phoebe_config ~workers:w ~slots ~buffer_mb) ~warehouses:w in
+  (* Process-wide allocation over the measured run: everything the
+     engine, scheduler, generators and kernel allocate, where the
+     registry's txn.alloc.minor_words_per_txn counts only what falls
+     inside a transaction's CPU brackets. *)
+  let w0 = Gc.minor_words () in
   let r = run_tpcc t ~workers:w ~slots ~seconds in
+  let minor_words = Gc.minor_words () -. w0 in
   let violated =
     List.filter_map (fun (n, ok) -> if ok then None else Some n) (T.consistency_checks t)
   in
@@ -180,6 +186,7 @@ let exp1_row ~w ~slots ~seconds ~buffer_mb =
     ("virtual_s", Json.Float r.T.duration_s);
     ("tpmc", Json.Float r.T.tpmc);
     ("tpm_total", Json.Float r.T.tpm_total);
+    ("process_minor_words_per_txn", Json.Float (minor_words /. float_of_int (max 1 r.T.total_committed)));
     ("aborts_by_reason", abort_reasons_json db);
     (* the whole observability plane, including the
        trace.txn.<kind>.* span percentiles; the registry is read after

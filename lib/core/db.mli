@@ -196,8 +196,9 @@ val replay_wal :
     cluster layer answers from the coordinator shard's log; the default
     is presumed abort — and are listed in the report's [in_doubt]
     either way. When [from] is this instance's own WAL store (a
-    restart), each writer resumes its file's LSN/GSN sequence from the
-    replay's decode (the report's [tails]). *)
+    restart), each file is first truncated to its decodable prefix,
+    dropping a torn tail, and each writer resumes its file's LSN/GSN
+    sequence from the replay's decode (the report's [tails]). *)
 
 val raw_apply : t -> Phoebe_wal.Recovery.apply
 (** The rid-preserving, non-transactional insert/update/delete dispatch

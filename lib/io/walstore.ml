@@ -217,6 +217,16 @@ let crash ?tear t =
          Queue.clear f.extents;
          (file, survive, total - survive))
 
+let truncate t ~file len =
+  match Hashtbl.find_opt t.files file with
+  | None -> ()
+  | Some f ->
+    if len > f.len || not (Queue.is_empty f.extents) then
+      invalid_arg "Walstore.truncate: past the surviving bytes or with a write in flight";
+    truncate f len;
+    f.durable <- min f.durable len;
+    if Sanitize.on () then Sanitize.wal_truncate ~scope:t.sid ~file ~durable:f.durable
+
 let files t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.files [] |> List.sort Int.compare
 

@@ -44,6 +44,13 @@ val crash : ?tear:Phoebe_util.Prng.t -> t -> (int * int * int) list
     Pending acks never fire; the caller is responsible for dropping the
     engine's scheduled completions ({!Phoebe_sim.Engine.clear}). *)
 
+val truncate : t -> file:int -> int -> unit
+(** [truncate t ~file len] cuts [file] back to its first [len] bytes,
+    durable frontier included. A restart uses it after {!crash} to drop
+    a torn tail past the last decodable record, so that new appends
+    follow that record. [len] must not exceed the surviving bytes, and
+    no write may be in flight. *)
+
 val files : t -> int list
 val total_appended : t -> int
 

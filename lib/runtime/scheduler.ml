@@ -27,11 +27,14 @@ let default_config =
 
 type task = { run : unit -> unit }
 
+(* How the fiber that just ran gave the worker back. The charge's ns
+   and the yield's urgency ride in the worker's [charge_ns] and
+   [yield_urgency], so recording a disposition allocates nothing. *)
 type disposition =
   | Ran_to_completion
-  | Charged of int  (** resume the same fiber after this many ns *)
+  | Charged  (** resume the same fiber after [charge_ns] *)
   | Suspended  (** parked on I/O or a wait queue *)
-  | Yielded of urgency
+  | Yielded  (** requeue at [yield_urgency] *)
 
 (* [max_int] is the "no deadline" sentinel throughout: fiber deadlines,
    waiter deadlines and the armed-timer time all use it, so comparisons
@@ -42,6 +45,8 @@ type fiber = {
   fid : int;
   fworker : worker;
   fslot : int;  (** slot index within the worker *)
+  fresume : unit -> unit;  (** [resume] of this fiber, built once for every dispatch *)
+  fsome : fiber option;  (** [Some] of this fiber, the current-fiber register's value *)
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable main : (unit -> unit) option;  (** set until first run *)
   mutable locals : local list;
@@ -49,6 +54,10 @@ type fiber = {
   mutable pending_instr : int;  (** charged instructions not yet turned into time *)
   mutable fdeadline : int;  (** transaction deadline inherited by waits; [no_deadline] = none *)
   mutable fwaiter : waiter option;  (** waiter of the in-progress park, for the return path *)
+  mutable park_urgency : urgency;  (** the in-progress park's request, read by the handler *)
+  mutable park_deadline : int;  (** absolute virtual time; [no_deadline] = none *)
+  mutable park_phase : Trace.phase;
+  mutable park_register : waiter -> unit;
 }
 
 and worker = {
@@ -63,6 +72,9 @@ and worker = {
   mutable busy : bool;
   mutable last_fiber : int;
   mutable disposition : disposition;
+  mutable charge_ns : int;  (** a [Charged] disposition's delay *)
+  mutable yield_urgency : urgency;  (** a [Yielded] disposition's queue *)
+  wloop : unit -> unit;  (** [worker_loop] of this worker, built once *)
   mutable busy_ns : int;
   mutable carry_ns : int;  (** residual charge time applied to the next dispatch *)
 }
@@ -113,19 +125,17 @@ and waiter = {
 
 and dentry = { dtime : int; dseq : int; dwaiter : waiter; dgen : int }
 
-(* The wait core's park request: everything the scheduler needs to
-   suspend the current fiber as a cancellable waiter. *)
-type park_spec = {
-  purgency : urgency;
-  pdeadline : int;  (** absolute virtual time; [no_deadline] = none *)
-  pphase : Trace.phase;
-  pregister : waiter -> unit;
-}
-
+(* [E_park]'s request (urgency, deadline, phase, register) rides in the
+   fiber's [park_*] fields, so a park performs a constant effect. *)
 type _ Effect.t +=
   | E_charge_time : int -> unit Effect.t  (** instructions already counted; advance time only *)
   | E_yield : urgency -> unit Effect.t
-  | E_park : park_spec -> unit Effect.t
+  | E_park : unit Effect.t
+
+(* The two yields, built once: an extension constructor's application
+   is never a static constant. *)
+let yield_high = E_yield High
+let yield_low = E_yield Low
 
 (* The runtime is cooperative and single-OS-threaded, so a module-global
    current-fiber register is safe and avoids threading a context through
@@ -146,60 +156,6 @@ let busy_fraction t =
     float_of_int total_busy /. (float_of_int elapsed *. float_of_int t.cfg.n_workers)
 
 let lock_wait_window = 128
-
-let create ?obs eng cfg =
-  let counter metric =
-    match obs with Some reg -> Obs.counter reg metric | None -> Obs.Counter.create ()
-  in
-  let sched =
-    {
-      cfg;
-      eng;
-      ctrs = Counters.create ?obs ();
-      workers = [||];
-      global_tasks = Queue.create ();
-      live = 0;
-      failure = None;
-      created_at = Engine.now eng;
-      trace = None;
-      dheap =
-        Binheap.create ~cmp:(fun a b ->
-            if a.dtime <> b.dtime then Int.compare a.dtime b.dtime
-            else Int.compare a.dseq b.dseq);
-      next_dseq = 0;
-      timer_time = no_deadline;
-      waiter_free = None;
-      waiter_free_len = 0;
-      n_timeouts = counter "sched.timeouts";
-      lock_wait_ring = Array.make lock_wait_window 0;
-      lock_wait_n = 0;
-    }
-  in
-  (match obs with
-  | None -> ()
-  | Some reg -> Obs.float_fn reg "sched.busy_fraction" (fun () -> busy_fraction sched));
-  sched.workers <-
-    Array.init cfg.n_workers (fun wid ->
-        let speed =
-          if cfg.n_workers > cfg.cpu.Cpu.virtual_cores then 1.0
-          else Cpu.worker_speed cfg.cpu ~n_workers:cfg.n_workers ~worker:wid
-        in
-        {
-          wid;
-          wsched = sched;
-          speed;
-          runq_hi = Queue.create ();
-          runq_lo = Queue.create ();
-          local_tasks = Queue.create ();
-          free_slots = cfg.slots_per_worker;
-          slot_free = Array.make cfg.slots_per_worker true;
-          busy = false;
-          last_fiber = -1;
-          disposition = Ran_to_completion;
-          busy_ns = 0;
-          carry_ns = 0;
-        });
-  sched
 
 let engine t = t.eng
 let counters t = t.ctrs
@@ -317,58 +273,69 @@ let try_release_waiter t wt =
     else wt.wnext <- None
   end
 
+(* Pick the worker's next fiber and dispatch it, or idle the worker:
+   woken high-urgency fibers first, then new tasks while a slot is free,
+   then low-urgency fibers. *)
 let rec worker_loop w =
   let t = w.wsched in
-  match pick_next w with
-  | None -> w.busy <- false
-  | Some (f, extra_instr) ->
-    w.busy <- true;
-    (* A thread resuming after a block pays the kernel switch + cache
-       refill even when it is the worker's only fiber; a co-routine
-       resuming on its own still-warm worker pays nothing. *)
-    let sw =
-      match t.cfg.model with
-      | Thread -> switch_instr t
-      | Coroutine -> if w.last_fiber = f.fid then 0 else switch_instr t
-    in
-    if sw > 0 then Counters.add t.ctrs Component.Switch sw;
-    let delay = ns_of_instr t w (sw + extra_instr) + w.carry_ns in
-    w.carry_ns <- 0;
-    w.busy_ns <- w.busy_ns + delay;
-    Engine.schedule t.eng ~delay (fun () -> resume w f)
+  if not (Queue.is_empty w.runq_hi) then dispatch w (Queue.pop w.runq_hi) 0
+  else if w.free_slots > 0 && not (Queue.is_empty w.local_tasks) then
+    dispatch w (start_task w (Queue.pop w.local_tasks)) t.cfg.cost.Cost.task_dispatch
+  else if w.free_slots > 0 && not (Queue.is_empty t.global_tasks) then
+    dispatch w (start_task w (Queue.pop t.global_tasks)) t.cfg.cost.Cost.task_dispatch
+  else if not (Queue.is_empty w.runq_lo) then dispatch w (Queue.pop w.runq_lo) 0
+  else w.busy <- false
 
-and pick_next w =
+and dispatch w f extra_instr =
   let t = w.wsched in
-  if not (Queue.is_empty w.runq_hi) then Some (Queue.pop w.runq_hi, 0)
-  else if w.free_slots > 0 && not (Queue.is_empty w.local_tasks) then Some (start_task w (Queue.pop w.local_tasks), t.cfg.cost.Cost.task_dispatch)
-  else if w.free_slots > 0 && not (Queue.is_empty t.global_tasks) then Some (start_task w (Queue.pop t.global_tasks), t.cfg.cost.Cost.task_dispatch)
-  else if not (Queue.is_empty w.runq_lo) then Some (Queue.pop w.runq_lo, 0)
-  else None
+  w.busy <- true;
+  (* A thread resuming after a block pays the kernel switch + cache
+     refill even when it is the worker's only fiber; a co-routine
+     resuming on its own still-warm worker pays nothing. *)
+  let sw =
+    match t.cfg.model with
+    | Thread -> switch_instr t
+    | Coroutine -> if w.last_fiber = f.fid then 0 else switch_instr t
+  in
+  if sw > 0 then Counters.add t.ctrs Component.Switch sw;
+  let delay = ns_of_instr t w (sw + extra_instr) + w.carry_ns in
+  w.carry_ns <- 0;
+  w.busy_ns <- w.busy_ns + delay;
+  Engine.schedule t.eng ~delay f.fresume
 
 and start_task w task =
   let t = w.wsched in
   incr fid_counter;
   t.live <- t.live + 1;
   let slot = alloc_slot w in
-  {
-    fid = !fid_counter;
-    fworker = w;
-    fslot = slot;
-    cont = None;
-    main = Some task.run;
-    locals = [];
-    done_ = false;
-    pending_instr = 0;
-    fdeadline = no_deadline;
-    fwaiter = None;
-  }
+  let rec f =
+    {
+      fid = !fid_counter;
+      fworker = w;
+      fslot = slot;
+      fresume = (fun () -> resume w f);
+      fsome = Some f;
+      cont = None;
+      main = Some task.run;
+      locals = [];
+      done_ = false;
+      pending_instr = 0;
+      fdeadline = no_deadline;
+      fwaiter = None;
+      park_urgency = High;
+      park_deadline = no_deadline;
+      park_phase = Trace.Io_wait;
+      park_register = ignore;
+    }
+  in
+  f
 
 and resume w f =
   let t = w.wsched in
   w.disposition <- Ran_to_completion;
   probe_resume t f;
   probe_cpu_on t f;
-  cur := Some f;
+  cur := f.fsome;
   (match f.cont with
   | Some k ->
     f.cont <- None;
@@ -389,10 +356,10 @@ and resume w f =
     w.carry_ns <- w.carry_ns + ns_of_instr t w f.pending_instr;
     f.pending_instr <- 0
   end;
-  (match w.disposition with
-  | Charged ns ->
-    w.busy_ns <- w.busy_ns + ns;
-    Engine.schedule t.eng ~delay:ns (fun () -> resume w f)
+  match w.disposition with
+  | Charged ->
+    w.busy_ns <- w.busy_ns + w.charge_ns;
+    Engine.schedule t.eng ~delay:w.charge_ns f.fresume
   | Ran_to_completion ->
     f.done_ <- true;
     t.live <- t.live - 1;
@@ -400,9 +367,9 @@ and resume w f =
     release_slot w f;
     continue_after_carry w
   | Suspended -> continue_after_carry w
-  | Yielded u ->
-    (match u with High -> Queue.push f w.runq_hi | Low -> Queue.push f w.runq_lo);
-    continue_after_carry w)
+  | Yielded ->
+    (match w.yield_urgency with High -> Queue.push f w.runq_hi | Low -> Queue.push f w.runq_lo);
+    continue_after_carry w
 
 (* Realise any residual coalesced charge time before the worker picks its
    next fiber, so virtual time and utilisation stay exact even when a
@@ -412,13 +379,31 @@ and continue_after_carry w =
     let d = w.carry_ns in
     w.carry_ns <- 0;
     w.busy_ns <- w.busy_ns + d;
-    Engine.schedule w.wsched.eng ~delay:d (fun () -> worker_loop w)
+    Engine.schedule w.wsched.eng ~delay:d w.wloop
   end
   else worker_loop w
 
+(* The handler's answers are built once per fiber: [effc] records a
+   charge's or a yield's payload in the worker and returns the same
+   [suspend] each time, typed at [unit] through the effect's GADT
+   refinement, so an effect allocates no handler closure or option. *)
 and run_fiber w f main =
   let t = w.wsched in
   let open Effect.Deep in
+  let suspend = Some (fun (k : (unit, unit) continuation) -> f.cont <- Some k) in
+  let park =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        w.disposition <- Suspended;
+        f.cont <- Some k;
+        probe_suspend t f f.park_phase;
+        let wt = alloc_waiter t f ~urgency:f.park_urgency ~deadline:f.park_deadline in
+        f.fwaiter <- Some wt;
+        if f.park_deadline < no_deadline then add_deadline t wt;
+        let register = f.park_register in
+        f.park_register <- ignore;
+        register wt)
+  in
   match_with main ()
     {
       retc = (fun () -> ());
@@ -435,28 +420,17 @@ and run_fiber w f main =
                    (Printexc.get_backtrace ()))
           end);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | E_charge_time instr ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                w.disposition <- Charged (ns_of_instr t w instr);
-                f.cont <- Some k)
+            w.charge_ns <- ns_of_instr t w instr;
+            w.disposition <- Charged;
+            suspend
           | E_yield u ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                w.disposition <- Yielded u;
-                f.cont <- Some k)
-          | E_park spec ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                w.disposition <- Suspended;
-                f.cont <- Some k;
-                probe_suspend t f spec.pphase;
-                let wt = alloc_waiter t f ~urgency:spec.purgency ~deadline:spec.pdeadline in
-                f.fwaiter <- Some wt;
-                if spec.pdeadline < no_deadline then add_deadline t wt;
-                spec.pregister wt)
+            w.yield_urgency <- u;
+            w.disposition <- Yielded;
+            suspend
+          | E_park -> park
           | _ -> None);
     }
 
@@ -524,6 +498,67 @@ and add_deadline t wt =
   Binheap.push t.dheap { dtime = wt.wdeadline; dseq = t.next_dseq; dwaiter = wt; dgen = wt.wgen };
   arm_deadline_timer t
 
+let create ?obs eng cfg =
+  let counter metric =
+    match obs with Some reg -> Obs.counter reg metric | None -> Obs.Counter.create ()
+  in
+  let sched =
+    {
+      cfg;
+      eng;
+      ctrs = Counters.create ?obs ();
+      workers = [||];
+      global_tasks = Queue.create ();
+      live = 0;
+      failure = None;
+      created_at = Engine.now eng;
+      trace = None;
+      dheap =
+        Binheap.create ~cmp:(fun a b ->
+            if a.dtime <> b.dtime then Int.compare a.dtime b.dtime
+            else Int.compare a.dseq b.dseq);
+      next_dseq = 0;
+      timer_time = no_deadline;
+      waiter_free = None;
+      waiter_free_len = 0;
+      n_timeouts = counter "sched.timeouts";
+      lock_wait_ring = Array.make lock_wait_window 0;
+      lock_wait_n = 0;
+    }
+  in
+  (match obs with
+  | None -> ()
+  | Some reg -> Obs.float_fn reg "sched.busy_fraction" (fun () -> busy_fraction sched));
+  sched.workers <-
+    Array.init cfg.n_workers (fun wid ->
+        let speed =
+          if cfg.n_workers > cfg.cpu.Cpu.virtual_cores then 1.0
+          else Cpu.worker_speed cfg.cpu ~n_workers:cfg.n_workers ~worker:wid
+        in
+        let rec w =
+          {
+            wid;
+            wsched = sched;
+            speed;
+            runq_hi = Queue.create ();
+            runq_lo = Queue.create ();
+            local_tasks = Queue.create ();
+            free_slots = cfg.slots_per_worker;
+            slot_free = Array.make cfg.slots_per_worker true;
+            busy = false;
+            last_fiber = -1;
+            disposition = Ran_to_completion;
+            charge_ns = 0;
+            yield_urgency = High;
+            wloop = (fun () -> worker_loop w);
+            busy_ns = 0;
+            carry_ns = 0;
+          }
+        in
+        w);
+  sched
+
+
 let kick_any t =
   let rec go i =
     if i < Array.length t.workers then begin
@@ -577,6 +612,7 @@ let flush_pending () =
     Effect.perform (E_charge_time n) (* lint: allow hot-path-alloc — one suspension per charge granule *)
   | _ -> ()
 
+(* lint: hot-path *)
 let charge comp instr =
   match !cur with
   | Some f when instr > 0 ->
@@ -590,7 +626,8 @@ let charge comp instr =
    checked the holder's liveness would open a lost-wakeup window.
    Residual time is carried onto the worker's next dispatch instead
    (see [continue_after_carry]), which is exact. *)
-let yield u = match !cur with Some _ -> Effect.perform (E_yield u) | None -> ()
+let yield_effect = function High -> yield_high | Low -> yield_low
+let yield u = match !cur with Some _ -> Effect.perform (yield_effect u) | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The cancellable wait core. Every suspension in the kernel — device
@@ -628,7 +665,11 @@ let park ?(deadline = Inherit) ~urgency ~phase register =
       Sanitize.on_park ~fiber:f.fid ~exempt:(Trace.latch_exempt phase) ~label:(Trace.phase_label phase);
     let dl = resolve_bound f deadline in
     let t0 = Engine.now t.eng in
-    Effect.perform (E_park { purgency = urgency; pdeadline = dl; pphase = phase; pregister = register });
+    f.park_urgency <- urgency;
+    f.park_deadline <- dl;
+    f.park_phase <- phase;
+    f.park_register <- register;
+    Effect.perform E_park;
     let r =
       match f.fwaiter with
       | Some ({ wstate = Woken r; _ } as wt) ->
@@ -661,7 +702,7 @@ let spin_yield ?(deadline = Inherit) u =
       Timed_out
     end
     else begin
-      Effect.perform (E_yield u);
+      Effect.perform (yield_effect u);
       Signalled
     end
 

@@ -326,6 +326,14 @@ let wal_frontier ~scope ~file ~durable ~appended =
   | _ -> ());
   Hashtbl.replace wal_durables (scope, file) durable
 
+let wal_truncate ~scope ~file ~durable =
+  (match Hashtbl.find_opt wal_durables (scope, file) with
+  | Some last when durable < last ->
+    violation Wal_mono "wal file %d: truncation cut below the durable frontier (%d after %d)" file
+      durable last
+  | _ -> ());
+  Hashtbl.replace wal_durables (scope, file) durable
+
 let drop_scope tbl scope =
   let dead =
     Hashtbl.fold (fun (s, file) _ acc -> if Int.equal s scope then file :: acc else acc) tbl []

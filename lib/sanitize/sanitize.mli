@@ -27,7 +27,9 @@
     - {b frame state machine}: residency mirror + legal
       resident/dirty/pinned/cooling transitions for buffer frames.
     - {b WAL monotonicity}: per-file strictly-increasing LSNs and
-      [durable <= appended] with a monotone durable frontier.
+      [durable <= appended] with a monotone durable frontier; a
+      restart's cut of a torn tail ({!wal_truncate}) is its one
+      backward move, and never reaches below the recorded frontier.
     - {b undo/commit}: chain well-formedness at commit/abort boundaries
       (checked in [Txnmgr], reported through {!violation}).
     - {b replay digest}: a fold of every engine event, for fixed-seed
@@ -157,6 +159,13 @@ val frame_drop : scope:int -> page_id:int -> unit
 
 val wal_append : scope:int -> file:int -> lsn:int -> unit
 val wal_frontier : scope:int -> file:int -> durable:int -> appended:int -> unit
+
+val wal_truncate : scope:int -> file:int -> durable:int -> unit
+(** The one legal backward move of a file's durable frontier: a restart
+    cuts the bytes a crash left past it (a torn write) back to the last
+    decodable record. The cut must not reach below the last frontier
+    {!wal_frontier} recorded, which acknowledged commits rely on; later
+    frontiers are checked against the new one. *)
 
 val wal_crash : scope:int -> unit
 (** A crash legitimately discards appended-but-not-durable records;

@@ -1,4 +1,6 @@
-(** Mutable binary min-heap, used as the simulator's event queue. *)
+(** Mutable binary min-heap, used for the device's channel schedule and
+    the scheduler's deadline heap. The simulation engine keeps its event
+    queue in its own allocation-free heap. *)
 
 type 'a t
 

@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro words live in one 32-byte buffer, read and written
+   through [Bytes.get/set_int64_ne]: an [int64] record field is boxed,
+   and storing one would allocate on every draw. This way a step stays
+   in registers, and [int], [int_incl] and [bool] allocate nothing. *)
+type t = Bytes.t
 
 (* splitmix64 is used to expand the seed into the four xoshiro words and to
    derive split generators; it is statistically independent of xoshiro. *)
@@ -10,50 +14,65 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne t (8 * i) (splitmix64 st)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let create ~seed = of_splitmix (ref (Int64.of_int seed))
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* xoshiro256**: the output is a function of the current [s1]; [advance]
+   then steps the state. Both are inlined, so a draw keeps every word in
+   registers and boxes nothing. *)
+let[@inline] output t = Int64.mul (rotl (Int64.mul (Bytes.get_int64_ne t 8) 5L) 7) 9L
+
+let[@inline] advance t =
+  let open Int64 in
+  let s0 = Bytes.get_int64_ne t 0
+  and s1 = Bytes.get_int64_ne t 8
+  and s2 = Bytes.get_int64_ne t 16
+  and s3 = Bytes.get_int64_ne t 24 in
+  let s2' = logxor s2 s0 and s3' = logxor s3 s1 in
+  Bytes.set_int64_ne t 0 (logxor s0 s3');
+  Bytes.set_int64_ne t 8 (logxor s1 s2');
+  Bytes.set_int64_ne t 16 (logxor s2' (shift_left s1 17));
+  Bytes.set_int64_ne t 24 (rotl s3' 45)
+
+(* The output's top [64 - shift] bits as an [int]; [shift >= 2] makes
+   them fit unboxed. *)
+let[@inline] bits t shift =
+  let r = Int64.to_int (Int64.shift_right_logical (output t) shift) in
+  advance t;
+  r
 
 let next_int64 t =
-  let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+  let r = output t in
+  advance t;
+  r
 
-let split t =
-  let st = ref (next_int64 t) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let split t = of_splitmix (ref (next_int64 t))
 
+(* lint: hot-path *)
 let int t bound =
   assert (bound > 0);
-  let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
-  v mod bound
+  bits t 2 mod bound
 
 let int_incl t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  bound *. (v /. 9007199254740992.0)
+(* The top 53 bits fit an [int] exactly, so [float_of_int] rounds
+   nothing. *)
+let float t bound = bound *. (float_of_int (bits t 11) /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t =
+  let r = Int64.to_int (Int64.logand (output t) 1L) in
+  advance t;
+  r = 1
 
 let pick t arr =
   assert (Array.length arr > 0);

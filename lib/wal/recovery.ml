@@ -8,7 +8,7 @@ type apply = {
 
 type in_doubt = { gxid : int; coord : int; ops : Record.t list }
 
-type tail = { file : int; last_lsn : int; max_gsn : int }
+type tail = { file : int; last_lsn : int; max_gsn : int; end_offset : int }
 
 type report = {
   files_read : int;
@@ -155,15 +155,12 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
   List.iter
     (fun file ->
       let records, stop = Record.decode_all (Walstore.contents store ~file) in
-      (match records with
-      | [] -> ()
-      | _ ->
-        let last_lsn, max_gsn =
-          List.fold_left
-            (fun (l, g) (r : Record.t) -> (max l r.Record.lsn, max g r.Record.gsn))
-            (-1, 0) records
-        in
-        tails := { file; last_lsn; max_gsn } :: !tails);
+      let last_lsn, max_gsn =
+        List.fold_left
+          (fun (l, g) (r : Record.t) -> (max l r.Record.lsn, max g r.Record.gsn))
+          (-1, 0) records
+      in
+      tails := { file; last_lsn; max_gsn; end_offset = stop.Record.stop_offset } :: !tails;
       (match stop.Record.reason with
       | Record.Eof -> ()
       | Record.Torn ->

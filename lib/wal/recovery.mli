@@ -26,11 +26,14 @@ type in_doubt = { gxid : int; coord : int; ops : Record.t list }
     the gxid is the coordinator's local xid, so a Commit for it there
     means commit, anything else means presumed abort. *)
 
-type tail = { file : int; last_lsn : int; max_gsn : int }
+type tail = { file : int; last_lsn : int; max_gsn : int; end_offset : int }
 (** The end of one WAL file's decodable prefix: its last record's LSN
-    and the largest GSN of any of its records, frontier or not. A
-    restart resumes the file's writer from it ({!Phoebe_wal.Wal.resume}),
-    so the file is decoded once, by the replay. *)
+    ([-1] if none decoded), the largest GSN of any of its records,
+    frontier or not ([0] if none), and the byte offset just past its
+    last whole record. A restart truncates the file to [end_offset] and
+    resumes its writer from the rest ({!Phoebe_wal.Wal.resume}), so the
+    file is decoded once, by the replay, and new records follow the
+    prefix instead of a torn tail. *)
 
 type report = {
   files_read : int;
@@ -44,7 +47,7 @@ type report = {
       (** files where decoding stopped on a damaged record with more
           data after it — never produced by a clean crash *)
   in_doubt : in_doubt list;  (** prepared-but-undecided branches, per slot *)
-  tails : tail list;  (** one per file that decoded at least one record, in file order *)
+  tails : tail list;  (** one per file, in file order *)
 }
 
 val replay :

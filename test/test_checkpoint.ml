@@ -247,6 +247,83 @@ let test_restore_resumes_after_torn_tail () =
   in
   attempt 1
 
+let count_rows db = List.length (dump db (Db.table db "kv"))
+
+(* [commits] concurrent single-insert transactions, run by [run] until
+   each one's commit is durable and acknowledged. *)
+let insert_acked db ~run ~commits ~from =
+  let t = Db.table db "kv" in
+  let acked = ref 0 in
+  for k = from to from + commits - 1 do
+    Db.submit db
+      ~on_done:(fun () -> incr acked)
+      (fun txn -> ignore (Table.insert t txn [| Value.Int k; Value.Int k |]))
+  done;
+  run ();
+  check_int "every commit acknowledged" commits !acked
+
+(* Two restarts in a row, the first over a torn tail: the first restart
+   must cut the torn bytes, or the commits acknowledged after it are
+   appended behind them, and the second restart's replay stops at the
+   tear and never reaches them. *)
+let test_second_restart_after_torn_tail () =
+  let rec attempt seed =
+    if seed > 40 then Alcotest.fail "no crash point left a torn WAL tail"
+    else begin
+      let db1, snapshot =
+        kv_after_checkpoint ~inserts:30 ~rows:200 ~txns:40 ~ns:(Some (100_000 + (seed * 37_000))) ()
+      in
+      ignore (Db.crash ~tear:(Prng.create ~seed) db1);
+      let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
+      if report.Phoebe_wal.Recovery.torn_tails = 0 then attempt (seed + 1) else (db2, snapshot)
+    end
+  in
+  let db2, snapshot = attempt 1 in
+  let survived = count_rows db2 in
+  insert_acked db2 ~run:(fun () -> Db.run db2) ~commits:200 ~from:100_000;
+  check_int "rows after the acknowledged commits" (survived + 200) (count_rows db2);
+  ignore (Db.crash db2);
+  let db3, report = Checkpoint.restore ~from:db2 ~snapshot cfg in
+  check_int "no torn tail left to stop the second replay" 0 report.Phoebe_wal.Recovery.torn_tails;
+  check_int "every acknowledged commit survives the second restart" (survived + 200) (count_rows db3);
+  check_writers_match_files db3
+
+(* The same two restarts through a cluster's whole-cluster recovery,
+   which replays each shard's own log from the start. *)
+let test_cluster_second_restart_after_torn_tail () =
+  let module Cluster = Phoebe_shard.Cluster in
+  let ddl _ db = ignore (kv_ddl db) in
+  let shard_rows cl = count_rows (Cluster.shard cl 0) in
+  let rec attempt seed =
+    if seed > 40 then Alcotest.fail "no crash point left a torn WAL tail"
+    else begin
+      let cl = Cluster.create (Phoebe_sim.Engine.create ()) ~shards:2 cfg in
+      Array.iteri (fun k _ -> ddl k (Cluster.shard cl k)) [| (); () |];
+      let db = Cluster.shard cl 0 in
+      let t = Db.table db "kv" in
+      for i = 1 to 40 do
+        Db.submit db (fun txn ->
+            for j = 0 to 29 do
+              ignore (Table.insert t txn [| Value.Int ((i * 30) + j); Value.Int i |])
+            done)
+      done;
+      Cluster.run_for cl ~ns:(100_000 + (seed * 37_000));
+      ignore (Cluster.crash ~tear:(Prng.create ~seed) cl);
+      let cl', report = Cluster.recover cl ~ddl in
+      if report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails = 0 then attempt (seed + 1)
+      else cl'
+    end
+  in
+  let cl = attempt 1 in
+  let survived = shard_rows cl in
+  insert_acked (Cluster.shard cl 0) ~run:(fun () -> Cluster.run cl) ~commits:200 ~from:100_000;
+  check_int "rows after the acknowledged commits" (survived + 200) (shard_rows cl);
+  ignore (Cluster.crash cl);
+  let cl', report = Cluster.recover cl ~ddl in
+  check_int "no torn tail left to stop the second replay" 0
+    report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails;
+  check_int "every acknowledged commit survives the second recovery" (survived + 200) (shard_rows cl')
+
 (* A pool over a surviving store must not hand out an id the restored
    tree's cold swips (its manifest leaves) or any stored image use. *)
 let test_restore_allocates_fresh_page_ids () =
@@ -276,5 +353,8 @@ let () =
           Alcotest.test_case "restore resumes WAL writers" `Quick test_restore_resumes_wal_writers;
           Alcotest.test_case "restore resumes after a torn tail" `Quick test_restore_resumes_after_torn_tail;
           Alcotest.test_case "restore allocates fresh page ids" `Quick test_restore_allocates_fresh_page_ids;
+          Alcotest.test_case "second restart after a torn tail" `Quick test_second_restart_after_torn_tail;
+          Alcotest.test_case "cluster second recovery after a torn tail" `Quick
+            test_cluster_second_restart_after_torn_tail;
         ] );
     ]

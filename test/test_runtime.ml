@@ -55,6 +55,30 @@ let test_coalesced_charges_exact_total () =
   Scheduler.run_until_quiescent s;
   check_bool "total time ~100us" true (Engine.now eng >= 100_000 && Engine.now eng < 102_000)
 
+(* Minor words a lone fiber allocates from submit to exit when it
+   crosses [granules] charge granules, each one a flush that suspends
+   and resumes it. *)
+let words_for_granules granules =
+  let _, s = make ~n_workers:1 ~slots:1 () in
+  let body () =
+    for _ = 1 to granules do
+      Scheduler.charge Component.Effective 20_000
+    done
+  in
+  let w0 = Gc.minor_words () in
+  Scheduler.submit s body;
+  Scheduler.run_until_quiescent s;
+  int_of_float (Gc.minor_words () -. w0)
+
+(* A flush allocates the effect, its continuation and the [Some] that
+   holds it: 7 words measured. The handler's answer, the resume thunk
+   and the disposition are built once, and the engine queues the thunk
+   without an event record. *)
+let test_charge_flush_words () =
+  ignore (words_for_granules 100);
+  let per_flush = (words_for_granules 2_100 - words_for_granules 100) / 2_000 in
+  check_bool (Printf.sprintf "%d minor words per flush (<= 8 allowed)" per_flush) true (per_flush <= 8)
+
 let test_charge_is_tagged () =
   let _, s = make () in
   Scheduler.submit s (fun () ->
@@ -471,6 +495,7 @@ let () =
           Alcotest.test_case "charge advances time" `Quick test_charge_advances_time;
           Alcotest.test_case "coalesced charges exact" `Quick test_coalesced_charges_exact_total;
           Alcotest.test_case "charge tagged" `Quick test_charge_is_tagged;
+          Alcotest.test_case "charge flush words" `Quick test_charge_flush_words;
           Alcotest.test_case "no preemption between charges" `Quick
             test_no_preemption_between_charges;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;

@@ -61,6 +61,68 @@ let test_engine_past_schedule_clamped () =
   Engine.run e;
   check_int "clamped to now" 100 !at
 
+(* Events scheduled in shuffled time order, many per instant, fire by
+   time and, within an instant, in scheduling order, across every
+   reshuffle of the heap. *)
+let test_engine_fifo_under_reordering () =
+  let e = Engine.create () in
+  let rng = Phoebe_util.Prng.create ~seed:3 in
+  let log = ref [] in
+  let n = 2_000 in
+  let times = Array.init n (fun _ -> 10 * Phoebe_util.Prng.int rng 50) in
+  Array.iteri (fun i time -> Engine.schedule_at e ~time (fun () -> log := (time, i) :: !log)) times;
+  check_int "all pending" n (Engine.pending e);
+  Engine.run e;
+  let fired = List.rev !log in
+  Alcotest.(check (list (pair int int))) "by time, then FIFO" (List.sort compare fired) fired;
+  check_int "all fired" n (List.length fired)
+
+(* Scheduling and firing a prebuilt action allocates nothing: no event
+   record, no option from the queue. *)
+let test_engine_alloc_free () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let action () = incr fired in
+  let cycles n =
+    for i = 1 to n do
+      Engine.schedule e ~delay:(i mod 7) action;
+      Engine.schedule e ~delay:3 action;
+      Engine.run e
+    done
+  in
+  cycles 100;
+  let w0 = Gc.minor_words () in
+  cycles 10_000;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  check_int "minor words for 10k schedule + fire cycles" 0 words;
+  check_int "every event fired" 20_200 !fired
+
+(* [clear] empties the queue and drops its closures: a block only a
+   cleared event reached is collectable. *)
+let[@inline never] schedule_holding e weak =
+  let payload = Bytes.create 64 in
+  Weak.set weak 0 (Some payload);
+  Engine.schedule e ~delay:5 (fun () -> ignore (Bytes.length payload))
+
+let test_engine_clear () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  let ran = ref false in
+  schedule_holding e weak;
+  for i = 1 to 300 do
+    Engine.schedule e ~delay:i (fun () -> ran := true)
+  done;
+  Engine.clear e;
+  check_int "queue empty" 0 (Engine.pending e);
+  Gc.full_major ();
+  check_bool "cleared closure released" false (Weak.check weak 0);
+  Engine.run e;
+  check_bool "no cleared event fires" false !ran;
+  check_int "clock unchanged" 0 (Engine.now e);
+  Engine.schedule e ~delay:1 (fun () -> ran := true);
+  Engine.run e;
+  check_bool "the queue works after a clear" true !ran
+
 let test_counters () =
   let c = Counters.create () in
   Counters.add c Component.Wal 100;
@@ -126,6 +188,9 @@ let () =
           Alcotest.test_case "processed counts run and run_until" `Quick
             test_engine_processed_counts_both_drivers;
           Alcotest.test_case "past schedule clamped" `Quick test_engine_past_schedule_clamped;
+          Alcotest.test_case "fifo under reordering" `Quick test_engine_fifo_under_reordering;
+          Alcotest.test_case "schedule and fire allocate nothing" `Quick test_engine_alloc_free;
+          Alcotest.test_case "clear drops pending events" `Quick test_engine_clear;
         ] );
       ("counters", [ Alcotest.test_case "accounting" `Quick test_counters ]);
       ( "resource",

@@ -55,6 +55,47 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* Golden outputs: every fixed-seed result in the repository depends on
+   the generator drawing exactly these numbers. *)
+let golden_seed42 =
+  [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L; -1389169964527427423L;
+    -151191095644234140L; -4247557243643801032L; -5178765164775350862L; -2766855848391737209L ]
+
+let golden_split42 =
+  [ -8150312660505607085L; 1184342940732292706L; 8258043193327897829L; -7937530469794552443L;
+    4090181005887697149L; -2072551135223332111L; 3558450685933495791L; -5406025633808992172L ]
+
+let draws n f = List.init n (fun _ -> f ())
+
+let test_prng_golden () =
+  let a = Prng.create ~seed:42 in
+  Alcotest.(check (list int64)) "seed 42" golden_seed42 (draws 8 (fun () -> Prng.next_int64 a));
+  let b = Prng.split (Prng.create ~seed:42) in
+  Alcotest.(check (list int64)) "split of seed 42" golden_split42 (draws 8 (fun () -> Prng.next_int64 b));
+  let a = Prng.create ~seed:42 in
+  Alcotest.(check (list int)) "int" [ 685; 775; 752; 48; 369; 646; 188; 601 ] (draws 8 (fun () -> Prng.int a 1000));
+  Alcotest.(check (list string)) "float"
+    [ "0x1.85d2dce4dd2ecp-1"; "0x1.2aacc2beeebf7p-1"; "0x1.5d6a766818207p-1"; "0x1.29a76e61cebe2p-2";
+      "0x1.9a1fdb52600d8p-1"; "0x1.4920219692d08p-2"; "0x1.6c1bd877e5b1p-1"; "0x1.c16ab4d172ccep-1" ]
+    (draws 8 (fun () -> Printf.sprintf "%h" (Prng.float a 1.0)));
+  Alcotest.(check (list bool)) "bool" [ true; false; true; false; true; true; true; true ]
+    (draws 8 (fun () -> Prng.bool a));
+  Alcotest.(check (list int)) "int_incl" [ -2; 5; 5; 0; -1; 2; -1; 2 ] (draws 8 (fun () -> Prng.int_incl a (-5) 5))
+
+let test_prng_alloc_free () =
+  let rng = Prng.create ~seed:42 in
+  let sink = ref 0 in
+  let exercise n =
+    for i = 1 to n do
+      sink := !sink + Prng.int rng (i + 1) + Prng.int_incl rng (-i) i
+    done
+  in
+  exercise 100;
+  let w0 = Gc.minor_words () in
+  exercise 10_000;
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  check_int "minor words for 10k int + int_incl draws" 0 words
+
 (* ------------------------------------------------------------------ *)
 (* Zipf *)
 
@@ -398,6 +439,8 @@ let () =
           Alcotest.test_case "split independence" `Quick test_prng_split_independent;
           Alcotest.test_case "strings" `Quick test_prng_strings;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
+          Alcotest.test_case "golden streams" `Quick test_prng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_alloc_free;
         ] );
       ( "zipf",
         [
