@@ -20,12 +20,3 @@ val pg_like : ?workers:int -> ?buffer_bytes:int -> unit -> Phoebe_core.Config.t
 (** Defaults: 100 worker threads (thread model), 256 MB buffer. *)
 
 val odb_like : ?workers:int -> ?buffer_bytes:int -> unit -> Phoebe_core.Config.t
-
-val pg_cost : Phoebe_sim.Cost.t
-(** The Pg_like instruction-cost table: interpreter and layering
-    overheads applied on top of {!Phoebe_sim.Cost.default} (see
-    EXPERIMENTS.md for the calibration rationale). *)
-
-val odb_cost : Phoebe_sim.Cost.t
-
-val odb_device : Phoebe_io.Device.config

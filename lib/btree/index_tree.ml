@@ -47,7 +47,6 @@ let create ~name ?(fanout = 64) ~unique () =
   { iname = name; fanout; unique; root = Leaf (new_leaf fanout); entries = 0; idepth = 1 }
 
 let name t = t.iname
-let is_unique t = t.unique
 let count t = t.entries
 let depth t = t.idepth
 

@@ -12,7 +12,6 @@ type t
 val create : name:string -> ?fanout:int -> unique:bool -> unit -> t
 
 val name : t -> string
-val is_unique : t -> bool
 
 exception Duplicate_key of string
 (** Raised by {!insert} on a unique index when the key is present. *)

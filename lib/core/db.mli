@@ -90,19 +90,15 @@ val with_txn : ?isolation:Phoebe_txn.Txnmgr.isolation -> t -> (Table.txn -> 'a) 
     the fiber: waits past it wake with [Timed_out] (latch spins raise
     {!Phoebe_storage.Latch.Timeout}) and the attempt aborts with reason
     [Deadline] through the normal UNDO rollback. Usable both inside a
-    fiber (transactional tasks) and outside (loaders, examples —
-    everything then completes synchronously in zero virtual time). *)
+    fiber (transactional tasks) and outside (loaders, examples). Outside
+    a fiber the body runs in zero virtual time, but the commit only
+    submits its WAL flush: the flush reaches media when the engine next
+    runs, so a commit is durable only after {!run} or {!checkpoint}. *)
 
 exception Overloaded
 (** Raised by {!submit} when admission control refuses the transaction
     (see {!Config.admission}). The work was not enqueued; callers retry
     later (with backoff) or drop the request. *)
-
-val admit : t -> bool
-(** Admission check: [true] when a new transaction may enter. [false]
-    counts a shed (the [db.shed] metric). Always [true] with admission
-    disabled. {!submit} calls this itself — use directly only to probe
-    without raising. *)
 
 val inflight : t -> int
 (** Transactions submitted and not yet finished. *)

@@ -1,6 +1,5 @@
 module Engine = Phoebe_sim.Engine
 module Stats = Phoebe_util.Stats
-module Binheap = Phoebe_util.Binheap
 module Obs = Phoebe_obs.Obs
 
 type kind = Read | Write
@@ -33,7 +32,7 @@ type t = {
   dname : string;
   cfg : config;
   faults : (Phoebe_util.Prng.t * fault_config) option;
-  channel_heap : (int * int) Binheap.t;  (** (next-free virtual time, channel id) min-heap *)
+  channel_free : int array;  (** virtual time each channel next falls idle *)
   channel_busy : int array;  (** cumulative service time booked per channel *)
   read_bytes : Obs.Counter.t;
   write_bytes : Obs.Counter.t;
@@ -65,14 +64,7 @@ let busy_fraction t =
 let series_bucket_width = 100_000_000
 
 let create ?obs ?faults engine ~name cfg =
-  let heap =
-    Binheap.create ~cmp:(fun (a1, a2) (b1, b2) ->
-        let c = Int.compare a1 b1 in
-        if c <> 0 then c else Int.compare a2 b2)
-  in
-  for ch = 0 to cfg.channels - 1 do
-    Binheap.push heap (0, ch)
-  done;
+  if cfg.channels < 1 then invalid_arg "Device.create: a device needs at least one channel";
   let counter metric =
     match obs with
     | Some reg -> Obs.counter reg (Printf.sprintf "io.%s.%s" name metric)
@@ -99,7 +91,7 @@ let create ?obs ?faults engine ~name cfg =
       cfg;
       faults =
         Option.map (fun fc -> (Phoebe_util.Prng.create ~seed:fc.fault_seed, fc)) faults;
-      channel_heap = heap;
+      channel_free = Array.make cfg.channels 0;
       channel_busy = Array.make cfg.channels 0;
       read_bytes = counter "read.bytes";
       write_bytes = counter "write.bytes";
@@ -134,14 +126,15 @@ let bandwidth t = function Read -> t.cfg.read_mb_s | Write -> t.cfg.write_mb_s
 let bw_ns t kind bytes = float_of_int bytes /. (bandwidth t kind *. 1e6) *. 1e9
 let iops_ns t = 1e9 /. t.cfg.iops
 
-(* Take the channel that frees earliest (NVMe queue parallelism); ties
-   break on the lowest channel id, and the caller pushes the channel back
-   with its new free time. Constant log(channels) instead of the previous
-   O(channels) scan. *)
+(* The channel that frees earliest (NVMe queue parallelism), the lowest
+   id on a tie. A scan: devices have a handful of channels. *)
 let take_channel t =
-  match Binheap.pop t.channel_heap with
-  | Some (free, ch) -> (free, ch)
-  | None -> invalid_arg "Device: no channels configured"
+  let free = t.channel_free in
+  let best = ref 0 in
+  for ch = 1 to Array.length free - 1 do
+    if free.(ch) < free.(!best) then best := ch
+  done;
+  !best
 
 let account_op t kind bytes finish =
   match kind with
@@ -166,12 +159,13 @@ let account_batch t kind =
    Returns the batch's completion (virtual) time. *)
 let book_batch t kind ~sizes =
   let now = Engine.now t.engine in
-  let free, ch = take_channel t in
+  let ch = take_channel t in
+  let free = t.channel_free.(ch) in
   let start = if free > now then free else now in
   let total = List.fold_left ( + ) 0 sizes in
   let service = int_of_float (Float.max (bw_ns t kind total) (iops_ns t)) in
   let finish = start + service in
-  Binheap.push t.channel_heap (finish, ch);
+  t.channel_free.(ch) <- finish;
   t.channel_busy.(ch) <- t.channel_busy.(ch) + service;
   account_batch t kind;
   List.iter (fun bytes -> account_op t kind bytes finish) sizes;

@@ -65,7 +65,8 @@ val create :
     seeded from [fault_seed], and [io.<name>.faults.{torn,lost_ack,
     delayed}] counters join the registry; without it the fault machinery
     is never consulted and the simulation is bit-identical to a build
-    that does not have it. *)
+    that does not have it.
+    @raise Invalid_argument if [config.channels < 1]. *)
 
 val name : t -> string
 val engine : t -> Phoebe_sim.Engine.t

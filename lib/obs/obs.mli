@@ -87,7 +87,6 @@ val add_collector : t -> (unit -> (string * value) list) -> unit
 
 (** {2 Reading} *)
 
-val of_scalar : Phoebe_util.Stats.Scalar.t -> value
 val of_hist : Phoebe_util.Stats.Histogram.t -> value
 
 val snapshot : t -> (string * value) list
@@ -98,8 +97,6 @@ val diff : older:(string * value) list -> newer:(string * value) list -> (string
 (** Pointwise difference over [newer]: [Int]/[Float] values with a
     matching entry in [older] are subtracted; everything else (and
     names absent from [older]) is taken from [newer] unchanged. *)
-
-val value_to_json : value -> Phoebe_util.Json.t
 
 val to_json : t -> Phoebe_util.Json.t
 (** Flat object keyed by dotted metric name, keys sorted. *)

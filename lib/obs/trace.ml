@@ -213,7 +213,6 @@ let committed t ~kind = t.n_committed.(kind)
 let aborted t ~kind = t.n_aborted.(kind)
 let cancelled t ~kind = t.n_cancelled.(kind)
 let minor_words_per_txn t ~kind = Stats.Scalar.mean t.alloc.(kind)
-let minor_words_per_txn_all t = Stats.Scalar.mean t.alloc_all
 let phase_ns t ~kind phase = Stats.Histogram.sum t.phase_hist.(kind).(phase_index phase)
 let total_ns t ~kind = Stats.Histogram.sum t.total.(kind)
 let total_hist t ~kind = t.total.(kind)

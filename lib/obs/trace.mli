@@ -100,9 +100,6 @@ val minor_words_per_txn : t -> kind:int -> float
     as ["trace.txn.<kind>.alloc.minor_words_per_txn"] and overall as
     ["txn.alloc.minor_words_per_txn"]. *)
 
-val minor_words_per_txn_all : t -> float
-(** Mean minor-heap words per finished span across all kinds. *)
-
 val phase_ns : t -> kind:int -> phase -> float
 (** Total nanoseconds spent in [phase] across finished spans of [kind]. *)
 

@@ -2,7 +2,6 @@ module Engine = Phoebe_sim.Engine
 module Component = Phoebe_sim.Component
 module Counters = Phoebe_sim.Counters
 module Cost = Phoebe_sim.Cost
-module Binheap = Phoebe_util.Binheap
 module Obs = Phoebe_obs.Obs
 module Trace = Phoebe_obs.Trace
 module Phoebe_error = Phoebe_util.Phoebe_error
@@ -10,7 +9,7 @@ module Sanitize = Phoebe_sanitize.Sanitize
 
 type model = Coroutine | Thread
 type urgency = High | Low
-type reason = Signalled | Timed_out | Cancelled
+type reason = Signalled | Timed_out
 type bound = Inherit | Never | At of int
 type local = ..
 
@@ -36,9 +35,8 @@ type disposition =
   | Suspended  (** parked on I/O or a wait queue *)
   | Yielded  (** requeue at [yield_urgency] *)
 
-(* [max_int] is the "no deadline" sentinel throughout: fiber deadlines,
-   waiter deadlines and the armed-timer time all use it, so comparisons
-   never need an option. *)
+(* [max_int] is the "no deadline" sentinel for fiber and park deadlines,
+   so comparisons never need an option. *)
 let no_deadline = max_int
 
 type fiber = {
@@ -89,9 +87,6 @@ and t = {
   mutable failure : exn option;
   created_at : int;
   mutable trace : Trace.t option;  (** per-slot txn spans, when enabled *)
-  dheap : dentry Binheap.t;  (** parked waiters with deadlines, by expiry *)
-  mutable next_dseq : int;  (** FIFO tie-break for same-instant expiries *)
-  mutable timer_time : int;  (** earliest armed engine timer; [no_deadline] = unarmed *)
   mutable waiter_free : waiter option;  (** recycled waiter nodes, linked via [wnext] *)
   mutable waiter_free_len : int;
   n_timeouts : Obs.Counter.t;
@@ -103,27 +98,25 @@ and wstate = Parked | Woken of reason
 
 (* Waiter nodes are recycled through a per-scheduler freelist
    (DESIGN.md §4h): a lock wait per statement would otherwise allocate a
-   node, a queue cell and a ref every time. A node may be released only
-   when nothing can reach it any more: its park has returned ([wdone]),
-   no wait queue links it ([winq] — a timed-out waiter stays queued
-   until the next [signal_all] drains it), and no deadline-heap entry
-   references it ([wheap] — woken entries are popped lazily at expiry).
-   [wgen] guards the lazy heap pops: a dentry only acts on its waiter if
-   the generation still matches, so an entry surviving past its
-   waiter's recycling can never touch the node's next life. *)
+   node, a queue cell and a ref every time. A node lives exactly as long
+   as its park: it goes back to the freelist when the park returns. By
+   then nothing of the wait core reaches it: a wake unlinks it from its
+   wait queue, and the deadline's expiry event acts only while [wgen]
+   still names the park it was scheduled for, so an expiry outliving its
+   park never touches the node's next life. *)
 and waiter = {
   mutable wfiber : fiber;
   mutable wurgency : urgency;
-  mutable wdeadline : int;
   mutable wstate : wstate;
   mutable wgen : int;
+  mutable wqueue : waitq;  (** the wait queue linking this node; [no_queue] when none *)
   mutable wnext : waiter option;  (** intrusive wait-queue / freelist link *)
-  mutable winq : bool;
-  mutable wheap : bool;
-  mutable wdone : bool;
 }
 
-and dentry = { dtime : int; dseq : int; dwaiter : waiter; dgen : int }
+(* A FIFO of parked waiters, linked through their [wnext] fields. *)
+and waitq = { mutable qhead : waiter option; mutable qtail : waiter option }
+
+let no_queue = { qhead = None; qtail = None }
 
 (* [E_park]'s request (urgency, deadline, phase, register) rides in the
    fiber's [park_*] fields, so a park performs a constant effect. *)
@@ -229,49 +222,42 @@ let probe_cpu_off t f =
 
 let waiter_free_cap = 1024
 
-let alloc_waiter t f ~urgency ~deadline =
+let alloc_waiter t f ~urgency =
   match t.waiter_free with
   | Some wt ->
     t.waiter_free <- wt.wnext;
     t.waiter_free_len <- t.waiter_free_len - 1;
-    (* the generation bump invalidates any stale deadline-heap entry *)
+    (* the generation bump disarms the previous life's expiry event *)
     wt.wgen <- wt.wgen + 1;
     wt.wfiber <- f;
     wt.wurgency <- urgency;
-    wt.wdeadline <- deadline;
     wt.wstate <- Parked;
     wt.wnext <- None;
-    wt.winq <- false;
-    wt.wheap <- false;
-    wt.wdone <- false;
     wt
-  | None ->
-    {
-      wfiber = f;
-      wurgency = urgency;
-      wdeadline = deadline;
-      wstate = Parked;
-      wgen = 0;
-      wnext = None;
-      winq = false;
-      wheap = false;
-      wdone = false;
-    }
+  | None -> { wfiber = f; wurgency = urgency; wstate = Parked; wgen = 0; wqueue = no_queue; wnext = None }
 
-(* Release is attempted wherever a reference is dropped (park return,
-   wait-queue drain, deadline-heap pop); the flags make exactly the last
-   dropper recycle the node. Clearing [wdone] on release makes a
-   spurious second attempt a no-op. *)
-let try_release_waiter t wt =
-  if wt.wdone && (not wt.winq) && not wt.wheap then begin
-    wt.wdone <- false;
-    if t.waiter_free_len < waiter_free_cap then begin
-      wt.wnext <- t.waiter_free;
-      t.waiter_free <- Some wt;
-      t.waiter_free_len <- t.waiter_free_len + 1
-    end
-    else wt.wnext <- None
+(* Called once, when the node's park returns. *)
+let release_waiter t wt =
+  if t.waiter_free_len < waiter_free_cap then begin
+    wt.wnext <- t.waiter_free;
+    t.waiter_free <- Some wt;
+    t.waiter_free_len <- t.waiter_free_len + 1
   end
+
+(* Take a woken waiter out of its wait queue. A linear scan: lock queues
+   are short, and only a timeout wakes a waiter that is not the head. *)
+let unlink wt =
+  let q = wt.wqueue in
+  wt.wqueue <- no_queue;
+  let rec scan prev = function
+    | None -> ()
+    | Some c when c == wt ->
+      (match prev with None -> q.qhead <- wt.wnext | Some p -> p.wnext <- wt.wnext);
+      (match wt.wnext with None -> q.qtail <- prev | Some _ -> ());
+      wt.wnext <- None
+    | Some c as cur -> scan cur c.wnext
+  in
+  scan None q.qhead
 
 (* Pick the worker's next fiber and dispatch it, or idle the worker:
    woken high-urgency fibers first, then new tasks while a slot is free,
@@ -397,9 +383,14 @@ and run_fiber w f main =
         w.disposition <- Suspended;
         f.cont <- Some k;
         probe_suspend t f f.park_phase;
-        let wt = alloc_waiter t f ~urgency:f.park_urgency ~deadline:f.park_deadline in
+        let wt = alloc_waiter t f ~urgency:f.park_urgency in
         f.fwaiter <- Some wt;
-        if f.park_deadline < no_deadline then add_deadline t wt;
+        if f.park_deadline < no_deadline then begin
+          (* the expiry is an engine event that wakes this park only *)
+          let gen = wt.wgen in
+          Engine.schedule_at t.eng ~time:f.park_deadline (fun () ->
+              if wt.wgen = gen then ignore (wake_waiter wt Timed_out))
+        end;
         let register = f.park_register in
         f.park_register <- ignore;
         register wt)
@@ -439,64 +430,22 @@ and wake f urgency =
   (match urgency with High -> Queue.push f w.runq_hi | Low -> Queue.push f w.runq_lo);
   if not w.busy then worker_loop w
 
-(* Deliver a wake reason to a parked waiter and re-queue its fiber at
+(* Deliver a wake reason to a parked waiter, take it out of its wait
+   queue if one still links it (a timeout), and re-queue its fiber at
    the urgency recorded at park time. Idempotent: the first wake wins,
-   later ones (a signal racing a timeout, a stale heap entry) are
-   no-ops. Returns whether this call did the wake. *)
+   a later one (a signal racing a timeout) is a no-op. Returns whether
+   this call did the wake. *)
 and wake_waiter wt reason =
   match wt.wstate with
   | Woken _ -> false
   | Parked ->
     wt.wstate <- Woken reason;
+    if wt.wqueue != no_queue then unlink wt;
     (match reason with
     | Timed_out -> Obs.Counter.incr wt.wfiber.fworker.wsched.n_timeouts
-    | Signalled | Cancelled -> ());
+    | Signalled -> ());
     wake wt.wfiber wt.wurgency;
     true
-
-(* The scheduler owns one deadline heap and keeps a single engine timer
-   armed at the earliest pending expiry. Woken waiters stay in the heap
-   and are dropped lazily when their time comes (wake_waiter makes that
-   a no-op); a timer made stale by an earlier arrival is ignored via the
-   [timer_time] guard. With no deadlines in play the heap stays empty
-   and no engine events are ever created — simulations without
-   deadlines are bit-identical to a scheduler without the wait core. *)
-and arm_deadline_timer t =
-  match Binheap.peek t.dheap with
-  | None -> ()
-  | Some e ->
-    if e.dtime < t.timer_time then begin
-      t.timer_time <- e.dtime;
-      Engine.schedule_at t.eng ~time:e.dtime (fun () -> fire_deadline_timer t e.dtime)
-    end
-
-and fire_deadline_timer t time =
-  if t.timer_time = time then begin
-    t.timer_time <- no_deadline;
-    let now = Engine.now t.eng in
-    let rec drain () =
-      match Binheap.peek t.dheap with
-      | Some e when e.dtime <= now ->
-        ignore (Binheap.pop t.dheap);
-        (* a generation mismatch means the waiter was recycled into a
-           later park: this entry must not touch it *)
-        if e.dgen = e.dwaiter.wgen then begin
-          e.dwaiter.wheap <- false;
-          ignore (wake_waiter e.dwaiter Timed_out);
-          try_release_waiter t e.dwaiter
-        end;
-        drain ()
-      | _ -> ()
-    in
-    drain ();
-    arm_deadline_timer t
-  end
-
-and add_deadline t wt =
-  t.next_dseq <- t.next_dseq + 1;
-  wt.wheap <- true;
-  Binheap.push t.dheap { dtime = wt.wdeadline; dseq = t.next_dseq; dwaiter = wt; dgen = wt.wgen };
-  arm_deadline_timer t
 
 let create ?obs eng cfg =
   let counter metric =
@@ -513,12 +462,6 @@ let create ?obs eng cfg =
       failure = None;
       created_at = Engine.now eng;
       trace = None;
-      dheap =
-        Binheap.create ~cmp:(fun a b ->
-            if a.dtime <> b.dtime then Int.compare a.dtime b.dtime
-            else Int.compare a.dseq b.dseq);
-      next_dseq = 0;
-      timer_time = no_deadline;
       waiter_free = None;
       waiter_free_len = 0;
       n_timeouts = counter "sched.timeouts";
@@ -630,7 +573,7 @@ let yield_effect = function High -> yield_high | Low -> yield_low
 let yield u = match !cur with Some _ -> Effect.perform (yield_effect u) | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The cancellable wait core. Every suspension in the kernel — device
+(* The wait core. Every suspension in the kernel — device
    completions, WAL durability, lock waits, condition queues — goes
    through [park]; latch spins go through [spin_yield]. *)
 
@@ -674,8 +617,7 @@ let park ?(deadline = Inherit) ~urgency ~phase register =
       match f.fwaiter with
       | Some ({ wstate = Woken r; _ } as wt) ->
         f.fwaiter <- None;
-        wt.wdone <- true;
-        try_release_waiter t wt;
+        release_waiter t wt;
         r
       | _ ->
         Phoebe_error.bug ~subsystem:"runtime.scheduler" "park: fiber %d resumed while still parked"
@@ -686,9 +628,7 @@ let park ?(deadline = Inherit) ~urgency ~phase register =
     (match phase with Trace.Lock_wait -> record_lock_wait t (Engine.now t.eng - t0) | _ -> ());
     r
 
-let cancel_waiter wt = wake_waiter wt Cancelled
-
-(* A cancellable spin step: latch acquisition keeps its charge +
+(* A deadline-bounded spin step: latch acquisition keeps its charge +
    high-urgency-yield shape (parking would alter instruction counts and
    interleavings), but each turn checks the resolved deadline. With no
    deadline this is exactly [yield High]. *)
@@ -778,48 +718,38 @@ let remove_local pred =
 
 module Waitq = struct
   (* FIFO, intrusively linked through the waiters' [wnext] field: a wait
-     enqueues no cells and a drain frees the nodes for reuse. A waiter
-     woken by timeout/cancel stays linked (lazy deletion, exactly like
-     the deadline heap) until the next [signal_all] unlinks it. *)
-  type q = { mutable qhead : waiter option; mutable qtail : waiter option }
+     enqueues no cells and a drain frees the nodes for reuse. Only
+     parked waiters are linked: a timeout unlinks its waiter at once
+     (see [wake_waiter]). *)
+  type q = waitq
 
   let create () : q = { qhead = None; qtail = None }
 
   let enqueue q wt =
+    let cell = Some wt in
     wt.wnext <- None;
-    wt.winq <- true;
-    (match q.qtail with None -> q.qhead <- Some wt | Some tl -> tl.wnext <- Some wt);
-    q.qtail <- Some wt
+    wt.wqueue <- q;
+    (match q.qtail with None -> q.qhead <- cell | Some tl -> tl.wnext <- cell);
+    q.qtail <- cell
 
   let wait_r ?deadline q = park ?deadline ~urgency:Low ~phase:Trace.Lock_wait (fun wt -> enqueue q wt)
 
   let wait q = ignore (wait_r ~deadline:Never q)
 
-  let signal_all q =
-    let rec drain () =
-      match q.qhead with
-      | None -> ()
-      | Some wt ->
-        q.qhead <- wt.wnext;
-        if q.qhead = None then q.qtail <- None;
-        wt.wnext <- None;
-        wt.winq <- false;
-        (match wt.wstate with
-        | Parked -> ignore (wake_waiter wt Signalled)
-        | Woken _ ->
-          (* stale timed-out/cancelled entry: dropping the queue link
-             may be the last reference *)
-          try_release_waiter wt.wfiber.fworker.wsched wt);
-        drain ()
-    in
-    drain ()
+  let rec signal_all q =
+    match q.qhead with
+    | None -> ()
+    | Some wt ->
+      q.qhead <- wt.wnext;
+      if q.qhead = None then q.qtail <- None;
+      wt.wnext <- None;
+      wt.wqueue <- no_queue;
+      ignore (wake_waiter wt Signalled);
+      signal_all q
 
   let length q =
-    let rec go n = function
-      | None -> n
-      | Some wt -> go (match wt.wstate with Parked -> n + 1 | Woken _ -> n) wt.wnext
-    in
+    let rec go n = function None -> n | Some wt -> go (n + 1) wt.wnext in
     go 0 q.qhead
 
-  let is_empty q = length q = 0
+  let is_empty q = q.qhead = None
 end

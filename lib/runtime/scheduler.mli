@@ -8,12 +8,12 @@
     high-urgency (resumed before new tasks are accepted), tuple-lock waits
     are low-urgency.
 
-    Every suspension goes through one cancellable wait core: a parked
-    fiber is represented by a {!waiter} carrying its urgency class, an
-    optional virtual-time deadline, and a wake reason. The scheduler owns
-    a deadline heap on the simulation clock; when no deadlines are in
-    play the heap stays empty and creates no events, so runs without
-    deadlines are bit-identical to the pre-wait-core runtime.
+    Every suspension goes through one wait core: a parked fiber is
+    represented by a {!waiter} carrying its urgency class and a wake
+    reason. A park with a virtual-time deadline schedules one engine
+    event at its expiry, which wakes the waiter with [Timed_out] unless
+    something woke it first; the engine's event queue is the only queue
+    of virtual time. A park without a deadline creates no event.
 
     The same runtime also emulates the thread-per-transaction model used
     as the Exp 6 baseline: one slot per worker, kernel-priced context
@@ -28,7 +28,6 @@ type urgency = High | Low
 type reason =
   | Signalled  (** the event waited for happened *)
   | Timed_out  (** the wait's deadline expired first *)
-  | Cancelled  (** explicitly cancelled by a third party *)
 
 (** Deadline policy of an individual wait, resolved against the fiber's
     transaction deadline (see {!set_txn_deadline}) at park time. *)
@@ -111,7 +110,7 @@ val yield : urgency -> unit
 (** Voluntarily yield the worker; the fiber is re-queued at the given
     urgency. No-op outside a fiber. *)
 
-(** {1 The cancellable wait core} *)
+(** {1 The wait core} *)
 
 val park :
   ?deadline:bound -> urgency:urgency -> phase:Phoebe_obs.Trace.phase -> (waiter -> unit) -> reason
@@ -119,8 +118,9 @@ val park :
     {!waiter} and hands it to [register], which must store it with the
     wake source (a device completion list, a wait queue, a WAL waiter
     list). The fiber resumes — re-queued at [urgency] — when someone
-    calls {!wake_waiter}, when the resolved [deadline] expires, or when
-    it is cancelled; the delivered {!reason} says which. [phase] names
+    calls {!wake_waiter} or when the resolved [deadline] expires; the
+    delivered {!reason} says which. The waiter is recycled once [park]
+    returns: a wake source must drop it by then. [phase] names
     what the fiber waits on, and is the one description of the wait:
     - trace spans file the suspension under it;
     - under the sanitizer, parking while holding a latch is a
@@ -134,14 +134,11 @@ val park :
 val wake_waiter : waiter -> reason -> bool
 (** Deliver a wake. Idempotent — only the first wake of a waiter takes
     effect (a later signal racing a timeout is a no-op); returns whether
-    this call performed the wake. Safe to call from anywhere, including
-    plain engine callbacks. *)
-
-val cancel_waiter : waiter -> bool
-(** [wake_waiter w Cancelled]. *)
+    this call performed the wake. A woken waiter leaves its {!Waitq} at
+    once. Safe to call from anywhere, including plain engine callbacks. *)
 
 val spin_yield : ?deadline:bound -> urgency -> reason
-(** One turn of a cancellable spin wait (latch acquisition): returns
+(** One turn of a deadline-bounded spin wait (latch acquisition): returns
     [Timed_out] immediately if the resolved [deadline] (default: the
     fiber's transaction deadline) has passed, otherwise yields at the
     given urgency and returns [Signalled]. With no deadline set this is
@@ -219,16 +216,16 @@ module Waitq : sig
 
   val wait_r : ?deadline:bound -> q -> reason
   (** Block until signalled, the resolved deadline (default: the
-      fiber's transaction deadline) expires, or the wait is cancelled;
-      returns what happened.
+      fiber's transaction deadline) expires; returns what happened. A
+      waiter that times out leaves the queue at once.
       @raise Phoebe_util.Phoebe_error.Bug outside a fiber. *)
 
   val signal_all : q -> unit
-  (** Wake every still-parked waiter ([Signalled]); timed-out or
-      cancelled entries are skipped. Callable from anywhere. *)
+  (** Wake every queued waiter ([Signalled]) in FIFO order. Callable
+      from anywhere. *)
 
   val is_empty : q -> bool
 
   val length : q -> int
-  (** Waiters still parked (stale woken entries are not counted). *)
+  (** Waiters queued, each one still parked. *)
 end

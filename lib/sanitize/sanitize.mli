@@ -44,8 +44,6 @@ type rule =
   | Undo_chain  (** version-chain / durable-watermark violation *)
   | Latch_leak  (** fiber completed while still holding latches *)
 
-val rule_label : rule -> string
-
 val enable : unit -> unit
 (** Switch the plane on and {!reset} all tracking state. *)
 

@@ -179,7 +179,7 @@ let rec branch_loop t p br txn =
       Obs.Counter.incr t.c_status_polls;
       Net.send t.cnet
         { Msg.gxid = br.br_gxid; src = p; dst = br.br_coord; payload = Msg.Status_req }
-    | Scheduler.Signalled | Scheduler.Cancelled -> ());
+    | Scheduler.Signalled -> ());
     branch_loop t p br txn
 
 let start_branch t p (m : Msg.t) ~proc ~args =
@@ -338,8 +338,6 @@ let submit_local ?affinity ?on_done t ~shard:k body =
   Db.submit ?affinity ?on_done t.cshards.(k) body
 
 let dtxn_txn dtx = dtx.dt_txn
-let dtxn_home dtx = dtx.dt_home
-let dtxn_gxid dtx = dtx.dt_gxid
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch *)

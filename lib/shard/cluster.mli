@@ -73,9 +73,6 @@ val dtxn_txn : dtxn -> Phoebe_core.Table.txn
 (** The coordinator's local branch transaction — use it for all
     home-shard reads and writes. *)
 
-val dtxn_home : dtxn -> int
-val dtxn_gxid : dtxn -> int
-
 val remote_exec : t -> dtxn -> shard:int -> proc:int -> args:Phoebe_storage.Value.t array -> Phoebe_storage.Value.t array
 (** Run procedure [proc] on [shard] inside the global transaction,
     blocking the coordinator fiber until the reply. On the home shard

@@ -42,7 +42,5 @@ type access_path =
   | Full_scan
   | Index_probe of { index : string; prefix_len : int; ranged : bool }
 
-val plan_of_select : Phoebe_core.Db.t -> Ast.select -> access_path
-
 val explain : session -> string -> string
 (** Human-readable access path for a SELECT. *)

@@ -520,15 +520,14 @@ let rec cleaner_service t partition =
      fiber at the same virtual time forever *)
   if !wrote then kick_cleaner t ~partition
 
-and kick_cleaner ?(force = false) t ~partition =
+and kick_cleaner t ~partition =
   match t.cleaner_sched with
   | Some sched when t.cleaner_cfg.cl_enabled ->
     let part = t.parts.(partition) in
     (* wait for half a batch to accumulate before waking the fiber —
        draining every one-page trickle would defeat the vectored
-       amortisation and re-write hot pages. [force] (maintain found no
-       clean victim while over budget) cleans whatever is queued. *)
-    let quorum = if force then 1 else max 1 (t.cleaner_cfg.cl_batch_pages / 2) in
+       amortisation and re-write hot pages *)
+    let quorum = max 1 (t.cleaner_cfg.cl_batch_pages / 2) in
     if
       (not part.cleaner_active)
       && Queue.length part.dirty_cooling >= quorum

@@ -167,12 +167,6 @@ val attach_cleaner : 'p t -> scheduler:Phoebe_runtime.Scheduler.t -> cleaner_con
 val cleaner_config : 'p t -> cleaner_config
 val cleaner_stats : 'p t -> cleaner_stats
 
-val kick_cleaner : ?force:bool -> 'p t -> partition:int -> unit
-(** Schedule a cleaner pass for [partition] if it is above the low
-    watermark with at least half a batch of queued dirty frames and no
-    pass is already pending ([force] drops the quorum to one frame).
-    Idempotent; called internally from [maintain] and eviction. *)
-
 val write_back_batch : 'p t -> 'p frame list -> unit
 (** Persist the dirty resident frames among [frames] through the
     vectored batch path, chunked at [cl_batch_pages]; the calling fiber

@@ -37,7 +37,7 @@ let spin () =
   Scheduler.charge Component.Latch c.Cost.latch_acquire;
   match Scheduler.spin_yield Scheduler.High with
   | Scheduler.Signalled -> ()
-  | Scheduler.Timed_out | Scheduler.Cancelled -> raise Timeout
+  | Scheduler.Timed_out -> raise Timeout
 
 let rec optimistic_read_with t f a b =
   let c = Scheduler.current_cost () in
@@ -54,7 +54,7 @@ let rec optimistic_read_with t f a b =
       Scheduler.charge Component.Latch c.Cost.olc_restart;
       (match Scheduler.spin_yield Scheduler.High with
       | Scheduler.Signalled -> ()
-      | Scheduler.Timed_out | Scheduler.Cancelled -> raise Timeout);
+      | Scheduler.Timed_out -> raise Timeout);
       optimistic_read_with t f a b
     end
   end

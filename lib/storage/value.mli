@@ -9,9 +9,6 @@ type t =
 
 type col_type = T_int | T_float | T_str | T_bool
 
-val type_of : t -> col_type option
-(** [None] for [Null]. *)
-
 val compare : t -> t -> int
 (** Total order with [Null] first; cross-type comparisons follow the
     constructor order (only meaningful inside one column in practice). *)

@@ -26,8 +26,6 @@ val advance_to : t -> int -> unit
 
 (** {1 XIDs} *)
 
-val xid_marker : int
-
 val xid_of_start_ts : int -> int
 val is_xid : int -> bool
 val start_ts_of_xid : int -> int

@@ -366,7 +366,6 @@ let lock_wait_interrupted txn reason what =
   | Scheduler.Signalled -> ()
   | Scheduler.Timed_out ->
     raise (Abort (Deadline, Printf.sprintf "%s exceeded the transaction deadline" what))
-  | Scheduler.Cancelled -> raise (Abort (User, Printf.sprintf "%s cancelled" what))
 
 let wait_for_txn t txn ~holder_xid =
   let c = Scheduler.current_cost () in

@@ -166,7 +166,6 @@ let size_bytes t =
   encode size_scratch t;
   Buffer.length size_scratch
 
-let is_commit t = match t.op with Commit _ -> true | _ -> false
 
 let pp fmt t =
   let kind =

@@ -54,5 +54,4 @@ val decode_all : Bytes.t -> t list * stop
 val size_bytes : t -> int
 (** Encoded size, for WAL-volume accounting. *)
 
-val is_commit : t -> bool
 val pp : Format.formatter -> t -> unit

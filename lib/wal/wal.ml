@@ -195,9 +195,10 @@ let flushed_gsn t ~slot = t.writers.(effective_slot t slot).max_flushed_gsn
 (* Durability waits park on the unified wait core with a [Never] bound:
    a commit that reached the WAL must not be severed from its flush by a
    transaction deadline (atomicity), so the wait is uncancellable.
-   Outside a fiber, [register] gets a no-op resume — durability is
-   immediate in virtual time, exactly like the fiber-less loaders'
-   device I/O. *)
+   Outside a fiber, [register] gets a no-op resume and the caller does
+   not wait: the flush it submitted reaches media only when the engine
+   next runs, so a fiber-less commit is durable after [Db.run] or
+   [Db.checkpoint], not when it returns. *)
 let wal_wait register =
   if Scheduler.in_fiber () then
     ignore

@@ -21,9 +21,6 @@ type shape =
   | Diurnal of { base : float; peak : float; period_s : float }
       (** raised-cosine day curve between [base] (trough) and [peak] *)
 
-val rate_at : shape -> t_s:float -> float
-(** Instantaneous arrival rate at [t_s] seconds after start. *)
-
 type t
 
 val start :

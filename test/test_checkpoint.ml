@@ -142,6 +142,23 @@ let test_checkpoint_after_concurrent_run () =
   Alcotest.(check (list (pair int int))) "image + suffix = primary state" (dump db1 t1)
     (dump db2 (Db.table db2 "kv"))
 
+(* Outside a fiber a commit only submits its WAL flush; the flush reaches
+   media when the engine next runs. [Db.checkpoint] is that point: after
+   it, a crash keeps every commit. *)
+let test_fiberless_commits_durable_at_checkpoint () =
+  let db1 = Db.create cfg in
+  let t1 = kv_ddl db1 in
+  let snapshot = Checkpoint.take db1 in
+  for k = 1 to 200 do
+    Db.with_txn db1 (fun txn -> ignore (Table.insert t1 txn [| Value.Int k; Value.Int k |]))
+  done;
+  Db.checkpoint db1;
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  Alcotest.(check (list (pair int int)))
+    "all 200 rows survive the crash" (List.init 200 (fun i -> (i + 1, i + 1)))
+    (dump db2 (Db.table db2 "kv"))
+
 (* A restart is a fresh build over the surviving stores: a PG-style
    instance must keep its lock-table and proc-array contention after a
    checkpoint restore, not fall back to decentralized locking. *)
@@ -349,6 +366,8 @@ let () =
           Alcotest.test_case "frozen tier" `Quick test_checkpoint_with_frozen_tier;
           Alcotest.test_case "rejects active txns" `Quick test_checkpoint_rejects_active_txns;
           Alcotest.test_case "after concurrent run" `Quick test_checkpoint_after_concurrent_run;
+          Alcotest.test_case "fiber-less commits durable at checkpoint" `Quick
+            test_fiberless_commits_durable_at_checkpoint;
           Alcotest.test_case "restore keeps lock style" `Quick test_restore_keeps_lock_style;
           Alcotest.test_case "restore resumes WAL writers" `Quick test_restore_resumes_wal_writers;
           Alcotest.test_case "restore resumes after a torn tail" `Quick test_restore_resumes_after_torn_tail;

@@ -51,6 +51,29 @@ let test_channel_parallelism () =
   check_int "bytes accounted" 2_000_000 (Device.total_bytes dev Device.Write);
   check_int "ops accounted" 4 (Device.total_ops dev Device.Write)
 
+(* A write goes to the channel that frees earliest: behind a long write
+   on one channel, two short ones run back to back on the other. *)
+let test_earliest_free_channel () =
+  let eng = Engine.create () in
+  let dev = small_dev ~channels:2 eng in
+  let finishes = ref [] in
+  List.iter
+    (fun bytes ->
+      Device.submit dev Device.Write ~bytes ~on_complete:(fun () ->
+          finishes := (bytes, Engine.now eng) :: !finishes))
+    [ 1_000_000; 50_000; 50_001 ];
+  Engine.run eng;
+  (* 50 KB at 500 MB/s = 100us service + 100us latency *)
+  check_bool "the short writes shared the idle channel" true
+    (List.sort compare !finishes = [ (50_000, 200_000); (50_001, 300_002); (1_000_000, 2_100_000) ])
+
+let test_no_channels_rejected () =
+  check_bool "a device with no channels is rejected" true
+    (try
+       ignore (small_dev ~channels:0 (Engine.create ()));
+       false
+     with Invalid_argument _ -> true)
+
 let test_throughput_series () =
   let eng = Engine.create () in
   let dev = small_dev eng in
@@ -398,6 +421,8 @@ let () =
           Alcotest.test_case "completion time" `Quick test_completion_time;
           Alcotest.test_case "iops floor" `Quick test_iops_floor;
           Alcotest.test_case "channel parallelism" `Quick test_channel_parallelism;
+          Alcotest.test_case "earliest-free channel" `Quick test_earliest_free_channel;
+          Alcotest.test_case "no channels rejected" `Quick test_no_channels_rejected;
           Alcotest.test_case "throughput series" `Quick test_throughput_series;
           Alcotest.test_case "busy fraction" `Quick test_busy_fraction;
           Alcotest.test_case "busy fraction saturates" `Quick test_busy_fraction_saturates;

@@ -207,52 +207,6 @@ let test_crc32_range () =
   check_bool "sub range differs" false (whole = sub)
 
 (* ------------------------------------------------------------------ *)
-(* Binheap *)
-
-let test_heap_sorts () =
-  let h = Binheap.create ~cmp:compare in
-  let rng = Prng.create ~seed:123 in
-  let values = Array.init 500 (fun _ -> Prng.int rng 10_000) in
-  Array.iter (Binheap.push h) values;
-  check_int "length" 500 (Binheap.length h);
-  let out = ref [] in
-  let rec drain () =
-    match Binheap.pop h with
-    | Some v ->
-      out := v :: !out;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  let got = Array.of_list (List.rev !out) in
-  let expect = Array.copy values in
-  Array.sort compare expect;
-  Alcotest.(check (array int)) "heap sort" expect got
-
-let test_heap_empty () =
-  let h = Binheap.create ~cmp:compare in
-  check_bool "empty" true (Binheap.is_empty h);
-  check_bool "pop none" true (Binheap.pop h = None);
-  check_bool "peek none" true (Binheap.peek h = None)
-
-let test_heap_peek () =
-  let h = Binheap.create ~cmp:compare in
-  Binheap.push h 5;
-  Binheap.push h 3;
-  Binheap.push h 9;
-  check_bool "peek min" true (Binheap.peek h = Some 3);
-  check_int "peek does not pop" 3 (Binheap.length h)
-
-let prop_heap_order =
-  QCheck.Test.make ~name:"heap pops in order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Binheap.create ~cmp:compare in
-      List.iter (Binheap.push h) xs;
-      let rec drain acc = match Binheap.pop h with Some v -> drain (v :: acc) | None -> List.rev acc in
-      drain [] = List.sort compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_scalar () =
@@ -460,11 +414,6 @@ let () =
           Alcotest.test_case "distinguishes" `Quick test_crc32_distinguishes;
           Alcotest.test_case "range" `Quick test_crc32_range;
         ] );
-      ( "binheap",
-        Alcotest.test_case "sorts" `Quick test_heap_sorts
-        :: Alcotest.test_case "empty" `Quick test_heap_empty
-        :: Alcotest.test_case "peek" `Quick test_heap_peek
-        :: qsuite [ prop_heap_order ] );
       ( "stats",
         [
           Alcotest.test_case "scalar" `Quick test_scalar;

@@ -107,11 +107,21 @@ alloc_gate() {
 alloc_gate txn.alloc.minor_words_per_txn 3280
 alloc_gate process_minor_words_per_txn 4230
 
-echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + digest)"
+echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + pinned digest and tpmC)"
 double_run det exp1 smoke --sanitize --seed 42 > /dev/null
-grep -q '"sanitize.replay_digest"' "$tmpdir/det.json"
+# The simulation is pinned: the seed-42 sanitized smoke replays to this
+# digest and reaches this tpmC. A change that moves either must update
+# the pin here and say why in CHANGES.md.
+pin() {
+  if ! grep -q "^ *\"$1\": $2,\?\$" "$tmpdir/det.json"; then
+    echo "   FAIL: the seed-42 sanitized smoke has no \"$1\": $2 (the pinned value)" >&2
+    exit 1
+  fi
+}
+pin sanitize.replay_digest 930510504329545913
+pin tpmc 577765
 grep -q '"sanitize.findings": 0' "$tmpdir/det.json"
-echo "   double run byte-identical, replay digest present, zero findings"
+echo "   double run byte-identical, replay digest and tpmC pinned, zero findings"
 
 echo "== overload smoke (offered-load sweep, admission on vs off, --json)"
 bench_json overload overload overload
