@@ -201,7 +201,7 @@ let rec find_leaf node key rid =
     let idx = Latch.optimistic_read inner.platch (fun () -> inner_child_index inner key rid) in
     find_leaf inner.kids.(idx) key rid
 
-(* Leaves are not chained; in-order range traversal walks the tree. *)
+(* Leaves are not chained; [prefix]'s streaming walk goes through the tree. *)
 let rec iter_from node key rid f =
   match node with
   | Leaf l ->
@@ -237,26 +237,6 @@ let delete t ~key ~rid =
       end
       else false)
 
-let lookup t ~key =
-  let acc = ref [] in
-  ignore
-    (iter_from t.root key min_int (fun k rid ->
-         if k = key then begin
-           acc := rid :: !acc;
-           true
-         end
-         else false));
-  List.rev !acc
-
-let iter_key t ~key f =
-  ignore
-    (iter_from t.root key min_int (fun k rid ->
-         if k = key then begin
-           f rid;
-           true
-         end
-         else false))
-
 (* The equal-key walk: store the rids of [key]'s entries in [dst], in
    ascending order, and return how many there are. Module-level loops
    with every variable passed explicitly, so no closure or cell is
@@ -289,10 +269,6 @@ let collect_key t ~key dst =
 let first_scratch = [| 0 |]
 
 let lookup_first t ~key = if collect_key t ~key first_scratch = 0 then None else Some first_scratch.(0)
-
-let range t ~lo ~hi f =
-  ignore
-    (iter_from t.root lo min_int (fun k rid -> if String.compare k hi > 0 then false else f k rid))
 
 (* [String.sub]-free, closure-free prefix test: [prefix] runs once per
    visited entry on the scan path, so carving a fresh substring (or

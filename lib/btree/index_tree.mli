@@ -21,14 +21,8 @@ val insert : t -> key:string -> rid:int -> unit
 val delete : t -> key:string -> rid:int -> bool
 (** Remove one (key, rid) entry; false if absent. *)
 
-val lookup : t -> key:string -> int list
-(** All row ids for [key] (at most one on a unique index), ascending. *)
-
-val iter_key : t -> key:string -> (int -> unit) -> unit
-(** Visit every row id for [key] in ascending order without building a
-    list — the execute path's allocation-free variant of {!lookup}. *)
-
 val lookup_first : t -> key:string -> int option
+(** The lowest row id for [key], through {!collect_key}. *)
 
 val collect_key : t -> key:string -> int array -> int
 (** [collect_key t ~key dst] writes the row ids of [key]'s entries into
@@ -38,11 +32,10 @@ val collect_key : t -> key:string -> int array -> int
     nothing, so a caller can take every candidate first and probe them
     afterwards. *)
 
-val range : t -> lo:string -> hi:string -> (string -> int -> bool) -> unit
-(** In-order visit of entries with [lo <= key <= hi]; the callback
-    returns [false] to stop early. *)
-
 val prefix : t -> prefix:string -> (string -> int -> bool) -> unit
+(** In-order visit of the entries whose key starts with [prefix]; the
+    callback gets each entry's key and rid and returns [false] to stop
+    early. *)
 
 val count : t -> int
 val depth : t -> int

@@ -251,11 +251,19 @@ let locate ?(touch = true) t ~row_id =
   end
   else locate_descend ~touch t t.root ~row_id
 
+(* A frozen row that is not delete-marked, decoded into a row of its
+   own. *)
+let frozen_live_row t b ~row_id =
+  if Frozen.is_deleted b ~row_id then None
+  else
+    let row = Array.make (Value.Schema.arity t.tschema) Value.Null in
+    if Frozen.get_raw_into b ~row_id row then Some row else None
+
 let read ?(touch = true) t ~row_id =
   let c = Scheduler.current_cost () in
   match locate ~touch t ~row_id with
   | Absent -> None
-  | In_frozen b -> Frozen.get b ~row_id
+  | In_frozen b -> frozen_live_row t b ~row_id
   | In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
     if Pax.is_deleted page ~slot then None
@@ -263,12 +271,6 @@ let read ?(touch = true) t ~row_id =
       charge_effective c.Cost.pax_read;
       Some (Pax.get page ~slot)
     end
-
-let is_deleted t ~row_id =
-  match locate ~touch:false t ~row_id with
-  | Absent -> true
-  | In_frozen b -> Frozen.is_deleted b ~row_id
-  | In_page (frame, slot) -> Pax.is_deleted (Bufmgr.payload frame) ~slot
 
 let mark_deleted t ~row_id =
   match locate ~touch:true t ~row_id with
@@ -342,6 +344,26 @@ let leaf_at_or_after t ~touch node rid =
   in
   go node
 
+(* The pinned leaf walk: visit, in row-id order, each leaf holding a
+   row id in [cursor, stop] that has been appended. [f] may fault other
+   pages (long I/O waits), so the leaf stays pinned while it runs:
+   eviction cannot pull it out from under the walk. *)
+let rec walk_leaves ~touch t cursor ~stop f =
+  if cursor <= stop && cursor < t.next_rid then
+    match leaf_at_or_after t ~touch t.root cursor with
+    | None -> ()
+    | Some swip ->
+      let frame = Bufmgr.resolve ~touch t.buf swip in
+      Bufmgr.pin frame;
+      let next =
+        Fun.protect
+          ~finally:(fun () -> Bufmgr.unpin frame)
+          (fun () ->
+            f frame;
+            Pax.max_row_id (Bufmgr.payload frame) + 1)
+      in
+      walk_leaves ~touch t next ~stop f
+
 let scan ?(touch = false) ?(include_deleted = false) t ?(from_rid = 1) ?to_rid f =
   let stop = match to_rid with Some r -> r | None -> t.next_rid - 1 in
   let emit rid row = if rid >= from_rid && rid <= stop then f rid row in
@@ -357,23 +379,7 @@ let scan ?(touch = false) ?(include_deleted = false) t ?(from_rid = 1) ?to_rid f
         else Frozen.iter_live b (fun rid row -> emit rid row))
     t.blocks;
   (* page tier *)
-  let cursor = ref (max from_rid (t.max_frozen + 1)) in
-  let continue = ref true in
-  while !continue && !cursor <= stop do
-    match leaf_at_or_after t ~touch t.root !cursor with
-    | None -> continue := false
-    | Some swip ->
-      let frame = Bufmgr.resolve ~touch t.buf swip in
-      (* the row callback may fault other pages (long I/O waits): pin
-         this leaf so eviction cannot pull it out from under us *)
-      Bufmgr.pin frame;
-      Fun.protect
-        ~finally:(fun () -> Bufmgr.unpin frame)
-        (fun () ->
-          let page = Bufmgr.payload frame in
-          iter_page page;
-          cursor := Pax.max_row_id page + 1)
-  done
+  walk_leaves ~touch t (max from_rid (t.max_frozen + 1)) ~stop (fun frame -> iter_page (Bufmgr.payload frame))
 
 (* ------------------------------------------------------------------ *)
 (* Freeze / warm (temperature exchange, §5.2) *)
@@ -499,7 +505,7 @@ let warm_row t ~row_id =
     match find_block t row_id with
     | None -> None
     | Some b -> (
-      match Frozen.get b ~row_id with
+      match frozen_live_row t b ~row_id with
       | None -> None
       | Some row ->
         ignore (Frozen.mark_deleted b ~row_id);
@@ -549,21 +555,7 @@ let compression_ratio t =
   let comp = Array.fold_left (fun acc b -> acc + Frozen.compressed_bytes b) 0 t.blocks in
   if comp = 0 then 1.0 else float_of_int unc /. float_of_int comp
 
-let iter_leaf_pages t f =
-  let cursor = ref (t.max_frozen + 1) in
-  let continue = ref true in
-  while !continue && !cursor < t.next_rid do
-    match leaf_at_or_after t ~touch:false t.root !cursor with
-    | None -> continue := false
-    | Some swip ->
-      let frame = Bufmgr.resolve ~touch:false t.buf swip in
-      Bufmgr.pin frame;
-      Fun.protect
-        ~finally:(fun () -> Bufmgr.unpin frame)
-        (fun () ->
-          f frame;
-          cursor := Pax.max_row_id (Bufmgr.payload frame) + 1)
-  done
+let iter_leaf_pages t f = walk_leaves ~touch:false t (t.max_frozen + 1) ~stop:max_int f
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)

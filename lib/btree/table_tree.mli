@@ -74,8 +74,6 @@ val locate : ?touch:bool -> t -> row_id:int -> location
 val read : ?touch:bool -> t -> row_id:int -> Phoebe_storage.Value.t array option
 (** Raw current version (ignores MVCC, skips delete-marked rows). *)
 
-val is_deleted : t -> row_id:int -> bool
-
 val mark_deleted : t -> row_id:int -> bool
 (** Returns false if the row does not exist or was already deleted. *)
 
@@ -89,8 +87,10 @@ val append_exact : t -> row_id:int -> Phoebe_storage.Value.t array -> unit
 
 val scan : ?touch:bool -> ?include_deleted:bool -> t -> ?from_rid:int -> ?to_rid:int ->
   (int -> Phoebe_storage.Value.t array -> unit) -> unit
-(** Iterate tuples in row-id order across frozen and page tiers.
-    [touch] defaults to [false]: scans must not warm data (§5.2).
+(** Iterate tuples with row ids in [from_rid, to_rid] (default: every
+    row appended when the scan starts), in row-id order across frozen
+    and page tiers; the page tier is {!iter_leaf_pages}'s pinned leaf
+    walk. [touch] defaults to [false]: scans must not warm data (§5.2).
     [include_deleted] (default false) also visits delete-marked tuples —
     MVCC scans need them, since a marked tuple may still be visible to
     older snapshots. *)
@@ -130,7 +130,8 @@ val iter_blocks : t -> (Phoebe_storage.Frozen.t -> unit) -> unit
 
 val iter_leaf_pages : t -> (Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame -> unit) -> unit
 (** Resolve and visit every leaf page in row-id order without warming
-    (scans must not heat data, §5.2). *)
+    (scans must not heat data, §5.2). Each leaf stays pinned while the
+    callback runs, so the callback may fault other pages. *)
 
 val compression_ratio : t -> float
 (** uncompressed/compressed bytes across frozen blocks; 1.0 if none. *)

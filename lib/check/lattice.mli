@@ -31,11 +31,6 @@ val final_pass : graph -> unit
 val order_edges : graph -> (string * string * string) list
 (** (src class, dst class, witness), sorted. *)
 
-val summary_of : graph -> string -> summary
-
-type site = { callee_fqn : string; site_loc : loc }
-
-val call_sites : Extract.def -> graph -> site list
 val direct_sites : Extract.def -> kind:[ `Alloc | `Raise ] -> (string * loc) list
 
 val reachable_with_paths :

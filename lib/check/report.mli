@@ -13,8 +13,6 @@ type finding = {
   msg : string;
 }
 
-val compare_findings : finding -> finding -> int
-
 val sort : finding list -> finding list
 (** Sort by (file, line, rule, message) and drop duplicates. *)
 

@@ -50,5 +50,3 @@ let default =
     faults = None;
     sanitize = false;
   }
-
-let paper_scale = { default with n_workers = 100; slots_per_worker = 32 }

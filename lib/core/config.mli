@@ -56,7 +56,3 @@ type t = {
 val default : t
 (** 4 workers × 32 slots, co-routine model, 256 MB buffer, read
     committed, O(1) snapshots, PM9A3-class devices. *)
-
-val paper_scale : t
-(** The paper's testbed shape: 100 workers on the 52-core/104-thread CPU
-    model with 32 slots each. *)

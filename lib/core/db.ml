@@ -315,19 +315,27 @@ let with_txn ?(isolation = Txnmgr.Read_committed) t body =
   in
   attempt 0
 
-(* Housekeeping runs in its own fiber on the worker's task slots (the
-   paper's dedicated page-swap and GC slots, §7.1). *)
-let housekeeping_task t worker () =
-  let slots = t.cfg.Config.slots_per_worker in
+(* Reclaim the UNDO logs of slots [first..last] that no snapshot above
+   [watermark] can need, each through its table's index cleanup; returns
+   how many were reclaimed. *)
+let gc_slots t ~watermark ~first ~last =
   let reclaim (undo : Phoebe_txn.Undo.t) =
     match Hashtbl.find_opt t.by_id undo.Phoebe_txn.Undo.table_id with
     | Some table -> Table.gc_reclaim_undo table undo
     | None -> ()
   in
-  let watermark = Txnmgr.min_active_start_ts t.txns in
-  for s = worker * slots to ((worker + 1) * slots) - 1 do
-    ignore (Txnmgr.gc_slot t.txns ~slot:s ~watermark ~on_reclaim:reclaim)
+  let n = ref 0 in
+  for s = first to last do
+    n := !n + Txnmgr.gc_slot t.txns ~slot:s ~watermark ~on_reclaim:reclaim
   done;
+  !n
+
+(* Housekeeping runs in its own fiber on the worker's task slots (the
+   paper's dedicated page-swap and GC slots, §7.1). *)
+let housekeeping_task t worker () =
+  let slots = t.cfg.Config.slots_per_worker in
+  let watermark = Txnmgr.min_active_start_ts t.txns in
+  ignore (gc_slots t ~watermark ~first:(worker * slots) ~last:(((worker + 1) * slots) - 1));
   (* the twin-table sweep walks every page's table: one sweeper suffices *)
   if worker = 0 then ignore (Txnmgr.gc_twins t.txns ~watermark);
   if Bufmgr.needs_maintenance t.buf ~partition:worker then Bufmgr.maintain t.buf ~partition:worker;
@@ -430,18 +438,12 @@ let sync_stores t =
     Phoebe_error.bug ~subsystem:"core.db" "sync_stores: page-store sync did not converge"
 
 let gc t =
-  let reclaim (undo : Phoebe_txn.Undo.t) =
-    match Hashtbl.find_opt t.by_id undo.Phoebe_txn.Undo.table_id with
-    | Some table -> Table.gc_reclaim_undo table undo
-    | None -> ()
-  in
-  let n = ref 0 in
   let watermark = Txnmgr.min_active_start_ts t.txns in
-  for s = 0 to (t.cfg.Config.n_workers * t.cfg.Config.slots_per_worker) - 1 do
-    n := !n + Txnmgr.gc_slot t.txns ~slot:s ~watermark ~on_reclaim:reclaim
-  done;
+  let n =
+    gc_slots t ~watermark ~first:0 ~last:((t.cfg.Config.n_workers * t.cfg.Config.slots_per_worker) - 1)
+  in
   ignore (Txnmgr.gc_twins t.txns ~watermark);
-  !n
+  n
 
 let freeze_tables t =
   List.fold_left

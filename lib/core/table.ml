@@ -250,10 +250,6 @@ let get t txn ~rid =
   statement_begin t txn;
   visible_at t txn ~rid
 
-let get_col t txn ~rid ~col =
-  let c = Value.Schema.column_index t.tschema col in
-  match get t txn ~rid with None -> None | Some row -> Some row.(c)
-
 (* ------------------------------------------------------------------ *)
 (* Write protocol (§6.2) *)
 
@@ -328,36 +324,54 @@ let relocate_live t (txn : txn) entry ~rid =
     Txnmgr.unlock_tuple t.txnmgr txn entry;
     Table_tree.Absent
 
+(* The equal-key rids of [key_bytes] in the slot's rid scratch, grown
+   until they all fit; returns how many. The walk makes no charge. *)
+let rec collect_candidates t ix ~slot key_bytes =
+  let dst = Tupbuf.rids t.scratch ~slot in
+  let n = Index_tree.collect_key ix.ix ~key:key_bytes dst in
+  if n <= Array.length dst then n
+  else begin
+    Tupbuf.grow_rids t.scratch ~slot n;
+    collect_candidates t ix ~slot key_bytes
+  end
+
 (* Uniqueness against the live row set: a same-key entry conflicts
    unless its row is delete-marked by a committed deletion or by this
    very transaction. An uncommitted deletion by another transaction
    conservatively conflicts (it may yet abort and resurrect the row). *)
+let check_candidate t (txn : txn) ~rid =
+  let live =
+    match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
+    | Table_tree.Absent -> false
+    | Table_tree.In_page (frame, slot) -> not (Pax.is_deleted (Bufmgr.payload frame) ~slot)
+    | Table_tree.In_frozen b -> not (Frozen.is_deleted b ~row_id:rid)
+  in
+  if live then raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"));
+  (* delete-marked: conflicts only if the deleter is an active foreign
+     transaction *)
+  let page_key =
+    match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
+    | Table_tree.In_page (frame, _) -> Bufmgr.page_id frame
+    | _ -> frozen_twin_key t rid
+  in
+  match chain_head_for t ~page_key ~rid with
+  | Some h when Clock.is_xid h.Undo.ets && not (Int.equal h.Undo.ets txn.Txnmgr.xid) ->
+    raise (Txnmgr.Abort (Txnmgr.Conflict, "unique key held by concurrent deleter"))
+  | _ -> ()
+
+(* Probe the candidates [i..n) in rid order, skipping the row being
+   inserted; the first conflict aborts. *)
+let rec check_candidates t txn ~inserting_rid rids n i =
+  if i < n then begin
+    let rid = rids.(i) in
+    if rid <> inserting_rid then check_candidate t txn ~rid;
+    check_candidates t txn ~inserting_rid rids n (i + 1)
+  end
+
 let check_unique t (txn : txn) ix ~key ~inserting_rid =
-  Index_tree.iter_key ix.ix ~key
-    (fun rid ->
-      if rid <> inserting_rid then begin
-        let live =
-          match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-          | Table_tree.Absent -> false
-          | Table_tree.In_page (frame, slot) -> not (Pax.is_deleted (Bufmgr.payload frame) ~slot)
-          | Table_tree.In_frozen b -> not (Frozen.is_deleted b ~row_id:rid)
-        in
-        if live then raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"))
-        else begin
-          (* delete-marked: conflicts only if the deleter is an active
-             foreign transaction *)
-          let page_key =
-            match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-            | Table_tree.In_page (frame, _) -> Bufmgr.page_id frame
-            | _ -> frozen_twin_key t rid
-          in
-          match chain_head_for t ~page_key ~rid with
-          | Some h
-            when Clock.is_xid h.Undo.ets && not (Int.equal h.Undo.ets txn.Txnmgr.xid) ->
-            raise (Txnmgr.Abort (Txnmgr.Conflict, "unique key held by concurrent deleter"))
-          | _ -> ()
-        end
-      end)
+  let slot = txn.Txnmgr.slot in
+  let n = collect_candidates t ix ~slot key in
+  check_candidates t txn ~inserting_rid (Tupbuf.rids t.scratch ~slot) n 0
 
 (* ------------------------------------------------------------------ *)
 (* Insert *)
@@ -368,7 +382,6 @@ let rec insert_keys t txn ~rid row = function
   | [] -> ()
   | ix :: rest ->
     let key = key_of_row t ix row in
-    (* lint: allow hot-path-alloc — unique-key check: its equal-key walk's callback *)
     if ix.ix_unique then check_unique t txn ix ~key ~inserting_rid:rid;
     (* lint: allow hot-path-alloc — the index entry: node growth and splits in the tree *)
     Index_tree.insert ix.ix ~key ~rid;
@@ -511,9 +524,15 @@ let delete_frozen ?reinsert t (txn : txn) block ~rid old_row =
         (match reinsert with Some row -> ignore (insert t txn row) | None -> ());
         true)
 
+(* A frozen row, delete-marked or not, decoded whole into a row of its
+   own: it becomes the delete's before-image. *)
+let frozen_row t block ~rid =
+  let row = Array.make (Value.Schema.arity t.tschema) Value.Null in
+  if Frozen.get_raw_into block ~row_id:rid row then Some row else None
+
 (* A frozen row decodes whole; the closure sees it masked to [reads]. *)
 let update_frozen t txn block ~rid reads compute =
-  match Frozen.get_raw block ~row_id:rid with
+  match frozen_row t block ~rid with
   | None -> false
   | Some old_row ->
     let seen = Array.copy old_row in
@@ -565,7 +584,7 @@ let delete t (txn : txn) ~rid =
         raise e)
     | _ -> false)
   | Table_tree.In_frozen block -> (
-    match Frozen.get_raw block ~row_id:rid with
+    match frozen_row t block ~rid with
     | None -> false
     | Some old_row -> delete_frozen t txn block ~rid old_row)
 
@@ -594,30 +613,6 @@ let row_key_equals t ix (row : Value.t array) key =
   encode_row_key buf ix.key_cols row 0;
   Buffer.length buf = String.length key && buffer_equals buf key 0
 
-let index_lookup t txn ~index ~key =
-  statement_begin t txn;
-  let ix = find_index t index in
-  let key_bytes = Index_tree.encode_key key in
-  let acc = ref [] in
-  Index_tree.iter_key ix.ix ~key:key_bytes (fun rid ->
-      match visible_at t txn ~rid with
-      (* the result list is retained by the caller: copy out of scratch *)
-      | Some row when key_matches_vals ix.key_cols 0 row key ->
-        acc := (rid, Array.copy row) :: !acc
-      | _ -> ());
-  List.rev !acc
-
-(* The equal-key rids of [key_bytes] in the slot's rid scratch, grown
-   until they all fit; returns how many. The walk makes no charge. *)
-let rec collect_candidates t ix ~slot key_bytes =
-  let dst = Tupbuf.rids t.scratch ~slot in
-  let n = Index_tree.collect_key ix.ix ~key:key_bytes dst in
-  if n <= Array.length dst then n
-  else begin
-    Tupbuf.grow_rids t.scratch ~slot n;
-    collect_candidates t ix ~slot key_bytes
-  end
-
 (* Probe candidates [i..n) in rid order, the order the index walk
    visits them in; the first visible row whose key still matches is
    blitted into [res]. Every candidate is read, hit or not. *)
@@ -638,13 +633,12 @@ let rec probe_candidates t txn ix ~key cols rids n i res hit =
     probe_candidates t txn ix ~key cols rids n (i + 1) res hit
   end
 
-(* Point-lookup fast path: every candidate rid is still probed (the
-   visibility work is identical to {!index_lookup}, keeping the charge
-   schedule unchanged), but the candidates are taken first, in one
-   charge-free index walk, and the first hit is blitted into the slot's
-   dedicated result buffer instead of copied — so the returned row stays
-   valid across later ring takes, clobbered only by this transaction's
-   next [index_lookup_first] on the same table. *)
+(* Point lookup: the candidates are taken first, in one charge-free
+   index walk, and every one is probed, hit or not. The first hit is
+   blitted into the slot's dedicated result buffer instead of copied —
+   so the returned row stays valid across later ring takes, clobbered
+   only by this transaction's next [index_lookup_first] on the same
+   table. *)
 (* lint: hot-path *)
 let index_lookup_first ?cols t txn ~index ~key =
   statement_begin t txn;

@@ -100,22 +100,15 @@ val get : t -> txn -> rid:int -> Phoebe_storage.Value.t array option
     scratch ring and stays valid only until this transaction reads a
     few ([Tupbuf.ring]) more rows of this table; copy to retain. *)
 
-val get_col : t -> txn -> rid:int -> col:string -> Phoebe_storage.Value.t option
-
 (** {1 Index access (visibility-filtered)} *)
-
-val index_lookup :
-  t -> txn -> index:string -> key:Phoebe_storage.Value.t list ->
-  (int * Phoebe_storage.Value.t array) list
-(** Visible rows whose indexed columns still equal [key] (stale entries
-    from in-flight key updates are filtered by re-checking the key).
-    Rows in the returned list are caller-owned copies. *)
 
 val index_lookup_first :
   ?cols:int array ->
   t -> txn -> index:string -> key:Phoebe_storage.Value.t list ->
   (int * Phoebe_storage.Value.t array) option
-(** First visible match. The row lives in the slot's dedicated result
+(** The first visible row, in rid order, whose indexed columns still
+    equal [key] (stale entries from in-flight key updates are filtered by
+    re-checking the key). The row lives in the slot's dedicated result
     buffer: it survives subsequent reads and updates, and is only
     overwritten by this transaction's next [index_lookup_first] on the
     same table; copy to retain beyond that.
@@ -130,7 +123,8 @@ val index_prefix :
   t -> txn -> index:string -> prefix:Phoebe_storage.Value.t list ->
   (int -> Phoebe_storage.Value.t array -> bool) -> unit
 (** Visit visible rows with the given key prefix in key order; callback
-    returns false to stop. The row argument is scratch, valid only for
+    returns false to stop; with the full key it visits every visible
+    match. The row argument is scratch, valid only for
     the duration of the callback; copy to retain. [cols] projects each
     row as in {!index_lookup_first}. *)
 

@@ -11,7 +11,6 @@ type model = Coroutine | Thread
 type urgency = High | Low
 type reason = Signalled | Timed_out
 type bound = Inherit | Never | At of int
-type local = ..
 
 type config = {
   model : model;
@@ -47,7 +46,6 @@ type fiber = {
   fsome : fiber option;  (** [Some] of this fiber, the current-fiber register's value *)
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable main : (unit -> unit) option;  (** set until first run *)
-  mutable locals : local list;
   mutable done_ : bool;
   mutable pending_instr : int;  (** charged instructions not yet turned into time *)
   mutable fdeadline : int;  (** transaction deadline inherited by waits; [no_deadline] = none *)
@@ -303,7 +301,6 @@ and start_task w task =
       fsome = Some f;
       cont = None;
       main = Some task.run;
-      locals = [];
       done_ = false;
       pending_instr = 0;
       fdeadline = no_deadline;
@@ -704,17 +701,6 @@ let span_kind k =
     match f.fworker.wsched.trace with
     | Some tr -> Trace.set_kind tr ~slot:(global_slot f) k
     | None -> ())
-
-let set_local l =
-  let f = current_fiber () in
-  f.locals <- l :: f.locals
-
-let find_local extract =
-  match !cur with None -> None | Some f -> List.find_map extract f.locals
-
-let remove_local pred =
-  let f = current_fiber () in
-  f.locals <- List.filter (fun l -> not (pred l)) f.locals
 
 module Waitq = struct
   (* FIFO, intrusively linked through the waiters' [wnext] field: a wait

@@ -191,14 +191,6 @@ val span_kind : int -> unit
 (** Label the open span with a transaction-kind index (see
     {!Phoebe_obs.Trace.set_kind}). *)
 
-(** {1 Fiber-local storage} *)
-
-type local = ..
-
-val set_local : local -> unit
-val find_local : (local -> 'a option) -> 'a option
-val remove_local : (local -> bool) -> unit
-
 (** {1 Wait queues (condition variables for fibers)}
 
     A thin layer over the wait core: waiters queue in FIFO order and

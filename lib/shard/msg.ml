@@ -110,6 +110,3 @@ let payload_label = function
   | Decide_commit -> "decide_commit"
   | Decide_abort -> "decide_abort"
   | Status_req -> "status_req"
-
-let pp fmt t =
-  Format.fprintf fmt "[gxid=%d %d->%d %s]" t.gxid t.src t.dst (payload_label t.payload)

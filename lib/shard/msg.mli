@@ -38,4 +38,3 @@ val size_bytes : t -> int
 (** Encoded size without allocating the wire copy. *)
 
 val payload_label : payload -> string
-val pp : Format.formatter -> t -> unit

@@ -63,7 +63,6 @@ let send t ~src ~dst ~bytes f =
 let msgs t = t.msgs
 let bytes t = t.bytes
 let dropped t = t.dropped
-let total_busy_ns t = Array.fold_left ( + ) 0 t.busy_ns
 
 let utilization t =
   let elapsed = Engine.now t.eng - t.created_at in

@@ -37,9 +37,6 @@ val bytes : t -> int
 val dropped : t -> int
 (** Messages lost to a partition or to the loss draw. *)
 
-val total_busy_ns : t -> int
-(** Serialization nanoseconds summed over every link. *)
-
 val utilization : t -> float
 (** Busy fraction of the *hottest* directed link since creation — the
     number that says "the network is the bottleneck" when it

@@ -21,5 +21,3 @@ let utilisation t ~since =
   let now = Engine.now t.engine in
   let span = now - since in
   if span <= 0 then 0.0 else Float.min 1.0 (float_of_int t.busy_ns /. float_of_int span)
-
-let total_busy_ns t = t.busy_ns

@@ -18,5 +18,3 @@ val busy_until : t -> int
 
 val utilisation : t -> since:int -> float
 (** Fraction of [since .. now] the resource spent busy. *)
-
-val total_busy_ns : t -> int

@@ -116,14 +116,18 @@ let last_row_id t = t.row_ids.(Array.length t.row_ids - 1)
 let count t = Array.length t.row_ids
 let schema t = t.fschema
 
-let find t row_id =
-  let lo = ref 0 and hi = ref (Array.length t.row_ids - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = t.row_ids.(mid) in
-    if v = row_id then found := Some mid else if v < row_id then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
+(* The index of [row_id] in the block, or -1: a module-level bisection,
+   so a probe allocates nothing (the unique check probes frozen rows). *)
+let rec bisect (row_ids : int array) row_id lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let v = row_ids.(mid) in
+    if v = row_id then mid
+    else if v < row_id then bisect row_ids row_id (mid + 1) hi
+    else bisect row_ids row_id lo (mid - 1)
+
+let find t row_id = bisect t.row_ids row_id 0 (Array.length t.row_ids - 1)
 
 (* Decompressing a single column cell materialises the whole column for
    ints (delta chains); callers that scan use iter_live instead. *)
@@ -147,17 +151,10 @@ let cell t ~idx ~col =
       Value.Str !result
     | C_bool_bitmap bm -> Value.Bool (bitmap_get bm idx)
 
-let get t ~row_id =
-  match find t row_id with
-  | None -> None
-  | Some idx ->
-    if bitmap_get t.deleted idx then None
-    else Some (Array.init (Value.Schema.arity t.fschema) (fun col -> cell t ~idx ~col))
-
 let mark_deleted t ~row_id =
   match find t row_id with
-  | None -> false
-  | Some idx ->
+  | -1 -> false
+  | idx ->
     if bitmap_get t.deleted idx then false
     else begin
       bitmap_set t.deleted idx true;
@@ -166,8 +163,8 @@ let mark_deleted t ~row_id =
 
 let unmark_deleted t ~row_id =
   match find t row_id with
-  | None -> false
-  | Some idx ->
+  | -1 -> false
+  | idx ->
     if bitmap_get t.deleted idx then begin
       bitmap_set t.deleted idx false;
       true
@@ -175,19 +172,14 @@ let unmark_deleted t ~row_id =
     else false
 
 let is_deleted t ~row_id =
-  match find t row_id with None -> false | Some idx -> bitmap_get t.deleted idx
+  match find t row_id with -1 -> false | idx -> bitmap_get t.deleted idx
 
-let get_raw t ~row_id =
-  match find t row_id with
-  | None -> None
-  | Some idx -> Some (Array.init (Value.Schema.arity t.fschema) (fun col -> cell t ~idx ~col))
-
-(* Allocation-free variant for the execute path: decode into the prefix
-   of a caller-owned buffer (DESIGN.md §4h). *)
+(* The one row decode: into the prefix of a caller-owned buffer, so the
+   execute path allocates no row (DESIGN.md §4h). *)
 let get_raw_into t ~row_id dst =
   match find t row_id with
-  | None -> false
-  | Some idx ->
+  | -1 -> false
+  | idx ->
     let n = Value.Schema.arity t.fschema in
     if Array.length dst < n then invalid_arg "Frozen.get_raw_into: buffer too small";
     for col = 0 to n - 1 do

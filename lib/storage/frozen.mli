@@ -18,10 +18,6 @@ val last_row_id : t -> int
 val count : t -> int
 val schema : t -> Value.Schema.t
 
-val get : t -> row_id:int -> Value.t array option
-(** Decompress a single tuple; [None] if the row id is absent or marked
-    deleted. *)
-
 val mark_deleted : t -> row_id:int -> bool
 (** Out-of-place delete; returns false if absent or already deleted. *)
 
@@ -30,14 +26,11 @@ val unmark_deleted : t -> row_id:int -> bool
 
 val is_deleted : t -> row_id:int -> bool
 
-val get_raw : t -> row_id:int -> Value.t array option
-(** Decompress a tuple regardless of its delete mark (MVCC version
-    reconstruction needs the content under the mark). *)
-
 val get_raw_into : t -> row_id:int -> Value.t array -> bool
-(** Like {!get_raw}, but decode into the prefix of a caller-owned
-    buffer; [false] if the row id is not in this block. Allocation-free
-    variant for the execute path. *)
+(** Decompress one tuple into the prefix of a caller-owned buffer,
+    regardless of its delete mark (MVCC version reconstruction needs the
+    content under the mark; check {!is_deleted} for the live row set);
+    [false] if the row id is not in this block. Allocates no row. *)
 
 val iter_live : t -> (int -> Value.t array -> unit) -> unit
 

@@ -165,16 +165,3 @@ let size_bytes t =
   Buffer.clear size_scratch;
   encode size_scratch t;
   Buffer.length size_scratch
-
-
-let pp fmt t =
-  let kind =
-    match t.op with
-    | Insert { table; rid; _ } -> Printf.sprintf "INSERT t%d r%d" table rid
-    | Update { table; rid; cols } -> Printf.sprintf "UPDATE t%d r%d (%d cols)" table rid (Array.length cols)
-    | Delete { table; rid } -> Printf.sprintf "DELETE t%d r%d" table rid
-    | Commit { xid; cts } -> Printf.sprintf "COMMIT xid=%d cts=%d" xid cts
-    | Abort { xid } -> Printf.sprintf "ABORT xid=%d" xid
-    | Prepare { xid; gxid; coord } -> Printf.sprintf "PREPARE xid=%d gxid=%d coord=%d" xid gxid coord
-  in
-  Format.fprintf fmt "[slot=%d lsn=%d gsn=%d %s]" t.slot t.lsn t.gsn kind

@@ -54,4 +54,3 @@ val decode_all : Bytes.t -> t list * stop
 val size_bytes : t -> int
 (** Encoded size, for WAL-volume accounting. *)
 
-val pp : Format.formatter -> t -> unit

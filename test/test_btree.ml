@@ -73,7 +73,6 @@ let test_tt_delete () =
   check_bool "delete" true (Table_tree.mark_deleted t ~row_id:rid);
   check_bool "double delete" false (Table_tree.mark_deleted t ~row_id:rid);
   check_bool "read deleted" true (Table_tree.read t ~row_id:rid = None);
-  check_bool "is_deleted" true (Table_tree.is_deleted t ~row_id:rid);
   check_int "live count" 0 (Table_tree.tuple_count_estimate t)
 
 let test_tt_scan_order () =
@@ -350,14 +349,24 @@ let test_ix_unique_violation () =
   Alcotest.check_raises "duplicate" (Index_tree.Duplicate_key "k") (fun () ->
       Index_tree.insert ix ~key:"k" ~rid:2)
 
+(* Every rid under [key], ascending, through the equal-key walk: the
+   destination starts at one entry and doubles until the count fits. *)
+let rids_of ix ~key =
+  let rec go dst =
+    let n = Index_tree.collect_key ix ~key dst in
+    if n > Array.length dst then go (Array.make (2 * n) 0) else Array.to_list (Array.sub dst 0 n)
+  in
+  go [| 0 |]
+
 let test_ix_non_unique () =
   let ix = Index_tree.create ~name:"ix" ~unique:false () in
   Index_tree.insert ix ~key:"a" ~rid:3;
   Index_tree.insert ix ~key:"a" ~rid:1;
   Index_tree.insert ix ~key:"a" ~rid:2;
   Index_tree.insert ix ~key:"b" ~rid:9;
-  Alcotest.(check (list int)) "rids ascending" [ 1; 2; 3 ] (Index_tree.lookup ix ~key:"a");
-  Alcotest.(check (list int)) "other key" [ 9 ] (Index_tree.lookup ix ~key:"b")
+  Alcotest.(check (list int)) "rids ascending" [ 1; 2; 3 ] (rids_of ix ~key:"a");
+  Alcotest.(check (list int)) "other key" [ 9 ] (rids_of ix ~key:"b");
+  Alcotest.(check (list int)) "absent key" [] (rids_of ix ~key:"c")
 
 let test_ix_delete () =
   let ix = Index_tree.create ~name:"ix" ~unique:false () in
@@ -365,25 +374,8 @@ let test_ix_delete () =
   Index_tree.insert ix ~key:"a" ~rid:2;
   check_bool "delete existing" true (Index_tree.delete ix ~key:"a" ~rid:1);
   check_bool "delete absent" false (Index_tree.delete ix ~key:"a" ~rid:1);
-  Alcotest.(check (list int)) "remaining" [ 2 ] (Index_tree.lookup ix ~key:"a");
+  Alcotest.(check (list int)) "remaining" [ 2 ] (rids_of ix ~key:"a");
   check_int "count" 1 (Index_tree.count ix)
-
-let test_ix_range () =
-  let ix = Index_tree.create ~name:"ix" ~unique:true () in
-  for i = 1 to 100 do
-    Index_tree.insert ix ~key:(key_of_int i) ~rid:i
-  done;
-  let seen = ref [] in
-  Index_tree.range ix ~lo:(key_of_int 10) ~hi:(key_of_int 20) (fun _ rid ->
-      seen := rid :: !seen;
-      true);
-  Alcotest.(check (list int)) "range inclusive" (List.init 11 (fun i -> i + 10)) (List.rev !seen);
-  (* early stop *)
-  let seen = ref 0 in
-  Index_tree.range ix ~lo:(key_of_int 1) ~hi:(key_of_int 100) (fun _ _ ->
-      incr seen;
-      !seen < 5);
-  check_int "early stop" 5 !seen
 
 let test_ix_prefix () =
   let ix = Index_tree.create ~name:"ix" ~unique:false () in
@@ -394,19 +386,37 @@ let test_ix_prefix () =
   Index_tree.prefix ix ~prefix:"apple" (fun k _ ->
       seen := k :: !seen;
       true);
-  Alcotest.(check (list string)) "prefix matches" [ "apple"; "applesauce" ] (List.rev !seen)
+  Alcotest.(check (list string)) "prefix matches" [ "apple"; "applesauce" ] (List.rev !seen);
+  (* the callback stops the walk early *)
+  let seen = ref 0 in
+  Index_tree.prefix ix ~prefix:"app" (fun _ _ ->
+      incr seen;
+      !seen < 2);
+  check_int "early stop" 2 !seen
 
 let test_ix_duplicate_keys_across_splits () =
-  (* Many entries under one key must survive node splits. *)
+  (* Many entries under one key must survive node splits, and the
+     equal-key walk must find them all, in rid order, across leaves. *)
   let ix = Index_tree.create ~name:"ix" ~fanout:8 ~unique:false () in
-  for rid = 1 to 300 do
+  for rid = 300 downto 1 do
     Index_tree.insert ix ~key:"same" ~rid
   done;
   for rid = 1 to 50 do
     Index_tree.insert ix ~key:"other" ~rid
   done;
-  check_int "all same-key entries found" 300 (List.length (Index_tree.lookup ix ~key:"same"));
-  check_int "other key intact" 50 (List.length (Index_tree.lookup ix ~key:"other"))
+  let all = List.init 300 (fun i -> i + 1) in
+  let dst = Array.make 300 0 in
+  check_int "all same-key entries counted" 300 (Index_tree.collect_key ix ~key:"same" dst);
+  Alcotest.(check (list int)) "same-key rids ascending" all (Array.to_list dst);
+  check_int "other key intact" 50 (Index_tree.collect_key ix ~key:"other" dst);
+  (* a destination too small gets the count and only its first entries:
+     grow it and walk again *)
+  let small = Array.make 16 (-1) in
+  check_int "count exceeds the destination" 300 (Index_tree.collect_key ix ~key:"same" small);
+  Alcotest.(check (list int)) "prefix of the rids written" (List.init 16 (fun i -> i + 1)) (Array.to_list small);
+  let grown = Array.make 300 (-1) in
+  check_int "grown destination holds every rid" 300 (Index_tree.collect_key ix ~key:"same" grown);
+  Alcotest.(check (list int)) "same ascending rids after growing" all (Array.to_list grown)
 
 let test_ix_composite_keys () =
   let ix = Index_tree.create ~name:"ix" ~unique:true () in
@@ -461,7 +471,7 @@ let prop_ix_model =
               Hashtbl.replace model key
                 (List.filter (( <> ) r) (Hashtbl.find_opt model key |> Option.value ~default:[]))
           | _ ->
-            let got = Index_tree.lookup ix ~key in
+            let got = rids_of ix ~key in
             let want = Hashtbl.find_opt model key |> Option.value ~default:[] in
             if got <> want then failwith "lookup disagrees")
         ops;
@@ -496,7 +506,6 @@ let () =
         :: Alcotest.test_case "unique violation" `Quick test_ix_unique_violation
         :: Alcotest.test_case "non-unique" `Quick test_ix_non_unique
         :: Alcotest.test_case "delete" `Quick test_ix_delete
-        :: Alcotest.test_case "range" `Quick test_ix_range
         :: Alcotest.test_case "prefix" `Quick test_ix_prefix
         :: Alcotest.test_case "duplicates across splits" `Quick test_ix_duplicate_keys_across_splits
         :: Alcotest.test_case "composite keys" `Quick test_ix_composite_keys

@@ -32,6 +32,15 @@ let accounts_db ?cfg () =
 let insert_account db t owner balance =
   Db.with_txn db (fun txn -> Table.insert t txn [| Value.Str owner; Value.Int balance |])
 
+(* Every visible row under [key]: an index prefix scan over the full
+   key, each row copied out of its scratch buffer. *)
+let index_rows t txn ~index ~key =
+  let acc = ref [] in
+  Table.index_prefix t txn ~index ~prefix:key (fun rid row ->
+      acc := (rid, Array.copy row) :: !acc;
+      true);
+  List.rev !acc
+
 let balance_of db t rid =
   Db.with_txn db (fun txn ->
       match Table.get t txn ~rid with
@@ -46,9 +55,12 @@ let test_insert_get () =
   let rid = insert_account db t "alice" 100 in
   check_int "balance" 100 (balance_of db t rid);
   Db.with_txn db (fun txn ->
-      match Table.get_col t txn ~rid ~col:"owner" with
-      | Some (Value.Str s) -> Alcotest.(check string) "owner" "alice" s
-      | _ -> Alcotest.fail "owner column missing")
+      match Table.get t txn ~rid with
+      | Some row -> (
+        match row.(Table.col t "owner") with
+        | Value.Str s -> Alcotest.(check string) "owner" "alice" s
+        | _ -> Alcotest.fail "owner column not a string")
+      | None -> Alcotest.fail "row missing")
 
 let test_update () =
   let db, t = accounts_db () in
@@ -103,7 +115,7 @@ let test_abort_rolls_back_insert () =
    with Failure _ -> ());
   Db.with_txn db (fun txn ->
       check_bool "insert rolled back in index" true
-        (Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "ghost" ] = []))
+        (index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "ghost" ] = []))
 
 let test_abort_rolls_back_delete () =
   let db, t = accounts_db () in
@@ -132,7 +144,13 @@ let test_unique_after_delete_ok () =
   let rid = insert_account db t "gina" 1 in
   ignore (Db.with_txn db (fun txn -> Table.delete t txn ~rid));
   let rid2 = insert_account db t "gina" 2 in
-  check_bool "re-insert after delete" true (rid2 > rid)
+  check_bool "re-insert after delete" true (rid2 > rid);
+  (* the index now holds the deleted row's entry ahead of the live one:
+     the check must probe past the first candidate and find the second *)
+  check_bool "third insert conflicts with the live row" true
+    (match insert_account db t "gina" 3 with
+    | _ -> false
+    | exception Txnmgr.Abort (Txnmgr.Conflict, _) -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Index access *)
@@ -582,7 +600,7 @@ let test_gc_removes_deleted_tuples_from_index () =
   ignore (Db.gc db);
   Db.with_txn db (fun txn ->
       check_bool "index entry stripped or invisible" true
-        (Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "purge" ] = []))
+        (index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "purge" ] = []))
 
 (* GC inside a fiber, so its charges land in the scheduler's counters:
    returns (undo entries reclaimed, Effective, Buffer instructions). *)
@@ -621,7 +639,7 @@ let test_gc_drops_old_key_entry () =
   check_bool "a key update costs GC a tuple read" true (effective > 0);
   check_bool "old key free after GC" true (inserts_ok db t "carol");
   Db.with_txn db (fun txn ->
-      match Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "dave" ] with
+      match index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "dave" ] with
       | [ (r, _) ] -> check_int "new key finds the row" rid r
       | l -> Alcotest.failf "new key finds %d rows" (List.length l))
 
@@ -637,7 +655,7 @@ let test_rollback_drops_new_key_entry () =
    with Failure _ -> ());
   check_bool "new key free after rollback" true (inserts_ok db t "frank");
   Db.with_txn db (fun txn ->
-      match Table.index_lookup t txn ~index:"accounts_by_owner" ~key:[ Value.Str "erin" ] with
+      match index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "erin" ] with
       | [ (r, row) ] ->
         check_int "old key finds the row" rid r;
         check_bool "owner restored" true (Value.equal row.(0) (Value.Str "erin"))
@@ -704,7 +722,7 @@ let test_recovery_end_to_end () =
   Db.with_txn db2 (fun txn ->
       check_bool "bob stays deleted" true (Table.get t2 txn ~rid:b = None);
       check_bool "phantom absent" true
-        (Table.index_lookup t2 txn ~index:"accounts_by_owner" ~key:[ Value.Str "phantom" ] = []))
+        (index_rows t2 txn ~index:"accounts_by_owner" ~key:[ Value.Str "phantom" ] = []))
 
 let test_recovery_after_concurrent_run () =
   let db1, t1 = same_ddl () in

@@ -262,42 +262,6 @@ let test_deadlock_detected () =
        false
      with Phoebe_util.Phoebe_error.Bug { subsystem = "runtime.scheduler"; _ } -> true)
 
-let test_locals () =
-  let _, s = make () in
-  let module M = struct
-    type Scheduler.local += Marker of int
-  end in
-  let observed = ref (-1) in
-  Scheduler.submit s (fun () ->
-      Scheduler.set_local (M.Marker 42);
-      Scheduler.charge Component.Effective 10;
-      (match Scheduler.find_local (function M.Marker v -> Some v | _ -> None) with
-      | Some v -> observed := v
-      | None -> observed := -2);
-      Scheduler.remove_local (function M.Marker _ -> true | _ -> false);
-      if Scheduler.find_local (function M.Marker v -> Some v | _ -> None) <> None then
-        observed := -3);
-  Scheduler.run_until_quiescent s;
-  check_int "local survives suspension and is removable" 42 !observed
-
-let test_locals_are_per_fiber () =
-  let _, s = make ~n_workers:1 ~slots:2 () in
-  let module M = struct
-    type Scheduler.local += Who of string
-  end in
-  let leaked = ref false in
-  Scheduler.submit s (fun () ->
-      Scheduler.set_local (M.Who "a");
-      Scheduler.yield Scheduler.Low;
-      match Scheduler.find_local (function M.Who v -> Some v | _ -> None) with
-      | Some "a" -> ()
-      | _ -> leaked := true);
-  Scheduler.submit s (fun () ->
-      if Scheduler.find_local (function M.Who _ -> Some () | _ -> None) <> None then
-        leaked := true);
-  Scheduler.run_until_quiescent s;
-  check_bool "locals are fiber-scoped" false !leaked
-
 let test_exception_propagates () =
   let _, s = make () in
   Scheduler.submit s (fun () -> failwith "boom");
@@ -606,11 +570,6 @@ let () =
           Alcotest.test_case "signal after timeout is noop" `Quick test_signal_after_timeout_is_noop;
           Alcotest.test_case "spin_yield observes deadline" `Quick test_spin_yield_observes_deadline;
           Alcotest.test_case "inherit vs never bounds" `Quick test_inherit_resolves_fiber_deadline;
-        ] );
-      ( "locals",
-        [
-          Alcotest.test_case "set/find/remove" `Quick test_locals;
-          Alcotest.test_case "per-fiber scope" `Quick test_locals_are_per_fiber;
         ] );
       ( "models",
         [

@@ -81,11 +81,10 @@ bench_json smoke exp1 smoke
 echo "== allocation regression gates (txn.alloc.minor_words_per_txn, process_minor_words_per_txn)"
 # Checked-in budgets, each the seed-42 smoke's figure plus ~14% headroom.
 # The bracketed figure counts what transactions allocate while they hold
-# a CPU: 2,878 minor words once the simulation core stopped allocating
-# per event (an array-backed event queue, closure-free fiber dispatch,
-# an unboxed PRNG; EXPERIMENTS.md, down from 3,610). The process-wide
+# a CPU: 2,754 minor words once the unique-key check took its candidates
+# through the charge-free equal-key walk (2,824 before). The process-wide
 # figure counts everything allocated over the measured run, engine and
-# scheduler included: 3,710, down from 4,730. If either trips,
+# scheduler included: 3,555 (3,627 before). If either trips,
 # something put fresh allocation back on the execute path or the
 # simulation core — see DESIGN.md section 4h.
 # alloc_gate KEY BUDGET: the smoke's KEY must be present and <= BUDGET.
@@ -104,8 +103,8 @@ alloc_gate() {
   fi
   echo "   $key = $measured minor words/txn (budget $budget)"
 }
-alloc_gate txn.alloc.minor_words_per_txn 3280
-alloc_gate process_minor_words_per_txn 4230
+alloc_gate txn.alloc.minor_words_per_txn 3140
+alloc_gate process_minor_words_per_txn 4050
 
 echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + pinned digest and tpmC)"
 double_run det exp1 smoke --sanitize --seed 42 > /dev/null
