@@ -575,7 +575,7 @@ let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256
   in
   let first_swip, first_key, rest =
     match manifest with
-    | Some { leaves = (pid, key) :: rest; _ } -> (Bufmgr.cold_swip buf pid, key, rest)
+    | Some { leaves = (pid, key) :: rest; _ } -> (Bufmgr.cold_swip pid, key, rest)
     | _ ->
       let page = Pax.create schema ~capacity:leaf_capacity in
       let frame = Bufmgr.alloc buf ~partition:(current_partition buf) page in
@@ -613,7 +613,7 @@ let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256
   | Some m ->
     List.iter
       (fun (pid, min_rid) ->
-        let swip = Bufmgr.cold_swip buf pid in
+        let swip = Bufmgr.cold_swip pid in
         t.nleaves <- t.nleaves + 1;
         t.rightmost <- swip;
         add_rightmost_leaf t min_rid swip)

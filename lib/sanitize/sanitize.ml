@@ -85,8 +85,9 @@ let order_class_edges () =
   |> List.sort_uniq (fun (a, b) (c, d) ->
          match String.compare a c with 0 -> String.compare b d | n -> n)
 
-(* Frame-residency mirror and per-(scope, file) WAL watermarks. *)
-let frames : (int * int, unit) Hashtbl.t = Hashtbl.create 1024
+(* Frame-residency mirror, (scope, page id) -> the uid of the page's
+   resident frame, and per-(scope, file) WAL watermarks. *)
+let frames : (int * int, int) Hashtbl.t = Hashtbl.create 1024
 let wal_lsns : (int * int, int) Hashtbl.t = Hashtbl.create 64
 let wal_durables : (int * int, int) Hashtbl.t = Hashtbl.create 64
 let digest_seed = 0x3f29ce484222325
@@ -271,38 +272,46 @@ let is_waiting ~fiber =
 (* ------------------------------------------------------------------ *)
 (* Buffer-frame state machine *)
 
-let frame_alloc ~scope ~page_id =
+let frame_alloc ~scope ~page_id ~frame =
   if Hashtbl.mem frames (scope, page_id) then
     violation Frame_state "page %d allocated but already resident" page_id;
-  Hashtbl.replace frames (scope, page_id) ()
+  Hashtbl.replace frames (scope, page_id) frame
 
-let frame_fault_in ~scope ~page_id =
+let frame_fault_in ~scope ~page_id ~frame =
   if Hashtbl.mem frames (scope, page_id) then
     violation Frame_state "page %d faulted in while already resident (double fault-in)" page_id;
-  Hashtbl.replace frames (scope, page_id) ()
+  Hashtbl.replace frames (scope, page_id) frame
 
-let frame_demote ~scope ~page_id ~hot ~pinned =
-  if not (Hashtbl.mem frames (scope, page_id)) then
-    violation Frame_state "page %d demoted to cooling while not resident" page_id;
+(* A page id outlives its frames: once a page is evicted or dropped, a
+   later fault-in gives it a new frame. A hook must come from the page's
+   resident frame; one from a frame the page has left is a stale frame
+   acting on its successor's page. *)
+let check_resident ~scope ~page_id ~frame what =
+  match Hashtbl.find_opt frames (scope, page_id) with
+  | None -> violation Frame_state "page %d %s while not resident" page_id what
+  | Some resident when resident <> frame ->
+    violation Frame_state "page %d %s by stale frame #%d (its resident frame is #%d)" page_id what
+      frame resident
+  | Some _ -> ()
+
+let frame_demote ~scope ~page_id ~frame ~hot ~pinned =
+  check_resident ~scope ~page_id ~frame "demoted to cooling";
   if not hot then violation Frame_state "page %d demoted to cooling from a non-hot state" page_id;
   if pinned > 0 then
     violation Frame_state "page %d demoted to cooling while pinned (%d pins)" page_id pinned
 
-let frame_clean ~scope ~page_id ~resident =
-  if not resident then
-    violation Frame_state "page %d marked clean while its frame holds no payload" page_id;
-  if not (Hashtbl.mem frames (scope, page_id)) then
-    violation Frame_state "page %d marked clean while not resident" page_id
+let frame_clean ~scope ~page_id ~frame = check_resident ~scope ~page_id ~frame "marked clean"
 
-let frame_evict ~scope ~page_id ~dirty ~pinned ~cooling =
+let frame_evict ~scope ~page_id ~frame ~dirty ~pinned ~cooling =
   if dirty then violation Frame_state "page %d evicted while dirty" page_id;
   if pinned > 0 then violation Frame_state "page %d evicted while pinned (%d pins)" page_id pinned;
   if not cooling then violation Frame_state "page %d evicted straight from the hot state" page_id;
-  if not (Hashtbl.mem frames (scope, page_id)) then
-    violation Frame_state "page %d evicted while not resident (double evict)" page_id;
+  check_resident ~scope ~page_id ~frame "evicted";
   Hashtbl.remove frames (scope, page_id)
 
-let frame_drop ~scope ~page_id = Hashtbl.remove frames (scope, page_id)
+let frame_drop ~scope ~page_id ~frame =
+  check_resident ~scope ~page_id ~frame "dropped";
+  Hashtbl.remove frames (scope, page_id)
 
 (* ------------------------------------------------------------------ *)
 (* WAL monotonicity *)

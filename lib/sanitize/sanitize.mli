@@ -139,17 +139,23 @@ val is_waiting : fiber:int -> bool
 (** {1 Buffer-frame state machine}
 
     [scope] is the owning buffer manager's uid; page ids are only
-    unique within one. *)
+    unique within one. [frame] is the frame's own uid (from
+    {!next_uid}): a page id outlives its frames, so every hook after
+    alloc or fault-in must come from the page's resident frame, and one
+    from a frame the page has left is a [Frame_state] finding ("stale
+    frame"). *)
 
-val frame_alloc : scope:int -> page_id:int -> unit
-val frame_fault_in : scope:int -> page_id:int -> unit
-val frame_demote : scope:int -> page_id:int -> hot:bool -> pinned:int -> unit
+val frame_alloc : scope:int -> page_id:int -> frame:int -> unit
+val frame_fault_in : scope:int -> page_id:int -> frame:int -> unit
+val frame_demote : scope:int -> page_id:int -> frame:int -> hot:bool -> pinned:int -> unit
 
-val frame_clean : scope:int -> page_id:int -> resident:bool -> unit
-(** A dirty bit flipping off (write-back, cleaner, snapshot). *)
+val frame_clean : scope:int -> page_id:int -> frame:int -> unit
+(** A dirty bit flipping off (the one image capture). *)
 
-val frame_evict : scope:int -> page_id:int -> dirty:bool -> pinned:int -> cooling:bool -> unit
-val frame_drop : scope:int -> page_id:int -> unit
+val frame_evict :
+  scope:int -> page_id:int -> frame:int -> dirty:bool -> pinned:int -> cooling:bool -> unit
+
+val frame_drop : scope:int -> page_id:int -> frame:int -> unit
 
 (** {1 WAL monotonicity}
 

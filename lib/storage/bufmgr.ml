@@ -187,7 +187,8 @@ let alloc t ~partition payload =
   Latch.set_class frame.flatch "bufmgr.flatch";
   Hashtbl.replace part.frames frame.fpage_id frame;
   part.used_bytes <- part.used_bytes + size;
-  if Sanitize.on () then Sanitize.frame_alloc ~scope:t.scope ~page_id:frame.fpage_id;
+  if Sanitize.on () then
+    Sanitize.frame_alloc ~scope:t.scope ~page_id:frame.fpage_id ~frame:(Latch.uid frame.flatch);
   frame
 
 let swip_of frame = { ptr = Swizzled frame }
@@ -196,6 +197,13 @@ let payload frame =
   match frame.fpayload with
   | Some p -> p
   | None -> invalid_arg "Bufmgr.payload: frame not resident"
+
+(* The one residency rule: a frame is resident iff it holds its payload.
+   Eviction and drop clear the payload, and a page faulted back in gets
+   a new frame, so a queue entry can outlive its frame's residency:
+   every consumer asks this of the frame itself, never whether the
+   partition holds some frame with the same page id. *)
+let is_resident f = f.fpayload <> None
 
 let latch f = f.flatch
 let page_id f = f.fpage_id
@@ -248,7 +256,7 @@ let fault_in t swip pid ~touch =
     let frame =
       {
         fpage_id = pid;
-        fpartition = partition;
+          fpartition = partition;
         flatch = Latch.create ();
         fpayload = Some payload;
         fstate = Hot;
@@ -269,7 +277,8 @@ let fault_in t swip pid ~touch =
     Hashtbl.replace part.frames pid frame;
     part.used_bytes <- part.used_bytes + frame.fsize;
     swip.ptr <- Swizzled frame;
-    if Sanitize.on () then Sanitize.frame_fault_in ~scope:t.scope ~page_id:pid;
+    if Sanitize.on () then
+      Sanitize.frame_fault_in ~scope:t.scope ~page_id:pid ~frame:(Latch.uid frame.flatch);
     frame
 
 let resolve ?(touch = true) t swip =
@@ -287,30 +296,16 @@ let resolve ?(touch = true) t swip =
 
 let drop t frame =
   let part = t.parts.(frame.fpartition) in
-  if Hashtbl.mem part.frames frame.fpage_id then begin
+  if is_resident frame then begin
     Hashtbl.remove part.frames frame.fpage_id;
     part.used_bytes <- part.used_bytes - frame.fsize;
-    if Sanitize.on () then Sanitize.frame_drop ~scope:t.scope ~page_id:frame.fpage_id
+    if Sanitize.on () then
+      Sanitize.frame_drop ~scope:t.scope ~page_id:frame.fpage_id ~frame:(Latch.uid frame.flatch)
   end;
   frame.fpayload <- None;
   Pagestore.delete t.pstore ~page_id:frame.fpage_id
 
-(* Every image that leaves for the store goes through here: the steal
-   guard (when installed) rebuilds the durably-committed view of the
-   page before the codec sees it. Returns whether the guard had to
-   strip anything — a stripped image is incomplete, so the frame must
-   STAY DIRTY: clearing the flag would let a clean-frame eviction drop
-   the only full copy and a later reload would resurrect the stripped
-   (older) store image mid-flight. The sanitizer signals "stripped" by
-   returning a fresh copy ([!=] the input). *)
-let encode_image t ~page_id p =
-  match t.sanitize with
-  | None -> (t.codec.encode p, false)
-  | Some f ->
-    let q = f ~page_id p in
-    (t.codec.encode q, q != p)
-
-(* True when [encode_image] would have to strip entries from this
+(* True when the steal guard would have to strip entries from this
    frame's image — the sanitizer returns a copy instead of the page
    itself. Writing such an image is pure write amplification: the
    stripped copy cannot make the frame clean (the frame holds the only
@@ -320,6 +315,36 @@ let would_strip t f =
   match (t.sanitize, f.fpayload) with
   | Some sf, Some p -> sf ~page_id:f.fpage_id p != p
   | _ -> false
+
+(* The one image capture: every image that leaves for the store goes
+   through here. The steal guard (when installed) rebuilds the
+   durably-committed view of the page before the codec sees it, and
+   signals "stripped" by returning a fresh copy ([!=] the page). A
+   stripped image is incomplete, so the frame must STAY DIRTY: clearing
+   the flag would let a clean-frame eviction drop the only full copy and
+   a later reload would resurrect the stripped (older) store image.
+   Every caller runs this in the same synchronous stretch as the device
+   submission that takes the image (the store copies it before the
+   caller can park), so a clean frame always has a current store image
+   and a re-dirty during the write keeps the frame dirty. *)
+let capture t f =
+  let p = payload f in
+  let image = match t.sanitize with None -> p | Some sf -> sf ~page_id:f.fpage_id p in
+  let stripped = image != p in
+  f.fdirty <- stripped;
+  if (not stripped) && Sanitize.on () then
+    Sanitize.frame_clean ~scope:t.scope ~page_id:f.fpage_id ~frame:(Latch.uid f.flatch);
+  t.codec.encode image
+
+(* One vectored device submission of [frames]' captured images; the
+   calling fiber suspends until every page is on media. *)
+let submit_batch t frames =
+  let pages = List.map (fun f -> (f.fpage_id, capture t f)) frames in
+  let n = List.length pages in
+  Obs.Counter.incr t.cl_batches;
+  Obs.Counter.add t.cl_pages n;
+  Stats.Scalar.add t.cl_batch_sizes (float_of_int n);
+  Scheduler.io_wait (fun resume -> Pagestore.write_batch t.pstore pages ~on_complete:resume)
 
 let set_write_sanitizer t f = t.sanitize <- Some f
 
@@ -338,7 +363,7 @@ let resident_frame_of_swip swip =
 let page_id_of_swip swip =
   match swip.ptr with Swizzled f -> f.fpage_id | Unswizzled pid -> pid
 
-let cold_swip _t pid = { ptr = Unswizzled pid }
+let cold_swip pid = { ptr = Unswizzled pid }
 
 let needs_maintenance t ~partition =
   let part = t.parts.(partition) in
@@ -379,11 +404,11 @@ let refill_cooling t part =
           f.fstate = Hot && f.fpinned = 0
           && (not (Latch.is_exclusive f.flatch))
           && now - f.flast_access >= recency_guard_ns
-          && Hashtbl.mem part.frames f.fpage_id
+          && is_resident f
         then begin
           if Sanitize.on () then
-            Sanitize.frame_demote ~scope:t.scope ~page_id:f.fpage_id ~hot:(f.fstate = Hot)
-              ~pinned:f.fpinned;
+            Sanitize.frame_demote ~scope:t.scope ~page_id:f.fpage_id ~frame:(Latch.uid f.flatch)
+              ~hot:(f.fstate = Hot) ~pinned:f.fpinned;
           f.fstate <- Cooling;
           Queue.push f part.cooling;
           if f.fdirty then queue_dirty_cooling part f;
@@ -420,11 +445,8 @@ let rec cleaner_service t partition =
       | None -> List.rev acc
       | Some f ->
         f.fqueued <- false;
-        if
-          f.fstate = Cooling && f.fdirty && (not f.fin_flight)
-          && f.fpayload <> None
-          && Hashtbl.mem part.frames f.fpage_id
-        then collect (k - 1) (f :: acc)
+        if f.fstate = Cooling && f.fdirty && (not f.fin_flight) && is_resident f then
+          collect (k - 1) (f :: acc)
         else collect k acc
   in
   let clean_batch batch =
@@ -440,38 +462,20 @@ let rec cleaner_service t partition =
     | [] -> ()
     | batch ->
       wrote := true;
-      let n = List.length batch in
-      Scheduler.charge Component.Cleaner (n * c.Cost.cleaner_page);
-      (* no suspension between flipping frames clean and capturing their
-         images below: Pagestore.write_batch copies the pages synchronously
-         inside io_wait's register, before any other fiber can run *)
-      let pages =
-        List.map
-          (fun f ->
-            f.fin_flight <- true;
-            let raw, stripped = encode_image t ~page_id:f.fpage_id (payload f) in
-            (* a page can turn unsafe during the charge suspension above;
-               a stripped capture stays dirty and is requeued below *)
-            f.fdirty <- stripped;
-            if (not stripped) && Sanitize.on () then
-              Sanitize.frame_clean ~scope:t.scope ~page_id:f.fpage_id
-                ~resident:(f.fpayload <> None);
-            (f.fpage_id, raw))
-          batch
-      in
-      Scheduler.io_wait (fun resume -> Pagestore.write_batch t.pstore pages ~on_complete:resume);
+      Scheduler.charge Component.Cleaner (List.length batch * c.Cost.cleaner_page);
+      (* a page can turn unsafe during the charge suspension above; a
+         stripped capture stays dirty and is requeued below *)
+      List.iter (fun f -> f.fin_flight <- true) batch;
+      submit_batch t batch;
       (* batch durable; write coalescing for pages re-dirtied in flight *)
       List.iter
         (fun f ->
           f.fin_flight <- false;
-          if f.fdirty && f.fstate = Cooling && Hashtbl.mem part.frames f.fpage_id then begin
+          if f.fdirty && f.fstate = Cooling && is_resident f then begin
             Obs.Counter.incr t.cl_requeued;
             queue_dirty_cooling part f
           end)
-        batch;
-      Obs.Counter.incr t.cl_batches;
-      Obs.Counter.add t.cl_pages n;
-      Stats.Scalar.add t.cl_batch_sizes (float_of_int n)
+        batch
   in
   (* Demote hot frames until a full batch is queued or the sweep stops
      making progress (every frame pinned, latched or recently touched):
@@ -504,8 +508,7 @@ let rec cleaner_service t partition =
      commits' durability has drained *)
   List.iter
     (fun f ->
-      if f.fdirty && f.fstate = Cooling && Hashtbl.mem part.frames f.fpage_id then
-        queue_dirty_cooling part f)
+      if f.fdirty && f.fstate = Cooling && is_resident f then queue_dirty_cooling part f)
     (List.rev !deferred);
   (* the partition may now hold a run of clean cooling frames: unswizzle
      down to budget while we are on the owning worker instead of waiting
@@ -549,59 +552,40 @@ and evict_one t part =
   let deferred = ref [] in
   let evict_frame f =
     Scheduler.charge Component.Buffer c.Cost.buffer_evict;
-    match f.fpayload with
-    | Some p ->
-      if f.fdirty then begin
+    (* the charge may suspend: the frame is checked again after it, and
+       once more after an inline write *)
+    if is_resident f then begin
+      if not f.fdirty then Obs.Counter.incr t.cl_clean_evicts
+      else if not (would_strip t f) then begin
         (* inline fallback: the cleaner is off, unattached, or behind.
            An image that would need stripping is not written at all —
            it could not make the frame evictable anyway, and the
            re-check below keeps the still-dirty frame resident. *)
-        if not (would_strip t f) then begin
-          Obs.Counter.incr t.cl_dirty_fallbacks;
-          let raw, stripped = encode_image t ~page_id:f.fpage_id p in
-          Pagestore.write t.pstore ~page_id:f.fpage_id raw;
-          if not stripped then begin
-            f.fdirty <- false;
-            if Sanitize.on () then
-              Sanitize.frame_clean ~scope:t.scope ~page_id:f.fpage_id
-                ~resident:(f.fpayload <> None)
-          end
-        end
-      end
-      else Obs.Counter.incr t.cl_clean_evicts;
+        Obs.Counter.incr t.cl_dirty_fallbacks;
+        Pagestore.write t.pstore ~page_id:f.fpage_id (capture t f)
+      end;
       (* Re-check: the write may have suspended us; the frame may have
-         been re-heated or re-touched while we were writing back — and a
-         still-dirty frame (stripped write-back, or re-dirtied in
-         flight) holds the only full image, so it must stay resident. *)
+         been re-heated, re-touched or evicted while we were writing
+         back — and a still-dirty frame (stripped write-back, or
+         re-dirtied in flight) holds the only full image, so it must
+         stay resident. *)
       if
-        (not f.fdirty) && f.fstate = Cooling && f.fpinned = 0
+        is_resident f && (not f.fdirty) && f.fstate = Cooling && f.fpinned = 0
         && Engine.now t.engine - f.flast_access >= recency_guard_ns
       then begin
         if Sanitize.on () then
-          Sanitize.frame_evict ~scope:t.scope ~page_id:f.fpage_id ~dirty:f.fdirty
-            ~pinned:f.fpinned ~cooling:(f.fstate = Cooling);
+          Sanitize.frame_evict ~scope:t.scope ~page_id:f.fpage_id ~frame:(Latch.uid f.flatch)
+            ~dirty:f.fdirty ~pinned:f.fpinned ~cooling:(f.fstate = Cooling);
         (match f.fparent with
         | Some swip -> swip.ptr <- Unswizzled f.fpage_id
         | None -> ());
         Hashtbl.replace t.gsn_sidecar f.fpage_id (f.fgsn, f.fwriter_slot);
         f.fpayload <- None;
         Hashtbl.remove part.frames f.fpage_id;
-        part.used_bytes <- part.used_bytes - f.fsize;
-        true
+        part.used_bytes <- part.used_bytes - f.fsize
       end
-      else true
-    | None ->
-      (* non-resident frame left in the table: release its accounting
-         and unswizzle the parent if the page image is recoverable *)
-      (match f.fparent with
-      | Some swip when Pagestore.mem t.pstore ~page_id:f.fpage_id ->
-        swip.ptr <- Unswizzled f.fpage_id
-      | _ -> ());
-      if Sanitize.on () then Sanitize.frame_drop ~scope:t.scope ~page_id:f.fpage_id;
-      Hashtbl.remove part.frames f.fpage_id;
-      part.used_bytes <- part.used_bytes - f.fsize;
-      f.fsize <- 0;
-      true
+    end;
+    true
   in
   let rec try_pop () =
     match Queue.take_opt part.cooling with
@@ -610,9 +594,10 @@ and evict_one t part =
       if
         f.fstate <> Cooling || f.fpinned > 0
         || Engine.now t.engine - f.flast_access < recency_guard_ns
-        || not (Hashtbl.mem part.frames f.fpage_id)
+        || not (is_resident f)
       then
-        (* touched (second chance), recently used, pinned, or dropped *)
+        (* touched (second chance), recently used, pinned, or a stale
+           entry: evicted or dropped since it was queued *)
         try_pop ()
       else if f.fdirty && cleaner then begin
         (* never write inline while the cleaner runs: hand the frame to
@@ -670,32 +655,11 @@ let chunked n list =
   in
   go [] [] n list
 
-let snapshot_chunk t chunk =
-  List.map
-    (fun f ->
-      let raw, stripped = encode_image t ~page_id:f.fpage_id (payload f) in
-      f.fdirty <- stripped;
-      if (not stripped) && Sanitize.on () then
-        Sanitize.frame_clean ~scope:t.scope ~page_id:f.fpage_id ~resident:(f.fpayload <> None);
-      (f.fpage_id, raw))
-    chunk
-
 let write_back_batch t frames =
-  let dirty = List.filter (fun f -> f.fdirty && f.fpayload <> None) frames in
-  if dirty <> [] then begin
-    let batch_pages = max 1 t.cleaner_cfg.cl_batch_pages in
-    List.iter
-      (fun chunk ->
-        let pages = snapshot_chunk t chunk in
-        Obs.Counter.incr t.cl_batches;
-        Obs.Counter.add t.cl_pages (List.length pages);
-        Stats.Scalar.add t.cl_batch_sizes (float_of_int (List.length pages));
-        Scheduler.io_wait (fun resume -> Pagestore.write_batch t.pstore pages ~on_complete:resume))
-      (chunked batch_pages dirty)
-  end
+  let dirty = List.filter (fun f -> f.fdirty && is_resident f) frames in
+  List.iter (submit_batch t) (chunked (max 1 t.cleaner_cfg.cl_batch_pages) dirty)
 
 let resident_bytes t = Array.fold_left (fun acc p -> acc + p.used_bytes) 0 t.parts
 let resident_pages t = Array.fold_left (fun acc p -> acc + Hashtbl.length p.frames) 0 t.parts
-let is_resident f = f.fpayload <> None
 let store t = t.pstore
 let n_partitions t = Array.length t.parts

@@ -128,7 +128,7 @@ val resident_frame_of_swip : 'p swip -> 'p frame option
 val page_id_of_swip : 'p swip -> int
 (** The page id behind a swip, resident or not. *)
 
-val cold_swip : 'p t -> int -> 'p swip
+val cold_swip : int -> 'p swip
 (** An unswizzled swip for a page known to be in the store (restore
     path); resolving it faults the page in. *)
 
@@ -190,6 +190,12 @@ val needs_maintenance : 'p t -> partition:int -> bool
 
 val resident_bytes : 'p t -> int
 val resident_pages : 'p t -> int
+
 val is_resident : 'p frame -> bool
+(** The one residency test: a frame is resident iff it holds its
+    payload. A page id outlives its frames (an evicted page faults back
+    in as a new frame), so a holder of a frame asks this of the frame,
+    never whether some frame holds the page id. *)
+
 val store : 'p t -> Phoebe_io.Pagestore.t
 val n_partitions : 'p t -> int

@@ -18,6 +18,7 @@ let create () =
   { lversion = 0; mode = Free; uid; tag = -uid }
 
 let set_tag t tag = t.tag <- tag
+let uid t = t.uid
 
 (* Register only under the sanitizer: with the plane off the class
    table must stay empty so an off-run has zero side state. *)

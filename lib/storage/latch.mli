@@ -27,6 +27,12 @@ val set_tag : t -> int -> unit
     latches with their page id). Purely cosmetic; no effect when the
     sanitizer is off. *)
 
+val uid : t -> int
+(** The latch's process-unique id (from {!Phoebe_sanitize.Sanitize.next_uid}).
+    A buffer frame and its latch are created together, so the buffer
+    manager uses it as the frame's identity in the sanitizer's frame
+    mirror. *)
+
 val set_class : t -> string -> unit
 (** Register the latch's static class ("declaring-unit.field", e.g.
     ["bufmgr.flatch"]) with the sanitizer's order graph — the same

@@ -492,9 +492,7 @@ let lock_table t txn tl ~mode =
 let min_active_start_ts t =
   (* one pass over the active transactions — computed once per GC cycle
      and passed to every slot's reclaim *)
-  let c = Scheduler.current_cost () in
   Scheduler.charge Component.Gc (30 * max 1 (Hashtbl.length t.active));
-  ignore c;
   Hashtbl.fold (fun _ txn acc -> min acc txn.start_ts) t.active max_int
 
 let max_frozen_xid t =

@@ -160,27 +160,61 @@ let test_latch_timeout_cleans_up () =
 
 let test_frame_violations () =
   with_sanitizer @@ fun () ->
-  Sanitize.frame_alloc ~scope:1 ~page_id:7;
-  expect_bug "sanitize.frame_state" (fun () -> Sanitize.frame_alloc ~scope:1 ~page_id:7);
+  Sanitize.frame_alloc ~scope:1 ~page_id:7 ~frame:70;
+  expect_bug "sanitize.frame_state" (fun () -> Sanitize.frame_alloc ~scope:1 ~page_id:7 ~frame:71);
   Sanitize.reset ();
-  Sanitize.frame_alloc ~scope:1 ~page_id:9;
+  Sanitize.frame_alloc ~scope:1 ~page_id:9 ~frame:90;
   expect_bug "sanitize.frame_state" (fun () ->
-      Sanitize.frame_evict ~scope:1 ~page_id:9 ~dirty:true ~pinned:0 ~cooling:true);
+      Sanitize.frame_evict ~scope:1 ~page_id:9 ~frame:90 ~dirty:true ~pinned:0 ~cooling:true);
   Sanitize.reset ();
-  Sanitize.frame_alloc ~scope:1 ~page_id:11;
+  Sanitize.frame_alloc ~scope:1 ~page_id:11 ~frame:110;
   expect_bug "sanitize.frame_state" (fun () ->
-      Sanitize.frame_demote ~scope:1 ~page_id:11 ~hot:true ~pinned:2);
+      Sanitize.frame_demote ~scope:1 ~page_id:11 ~frame:110 ~hot:true ~pinned:2);
   Sanitize.reset ();
   (* the legal life cycle: alloc -> demote -> clean -> evict *)
-  Sanitize.frame_alloc ~scope:2 ~page_id:3;
-  Sanitize.frame_demote ~scope:2 ~page_id:3 ~hot:true ~pinned:0;
-  Sanitize.frame_clean ~scope:2 ~page_id:3 ~resident:true;
-  Sanitize.frame_evict ~scope:2 ~page_id:3 ~dirty:false ~pinned:0 ~cooling:true;
+  Sanitize.frame_alloc ~scope:2 ~page_id:3 ~frame:30;
+  Sanitize.frame_demote ~scope:2 ~page_id:3 ~frame:30 ~hot:true ~pinned:0;
+  Sanitize.frame_clean ~scope:2 ~page_id:3 ~frame:30;
+  Sanitize.frame_evict ~scope:2 ~page_id:3 ~frame:30 ~dirty:false ~pinned:0 ~cooling:true;
   check_int "legal life cycle leaves no findings" 0 (Sanitize.total_findings ());
   (* the same page id in a different buffer manager is a different frame *)
-  Sanitize.frame_alloc ~scope:2 ~page_id:5;
-  Sanitize.frame_alloc ~scope:3 ~page_id:5;
+  Sanitize.frame_alloc ~scope:2 ~page_id:5 ~frame:50;
+  Sanitize.frame_alloc ~scope:3 ~page_id:5 ~frame:51;
   check_int "scopes are independent" 0 (Sanitize.total_findings ())
+
+(* A page evicted and faulted back in has a new frame. The old frame's
+   hooks (a stale cooling-queue entry evicting it, or a drop through it)
+   act on the new frame's page: each is a finding named for the stale
+   frame, where a page-id mirror would have let it pass. *)
+let test_stale_frame () =
+  with_sanitizer @@ fun () ->
+  let stale_bug f =
+    match f () with
+    | () -> Alcotest.fail "expected a stale-frame finding; nothing was raised"
+    | exception Phoebe_util.Phoebe_error.Bug { subsystem; context } ->
+      Alcotest.(check string) "bug subsystem" "sanitize.frame_state" subsystem;
+      check_bool "finding names the stale frame" true (contains context "stale frame")
+  in
+  let reheat () =
+    Sanitize.frame_alloc ~scope:4 ~page_id:8 ~frame:80;
+    Sanitize.frame_demote ~scope:4 ~page_id:8 ~frame:80 ~hot:true ~pinned:0;
+    Sanitize.frame_evict ~scope:4 ~page_id:8 ~frame:80 ~dirty:false ~pinned:0 ~cooling:true;
+    Sanitize.frame_fault_in ~scope:4 ~page_id:8 ~frame:81
+  in
+  reheat ();
+  stale_bug (fun () ->
+      Sanitize.frame_evict ~scope:4 ~page_id:8 ~frame:80 ~dirty:false ~pinned:0 ~cooling:true);
+  Sanitize.reset ();
+  reheat ();
+  stale_bug (fun () -> Sanitize.frame_drop ~scope:4 ~page_id:8 ~frame:80);
+  Sanitize.reset ();
+  reheat ();
+  stale_bug (fun () -> Sanitize.frame_clean ~scope:4 ~page_id:8 ~frame:80);
+  Sanitize.reset ();
+  (* the resident frame itself may still be dropped *)
+  reheat ();
+  Sanitize.frame_drop ~scope:4 ~page_id:8 ~frame:81;
+  check_int "the resident frame's drop is legal" 0 (Sanitize.total_findings ())
 
 (* ------------------------------------------------------------------ *)
 (* WAL monotonicity *)
@@ -312,6 +346,7 @@ let () =
             test_io_wait_while_latched_is_exempt;
           Alcotest.test_case "latch timeout cleans up" `Quick test_latch_timeout_cleans_up;
           Alcotest.test_case "illegal frame transitions caught" `Quick test_frame_violations;
+          Alcotest.test_case "stale frame caught" `Quick test_stale_frame;
           Alcotest.test_case "forged non-monotone LSNs caught" `Quick test_wal_violations;
           Alcotest.test_case "replay digest determinism" `Quick test_digest_determinism;
           Alcotest.test_case "recycled undo entry in commit chain caught" `Quick

@@ -545,6 +545,78 @@ let test_buf_cleaner_coalesces_inflight_redirty () =
   Alcotest.check value_eq "second write survived coalescing" (Value.Str "modified-in-flight")
     (Pax.get_col (Bufmgr.payload f') ~slot:0 ~col:1)
 
+(* Regression: a frame demoted twice (demote, touch, demote) leaves two
+   entries on the cooling queue. The first evicts it; once the page is
+   faulted back into the same partition as a new frame, the second entry
+   is stale. It must be skipped: evicting through it would unswizzle the
+   parent swip the new, dirty frame hangs off and drop its write. *)
+let test_buf_stale_cooling_entry () =
+  let eng, _, _, pool, sched = make_cleaner_pool ~latency_us:50_000.0 ~batch_pages:2 () in
+  let f = Bufmgr.alloc pool ~partition:0 (small_page 1) in
+  let s = Bufmgr.swip_of f in
+  Bufmgr.set_parent f s;
+  age eng;
+  Bufmgr.set_budget pool ~budget_bytes:1;
+  (* first demotion: the dirty frame waits on the cooling queue for the
+     cleaner, whose write is in flight for 50 ms *)
+  Bufmgr.maintain pool ~partition:0;
+  (* touched mid-write: re-heated, so the cleaner's next sweep demotes
+     it a second time and then evicts it through the first entry *)
+  Engine.schedule_at eng
+    ~time:(Engine.now eng + 2_000_000)
+    (fun () -> ignore (Bufmgr.resolve pool s));
+  Scheduler.run_until_quiescent sched;
+  check_bool "evicted through the first entry" false (Bufmgr.is_resident f);
+  let g = Bufmgr.resolve pool s in
+  Pax.set_col (Bufmgr.payload g) ~slot:0 ~col:1 (Value.Str "refaulted-write");
+  Bufmgr.mark_dirty g;
+  age eng;
+  Bufmgr.maintain pool ~partition:0;
+  (match Bufmgr.resident_frame_of_swip s with
+  | Some g' -> check_bool "re-faulted frame still swizzled" true (g' == g)
+  | None -> Alcotest.fail "re-faulted page was unswizzled through the stale entry");
+  check_bool "re-faulted frame still dirty" true (Bufmgr.is_dirty g);
+  Scheduler.run_until_quiescent sched;
+  Bufmgr.maintain pool ~partition:0;
+  let g' = Bufmgr.resolve ~touch:false pool s in
+  Alcotest.check value_eq "new content survives" (Value.Str "refaulted-write")
+    (Pax.get_col (Bufmgr.payload g') ~slot:0 ~col:1)
+
+(* With the cleaner off, eviction writes a dirty frame inline. A re-dirty
+   while that write is on the device must keep the frame dirty and
+   resident: the image on its way out is already stale. *)
+let test_buf_inline_writeback_redirty () =
+  let eng, _, _, pool, sched = make_cleaner_pool ~latency_us:50_000.0 () in
+  Bufmgr.attach_cleaner pool ~scheduler:sched
+    { Bufmgr.default_cleaner with Bufmgr.cl_enabled = false };
+  let page = small_page 1 in
+  let f = Bufmgr.alloc pool ~partition:0 page in
+  let s = Bufmgr.swip_of f in
+  Bufmgr.set_parent f s;
+  age eng;
+  Bufmgr.set_budget pool ~budget_bytes:1;
+  (* the inline write suspends its fiber, so eviction runs in one *)
+  let evict () = Scheduler.submit sched (fun () -> Bufmgr.maintain pool ~partition:0) in
+  evict ();
+  Engine.schedule_at eng
+    ~time:(Engine.now eng + 2_000_000)
+    (fun () ->
+      Pax.set_col page ~slot:0 ~col:1 (Value.Str "modified-in-flight");
+      Bufmgr.mark_dirty f);
+  Scheduler.run_until_quiescent sched;
+  check_int "the eviction wrote inline" 1 (Bufmgr.cleaner_stats pool).Bufmgr.dirty_evict_fallbacks;
+  check_bool "re-dirtied frame stays resident" true (Bufmgr.is_resident f);
+  check_bool "re-dirtied frame stays dirty" true (Bufmgr.is_dirty f);
+  (* re-heat, then evict again: this write carries the second image *)
+  ignore (Bufmgr.resolve pool s);
+  age eng;
+  evict ();
+  Scheduler.run_until_quiescent sched;
+  check_bool "evicted after the second write" false (Bufmgr.is_resident f);
+  let f' = Bufmgr.resolve ~touch:false pool s in
+  Alcotest.check value_eq "second write survived" (Value.Str "modified-in-flight")
+    (Pax.get_col (Bufmgr.payload f') ~slot:0 ~col:1)
+
 (* ------------------------------------------------------------------ *)
 (* Scratch reuse (DESIGN.md §4h): reading through one reused row buffer
    must be indistinguishable from a fresh [get] — in value AND in the
@@ -963,5 +1035,8 @@ let () =
           Alcotest.test_case "cleaner batches writes" `Quick test_buf_cleaner_batches_writes;
           Alcotest.test_case "cleaner coalesces in-flight re-dirty" `Quick
             test_buf_cleaner_coalesces_inflight_redirty;
+          Alcotest.test_case "stale cooling entry skipped" `Quick test_buf_stale_cooling_entry;
+          Alcotest.test_case "inline write-back keeps re-dirty" `Quick
+            test_buf_inline_writeback_redirty;
         ] );
     ]

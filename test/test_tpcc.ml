@@ -173,6 +173,20 @@ let test_throughput_series_nonempty () =
   ignore (T.run_mix t ~concurrency:4 ~duration_ns:2_000_000_000 ~seed:5 ());
   check_bool "series has samples" true (List.length (T.throughput_series t) >= 2)
 
+(* A pool far below the working set: eviction, the cleaner and fault-in
+   run all through the mix, and no update may be lost to them. At this
+   point a stale cooling-queue entry once unswizzled re-faulted dirty
+   pages and broke W_YTD = sum(D_YTD). *)
+let test_mix_spilling_pool () =
+  let cfg =
+    { Config.default with Config.n_workers = 1; slots_per_worker = 8; buffer_bytes = 1024 * 1024 }
+  in
+  let db = Db.create cfg in
+  let t = T.load db ~warehouses:1 ~scale:T.default_scale ~seed:42 () in
+  ignore (T.run_mix t ~concurrency:8 ~duration_ns:500_000_000 ~seed:42 ());
+  check_bool "the pool spilled" true ((Db.cleaner_stats db).Phoebe_storage.Bufmgr.clean_evicts > 0);
+  List.iter (fun (n, ok) -> check_bool ("spilling " ^ n) true ok) (T.consistency_checks t)
+
 let test_rfa_mostly_local_commits () =
   (* tuple-level RFA (paper 8): under the standard affine mix at
      realistic cardinalities, the majority of commits must be satisfied
@@ -349,6 +363,7 @@ let () =
           Alcotest.test_case "run + consistency" `Quick test_mix_run_and_consistency;
           Alcotest.test_case "no affinity" `Quick test_mix_run_without_affinity;
           Alcotest.test_case "throughput series" `Quick test_throughput_series_nonempty;
+          Alcotest.test_case "spilling 1 MB pool" `Quick test_mix_spilling_pool;
         ] );
       ("recovery", [ Alcotest.test_case "after mix" `Quick test_recovery_after_mix ]);
       ( "sharded",
