@@ -138,12 +138,11 @@ let append ?on_page t row =
         if Pax.is_full page then begin
           charge_effective c.Cost.btree_leaf_op;
           let fresh = Pax.create t.tschema ~capacity:t.leaf_capacity in
-          let nframe = Bufmgr.alloc t.buf ~partition:(current_partition t.buf) fresh in
           (* the new rightmost inherits the GSN chain of the old one so
              WAL replay order keeps following row-id order across leaf
              boundaries *)
-          Bufmgr.set_page_gsn nframe (Bufmgr.page_gsn frame);
-          Bufmgr.set_last_writer_slot nframe (Bufmgr.last_writer_slot frame);
+          Pax.set_gsn fresh (Pax.gsn page);
+          let nframe = Bufmgr.alloc t.buf ~partition:(current_partition t.buf) fresh in
           let nswip = Bufmgr.swip_of nframe in
           Bufmgr.set_parent nframe nswip;
           t.rightmost <- nswip;
@@ -618,7 +617,11 @@ let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256
         t.rightmost <- swip;
         add_rightmost_leaf t min_rid swip)
       rest;
-    t.next_rid <- m.next_rid;
+    (* A rightmost-leaf image written back after the checkpoint can hold
+       rows at or past the manifest's [next_rid]; replay must find them
+       in place, not append them again (DESIGN.md §4b). *)
+    let last = Bufmgr.payload (Bufmgr.resolve ~touch:false buf t.rightmost) in
+    t.next_rid <- (if Pax.is_empty last then m.next_rid else max m.next_rid (Pax.max_row_id last + 1));
     t.max_frozen <- m.max_frozen;
     t.blocks <-
       Array.of_list

@@ -45,7 +45,9 @@ val create :
     store. Without [manifest] the tree starts with one empty leaf. With
     it the tree is rebuilt from a checkpoint: leaves come back cold
     (faulted on demand) and frozen blocks are decoded from the block
-    store. *)
+    store. The next row id is past both the manifest's [next_rid] and
+    the rightmost leaf's stored rows, so a replayed insert whose row an
+    image already holds overwrites it in place. *)
 
 val name : t -> string
 val schema : t -> Phoebe_storage.Value.Schema.t

@@ -459,17 +459,9 @@ let raw_apply t =
 
 let replay_wal ?after ?decide_in_doubt t ~from =
   let report = Recovery.replay ?after ?decide_in_doubt from (raw_apply t) in
-  (* replaying its own log (a restart): each file is cut back to its
-     decodable prefix, so a torn tail cannot strand the records
-     appended after it, and the writers continue each file's sequences
-     from the replay's decode *)
-  if Int.equal (Walstore.id from) (Walstore.id (Wal.store t.walmgr)) then
-    List.iter
-      (fun (tl : Recovery.tail) ->
-        Walstore.truncate from ~file:tl.Recovery.file tl.Recovery.end_offset;
-        Wal.resume t.walmgr ~file:tl.Recovery.file ~last_lsn:tl.Recovery.last_lsn
-          ~max_gsn:tl.Recovery.max_gsn)
-      report.Recovery.tails;
+  (* replaying its own log (a restart): the writers continue after the
+     replay's decode *)
+  if Int.equal (Walstore.id from) (Walstore.id (Wal.store t.walmgr)) then Wal.resume t.walmgr report;
   (* a lossy restore must be visible, not silent *)
   Obs.Counter.add (Obs.counter t.obs "wal.recovery.torn_tails") report.Recovery.torn_tails;
   Obs.Counter.add (Obs.counter t.obs "wal.recovery.bytes_skipped") report.Recovery.bytes_skipped;

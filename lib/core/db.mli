@@ -193,8 +193,9 @@ val replay_wal :
     is presumed abort — and are listed in the report's [in_doubt]
     either way. When [from] is this instance's own WAL store (a
     restart), each file is first truncated to its decodable prefix,
-    dropping a torn tail, and each writer resumes its file's LSN/GSN
-    sequence from the replay's decode (the report's [tails]). *)
+    dropping a torn tail, and the writers resume from the replay's
+    decode ({!Phoebe_wal.Wal.resume}): each file's LSN sequence, and
+    every writer's GSN past the log's largest. *)
 
 val raw_apply : t -> Phoebe_wal.Recovery.apply
 (** The rid-preserving, non-transactional insert/update/delete dispatch

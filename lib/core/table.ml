@@ -130,19 +130,19 @@ let frozen_twin_key t rid = -((t.tid lsl 40) lor rid)
    the *tuple's* last writer (from the twin entry), not the page's — a
    page holds hundreds of tuples and page-level tracking manufactures
    false cross-slot dependencies. The page GSN is still advanced and
-   stamped (it makes WAL replay order consistent with same-page write
-   order, surviving twin-table GC and page eviction). *)
+   stamped into the page (it makes WAL replay order consistent with
+   same-page write order, surviving twin-table GC, eviction and a
+   restart). *)
 let log_page_write t (txn : txn) (e : Twin.entry) frame op =
-  let page_gsn = Bufmgr.page_gsn frame in
+  let page = Bufmgr.payload frame in
   if Wal.observe_page t.wal ~slot:txn.Txnmgr.slot ~page_gsn:e.Twin.wgsn ~writer_slot:e.Twin.wslot
   then begin
     txn.Txnmgr.needs_remote <- true;
     txn.Txnmgr.remote_gsn <- max txn.Txnmgr.remote_gsn e.Twin.wgsn
   end;
-  let gsn = Wal.next_gsn t.wal ~slot:txn.Txnmgr.slot ~page_gsn in
+  let gsn = Wal.next_gsn t.wal ~slot:txn.Txnmgr.slot ~page_gsn:(Pax.gsn page) in
   ignore (Wal.append t.wal ~slot:txn.Txnmgr.slot op ~gsn);
-  Bufmgr.set_page_gsn frame gsn;
-  Bufmgr.set_last_writer_slot frame txn.Txnmgr.slot;
+  Pax.set_gsn page gsn;
   e.Twin.wgsn <- gsn;
   e.Twin.wslot <- txn.Txnmgr.slot;
   txn.Txnmgr.wrote <- true

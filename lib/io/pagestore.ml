@@ -127,13 +127,15 @@ let mem t ~page_id = Hashtbl.mem t.latest page_id
 
 let max_page_id t = Hashtbl.fold (fun id _ acc -> max id acc) t.latest 0
 
+(* A delete leaves the durable image in place: the last published
+   snapshot may still name the page, and a crash before the next [sync]
+   must find it there. *)
 let delete t ~page_id =
-  (match Hashtbl.find_opt t.latest page_id with
+  match Hashtbl.find_opt t.latest page_id with
   | Some old ->
     t.stored <- t.stored - Bytes.length old;
     Hashtbl.remove t.latest page_id
-  | None -> ());
-  Hashtbl.remove t.durable page_id
+  | None -> ()
 
 let crash t =
   (* the engine queue was cleared: in-flight completions are gone *)
@@ -161,7 +163,9 @@ let crash t =
    that re-wrote them would double the write traffic for nothing. At
    idle, divergence means a write actually failed and was superseded, so
    the resubmission loop normally runs zero times. Pages are sorted for
-   deterministic submission order. *)
+   deterministic submission order. Once nothing diverges, durable images
+   of deleted pages are dropped: the snapshot this barrier publishes no
+   longer names them. *)
 let rec sync t ~on_complete =
   if t.inflight > 0 then Queue.push (fun () -> sync t ~on_complete) t.idle_waiters
   else begin
@@ -175,7 +179,11 @@ let rec sync t ~on_complete =
       |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     in
     match volatile with
-    | [] -> on_complete ()
+    | [] ->
+      Hashtbl.filter_map_inplace
+        (fun page_id d -> if Hashtbl.mem t.latest page_id then Some d else None)
+        t.durable;
+      on_complete ()
     | pages ->
       let remaining = ref (List.length pages) in
       submit_pages t pages ~on_media:(fun _ ->

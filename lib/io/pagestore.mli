@@ -39,7 +39,11 @@ val read : t -> page_id:int -> Bytes.t
     trip. @raise Not_found if the page was never written. *)
 
 val mem : t -> page_id:int -> bool
+
 val delete : t -> page_id:int -> unit
+(** Drop the page from the latest view. Its durable image stays until
+    the next {!sync}, so a crash before then brings the page back for
+    the last snapshot that names it. *)
 
 val max_page_id : t -> int
 (** The largest page id holding an image (latest view); 0 when empty. *)
@@ -54,9 +58,10 @@ val sync : t -> on_complete:(unit -> unit) -> unit
 (** Drive the durable table to match the latest view: resubmit every
     divergent page, observe each outcome (a torn checkpoint write is
     caught by the read-verify pass a real checkpointer runs) and retry
-    until nothing volatile remains. [on_complete] fires when the store
-    is fully durable — the fsync barrier a snapshot needs before it can
-    be published as a recovery point. *)
+    until nothing volatile remains, then drop the durable images of
+    deleted pages. [on_complete] fires when the store is fully durable —
+    the fsync barrier a snapshot needs before it can be published as a
+    recovery point. *)
 
 val durable_page_count : t -> int
 

@@ -24,8 +24,6 @@ type 'p frame = {
   mutable fsize : int;
   mutable faccess_count : int;
   mutable flast_access : int;
-  mutable fgsn : int;
-  mutable fwriter_slot : int;
   mutable fparent : 'p swip option;
 }
 
@@ -82,10 +80,6 @@ type 'p t = {
   cl_clean_evicts : Obs.Counter.t;
   cl_dirty_fallbacks : Obs.Counter.t;
   cl_batch_sizes : Stats.Scalar.t;
-  (* A real system keeps the GSN and last-writer in the page header; the
-     payload codec here is page-content only, so evicted pages park that
-     metadata in a sidecar and recover it at fault-in. *)
-  gsn_sidecar : (int, int * int) Hashtbl.t;
 }
 
 let create ?obs engine ~store ~partitions ~budget_bytes ~codec =
@@ -125,7 +119,6 @@ let create ?obs engine ~store ~partitions ~budget_bytes ~codec =
       (match obs with
       | Some reg -> Obs.scalar reg "buf.cleaner.batch_pages"
       | None -> Stats.Scalar.create ());
-    gsn_sidecar = Hashtbl.create 256;
   }
   in
   (match obs with
@@ -178,8 +171,6 @@ let alloc t ~partition payload =
       fsize = size;
       faccess_count = 0;
       flast_access = now t;
-      fgsn = 0;
-      fwriter_slot = -1;
       fparent = None;
     }
   in
@@ -244,9 +235,6 @@ let fault_in t swip pid ~touch =
     frame
   | Unswizzled _ ->
     let payload = t.codec.decode raw in
-    let gsn, writer_slot =
-      match Hashtbl.find_opt t.gsn_sidecar pid with Some meta -> meta | None -> (0, -1)
-    in
     (* Allocate into the faulting worker's partition: ownership of a
        page follows whoever re-heats it. *)
     let partition =
@@ -267,8 +255,6 @@ let fault_in t swip pid ~touch =
         fsize = t.codec.size payload;
         faccess_count = (if touch then 1 else 0);
         flast_access = now t;
-        fgsn = gsn;
-        fwriter_slot = writer_slot;
         fparent = Some swip;
       }
     in
@@ -350,10 +336,6 @@ let set_write_sanitizer t f = t.sanitize <- Some f
 
 let access_count f = f.faccess_count
 let last_access f = f.flast_access
-let page_gsn f = f.fgsn
-let set_page_gsn f g = f.fgsn <- g
-let last_writer_slot f = f.fwriter_slot
-let set_last_writer_slot f s = f.fwriter_slot <- s
 
 let halve_access_count f = f.faccess_count <- f.faccess_count / 2
 
@@ -579,7 +561,6 @@ and evict_one t part =
         (match f.fparent with
         | Some swip -> swip.ptr <- Unswizzled f.fpage_id
         | None -> ());
-        Hashtbl.replace t.gsn_sidecar f.fpage_id (f.fgsn, f.fwriter_slot);
         f.fpayload <- None;
         Hashtbl.remove part.frames f.fpage_id;
         part.used_bytes <- part.used_bytes - f.fsize

@@ -110,14 +110,10 @@ val set_write_sanitizer : 'p t -> (page_id:int -> 'p -> 'p) -> unit
     image is flushed again later rather than silently lost to a
     clean-frame eviction. *)
 
-(** {1 Temperature metadata (read by the freeze engine and RFA)} *)
+(** {1 Temperature metadata (read by the freeze engine)} *)
 
 val access_count : 'p frame -> int
 val last_access : 'p frame -> int
-val page_gsn : 'p frame -> int
-val set_page_gsn : 'p frame -> int -> unit
-val last_writer_slot : 'p frame -> int
-val set_last_writer_slot : 'p frame -> int -> unit
 
 val halve_access_count : 'p frame -> unit
 (** Exponential decay step for "access frequency over time" (§5.2). *)

@@ -16,6 +16,7 @@ type t = {
   nulls : Bytes.t array;  (** one bitmap per column *)
   deleted : Bytes.t;
   mutable str_bytes : int;  (** live string payload, for size accounting *)
+  mutable gsn : int;  (** GSN of the last logged write to the page (§8) *)
 }
 
 let bitmap_get bm i = Char.code (Bytes.get bm (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -43,6 +44,7 @@ let create schema ~capacity =
     nulls = Array.init ncols (fun _ -> Bytes.make ((capacity + 7) / 8) '\x00');
     deleted = Bytes.make ((capacity + 7) / 8) '\x00';
     str_bytes = 0;
+    gsn = 0;
   }
 
 let copy t =
@@ -62,6 +64,7 @@ let copy t =
     nulls = Array.map Bytes.copy t.nulls;
     deleted = Bytes.copy t.deleted;
     str_bytes = t.str_bytes;
+    gsn = t.gsn;
   }
 
 let schema t = t.pschema
@@ -69,6 +72,8 @@ let capacity t = t.pcapacity
 let count t = t.n
 let is_full t = t.n >= t.pcapacity
 let is_empty t = t.n = 0
+let gsn t = t.gsn
+let set_gsn t g = t.gsn <- g
 
 let live_count t =
   let live = ref 0 in
@@ -214,6 +219,7 @@ let encode t =
   Buffer.clear buf;
   Varint.write_uint buf t.pcapacity;
   Varint.write_uint buf t.n;
+  Varint.write_uint buf t.gsn;
   Value.Schema.write buf t.pschema;
   for slot = 0 to t.n - 1 do
     Varint.write_uint buf t.row_ids.(slot);
@@ -230,6 +236,7 @@ let encode t =
 let decode b =
   let capacity, off = Varint.read_uint b (Crc32.unseal b) in
   let n, off = Varint.read_uint b off in
+  let gsn, off = Varint.read_uint b off in
   let schema, off = Value.Schema.read b off in
   let ncols = Value.Schema.arity schema in
   let off = ref off in
@@ -241,6 +248,7 @@ let decode b =
     off := o + 1
   done;
   t.n <- n;
+  t.gsn <- gsn;
   for col = 0 to ncols - 1 do
     for slot = 0 to n - 1 do
       let v, o = Value.decode b !off in

@@ -15,9 +15,9 @@ type t
 val create : Value.Schema.t -> capacity:int -> t
 
 val copy : t -> t
-(** Deep copy: mutating the copy never touches the original. Used to
-    build a sanitized image for write-back without disturbing the live
-    page. *)
+(** Deep copy, GSN included: mutating the copy never touches the
+    original. Used to build a sanitized image for write-back without
+    disturbing the live page. *)
 
 val schema : t -> Value.Schema.t
 val capacity : t -> int
@@ -27,6 +27,13 @@ val count : t -> int
 val live_count : t -> int
 val is_full : t -> bool
 val is_empty : t -> bool
+
+val gsn : t -> int
+(** The page GSN: the GSN of the last logged write to the page, 0 for a
+    page never logged. It is part of the page image ({!encode}), so it
+    survives eviction and a restart. *)
+
+val set_gsn : t -> int -> unit
 
 val min_row_id : t -> int
 (** @raise Invalid_argument on an empty page. *)

@@ -8,7 +8,7 @@ type apply = {
 
 type in_doubt = { gxid : int; coord : int; ops : Record.t list }
 
-type tail = { file : int; last_lsn : int; max_gsn : int; end_offset : int }
+type tail = { file : int; last_lsn : int; end_offset : int }
 
 type report = {
   files_read : int;
@@ -21,6 +21,7 @@ type report = {
   corrupt_records : int;
   in_doubt : in_doubt list;
   tails : tail list;
+  max_gsn : int;
 }
 
 (* Inserts are applied first, in (table, rid) order, then everything
@@ -152,15 +153,10 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
   let bytes_skipped = ref 0 in
   let corrupt = ref 0 in
   let tails = ref [] in
+  let max_gsn = ref 0 in
   List.iter
     (fun file ->
       let records, stop = Record.decode_all (Walstore.contents store ~file) in
-      let last_lsn, max_gsn =
-        List.fold_left
-          (fun (l, g) (r : Record.t) -> (max l r.Record.lsn, max g r.Record.gsn))
-          (-1, 0) records
-      in
-      tails := { file; last_lsn; max_gsn; end_offset = stop.Record.stop_offset } :: !tails;
       (match stop.Record.reason with
       | Record.Eof -> ()
       | Record.Torn ->
@@ -169,15 +165,24 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
       | Record.Corrupt ->
         incr corrupt;
         bytes_skipped := !bytes_skipped + stop.Record.bytes_skipped);
-      (* The checkpoint frontier must sit on a transaction boundary: the
-         snapshot was taken with no transaction active, so the last
-         record it covers in each slot is a Commit or Abort. A frontier
-         that lands on a data record would make the filter below replay
-         that transaction's suffix under the *next* commit — silent
-         corruption — so refuse loudly instead. *)
+      let last_lsn = ref (-1) in
+      (* records are already in LSN order within the file *)
       List.iter
         (fun (r : Record.t) ->
-          if Int.equal r.Record.lsn (after r.Record.slot) then
+          last_lsn := r.Record.lsn;
+          max_gsn := max !max_gsn r.Record.gsn;
+          let frontier = after r.Record.slot in
+          if r.Record.lsn > frontier then begin
+            incr records_read;
+            feed runs ~file r
+          end
+          else if Int.equal r.Record.lsn frontier then
+            (* The checkpoint frontier must sit on a transaction
+               boundary: the snapshot was taken with no transaction
+               active, so the last record it covers in each slot is a
+               Commit or Abort. A frontier that lands on a data record
+               would replay that transaction's suffix under the *next*
+               commit — silent corruption — so refuse loudly instead. *)
             match r.Record.op with
             | Record.Commit _ | Record.Abort _ -> ()
             | _ ->
@@ -192,14 +197,7 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
                          r.Record.slot r.Record.lsn;
                    }))
         records;
-      (* records are already in LSN order within the file *)
-      List.iter
-        (fun (r : Record.t) ->
-          if r.Record.lsn > after r.Record.slot then begin
-            incr records_read;
-            feed runs ~file r
-          end)
-        records)
+      tails := { file; last_lsn = !last_lsn; end_offset = stop.Record.stop_offset } :: !tails)
     files;
   (* a run still prepared at the end of its file lost its decision
      record to the crash: the branch is in doubt *)
@@ -217,6 +215,7 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
     corrupt_records = !corrupt;
     in_doubt;
     tails = List.rev !tails;
+    max_gsn = !max_gsn;
   }
 
 let committed_transactions store =

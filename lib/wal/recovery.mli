@@ -26,14 +26,13 @@ type in_doubt = { gxid : int; coord : int; ops : Record.t list }
     the gxid is the coordinator's local xid, so a Commit for it there
     means commit, anything else means presumed abort. *)
 
-type tail = { file : int; last_lsn : int; max_gsn : int; end_offset : int }
+type tail = { file : int; last_lsn : int; end_offset : int }
 (** The end of one WAL file's decodable prefix: its last record's LSN
-    ([-1] if none decoded), the largest GSN of any of its records,
-    frontier or not ([0] if none), and the byte offset just past its
-    last whole record. A restart truncates the file to [end_offset] and
-    resumes its writer from the rest ({!Phoebe_wal.Wal.resume}), so the
-    file is decoded once, by the replay, and new records follow the
-    prefix instead of a torn tail. *)
+    ([-1] if none decoded) and the byte offset just past its last whole
+    record. A restart truncates the file to [end_offset] and resumes its
+    writer from the rest ({!Phoebe_wal.Wal.resume}), so the file is
+    decoded once, by the replay, and new records follow the prefix
+    instead of a torn tail. *)
 
 type report = {
   files_read : int;
@@ -48,6 +47,9 @@ type report = {
           data after it — never produced by a clean crash *)
   in_doubt : in_doubt list;  (** prepared-but-undecided branches, per slot *)
   tails : tail list;  (** one per file, in file order *)
+  max_gsn : int;
+      (** the largest GSN of any decoded record in any file, frontier or
+          not ([0] if none): a restart resumes every writer past it *)
 }
 
 val replay :

@@ -84,14 +84,26 @@ let create ?obs engine ~store ~n_slots cfg =
   in
   t
 
-let resume t ~file ~last_lsn ~max_gsn =
-  if file < Array.length t.writers then begin
-    let w = t.writers.(file) in
-    w.next_lsn <- max w.next_lsn (last_lsn + 1);
-    w.flushed_lsn <- max w.flushed_lsn last_lsn;
-    w.cur_gsn <- max w.cur_gsn max_gsn;
-    w.max_flushed_gsn <- max w.max_flushed_gsn max_gsn
-  end
+(* Each file is cut back to its decodable prefix, so a torn tail cannot
+   strand the records appended after it. Every writer's GSN resumes past
+   the whole log's largest: replay orders records by GSN, and a writer
+   whose own file is empty or behind would otherwise log a later commit
+   below an earlier one. *)
+let resume t { Recovery.tails; max_gsn; _ } =
+  List.iter
+    (fun { Recovery.file; last_lsn; end_offset } ->
+      Walstore.truncate t.wstore ~file end_offset;
+      if file < Array.length t.writers then begin
+        let w = t.writers.(file) in
+        w.next_lsn <- max w.next_lsn (last_lsn + 1);
+        w.flushed_lsn <- max w.flushed_lsn last_lsn
+      end)
+    tails;
+  Array.iter
+    (fun w ->
+      w.cur_gsn <- max w.cur_gsn max_gsn;
+      w.max_flushed_gsn <- max w.max_flushed_gsn max_gsn)
+    t.writers
 
 let config t = t.cfg
 

@@ -37,12 +37,13 @@ val create :
 (** With [obs], record/byte/RFA accounting registers under
     [wal.records], [wal.bytes] and [wal.rfa.{local_commits,remote_waits}]. *)
 
-val resume : t -> file:int -> last_lsn:int -> max_gsn:int -> unit
-(** Restore path: continue writer [file]'s sequences after the records
-    its file already holds, as found by the replay's decode
-    ({!Recovery.report}'s [tails]). Its next record gets LSN
-    [last_lsn + 1], and its GSN clock and durable GSN start at
-    [max_gsn]. A file at or past the slot count is ignored. *)
+val resume : t -> Recovery.report -> unit
+(** Restart path, after a replay of this log's own store: truncate each
+    file to its decodable prefix ([end_offset]) and continue the
+    writers' sequences after it. Each file's writer gets LSN
+    [last_lsn + 1] next (a file at or past the slot count is only
+    truncated), and every writer's GSN clock and durable GSN start at
+    the report's [max_gsn], whether its file holds records or not. *)
 
 val config : t -> config
 

@@ -103,6 +103,26 @@ let test_checkpoint_with_frozen_tier () =
     (Phoebe_btree.Table_tree.frozen_block_count (Table.tree t2) > 0);
   Alcotest.(check (list (pair int int))) "rows identical across tiers" (dump db1 t1) (dump db2 t2)
 
+(* A freeze after the checkpoint drops leaves the snapshot still names:
+   their durable images must outlive the drop until the next
+   checkpoint's sync, or the restore cannot fault them in. *)
+let test_freeze_after_checkpoint () =
+  let db1 = Db.create cfg in
+  let t1 = kv_ddl db1 in
+  Db.with_txn db1 (fun txn ->
+      for k = 1 to 600 do
+        ignore (Table.insert t1 txn [| Value.Int k; Value.Int k |])
+      done);
+  let snapshot = Checkpoint.take db1 in
+  for _ = 1 to 8 do
+    Phoebe_btree.Table_tree.decay_access_counts (Table.tree t1)
+  done;
+  check_bool "froze leaves the snapshot names" true (Db.freeze_tables db1 > 100);
+  Db.checkpoint db1;
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  check_int "every row restored" 600 (List.length (dump db2 (Db.table db2 "kv")))
+
 let test_checkpoint_rejects_active_txns () =
   let db = Db.create cfg in
   ignore (kv_ddl db);
@@ -212,21 +232,29 @@ let kv_after_checkpoint ?(inserts = 1) ~rows ~txns ~ns () =
   (db, snapshot)
 
 (* Every restored writer continues its file where a full decode of the
-   file ends: the next LSN follows the file's last one, and the flushed
-   GSN is the file's largest. *)
+   file ends (the next LSN follows the file's last one), and every
+   writer's flushed GSN is the whole log's largest, whether its own file
+   holds records or not. *)
 let check_writers_match_files db2 =
   let wal = Db.wal db2 in
   let store = Wal.store wal in
+  let records file = fst (Record.decode_all (Walstore.contents store ~file)) in
+  let log_gsn =
+    List.fold_left
+      (fun acc file -> List.fold_left (fun acc (r : Record.t) -> max acc r.Record.gsn) acc (records file))
+      0 (Walstore.files store)
+  in
   List.iter
     (fun file ->
-      match fst (Record.decode_all (Walstore.contents store ~file)) with
+      match records file with
       | [] -> ()
       | records ->
         let last = List.fold_left (fun acc (r : Record.t) -> max acc r.Record.lsn) (-1) records in
-        let gsn = List.fold_left (fun acc (r : Record.t) -> max acc r.Record.gsn) 0 records in
-        check_int (Printf.sprintf "file %d: last LSN" file) last (Wal.flushed_lsn wal ~slot:file);
-        check_int (Printf.sprintf "file %d: largest GSN" file) gsn (Wal.flushed_gsn wal ~slot:file))
-    (Walstore.files store)
+        check_int (Printf.sprintf "file %d: last LSN" file) last (Wal.flushed_lsn wal ~slot:file))
+    (Walstore.files store);
+  for slot = 0 to (cfg.Config.n_workers * cfg.Config.slots_per_worker) - 1 do
+    check_int (Printf.sprintf "slot %d: the log's largest GSN" slot) log_gsn (Wal.flushed_gsn wal ~slot)
+  done
 
 let test_restore_resumes_wal_writers () =
   let db1, snapshot = kv_after_checkpoint ~rows:200 ~txns:60 ~ns:None () in
@@ -356,6 +384,74 @@ let test_restore_allocates_fresh_page_ids () =
   check_bool "no stored image has the fresh id" false (Pagestore.mem (Bufmgr.store buf) ~page_id:id);
   check_bool "no manifest leaf has the fresh id" false (List.exists (fun (pid, _) -> pid = id) leaves)
 
+(* A commit acknowledged after one restart must survive a second: the
+   slot whose file was empty at the first restart resumes its GSN past
+   the whole log, or replay's GSN order puts its later write below the
+   other slot's earlier one. *)
+let test_commit_survives_two_restarts () =
+  let cfg = { cfg with Config.n_workers = 2; slots_per_worker = 1 } in
+  let set db ~worker ~rid v =
+    let t = Db.table db "kv" in
+    Db.submit db ~affinity:worker (fun txn -> ignore (set_col t txn ~rid "v" (Value.Int v)));
+    Db.run db
+  in
+  let db1 = Db.create cfg in
+  let t1 = kv_ddl db1 in
+  Db.with_txn db1 (fun txn ->
+      for k = 1 to 2 do
+        ignore (Table.insert t1 txn [| Value.Int k; Value.Int 0 |])
+      done);
+  let snapshot = Checkpoint.take db1 in
+  for i = 1 to 300 do
+    set db1 ~worker:0 ~rid:2 i
+  done;
+  set db1 ~worker:0 ~rid:1 111;
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  set db2 ~worker:1 ~rid:1 222;
+  ignore (Db.crash db2);
+  let db3, _ = Checkpoint.restore ~from:db2 ~snapshot cfg in
+  check_int "the last acknowledged write of rid 1" 222 (List.assoc 1 (dump db3 (Db.table db3 "kv")))
+
+module Tpcc = Phoebe_tpcc.Tpcc
+
+let tpcc_tables =
+  [ "warehouse"; "district"; "customer"; "history"; "neworder"; "orders"; "orderline"; "item"; "stock" ]
+
+(* A table's row count, an order-independent hash of its (rid, row)
+   pairs, and how many of its rids occur more than once. *)
+let table_digest db name =
+  Db.with_txn db (fun txn ->
+      let seen = Hashtbl.create 4096 and n = ref 0 and h = ref 0 and dups = ref 0 in
+      Table.scan (Db.table db name) txn (fun rid row ->
+          if Hashtbl.mem seen rid then incr dups else Hashtbl.add seen rid ();
+          incr n;
+          h := !h + Hashtbl.hash_param 64 256 (rid, row));
+      (!n, !h, !dups))
+
+(* TPC-C over a pool far below the working set, restarted from the
+   checkpoint taken right after the load: the cleaner and eviction have
+   written back leaves (rightmost ones included) past the checkpoint, and
+   the restored tables must still equal the live ones row for row. *)
+let test_tpcc_restore_spilling_pool () =
+  let cfg = { Config.default with Config.n_workers = 1; buffer_bytes = 1024 * 1024 } in
+  let db1 = Db.create cfg in
+  let t = Tpcc.load db1 ~warehouses:1 ~scale:Tpcc.default_scale ~seed:42 () in
+  let snapshot = Checkpoint.take db1 in
+  ignore (Tpcc.run_mix t ~concurrency:32 ~duration_ns:500_000_000 ~seed:42 ());
+  Db.run db1;
+  check_bool "the pool spilled" true ((Db.cleaner_stats db1).Bufmgr.clean_evicts > 0);
+  let live = List.map (table_digest db1) tpcc_tables in
+  ignore (Db.crash db1);
+  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  List.iter2
+    (fun name (n, h, _) ->
+      let n', h', dups = table_digest db2 name in
+      check_int (name ^ ": row count") n n';
+      check_int (name ^ ": content hash") h h';
+      check_int (name ^ ": duplicate rids") 0 dups)
+    tpcc_tables live
+
 let () =
   Alcotest.run "phoebe_checkpoint"
     [
@@ -364,6 +460,7 @@ let () =
           Alcotest.test_case "roundtrip with suffix" `Quick test_checkpoint_restore_roundtrip;
           Alcotest.test_case "bounds replay" `Quick test_checkpoint_bounds_replay;
           Alcotest.test_case "frozen tier" `Quick test_checkpoint_with_frozen_tier;
+          Alcotest.test_case "freeze after the checkpoint" `Quick test_freeze_after_checkpoint;
           Alcotest.test_case "rejects active txns" `Quick test_checkpoint_rejects_active_txns;
           Alcotest.test_case "after concurrent run" `Quick test_checkpoint_after_concurrent_run;
           Alcotest.test_case "fiber-less commits durable at checkpoint" `Quick
@@ -375,5 +472,7 @@ let () =
           Alcotest.test_case "second restart after a torn tail" `Quick test_second_restart_after_torn_tail;
           Alcotest.test_case "cluster second recovery after a torn tail" `Quick
             test_cluster_second_restart_after_torn_tail;
+          Alcotest.test_case "commit survives two restarts" `Quick test_commit_survives_two_restarts;
+          Alcotest.test_case "TPC-C restore over a 1 MB pool" `Quick test_tpcc_restore_spilling_pool;
         ] );
     ]

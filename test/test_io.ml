@@ -391,6 +391,28 @@ let test_pagestore_crash_keeps_durable_images () =
   Alcotest.(check string) "durable image survives" "v1" (Bytes.to_string (Pagestore.read store ~page_id:1));
   check_bool "in-flight new page gone" false (Pagestore.mem store ~page_id:2)
 
+(* A deleted page keeps its durable image until the next sync: a crash
+   in between brings it back (the last snapshot may still name it), and
+   after the sync it is gone for good. *)
+let test_pagestore_delete_durable_until_sync () =
+  let eng = Engine.create () in
+  let store = Pagestore.create (small_dev eng) in
+  Pagestore.write_async store ~page_id:1 (Bytes.of_string "leaf") ~on_complete:ignore;
+  Pagestore.write_async store ~page_id:2 (Bytes.of_string "kept") ~on_complete:ignore;
+  Engine.run eng;
+  Pagestore.delete store ~page_id:1;
+  check_bool "gone from the latest view" false (Pagestore.mem store ~page_id:1);
+  ignore (Pagestore.crash store);
+  Alcotest.(check string) "a crash before the sync restores it" "leaf"
+    (Bytes.to_string (Pagestore.read store ~page_id:1));
+  Pagestore.delete store ~page_id:1;
+  Pagestore.sync store ~on_complete:ignore;
+  Engine.run eng;
+  check_int "the sync dropped its durable image" 1 (Pagestore.durable_page_count store);
+  ignore (Pagestore.crash store);
+  check_bool "a crash after the sync does not" false (Pagestore.mem store ~page_id:1);
+  check_bool "other pages untouched" true (Pagestore.mem store ~page_id:2)
+
 let test_pagestore_torn_write_is_atomic () =
   let eng = Engine.create () in
   let store =
@@ -448,6 +470,8 @@ let () =
           Alcotest.test_case "crash tear" `Quick test_walstore_crash_tear;
           Alcotest.test_case "pagestore crash" `Quick test_pagestore_crash_keeps_durable_images;
           Alcotest.test_case "pagestore torn write" `Quick test_pagestore_torn_write_is_atomic;
+          Alcotest.test_case "pagestore delete durable until sync" `Quick
+            test_pagestore_delete_durable_until_sync;
         ] );
       ( "faults",
         [

@@ -413,13 +413,21 @@ let test_buf_dirty_writeback_roundtrip () =
   Alcotest.check value_eq "modification survived eviction" (Value.Str "modified")
     (Pax.get_col (Bufmgr.payload f') ~slot:0 ~col:1)
 
-let test_buf_gsn_metadata () =
-  let _, _, pool = make_pool () in
-  let f = Bufmgr.alloc pool ~partition:0 (small_page 1) in
-  Bufmgr.set_page_gsn f 42;
-  Bufmgr.set_last_writer_slot f 7;
-  check_int "gsn" 42 (Bufmgr.page_gsn f);
-  check_int "writer slot" 7 (Bufmgr.last_writer_slot f)
+(* The page GSN is part of the page image: an evicted page, faulted
+   back in by a pool rebuilt over the same store (a restart's pool),
+   still carries it. *)
+let test_buf_gsn_survives_eviction () =
+  let eng, store, pool = make_pool ~budget:64 () in
+  let page = small_page 1 in
+  Pax.set_gsn page 42;
+  let f = Bufmgr.alloc pool ~partition:0 page in
+  Bufmgr.set_parent f (Bufmgr.swip_of f);
+  age eng;
+  Bufmgr.maintain pool ~partition:0;
+  check_bool "evicted" false (Bufmgr.is_resident f);
+  let rebuilt = Bufmgr.create eng ~store ~partitions:1 ~budget_bytes:1_000_000 ~codec:pax_codec in
+  let f' = Bufmgr.resolve rebuilt (Bufmgr.cold_swip (Bufmgr.page_id f)) in
+  check_int "gsn after fault-in" 42 (Pax.gsn (Bufmgr.payload f'))
 
 (* Regression: every drop/evict interleaving must return [used_bytes] to
    zero — a frame removed from the table without subtracting its size
@@ -898,7 +906,8 @@ let test_wal_flush_alloc_pin () =
 (* ------------------------------------------------------------------ *)
 (* On-disk formats *)
 
-(* A page with every column type, a null and a delete mark. The device
+(* A page with every column type, a null, a delete mark and a page GSN
+   past one varint byte. The device
    model charges by image size, so a format change would move every
    fixed-seed result: the encoded bytes are pinned, not just
    round-tripped. *)
@@ -918,10 +927,11 @@ let golden_page () =
       (12, 301, Value.Float 2.0, "ab", false);
     ];
   Pax.mark_deleted p ~slot:1;
+  Pax.set_gsn p 300;
   p
 
 let golden_pax =
-  "8e8992d00d0804040269646905707269636566046e616d6573026f6b620300050109000c00010e010301d80401da0402000000000000f83f0002000000000000d0bf0200000000000000400302616203026162030378797a030261620401040004010400"
+  "91f7bed0040804ac02040269646905707269636566046e616d6573026f6b620300050109000c00010e010301d80401da0402000000000000f83f0002000000000000d0bf0200000000000000400302616203026162030378797a030261620401040004010400"
 
 let golden_frozen =
   "f2e6f0c70a03040269646905707269636566046e616d6573026f6b6203090c02000000004064040eca04026618000000000000f83f000000000000d0bf000000000000004044020261620378797a000100420103"
@@ -1030,7 +1040,7 @@ let () =
           Alcotest.test_case "second chance" `Quick test_buf_second_chance;
           Alcotest.test_case "pin blocks eviction" `Quick test_buf_pin_blocks_eviction;
           Alcotest.test_case "dirty writeback" `Quick test_buf_dirty_writeback_roundtrip;
-          Alcotest.test_case "gsn metadata" `Quick test_buf_gsn_metadata;
+          Alcotest.test_case "gsn survives eviction" `Quick test_buf_gsn_survives_eviction;
           Alcotest.test_case "accounting returns to zero" `Quick test_buf_accounting_returns_to_zero;
           Alcotest.test_case "cleaner batches writes" `Quick test_buf_cleaner_batches_writes;
           Alcotest.test_case "cleaner coalesces in-flight re-dirty" `Quick
