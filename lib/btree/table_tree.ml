@@ -271,6 +271,44 @@ let read ?(touch = true) t ~row_id =
       Some (Pax.get page ~slot)
     end
 
+(* Whether a frame located earlier still holds [row_id] live at [slot].
+   A page faulted back in gets a fresh frame, and eviction and drop empty
+   the old one, so a frame that is still resident is its page's only
+   frame. The check reads the held frame and charges nothing; a hit
+   refreshes the frame's eviction recency (charge-free, as on the
+   fence-hit path), since the caller goes on to write through it. *)
+let holds_live t frame ~slot ~row_id =
+  Bufmgr.is_resident frame
+  && begin
+       let page = Bufmgr.payload frame in
+       Int.equal (Pax.row_id_at page ~slot) row_id && not (Pax.is_deleted page ~slot)
+     end
+  && begin
+       Bufmgr.touch_frame t.buf frame ~touch:false;
+       true
+     end
+
+(* Set or clear the delete mark of a located slot; false if it already
+   had that state. Latch acquisition can spin across suspensions: the
+   frame is pinned so eviction cannot detach it meanwhile. *)
+let set_delete_mark t frame ~slot ~deleted =
+  Bufmgr.pin frame;
+  Fun.protect
+    ~finally:(fun () -> Bufmgr.unpin frame)
+    (fun () ->
+      Latch.with_exclusive (Bufmgr.latch frame) (fun () ->
+          let page = Bufmgr.payload frame in
+          if Bool.equal (Pax.is_deleted page ~slot) deleted then false
+          else begin
+            if deleted then Pax.mark_deleted page ~slot else Pax.unmark_deleted page ~slot;
+            Bufmgr.mark_dirty frame;
+            t.live_tuples <- t.live_tuples + (if deleted then -1 else 1);
+            true
+          end))
+
+let mark_deleted_at t frame ~slot = set_delete_mark t frame ~slot ~deleted:true
+let undelete_at t frame ~slot = set_delete_mark t frame ~slot ~deleted:false
+
 let mark_deleted t ~row_id =
   match locate ~touch:true t ~row_id with
   | Absent -> false
@@ -278,22 +316,7 @@ let mark_deleted t ~row_id =
     let ok = Frozen.mark_deleted b ~row_id in
     if ok then t.live_tuples <- t.live_tuples - 1;
     ok
-  | In_page (frame, slot) ->
-    (* latch acquisition can spin across suspensions: pin the frame so
-       eviction cannot detach it meanwhile *)
-    Bufmgr.pin frame;
-    Fun.protect
-      ~finally:(fun () -> Bufmgr.unpin frame)
-      (fun () ->
-        Latch.with_exclusive (Bufmgr.latch frame) (fun () ->
-            let page = Bufmgr.payload frame in
-            if Pax.is_deleted page ~slot then false
-            else begin
-              Pax.mark_deleted page ~slot;
-              Bufmgr.mark_dirty frame;
-              t.live_tuples <- t.live_tuples - 1;
-              true
-            end))
+  | In_page (frame, slot) -> mark_deleted_at t frame ~slot
 
 let undelete t ~row_id =
   match locate ~touch:false t ~row_id with
@@ -302,20 +325,7 @@ let undelete t ~row_id =
     let ok = Frozen.unmark_deleted b ~row_id in
     if ok then t.live_tuples <- t.live_tuples + 1;
     ok
-  | In_page (frame, slot) ->
-    Bufmgr.pin frame;
-    Fun.protect
-      ~finally:(fun () -> Bufmgr.unpin frame)
-      (fun () ->
-        Latch.with_exclusive (Bufmgr.latch frame) (fun () ->
-            let page = Bufmgr.payload frame in
-            if Pax.is_deleted page ~slot then begin
-              Pax.unmark_deleted page ~slot;
-              Bufmgr.mark_dirty frame;
-              t.live_tuples <- t.live_tuples + 1;
-              true
-            end
-            else false))
+  | In_page (frame, slot) -> undelete_at t frame ~slot
 
 (* ------------------------------------------------------------------ *)
 (* Scan *)
@@ -363,13 +373,21 @@ let rec walk_leaves ~touch t cursor ~stop f =
       in
       walk_leaves ~touch t next ~stop f
 
+(* The page tier's slots with row ids in [from_rid, stop], delete-marked
+   ones too, in row-id order, on the pinned leaf walk. *)
+let iter_slots_from ~touch t ~from_rid ~stop f =
+  walk_leaves ~touch t (max from_rid (t.max_frozen + 1)) ~stop (fun frame ->
+      let page = Bufmgr.payload frame in
+      for slot = 0 to Pax.count page - 1 do
+        let rid = Pax.row_id_at page ~slot in
+        if rid >= from_rid && rid <= stop then f frame ~slot ~rid
+      done)
+
+let iter_slots t ~to_rid f = iter_slots_from ~touch:false t ~from_rid:1 ~stop:to_rid f
+
 let scan ?(touch = false) ?(include_deleted = false) t ?(from_rid = 1) ?to_rid f =
   let stop = match to_rid with Some r -> r | None -> t.next_rid - 1 in
   let emit rid row = if rid >= from_rid && rid <= stop then f rid row in
-  let iter_page page =
-    if include_deleted then Pax.iter_all page (fun rid ~deleted:_ row -> emit rid row)
-    else Pax.iter_live page (fun rid row -> emit rid row)
-  in
   (* frozen tier *)
   Array.iter
     (fun b ->
@@ -378,7 +396,9 @@ let scan ?(touch = false) ?(include_deleted = false) t ?(from_rid = 1) ?to_rid f
         else Frozen.iter_live b (fun rid row -> emit rid row))
     t.blocks;
   (* page tier *)
-  walk_leaves ~touch t (max from_rid (t.max_frozen + 1)) ~stop (fun frame -> iter_page (Bufmgr.payload frame))
+  iter_slots_from ~touch t ~from_rid ~stop (fun frame ~slot ~rid ->
+      let page = Bufmgr.payload frame in
+      if include_deleted || not (Pax.is_deleted page ~slot) then f rid (Pax.get page ~slot))
 
 (* ------------------------------------------------------------------ *)
 (* Freeze / warm (temperature exchange, §5.2) *)

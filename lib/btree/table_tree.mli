@@ -76,11 +76,28 @@ val locate : ?touch:bool -> t -> row_id:int -> location
 val read : ?touch:bool -> t -> row_id:int -> Phoebe_storage.Value.t array option
 (** Raw current version (ignores MVCC, skips delete-marked rows). *)
 
+val holds_live :
+  t -> Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame -> slot:int -> row_id:int -> bool
+(** Whether a frame from an earlier {!locate} still holds [row_id] live
+    at [slot]: the frame is still resident (a page faulted back in gets a
+    fresh frame, so a resident frame is its page's only one), the slot
+    still carries [row_id], and it is not delete-marked. It charges
+    nothing; a hit refreshes the frame's eviction recency, as a fence
+    hit does. A writer re-checks the frame it holds this way after a
+    tuple-lock wait instead of locating the row again. *)
+
 val mark_deleted : t -> row_id:int -> bool
 (** Returns false if the row does not exist or was already deleted. *)
 
+val mark_deleted_at : t -> Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame -> slot:int -> bool
+(** {!mark_deleted} of a slot already located in a resident frame: no
+    second locate. *)
+
 val undelete : t -> row_id:int -> bool
 (** Clear a delete mark (rollback of an aborted delete). *)
+
+val undelete_at : t -> Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame -> slot:int -> bool
+(** {!undelete} of a slot already located in a resident frame. *)
 
 val append_exact : t -> row_id:int -> Phoebe_storage.Value.t array -> unit
 (** Recovery-only: append preserving the original row id (row ids of
@@ -96,6 +113,17 @@ val scan : ?touch:bool -> ?include_deleted:bool -> t -> ?from_rid:int -> ?to_rid
     [include_deleted] (default false) also visits delete-marked tuples —
     MVCC scans need them, since a marked tuple may still be visible to
     older snapshots. *)
+
+val iter_slots :
+  t ->
+  to_rid:int ->
+  (Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame -> slot:int -> rid:int -> unit) ->
+  unit
+(** The page tier's slots with row ids up to [to_rid], delete-marked
+    ones included, in row-id order: [f frame ~slot ~rid] on
+    {!iter_leaf_pages}'s pinned leaf walk, without warming. The frame
+    stays pinned while [f] runs, so [f] may read the slot in place after
+    a suspension. *)
 
 val next_row_id : t -> int
 val max_frozen_row_id : t -> int

@@ -220,6 +220,14 @@ let read_frozen t txn block ~rid ~key_cols cols dst =
          ~page_key:(frozen_twin_key t rid) ~rid
      end
 
+(* A located page-tier row: one tuple materialisation, then Algorithm 1. *)
+let read_in_page t txn frame ~slot ~rid ~key_cols cols dst =
+  let page = Bufmgr.payload frame in
+  Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
+  decode_in_page page ~slot ~key_cols cols dst;
+  visible_into t txn ~key_cols cols dst ~deleted:(Pax.is_deleted page ~slot)
+    ~page_key:(Bufmgr.page_id frame) ~rid
+
 (* The row read: decode [rid]'s version visible to [txn] into the
    caller-owned [dst] (a {!Tupbuf} scratch row, DESIGN.md §4h) and say
    whether there is one. {!Mvcc.visible_version} assembles before-image
@@ -229,12 +237,7 @@ let read_frozen t txn block ~rid ~key_cols cols dst =
 let read_into t (txn : txn) ~rid ~key_cols cols dst =
   match Table_tree.locate t.ttree ~row_id:rid with
   | Table_tree.Absent -> false
-  | Table_tree.In_page (frame, slot) ->
-    let page = Bufmgr.payload frame in
-    Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
-    decode_in_page page ~slot ~key_cols cols dst;
-    visible_into t txn ~key_cols cols dst ~deleted:(Pax.is_deleted page ~slot)
-      ~page_key:(Bufmgr.page_id frame) ~rid
+  | Table_tree.In_page (frame, slot) -> read_in_page t txn frame ~slot ~rid ~key_cols cols dst
   | Table_tree.In_frozen block ->
     (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
     read_frozen t txn block ~rid ~key_cols cols dst
@@ -324,6 +327,16 @@ let relocate_live t (txn : txn) entry ~rid =
     Txnmgr.unlock_tuple t.txnmgr txn entry;
     Table_tree.Absent
 
+(* The written row's location once [write_entry] returns with the tuple
+   lock held: the location the statement took first, if its frame still
+   holds [rid] live (a check of the held frame, no charge); otherwise
+   [relocate_live], the one re-walk, for a write whose wait let the leaf
+   leave the pool, or the row be deleted or frozen. *)
+let live_location t (txn : txn) entry ~rid (held : Table_tree.location) =
+  match held with
+  | Table_tree.In_page (frame, slot) when Table_tree.holds_live t.ttree frame ~slot ~row_id:rid -> held
+  | _ -> relocate_live t txn entry ~rid
+
 (* The equal-key rids of [key_bytes] in the slot's rid scratch, grown
    until they all fit; returns how many. The walk makes no charge. *)
 let rec collect_candidates t ix ~slot key_bytes =
@@ -335,25 +348,25 @@ let rec collect_candidates t ix ~slot key_bytes =
     collect_candidates t ix ~slot key_bytes
   end
 
+let unique_violation () = raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"))
+
 (* Uniqueness against the live row set: a same-key entry conflicts
    unless its row is delete-marked by a committed deletion or by this
    very transaction. An uncommitted deletion by another transaction
    conservatively conflicts (it may yet abort and resurrect the row). *)
 let check_candidate t (txn : txn) ~rid =
-  let live =
-    match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-    | Table_tree.Absent -> false
-    | Table_tree.In_page (frame, slot) -> not (Pax.is_deleted (Bufmgr.payload frame) ~slot)
-    | Table_tree.In_frozen b -> not (Frozen.is_deleted b ~row_id:rid)
-  in
-  if live then raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"));
-  (* delete-marked: conflicts only if the deleter is an active foreign
-     transaction *)
   let page_key =
     match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-    | Table_tree.In_page (frame, _) -> Bufmgr.page_id frame
-    | _ -> frozen_twin_key t rid
+    | Table_tree.Absent -> frozen_twin_key t rid
+    | Table_tree.In_page (frame, slot) ->
+      if not (Pax.is_deleted (Bufmgr.payload frame) ~slot) then unique_violation ();
+      Bufmgr.page_id frame
+    | Table_tree.In_frozen b ->
+      if not (Frozen.is_deleted b ~row_id:rid) then unique_violation ();
+      frozen_twin_key t rid
   in
+  (* delete-marked: conflicts only if the deleter is an active foreign
+     transaction *)
   match chain_head_for t ~page_key ~rid with
   | Some h when Clock.is_xid h.Undo.ets && not (Int.equal h.Undo.ets txn.Txnmgr.xid) ->
     raise (Txnmgr.Abort (Txnmgr.Conflict, "unique key held by concurrent deleter"))
@@ -491,9 +504,9 @@ let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
 
 (* The tuple lock is released on both exits of the write, without
    [Fun.protect]'s closures. *)
-let update_in_page t (txn : txn) ~page_key ~rid reads compute =
+let update_in_page t (txn : txn) ~page_key held ~rid reads compute =
   let entry = write_entry t txn ~page_key ~rid in
-  match relocate_live t txn entry ~rid with
+  match live_location t txn entry ~rid held with
   | Table_tree.In_page (frame, slot) -> (
     match write_in_page t txn ~page_key entry frame ~slot ~rid reads compute with
     | () ->
@@ -551,7 +564,8 @@ let update ?reads t txn ~rid compute =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
   | Table_tree.Absent -> false
-  | Table_tree.In_page (frame, _) -> update_in_page t txn ~page_key:(Bufmgr.page_id frame) ~rid reads compute
+  | Table_tree.In_page (frame, _) as held ->
+    update_in_page t txn ~page_key:(Bufmgr.page_id frame) held ~rid reads compute
   | Table_tree.In_frozen block ->
     (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
     update_frozen t txn block ~rid reads compute
@@ -563,17 +577,17 @@ let update ?reads t txn ~rid compute =
    whole row. *)
 let delete_in_page t txn ~page_key entry frame ~slot ~rid =
   push_version t txn ~page_key entry ~rid (Undo.Deleted (Pax.get (Bufmgr.payload frame) ~slot));
-  ignore (Table_tree.mark_deleted t.ttree ~row_id:rid);
+  ignore (Table_tree.mark_deleted_at t.ttree frame ~slot);
   log_page_write t txn entry frame (Record.Delete { table = t.tid; rid })
 
 let delete t (txn : txn) ~rid =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
   | Table_tree.Absent -> false
-  | Table_tree.In_page (frame0, _) -> (
+  | Table_tree.In_page (frame0, _) as held -> (
     let page_key = Bufmgr.page_id frame0 in
     let entry = write_entry t txn ~page_key ~rid in
-    match relocate_live t txn entry ~rid with
+    match live_location t txn entry ~rid held with
     | Table_tree.In_page (frame, slot) -> (
       match delete_in_page t txn ~page_key entry frame ~slot ~rid with
       | () ->
@@ -663,11 +677,18 @@ let index_prefix ?cols t txn ~index ~prefix f =
 
 let scan t txn f =
   statement_begin t txn;
-  (* Scan the raw tree in rid order (including delete-marked tuples,
-     which may still be visible to this snapshot) and render every row
-     through Algorithm 1. *)
-  Table_tree.scan ~touch:false ~include_deleted:true t.ttree (fun rid _raw ->
-      match visible_at t txn ~rid with Some row -> f rid row | None -> ())
+  (* Every row appended when the scan starts, in rid order, including
+     delete-marked tuples (they may still be visible to this snapshot),
+     rendered through Algorithm 1. A frozen row goes through the point
+     read; a page-tier row is read in place from the pinned leaf walk's
+     frame and slot, with no second locate. *)
+  let to_rid = Table_tree.next_row_id t.ttree - 1 in
+  Table_tree.iter_blocks t.ttree (fun b ->
+      Frozen.iter_all b (fun rid ~deleted:_ _ ->
+          match visible_at t txn ~rid with Some row -> f rid row | None -> ()));
+  Table_tree.iter_slots t.ttree ~to_rid (fun frame ~slot ~rid ->
+      let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+      if read_in_page t txn frame ~slot ~rid ~key_cols:no_cols None row then f rid row)
 
 (* ------------------------------------------------------------------ *)
 (* Rollback and GC hooks *)
@@ -694,16 +715,18 @@ let rollback_undo t (undo : Undo.t) =
     pop_chain t ~page_key:(frozen_twin_key t rid) ~rid undo
   | Table_tree.In_page (frame, slot) ->
     let page_key = Bufmgr.page_id frame in
+    let page = Bufmgr.payload frame in
     (match undo.Undo.kind with
     | Undo.Created ->
-      (* aborted insert: remove index entries, delete-mark the row *)
-      (match Table_tree.read ~touch:false t.ttree ~row_id:rid with
-      | Some row ->
-        List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes
-      | None -> ());
-      ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
+      (* aborted insert: remove index entries, delete-mark the row, both
+         through the slot located above *)
+      if not (Pax.is_deleted page ~slot) then begin
+        Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
+        let row = Pax.get page ~slot in
+        List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes;
+        ignore (Table_tree.mark_deleted_at t.ttree frame ~slot)
+      end
     | Undo.Updated before ->
-      let page = Bufmgr.payload frame in
       (* drop the new-key index entries this update added *)
       let new_row = if writes_any_key before t.indexes then Some (Pax.get page ~slot) else None in
       Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) before;
@@ -719,7 +742,7 @@ let rollback_undo t (undo : Undo.t) =
               if nk <> ok then ignore (Index_tree.delete ix.ix ~key:nk ~rid)
             end)
           t.indexes)
-    | Undo.Deleted _ -> ignore (Table_tree.undelete t.ttree ~row_id:rid));
+    | Undo.Deleted _ -> ignore (Table_tree.undelete_at t.ttree frame ~slot));
     pop_chain t ~page_key ~rid undo
 
 let gc_reclaim_undo t (undo : Undo.t) =

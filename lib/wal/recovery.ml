@@ -165,12 +165,23 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
       | Record.Corrupt ->
         incr corrupt;
         bytes_skipped := !bytes_skipped + stop.Record.bytes_skipped);
-      let last_lsn = ref (-1) in
+      (* The file is kept up to its last transaction boundary: the end of
+         its last Commit, Abort or Prepare (a trailing prepared run is in
+         doubt and stays). Data records after it belong to a transaction
+         that never committed; left in place, they would be attributed to
+         the next commit a resumed writer appends behind them. *)
+      let last_lsn = ref (-1) and file_gsn = ref 0 and kept_gsn = ref 0 in
+      let trailing = ref [] in
       (* records are already in LSN order within the file *)
       List.iter
         (fun (r : Record.t) ->
-          last_lsn := r.Record.lsn;
-          max_gsn := max !max_gsn r.Record.gsn;
+          file_gsn := max !file_gsn r.Record.gsn;
+          (match r.Record.op with
+          | Record.Commit _ | Record.Abort _ | Record.Prepare _ ->
+            last_lsn := r.Record.lsn;
+            kept_gsn := !file_gsn;
+            trailing := []
+          | Record.Insert _ | Record.Update _ | Record.Delete _ -> trailing := r :: !trailing);
           let frontier = after r.Record.slot in
           if r.Record.lsn > frontier then begin
             incr records_read;
@@ -197,7 +208,12 @@ let replay ?(after = fun _ -> -1) ?(decide_in_doubt = fun _ -> false) store appl
                          r.Record.slot r.Record.lsn;
                    }))
         records;
-      tails := { file; last_lsn = !last_lsn; end_offset = stop.Record.stop_offset } :: !tails)
+      max_gsn := max !max_gsn !kept_gsn;
+      (* a record's encoding is canonical (the CRC covers exactly the
+         bytes [Record.encode] wrote), so the cut records span their
+         re-encoded sizes *)
+      let cut = List.fold_left (fun acc r -> acc + Record.size_bytes r) 0 !trailing in
+      tails := { file; last_lsn = !last_lsn; end_offset = stop.Record.stop_offset - cut } :: !tails)
     files;
   (* a run still prepared at the end of its file lost its decision
      record to the crash: the branch is in doubt *)

@@ -27,12 +27,16 @@ type in_doubt = { gxid : int; coord : int; ops : Record.t list }
     means commit, anything else means presumed abort. *)
 
 type tail = { file : int; last_lsn : int; end_offset : int }
-(** The end of one WAL file's decodable prefix: its last record's LSN
-    ([-1] if none decoded) and the byte offset just past its last whole
-    record. A restart truncates the file to [end_offset] and resumes its
-    writer from the rest ({!Phoebe_wal.Wal.resume}), so the file is
-    decoded once, by the replay, and new records follow the prefix
-    instead of a torn tail. *)
+(** Where one WAL file is kept to after a crash: its last transaction
+    boundary within the decodable prefix, the end of its last Commit,
+    Abort or Prepare record (a trailing prepared run is in doubt and
+    stays). [last_lsn] is that record's LSN ([-1] if there is none) and
+    [end_offset] the byte just past it. A restart truncates the file to
+    [end_offset] and resumes its writer after [last_lsn]
+    ({!Phoebe_wal.Wal.resume}), so the file is decoded once, by the
+    replay, and new records follow the last boundary: neither a torn
+    tail nor the data records of a transaction that never committed
+    stay in front of them, where the next commit would adopt them. *)
 
 type report = {
   files_read : int;
@@ -48,8 +52,9 @@ type report = {
   in_doubt : in_doubt list;  (** prepared-but-undecided branches, per slot *)
   tails : tail list;  (** one per file, in file order *)
   max_gsn : int;
-      (** the largest GSN of any decoded record in any file, frontier or
-          not ([0] if none): a restart resumes every writer past it *)
+      (** the largest GSN of any record a restart keeps (up to its file's
+          tail boundary), in any file, frontier or not ([0] if none): a
+          restart resumes every writer past it *)
 }
 
 val replay :

@@ -84,8 +84,9 @@ let create ?obs engine ~store ~n_slots cfg =
   in
   t
 
-(* Each file is cut back to its decodable prefix, so a torn tail cannot
-   strand the records appended after it. Every writer's GSN resumes past
+(* Each file is cut back to its last transaction boundary, so neither a
+   torn tail nor an uncommitted transaction's data records stay in front
+   of the records appended after it. Every writer's GSN resumes past
    the whole log's largest: replay orders records by GSN, and a writer
    whose own file is empty or behind would otherwise log a later commit
    below an earlier one. *)

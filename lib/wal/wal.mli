@@ -39,7 +39,7 @@ val create :
 
 val resume : t -> Recovery.report -> unit
 (** Restart path, after a replay of this log's own store: truncate each
-    file to its decodable prefix ([end_offset]) and continue the
+    file to its last transaction boundary ([end_offset]) and continue the
     writers' sequences after it. Each file's writer gets LSN
     [last_lsn + 1] next (a file at or past the slot count is only
     truncated), and every writer's GSN clock and durable GSN start at

@@ -307,31 +307,50 @@ let insert_acked db ~run ~commits ~from =
   run ();
   check_int "every commit acknowledged" commits !acked
 
+(* Run [check seed] on every crash point among seeds 1-40 whose first
+   restart met a torn WAL tail ([torn seed] crashes, restores and returns
+   the restored state, or [None] if no tail was torn), not just the
+   first one: which transactions a tear cuts short differs from seed to
+   seed. At least one crash point must be torn. *)
+let every_torn_crash_point ~torn ~check =
+  let points = ref 0 in
+  for seed = 1 to 40 do
+    match torn seed with
+    | Some restored ->
+      incr points;
+      check seed restored
+    | None -> ()
+  done;
+  check_bool "some crash point left a torn WAL tail" true (!points > 0)
+
 (* Two restarts in a row, the first over a torn tail: the first restart
    must cut the torn bytes, or the commits acknowledged after it are
    appended behind them, and the second restart's replay stops at the
-   tear and never reaches them. *)
+   tear and never reaches them. It must also cut the data records of the
+   transactions the crash left uncommitted, or the next commit in their
+   slot adopts them at the second replay. *)
 let test_second_restart_after_torn_tail () =
-  let rec attempt seed =
-    if seed > 40 then Alcotest.fail "no crash point left a torn WAL tail"
-    else begin
+  every_torn_crash_point
+    ~torn:(fun seed ->
       let db1, snapshot =
         kv_after_checkpoint ~inserts:30 ~rows:200 ~txns:40 ~ns:(Some (100_000 + (seed * 37_000))) ()
       in
       ignore (Db.crash ~tear:(Prng.create ~seed) db1);
       let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
-      if report.Phoebe_wal.Recovery.torn_tails = 0 then attempt (seed + 1) else (db2, snapshot)
-    end
-  in
-  let db2, snapshot = attempt 1 in
-  let survived = count_rows db2 in
-  insert_acked db2 ~run:(fun () -> Db.run db2) ~commits:200 ~from:100_000;
-  check_int "rows after the acknowledged commits" (survived + 200) (count_rows db2);
-  ignore (Db.crash db2);
-  let db3, report = Checkpoint.restore ~from:db2 ~snapshot cfg in
-  check_int "no torn tail left to stop the second replay" 0 report.Phoebe_wal.Recovery.torn_tails;
-  check_int "every acknowledged commit survives the second restart" (survived + 200) (count_rows db3);
-  check_writers_match_files db3
+      if report.Phoebe_wal.Recovery.torn_tails = 0 then None else Some (db2, snapshot))
+    ~check:(fun seed (db2, snapshot) ->
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      let survived = count_rows db2 in
+      insert_acked db2 ~run:(fun () -> Db.run db2) ~commits:200 ~from:100_000;
+      check_int (label "rows after the acknowledged commits") (survived + 200) (count_rows db2);
+      ignore (Db.crash db2);
+      let db3, report = Checkpoint.restore ~from:db2 ~snapshot cfg in
+      check_int (label "no torn tail left to stop the second replay") 0
+        report.Phoebe_wal.Recovery.torn_tails;
+      check_int
+        (label "every acknowledged commit survives the second restart, and nothing else")
+        (survived + 200) (count_rows db3);
+      check_writers_match_files db3)
 
 (* The same two restarts through a cluster's whole-cluster recovery,
    which replays each shard's own log from the start. *)
@@ -339,9 +358,8 @@ let test_cluster_second_restart_after_torn_tail () =
   let module Cluster = Phoebe_shard.Cluster in
   let ddl _ db = ignore (kv_ddl db) in
   let shard_rows cl = count_rows (Cluster.shard cl 0) in
-  let rec attempt seed =
-    if seed > 40 then Alcotest.fail "no crash point left a torn WAL tail"
-    else begin
+  every_torn_crash_point
+    ~torn:(fun seed ->
       let cl = Cluster.create (Phoebe_sim.Engine.create ()) ~shards:2 cfg in
       Array.iteri (fun k _ -> ddl k (Cluster.shard cl k)) [| (); () |];
       let db = Cluster.shard cl 0 in
@@ -355,19 +373,19 @@ let test_cluster_second_restart_after_torn_tail () =
       Cluster.run_for cl ~ns:(100_000 + (seed * 37_000));
       ignore (Cluster.crash ~tear:(Prng.create ~seed) cl);
       let cl', report = Cluster.recover cl ~ddl in
-      if report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails = 0 then attempt (seed + 1)
-      else cl'
-    end
-  in
-  let cl = attempt 1 in
-  let survived = shard_rows cl in
-  insert_acked (Cluster.shard cl 0) ~run:(fun () -> Cluster.run cl) ~commits:200 ~from:100_000;
-  check_int "rows after the acknowledged commits" (survived + 200) (shard_rows cl);
-  ignore (Cluster.crash cl);
-  let cl', report = Cluster.recover cl ~ddl in
-  check_int "no torn tail left to stop the second replay" 0
-    report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails;
-  check_int "every acknowledged commit survives the second recovery" (survived + 200) (shard_rows cl')
+      if report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails = 0 then None else Some cl')
+    ~check:(fun seed cl ->
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      let survived = shard_rows cl in
+      insert_acked (Cluster.shard cl 0) ~run:(fun () -> Cluster.run cl) ~commits:200 ~from:100_000;
+      check_int (label "rows after the acknowledged commits") (survived + 200) (shard_rows cl);
+      ignore (Cluster.crash cl);
+      let cl', report = Cluster.recover cl ~ddl in
+      check_int (label "no torn tail left to stop the second replay") 0
+        report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails;
+      check_int
+        (label "every acknowledged commit survives the second recovery, and nothing else")
+        (survived + 200) (shard_rows cl'))
 
 (* A pool over a surviving store must not hand out an id the restored
    tree's cold swips (its manifest leaves) or any stored image use. *)

@@ -662,6 +662,118 @@ let test_rollback_drops_new_key_entry () =
       | l -> Alcotest.failf "old key finds %d rows" (List.length l))
 
 (* ------------------------------------------------------------------ *)
+(* The write path locates its row once *)
+
+module Table_tree = Phoebe_btree.Table_tree
+module Bufmgr = Phoebe_storage.Bufmgr
+module Pax = Phoebe_storage.Pax
+module Cost = Phoebe_sim.Cost
+
+(* Table-tree probes one statement charges, run on a fresh row: its
+   Effective instructions on a database whose probe costs 1,000 more,
+   less those on one with the default cost. *)
+let table_probes stmt =
+  let effective extra =
+    let base = small_config.Config.cost in
+    let cost = { base with Cost.btree_search_per_level = base.Cost.btree_search_per_level + extra } in
+    let db, t = accounts_db ~cfg:{ small_config with Config.cost } () in
+    let rid = insert_account db t "probed" 10 in
+    let counters = Scheduler.counters (Db.scheduler db) in
+    let now () = Phoebe_sim.Counters.get counters Phoebe_sim.Component.Effective in
+    let spent = ref 0 in
+    Db.submit db (fun txn ->
+        let before = now () in
+        check_bool "the statement hit its row" true (stmt t txn ~rid);
+        spent := now () - before);
+    Db.run db;
+    !spent
+  in
+  (effective 1_000 - effective 0) / 1_000
+
+let test_uncontended_write_probes_once () =
+  check_int "update" 1 (table_probes (fun t txn ~rid -> set_col t txn ~rid "balance" (Value.Int 11)));
+  check_int "delete" 1 (table_probes (fun t txn ~rid -> Table.delete t txn ~rid))
+
+let frame_of t rid =
+  match Table_tree.locate ~touch:false (Table.tree t) ~row_id:rid with
+  | Table_tree.In_page (frame, slot) -> (frame, slot)
+  | _ -> Alcotest.fail "row not in a leaf"
+
+(* A writer parks on a tuple lock; while it waits, its leaf leaves the
+   pool and faults back in as a new frame. The write must re-locate and
+   land on the reloaded frame, where reads and a restore find it, not on
+   the evicted frame it first located. The lock's holder writes nothing:
+   a page with an uncommitted write stays resident. *)
+let test_write_after_leaf_reloaded () =
+  let db, t = accounts_db () in
+  let rid = insert_account db t "parked" 10 in
+  let snapshot = Checkpoint.take db in
+  let first, _ = frame_of t rid in
+  let sched = Db.scheduler db in
+  let release = Scheduler.Waitq.create () in
+  Scheduler.submit sched (fun () ->
+      Db.with_txn db (fun txn ->
+          let txns = Db.txnmgr db in
+          let twin = Txnmgr.twin_for_page txns ~page_id:(Bufmgr.page_id first) in
+          let entry = Phoebe_txn.Twin.find_or_add twin ~rid in
+          Txnmgr.lock_tuple txns txn entry;
+          Scheduler.Waitq.wait release;
+          Txnmgr.unlock_tuple txns txn entry));
+  Scheduler.submit sched (fun () ->
+      Scheduler.charge Phoebe_sim.Component.Effective 100_000;
+      Db.with_txn db (fun txn ->
+          let c = Table.col t "balance" in
+          ignore
+            (Table.update ~reads:[| c |] t txn ~rid (fun row ->
+                 match row.(c) with
+                 | Value.Int v -> [| (c, Value.Int (v + 1)) |]
+                 | _ -> Alcotest.fail "balance not an int"))));
+  Scheduler.submit sched (fun () ->
+      (* past the eviction recency guard, with the writer parked *)
+      Scheduler.charge Phoebe_sim.Component.Effective 2_000_000;
+      let buf = Db.buffer db in
+      Bufmgr.set_budget buf ~budget_bytes:1;
+      let rec evict passes =
+        if Bufmgr.is_resident first && passes > 0 then begin
+          for partition = 0 to Bufmgr.n_partitions buf - 1 do
+            Bufmgr.maintain buf ~partition
+          done;
+          Scheduler.charge Phoebe_sim.Component.Effective 100_000;
+          evict (passes - 1)
+        end
+      in
+      evict 100;
+      check_bool "the first frame left the pool" false (Bufmgr.is_resident first);
+      Bufmgr.set_budget buf ~budget_bytes:small_config.Config.buffer_bytes;
+      check_bool "the leaf faulted back in as a new frame" true (fst (frame_of t rid) != first);
+      Scheduler.Waitq.signal_all release);
+  Db.run db;
+  check_int "the write landed on the reloaded frame" 11 (balance_of db t rid);
+  ignore (Db.crash db);
+  let db2, _ = Checkpoint.restore ~from:db ~snapshot small_config in
+  check_int "the write survives a restore" 11 (balance_of db2 (Db.table db2 "accounts") rid)
+
+(* Rolling back an insert delete-marks its slot and removes its index
+   entries. Clearing the mark by hand then makes the row visible to
+   every snapshot, so only a missing entry keeps the index from finding
+   it. *)
+let test_rollback_insert_unindexes () =
+  let db, t = accounts_db () in
+  let rid = ref 0 in
+  (try
+     Db.with_txn db (fun txn ->
+         rid := Table.insert t txn [| Value.Str "ghost"; Value.Int 1 |];
+         failwith "user error")
+   with Failure _ -> ());
+  let frame, slot = frame_of t !rid in
+  check_bool "the slot is delete-marked" true (Pax.is_deleted (Bufmgr.payload frame) ~slot);
+  check_bool "the mark clears" true (Table_tree.undelete (Table.tree t) ~row_id:!rid);
+  Db.with_txn db (fun txn ->
+      check_bool "the row reads by rid" true (Table.get t txn ~rid:!rid <> None);
+      check_bool "no index entry" true
+        (index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "ghost" ] = []))
+
+(* ------------------------------------------------------------------ *)
 (* Freeze *)
 
 let test_freeze_and_read_back () =
@@ -936,6 +1048,14 @@ let () =
           Alcotest.test_case "deleted tuples purged" `Quick test_gc_removes_deleted_tuples_from_index;
           Alcotest.test_case "non-key update is free" `Quick test_gc_non_key_update_is_free;
           Alcotest.test_case "old key entry dropped" `Quick test_gc_drops_old_key_entry;
+        ] );
+      ( "write path",
+        [
+          Alcotest.test_case "uncontended write probes the tree once" `Quick
+            test_uncontended_write_probes_once;
+          Alcotest.test_case "write after its leaf reloaded" `Quick test_write_after_leaf_reloaded;
+          Alcotest.test_case "rolled-back insert leaves no index entry" `Quick
+            test_rollback_insert_unindexes;
         ] );
       ("freeze", [ Alcotest.test_case "freeze and read" `Quick test_freeze_and_read_back ]);
       ( "recovery",
