@@ -56,16 +56,17 @@ let freeze_max_access = 2
 let pax_codec : Pax.t Bufmgr.codec =
   { Bufmgr.encode = Pax.encode; decode = Pax.decode; size = Pax.size_bytes }
 
-(* The steal guard. Pages are updated in place and the WAL is redo-only,
-   so a dirty page flushed mid-transaction (cleaner, eviction,
-   checkpoint) would put uncommitted values on durable media that
-   recovery can never roll back. Before an image leaves for the store,
-   walk the page's twin table and apply the uncommitted prefix of every
-   version chain — the active transaction's before-images — to a copy,
-   reconstructing the committed view. The live page is never touched,
-   and pages with no uncommitted writers (the common case) are written
-   as-is, copy-free. Uncommitted entries are always a prefix of a chain:
-   the tuple lock admits one active writer per tuple at a time. *)
+(* The steal guard (Bufmgr's two parts). Pages are updated in place and
+   the WAL is redo-only, so a dirty page flushed mid-transaction
+   (cleaner, eviction, checkpoint) would put uncommitted values on
+   durable media that recovery can never roll back. Before an image
+   leaves for the store, the page's twin table is walked: a page whose
+   chain heads are all durably committed (the common case) is written
+   as-is, copy-free. Otherwise the uncommitted prefix of every version
+   chain — the active transactions' before-images — is applied to a
+   copy, reconstructing the committed view; the live page is never
+   touched. Uncommitted entries are always a prefix of a chain: the
+   tuple lock admits one active writer per tuple at a time. *)
 (* A twin entry is safe to persist only once its transaction is both
    commit-stamped and past its durability wait: between the [ets] stamp
    and [Wal.commit_durable] returning, a stolen flush would put
@@ -74,38 +75,48 @@ let pax_codec : Pax.t Bufmgr.codec =
 let durably_committed txns (u : Undo.t) =
   Undo.is_committed u && u.Undo.ets <= Txnmgr.durable_commit_ts txns ~slot:u.Undo.slot
 
-let sanitize_page txns ~page_id (p : Pax.t) =
-  match Txnmgr.twin_of_page txns ~page_id with
-  | None -> p
-  | Some twin ->
-    let needs = ref false in
+(* The one twin walk both parts share: does some row's chain head still
+   need undoing? Stops at the first such head and copies nothing. *)
+let twin_unsafe txns twin =
+  match
     Twin.iter twin (fun _rid entry ->
         match Twin.chain_head entry with
-        | Some u when not (durably_committed txns u) -> needs := true
-        | _ -> ());
-    if not !needs then p
-    else begin
-      let copy = Pax.copy p in
-      Twin.iter twin (fun rid entry ->
-          match Pax.find copy ~row_id:rid with
-          | -1 -> ()
-          | slot ->
-            let rec undo = function
-              | Some (u : Undo.t)
-                when (not u.Undo.reclaimed) && not (durably_committed txns u) ->
-                (match u.Undo.kind with
-                | Undo.Created -> Pax.mark_deleted copy ~slot
-                | Undo.Updated before ->
-                  Array.iter (fun (col, v) -> Pax.set_col copy ~slot ~col v) before
-                | Undo.Deleted before ->
-                  Array.iteri (fun col v -> Pax.set_col copy ~slot ~col v) before;
-                  Pax.unmark_deleted copy ~slot);
-                undo u.Undo.next
-              | _ -> ()
-            in
-            undo (Twin.chain_head entry));
-      copy
-    end
+        | Some u when not (durably_committed txns u) -> raise_notrace Exit
+        | _ -> ())
+  with
+  | () -> false
+  | exception Exit -> true
+
+let page_unsafe txns ~page_id (_ : Pax.t) =
+  match Txnmgr.twin_of_page txns ~page_id with
+  | None -> false
+  | Some twin -> twin_unsafe txns twin
+
+let strip_page txns ~page_id (p : Pax.t) =
+  match Txnmgr.twin_of_page txns ~page_id with
+  | Some twin when twin_unsafe txns twin ->
+    let copy = Pax.copy p in
+    Twin.iter twin (fun rid entry ->
+        match Pax.find copy ~row_id:rid with
+        | -1 -> ()
+        | slot ->
+          let rec undo = function
+            | Some (u : Undo.t) when (not u.Undo.reclaimed) && not (durably_committed txns u) ->
+              (match u.Undo.kind with
+              | Undo.Created -> Pax.mark_deleted copy ~slot
+              | Undo.Updated before ->
+                Array.iter (fun (col, v) -> Pax.set_col copy ~slot ~col v) before
+              | Undo.Deleted before ->
+                Array.iteri (fun col v -> Pax.set_col copy ~slot ~col v) before;
+                Pax.unmark_deleted copy ~slot);
+              undo u.Undo.next
+            | _ -> ()
+          in
+          undo (Twin.chain_head entry));
+    copy
+  | _ -> p
+
+let steal_guard txns = { Bufmgr.unsafe = page_unsafe txns; strip = strip_page txns }
 
 (* The sanitizer plane is a process-global singleton; the collector
    exports its per-rule finding counts and the replay digest through
@@ -185,7 +196,7 @@ let build ?old eng (cfg : Config.t) =
     Txnmgr.create ~obs ~clock ~wal:walmgr ~n_slots ~snapshot_mode:cfg.Config.snapshot_mode
       ?contention ()
   in
-  Bufmgr.set_write_sanitizer buf (fun ~page_id p -> sanitize_page txns ~page_id p);
+  Bufmgr.set_steal_guard buf (steal_guard txns);
   {
     cfg;
     eng;

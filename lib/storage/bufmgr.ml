@@ -11,6 +11,11 @@ type state = Hot | Cooling
 
 type 'p codec = { encode : 'p -> Bytes.t; decode : Bytes.t -> 'p; size : 'p -> int }
 
+type 'p steal_guard = { unsafe : page_id:int -> 'p -> bool; strip : page_id:int -> 'p -> 'p }
+
+(* every page is safe: a pool with no transactions over it *)
+let no_guard = { unsafe = (fun ~page_id:_ _ -> false); strip = (fun ~page_id:_ p -> p) }
+
 type 'p frame = {
   fpage_id : int;
   fpartition : int;
@@ -70,10 +75,10 @@ type 'p t = {
   mutable next_page_id : int;
   mutable cleaner_cfg : cleaner_config;
   mutable cleaner_sched : Scheduler.t option;
-  mutable sanitize : (page_id:int -> 'p -> 'p) option;
-      (** applied to every payload just before it is encoded for the
-          store: the steal guard strips uncommitted changes from the
-          written image (the live page is never touched) *)
+  mutable guard : 'p steal_guard;
+      (** asked of every payload just before it is encoded for the
+          store: an unsafe page is written as its stripped copy (the
+          live page is never touched) *)
   cl_batches : Obs.Counter.t;
   cl_pages : Obs.Counter.t;
   cl_requeued : Obs.Counter.t;
@@ -109,7 +114,7 @@ let create ?obs engine ~store ~partitions ~budget_bytes ~codec =
     next_page_id = Pagestore.max_page_id store;
     cleaner_cfg = { default_cleaner with cl_enabled = false };
     cleaner_sched = None;
-    sanitize = None;
+    guard = no_guard;
     cl_batches = counter "buf.cleaner.batches";
     cl_pages = counter "buf.cleaner.pages";
     cl_requeued = counter "buf.cleaner.requeued";
@@ -291,36 +296,32 @@ let drop t frame =
   frame.fpayload <- None;
   Pagestore.delete t.pstore ~page_id:frame.fpage_id
 
-(* True when the steal guard would have to strip entries from this
-   frame's image — the sanitizer returns a copy instead of the page
-   itself. Writing such an image is pure write amplification: the
-   stripped copy cannot make the frame clean (the frame holds the only
-   full image and must stay resident), so callers that have the option
-   should defer the write until the page is safe instead. *)
+(* True when the steal guard's test says this frame's image would have
+   to be stripped. Writing such an image is pure write amplification:
+   the stripped copy cannot make the frame clean (the frame holds the
+   only full image and must stay resident), so callers that have the
+   option defer the write until the page is safe instead. The test
+   copies nothing, so a declined page costs no image. *)
 let would_strip t f =
-  match (t.sanitize, f.fpayload) with
-  | Some sf, Some p -> sf ~page_id:f.fpage_id p != p
-  | _ -> false
+  match f.fpayload with Some p -> t.guard.unsafe ~page_id:f.fpage_id p | None -> false
 
 (* The one image capture: every image that leaves for the store goes
-   through here. The steal guard (when installed) rebuilds the
-   durably-committed view of the page before the codec sees it, and
-   signals "stripped" by returning a fresh copy ([!=] the page). A
-   stripped image is incomplete, so the frame must STAY DIRTY: clearing
-   the flag would let a clean-frame eviction drop the only full copy and
-   a later reload would resurrect the stripped (older) store image.
-   Every caller runs this in the same synchronous stretch as the device
-   submission that takes the image (the store copies it before the
-   caller can park), so a clean frame always has a current store image
-   and a re-dirty during the write keeps the frame dirty. *)
+   through here. A safe page is encoded as it stands; an unsafe one is
+   encoded from the guard's stripped copy, the durably-committed view.
+   A stripped image is incomplete, so the frame must STAY DIRTY:
+   clearing the flag would let a clean-frame eviction drop the only full
+   copy and a later reload would resurrect the stripped (older) store
+   image. Every caller runs this in the same synchronous stretch as the
+   device submission that takes the image (the store copies it before
+   the caller can park), so a clean frame always has a current store
+   image and a re-dirty during the write keeps the frame dirty. *)
 let capture t f =
   let p = payload f in
-  let image = match t.sanitize with None -> p | Some sf -> sf ~page_id:f.fpage_id p in
-  let stripped = image != p in
+  let stripped = t.guard.unsafe ~page_id:f.fpage_id p in
   f.fdirty <- stripped;
   if (not stripped) && Sanitize.on () then
     Sanitize.frame_clean ~scope:t.scope ~page_id:f.fpage_id ~frame:(Latch.uid f.flatch);
-  t.codec.encode image
+  t.codec.encode (if stripped then t.guard.strip ~page_id:f.fpage_id p else p)
 
 (* One vectored device submission of [frames]' captured images; the
    calling fiber suspends until every page is on media. *)
@@ -332,7 +333,8 @@ let submit_batch t frames =
   Stats.Scalar.add t.cl_batch_sizes (float_of_int n);
   Scheduler.io_wait (fun resume -> Pagestore.write_batch t.pstore pages ~on_complete:resume)
 
-let set_write_sanitizer t f = t.sanitize <- Some f
+let set_steal_guard t guard = t.guard <- guard
+let steal_guard t = t.guard
 
 let access_count f = f.faccess_count
 let last_access f = f.flast_access

@@ -96,19 +96,34 @@ val set_parent : 'p frame -> 'p swip -> unit
 val drop : 'p t -> 'p frame -> unit
 (** Remove a page entirely (freeze path); the swip holder must forget it. *)
 
-val set_write_sanitizer : 'p t -> (page_id:int -> 'p -> 'p) -> unit
-(** Install the steal guard: a function applied to every payload just
-    before it is encoded for the store (single write-back, cleaner
-    batches, eviction fallback and flush-all alike). With in-place page
-    updates and redo-only WAL, a stolen (dirty, flushed mid-transaction)
-    page would put uncommitted data on durable media that recovery can
-    never roll back; the sanitizer reconstructs the durably-committed
-    image (from the in-memory undo chains) on a copy, leaving the live
-    page untouched. Contract: return the input payload itself
-    (physically [==]) when nothing needed stripping, a fresh copy
-    otherwise — a stripped flush leaves the frame dirty so the full
-    image is flushed again later rather than silently lost to a
+(** {1 The steal guard}
+
+    Pages are updated in place and the WAL is redo-only, so a stolen
+    page (dirty, flushed mid-transaction) would put uncommitted data on
+    durable media that recovery can never roll back. The guard is asked
+    before every image leaves for the store (single write-back, cleaner
+    batches, eviction fallback and flush-all alike). It has two parts:
+
+    - [unsafe] is the test: does the page hold an entry that is not yet
+      durably committed? It copies nothing, so a page the cleaner or
+      eviction declines to write costs no image.
+    - [strip] rebuilds the durably-committed image of an unsafe page on
+      a fresh copy, leaving the live page untouched; on a safe page it
+      returns the page itself (physically [==]).
+
+    The pool strips only when [unsafe] holds, so a safe page is encoded
+    copy-free. A stripped write-back leaves the frame dirty, so the
+    full image is flushed again later rather than silently lost to a
     clean-frame eviction. *)
+
+type 'p steal_guard = { unsafe : page_id:int -> 'p -> bool; strip : page_id:int -> 'p -> 'p }
+
+val set_steal_guard : 'p t -> 'p steal_guard -> unit
+(** Install the guard. A pool starts with one that finds every page
+    safe. *)
+
+val steal_guard : 'p t -> 'p steal_guard
+(** The installed guard. *)
 
 (** {1 Temperature metadata (read by the freeze engine)} *)
 

@@ -208,12 +208,61 @@ let size_bytes t =
   in
   (t.pcapacity * per_row) + t.str_bytes + 64
 
-(* [encode] runs on the cleaner/eviction path for every dirtied page;
-   the body buffer is module-level scratch so repeated encodes do not
+(* The page image. A header (capacity, count, page GSN, schema), then
+   each slot's row id and delete mark, then the cells column-major,
+   preserving the PAX layout on disk. Each cell is one [Value.encode]
+   image: a tag byte ([\x00] null, [\x01] int, [\x02] float, [\x03]
+   string, [\x04] bool), then the payload: a zigzag varint, eight
+   little-endian bytes, a length-prefixed string or one byte.
+
+   The codec runs once per written or faulted page, so it works column
+   by column: each column's store is matched once, and every cell goes
+   between its typed array and the bytes with no boxed [Value.t] in
+   between. *)
+
+(* One column's cells. A float is written as its bits straight from the
+   float array, so it is never boxed. *)
+let encode_column buf nulls store n =
+  match store with
+  | Ints a ->
+    for slot = 0 to n - 1 do
+      if bitmap_get nulls slot then Buffer.add_char buf '\x00'
+      else begin
+        Buffer.add_char buf '\x01';
+        Varint.write_int buf a.(slot)
+      end
+    done
+  | Floats a ->
+    for slot = 0 to n - 1 do
+      if bitmap_get nulls slot then Buffer.add_char buf '\x00'
+      else begin
+        Buffer.add_char buf '\x02';
+        Buffer.add_int64_le buf (Int64.bits_of_float a.(slot))
+      end
+    done
+  | Strs a ->
+    for slot = 0 to n - 1 do
+      if bitmap_get nulls slot then Buffer.add_char buf '\x00'
+      else begin
+        Buffer.add_char buf '\x03';
+        Varint.write_string buf a.(slot)
+      end
+    done
+  | Bools bm ->
+    for slot = 0 to n - 1 do
+      if bitmap_get nulls slot then Buffer.add_char buf '\x00'
+      else begin
+        Buffer.add_char buf '\x04';
+        Buffer.add_char buf (if bitmap_get bm slot then '\x01' else '\x00')
+      end
+    done
+
+(* The body buffer is module-level scratch so repeated encodes do not
    rebuild it. Single-domain kernel: no concurrent encode can interleave
    (fibers cannot suspend inside encode). *)
 let encode_scratch = Buffer.create 4096
 
+(* lint: hot-path *)
 let encode t =
   let buf = encode_scratch in
   Buffer.clear buf;
@@ -225,35 +274,91 @@ let encode t =
     Varint.write_uint buf t.row_ids.(slot);
     Buffer.add_char buf (if bitmap_get t.deleted slot then '\x01' else '\x00')
   done;
-  (* column-major payload, preserving the PAX layout on disk *)
-  for col = 0 to Value.Schema.arity t.pschema - 1 do
-    for slot = 0 to t.n - 1 do
-      Value.encode buf (store_get t ~slot ~col)
-    done
+  for col = 0 to Array.length t.cols - 1 do
+    encode_column buf t.nulls.(col) t.cols.(col) t.n
   done;
-  Crc32.seal buf
+  Crc32.seal buf (* lint: allow hot-path-alloc — the sealed page image the store keeps *)
+
+(* The decode side reads through one cursor per page, so no cell builds
+   a [(value, offset)] pair. *)
+type cursor = { src : Bytes.t; mutable pos : int }
+
+let overrun () = failwith "Pax.decode: overrun"
+
+let next_byte c =
+  if c.pos >= Bytes.length c.src then overrun ();
+  let v = Char.code (Bytes.unsafe_get c.src c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+let rec uint_loop c acc shift =
+  let b = next_byte c in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else uint_loop c acc (shift + 7)
+
+let next_uint c = uint_loop c 0 0
+
+(* The tag before one cell: [false] for a null (its bit is set here),
+   [true] when a payload of the column's own [tag] follows. A cell of
+   another type is rejected as [store_set] rejects it. *)
+let cell_present c nulls slot ~tag =
+  let got = next_byte c in
+  if got = tag then true
+  else if got = 0 then begin
+    bitmap_set nulls slot true;
+    false
+  end
+  else if got <= 4 then invalid_arg "Pax: value does not match column type"
+  else Fmt.failwith "Pax.decode: bad tag %C" (Char.chr got)
+
+let decode_column c t col =
+  let nulls = t.nulls.(col) in
+  match t.cols.(col) with
+  | Ints a ->
+    for slot = 0 to t.n - 1 do
+      if cell_present c nulls slot ~tag:1 then begin
+        let v = next_uint c in
+        a.(slot) <- (v lsr 1) lxor -(v land 1) (* zigzag *)
+      end
+    done
+  | Floats a ->
+    for slot = 0 to t.n - 1 do
+      if cell_present c nulls slot ~tag:2 then begin
+        if c.pos + 8 > Bytes.length c.src then overrun ();
+        a.(slot) <- Int64.float_of_bits (Bytes.get_int64_le c.src c.pos);
+        c.pos <- c.pos + 8
+      end
+    done
+  | Strs a ->
+    for slot = 0 to t.n - 1 do
+      if cell_present c nulls slot ~tag:3 then begin
+        let len = next_uint c in
+        if c.pos + len > Bytes.length c.src then overrun ();
+        a.(slot) <- Bytes.sub_string c.src c.pos len;
+        c.pos <- c.pos + len;
+        t.str_bytes <- t.str_bytes + len
+      end
+    done
+  | Bools bm ->
+    for slot = 0 to t.n - 1 do
+      if cell_present c nulls slot ~tag:4 then bitmap_set bm slot (next_byte c = 1)
+    done
 
 let decode b =
-  let capacity, off = Varint.read_uint b (Crc32.unseal b) in
-  let n, off = Varint.read_uint b off in
-  let gsn, off = Varint.read_uint b off in
-  let schema, off = Value.Schema.read b off in
-  let ncols = Value.Schema.arity schema in
-  let off = ref off in
+  let c = { src = b; pos = Crc32.unseal b } in
+  let capacity = next_uint c in
+  let n = next_uint c in
+  let gsn = next_uint c in
+  let schema, off = Value.Schema.read b c.pos in
+  c.pos <- off;
   let t = create schema ~capacity in
   for slot = 0 to n - 1 do
-    let rid, o = Varint.read_uint b !off in
-    t.row_ids.(slot) <- rid;
-    if Bytes.get b o = '\x01' then bitmap_set t.deleted slot true;
-    off := o + 1
+    t.row_ids.(slot) <- next_uint c;
+    if next_byte c = 1 then bitmap_set t.deleted slot true
   done;
   t.n <- n;
   t.gsn <- gsn;
-  for col = 0 to ncols - 1 do
-    for slot = 0 to n - 1 do
-      let v, o = Value.decode b !off in
-      store_set t ~slot ~col v;
-      off := o
-    done
+  for col = 0 to Array.length t.cols - 1 do
+    decode_column c t col
   done;
   t

@@ -90,7 +90,10 @@ val size_bytes : t -> int
 
 val encode : t -> Bytes.t
 (** Serialise into a {!Phoebe_util.Crc32.seal}ed image; the schema goes
-    through {!Value.Schema.write}. *)
+    through {!Value.Schema.write}. Each cell is written as
+    {!Value.encode} would write it, straight from its column, so only
+    the sealing allocates. *)
 
 val decode : Bytes.t -> t
-(** @raise Failure on checksum mismatch or malformed input. *)
+(** @raise Failure on checksum mismatch or malformed input.
+    @raise Invalid_argument on a cell tagged with another column type. *)

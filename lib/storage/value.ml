@@ -144,14 +144,15 @@ module Schema = struct
 
   let check_row t row = Array.length row = Array.length t.cols && cells_match row t.cols 0
 
+  (* a loop, not [Array.iter]: every page image writes its schema *)
   let write buf t =
     Varint.write_uint buf (Array.length t.cols);
-    Array.iter
-      (fun c ->
-        Varint.write_string buf c.name;
-        Buffer.add_char buf
-          (match c.ctype with T_int -> 'i' | T_float -> 'f' | T_str -> 's' | T_bool -> 'b'))
-      t.cols
+    for i = 0 to Array.length t.cols - 1 do
+      let c = t.cols.(i) in
+      Varint.write_string buf c.name;
+      Buffer.add_char buf
+        (match c.ctype with T_int -> 'i' | T_float -> 'f' | T_str -> 's' | T_bool -> 'b')
+    done
 
   let read b off =
     let n, off = Varint.read_uint b off in

@@ -62,7 +62,7 @@ type t = {
   slot_last_reclaimed_xid : int array;
   slot_durable_cts : int array;
       (** highest commit timestamp per slot whose commit record is known
-          durable — the write-back sanitizer's watermark *)
+          durable — the steal guard's watermark *)
   twins : (int, Twin.t) Hashtbl.t;
   mutable undo_limbo : (int * Undo.t) list;
       (** unreachable undo batches awaiting freelist release, newest
@@ -215,7 +215,7 @@ let finish t txn final_state =
    durability rule as a commit record) and park the transaction in
    [Prepared]. Everything else is deliberately left alone — the undo
    chain stays stamped with the xid (the after-images remain invisible
-   to readers and the write-back sanitizer still treats them as
+   to readers and the write-back steal guard still treats them as
    uncommitted), locks stay held, and the txn stays in the active table
    so deadlock walks and snapshot watermarks keep seeing it. The
    decision arrives later as a plain {!commit} or {!abort}. *)

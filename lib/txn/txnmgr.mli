@@ -161,8 +161,8 @@ val durable_commit_ts : t -> slot:int -> int
 (** Highest commit timestamp in [slot] whose commit record has passed
     its durability wait. A commit-stamped undo entry with
     [ets > durable_commit_ts ~slot] belongs to a transaction whose
-    commit record may still be volatile: the write-back sanitizer must
-    treat it as uncommitted, or a stolen flush could persist changes the
+    commit record may still be volatile: the write-back steal guard
+    must treat it as uncommitted, or a stolen flush could persist changes the
     crashed WAL cannot justify. *)
 
 val lock_tuple : t -> txn -> Twin.entry -> unit

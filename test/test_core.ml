@@ -774,6 +774,122 @@ let test_rollback_insert_unindexes () =
         (index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "ghost" ] = []))
 
 (* ------------------------------------------------------------------ *)
+(* The steal guard *)
+
+(* The guard's two parts on [rid]'s page: the test [unsafe], and the
+   [strip] that copies exactly when the test holds. Returns the strip's
+   result. *)
+let guard_agrees db t rid ~label ~unsafe =
+  let frame, _ = frame_of t rid in
+  let guard = Bufmgr.steal_guard (Db.buffer db) in
+  let page_id = Bufmgr.page_id frame and p = Bufmgr.payload frame in
+  check_bool (label ^ ": unsafe") unsafe (guard.Bufmgr.unsafe ~page_id p);
+  let image = guard.Bufmgr.strip ~page_id p in
+  check_bool (label ^ ": strip copies exactly when unsafe") unsafe (image != p);
+  image
+
+let value_eq : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
+
+let cell image t rid col =
+  match Pax.find image ~row_id:rid with
+  | -1 -> Alcotest.fail "row not on the page"
+  | slot -> (Pax.is_deleted image ~slot, Pax.get_col image ~slot ~col:(Table.col t col))
+
+(* Every shape a page's twin can take: none, a durable head, a head
+   committed but still in its durability wait, and uncommitted Created,
+   Updated and Deleted heads. A stripped image shows the durably
+   committed row; the live page keeps the writer's. *)
+let test_steal_guard_parts_agree () =
+  let db0, t0 = accounts_db () in
+  let rid = insert_account db0 t0 "alice" 10 in
+  let snapshot = Checkpoint.take db0 in
+  ignore (Db.crash db0);
+  (* a restored page faults in with no twin *)
+  let db, _ = Checkpoint.restore ~from:db0 ~snapshot small_config in
+  let t = Db.table db "accounts" in
+  let page_id = Bufmgr.page_id (fst (frame_of t rid)) in
+  check_bool "no twin" true (Txnmgr.twin_of_page (Db.txnmgr db) ~page_id = None);
+  ignore (guard_agrees db t rid ~label:"no twin" ~unsafe:false);
+  let txn = Db.begin_txn db in
+  let fresh = Table.insert t txn [| Value.Str "bob"; Value.Int 5 |] in
+  let image = guard_agrees db t rid ~label:"uncommitted Created" ~unsafe:true in
+  check_bool "the stripped insert is delete-marked" true (fst (cell image t fresh "owner"));
+  Db.abort_txn db txn;
+  let txn = Db.begin_txn db in
+  ignore (set_col t txn ~rid "balance" (Value.Int 99));
+  let image = guard_agrees db t rid ~label:"uncommitted Updated" ~unsafe:true in
+  Alcotest.check value_eq "the stripped update shows the before-image" (Value.Int 10)
+    (snd (cell image t rid "balance"));
+  Alcotest.check value_eq "the live page keeps the update" (Value.Int 99)
+    (snd (cell (Bufmgr.payload (fst (frame_of t rid))) t rid "balance"));
+  Db.abort_txn db txn;
+  let txn = Db.begin_txn db in
+  check_bool "deleted" true (Table.delete t txn ~rid);
+  let image = guard_agrees db t rid ~label:"uncommitted Deleted" ~unsafe:true in
+  check_bool "the stripped delete is unmarked" false (fst (cell image t rid "owner"));
+  Db.abort_txn db txn;
+  Db.checkpoint db;
+  ignore (guard_agrees db t rid ~label:"durable head" ~unsafe:false);
+  (* A commit is stamped before its WAL flush is durable: a fiber polls
+     the row's head while another commits, and tests the guard in that
+     window. *)
+  let sched = Db.scheduler db and txns = Db.txnmgr db in
+  let in_window = ref false in
+  Scheduler.submit sched (fun () ->
+      Db.with_txn db (fun txn -> ignore (set_col t txn ~rid "balance" (Value.Int 12))));
+  Scheduler.submit sched (fun () ->
+      let rec poll fuel =
+        match Txnmgr.chain_head txns ~page_id ~rid with
+        | Some u
+          when Phoebe_txn.Undo.is_committed u
+               && u.Phoebe_txn.Undo.ets > Txnmgr.durable_commit_ts txns ~slot:u.Phoebe_txn.Undo.slot
+          ->
+          in_window := true;
+          let image = guard_agrees db t rid ~label:"committed, not yet durable" ~unsafe:true in
+          Alcotest.check value_eq "the stripped image predates the commit" (Value.Int 10)
+            (snd (cell image t rid "balance"))
+        | _ when fuel > 0 ->
+          Scheduler.charge Phoebe_sim.Component.Effective 100;
+          poll (fuel - 1)
+        | _ -> ()
+      in
+      poll 100_000);
+  Db.run db;
+  check_bool "the poller saw the commit before it was durable" true !in_window;
+  ignore (guard_agrees db t rid ~label:"after the durability wait" ~unsafe:false)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The manifest walk under a checkpoint writes every dirty leaf back. A
+   leaf holding an uncommitted update goes to the store as its
+   before-image and stays dirty, so its full image is written again
+   later. Deciding that the page is unsafe copies nothing. *)
+let test_stolen_write_back_strips () =
+  let db, t = accounts_db () in
+  let rid = insert_account db t "carol" 10 in
+  Db.checkpoint db;
+  let txn = Db.begin_txn db in
+  ignore (set_col t txn ~rid "balance" (Value.Int 77));
+  let frame, _ = frame_of t rid in
+  let page_id = Bufmgr.page_id frame and p = Bufmgr.payload frame in
+  ignore (Table_tree.manifest (Table.tree t));
+  let stored = Phoebe_io.Pagestore.read (Bufmgr.store (Db.buffer db)) ~page_id in
+  Alcotest.check value_eq "the store holds the before-image" (Value.Int 10)
+    (snd (cell (Pax.decode stored) t rid "balance"));
+  check_bool "the frame stays dirty" true (Bufmgr.is_dirty frame);
+  let guard = Bufmgr.steal_guard (Db.buffer db) in
+  let test () = ignore (guard.Bufmgr.unsafe ~page_id p) in
+  let copy () = ignore (Pax.copy p) in
+  test ();
+  let test_words = minor_words_of test and copy_words = minor_words_of copy in
+  if test_words >= copy_words then
+    Alcotest.failf "unsafe allocated %.0f words, a page copy %.0f" test_words copy_words;
+  Db.abort_txn db txn
+
+(* ------------------------------------------------------------------ *)
 (* Freeze *)
 
 let test_freeze_and_read_back () =
@@ -1056,6 +1172,13 @@ let () =
           Alcotest.test_case "write after its leaf reloaded" `Quick test_write_after_leaf_reloaded;
           Alcotest.test_case "rolled-back insert leaves no index entry" `Quick
             test_rollback_insert_unindexes;
+        ] );
+      ( "steal guard",
+        [
+          Alcotest.test_case "unsafe holds exactly when strip copies" `Quick
+            test_steal_guard_parts_agree;
+          Alcotest.test_case "stolen write-back strips and stays dirty" `Quick
+            test_stolen_write_back_strips;
         ] );
       ("freeze", [ Alcotest.test_case "freeze and read" `Quick test_freeze_and_read_back ]);
       ( "recovery",

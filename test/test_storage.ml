@@ -207,6 +207,110 @@ let prop_pax_roundtrip =
           Pax.get q ~slot:i = Pax.get p ~slot:i && Pax.row_id_at q ~slot:i = i + 1)
         (List.init (List.length rows) Fun.id))
 
+(* The PAX image format's definition: header, row ids and delete marks,
+   then every cell column-major as [Value.encode] of the boxed cell.
+   The encoder writes each column straight from its typed store and
+   must reproduce this byte for byte. *)
+let reference_pax_image p =
+  let module Varint = Phoebe_util.Varint in
+  let buf = Buffer.create 256 in
+  Varint.write_uint buf (Pax.capacity p);
+  Varint.write_uint buf (Pax.count p);
+  Varint.write_uint buf (Pax.gsn p);
+  Value.Schema.write buf (Pax.schema p);
+  for slot = 0 to Pax.count p - 1 do
+    Varint.write_uint buf (Pax.row_id_at p ~slot);
+    Buffer.add_char buf (if Pax.is_deleted p ~slot then '\x01' else '\x00')
+  done;
+  for col = 0 to Value.Schema.arity (Pax.schema p) - 1 do
+    for slot = 0 to Pax.count p - 1 do
+      Value.encode buf (Pax.get p ~slot).(col)
+    done
+  done;
+  Crc32.seal buf
+
+(* Cells at the format's edges: extreme and negative ints, nan, -0.0
+   and infinities, empty strings and strings long enough for a two-byte
+   length varint. *)
+let gen_cell ty =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return Value.Null);
+      ( 4,
+        match ty with
+        | Value.T_int ->
+          map (fun v -> Value.Int v) (oneof [ oneofl [ min_int; max_int; -1; 0; 63; 64 ]; int ])
+        | Value.T_float ->
+          map
+            (fun f -> Value.Float f)
+            (oneof [ oneofl [ Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity ]; float ])
+        | Value.T_str ->
+          map
+            (fun s -> Value.Str s)
+            (oneof [ return ""; string_size (int_range 1 8); string_size (int_range 128 300) ])
+        | Value.T_bool -> map (fun b -> Value.Bool b) bool );
+    ]
+
+(* A random page: one to five columns of any type, up to 24 rows with
+   gapped row ids, random delete marks, spare capacity and a GSN up to
+   three varint bytes. *)
+let gen_pax_page =
+  let open QCheck.Gen in
+  list_size (int_range 1 5) (oneofl Value.[ T_int; T_float; T_str; T_bool ]) >>= fun types ->
+  let row = flatten_l (List.map gen_cell types) in
+  list_size (int_range 0 24) (triple row (int_range 1 5) bool) >>= fun rows ->
+  pair (int_range 0 8) (int_range 0 2_000_000) >|= fun (spare, gsn) ->
+  let schema = Value.Schema.make (List.mapi (fun i ty -> (Printf.sprintf "c%d" i, ty)) types) in
+  let p = Pax.create schema ~capacity:(max 1 (List.length rows + spare)) in
+  ignore
+    (List.fold_left
+       (fun rid (cells, gap, deleted) ->
+         let rid = rid + gap in
+         let slot = Pax.append p ~row_id:rid (Array.of_list cells) in
+         if deleted then Pax.mark_deleted p ~slot;
+         rid)
+       0 rows);
+  Pax.set_gsn p gsn;
+  p
+
+let print_pax_page p =
+  String.concat "\n"
+    (List.init (Pax.count p) (fun slot ->
+         Printf.sprintf "%d%s: %s" (Pax.row_id_at p ~slot)
+           (if Pax.is_deleted p ~slot then " (deleted)" else "")
+           (String.concat ", " (Array.to_list (Array.map Value.to_string (Pax.get p ~slot))))))
+
+let prop_pax_codec_byte_identity =
+  QCheck.Test.make ~name:"pax codec: byte-identical to the reference, decode round-trips"
+    ~count:300 (QCheck.make ~print:print_pax_page gen_pax_page) (fun p ->
+      let image = Pax.encode p in
+      let q = Pax.decode image in
+      Bytes.equal image (reference_pax_image p)
+      && Bytes.equal (Pax.encode q) image
+      && Pax.size_bytes q = Pax.size_bytes p
+      && List.for_all
+           (fun slot ->
+             Pax.row_id_at q ~slot = Pax.row_id_at p ~slot
+             && Pax.is_deleted q ~slot = Pax.is_deleted p ~slot
+             && Array.for_all2 Value.equal (Pax.get q ~slot) (Pax.get p ~slot))
+           (List.init (Pax.count p) Fun.id))
+
+(* A well-sealed image whose one cell carries another column type's tag
+   is rejected, as [set_col] rejects the value. *)
+let test_pax_decode_rejects_mistyped_cell () =
+  let module Varint = Phoebe_util.Varint in
+  let buf = Buffer.create 64 in
+  List.iter (Varint.write_uint buf) [ 1; 1; 0 ];
+  Value.Schema.write buf (Value.Schema.make [ ("k", Value.T_int) ]);
+  Varint.write_uint buf 7;
+  Buffer.add_char buf '\x00';
+  Value.encode buf (Value.Str "x");
+  check_bool "mistyped cell rejected" true
+    (match Pax.decode (Crc32.seal buf) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Frozen *)
 
@@ -1000,7 +1104,8 @@ let () =
         :: Alcotest.test_case "nulls" `Quick test_pax_null_handling
         :: Alcotest.test_case "codec roundtrip" `Quick test_pax_codec_roundtrip
         :: Alcotest.test_case "corruption detected" `Quick test_pax_codec_detects_corruption
-        :: qsuite [ prop_pax_roundtrip ] );
+        :: Alcotest.test_case "mistyped cell rejected" `Quick test_pax_decode_rejects_mistyped_cell
+        :: qsuite [ prop_pax_roundtrip; prop_pax_codec_byte_identity ] );
       ( "frozen",
         Alcotest.test_case "basics" `Quick test_frozen_basics
         :: Alcotest.test_case "skips deleted" `Quick test_frozen_skips_deleted_on_freeze
