@@ -193,9 +193,6 @@ let rec block_index (blocks : Frozen.t array) rid lo hi =
     else if rid > Frozen.last_row_id b then block_index blocks rid (mid + 1) hi
     else mid
 
-let find_block t rid =
-  match block_index t.blocks rid 0 (Array.length t.blocks - 1) with -1 -> None | i -> Some t.blocks.(i)
-
 (* The slot of [row_id] in a resident leaf frame, as a location. *)
 let in_frame frame ~row_id =
   match Pax.find (Bufmgr.payload frame) ~row_id with
@@ -385,23 +382,21 @@ let iter_slots_from ~touch t ~from_rid ~stop f =
 
 let iter_slots t ~to_rid f = iter_slots_from ~touch:false t ~from_rid:1 ~stop:to_rid f
 
-let scan ?(touch = false) ?(include_deleted = false) t ?(from_rid = 1) ?to_rid f =
+let scan ?(touch = false) t ?(from_rid = 1) ?to_rid f =
   let stop = match to_rid with Some r -> r | None -> t.next_rid - 1 in
-  let emit rid row = if rid >= from_rid && rid <= stop then f rid row in
   (* frozen tier *)
   Array.iter
     (fun b ->
       if Frozen.last_row_id b >= from_rid && Frozen.first_row_id b <= stop then
-        if include_deleted then Frozen.iter_all b (fun rid ~deleted:_ row -> emit rid row)
-        else Frozen.iter_live b (fun rid row -> emit rid row))
+        Frozen.iter_live b (fun rid row -> if rid >= from_rid && rid <= stop then f rid row))
     t.blocks;
   (* page tier *)
   iter_slots_from ~touch t ~from_rid ~stop (fun frame ~slot ~rid ->
       let page = Bufmgr.payload frame in
-      if include_deleted || not (Pax.is_deleted page ~slot) then f rid (Pax.get page ~slot))
+      if not (Pax.is_deleted page ~slot) then f rid (Pax.get page ~slot))
 
 (* ------------------------------------------------------------------ *)
-(* Freeze / warm (temperature exchange, §5.2) *)
+(* Freeze (temperature exchange, §5.2) *)
 
 (* Remove the leftmost leaf from the inner structure. *)
 let remove_leftmost t =
@@ -517,19 +512,6 @@ let decay_access_counts t =
       done
   in
   go t.root
-
-let warm_row t ~row_id =
-  if row_id > t.max_frozen then None
-  else
-    match find_block t row_id with
-    | None -> None
-    | Some b -> (
-      match frozen_live_row t b ~row_id with
-      | None -> None
-      | Some row ->
-        ignore (Frozen.mark_deleted b ~row_id);
-        t.live_tuples <- t.live_tuples - 1;
-        Some (append t row))
 
 let iter_blocks t f = Array.iter f t.blocks
 

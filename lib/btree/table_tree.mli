@@ -104,15 +104,14 @@ val append_exact : t -> row_id:int -> Phoebe_storage.Value.t array -> unit
     rolled-back transactions leave gaps in the WAL). [row_id] must be
     at least [next_row_id]. *)
 
-val scan : ?touch:bool -> ?include_deleted:bool -> t -> ?from_rid:int -> ?to_rid:int ->
+val scan : ?touch:bool -> t -> ?from_rid:int -> ?to_rid:int ->
   (int -> Phoebe_storage.Value.t array -> unit) -> unit
-(** Iterate tuples with row ids in [from_rid, to_rid] (default: every
-    row appended when the scan starts), in row-id order across frozen
-    and page tiers; the page tier is {!iter_leaf_pages}'s pinned leaf
-    walk. [touch] defaults to [false]: scans must not warm data (§5.2).
-    [include_deleted] (default false) also visits delete-marked tuples —
-    MVCC scans need them, since a marked tuple may still be visible to
-    older snapshots. *)
+(** Iterate the live (not delete-marked) tuples with row ids in
+    [from_rid, to_rid] (default: every row appended when the scan
+    starts), in row-id order across frozen and page tiers; the page tier
+    is {!iter_leaf_pages}'s pinned leaf walk. [touch] defaults to
+    [false]: scans must not warm data (§5.2). MVCC scans, which must see
+    delete-marked tuples too, use {!iter_slots}. *)
 
 val iter_slots :
   t ->
@@ -146,11 +145,6 @@ val decay_access_counts : t -> unit
 (** Halve every resident leaf's OLTP access counter — the "access
     frequency over time" decay the freeze policy reads. Run
     periodically by housekeeping. *)
-
-val warm_row : t -> row_id:int -> int option
-(** Move a frozen row back to hot storage: mark it deleted in its block
-    and re-insert the tuple with a fresh row id (paper §5.2 case 3).
-    Returns the new row id; the caller must update secondary indexes. *)
 
 val frozen_block_count : t -> int
 val leaf_count : t -> int

@@ -83,6 +83,48 @@ let key_of_row t index (row : Value.t array) =
   (* lint: allow hot-path-alloc — the key string, one per index entry touched *)
   Buffer.contents buf
 
+(* All keys of a row: add or drop [row]'s entry in each index of the
+   list. A module-level loop rather than a closure, as [key_delta]. *)
+let rec row_keys t ~add ~rid row = function
+  | [] -> ()
+  | ix :: rest ->
+    let key = key_of_row t ix row in
+    if add then Index_tree.insert ix.ix ~key ~rid else ignore (Index_tree.delete ix.ix ~key ~rid);
+    row_keys t ~add ~rid row rest
+
+(* Whether writing the columns of [cols] (an update's column list or an
+   undo before-image) can change [ix]'s key. An update, its rollback and
+   its GC touch index entries only for such indexes; most OLTP updates
+   write no key column and skip index maintenance entirely. *)
+let rec col_written (cols : (int * Value.t) array) kc i =
+  i < Array.length cols && (Int.equal (fst cols.(i)) kc || col_written cols kc (i + 1))
+
+let rec key_col_written key_cols cols j =
+  j < Array.length key_cols
+  && (col_written cols key_cols.(j) 0 || key_col_written key_cols cols (j + 1))
+
+let writes_key ix cols = key_col_written ix.key_cols cols 0
+
+let rec writes_any_key cols = function
+  | [] -> false
+  | ix :: rest -> writes_key ix cols || writes_any_key cols rest
+
+(* The key delta between two versions of a row: over the indexes whose
+   key columns [cols] wrote, where the key of [from_row] differs from
+   that of [to_row], drop the [from_row] entry ([drop]) and add the
+   [to_row] entry ([add]). *)
+let rec key_delta t ~drop ~add ~rid cols from_row to_row = function
+  | [] -> ()
+  | ix :: rest ->
+    if writes_key ix cols then begin
+      let from_key = key_of_row t ix from_row and to_key = key_of_row t ix to_row in
+      if not (String.equal from_key to_key) then begin
+        if drop then ignore (Index_tree.delete ix.ix ~key:from_key ~rid);
+        if add then Index_tree.insert ix.ix ~key:to_key ~rid
+      end
+    end;
+    key_delta t ~drop ~add ~rid cols from_row to_row rest
+
 let add_index t ~name ~cols ~unique =
   if List.exists (fun ix -> ix.ix_name = name) t.indexes then
     invalid_arg ("Table.add_index: duplicate index " ^ name);
@@ -92,8 +134,8 @@ let add_index t ~name ~cols ~unique =
      (e.g. a frozen row superseded by its hot re-insert). Uniqueness is
      enforced at this layer against the *live* row set. *)
   let index = { ix_name = name; ix = Index_tree.create ~name ~unique:false (); key_cols; ix_unique = unique } in
-  Table_tree.scan ~touch:false t.ttree (fun rid row ->
-      Index_tree.insert index.ix ~key:(key_of_row t index row) ~rid);
+  let only = [ index ] in
+  Table_tree.scan ~touch:false t.ttree (fun rid row -> row_keys t ~add:true ~rid row only);
   t.indexes <- index :: t.indexes
 
 let index_names t = List.map (fun ix -> ix.ix_name) t.indexes
@@ -389,8 +431,10 @@ let check_unique t (txn : txn) ix ~key ~inserting_rid =
 (* ------------------------------------------------------------------ *)
 (* Insert *)
 
-(* Every index's entry for a new row; a module-level loop rather than a
-   closure. The key string is what the index tree stores. *)
+(* A new row's keys: [row_keys]' add, with a unique index's key checked
+   against the live row set just before its entry goes in. The check
+   takes the key the entry stores, so each key is encoded once, and the
+   checks and the adds keep their per-index order. *)
 let rec insert_keys t txn ~rid row = function
   | [] -> ()
   | ix :: rest ->
@@ -420,35 +464,6 @@ let insert t (txn : txn) row =
 
 (* ------------------------------------------------------------------ *)
 (* Update *)
-
-(* Whether writing the columns of [cols] (an update's column list or an
-   undo before-image) can change [ix]'s key. An update, its rollback and
-   its GC touch index entries only for such indexes; most OLTP updates
-   write no key column and skip index maintenance entirely. *)
-let rec col_written (cols : (int * Value.t) array) kc i =
-  i < Array.length cols && (Int.equal (fst cols.(i)) kc || col_written cols kc (i + 1))
-
-(* module-level loops rather than closures: this runs on every update *)
-let rec key_col_written key_cols cols j =
-  j < Array.length key_cols
-  && (col_written cols key_cols.(j) 0 || key_col_written key_cols cols (j + 1))
-
-let writes_key ix cols = key_col_written ix.key_cols cols 0
-
-let rec writes_any_key cols = function
-  | [] -> false
-  | ix :: rest -> writes_key ix cols || writes_any_key cols rest
-
-(* A key-column update: add the new-key entries; the old-key entries
-   stay until GC so older snapshots can still find the row. *)
-let rec add_new_keys t ~rid cols old_row new_row = function
-  | [] -> ()
-  | ix :: rest ->
-    if writes_key ix cols then begin
-      let old_key = key_of_row t ix old_row and new_key = key_of_row t ix new_row in
-      if not (String.equal old_key new_key) then Index_tree.insert ix.ix ~key:new_key ~rid
-    end;
-    add_new_keys t ~rid cols old_row new_row rest
 
 (* The before-image of [cols]: the cells the closure already decoded,
    the rest read from the page. It outlives the statement, so it is the
@@ -498,8 +513,10 @@ let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
   if key_write then begin
     let new_row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
     Pax.get_into page ~slot new_row;
+    (* A key-column update adds the new-key entries; the old-key entries
+       stay until GC so older snapshots can still find the row. *)
     (* lint: allow hot-path-alloc — a key-column update: index maintenance, which no TPC-C update needs *)
-    add_new_keys t ~rid cols old_row new_row t.indexes
+    key_delta t ~drop:false ~add:true ~rid cols old_row new_row t.indexes
   end
 
 (* The tuple lock is released on both exits of the write, without
@@ -543,6 +560,15 @@ let frozen_row t block ~rid =
   let row = Array.make (Value.Schema.arity t.tschema) Value.Null in
   if Frozen.get_raw_into block ~row_id:rid row then Some row else None
 
+(* The same, for a row that is not delete-marked. *)
+let frozen_live_row t block ~rid = if Frozen.is_deleted block ~row_id:rid then None else frozen_row t block ~rid
+
+(* A copy of [row] with the cells of [cols] written over it. *)
+let overlay row (cols : (int * Value.t) array) =
+  let copy = Array.copy row in
+  Array.iter (fun (col, v) -> copy.(col) <- v) cols;
+  copy
+
 (* A frozen row decodes whole; the closure sees it masked to [reads]. *)
 let update_frozen t txn block ~rid reads compute =
   match frozen_row t block ~rid with
@@ -550,9 +576,7 @@ let update_frozen t txn block ~rid reads compute =
   | Some old_row ->
     let seen = Array.copy old_row in
     mask_unprojected ~key_cols:no_cols reads seen;
-    let new_row = Array.copy old_row in
-    Array.iter (fun (col, v) -> new_row.(col) <- v) (compute seen);
-    delete_frozen ~reinsert:new_row t txn block ~rid old_row
+    delete_frozen ~reinsert:(overlay old_row (compute seen)) t txn block ~rid old_row
 
 let col t name =
   match Value.Schema.column_index t.tschema name with
@@ -718,76 +742,88 @@ let rollback_undo t (undo : Undo.t) =
     let page = Bufmgr.payload frame in
     (match undo.Undo.kind with
     | Undo.Created ->
-      (* aborted insert: remove index entries, delete-mark the row, both
-         through the slot located above *)
+      (* aborted insert: drop its index entries and delete-mark the row,
+         both through the slot located above *)
       if not (Pax.is_deleted page ~slot) then begin
         Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
-        let row = Pax.get page ~slot in
-        List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes;
+        row_keys t ~add:false ~rid (Pax.get page ~slot) t.indexes;
         ignore (Table_tree.mark_deleted_at t.ttree frame ~slot)
       end
     | Undo.Updated before ->
-      (* drop the new-key index entries this update added *)
-      let new_row = if writes_any_key before t.indexes then Some (Pax.get page ~slot) else None in
+      (* restore the before-image, and drop the new-key entries this
+         update added *)
+      let key_write = writes_any_key before t.indexes in
+      let new_row = if key_write then Pax.get page ~slot else no_row in
       Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) before;
       Bufmgr.mark_dirty frame;
-      (match new_row with
-      | None -> ()
-      | Some new_row ->
-        let old_row = Pax.get page ~slot in
-        List.iter
-          (fun ix ->
-            if writes_key ix before then begin
-              let nk = key_of_row t ix new_row and ok = key_of_row t ix old_row in
-              if nk <> ok then ignore (Index_tree.delete ix.ix ~key:nk ~rid)
-            end)
-          t.indexes)
+      if key_write then key_delta t ~drop:true ~add:false ~rid before new_row (Pax.get page ~slot) t.indexes
     | Undo.Deleted _ -> ignore (Table_tree.undelete_at t.ttree frame ~slot));
     pop_chain t ~page_key ~rid undo
+
+(* The old-key entries an update of [before]'s columns left for older
+   snapshots, dropped once no snapshot needs them: the old row is
+   [current] with the before-image laid back over it. *)
+let drop_old_keys t ~rid before current =
+  key_delta t ~drop:true ~add:false ~rid before (overlay current before) current t.indexes
 
 let gc_reclaim_undo t (undo : Undo.t) =
   let rid = undo.Undo.rid in
   match undo.Undo.kind with
   | Undo.Deleted row ->
     (* the deletion is globally visible: strip the index entries; the
-       delete-marked slot itself is reclaimed by freeze/compaction *)
-    List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes
+       delete-marked slot itself is reclaimed by freezing *)
+    row_keys t ~add:false ~rid row t.indexes
   | Undo.Updated before when writes_any_key before t.indexes -> (
-    (* drop old-key index entries that were kept for older snapshots; an
-       update that wrote no key column left none, and costs nothing here *)
-    match Table_tree.read ~touch:false t.ttree ~row_id:rid with
-    | None -> ()
-    | Some current ->
-      let old_row = Array.copy current in
-      Array.iter (fun (col, v) -> old_row.(col) <- v) before;
-      List.iter
-        (fun ix ->
-          if writes_key ix before then begin
-            let ok = key_of_row t ix old_row and ck = key_of_row t ix current in
-            if ok <> ck then ignore (Index_tree.delete ix.ix ~key:ok ~rid)
-          end)
-        t.indexes)
+    (* an update that wrote no key column left no old-key entry, and
+       costs nothing here; otherwise the row is located once, without
+       warming, and a live page slot pays one tuple read *)
+    match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
+    | Table_tree.In_page (frame, slot) ->
+      let page = Bufmgr.payload frame in
+      if not (Pax.is_deleted page ~slot) then begin
+        Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
+        drop_old_keys t ~rid before (Pax.get page ~slot)
+      end
+    | Table_tree.In_frozen block -> Option.iter (drop_old_keys t ~rid before) (frozen_live_row t block ~rid)
+    | Table_tree.Absent -> ())
   | Undo.Updated _ | Undo.Created -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Recovery replay *)
 
+(* A replayed write of [cols] into a located slot; the keys it changes
+   move in the indexes too (the old entry dropped, the new one added). *)
+let raw_write t frame ~slot ~rid cols =
+  let page = Bufmgr.payload frame in
+  let key_write = writes_any_key cols t.indexes in
+  let old_row = if key_write then Pax.get page ~slot else no_row in
+  Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) cols;
+  Bufmgr.mark_dirty frame;
+  if key_write then key_delta t ~drop:true ~add:true ~rid cols old_row (Pax.get page ~slot) t.indexes
+
 (* Replay must be idempotent: recovery starts from whatever leaf images
    last reached durable media, and a cleaner may have flushed rows
    inserted *after* the checkpoint — so a replayed insert can find its
-   rid already present. Overwrite in place instead of raising. *)
+   rid already present. It overwrites the slot in place instead of
+   raising. A live slot is written as an update of every column, so its
+   keys move from the row it holds to the replayed one (none move when
+   the insert is already in); a delete-marked slot's entries went with
+   its delete, so all of them are added back. *)
 let raw_insert t ~rid row =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
   | Table_tree.In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
-    Array.iteri (fun col v -> Pax.set_col page ~slot ~col v) row;
-    Pax.unmark_deleted page ~slot;
-    Bufmgr.mark_dirty frame;
-    List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row t ix row) ~rid) t.indexes
+    if Pax.is_deleted page ~slot then begin
+      Array.iteri (fun col v -> Pax.set_col page ~slot ~col v) row;
+      Pax.unmark_deleted page ~slot;
+      Bufmgr.mark_dirty frame;
+      row_keys t ~add:true ~rid row t.indexes
+    end
+    else raw_write t frame ~slot ~rid (Array.mapi (fun col v -> (col, v)) row)
   | Table_tree.In_frozen _ -> () (* block images are immutable and already durable *)
   | Table_tree.Absent ->
     Table_tree.append_exact t.ttree ~row_id:rid row;
-    List.iter (fun ix -> Index_tree.insert ix.ix ~key:(key_of_row t ix row) ~rid) t.indexes
+    row_keys t ~add:true ~rid row t.indexes
 
 let raw_exists t ~rid =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
@@ -796,28 +832,26 @@ let raw_exists t ~rid =
 
 let raw_update t ~rid cols =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
+  | Table_tree.In_page (frame, slot) -> raw_write t frame ~slot ~rid cols
+  | Table_tree.In_frozen _ | Table_tree.Absent -> ()
+
+(* One locate, warming the leaf as a delete does; a live row's entries
+   are dropped, then the row is delete-marked through the slot located.
+   A frozen row is marked through [Table_tree.mark_deleted], which keeps
+   the tree's live count (its locate is the frozen tier's bisection,
+   which touches no leaf). *)
+let raw_delete t ~rid =
+  match Table_tree.locate t.ttree ~row_id:rid with
   | Table_tree.In_page (frame, slot) ->
     let page = Bufmgr.payload frame in
-    let old_row = Pax.get page ~slot in
-    Array.iter (fun (col, v) -> Pax.set_col page ~slot ~col v) cols;
-    Bufmgr.mark_dirty frame;
-    let new_row = Pax.get page ~slot in
-    List.iter
-      (fun ix ->
-        let ok = key_of_row t ix old_row and nk = key_of_row t ix new_row in
-        if ok <> nk then begin
-          ignore (Index_tree.delete ix.ix ~key:ok ~rid);
-          Index_tree.insert ix.ix ~key:nk ~rid
-        end)
-      t.indexes
-  | _ -> ()
-
-let raw_delete t ~rid =
-  (match Table_tree.read ~touch:false t.ttree ~row_id:rid with
-  | Some row ->
-    List.iter (fun ix -> ignore (Index_tree.delete ix.ix ~key:(key_of_row t ix row) ~rid)) t.indexes
-  | None -> ());
-  ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
+    if not (Pax.is_deleted page ~slot) then begin
+      row_keys t ~add:false ~rid (Pax.get page ~slot) t.indexes;
+      ignore (Table_tree.mark_deleted_at t.ttree frame ~slot)
+    end
+  | Table_tree.In_frozen block ->
+    Option.iter (fun row -> row_keys t ~add:false ~rid row t.indexes) (frozen_live_row t block ~rid);
+    ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
+  | Table_tree.Absent -> ()
 
 let maybe_freeze t ~max_access =
   Table_tree.decay_access_counts t.ttree;

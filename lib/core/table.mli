@@ -168,4 +168,5 @@ val warm_hot_frozen : t -> txn -> read_threshold:int -> int
 (** §5.2 case 3: frozen blocks whose OLTP read count exceeded
     [read_threshold] have their live rows marked deleted and re-inserted
     into hot storage (fresh row ids, indexes updated) under the given
-    transaction. Returns rows warmed. Run from housekeeping. *)
+    transaction. Returns rows warmed. Nothing in the kernel calls it yet:
+    no housekeeping pass warms frozen rows. *)

@@ -98,13 +98,9 @@ let submit_pages t pages ~on_media =
           done)
         outcome)
 
-let write_async t ~page_id content ~on_complete =
-  let content = Bytes.copy content in
-  submit_pages t [ (page_id, content) ] ~on_media:(fun _ -> on_complete ())
-
 let write t ~page_id content =
   Phoebe_runtime.Scheduler.io_wait (fun resume ->
-      write_async t ~page_id content ~on_complete:resume)
+      submit_pages t [ (page_id, Bytes.copy content) ] ~on_media:(fun _ -> resume ()))
 
 let write_batch t pages ~on_complete =
   match pages with

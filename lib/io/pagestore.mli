@@ -19,14 +19,12 @@ type t
 val create : Device.t -> t
 
 val write : t -> page_id:int -> Bytes.t -> unit
-(** Durably store a page image. Suspends the calling fiber until the
-    device completes the write; synchronous outside a fiber. Under fault
-    injection a lost ack suspends the fiber forever — exactly the stall
-    a real kernel sees. *)
-
-val write_async : t -> page_id:int -> Bytes.t -> on_complete:(unit -> unit) -> unit
-(** Background variant used by the eviction path. The content is
-    captured immediately; [on_complete] fires at device completion. *)
+(** Durably store a page image. The content is captured at once and
+    the latest view updated. Suspends the calling fiber until the device
+    completes the write; outside a fiber it returns at submission and
+    the write completes when the engine runs it. Under fault injection a
+    lost ack suspends the fiber forever — exactly the stall a real
+    kernel sees. *)
 
 val write_batch : t -> (int * Bytes.t) list -> on_complete:(unit -> unit) -> unit
 (** Vectored write: every page image is captured immediately and the

@@ -158,31 +158,40 @@ let set_budget t ~budget_bytes =
 
 let now t = Engine.now t.engine
 
-let alloc t ~partition payload =
-  t.next_page_id <- t.next_page_id + 1;
+(* A resident frame for [page_id] in [partition], the one frame builder:
+   its latch tagged and classed, the frame entered in the partition's
+   table and its bytes accounted. A new page and a faulted-in one differ
+   only in the dirty bit, the access count and the parent swip. *)
+let new_frame t ~partition ~page_id payload ~dirty ~access_count ~parent =
   let part = t.parts.(partition) in
-  let size = t.codec.size payload in
   let frame =
     {
-      fpage_id = t.next_page_id;
+      fpage_id = page_id;
       fpartition = partition;
       flatch = Latch.create ();
       fpayload = Some payload;
       fstate = Hot;
-      fdirty = true;
+      fdirty = dirty;
       fin_flight = false;
       fqueued = false;
       fpinned = 0;
-      fsize = size;
-      faccess_count = 0;
+      fsize = t.codec.size payload;
+      faccess_count = access_count;
       flast_access = now t;
-      fparent = None;
+      fparent = parent;
     }
   in
-  Latch.set_tag frame.flatch frame.fpage_id;
+  Latch.set_tag frame.flatch page_id;
   Latch.set_class frame.flatch "bufmgr.flatch";
-  Hashtbl.replace part.frames frame.fpage_id frame;
-  part.used_bytes <- part.used_bytes + size;
+  Hashtbl.replace part.frames page_id frame;
+  part.used_bytes <- part.used_bytes + frame.fsize;
+  frame
+
+let alloc t ~partition payload =
+  t.next_page_id <- t.next_page_id + 1;
+  let frame =
+    new_frame t ~partition ~page_id:t.next_page_id payload ~dirty:true ~access_count:0 ~parent:None
+  in
   if Sanitize.on () then
     Sanitize.frame_alloc ~scope:t.scope ~page_id:frame.fpage_id ~frame:(Latch.uid frame.flatch);
   frame
@@ -245,28 +254,11 @@ let fault_in t swip pid ~touch =
     let partition =
       if Scheduler.in_fiber () then Scheduler.current_worker () mod Array.length t.parts else 0
     in
-    let part = t.parts.(partition) in
     let frame =
-      {
-        fpage_id = pid;
-          fpartition = partition;
-        flatch = Latch.create ();
-        fpayload = Some payload;
-        fstate = Hot;
-        fdirty = false;
-        fin_flight = false;
-        fqueued = false;
-        fpinned = 0;
-        fsize = t.codec.size payload;
-        faccess_count = (if touch then 1 else 0);
-        flast_access = now t;
-        fparent = Some swip;
-      }
+      new_frame t ~partition ~page_id:pid payload ~dirty:false
+        ~access_count:(if touch then 1 else 0)
+        ~parent:(Some swip)
     in
-    Latch.set_tag frame.flatch pid;
-    Latch.set_class frame.flatch "bufmgr.flatch";
-    Hashtbl.replace part.frames pid frame;
-    part.used_bytes <- part.used_bytes + frame.fsize;
     swip.ptr <- Swizzled frame;
     if Sanitize.on () then
       Sanitize.frame_fault_in ~scope:t.scope ~page_id:pid ~frame:(Latch.uid frame.flatch);

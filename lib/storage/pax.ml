@@ -190,16 +190,6 @@ let iter_live t f =
     if not (bitmap_get t.deleted slot) then f t.row_ids.(slot) (get t ~slot)
   done
 
-let iter_all t f =
-  for slot = 0 to t.n - 1 do
-    f t.row_ids.(slot) ~deleted:(bitmap_get t.deleted slot) (get t ~slot)
-  done
-
-let compact t =
-  let fresh = create t.pschema ~capacity:t.pcapacity in
-  iter_live t (fun row_id row -> ignore (append fresh ~row_id row));
-  fresh
-
 let size_bytes t =
   let per_row =
     Array.fold_left

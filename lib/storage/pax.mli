@@ -74,16 +74,9 @@ val unmark_deleted : t -> slot:int -> unit
 
 val is_deleted : t -> slot:int -> bool
 
-val compact : t -> t
-(** Copy with delete-marked slots dropped. *)
-
 val iter_live : t -> (int -> Value.t array -> unit) -> unit
 (** [iter_live t f] calls [f row_id tuple] for each non-deleted tuple in
     row_id order. *)
-
-val iter_all : t -> (int -> deleted:bool -> Value.t array -> unit) -> unit
-(** Like {!iter_live} but includes delete-marked tuples (MVCC scans need
-    them: a marked tuple may still be visible to older snapshots). *)
 
 val size_bytes : t -> int
 (** Current storage footprint estimate (for buffer budgets). *)

@@ -123,24 +123,6 @@ let test_tt_freeze_then_delete_frozen () =
   check_bool "delete frozen row" true (Table_tree.mark_deleted t ~row_id:5);
   check_bool "frozen row gone" true (Table_tree.read t ~row_id:5 = None)
 
-let test_tt_warm_row () =
-  let t = make_tree ~leaf_capacity:4 () in
-  for i = 1 to 20 do
-    ignore (Table_tree.append t (row i (Printf.sprintf "w%d" i)))
-  done;
-  ignore (Table_tree.freeze_prefix t ~up_to_rid:12);
-  let live_before = Table_tree.tuple_count_estimate t in
-  (match Table_tree.warm_row t ~row_id:7 with
-  | Some new_rid ->
-    check_bool "new rid is fresh" true (new_rid > 20);
-    check_bool "old rid deleted" true (Table_tree.read t ~row_id:7 = None);
-    (match Table_tree.read t ~row_id:new_rid with
-    | Some r -> Alcotest.check (Alcotest.array value_eq) "content preserved" (row 7 "w7") r
-    | None -> Alcotest.fail "warmed row unreadable")
-  | None -> Alcotest.fail "warm_row failed");
-  check_int "live tuple count unchanged" live_before (Table_tree.tuple_count_estimate t);
-  check_bool "warm of unfrozen row is None" true (Table_tree.warm_row t ~row_id:15 = None)
-
 let test_tt_freeze_cold_prefix_respects_access () =
   let t = make_tree ~leaf_capacity:4 () in
   for i = 1 to 32 do
@@ -491,7 +473,6 @@ let () =
           Alcotest.test_case "scan order" `Quick test_tt_scan_order;
           Alcotest.test_case "freeze prefix" `Quick test_tt_freeze_prefix;
           Alcotest.test_case "delete frozen" `Quick test_tt_freeze_then_delete_frozen;
-          Alcotest.test_case "warm row" `Quick test_tt_warm_row;
           Alcotest.test_case "freeze respects access counts" `Quick
             test_tt_freeze_cold_prefix_respects_access;
           Alcotest.test_case "cold reads under tiny buffer" `Quick test_tt_eviction_cold_reads;

@@ -773,6 +773,30 @@ let test_rollback_insert_unindexes () =
       check_bool "no index entry" true
         (index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str "ghost" ] = []))
 
+(* Replay is idempotent on the index side: an insert applied again over
+   the live slot it filled (a leaf image that already holds the row)
+   adds no second entry; one applied over a live slot holding another
+   key moves the entry to the replayed key; one applied over a
+   delete-marked slot, whose entries went with the delete, adds its
+   entry back once. *)
+let test_replayed_insert_indexed_once () =
+  let db, t = accounts_db () in
+  let rid = Table_tree.next_row_id (Table.tree t) in
+  let owners key =
+    Db.with_txn db (fun txn -> List.map fst (index_rows t txn ~index:"accounts_by_owner" ~key:[ Value.Str key ]))
+  in
+  let row owner = [| Value.Str owner; Value.Int 5 |] in
+  Table.raw_insert t ~rid (row "replayed");
+  Table.raw_insert t ~rid (row "replayed");
+  Alcotest.(check (list int)) "the twice-applied insert is visited once" [ rid ] (owners "replayed");
+  Table.raw_insert t ~rid (row "moved");
+  Alcotest.(check (list int)) "the replayed key finds the row" [ rid ] (owners "moved");
+  check_bool "the overwritten key is free" true (insert_account db t "replayed" 1 > rid);
+  Table.raw_delete t ~rid;
+  Alcotest.(check (list int)) "the delete drops the entry" [] (owners "moved");
+  Table.raw_insert t ~rid (row "moved");
+  Alcotest.(check (list int)) "re-applied over the delete mark, indexed once" [ rid ] (owners "moved")
+
 (* ------------------------------------------------------------------ *)
 (* The steal guard *)
 
@@ -1185,5 +1209,6 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_recovery_end_to_end;
           Alcotest.test_case "after concurrent run" `Quick test_recovery_after_concurrent_run;
+          Alcotest.test_case "replayed insert indexed once" `Quick test_replayed_insert_indexed_once;
         ] );
     ]

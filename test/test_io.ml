@@ -378,12 +378,12 @@ let test_device_fault_determinism () =
 let test_pagestore_crash_keeps_durable_images () =
   let eng = Engine.create () in
   let store = Pagestore.create (small_dev eng) in
-  Pagestore.write_async store ~page_id:1 (Bytes.of_string "v1") ~on_complete:ignore;
+  Pagestore.write store ~page_id:1 (Bytes.of_string "v1");
   Engine.run eng;
   check_int "one page durable" 1 (Pagestore.durable_page_count store);
   (* overwrite in flight: latest view updates, durable image does not *)
-  Pagestore.write_async store ~page_id:1 (Bytes.of_string "v2") ~on_complete:ignore;
-  Pagestore.write_async store ~page_id:2 (Bytes.of_string "new") ~on_complete:ignore;
+  Pagestore.write store ~page_id:1 (Bytes.of_string "v2");
+  Pagestore.write store ~page_id:2 (Bytes.of_string "new");
   Alcotest.(check string) "live read sees latest" "v2" (Bytes.to_string (Pagestore.read store ~page_id:1));
   let lost = Pagestore.crash store in
   Engine.clear eng;
@@ -397,8 +397,8 @@ let test_pagestore_crash_keeps_durable_images () =
 let test_pagestore_delete_durable_until_sync () =
   let eng = Engine.create () in
   let store = Pagestore.create (small_dev eng) in
-  Pagestore.write_async store ~page_id:1 (Bytes.of_string "leaf") ~on_complete:ignore;
-  Pagestore.write_async store ~page_id:2 (Bytes.of_string "kept") ~on_complete:ignore;
+  Pagestore.write store ~page_id:1 (Bytes.of_string "leaf");
+  Pagestore.write store ~page_id:2 (Bytes.of_string "kept");
   Engine.run eng;
   Pagestore.delete store ~page_id:1;
   check_bool "gone from the latest view" false (Pagestore.mem store ~page_id:1);
@@ -421,7 +421,7 @@ let test_pagestore_torn_write_is_atomic () =
          ~faults:{ Device.fault_seed = 11; torn_write_p = 1.0; lost_ack_p = 0.0;
                    delayed_ack_p = 0.0; max_delay_ns = 0 })
   in
-  Pagestore.write_async store ~page_id:1 (Bytes.make 2048 'a') ~on_complete:ignore;
+  Pagestore.write store ~page_id:1 (Bytes.make 2048 'a');
   (* every write tears, and every tear schedules a timeout + rewrite:
      bound the run (a device that tears 100% of writes never completes
      an fsync in reality either) *)

@@ -176,6 +176,38 @@ let test_automated_failover () =
   check_rows "surviving follower converged" (dump pdb) (dump (Quorum.db q ~node:other));
   Quorum.shutdown q
 
+(* The replica applier keeps a follower's index in step: after a
+   key-column update and a delete ship, the new key finds the row and
+   the old and the deleted key find nothing. Once the follower is
+   promoted the old key takes a fresh insert: a stale entry naming the
+   live row would make it look taken. *)
+let test_follower_key_update_and_delete () =
+  let q, prim = group () in
+  let moved = ref 0 and gone = ref 0 in
+  Db.submit prim (fun txn ->
+      moved := Table.insert (kv prim) txn [| Value.Int 1; Value.Int 10 |];
+      gone := Table.insert (kv prim) txn [| Value.Int 2; Value.Int 20 |]);
+  Quorum.run_for q ~ns:10_000_000;
+  Db.submit prim (fun txn -> ignore (Table.update (kv prim) txn ~rid:!moved (fun _ -> [| (0, Value.Int 101) |])));
+  Db.submit prim (fun txn -> ignore (Table.delete (kv prim) txn ~rid:!gone));
+  Quorum.run_for q ~ns:60_000_000;
+  let lookup db k =
+    Db.with_txn db (fun txn ->
+        Option.map fst (Table.index_lookup_first (kv db) txn ~index:"kv_pk" ~key:[ Value.Int k ]))
+  in
+  for node = 1 to Quorum.nodes q - 1 do
+    let db = Quorum.db q ~node in
+    Alcotest.(check (option int)) "the new key finds the row" (Some !moved) (lookup db 101);
+    Alcotest.(check (option int)) "the old key finds nothing" None (lookup db 1);
+    Alcotest.(check (option int)) "the deleted key finds nothing" None (lookup db 2)
+  done;
+  Quorum.kill q ~node:0;
+  Quorum.run_for q ~ns:60_000_000;
+  let pdb = elected_db q in
+  Db.with_txn pdb (insert_kv pdb 1 11);
+  check_rows "the promoted follower's rows" [ (1, 11); (101, 10) ] (dump pdb);
+  Quorum.shutdown q
+
 (* Right after a burst the followers trail the primary; with the
    group left running they catch up to the stream end. *)
 let test_lag_and_catchup () =
@@ -396,6 +428,8 @@ let () =
           Alcotest.test_case "promote == crash recovery under faults" `Quick
             test_promote_equals_crash_recovery_under_faults;
           Alcotest.test_case "updates and deletes" `Quick (test_convergence updates_and_deletes);
+          Alcotest.test_case "key update and delete keep the follower index" `Quick
+            test_follower_key_update_and_delete;
           Alcotest.test_case "uncommitted withheld" `Quick (test_convergence aborted_txn);
           Alcotest.test_case "volatile tail withheld" `Quick test_volatile_tail_withheld;
         ] );

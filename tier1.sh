@@ -130,12 +130,26 @@ pin tpmc 603056
 grep -q '"sanitize.findings": 0' "$tmpdir/det.json"
 echo "   double run byte-identical, replay digest and tpmC pinned, zero findings"
 
+# cksum_pin NAME SUM: "$tmpdir/NAME.json" has the cksum output SUM (CRC
+# and byte count). The seed-42 recovery and ha_failover runs drive the
+# WAL replay applier and the quorum replica applier; the double run
+# only shows that a drift there repeats. A change that moves either
+# must update the pin here and say why in CHANGES.md.
+cksum_pin() {
+  got="$(cksum < "$tmpdir/$1.json")"
+  if [ "$got" != "$2" ]; then
+    echo "   FAIL: the seed-42 $1 --json has cksum \"$got\", not the pinned \"$2\"" >&2
+    exit 1
+  fi
+}
+
 echo "== overload smoke (offered-load sweep, admission on vs off, --json)"
 bench_json overload overload overload
 
 echo "== recovery smoke (fixed-seed crash + replay vs checkpoint cadence, --sanitize, --json, double-run identical)"
 double_run recovery recovery --experiment recovery --seed 42 --sanitize
-echo "   recovery rows parse, double run byte-identical, no sanitizer violation"
+cksum_pin recovery "1157204622 916"
+echo "   recovery rows parse, double run byte-identical and pinned, no sanitizer violation"
 
 echo "== sharded smoke (K x offered-load scaling grid with 2PC, --sanitize, --json, double-run identical)"
 double_run sharded sharded --experiment sharded --seed 42 --sanitize
@@ -147,6 +161,7 @@ echo "== ha_failover smoke (quorum failover grid, --sanitize, --json, double-run
 double_run ha ha_failover --experiment ha_failover --seed 42 --sanitize
 # every node of every cell exports its sanitize.findings; all must be 0
 zero_findings ha
-echo "   failover grid parses, double run byte-identical, zero sanitizer findings"
+cksum_pin ha "414514502 89784"
+echo "   failover grid parses, double run byte-identical and pinned, zero sanitizer findings"
 
 echo "== tier-1: OK"
