@@ -273,9 +273,13 @@ let lookup_first t ~key = if collect_key t ~key first_scratch = 0 then None else
 (* [String.sub]-free, closure-free prefix test: [prefix] runs once per
    visited entry on the scan path, so carving a fresh substring (or
    building a loop closure) per key would allocate all through
-   stock-level and by-name scans. *)
+   stock-level and by-name scans. Eight bytes are compared per step,
+   then the tail byte by byte. *)
 let rec same_from k p i =
-  i >= String.length p || (Char.equal (String.unsafe_get k i) (String.unsafe_get p i) && same_from k p (i + 1))
+  let n = String.length p in
+  if i + 8 <= n then
+    String.get_int64_ne k i = String.get_int64_ne p i && same_from k p (i + 8)
+  else i >= n || (Char.equal (String.unsafe_get k i) (String.unsafe_get p i) && same_from k p (i + 1))
 
 let has_prefix k p = String.length k >= String.length p && same_from k p 0
 

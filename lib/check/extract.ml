@@ -109,12 +109,14 @@ let alloc_prims =
     "Array.sub"; "Array.of_list"; "Array.to_list"; "Array.copy"; "List.map"; "List.mapi";
     "List.rev_map"; "List.append"; "List.concat"; "List.concat_map"; "List.filter";
     "List.init"; "List.rev"; "List.sort"; "Printf.sprintf"; "Format.asprintf";
-    "Hashtbl.create"; "Queue.create"; "Stdlib.^"; "Stdlib.@"; "Stdlib.ref";
+    "Hashtbl.create"; "Int_tbl.create"; "Queue.create"; "Stdlib.^"; "Stdlib.@"; "Stdlib.ref";
   ]
 
-(* Partial stdlib lookups whose Not_found/Invalid_argument would unwind
-   WAL replay; recovery code uses the _opt variants. *)
-let raising_prims = [ "Hashtbl.find"; "List.hd"; "List.tl"; "Option.get"; "List.assoc"; "List.find" ]
+(* Partial lookups (stdlib's, and the int table's [find]) whose
+   Not_found/Invalid_argument would unwind WAL replay; recovery code
+   uses the _opt variants. *)
+let raising_prims =
+  [ "Hashtbl.find"; "Int_tbl.find"; "List.hd"; "List.tl"; "Option.get"; "List.assoc"; "List.find" ]
 
 let is_alloc_prim n = List.exists (String.equal n) alloc_prims
 let is_raising_prim n = List.exists (String.equal n) raising_prims

@@ -12,8 +12,9 @@
                           representation and raises on closures); an
                           application with a constant constructor or
                           polymorphic-variant tag operand is exempt
-     hashtbl-iter-mutate  a Hashtbl.iter closure that mutates the iterated
-                          table (undefined traversal; collect then mutate)
+     hashtbl-iter-mutate  a Hashtbl.iter or Int_tbl.iter closure that
+                          mutates the iterated table (undefined traversal;
+                          collect then mutate)
      missing-mli          an implementation without an interface
 
    Paths are resolved by the type checker, so a local [compare] or a
@@ -39,8 +40,20 @@ let wall_clock = [ "Unix.gettimeofday"; "Unix.time"; "Stdlib.Sys.time" ]
 let poly_ops =
   List.map (( ^ ) "Stdlib.") [ "compare"; "="; "<>"; "<"; ">"; "<="; ">="; "min"; "max" ]
 
-let hashtbl_mutators =
-  List.map (( ^ ) "Stdlib.Hashtbl.") [ "remove"; "replace"; "add"; "reset"; "clear" ]
+let hashtbl_mutators = [ "remove"; "replace"; "add"; "reset"; "clear" ]
+
+(* The function name of a hash-table operation: Stdlib's generic table,
+   or Phoebe_util's int table under any path that reaches it (a local
+   alias "Int_tbl.iter", "Phoebe_util.Int_tbl.iter" or the mangled unit
+   "Phoebe_util__Int_tbl.iter"). *)
+let table_fn n =
+  match List.rev (String.split_on_char '.' n) with
+  | [ fn; "Hashtbl"; "Stdlib" ] -> Some fn
+  | fn :: m :: _ when String.equal m "Int_tbl" || String.ends_with ~suffix:"__Int_tbl" m -> Some fn
+  | _ -> None
+
+let table_mutator n = match table_fn n with Some fn -> one_of hashtbl_mutators fn | None -> false
+let table_iter n = match table_fn n with Some fn -> String.equal fn "iter" | None -> false
 
 (* Depth-bounded: object and recursive polymorphic-variant types can be
    cyclic. *)
@@ -76,7 +89,7 @@ let mutates body ~table =
   let expr it e =
     (match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, (_, Some target) :: _)
-      when one_of hashtbl_mutators (canonical p) && same_table target table ->
+      when table_mutator (canonical p) && same_table target table ->
       hit := true
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -106,10 +119,10 @@ let findings (u : Loader.unit_info) =
     match e.exp_desc with
     | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fe), args) ->
       ident ~exempt:(List.exists constant_operand args) fe.exp_loc p fe.exp_type;
-      (match (canonical p, args) with
-      | "Stdlib.Hashtbl.iter", [ (_, Some f); (_, Some table) ] when mutates f ~table ->
+      (match args with
+      | [ (_, Some f); (_, Some table) ] when table_iter (canonical p) && mutates f ~table ->
         add "hashtbl-iter-mutate" e.exp_loc
-          "Hashtbl.iter mutates the iterated table in its closure; collect then mutate"
+          "a hash table's iter mutates the iterated table in its closure; collect then mutate"
       | _ -> ());
       List.iter (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a) args
     | Texp_ident (p, _, _) ->

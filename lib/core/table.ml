@@ -639,17 +639,16 @@ let rec key_matches_vals (cols : int array) i (row : Value.t array) = function
   | v :: tl ->
     i < Array.length cols && Value.equal row.(cols.(i)) v && key_matches_vals cols (i + 1) row tl
 
-let rec buffer_equals buf key i =
-  i >= String.length key
-  || (Char.equal (Buffer.nth buf i) (String.unsafe_get key i) && buffer_equals buf key (i + 1))
+(* Prefix-scan candidate check: each of the row's key columns must be the
+   next encoded component of the tree key, read in place, and together
+   they must cover the whole key. *)
+let rec key_cols_at key (cols : int array) (row : Value.t array) i off =
+  if i >= Array.length cols then off = String.length key
+  else
+    let off = Value.key_at key off row.(cols.(i)) in
+    off >= 0 && key_cols_at key cols row (i + 1) off
 
-(* Prefix-scan candidate check: encode the row's key into the table's
-   scratch buffer and compare against the tree key in place. *)
-let row_key_equals t ix (row : Value.t array) key =
-  let buf = t.key_scratch in
-  Buffer.clear buf;
-  encode_row_key buf ix.key_cols row 0;
-  Buffer.length buf = String.length key && buffer_equals buf key 0
+let row_key_equals ix (row : Value.t array) key = key_cols_at key ix.key_cols row 0 0
 
 (* Probe candidates [i..n) in rid order, the order the index walk
    visits them in; the first visible row whose key still matches is
@@ -695,7 +694,7 @@ let index_prefix ?cols t txn ~index ~prefix f =
   let prefix_bytes = Index_tree.encode_key prefix in
   Index_tree.prefix ix.ix ~prefix:prefix_bytes (fun key rid ->
       let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_equals t ix row key then
+      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_equals ix row key then
         f rid row
       else true)
 

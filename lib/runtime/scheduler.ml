@@ -133,6 +133,13 @@ let yield_low = E_yield Low
    every kernel call site. *)
 let cur : fiber option ref = ref None
 
+(* The cost table and the counters of [cur]'s scheduler, set wherever
+   [cur] is: kernel code reads them on every charge, and through [cur]
+   each is a chain of four dependent loads. Outside a fiber the cost is
+   the default and the counters are not read. *)
+let cur_cost = ref Cost.default
+let cur_ctrs = ref (Counters.create ())
+
 (* Fiber ids are process-unique (never reused across schedulers): the
    sanitizer keys per-fiber held-resource state on them, and tests may
    run many schedulers in one process. Only id *equality* matters to
@@ -319,6 +326,8 @@ and resume w f =
   probe_resume t f;
   probe_cpu_on t f;
   cur := f.fsome;
+  cur_cost := t.cfg.cost;
+  cur_ctrs := t.ctrs;
   (match f.cont with
   | Some k ->
     f.cont <- None;
@@ -332,6 +341,7 @@ and resume w f =
       run_fiber w f main));
   probe_cpu_off t f;
   cur := None;
+  cur_cost := Cost.default;
   w.last_fiber <- f.fid;
   (* Residual un-flushed charge time rides on the worker's next dispatch
      so coalescing never loses virtual time. *)
@@ -556,7 +566,7 @@ let flush_pending () =
 let charge comp instr =
   match !cur with
   | Some f when instr > 0 ->
-    Counters.add f.fworker.wsched.ctrs comp instr;
+    Counters.add !cur_ctrs comp instr;
     f.pending_instr <- f.pending_instr + instr;
     if f.pending_instr >= charge_granule_instr then flush_pending ()
   | _ -> ()
@@ -669,7 +679,7 @@ let current_slot () =
   let f = current_fiber () in
   (f.fworker.wid * f.fworker.wsched.cfg.slots_per_worker) + f.fslot
 
-let current_cost () = match !cur with Some f -> f.fworker.wsched.cfg.cost | None -> Cost.default
+let current_cost () = !cur_cost
 
 (* ------------------------------------------------------------------ *)
 (* Span probes callable from kernel code (Txnmgr, Wal, benchmarks).

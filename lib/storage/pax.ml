@@ -140,7 +140,15 @@ let rec bisect (row_ids : int array) row_id lo hi =
     else if v < row_id then bisect row_ids row_id (mid + 1) hi
     else bisect row_ids row_id lo (mid - 1)
 
-let find t ~row_id = bisect t.row_ids row_id 0 (t.n - 1)
+(* Row ids are appended in increasing order and a leaf rarely skips one,
+   so the slot [row_id - first] usually holds [row_id]; bisect only when
+   it does not. *)
+let find t ~row_id =
+  if t.n = 0 then -1
+  else
+    let slot = row_id - t.row_ids.(0) in
+    if slot >= 0 && slot < t.n && t.row_ids.(slot) = row_id then slot
+    else bisect t.row_ids row_id 0 (t.n - 1)
 
 let get t ~slot =
   if slot < 0 || slot >= t.n then invalid_arg "Pax.get: bad slot";

@@ -5,6 +5,7 @@ module Txnmgr = Phoebe_txn.Txnmgr
 module Scheduler = Phoebe_runtime.Scheduler
 module Engine = Phoebe_sim.Engine
 module Prng = Phoebe_util.Prng
+module Int_tbl = Phoebe_util.Int_tbl
 module Zipf = Phoebe_util.Zipf
 module Stats = Phoebe_util.Stats
 module Trace = Phoebe_obs.Trace
@@ -622,14 +623,14 @@ let stock_level t txn rng ~w_id =
   let threshold = Prng.int_incl rng 10 20 in
   let _, drow = find_one t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district" in
   let next_o = iv drow.(d_next_o_id) in
-  let seen = Hashtbl.create 64 in
+  let seen = Int_tbl.create 64 in
   let low = ref 0 in
   for oid = max 1 (next_o - 20) to next_o - 1 do
     Table.index_prefix ?cols:ol_i_id_only t.orderline txn ~index:"orderline_pk"
       ~prefix:[ vi w_id; vi d; vi oid ] (fun _ row ->
         let iid = iv row.(ol_i_id) in
-        if not (Hashtbl.mem seen iid) then begin
-          Hashtbl.add seen iid ();
+        if not (Int_tbl.mem seen iid) then begin
+          Int_tbl.add seen iid ();
           match
             Table.index_lookup_first ?cols:s_quantity_only t.stock txn ~index:"stock_pk"
               ~key:[ vi w_id; vi iid ]

@@ -10,6 +10,7 @@ module Engine = Phoebe_sim.Engine
 module Obs = Phoebe_obs.Obs
 module Trace = Phoebe_obs.Trace
 module Sanitize = Phoebe_sanitize.Sanitize
+module Int_tbl = Phoebe_util.Int_tbl
 
 type isolation = Read_committed | Repeatable_read
 type state = Active | Prepared | Committed | Aborted
@@ -57,13 +58,13 @@ type t = {
   twal : Wal.t;
   snapshot_mode : snapshot_mode;
   contention : contention option;
-  active : (int, txn) Hashtbl.t;
+  active : txn Int_tbl.t;
   slot_bundles : bundle Queue.t array;
   slot_last_reclaimed_xid : int array;
   slot_durable_cts : int array;
       (** highest commit timestamp per slot whose commit record is known
           durable — the steal guard's watermark *)
-  twins : (int, Twin.t) Hashtbl.t;
+  twins : Twin.t Int_tbl.t;
   mutable undo_limbo : (int * Undo.t) list;
       (** unreachable undo batches awaiting freelist release, newest
           first; each is (stamp, head linked via [next_in_txn]). A batch
@@ -92,11 +93,11 @@ let create ?obs ~clock ~wal ~n_slots ?(snapshot_mode = O1_timestamp) ?contention
     twal = wal;
     snapshot_mode;
     contention;
-    active = Hashtbl.create 256;
+    active = Int_tbl.create 256;
     slot_bundles = Array.init n_slots (fun _ -> Queue.create ());
     slot_last_reclaimed_xid = Array.make n_slots 0;
     slot_durable_cts = Array.make n_slots 0;
-    twins = Hashtbl.create 1024;
+    twins = Int_tbl.create 1024;
     undo_limbo = [];
     live_undo_bytes = counter "txn.undo_bytes";
     n_committed = counter "txn.committed";
@@ -157,7 +158,7 @@ let take_snapshot t =
     (* lint: allow hot-path-alloc — PG-like baseline only: the proc-array queue model parks *)
     through_proc_array t;
     Scheduler.charge Component.Mvcc
-      (c.Cost.snapshot_acquire + (c.Cost.snapshot_scan_per_txn * Hashtbl.length t.active));
+      (c.Cost.snapshot_acquire + (c.Cost.snapshot_scan_per_txn * Int_tbl.length t.active));
     Clock.current t.tclock
 
 let begin_txn t ~isolation ~slot =
@@ -186,7 +187,7 @@ let begin_txn t ~isolation ~slot =
     }
   in
   txn.snapshot <- take_snapshot t;
-  Hashtbl.replace t.active xid txn;
+  Int_tbl.replace t.active xid txn;
   txn
 
 let refresh_snapshot t txn =
@@ -205,7 +206,7 @@ let add_undo t txn undo =
 
 let finish t txn final_state =
   txn.state <- final_state;
-  Hashtbl.remove t.active txn.xid;
+  Int_tbl.remove t.active txn.xid;
   List.iter (fun tl -> Tablelock.remove_holder tl ~xid:txn.xid) txn.held_table_locks;
   txn.held_table_locks <- [];
   if Sanitize.on () then Sanitize.locks_released_all ~fiber:(Scheduler.current_fiber_id ());
@@ -340,7 +341,7 @@ let abort ?(reason = User) t txn ~rollback =
   Scheduler.span_end (match reason with Deadline | Shed -> Trace.Cancelled | _ -> Trace.Aborted);
   finish t txn Aborted
 
-let active_count t = Hashtbl.length t.active
+let active_count t = Int_tbl.length t.active
 
 (* ------------------------------------------------------------------ *)
 (* Transaction-ID locks *)
@@ -352,7 +353,7 @@ let would_deadlock t ~requester ~holder_xid =
     if depth > 64 then false
     else if Int.equal xid requester.xid then true
     else
-      match Hashtbl.find_opt t.active xid with
+      match Int_tbl.find_opt t.active xid with
       | None -> false
       | Some holder -> if holder.waiting_on = 0 then false else walk holder.waiting_on (depth + 1)
   in
@@ -371,7 +372,7 @@ let wait_for_txn t txn ~holder_xid =
   let c = Scheduler.current_cost () in
   through_lock_table t;
   Scheduler.charge Component.Lock c.Cost.txnid_lock;
-  match Hashtbl.find_opt t.active holder_xid with
+  match Int_tbl.find_opt t.active holder_xid with
   | None -> () (* already finished: the shared lock is granted instantly *)
   | Some holder ->
     if would_deadlock t ~requester:txn ~holder_xid then
@@ -384,18 +385,18 @@ let wait_for_txn t txn ~holder_xid =
 (* Twin tables *)
 
 let twin_for_page t ~page_id =
-  match Hashtbl.find t.twins page_id with
+  match Int_tbl.find t.twins page_id with
   | tw -> tw
   | exception Not_found ->
     (* lint: allow hot-path-alloc — a page's first write: its twin table *)
     let tw = Twin.create () in
-    Hashtbl.add t.twins page_id tw;
+    Int_tbl.add t.twins page_id tw;
     tw
 
-let twin_of_page t ~page_id = Hashtbl.find_opt t.twins page_id
+let twin_of_page t ~page_id = Int_tbl.find_opt t.twins page_id
 
 let chain_head t ~page_id ~rid =
-  match Hashtbl.find t.twins page_id with
+  match Int_tbl.find t.twins page_id with
   | twin -> Twin.row_head twin ~rid
   | exception Not_found -> None
 
@@ -410,7 +411,7 @@ let rec acquire_tuple t txn (entry : Twin.entry) (c : Cost.t) =
     entry.Twin.lock_xid <- txn.xid
   end
   else begin
-    if Hashtbl.mem t.active entry.Twin.lock_xid then
+    if Int_tbl.mem t.active entry.Twin.lock_xid then
       (* lint: allow hot-path-alloc — lock wait: another writer holds the tuple *)
       wait_tuple_lock t txn entry c
     else entry.Twin.lock_xid <- 0;
@@ -492,8 +493,8 @@ let lock_table t txn tl ~mode =
 let min_active_start_ts t =
   (* one pass over the active transactions — computed once per GC cycle
      and passed to every slot's reclaim *)
-  Scheduler.charge Component.Gc (30 * max 1 (Hashtbl.length t.active));
-  Hashtbl.fold (fun _ txn acc -> min acc txn.start_ts) t.active max_int
+  Scheduler.charge Component.Gc (30 * max 1 (Int_tbl.length t.active));
+  Int_tbl.fold (fun _ txn acc -> min acc txn.start_ts) t.active max_int
 
 let max_frozen_xid t =
   Array.fold_left (fun acc x -> min acc x) max_int t.slot_last_reclaimed_xid
@@ -558,7 +559,7 @@ let gc_twins t ~watermark =
     relink head;
     t.undo_limbo <- (stamp, head) :: t.undo_limbo
   in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun page_id tw ->
       let before = Twin.entry_count tw in
       Twin.sweep ~on_dead tw;
@@ -566,7 +567,7 @@ let gc_twins t ~watermark =
       if Twin.entry_count tw = 0 && Twin.max_modifier_xid tw <= frozen then
         dead_tables := page_id :: !dead_tables)
     t.twins;
-  List.iter (Hashtbl.remove t.twins) !dead_tables;
+  List.iter (Int_tbl.remove t.twins) !dead_tables;
   !removed
 
 let undo_bytes t = Obs.Counter.get t.live_undo_bytes

@@ -19,19 +19,24 @@ let bytes b ~pos ~len =
 
 let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-(* Module-level header scratch: sealing never interleaves (single
-   domain, no suspension point inside). *)
+(* Module-level header and body scratch: sealing never interleaves
+   (single domain, no suspension point inside). The body is staged in
+   [stage] to be checksummed, so the image is the one allocation per
+   seal; [stage] grows to the largest body sealed so far. *)
 let header = Buffer.create 8
+let stage = ref Bytes.empty
 
 let seal body =
-  let body = Buffer.to_bytes body in
-  let len = Bytes.length body in
+  let len = Buffer.length body in
+  if Bytes.length !stage < len then stage := Bytes.create len;
+  let staged = !stage in
+  Buffer.blit body 0 staged 0 len;
   Buffer.clear header;
-  Varint.write_uint header (bytes body ~pos:0 ~len);
+  Varint.write_uint header (bytes staged ~pos:0 ~len);
   let h = Buffer.length header in
   let image = Bytes.create (h + len) in
   Buffer.blit header 0 image 0 h;
-  Bytes.blit body 0 image h len;
+  Bytes.blit staged 0 image h len;
   image
 
 let unseal image =

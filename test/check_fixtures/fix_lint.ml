@@ -33,5 +33,20 @@ let drain_collected tbl =
   let dead = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
   List.iter (Hashtbl.remove tbl) dead (* stays clean *)
 
+module Int_tbl = Phoebe_util.Int_tbl
+
+type pages = { twins : int Int_tbl.t }
+
+let drain_ints tbl = Int_tbl.iter (fun k _ -> Int_tbl.remove tbl k) tbl (* seeds hashtbl-iter-mutate *)
+
+let sweep p =
+  Phoebe_util.Int_tbl.iter (fun k v -> if v = 0 then Phoebe_util.Int_tbl.remove p.twins k) p.twins (* seeds hashtbl-iter-mutate *)
+
+let move_ints src dst = Int_tbl.iter (fun k v -> Int_tbl.replace dst k v) src (* stays clean *)
+
+let sweep_collected p =
+  let dead = Int_tbl.fold (fun k v acc -> if v = 0 then k :: acc else acc) p.twins [] in
+  List.iter (Int_tbl.remove p.twins) dead (* stays clean *)
+
 (* lint: allow hot-alloc *) (* seeds unknown-pragma *)
 let retired () = Buffer.create 16

@@ -96,6 +96,73 @@ let prop_key_encoding_order =
       let ca = compare (key_bytes a) (key_bytes b) and cv = Value.compare a b in
       (ca < 0) = (cv < 0) && (ca = 0) = (cv = 0))
 
+(* [key_at] agrees with [encode_key]: on its encoding, with bytes before
+   and after, it returns the offset just past the value. *)
+let key_at_cases =
+  [
+    Value.Null;
+    Value.Int min_int;
+    Value.Int (-1);
+    Value.Int 0;
+    Value.Int max_int;
+    Value.Float (-0.0);
+    Value.Float 0.0;
+    Value.Float (-1.5);
+    Value.Float (-1e300);
+    Value.Float infinity;
+    Value.Float neg_infinity;
+    Value.Str "";
+    Value.Str "\x00";
+    Value.Str "a\x00b";
+    Value.Str "\xff";
+    Value.Str "\x00\xff\x00";
+    Value.Bool false;
+    Value.Bool true;
+  ]
+
+let test_key_at_agrees () =
+  List.iter
+    (fun v ->
+      let k = key_bytes v in
+      let name = Value.to_string v in
+      check_int (name ^ ": whole key") (String.length k) (Value.key_at k 0 v);
+      check_int (name ^ ": at an offset") (String.length k + 3) (Value.key_at ("abc" ^ k ^ "z") 3 v))
+    key_at_cases
+
+(* A key that differs in any one byte and a truncated key are rejected.
+   A key with a trailing byte matches up to the value's end and no
+   further, so a caller that needs the whole key (as [Table]'s key match
+   does) sees an offset short of its length. *)
+let test_key_at_rejects () =
+  List.iter
+    (fun v ->
+      let k = key_bytes v in
+      let name = Value.to_string v in
+      for i = 0 to String.length k - 1 do
+        let b = Bytes.of_string k in
+        Bytes.set b i (Char.chr ((Char.code k.[i] + 1) land 0xff));
+        check_int (Printf.sprintf "%s: byte %d altered" name i) (-1)
+          (Value.key_at (Bytes.to_string b) 0 v)
+      done;
+      for n = 0 to String.length k - 1 do
+        check_int (Printf.sprintf "%s: truncated to %d" name n) (-1)
+          (Value.key_at (String.sub k 0 n) 0 v)
+      done;
+      check_int (name ^ ": trailing byte left over") (String.length k)
+        (Value.key_at (k ^ "\x00") 0 v))
+    key_at_cases;
+  check_int "another value of the same type" (-1) (Value.key_at (key_bytes (Value.Int 7)) 0 (Value.Int 8));
+  check_int "another type" (-1) (Value.key_at (key_bytes (Value.Int 0)) 0 (Value.Bool false))
+
+let prop_key_at_agrees =
+  QCheck.Test.make ~name:"key_at walks concatenated keys" ~count:1000
+    (QCheck.pair value_arb value_arb) (fun (a, b) ->
+      let ka = key_bytes a and kb = key_bytes b in
+      let ab = ka ^ kb in
+      Value.key_at ab 0 a = String.length ka
+      && Value.key_at ab (String.length ka) b = String.length ab
+      && (Value.key_at kb 0 a = String.length kb) = String.equal ka kb)
+
 let test_schema () =
   let s = Value.Schema.make [ ("id", Value.T_int); ("name", Value.T_str); ("ok", Value.T_bool) ] in
   check_int "arity" 3 (Value.Schema.arity s);
@@ -126,6 +193,31 @@ let test_pax_append_get () =
   check_int "row id" 20 (Pax.row_id_at p ~slot:1);
   check_bool "find present" true (Pax.find p ~row_id:10 = 0);
   check_bool "find absent" true (Pax.find p ~row_id:15 = -1)
+
+(* [Pax.find] against a plain bisection over the page's row ids, for
+   every row id from below the first to past the last. *)
+let bisect_rid p ~row_id =
+  let rec go lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let v = Pax.row_id_at p ~slot:mid in
+      if v = row_id then mid else if v < row_id then go (mid + 1) hi else go lo (mid - 1)
+  in
+  go 0 (Pax.count p - 1)
+
+let check_find_matches_bisect name rids =
+  let p = Pax.create schema2 ~capacity:64 in
+  List.iter (fun rid -> ignore (Pax.append p ~row_id:rid (row rid "x"))) rids;
+  for row_id = -3 to 110 do
+    check_int (Printf.sprintf "%s: rid %d" name row_id) (bisect_rid p ~row_id) (Pax.find p ~row_id)
+  done
+
+let test_pax_find_matches_bisect () =
+  check_find_matches_bisect "dense" (List.init 40 (fun i -> 20 + i));
+  check_find_matches_bisect "skipping" [ 0; 1; 2; 5; 6; 9; 30; 31; 32; 33; 70; 100 ];
+  check_find_matches_bisect "one row" [ 7 ];
+  check_find_matches_bisect "empty" []
 
 let test_pax_ordering_enforced () =
   let p = Pax.create schema2 ~capacity:8 in
@@ -828,6 +920,24 @@ let test_encode_key_allocates_nothing () =
   check_int "Float keys: minor words" 0 (int_of_float (measure_minor_words (encode_all floats)));
   check_int "Str keys: minor words" 0 (int_of_float (measure_minor_words (encode_all strs)))
 
+(* The prefix scan's key match: an int or float boxed on the way to its
+   8-byte comparison would show here. *)
+let test_key_at_allocates_nothing () =
+  let vals =
+    Array.init 3000 (fun i ->
+        match i mod 3 with
+        | 0 -> Value.Int ((i * 7919) - 3_000_000)
+        | 1 -> Value.Float (float_of_int (i - 500) *. 0.37)
+        | _ -> Value.Str (Printf.sprintf "key\x00%d" i))
+  in
+  let keys = Array.map key_bytes vals in
+  let match_all () =
+    for i = 0 to Array.length vals - 1 do
+      ignore (Sys.opaque_identity (Value.key_at keys.(i) 0 vals.(i)))
+    done
+  in
+  check_int "key_at: minor words" 0 (int_of_float (measure_minor_words match_all))
+
 (* A stock-shaped table: (w, i) unique, two payload columns. *)
 let stock_db ~rows =
   let module Db = Phoebe_core.Db in
@@ -1085,6 +1195,22 @@ let test_unseal_rejects_flipped_byte () =
        false
      with Failure _ -> true)
 
+(* The sealed image is the one allocation of [Crc32.seal]: the body is
+   staged in a reused scratch, not copied out of the buffer first. A
+   1,000-byte body keeps both candidates on the minor heap. *)
+let test_seal_allocates_only_the_image () =
+  let body = Buffer.create 1024 in
+  Buffer.add_string body (String.init 1000 (fun i -> Char.chr (i land 0xff)));
+  let image = ref Bytes.empty in
+  let words = measure_minor_words (fun () -> image := Crc32.seal body) in
+  let image_words = 1 + ((Bytes.length !image + 8) / 8) in
+  check_bool
+    (Printf.sprintf "seal allocated %.0f minor words for a %d-word image" words image_words)
+    true
+    (int_of_float words <= image_words);
+  Alcotest.(check string) "image body" (Buffer.contents body)
+    (Bytes.sub_string !image (Crc32.unseal !image) 1000)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -1095,9 +1221,18 @@ let () =
         :: Alcotest.test_case "roundtrip examples" `Quick test_value_roundtrip
         :: Alcotest.test_case "schema" `Quick test_schema
         :: Alcotest.test_case "float to_string exact" `Quick test_float_to_string_roundtrip
-        :: qsuite [ prop_value_roundtrip; prop_float_to_string_roundtrip; prop_key_encoding_order ] );
+        :: Alcotest.test_case "key_at agrees with encode_key" `Quick test_key_at_agrees
+        :: Alcotest.test_case "key_at rejects altered keys" `Quick test_key_at_rejects
+        :: qsuite
+             [
+               prop_value_roundtrip;
+               prop_float_to_string_roundtrip;
+               prop_key_encoding_order;
+               prop_key_at_agrees;
+             ] );
       ( "pax",
         Alcotest.test_case "append/get" `Quick test_pax_append_get
+        :: Alcotest.test_case "find matches bisection" `Quick test_pax_find_matches_bisect
         :: Alcotest.test_case "ordering enforced" `Quick test_pax_ordering_enforced
         :: Alcotest.test_case "full page" `Quick test_pax_full
         :: Alcotest.test_case "update/delete/compact" `Quick test_pax_update_delete_compact
@@ -1118,6 +1253,8 @@ let () =
           Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
           Alcotest.test_case "schema rejects unknown tag" `Quick test_schema_rejects_unknown_tag;
           Alcotest.test_case "unseal rejects flipped byte" `Quick test_unseal_rejects_flipped_byte;
+          Alcotest.test_case "seal allocates only the image" `Quick
+            test_seal_allocates_only_the_image;
         ] );
       ( "scratch",
         [
@@ -1125,6 +1262,7 @@ let () =
           Alcotest.test_case "get_into saves the row allocation" `Quick test_get_into_alloc_savings;
           Alcotest.test_case "encode_key allocates nothing" `Quick
             test_encode_key_allocates_nothing;
+          Alcotest.test_case "key_at allocates nothing" `Quick test_key_at_allocates_nothing;
           Alcotest.test_case "warm index_lookup_first hit allocation pin" `Quick
             test_index_lookup_first_alloc_pin;
           Alcotest.test_case "index_prefix per-row allocation pin" `Quick test_index_prefix_alloc_pin;
