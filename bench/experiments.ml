@@ -874,7 +874,7 @@ let ha_failover () =
       { Config.default with Config.n_workers = 2; slots_per_worker = 4; sanitize = !opt_sanitize }
     in
     let group =
-      { Quorum.default_config with Quorum.replicas; latency_ns; drop_p; net_seed = !opt_seed }
+      { Quorum.replicas; latency_ns; drop_p; net_seed = !opt_seed }
     in
     let q = Quorum.create ~group cfg ~ddl in
     let eng = Quorum.engine q in

@@ -14,31 +14,18 @@ module Obs = Phoebe_obs.Obs
 module Trace = Phoebe_obs.Trace
 module Prng = Phoebe_util.Prng
 module Error = Phoebe_util.Phoebe_error
+module Sanitize = Phoebe_sanitize.Sanitize
 
-type config = {
-  replicas : int;
-  latency_ns : int;
-  gbps : float;
-  drop_p : float;
-  net_seed : int;
-  poll_interval_ns : int;
-  election_timeout_ns : int;
-  retransmit_timeout_ns : int;
-  staleness_bound_ns : int;
-}
+type config = { replicas : int; latency_ns : int; drop_p : float; net_seed : int }
 
-let default_config =
-  {
-    replicas = 2;
-    latency_ns = 50_000;
-    gbps = 10.0;
-    drop_p = 0.0;
-    net_seed = 11;
-    poll_interval_ns = 200_000;
-    election_timeout_ns = 10_000_000;
-    retransmit_timeout_ns = 1_000_000;
-    staleness_bound_ns = 5_000_000;
-  }
+let default_config = { replicas = 2; latency_ns = 50_000; drop_p = 0.0; net_seed = 11 }
+
+(* Protocol constants. No caller varies them. *)
+let gbps = 10.0 (* per-link fabric bandwidth *)
+let poll_interval_ns = 200_000 (* primary pull/ship/heartbeat tick *)
+let election_timeout_ns = 10_000_000 (* base primary-silence timeout *)
+let retransmit_timeout_ns = 1_000_000 (* go-back-N rewind after no ack progress *)
+let staleness_bound_ns = 5_000_000 (* default follower-read bound *)
 
 exception Stale_read of { node : int; staleness_ns : int; bound_ns : int }
 
@@ -113,15 +100,13 @@ type node = {
   (* role / view *)
   mutable role : role;
   mutable view : int;  (** the view entered: the one this node follows or leads *)
-  mutable voted_view : int;  (** highest view voted in; a candidate's is its proposal *)
+  mutable voted_view : int;
+      (** highest view proposed, granted or refused: it votes in none at or below *)
   mutable granted_view : int;
       (** highest view granted to another candidate; see [fenced] *)
-  mutable seen_view : int;  (** highest view seen in any vote request *)
   mutable votes : int;
   mutable leader : int;
-  mutable last_heard : int;
-  mutable election_started : int;
-  mutable round_timeout : int;  (** this candidacy round's jittered timeout *)
+  mutable deadline : int;  (** when a follower or candidate (re)starts an election *)
   rng : Prng.t;  (** per-node deterministic election jitter *)
   (* primary-side shipping state, indexed by peer id *)
   pulled : (int, int) Hashtbl.t;  (** per local WAL file: bytes pulled *)
@@ -131,10 +116,18 @@ type node = {
   mutable waiters : waiter list;  (** quorum commit waits *)
 }
 
+(* The checker's record of the highest chunk count at which view
+   [m_view] released a commit wait (see [verify]). *)
+type release_mark = {
+  m_view : int;
+  mutable m_count : int;
+  mutable m_chunk_view : int;
+  mutable m_end : int;
+}
+
 type t = {
   eng : Engine.t;
   dbcfg : Config.t;
-  gcfg : config;
   ddl : Db.t -> unit;
   decide : Recovery.in_doubt -> bool;
   obs : Obs.t;
@@ -144,6 +137,8 @@ type t = {
   majority : int;
   mutable stopped : bool;
   mutable replay_seq : int;
+  mutable promotions : (int * int) list;  (** checker record: (view, node) per promotion *)
+  mutable marks : release_mark list;  (** checker record: one per view that released *)
   c_ships : Obs.Counter.t;
   c_acks : Obs.Counter.t;
   c_retransmits : Obs.Counter.t;
@@ -185,6 +180,10 @@ let msg_bytes = function
    nothing, so a node that campaigned alone behind a partition rejoins
    its view once healed. *)
 let fenced nd = nd.view < nd.granted_view
+
+(* Failure detection is staggered deterministically by node id so one
+   follower times out first and elections rarely split. *)
+let follower_timeout id = election_timeout_ns + (id * election_timeout_ns / 4)
 
 let push_chunk nd c =
   if nd.n_chunks = Array.length nd.chunks then begin
@@ -231,6 +230,28 @@ let quorum_chunks t p =
   Array.sort (fun a b -> Int.compare b a) counts;
   counts.(t.majority - 1)
 
+(* A commit wait's target: once the WAL's durable-GSN floor passes the
+   commit's GSN, every record of it is in the stream (pulls clamp to the
+   floor), so the quorum must reach the stream's current end. *)
+let commit_target nd ~floor ~gsn = if (gsn : int) <= floor then Some nd.n_chunks else None
+
+let rec mark_of t v = function
+  | m :: _ when m.m_view = v -> m
+  | _ :: rest -> mark_of t v rest
+  | [] ->
+    let m = { m_view = v; m_count = 0; m_chunk_view = 0; m_end = 0 } in
+    t.marks <- m :: t.marks;
+    m
+
+(* Checker record: view [p.view] released a commit wait at [target]. *)
+let note_release t p ~target =
+  let m = mark_of t p.view t.marks in
+  if target > m.m_count then begin
+    m.m_count <- target;
+    m.m_chunk_view <- view_at p target;
+    m.m_end <- off_of p target
+  end
+
 let wake_commit_waiters t p =
   match p.waiters with
   | [] -> ()
@@ -242,7 +263,11 @@ let wake_commit_waiters t p =
         waiters
     in
     p.waiters <- rest;
-    List.iter (fun w -> w.w_resume ()) ready
+    List.iter
+      (fun w ->
+        Option.iter (fun target -> note_release t p ~target) w.w_target;
+        w.w_resume ())
+      ready
 
 let advance_durable nd =
   let from = nd.durable_chunks in
@@ -251,6 +276,148 @@ let advance_durable nd =
     nd.durable_chunks <- nd.durable_chunks + 1
   done;
   nd.durable_chunks > from
+
+(* ------------------------------------------------------------------ *)
+(* Invariant checker: Raft's safety properties (Ongaro 2014, fig. 3.2)
+   over a plain snapshot, so fixtures can corrupt one *)
+
+type entry = { e_view : int; e_start : int; e_len : int }
+
+type node_state = {
+  s_id : int;
+  s_leads : int option;
+  s_chunks : entry array;
+  s_durable : int;
+  s_safe : int;
+  s_applied : int;
+}
+
+type release = { r_view : int; r_count : int; r_chunk_view : int; r_end : int }
+type snapshot = { members : node_state array; leaders : (int * int) list; releases : release list }
+type rule = Election_safety | Log_matching | Leader_completeness | Node_order
+type finding = { rule : rule; detail : string }
+
+let rule_name = function
+  | Election_safety -> "election-safety"
+  | Log_matching -> "log-matching"
+  | Leader_completeness -> "leader-completeness"
+  | Node_order -> "node-order"
+
+let snapshot t =
+  let entry c = { e_view = view_of_file c.c_file; e_start = c.c_start; e_len = Bytes.length c.c_bytes } in
+  let state nd =
+    {
+      s_id = nd.id;
+      s_leads = (match nd.role with Primary -> Some nd.view | Follower | Candidate | Down -> None);
+      s_chunks = Array.init nd.n_chunks (fun i -> entry nd.chunks.(i));
+      s_durable = nd.durable_chunks;
+      s_safe = nd.safe_chunks;
+      s_applied = nd.applied_chunks;
+    }
+  in
+  let release m =
+    { r_view = m.m_view; r_count = m.m_count; r_chunk_view = m.m_chunk_view; r_end = m.m_end }
+  in
+  {
+    members = Array.map state t.nodes;
+    leaders = t.promotions;
+    releases = List.sort (fun a b -> Int.compare a.r_view b.r_view) (List.map release t.marks);
+  }
+
+let verify s =
+  let out = ref [] in
+  let add rule fmt = Printf.ksprintf (fun detail -> out := { rule; detail } :: !out) fmt in
+  let by_view (v, a) (v', b) = if v <> v' then Int.compare v v' else Int.compare a b in
+  (* Election Safety: at most one primary per view, over every promotion
+     and every node now leading *)
+  let leads =
+    Array.fold_left
+      (fun acc m -> match m.s_leads with Some v -> (v, m.s_id) :: acc | None -> acc)
+      s.leaders s.members
+  in
+  let rec pairs = function
+    | (v, a) :: ((v', b) :: _ as rest) ->
+      if v = v' then add Election_safety "nodes %d and %d both led view %d" a b v;
+      pairs rest
+    | [ _ ] | [] -> ()
+  in
+  pairs (List.sort_uniq by_view leads);
+  (* per node: applied <= safe <= durable <= received, and views never
+     decrease along the chunk table *)
+  Array.iter
+    (fun m ->
+      let n = Array.length m.s_chunks in
+      if not (m.s_applied <= m.s_safe && m.s_safe <= m.s_durable && m.s_durable <= n) then
+        add Node_order "node %d: applied %d, safe %d, durable %d, received %d" m.s_id m.s_applied
+          m.s_safe m.s_durable n;
+      let i = ref 1 in
+      while !i < n && m.s_chunks.(!i).e_view >= m.s_chunks.(!i - 1).e_view do
+        incr i
+      done;
+      if !i < n then
+        add Node_order "node %d: chunk %d of view %d follows one of view %d" m.s_id !i
+          m.s_chunks.(!i).e_view
+          m.s_chunks.(!i - 1).e_view)
+    s.members;
+  (* Log Matching: if two nodes hold index i in the same view, their
+     chunks agree at every index <= i *)
+  let same a b = a.e_view = b.e_view && a.e_start = b.e_start && a.e_len = b.e_len in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          if a.s_id < b.s_id then begin
+            let n = min (Array.length a.s_chunks) (Array.length b.s_chunks) in
+            let d = ref 0 in
+            while !d < n && same a.s_chunks.(!d) b.s_chunks.(!d) do
+              incr d
+            done;
+            let i = ref (n - 1) in
+            while !i >= !d && a.s_chunks.(!i).e_view <> b.s_chunks.(!i).e_view do
+              decr i
+            done;
+            if !i >= !d then
+              add Log_matching "nodes %d and %d both hold chunk %d in view %d but differ at chunk %d"
+                a.s_id b.s_id !i a.s_chunks.(!i).e_view !d
+          end)
+        s.members)
+    s.members;
+  (* Leader Completeness: the highest-view primary holds the chunk at
+     which every view up to its own last released a commit wait *)
+  let top =
+    Array.fold_left
+      (fun acc m ->
+        match (m.s_leads, acc) with
+        | Some v, Some (v', _) when v <= v' -> acc
+        | Some v, _ -> Some (v, m)
+        | None, _ -> acc)
+      None s.members
+  in
+  Option.iter
+    (fun (v, p) ->
+      List.iter
+        (fun r ->
+          let holds k =
+            k <= Array.length p.s_chunks
+            &&
+            let e = p.s_chunks.(k - 1) in
+            e.e_view = r.r_chunk_view && e.e_start + e.e_len = r.r_end
+          in
+          if r.r_view <= v && r.r_count > 0 && not (holds r.r_count) then
+            add Leader_completeness
+              "primary %d of view %d lacks chunk %d (view %d, ending at byte %d), released in view %d"
+              p.s_id v (r.r_count - 1) r.r_chunk_view r.r_end r.r_view)
+        s.releases)
+    top;
+  List.rev !out
+
+(* The hook [deliver] runs under the sanitizer: a finding is a bug. *)
+let check t =
+  match verify (snapshot t) with
+  | [] -> ()
+  | fs ->
+    Error.bug ~subsystem:"replication.quorum" "invariant broken: %s"
+      (String.concat "; " (List.map (fun f -> rule_name f.rule ^ ": " ^ f.detail) fs))
 
 (* ------------------------------------------------------------------ *)
 (* Replica-side apply: crash recovery's run machine and apply order, fed
@@ -331,7 +498,8 @@ and deliver t ~dst m =
       | Ack { view; src; durable; off } -> on_ack t nd ~view ~src ~durable ~off
       | Vote_req { view; cand; last_view; durable } -> on_vote_req t nd ~view ~cand ~last_view ~durable
       | Vote_grant { view; src = _ } -> on_vote_grant t nd ~view
-      | New_view { view; primary; base } -> on_new_view t nd ~view ~primary ~base)
+      | New_view { view; primary; base } -> on_new_view t nd ~view ~primary ~base);
+    if Sanitize.on () then check t
 
 (* Acknowledge the durable prefix to the node followed, with its byte
    offset so the primary can check the copies share chunk boundaries. A
@@ -351,7 +519,7 @@ and follow t nd ~leader =
   if not (fenced nd) then begin
     (match nd.role with Candidate -> nd.role <- Follower | _ -> ());
     nd.leader <- leader;
-    nd.last_heard <- Engine.now t.eng
+    nd.deadline <- Engine.now t.eng + follower_timeout nd.id
   end
 
 and on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at =
@@ -503,20 +671,15 @@ and pull t nd =
         nd.on_media.(nd.n_chunks - 1) <- true;
         ignore (advance_durable nd))
       (List.rev !batch));
-  (* commit waits whose GSN the floor has now passed have all their
-     records in the stream: fix their quorum target at the new end *)
   List.iter
-    (fun w ->
-      match w.w_target with
-      | None when w.w_gsn <= floor -> w.w_target <- Some nd.n_chunks
-      | None | Some _ -> ())
+    (fun w -> if Option.is_none w.w_target then w.w_target <- commit_target nd ~floor ~gsn:w.w_gsn)
     nd.waiters
 
 and tick_ship t nd j =
   let now = Engine.now t.eng in
   if
     nd.acked_chunk.(j) < nd.sent_chunk.(j)
-    && now - nd.ack_progress_at.(j) > t.gcfg.retransmit_timeout_ns
+    && now - nd.ack_progress_at.(j) > retransmit_timeout_ns
   then begin
     (* go-back-N: rewind to the acknowledged prefix and re-ship *)
     nd.sent_chunk.(j) <- nd.acked_chunk.(j);
@@ -540,27 +703,21 @@ and tick_ship t nd j =
        });
   nd.sent_chunk.(j) <- nd.n_chunks
 
-(* Failure detection is staggered deterministically by node id so one
-   follower times out first and elections rarely split. *)
-and follower_timeout t nd = t.gcfg.election_timeout_ns + nd.id * t.gcfg.election_timeout_ns / 4
-
 and start_election t nd =
-  (* base the candidacy past every view seen in a refused request, so a
-     node whose longer prefix keeps getting refused leapfrogs the
-     refuser's self-voted views instead of chasing them one by one *)
-  let v = max nd.view (max nd.voted_view nd.seen_view) + 1 in
+  (* [voted_view] covers every view requested of this node, refused
+     ones too, so a node whose longer prefix keeps getting refused
+     leapfrogs the refuser's self-voted views instead of chasing them
+     one by one *)
+  let v = nd.voted_view + 1 in
   (* the proposal is recorded as the self-vote, not entered: [view]
      stays the last view this node followed or led, so a candidate
      whose partition heals still takes that view's Ship and rejoins *)
   nd.role <- Candidate;
   nd.voted_view <- v;
   nd.votes <- 1;
-  nd.election_started <- Engine.now t.eng;
-  nd.last_heard <- Engine.now t.eng;
   (* jittered per-round timeout (Raft-style): identical fixed rounds
      phase-lock two candidates into refusing each other forever *)
-  nd.round_timeout <-
-    t.gcfg.election_timeout_ns + Prng.int nd.rng t.gcfg.election_timeout_ns;
+  nd.deadline <- Engine.now t.eng + election_timeout_ns + Prng.int nd.rng election_timeout_ns;
   Obs.Counter.incr t.c_elections;
   if nd.votes >= t.majority then become_primary t nd
   else begin
@@ -573,7 +730,6 @@ and on_vote_req t nd ~view ~cand ~last_view ~durable =
   match nd.role with
   | Primary | Down -> ()
   | Follower | Candidate ->
-    nd.seen_view <- max nd.seen_view view;
     (* grant iff the candidate's durable stream prefix is at least as
        up to date as ours (Raft's rule): it ends in a later view, or in
        the same view and is at least as long. Two prefixes ending in one
@@ -582,16 +738,18 @@ and on_vote_req t nd ~view ~cand ~last_view ~durable =
        chunks a later view rewrote. Quorum intersection then guarantees
        the winner holds every quorum-acknowledged commit. *)
     let mine = view_at nd nd.durable_chunks in
-    if
+    let grant =
       view > nd.voted_view
       && (last_view > mine || (last_view = mine && durable >= nd.durable_chunks))
-    then begin
-      nd.voted_view <- view;
+    in
+    (* a refused view is spent too: this node votes in it no more *)
+    nd.voted_view <- max nd.voted_view view;
+    if grant then begin
       nd.granted_view <- view;
-      (* defer to the better candidate: hold our own timeout and round
-         back so the grantee has a full round to win and announce *)
-      nd.last_heard <- Engine.now t.eng;
-      nd.election_started <- Engine.now t.eng;
+      (* defer to the better candidate as a follower (Raft): a full
+         follower timeout for the grantee to win and announce *)
+      nd.role <- Follower;
+      nd.deadline <- Engine.now t.eng + follower_timeout nd.id;
       send t ~src:nd.id ~dst:cand (Vote_grant { view; src = nd.id })
     end
 
@@ -604,6 +762,7 @@ and on_vote_grant t nd ~view =
 
 and become_primary t nd =
   nd.view <- nd.voted_view;
+  t.promotions <- (nd.view, nd.id) :: t.promotions;
   (* Cut back to the durable pull-barrier prefix. Any quorum-acked
      commit's target T is a barrier chunk count with a majority of nodes
      durable >= T, each of which acked it before granting any later view
@@ -719,11 +878,12 @@ and commit_barrier t nd ~slot ~lsn:_ =
     let wal = Db.wal nd.db in
     let gsn = Wal.flushed_gsn wal ~slot in
     pull t nd;
-    let target = if Wal.durable_floor wal >= gsn then Some nd.n_chunks else None in
+    let target = commit_target nd ~floor:(Wal.durable_floor wal) ~gsn in
     let satisfied () =
       match target with Some tg -> quorum_chunks t nd >= tg | None -> false
     in
-    if not (satisfied ()) then begin
+    if satisfied () then Option.iter (fun target -> note_release t nd ~target) target
+    else begin
       Obs.Counter.incr t.c_quorum_waits;
       for j = 0 to t.n - 1 do
         if j <> nd.id then tick_ship t nd j
@@ -751,7 +911,7 @@ and commit_barrier t nd ~slot ~lsn:_ =
            (fun _ -> ()))
 
 and schedule_tick t nd gen =
-  Engine.schedule t.eng ~delay:t.gcfg.poll_interval_ns (fun () ->
+  Engine.schedule t.eng ~delay:poll_interval_ns (fun () ->
       if (not t.stopped) && nd.gen = gen && is_primary nd.role then begin
         (* commits parked below the durable-GSN floor need the other
            writers' buffers on media before the floor can pass them *)
@@ -766,12 +926,10 @@ and schedule_tick t nd gen =
       end)
 
 let rec schedule_monitor t nd =
-  Engine.schedule t.eng ~delay:(t.gcfg.election_timeout_ns / 4) (fun () ->
+  Engine.schedule t.eng ~delay:(election_timeout_ns / 4) (fun () ->
       if not t.stopped then begin
-        let now = Engine.now t.eng in
         (match nd.role with
-        | Follower when now - nd.last_heard > follower_timeout t nd -> start_election t nd
-        | Candidate when now - nd.election_started > nd.round_timeout -> start_election t nd
+        | (Follower | Candidate) when Engine.now t.eng > nd.deadline -> start_election t nd
         | Follower | Candidate | Primary | Down -> ());
         schedule_monitor t nd
       end)
@@ -781,27 +939,22 @@ let rec schedule_monitor t nd =
 
 let replay_durable_prefix t ~node ~into =
   let nd = t.nodes.(node) in
-  (* group the journaled chunk prefix per view and replay each primary
-     generation in order, exactly like recovering from that WAL *)
-  let views = Hashtbl.create 4 in
-  for i = 0 to nd.safe_chunks - 1 do
-    let c = nd.chunks.(i) in
-    let v = view_of_file c.c_file in
-    let l = Option.value ~default:[] (Hashtbl.find_opt views v) in
-    Hashtbl.replace views v (c :: l)
-  done;
-  let ordered = Hashtbl.fold (fun v l acc -> (v, List.rev l) :: acc) views [] in
-  let ordered = List.sort (fun (a, _) (b, _) -> Int.compare a b) ordered in
-  List.iter
-    (fun (v, cs) ->
-      t.replay_seq <- t.replay_seq + 1;
-      let dev =
-        Device.create t.eng ~name:(Printf.sprintf "replay-v%d-%d" v t.replay_seq) Device.pm9a3
-      in
-      let store = Walstore.create dev in
-      List.iter (fun c -> Walstore.append store ~file:c.c_file c.c_bytes ~on_durable:(fun () -> ())) cs;
-      ignore (Db.replay_wal ~decide_in_doubt:t.decide into ~from:store))
-    ordered
+  (* replay each primary generation's run of the journaled prefix in
+     order, exactly like recovering from that WAL: views never decrease
+     along a chunk table, so each run is contiguous *)
+  let i = ref 0 in
+  while !i < nd.safe_chunks do
+    let v = view_of_file nd.chunks.(!i).c_file in
+    t.replay_seq <- t.replay_seq + 1;
+    let dev = Device.create t.eng ~name:(Printf.sprintf "replay-v%d-%d" v t.replay_seq) Device.pm9a3 in
+    let store = Walstore.create dev in
+    while !i < nd.safe_chunks && view_of_file nd.chunks.(!i).c_file = v do
+      let c = nd.chunks.(!i) in
+      Walstore.append store ~file:c.c_file c.c_bytes ~on_durable:(fun () -> ());
+      incr i
+    done;
+    ignore (Db.replay_wal ~decide_in_doubt:t.decide into ~from:store)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Construction and public surface *)
@@ -814,13 +967,12 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
   let obs = Obs.create () in
   let chan =
     Netchan.create ~drop_p:group.drop_p ~seed:group.net_seed eng ~nodes:n
-      ~latency_ns:group.latency_ns ~gbps:group.gbps
+      ~latency_ns:group.latency_ns ~gbps
   in
   let t =
     {
       eng;
       dbcfg;
-      gcfg = group;
       ddl;
       decide = decide_in_doubt;
       obs;
@@ -830,6 +982,8 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       majority = (n / 2) + 1;
       stopped = false;
       replay_seq = 0;
+      promotions = [ (1, 0) ];
+      marks = [];
       c_ships = Obs.counter obs "quorum.ship_msgs";
       c_acks = Obs.counter obs "quorum.acks";
       c_retransmits = Obs.counter obs "quorum.retransmits";
@@ -872,12 +1026,9 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       view = 1;
       voted_view = 1;
       granted_view = 1;
-      seen_view = 1;
       votes = 0;
       leader = 0;
-      last_heard = 0;
-      election_started = 0;
-      round_timeout = group.election_timeout_ns;
+      deadline = follower_timeout id;
       rng = Prng.create ~seed:(group.net_seed + (977 * id) + 13);
       pulled = Hashtbl.create 16;
       sent_chunk = Array.make n 0;
@@ -958,7 +1109,7 @@ let follower_read ?max_staleness_ns t ~node f =
   (match nd.role with
   | Down -> invalid_arg "Quorum.follower_read: node is down"
   | Primary | Follower | Candidate -> ());
-  let bound = Option.value ~default:t.gcfg.staleness_bound_ns max_staleness_ns in
+  let bound = Option.value ~default:staleness_bound_ns max_staleness_ns in
   let s = staleness_ns t ~node in
   if s > bound then begin
     Obs.Counter.incr t.c_stale_reads;
@@ -982,4 +1133,4 @@ let restart_follower t ~node =
   apply_upto nd ~upto:nd.safe_chunks;
   nd.role <- Follower;
   nd.votes <- 0;
-  nd.last_heard <- Engine.now t.eng
+  nd.deadline <- Engine.now t.eng + follower_timeout nd.id

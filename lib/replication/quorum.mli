@@ -37,18 +37,17 @@
 type config = {
   replicas : int;  (** followers; group size is [replicas + 1] *)
   latency_ns : int;  (** one-way fabric latency *)
-  gbps : float;  (** per-link fabric bandwidth *)
   drop_p : float;  (** i.i.d. message-drop probability ({!Phoebe_sim.Netchan}) *)
-  net_seed : int;  (** PRNG seed for message drops *)
-  poll_interval_ns : int;  (** primary pull/ship/heartbeat tick *)
-  election_timeout_ns : int;  (** base primary-silence timeout *)
-  retransmit_timeout_ns : int;  (** go-back-N rewind after no ack progress *)
-  staleness_bound_ns : int;  (** default follower-read staleness bound *)
+  net_seed : int;  (** PRNG seed for message drops and election jitter *)
 }
+(** What callers vary. The protocol's other quantities are module
+    constants: 10 Gb/s links, a 200 µs primary tick (pull, ship,
+    heartbeat), a 10 ms base election timeout, a 1 ms go-back-N
+    retransmit timeout and a 5 ms default follower-read staleness
+    bound (DESIGN.md §4j). *)
 
 val default_config : config
-(** 2 replicas, 50 µs / 10 Gb/s links, no drops, 200 µs ticks, 10 ms
-    election timeout, 1 ms retransmit, 5 ms staleness bound. *)
+(** 2 replicas, 50 µs links, no drops, network seed 11. *)
 
 exception Stale_read of { node : int; staleness_ns : int; bound_ns : int }
 
@@ -143,7 +142,7 @@ val staleness_ns : t -> node:int -> int
 
 val follower_read : ?max_staleness_ns:int -> t -> node:int -> (Phoebe_core.Table.txn -> 'a) -> 'a
 (** Run a read-only transaction on [node] if its staleness is within
-    the bound (default [staleness_bound_ns]).
+    the bound (default 5 ms).
     @raise Stale_read otherwise. *)
 
 (** {1 Recovery oracle} *)
@@ -153,6 +152,59 @@ val replay_durable_prefix : t -> node:int -> into:Phoebe_core.Db.t -> unit
     (a fresh same-DDL instance) through the crash-recovery path — what
     an independent recovery of that node's journal would reconstruct.
     Property tests compare this against the promoted primary. *)
+
+(** {1 Invariant checker}
+
+    Raft's safety properties (Ongaro, {i Consensus: Bridging Theory and
+    Practice}, 2014, fig. 3.2) over a plain snapshot of the group, so a
+    fixture can corrupt a snapshot without reaching into the group.
+    Under the sanitizer ({!Phoebe_sanitize.Sanitize.on}) the group checks
+    itself after every delivered message and raises
+    {!Phoebe_util.Phoebe_error.Bug} on a finding. *)
+
+type entry = { e_view : int; e_start : int; e_len : int }
+(** One chunk: the view whose primary cut it, its stream offset and its
+    length in bytes. *)
+
+type node_state = {
+  s_id : int;
+  s_leads : int option;  (** [Some v] while the node is the primary of view [v] *)
+  s_chunks : entry array;  (** the received chunk table *)
+  s_durable : int;
+  s_safe : int;
+  s_applied : int;  (** frontiers, as chunk counts *)
+}
+
+type release = { r_view : int; r_count : int; r_chunk_view : int; r_end : int }
+(** The highest chunk count at which the primary of view [r_view]
+    released a commit wait, with that chunk's view and end offset. *)
+
+type snapshot = {
+  members : node_state array;
+  leaders : (int * int) list;  (** (view, node) of every promotion, node 0's view 1 included *)
+  releases : release list;  (** one per view that released a commit *)
+}
+
+type rule =
+  | Election_safety  (** at most one primary per view *)
+  | Log_matching
+      (** two nodes that hold index [i] in the same view agree on view,
+          offset and length at every index [<= i] *)
+  | Leader_completeness
+      (** the highest-view primary holds every released chunk of its
+          view and earlier ones *)
+  | Node_order
+      (** applied [<=] safe [<=] durable [<=] received, and views never
+          decrease along a chunk table *)
+
+type finding = { rule : rule; detail : string }
+
+val rule_name : rule -> string
+val snapshot : t -> snapshot
+
+val verify : snapshot -> finding list
+(** Every broken rule, with the nodes and indexes involved; [[]] on a
+    sound group. *)
 
 (** {1 Introspection}
 

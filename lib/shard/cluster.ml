@@ -73,7 +73,6 @@ type t = {
   cnet_cfg : Net.config;
   cshards : Db.t array;
   shard_cfg : Config.t;
-  msg_timeout_ns : int;
   decision_poll_ns : int;
   mutable procs : proc array;
   branches : (int * int, branch) Hashtbl.t array;
@@ -94,6 +93,9 @@ type t = {
   c_br_aborted : Obs.Counter.t;
   c_status_polls : Obs.Counter.t;
 }
+
+(* The bound on exec-reply and prepare-vote waits. No caller varies it. *)
+let msg_timeout_ns = 10_000_000
 
 let shards t = Array.length t.cshards
 let shard t k = t.cshards.(k)
@@ -216,7 +218,7 @@ let start_branch t p (m : Msg.t) ~proc ~args =
 let wake_coord dtx = wake dtx.dt_waiter
 
 let park_coord t dtx =
-  let deadline = Scheduler.At (Engine.now t.ceng + t.msg_timeout_ns) in
+  let deadline = Scheduler.At (Engine.now t.ceng + msg_timeout_ns) in
   let r =
     Scheduler.park ~deadline ~urgency:Scheduler.High ~phase:Trace.Remote_wait (fun w ->
         dtx.dt_waiter <- Some w)
@@ -423,7 +425,7 @@ let shard_config base k =
     (* each shard's three devices get their own fault streams *)
     { base with Config.faults = Some { fc with Device.fault_seed = fc.Device.fault_seed + (16 * k) } }
 
-let build ~eng ~net_cfg ~msg_timeout_ns ~decision_poll_ns ~shard_cfg shards_arr =
+let build ~eng ~net_cfg ~decision_poll_ns ~shard_cfg shards_arr =
   let n = Array.length shards_arr in
   let cobs = Obs.create () in
   let cnet = Net.create ~obs:cobs eng ~nodes:n net_cfg in
@@ -435,7 +437,6 @@ let build ~eng ~net_cfg ~msg_timeout_ns ~decision_poll_ns ~shard_cfg shards_arr 
       cnet_cfg = net_cfg;
       cshards = shards_arr;
       shard_cfg;
-      msg_timeout_ns;
       decision_poll_ns;
       procs = [||];
       branches = Array.init n (fun _ -> Hashtbl.create 64);
@@ -458,11 +459,10 @@ let build ~eng ~net_cfg ~msg_timeout_ns ~decision_poll_ns ~shard_cfg shards_arr 
   done;
   t
 
-let create ?(net = Net.default_config) ?(msg_timeout_ns = 10_000_000)
-    ?(decision_poll_ns = 5_000_000) eng ~shards:n cfg =
+let create ?(net = Net.default_config) ?(decision_poll_ns = 5_000_000) eng ~shards:n cfg =
   if n <= 0 then invalid_arg "Cluster.create: shards must be positive";
   let shards_arr = Array.init n (fun k -> Db.create_on eng (shard_config cfg k)) in
-  build ~eng ~net_cfg:net ~msg_timeout_ns ~decision_poll_ns ~shard_cfg:cfg shards_arr
+  build ~eng ~net_cfg:net ~decision_poll_ns ~shard_cfg:cfg shards_arr
 
 let run t = Scheduler.run_until_quiescent (Db.scheduler t.cshards.(0))
 let run_for t ~ns = Engine.run_until t.ceng ~time:(Engine.now t.ceng + ns)
@@ -586,7 +586,7 @@ let recover ?(net : Net.config option) old ~ddl =
   let t' =
     build ~eng:old.ceng
       ~net_cfg:(Option.value net ~default:old.cnet_cfg)
-      ~msg_timeout_ns:old.msg_timeout_ns ~decision_poll_ns:old.decision_poll_ns
+      ~decision_poll_ns:old.decision_poll_ns
       ~shard_cfg:old.shard_cfg shards'
   in
   ( t',

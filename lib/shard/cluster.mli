@@ -31,7 +31,6 @@ type t
 
 val create :
   ?net:Net.config ->
-  ?msg_timeout_ns:int ->
   ?decision_poll_ns:int ->
   Phoebe_sim.Engine.t ->
   shards:int ->
@@ -40,8 +39,8 @@ val create :
 (** [create eng ~shards:k cfg] builds [k] shards via
     {!Phoebe_core.Db.create_on}, each from [cfg] with per-shard fault
     seeds (when [cfg.faults] is set), linked by a fresh fabric.
-    [msg_timeout_ns] (default 10 ms) bounds exec-reply and prepare-vote
-    waits; [decision_poll_ns] (default 5 ms) is the in-doubt branch's
+    A 10 ms timeout bounds exec-reply and prepare-vote waits;
+    [decision_poll_ns] (default 5 ms) is the in-doubt branch's
     status-poll cadence. *)
 
 val shards : t -> int

@@ -2,9 +2,13 @@ module Engine = Phoebe_sim.Engine
 module Netchan = Phoebe_sim.Netchan
 module Obs = Phoebe_obs.Obs
 
-type config = { latency_ns : int; gbps : float; drop_p : float; seed : int }
+type config = { drop_p : float; seed : int }
 
-let default_config = { latency_ns = 50_000; gbps = 10.0; drop_p = 0.0; seed = 7 }
+let default_config = { drop_p = 0.0; seed = 7 }
+
+(* Fabric constants. No caller varies them. *)
+let latency_ns = 50_000
+let gbps = 10.0
 
 type t = { chan : Netchan.t; nodes : int; handlers : (Msg.t -> unit) option array }
 
@@ -12,8 +16,7 @@ let create ?obs eng ~nodes cfg =
   let t =
     {
       chan =
-        Netchan.create ~drop_p:cfg.drop_p ~seed:cfg.seed eng ~nodes ~latency_ns:cfg.latency_ns
-          ~gbps:cfg.gbps;
+        Netchan.create ~drop_p:cfg.drop_p ~seed:cfg.seed eng ~nodes ~latency_ns ~gbps;
       nodes;
       handlers = Array.make nodes None;
     }

@@ -5,14 +5,14 @@
     are honest. *)
 
 type config = {
-  latency_ns : int;  (** one-way propagation latency *)
-  gbps : float;  (** per-link bandwidth, gigabits/s *)
   drop_p : float;  (** per-message drop probability (deterministic PRNG) *)
   seed : int;  (** drop-draw seed *)
 }
+(** What callers vary. Every link has a 50 µs one-way latency and
+    10 Gb/s of bandwidth. *)
 
 val default_config : config
-(** 50 µs, 10 Gb/s, no loss. *)
+(** No loss, seed 7. *)
 
 type t
 

@@ -8,13 +8,17 @@
    grant fencing the granter off a live old primary, elections ranking
    a prefix by the view of its last chunk, the 100-seed randomized
    crash-during-replication durability property, and a 100-seed live
-   primary election property. *)
+   primary election property. The fixed cases run under the sanitizer,
+   so the group checks Raft's invariants ([Quorum.verify]) after every
+   delivered message; the properties check them at quiescent points, and
+   one seeded-corruption fixture per rule shows that each is named. *)
 open Phoebe_core
 module Quorum = Phoebe_replication.Quorum
 module Value = Phoebe_storage.Value
 module Device = Phoebe_io.Device
 module Prng = Phoebe_util.Prng
 module Obs = Phoebe_obs.Obs
+module Sanitize = Phoebe_sanitize.Sanitize
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -42,6 +46,23 @@ let insert_kv db k v txn = ignore (Table.insert (kv db) txn [| Value.Int k; Valu
 let group ?group ?decide_in_doubt ?(cfg = cfg) () =
   let q = Quorum.create ?group ?decide_in_doubt cfg ~ddl in
   (q, Option.get (Quorum.primary_db q))
+
+(* A fixed case with the sanitizer on: a broken invariant raises Bug at
+   the delivery that broke it. *)
+let checked f () =
+  Sanitize.enable ();
+  Fun.protect ~finally:Sanitize.disable f
+
+let findings q =
+  List.map
+    (fun (f : Quorum.finding) -> Quorum.rule_name f.rule ^ ": " ^ f.detail)
+    (Quorum.verify (Quorum.snapshot q))
+
+(* A quiescent point of a property: no rule may be broken. *)
+let check_group ~seed q =
+  match findings q with
+  | [] -> ()
+  | fs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " fs)
 
 let elected q =
   match Quorum.primary q with
@@ -381,10 +402,12 @@ let check_failover ~seed ~faults ~net ~n_txns ~crash_at ~partition =
       Alcotest.fail
         (Printf.sprintf "seed %d: node %d, cut off for %d ns, durable to %d of %d stream bytes" seed
            node ns durable stream);
+    check_group ~seed q;
     submit (n_txns + 1));
   Quorum.run_for q ~ns:crash_at;
   Quorum.kill q ~node:0;
   Quorum.run_for q ~ns:150_000_000;
+  check_group ~seed q;
   (match Quorum.primary q with
   | None -> Alcotest.fail (Printf.sprintf "seed %d: no primary elected" seed)
   | Some p ->
@@ -444,6 +467,34 @@ let test_promote_equals_crash_recovery_under_faults () =
 let test_partitioned_follower_rejoins () =
   check_failover ~seed:17 ~faults:heavy_faults ~net:Quorum.default_config ~n_txns:40
     ~crash_at:8_000_000 ~partition:(Some (2, 20_000_000))
+
+(* A follower cut off past its election timeout campaigns alone, in
+   views it proposes but never enters. Healed, it rejoins the view it
+   left: the primary keeps its view, and commits keep flowing to all
+   three nodes. A proposal that fenced its proposer the way a grant
+   fences a granter would keep the healed node campaigning until it
+   deposed a primary that never failed. *)
+let test_lone_candidate_leaves_the_view_alone () =
+  let q, prim = group () in
+  let acked = ref 0 in
+  let submit first =
+    for k = first to first + 19 do
+      Db.submit prim ~on_done:(fun () -> incr acked) (insert_kv prim k k)
+    done
+  in
+  submit 1;
+  Quorum.set_partitioned q ~node:2 true;
+  Quorum.run_for q ~ns:30_000_000;
+  check_bool "node 2 campaigned alone" true
+    (Obs.Counter.get (Obs.counter (Quorum.obs q) "quorum.elections") > 0);
+  Quorum.set_partitioned q ~node:2 false;
+  submit 21;
+  Quorum.run_for q ~ns:100_000_000;
+  check_int "node 0 still leads" 0 (elected q);
+  check_int "in view 1" 1 (Quorum.view q);
+  check_int "every commit acknowledged" 40 !acked;
+  check_int "node 2 durable to the stream end" (Quorum.stream_len q) (Quorum.durable_off q ~node:2);
+  Quorum.shutdown q
 
 (* A live primary during an election. Node 0 is cut off with commits
    pending, so node 1 times out first and asks node 2 for a vote. Once
@@ -575,6 +626,7 @@ let live_election_property seed =
     Quorum.run_for q ~ns:(Prng.int rng 600_000)
   done;
   Quorum.run_for q ~ns:150_000_000;
+  check_group ~seed q;
   let p = elected q in
   let d = dump (Quorum.db q ~node:p) in
   List.iter
@@ -596,6 +648,7 @@ let live_election_property seed =
   Quorum.run_for q ~ns:50_000_000;
   if !late <> 5 then
     Alcotest.failf "seed %d: %d of 5 commits acknowledged with node %d cut off" seed !late follower;
+  check_group ~seed q;
   Quorum.shutdown q
 
 let test_live_election_property_100_seeds () =
@@ -614,46 +667,101 @@ let test_crash_property_100_seeds () =
     crash_property seed
   done
 
+(* The checker on a sound group and on one corruption per rule. The
+   group commits in view 1, fails over, and commits in view 2, so the
+   snapshot holds two views' chunks and releases. Each corruption must
+   be named, and only by its rule. *)
+let sound_snapshot () =
+  let q, prim = group () in
+  for k = 1 to 20 do
+    Db.submit prim (insert_kv prim k k)
+  done;
+  Quorum.run_for q ~ns:20_000_000;
+  Quorum.kill q ~node:0;
+  Quorum.run_for q ~ns:60_000_000;
+  let pdb = elected_db q in
+  for k = 21 to 30 do
+    Db.submit pdb (insert_kv pdb k k)
+  done;
+  Quorum.run_for q ~ns:20_000_000;
+  Quorum.shutdown q;
+  (Quorum.snapshot q, elected q)
+
+let named (s : Quorum.snapshot) =
+  List.sort_uniq String.compare
+    (List.map (fun (f : Quorum.finding) -> Quorum.rule_name f.rule) (Quorum.verify s))
+
+let test_verify_fixtures () =
+  let s, p = sound_snapshot () in
+  let f = if p = 1 then 2 else 1 in
+  let views = List.map (fun (r : Quorum.release) -> r.r_view) s.releases in
+  Alcotest.(check (list int)) "views 1 and 2 released commits" [ 1; 2 ] views;
+  Alcotest.(check (list string)) "a sound group" [] (named s);
+  let with_member id g = { s with members = Array.map (fun m -> if m.Quorum.s_id = id then g m else m) s.members } in
+  let expect rule corrupt = Alcotest.(check (list string)) rule [ rule ] (named corrupt) in
+  let pv = Option.get s.members.(p).s_leads in
+  expect "election-safety" { s with leaders = (pv, f) :: s.leaders };
+  (* a follower's first chunk one byte longer: both still hold the
+     last chunk in view 2 *)
+  expect "log-matching"
+    (with_member f (fun m ->
+         let c = Array.copy m.s_chunks in
+         c.(0) <- { (c.(0)) with e_len = c.(0).e_len + 1 };
+         { m with s_chunks = c }));
+  expect "leader-completeness"
+    { s with releases = List.map (fun (r : Quorum.release) -> { r with r_end = r.r_end + 1 }) s.releases };
+  expect "node-order" (with_member f (fun m -> { m with s_applied = m.s_safe + 1 }));
+  expect "node-order"
+    (with_member f (fun m ->
+         let c = Array.copy m.s_chunks in
+         let last = Array.length c - 1 in
+         c.(last) <- { (c.(last)) with e_view = 0 };
+         { m with s_chunks = c }))
+
+let fixed name f = Alcotest.test_case name `Quick (checked f)
+
 let () =
   Alcotest.run "phoebe_quorum"
     [
       ( "group",
         [
-          Alcotest.test_case "convergence" `Quick (test_convergence inserts);
-          Alcotest.test_case "commit gated on quorum" `Quick test_commit_gated_on_quorum;
-          Alcotest.test_case "follower reads and staleness" `Quick
+          fixed "convergence" (test_convergence inserts);
+          fixed "commit gated on quorum" test_commit_gated_on_quorum;
+          fixed "follower reads and staleness"
             test_follower_reads_and_staleness;
-          Alcotest.test_case "follower restart" `Quick test_follower_restart;
-          Alcotest.test_case "follower restart keeps an undecided prepared branch" `Quick
+          fixed "follower restart" test_follower_restart;
+          fixed "follower restart keeps an undecided prepared branch"
             test_follower_restart_keeps_prepared;
         ] );
       ( "shipping",
         [
-          Alcotest.test_case "basic convergence" `Quick (test_convergence batched_inserts);
-          Alcotest.test_case "lag and catch-up" `Quick test_lag_and_catchup;
-          Alcotest.test_case "promote == crash recovery under faults" `Quick
+          fixed "basic convergence" (test_convergence batched_inserts);
+          fixed "lag and catch-up" test_lag_and_catchup;
+          fixed "promote == crash recovery under faults"
             test_promote_equals_crash_recovery_under_faults;
-          Alcotest.test_case "updates and deletes" `Quick (test_convergence updates_and_deletes);
-          Alcotest.test_case "key update and delete keep the follower index" `Quick
+          fixed "updates and deletes" (test_convergence updates_and_deletes);
+          fixed "key update and delete keep the follower index"
             test_follower_key_update_and_delete;
-          Alcotest.test_case "uncommitted withheld" `Quick (test_convergence aborted_txn);
-          Alcotest.test_case "volatile tail withheld" `Quick test_volatile_tail_withheld;
+          fixed "uncommitted withheld" (test_convergence aborted_txn);
+          fixed "volatile tail withheld" test_volatile_tail_withheld;
         ] );
       ( "failover",
         [
-          Alcotest.test_case "promote" `Quick test_failover_promote;
-          Alcotest.test_case "automated failover" `Quick test_automated_failover;
-          Alcotest.test_case "promote resolves in-doubt" `Quick test_promote_resolves_in_doubt;
-          Alcotest.test_case "partitioned follower rejoins" `Quick test_partitioned_follower_rejoins;
-          Alcotest.test_case "a grant fences off the old primary" `Quick
+          fixed "promote" test_failover_promote;
+          fixed "automated failover" test_automated_failover;
+          fixed "promote resolves in-doubt" test_promote_resolves_in_doubt;
+          fixed "partitioned follower rejoins" test_partitioned_follower_rejoins;
+          fixed "a lone candidate leaves the view alone" test_lone_candidate_leaves_the_view_alone;
+          fixed "a grant fences off the old primary"
             test_grant_fences_old_primary;
-          Alcotest.test_case "a later view outranks a longer prefix" `Quick
+          fixed "a later view outranks a longer prefix"
             test_later_view_outranks_longer_prefix;
-          Alcotest.test_case "a cut drops chunks not yet durable" `Quick
+          fixed "a cut drops chunks not yet durable"
             test_cut_drops_chunks_not_yet_durable;
           Alcotest.test_case "primary crash property (100 seeds)" `Slow
             test_crash_property_100_seeds;
           Alcotest.test_case "live primary election property (100 seeds)" `Slow
             test_live_election_property_100_seeds;
         ] );
+      ("checker", [ Alcotest.test_case "each rule's corruption is named" `Quick test_verify_fixtures ]);
     ]

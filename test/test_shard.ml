@@ -81,10 +81,10 @@ let insert_proc ~shard:_ db txn args =
   ignore (Table.insert (Db.table db "xfer") txn [| args.(0); args.(1) |]);
   [||]
 
-let make_cluster ?net ?msg_timeout_ns ?decision_poll_ns ?faults ?(sanitize = false) ~shards () =
+let make_cluster ?net ?decision_poll_ns ?faults ?(sanitize = false) ~shards () =
   let eng = Engine.create () in
   let cl =
-    Cluster.create ?net ?msg_timeout_ns ?decision_poll_ns eng ~shards
+    Cluster.create ?net ?decision_poll_ns eng ~shards
       { (base_cfg ?faults ()) with Config.sanitize }
   in
   for k = 0 to shards - 1 do
@@ -233,7 +233,7 @@ let atomicity_trial ~seed =
     else None
   in
   let net =
-    { Net.default_config with Net.drop_p = (if seed mod 3 = 0 then 0.05 else 0.0); seed }
+    { Net.drop_p = (if seed mod 3 = 0 then 0.05 else 0.0); seed }
   in
   let cl, proc = make_cluster ~net ?faults ~shards () in
   if seed mod 5 = 0 then Cluster.set_drop_decides cl true;
