@@ -67,8 +67,6 @@ type chunk = {
 
 type role = Primary | Follower | Candidate | Down
 
-let is_primary nd_role = match nd_role with Primary -> true | _ -> false
-
 (* A quorum commit wait. The committing transaction's records all carry
    GSN <= [w_gsn]; they are guaranteed to be in the stream only once
    the WAL's durable-GSN floor passes [w_gsn] (pulls clamp to the
@@ -304,7 +302,9 @@ let rule_name = function
   | Node_order -> "node-order"
 
 let snapshot t =
-  let entry c = { e_view = view_of_file c.c_file; e_start = c.c_start; e_len = Bytes.length c.c_bytes } in
+  let entry c =
+    { e_view = view_of_file c.c_file; e_start = c.c_start; e_len = Bytes.length c.c_bytes }
+  in
   let state nd =
     {
       s_id = nd.id;
@@ -377,8 +377,9 @@ let verify s =
               decr i
             done;
             if !i >= !d then
-              add Log_matching "nodes %d and %d both hold chunk %d in view %d but differ at chunk %d"
-                a.s_id b.s_id !i a.s_chunks.(!i).e_view !d
+              add Log_matching
+                "nodes %d and %d both hold chunk %d in view %d but differ at chunk %d" a.s_id
+                b.s_id !i a.s_chunks.(!i).e_view !d
           end)
         s.members)
     s.members;
@@ -405,7 +406,8 @@ let verify s =
           in
           if r.r_view <= v && r.r_count > 0 && not (holds r.r_count) then
             add Leader_completeness
-              "primary %d of view %d lacks chunk %d (view %d, ending at byte %d), released in view %d"
+              "primary %d of view %d lacks chunk %d (view %d, ending at byte %d), released in \
+               view %d"
               p.s_id v (r.r_count - 1) r.r_chunk_view r.r_end r.r_view)
         s.releases)
     top;
@@ -557,7 +559,7 @@ and on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at =
   end
 
 and on_ack t nd ~view ~src ~durable ~off =
-  if is_primary nd.role && view = nd.view && durable <= nd.n_chunks then begin
+  if nd.role = Primary && view = nd.view && durable <= nd.n_chunks then begin
     (* an ack past our stream end comes from a follower ahead of the
        new history; the view's base, in flight, will truncate or rebuild it *)
     let mine = off_of nd durable in
@@ -626,12 +628,9 @@ and pull t nd =
     let ordered =
       List.sort
         (fun ((a : Record.t), fa, _) ((b : Record.t), fb, _) ->
-          let c = Int.compare a.Record.gsn b.Record.gsn in
-          if c <> 0 then c
-          else begin
-            let c = Int.compare fa fb in
-            if c <> 0 then c else Int.compare a.Record.lsn b.Record.lsn
-          end)
+          if a.gsn <> b.gsn then Int.compare a.gsn b.gsn
+          else if fa <> fb then Int.compare fa fb
+          else Int.compare a.lsn b.lsn)
         (List.rev recs_)
     in
     let now = Engine.now t.eng in
@@ -912,11 +911,11 @@ and commit_barrier t nd ~slot ~lsn:_ =
 
 and schedule_tick t nd gen =
   Engine.schedule t.eng ~delay:poll_interval_ns (fun () ->
-      if (not t.stopped) && nd.gen = gen && is_primary nd.role then begin
+      if (not t.stopped) && nd.gen = gen && nd.role = Primary then begin
         (* commits parked below the durable-GSN floor need the other
            writers' buffers on media before the floor can pass them *)
-        if List.exists (fun w -> match w.w_target with None -> true | Some _ -> false) nd.waiters
-        then Wal.flush_all (Db.wal nd.db) ~on_done:(fun () -> ());
+        if List.exists (fun w -> Option.is_none w.w_target) nd.waiters then
+          Wal.flush_all (Db.wal nd.db) ~on_done:(fun () -> ());
         pull t nd;
         for j = 0 to t.n - 1 do
           if j <> nd.id then tick_ship t nd j
@@ -946,8 +945,8 @@ let replay_durable_prefix t ~node ~into =
   while !i < nd.safe_chunks do
     let v = view_of_file nd.chunks.(!i).c_file in
     t.replay_seq <- t.replay_seq + 1;
-    let dev = Device.create t.eng ~name:(Printf.sprintf "replay-v%d-%d" v t.replay_seq) Device.pm9a3 in
-    let store = Walstore.create dev in
+    let name = Printf.sprintf "replay-v%d-%d" v t.replay_seq in
+    let store = Walstore.create (Device.create t.eng ~name Device.pm9a3) in
     while !i < nd.safe_chunks && view_of_file nd.chunks.(!i).c_file = v do
       let c = nd.chunks.(!i) in
       Walstore.append store ~file:c.c_file c.c_bytes ~on_durable:(fun () -> ());
@@ -958,6 +957,8 @@ let replay_durable_prefix t ~node ~into =
 
 (* ------------------------------------------------------------------ *)
 (* Construction and public surface *)
+
+let view t = Array.fold_left (fun a nd -> max a nd.view) 0 t.nodes
 
 let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_doubt) -> false)
     dbcfg ~ddl =
@@ -999,9 +1000,9 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
     let db = Db.create_on eng dbcfg in
     ddl db;
     let mfaults =
-      match dbcfg.Config.faults with
-      | Some fc -> Some { fc with Device.fault_seed = fc.Device.fault_seed + 101 + (7 * id) }
-      | None -> None
+      Option.map
+        (fun fc -> { fc with Device.fault_seed = fc.Device.fault_seed + 101 + (7 * id) })
+        dbcfg.Config.faults
     in
     let mirror =
       Walstore.create
@@ -1039,8 +1040,7 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
   in
   t.nodes <- Array.init n mk;
   Array.iter (fun nd -> install_barrier t nd) t.nodes;
-  Obs.int_fn obs "quorum.view" (fun () ->
-      Array.fold_left (fun a nd -> max a nd.view) 0 t.nodes);
+  Obs.int_fn obs "quorum.view" (fun () -> view t);
   Obs.int_fn obs "quorum.net_dropped" (fun () -> Netchan.dropped chan);
   Obs.int_fn obs "quorum.net_msgs" (fun () -> Netchan.msgs chan);
   Obs.int_fn obs "quorum.net_bytes" (fun () -> Netchan.bytes chan);
@@ -1052,20 +1052,15 @@ let engine t = t.eng
 let obs t = t.obs
 let nodes t = t.n
 let majority t = t.majority
-let view t = Array.fold_left (fun a nd -> max a nd.view) 0 t.nodes
 
 let primary t =
-  let best = ref None in
-  Array.iter
-    (fun nd ->
-      match nd.role with
-      | Primary -> (
-        match !best with
-        | Some b when t.nodes.(b).view >= nd.view -> ()
-        | _ -> best := Some nd.id)
-      | Follower | Candidate | Down -> ())
-    t.nodes;
-  !best
+  Array.fold_left
+    (fun best nd ->
+      match (nd.role, best) with
+      | Primary, Some b when t.nodes.(b).view >= nd.view -> best
+      | Primary, _ -> Some nd.id
+      | (Follower | Candidate | Down), _ -> best)
+    None t.nodes
 
 let db t ~node = t.nodes.(node).db
 let primary_db t = Option.map (fun id -> t.nodes.(id).db) (primary t)
@@ -1075,11 +1070,7 @@ let durable_off t ~node =
   off_of nd nd.durable_chunks
 
 let stream_len t =
-  match primary t with
-  | Some p ->
-    let nd = t.nodes.(p) in
-    off_of nd nd.n_chunks
-  | None -> 0
+  match primary t with Some p -> off_of t.nodes.(p) t.nodes.(p).n_chunks | None -> 0
 
 let net_utilization t = Netchan.utilization t.chan
 let mirror_utilization t ~node = Device.busy_fraction (Walstore.device t.nodes.(node).mirror)
@@ -1132,5 +1123,4 @@ let restart_follower t ~node =
   reset_replica t nd;
   apply_upto nd ~upto:nd.safe_chunks;
   nd.role <- Follower;
-  nd.votes <- 0;
   nd.deadline <- Engine.now t.eng + follower_timeout nd.id

@@ -697,7 +697,9 @@ let test_verify_fixtures () =
   let views = List.map (fun (r : Quorum.release) -> r.r_view) s.releases in
   Alcotest.(check (list int)) "views 1 and 2 released commits" [ 1; 2 ] views;
   Alcotest.(check (list string)) "a sound group" [] (named s);
-  let with_member id g = { s with members = Array.map (fun m -> if m.Quorum.s_id = id then g m else m) s.members } in
+  let with_member id g =
+    { s with members = Array.map (fun m -> if m.Quorum.s_id = id then g m else m) s.members }
+  in
   let expect rule corrupt = Alcotest.(check (list string)) rule [ rule ] (named corrupt) in
   let pv = Option.get s.members.(p).s_leads in
   expect "election-safety" { s with leaders = (pv, f) :: s.leaders };
@@ -709,7 +711,10 @@ let test_verify_fixtures () =
          c.(0) <- { (c.(0)) with e_len = c.(0).e_len + 1 };
          { m with s_chunks = c }));
   expect "leader-completeness"
-    { s with releases = List.map (fun (r : Quorum.release) -> { r with r_end = r.r_end + 1 }) s.releases };
+    {
+      s with
+      releases = List.map (fun (r : Quorum.release) -> { r with r_end = r.r_end + 1 }) s.releases;
+    };
   expect "node-order" (with_member f (fun m -> { m with s_applied = m.s_safe + 1 }));
   expect "node-order"
     (with_member f (fun m ->
@@ -763,5 +768,6 @@ let () =
           Alcotest.test_case "live primary election property (100 seeds)" `Slow
             test_live_election_property_100_seeds;
         ] );
-      ("checker", [ Alcotest.test_case "each rule's corruption is named" `Quick test_verify_fixtures ]);
+      ( "checker",
+        [ Alcotest.test_case "each rule's corruption is named" `Quick test_verify_fixtures ] );
     ]
