@@ -109,8 +109,9 @@ type node = {
   (* primary-side shipping state, indexed by peer id *)
   pulled : (int, int) Hashtbl.t;  (** per local WAL file: bytes pulled *)
   sent_chunk : int array;
-  acked_chunk : int array;
-  ack_progress_at : int array;
+  recv_chunk : int array;  (** received, as of the peer's last ack: go-back-N's rewind point *)
+  acked_chunk : int array;  (** durable, as of the peer's last ack: its quorum vote *)
+  ack_progress_at : int array;  (** when the received count last moved, or an idle peer was shipped *)
   mutable waiters : waiter list;  (** quorum commit waits *)
 }
 
@@ -157,7 +158,7 @@ type msg =
       stream_chunks : int;
       sent_at : int;
     }
-  | Ack of { view : int; src : int; durable : int; off : int }
+  | Ack of { view : int; src : int; received : int; durable : int; off : int }
   | Vote_req of { view : int; cand : int; last_view : int; durable : int }
   | Vote_grant of { view : int; src : int }
   | New_view of { view : int; primary : int; base : int }
@@ -497,20 +498,21 @@ and deliver t ~dst m =
       match m with
       | Ship { src; view; base; chunks; stream_chunks; sent_at } ->
         on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at
-      | Ack { view; src; durable; off } -> on_ack t nd ~view ~src ~durable ~off
+      | Ack { view; src; received; durable; off } -> on_ack t nd ~view ~src ~received ~durable ~off
       | Vote_req { view; cand; last_view; durable } -> on_vote_req t nd ~view ~cand ~last_view ~durable
       | Vote_grant { view; src = _ } -> on_vote_grant t nd ~view
       | New_view { view; primary; base } -> on_new_view t nd ~view ~primary ~base);
     if Sanitize.on () then check t
 
-(* Acknowledge the durable prefix to the node followed, with its byte
-   offset so the primary can check the copies share chunk boundaries. A
-   fenced node acks nothing. *)
+(* Acknowledge the received and durable prefixes to the node followed,
+   the durable one with its byte offset so the primary can check the
+   copies share chunk boundaries. A fenced node acks nothing. *)
 and ack t nd =
   if not (fenced nd) then begin
     let durable = nd.durable_chunks in
     send t ~src:nd.id ~dst:nd.leader
-      (Ack { view = nd.view; src = nd.id; durable; off = off_of nd durable })
+      (Ack
+         { view = nd.view; src = nd.id; received = nd.n_chunks; durable; off = off_of nd durable })
   end
 
 (* Hear from [leader], the primary of this node's view: stop
@@ -558,7 +560,7 @@ and on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at =
     ack t nd
   end
 
-and on_ack t nd ~view ~src ~durable ~off =
+and on_ack t nd ~view ~src ~received ~durable ~off =
   if nd.role = Primary && view = nd.view && durable <= nd.n_chunks then begin
     (* an ack past our stream end comes from a follower ahead of the
        new history; the view's base, in flight, will truncate or rebuild it *)
@@ -569,19 +571,17 @@ and on_ack t nd ~view ~src ~durable ~off =
          streams diverged"
         src durable off nd.id durable mine;
     Obs.Counter.incr t.c_acks;
-    let now = Engine.now t.eng in
-    if durable < nd.acked_chunk.(src) then begin
-      (* the follower restarted (or was presumed caught-up at promotion)
-         and holds less than we thought: rewind its cursor *)
-      nd.acked_chunk.(src) <- durable;
-      nd.sent_chunk.(src) <- durable;
-      nd.ack_progress_at.(src) <- now
-    end
-    else if durable > nd.acked_chunk.(src) then begin
-      nd.acked_chunk.(src) <- durable;
-      nd.ack_progress_at.(src) <- now;
-      wake_commit_waiters t nd
-    end
+    let received = min received nd.n_chunks in
+    if received <> nd.recv_chunk.(src) then begin
+      (* a follower that cut its copy (restart, a view's base) or held
+         less than presumed at promotion is re-shipped from what it holds *)
+      if received < nd.recv_chunk.(src) then nd.sent_chunk.(src) <- received;
+      nd.recv_chunk.(src) <- received;
+      nd.ack_progress_at.(src) <- Engine.now t.eng
+    end;
+    let grew = durable > nd.acked_chunk.(src) in
+    nd.acked_chunk.(src) <- durable;
+    if grew then wake_commit_waiters t nd
   end
 
 (* Sweep the primary's own WAL durable frontiers and cut the newly
@@ -676,15 +676,17 @@ and pull t nd =
 
 and tick_ship t nd j =
   let now = Engine.now t.eng in
-  if
-    nd.acked_chunk.(j) < nd.sent_chunk.(j)
-    && now - nd.ack_progress_at.(j) > retransmit_timeout_ns
+  if nd.recv_chunk.(j) < nd.sent_chunk.(j) && now - nd.ack_progress_at.(j) > retransmit_timeout_ns
   then begin
-    (* go-back-N: rewind to the acknowledged prefix and re-ship *)
-    nd.sent_chunk.(j) <- nd.acked_chunk.(j);
+    (* go-back-N: rewind to what the peer holds and re-ship; a slow
+       mirror delays its durable count, not its received one *)
+    nd.sent_chunk.(j) <- nd.recv_chunk.(j);
     nd.ack_progress_at.(j) <- now;
     Obs.Counter.incr t.c_retransmits
-  end;
+  end
+  else if nd.recv_chunk.(j) >= nd.sent_chunk.(j) then
+    (* nothing outstanding: the retransmit clock starts with this ship *)
+    nd.ack_progress_at.(j) <- now;
   let from = nd.sent_chunk.(j) in
   let chunks =
     if from < nd.n_chunks then Array.to_list (Array.sub nd.chunks from (nd.n_chunks - from)) else []
@@ -795,6 +797,7 @@ and become_primary t nd =
     (* presume peers hold our whole prefix; a smaller first ack rewinds
        the cursor (on_ack), a diverged peer rebuilds (enter_view) *)
     nd.sent_chunk.(j) <- nd.n_chunks;
+    nd.recv_chunk.(j) <- nd.n_chunks;
     nd.acked_chunk.(j) <- nd.n_chunks;
     nd.ack_progress_at.(j) <- now
   done;
@@ -1033,6 +1036,7 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       rng = Prng.create ~seed:(group.net_seed + (977 * id) + 13);
       pulled = Hashtbl.create 16;
       sent_chunk = Array.make n 0;
+      recv_chunk = Array.make n 0;
       acked_chunk = Array.make n 0;
       ack_progress_at = Array.make n 0;
       waiters = [];

@@ -248,6 +248,35 @@ let test_lag_and_catchup () =
   check_int "no residual lag" (Quorum.stream_len q) (Quorum.durable_off q ~node:2);
   Quorum.shutdown q
 
+(* A slow mirror delays a follower's durable count, not what it has
+   received. On a network that loses nothing, the primary must never
+   re-ship a chunk: go-back-N rewinds to the count the follower holds,
+   not to the count its mirror has made durable. *)
+let test_slow_mirror_not_reshipped () =
+  let faults =
+    {
+      Device.fault_seed = 5;
+      torn_write_p = 0.0;
+      lost_ack_p = 0.0;
+      delayed_ack_p = 0.5;
+      max_delay_ns = 3_000_000;
+    }
+  in
+  let q, prim = group ~cfg:{ cfg with Config.faults = Some faults } () in
+  let acked = ref 0 in
+  for k = 1 to 40 do
+    Db.submit prim ~on_done:(fun () -> incr acked) (insert_kv prim k k);
+    Quorum.run_for q ~ns:300_000
+  done;
+  Quorum.run_for q ~ns:50_000_000;
+  check_int "every commit acknowledged" 40 !acked;
+  for node = 1 to Quorum.nodes q - 1 do
+    check_rows "follower converged" (dump prim) (dump (Quorum.db q ~node))
+  done;
+  check_int "no chunk re-shipped" 0
+    (Obs.Counter.get (Obs.counter (Quorum.obs q) "quorum.retransmits"));
+  Quorum.shutdown q
+
 (* The promoted follower holds every row the old primary committed and
    serves new writes through its own indexes. *)
 let test_failover_promote () =
@@ -749,6 +778,7 @@ let () =
             test_follower_key_update_and_delete;
           fixed "uncommitted withheld" (test_convergence aborted_txn);
           fixed "volatile tail withheld" test_volatile_tail_withheld;
+          fixed "a slow mirror is not re-shipped" test_slow_mirror_not_reshipped;
         ] );
       ( "failover",
         [
