@@ -82,7 +82,7 @@ type waiter = {
 type node = {
   id : int;
   mutable db : Db.t;
-  mutable mirror : Walstore.t;  (** replica-side durable copy of the stream *)
+  mirror : Walstore.t;  (** replica-side durable copy of the stream *)
   mutable gen : int;  (** bumped on restart/truncation: voids stale closures *)
   (* stream replica state: each frontier is a chunk count *)
   mutable chunks : chunk array;
