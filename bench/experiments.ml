@@ -718,9 +718,9 @@ let recovery () =
              Phoebe_core.Table.index_lookup_first t txn ~index:"kv_pk"
                ~key:[ Value.Int (1 + (i mod n_base)) ]
            with
-          | Some (rid, _) ->
-            ignore (Phoebe_core.Table.update ~reads:[||] t txn ~rid (fun _ -> [| (v_col, Value.Int i) |]))
-          | None -> ());
+          | 0 -> ()
+          | rid ->
+            ignore (Phoebe_core.Table.update ~reads:[||] t txn ~rid (fun _ -> [| (v_col, Value.Int i) |])));
           for j = 0 to n_ins - 1 do
             ignore
               (Phoebe_core.Table.insert t txn [| Value.Int (1_000 + (i * 4) + j); Value.Int i |])

@@ -50,9 +50,11 @@ let () =
   (* Point lookup through the secondary index. *)
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first users txn ~index:"users_by_name" ~key:[ Value.Str "alice" ] with
-      | Some (_, row) ->
-        Printf.printf "index lookup: alice has karma %s\n" (Value.to_string row.(1))
-      | None -> print_endline "alice not found?!");
+      | 0 -> print_endline "alice not found?!"
+      | _ ->
+        (* the hit's row is the table's found row until the next lookup *)
+        let row = Table.found_row users txn in
+        Printf.printf "index lookup: alice has karma %s\n" (Value.to_string row.(1)));
 
   (* A failed transaction rolls back everything it did. *)
   (try

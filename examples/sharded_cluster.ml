@@ -55,10 +55,10 @@ let () =
   let credit ~shard:_ db txn args =
     let t = Db.table db "accounts" in
     (match Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ args.(0) ] with
-    | Some (rid, _) ->
+    | 0 -> raise (Phoebe_txn.Txnmgr.Abort (Phoebe_txn.Txnmgr.User, "no such account"))
+    | rid ->
       let amount = match args.(1) with Value.Int a -> a | _ -> assert false in
-      add_balance t txn ~rid amount
-    | None -> raise (Phoebe_txn.Txnmgr.Abort (Phoebe_txn.Txnmgr.User, "no such account")));
+      add_balance t txn ~rid amount);
     [||]
   in
   let credit_proc = Cluster.register_proc cl credit in
@@ -83,9 +83,8 @@ let () =
           (match
              Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ Value.Int (local_id src) ]
            with
-          | Some (rid, _) ->
-            add_balance t txn ~rid (-10)
-          | None -> assert false);
+          | 0 -> assert false
+          | rid -> add_balance t txn ~rid (-10));
           ignore
             (Cluster.remote_exec cl dtx ~shard:(shard_of_account dst) ~proc:credit_proc
                ~args:[| Value.Int (local_id dst); Value.Int 10 |])))
@@ -99,9 +98,8 @@ let () =
           match
             Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ Value.Int (local_id src) ]
           with
-          | Some (rid, _) ->
-            add_balance t txn ~rid 1
-          | None -> assert false))
+          | 0 -> assert false
+          | rid -> add_balance t txn ~rid 1))
   done;
   Cluster.run cl;
 

@@ -30,8 +30,6 @@ type manifest = {
   max_frozen : int;
 }
 
-type location = In_page of Pax.t Bufmgr.frame * int | In_frozen of Frozen.t | Absent
-
 type t = {
   tname : string;
   tschema : Value.Schema.t;
@@ -58,6 +56,10 @@ type t = {
   mutable fc_swip : leaf_swip;
   mutable fc_lo : int;  (** cache valid iff [fc_lo <= fc_hi] *)
   mutable fc_hi : int;
+  (* Where the last [locate] found its row (see [locate]'s contract):
+     the leaf frame of a slot, the [blocks] index of a frozen row. *)
+  mutable loc_frame : Pax.t Bufmgr.frame;
+  mutable loc_block : int;
 }
 
 let charge_effective n = Scheduler.charge Component.Effective n
@@ -193,11 +195,14 @@ let rec block_index (blocks : Frozen.t array) rid lo hi =
     else if rid > Frozen.last_row_id b then block_index blocks rid (mid + 1) hi
     else mid
 
-(* The slot of [row_id] in a resident leaf frame, as a location. *)
-let in_frame frame ~row_id =
-  match Pax.find (Bufmgr.payload frame) ~row_id with
-  | -1 -> Absent
-  | slot -> In_page (frame, slot) (* lint: allow hot-path-alloc — the located row, 3 words per probe *)
+let absent = -1
+let frozen = -2
+
+(* The slot of [row_id] in a resident leaf frame, the frame left for the
+   caller. *)
+let in_frame t frame ~row_id =
+  t.loc_frame <- frame;
+  Pax.find (Bufmgr.payload frame) ~row_id
 
 let locate_in_leaf ~touch t swip ~row_id =
   (* constant optional arguments: [~touch] of a variable would box a
@@ -209,13 +214,13 @@ let locate_in_leaf ~touch t swip ~row_id =
     t.fc_lo <- Pax.min_row_id page;
     t.fc_hi <- Pax.max_row_id page
   end;
-  in_frame frame ~row_id
+  in_frame t frame ~row_id
 
 let rec locate_descend ~touch t node ~row_id =
   match node with
   | Leaf swip -> locate_in_leaf ~touch t swip ~row_id
   | Inner inner ->
-    if inner.n = 0 || inner.keys.(0) > row_id then Absent
+    if inner.n = 0 || inner.keys.(0) > row_id then absent
     else begin
       charge_effective (Scheduler.current_cost ()).Cost.btree_search_per_level;
       locate_descend ~touch t (Latch.optimistic_read_with inner.ilatch child_at inner row_id) ~row_id
@@ -223,14 +228,14 @@ let rec locate_descend ~touch t node ~row_id =
 
 (* lint: hot-path *)
 let locate ?(touch = true) t ~row_id =
-  if row_id <= 0 || row_id >= t.next_rid then Absent
+  if row_id <= 0 || row_id >= t.next_rid then absent
   else if row_id <= t.max_frozen then
     match block_index t.blocks row_id 0 (Array.length t.blocks - 1) with
-    | -1 -> Absent
+    | -1 -> absent
     | i ->
-      let b = t.blocks.(i) in
       Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.frozen_decode_per_tuple;
-      In_frozen b (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
+      t.loc_block <- i;
+      frozen
   else if row_id >= t.fc_lo && row_id <= t.fc_hi then begin
     match t.fc_swip.Bufmgr.ptr with
     | Bufmgr.Swizzled frame when Bufmgr.is_resident frame ->
@@ -242,10 +247,13 @@ let locate ?(touch = true) t ~row_id =
       Bufmgr.touch_frame t.buf frame ~touch;
       charge_effective (Scheduler.current_cost ()).Cost.btree_search_per_level;
       if not (Bufmgr.is_resident frame) then locate_descend ~touch t t.root ~row_id
-      else in_frame frame ~row_id
+      else in_frame t frame ~row_id
     | _ -> locate_descend ~touch t t.root ~row_id
   end
   else locate_descend ~touch t t.root ~row_id
+
+let located_frame t = t.loc_frame
+let located_block t = t.blocks.(t.loc_block)
 
 (* A frozen row that is not delete-marked, decoded into a row of its
    own. *)
@@ -258,10 +266,10 @@ let frozen_live_row t b ~row_id =
 let read ?(touch = true) t ~row_id =
   let c = Scheduler.current_cost () in
   match locate ~touch t ~row_id with
-  | Absent -> None
-  | In_frozen b -> frozen_live_row t b ~row_id
-  | In_page (frame, slot) ->
-    let page = Bufmgr.payload frame in
+  | -1 -> None
+  | -2 -> frozen_live_row t (located_block t) ~row_id
+  | slot ->
+    let page = Bufmgr.payload (located_frame t) in
     if Pax.is_deleted page ~slot then None
     else begin
       charge_effective c.Cost.pax_read;
@@ -273,7 +281,8 @@ let read ?(touch = true) t ~row_id =
    the old one, so a frame that is still resident is its page's only
    frame. The check reads the held frame and charges nothing; a hit
    refreshes the frame's eviction recency (charge-free, as on the
-   fence-hit path), since the caller goes on to write through it. *)
+   fence-hit path), since the caller goes on to write through it, and
+   leaves the frame as the located one, as a locate would. *)
 let holds_live t frame ~slot ~row_id =
   Bufmgr.is_resident frame
   && begin
@@ -282,6 +291,7 @@ let holds_live t frame ~slot ~row_id =
      end
   && begin
        Bufmgr.touch_frame t.buf frame ~touch:false;
+       t.loc_frame <- frame;
        true
      end
 
@@ -308,21 +318,21 @@ let undelete_at t frame ~slot = set_delete_mark t frame ~slot ~deleted:false
 
 let mark_deleted t ~row_id =
   match locate ~touch:true t ~row_id with
-  | Absent -> false
-  | In_frozen b ->
-    let ok = Frozen.mark_deleted b ~row_id in
+  | -1 -> false
+  | -2 ->
+    let ok = Frozen.mark_deleted (located_block t) ~row_id in
     if ok then t.live_tuples <- t.live_tuples - 1;
     ok
-  | In_page (frame, slot) -> mark_deleted_at t frame ~slot
+  | slot -> mark_deleted_at t (located_frame t) ~slot
 
 let undelete t ~row_id =
   match locate ~touch:false t ~row_id with
-  | Absent -> false
-  | In_frozen b ->
-    let ok = Frozen.unmark_deleted b ~row_id in
+  | -1 -> false
+  | -2 ->
+    let ok = Frozen.unmark_deleted (located_block t) ~row_id in
     if ok then t.live_tuples <- t.live_tuples + 1;
     ok
-  | In_page (frame, slot) -> undelete_at t frame ~slot
+  | slot -> undelete_at t (located_frame t) ~slot
 
 (* ------------------------------------------------------------------ *)
 (* Scan *)
@@ -607,6 +617,8 @@ let create ~name ~schema ~buf ~block_store ?block_id_alloc ?(leaf_capacity = 256
       fc_swip = first_swip;
       fc_lo = 1;
       fc_hi = 0;
+      loc_frame = Bufmgr.vacant ();
+      loc_block = 0;
     }
   in
   (match (manifest : manifest option) with

@@ -14,13 +14,6 @@
 
 type t
 
-type location =
-  | In_page of Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame * int
-      (** resident/cold leaf frame and slot *)
-  | In_frozen of Phoebe_storage.Frozen.t
-      (** row is inside a frozen block *)
-  | Absent  (** out of range, or the slot was never allocated *)
-
 type manifest = {
   leaves : (int * int) list;  (** (page id, min row id) of every leaf, in row-id order *)
   block_ids : int list;  (** Data Block File ids of the frozen blocks, in row-id order *)
@@ -62,16 +55,32 @@ val append :
     new row id — the MVCC/WAL hooks use it so that per-table WAL (GSN)
     order matches row-id order, which recovery replay relies on. *)
 
-val locate : ?touch:bool -> t -> row_id:int -> location
-(** Find where a row id lives. The caller checks delete marks /
-    visibility. A miss is the constant [Absent], not an option, so a
-    point lookup allocates no [Some] per probe.
+val locate : ?touch:bool -> t -> row_id:int -> int
+(** Find where a row id lives, allocating nothing. The result is the
+    row's slot ([>= 0]) in a page-tier leaf, whose frame is then
+    {!located_frame}; [-2] for a row inside a frozen block, which is
+    then {!located_block}; or [-1] when the row is out of range or its
+    slot was never allocated. The caller checks delete marks and
+    visibility.
+
+    Contract: the tree keeps the frame or block in a field of its own,
+    written after the locate's last charge. The caller reads it before
+    it makes any charge of its own: a charge can suspend the fiber, and
+    another fiber's locate on the same tree overwrites the field.
 
     Every tree keeps a swizzled-leaf fence cache: the last leaf a
     descent reached, with its row-id fences. A lookup inside the fences
     whose leaf is still buffer-resident skips the descent and the
     resolve for a single probe charge, refreshing the frame's recency
     and access count exactly as the resolve would. *)
+
+val located_frame : t -> Phoebe_storage.Pax.t Phoebe_storage.Bufmgr.frame
+(** The leaf frame of the last {!locate} that returned a slot, or of the
+    last {!holds_live} that held; see {!locate}'s contract. *)
+
+val located_block : t -> Phoebe_storage.Frozen.t
+(** The frozen block of the last {!locate} that returned [-2]; see
+    {!locate}'s contract. *)
 
 val read : ?touch:bool -> t -> row_id:int -> Phoebe_storage.Value.t array option
 (** Raw current version (ignores MVCC, skips delete-marked rows). *)

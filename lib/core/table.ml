@@ -278,11 +278,11 @@ let read_in_page t txn frame ~slot ~rid ~key_cols cols dst =
 (* lint: hot-path *)
 let read_into t (txn : txn) ~rid ~key_cols cols dst =
   match Table_tree.locate t.ttree ~row_id:rid with
-  | Table_tree.Absent -> false
-  | Table_tree.In_page (frame, slot) -> read_in_page t txn frame ~slot ~rid ~key_cols cols dst
-  | Table_tree.In_frozen block ->
+  | -1 -> false
+  | -2 ->
     (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
-    read_frozen t txn block ~rid ~key_cols cols dst
+    read_frozen t txn (Table_tree.located_block t.ttree) ~rid ~key_cols cols dst
+  | slot -> read_in_page t txn (Table_tree.located_frame t.ttree) ~slot ~rid ~key_cols cols dst
 
 (* A whole-row read into the slot's scratch ring. The returned row obeys
    the {!Tupbuf} ownership rule: valid until this slot reads a few more
@@ -360,24 +360,25 @@ let push_version t (txn : txn) ~page_key entry ~rid kind =
 (* [write_entry] may have waited (suspension): the frame the caller saw
    can have been evicted and reloaded meanwhile. Re-locate [rid]; a row
    that is gone, frozen meanwhile or delete-marked releases the tuple
-   lock and yields [Absent]. *)
+   lock and yields -1. *)
 let relocate_live t (txn : txn) entry ~rid =
-  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Table_tree.In_page (frame, slot) as hit when not (Pax.is_deleted (Bufmgr.payload frame) ~slot) ->
-    hit
-  | _ ->
+  let slot = Table_tree.locate ~touch:false t.ttree ~row_id:rid in
+  if slot >= 0 && not (Pax.is_deleted (Bufmgr.payload (Table_tree.located_frame t.ttree)) ~slot) then
+    slot
+  else begin
     Txnmgr.unlock_tuple t.txnmgr txn entry;
-    Table_tree.Absent
+    -1
+  end
 
-(* The written row's location once [write_entry] returns with the tuple
-   lock held: the location the statement took first, if its frame still
-   holds [rid] live (a check of the held frame, no charge); otherwise
-   [relocate_live], the one re-walk, for a write whose wait let the leaf
-   leave the pool, or the row be deleted or frozen. *)
-let live_location t (txn : txn) entry ~rid (held : Table_tree.location) =
-  match held with
-  | Table_tree.In_page (frame, slot) when Table_tree.holds_live t.ttree frame ~slot ~row_id:rid -> held
-  | _ -> relocate_live t txn entry ~rid
+(* The written row's slot once [write_entry] returns with the tuple lock
+   held, its frame left in the tree's located frame: the slot the
+   statement took first, if its [frame] still holds [rid] live (a check
+   of the held frame, no charge); otherwise [relocate_live], the one
+   re-walk, for a write whose wait let the leaf leave the pool, or the
+   row be deleted or frozen. *)
+let live_slot t (txn : txn) entry frame ~slot ~rid =
+  if Table_tree.holds_live t.ttree frame ~slot ~row_id:rid then slot
+  else relocate_live t txn entry ~rid
 
 (* The equal-key rids of [key_bytes] in the slot's rid scratch, grown
    until they all fit; returns how many. The walk makes no charge. *)
@@ -399,13 +400,14 @@ let unique_violation () = raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constrai
 let check_candidate t (txn : txn) ~rid =
   let page_key =
     match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-    | Table_tree.Absent -> frozen_twin_key t rid
-    | Table_tree.In_page (frame, slot) ->
+    | -1 -> frozen_twin_key t rid
+    | -2 ->
+      if not (Frozen.is_deleted (Table_tree.located_block t.ttree) ~row_id:rid) then unique_violation ();
+      frozen_twin_key t rid
+    | slot ->
+      let frame = Table_tree.located_frame t.ttree in
       if not (Pax.is_deleted (Bufmgr.payload frame) ~slot) then unique_violation ();
       Bufmgr.page_id frame
-    | Table_tree.In_frozen b ->
-      if not (Frozen.is_deleted b ~row_id:rid) then unique_violation ();
-      frozen_twin_key t rid
   in
   (* delete-marked: conflicts only if the deleter is an active foreign
      transaction *)
@@ -521,18 +523,21 @@ let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
 
 (* The tuple lock is released on both exits of the write, without
    [Fun.protect]'s closures. *)
-let update_in_page t (txn : txn) ~page_key held ~rid reads compute =
+let update_in_page t (txn : txn) frame ~slot ~rid reads compute =
+  let page_key = Bufmgr.page_id frame in
   let entry = write_entry t txn ~page_key ~rid in
-  match live_location t txn entry ~rid held with
-  | Table_tree.In_page (frame, slot) -> (
-    match write_in_page t txn ~page_key entry frame ~slot ~rid reads compute with
+  match live_slot t txn entry frame ~slot ~rid with
+  | -1 -> false
+  | slot -> (
+    match
+      write_in_page t txn ~page_key entry (Table_tree.located_frame t.ttree) ~slot ~rid reads compute
+    with
     | () ->
       Txnmgr.unlock_tuple t.txnmgr txn entry;
       true
     | exception e ->
       Txnmgr.unlock_tuple t.txnmgr txn entry;
       raise e)
-  | _ -> false
 
 (* Delete-mark a frozen row under MVCC. Frozen rows are updated out of
    place (§5.2 case 3): with [reinsert], that new version is inserted
@@ -587,12 +592,11 @@ let col t name =
 let update ?reads t txn ~rid compute =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
-  | Table_tree.Absent -> false
-  | Table_tree.In_page (frame, _) as held ->
-    update_in_page t txn ~page_key:(Bufmgr.page_id frame) held ~rid reads compute
-  | Table_tree.In_frozen block ->
+  | -1 -> false
+  | -2 ->
     (* lint: allow hot-path-alloc — frozen tier: rows past the freeze point are cold (§5.2) *)
-    update_frozen t txn block ~rid reads compute
+    update_frozen t txn (Table_tree.located_block t.ttree) ~rid reads compute
+  | slot -> update_in_page t txn (Table_tree.located_frame t.ttree) ~slot ~rid reads compute
 
 (* ------------------------------------------------------------------ *)
 (* Delete *)
@@ -607,24 +611,26 @@ let delete_in_page t txn ~page_key entry frame ~slot ~rid =
 let delete t (txn : txn) ~rid =
   statement_begin t txn;
   match Table_tree.locate t.ttree ~row_id:rid with
-  | Table_tree.Absent -> false
-  | Table_tree.In_page (frame0, _) as held -> (
-    let page_key = Bufmgr.page_id frame0 in
+  | -1 -> false
+  | -2 -> (
+    let block = Table_tree.located_block t.ttree in
+    match frozen_row t block ~rid with
+    | None -> false
+    | Some old_row -> delete_frozen t txn block ~rid old_row)
+  | slot -> (
+    let frame = Table_tree.located_frame t.ttree in
+    let page_key = Bufmgr.page_id frame in
     let entry = write_entry t txn ~page_key ~rid in
-    match live_location t txn entry ~rid held with
-    | Table_tree.In_page (frame, slot) -> (
-      match delete_in_page t txn ~page_key entry frame ~slot ~rid with
+    match live_slot t txn entry frame ~slot ~rid with
+    | -1 -> false
+    | slot -> (
+      match delete_in_page t txn ~page_key entry (Table_tree.located_frame t.ttree) ~slot ~rid with
       | () ->
         Txnmgr.unlock_tuple t.txnmgr txn entry;
         true
       | exception e ->
         Txnmgr.unlock_tuple t.txnmgr txn entry;
-        raise e)
-    | _ -> false)
-  | Table_tree.In_frozen block -> (
-    match frozen_row t block ~rid with
-    | None -> false
-    | Some old_row -> delete_frozen t txn block ~rid old_row)
+        raise e))
 
 (* ------------------------------------------------------------------ *)
 (* Index access *)
@@ -673,9 +679,9 @@ let rec probe_candidates t txn ix ~key cols rids n i res hit =
 (* Point lookup: the candidates are taken first, in one charge-free
    index walk, and every one is probed, hit or not. The first hit is
    blitted into the slot's dedicated result buffer instead of copied —
-   so the returned row stays valid across later ring takes, clobbered
-   only by this transaction's next [index_lookup_first] on the same
-   table. *)
+   so the row stays valid across later ring takes, clobbered only by
+   this transaction's next [index_lookup_first] on the same table — and
+   its rid is returned, with no pair around the two. *)
 (* lint: hot-path *)
 let index_lookup_first ?cols t txn ~index ~key =
   statement_begin t txn;
@@ -685,8 +691,9 @@ let index_lookup_first ?cols t txn ~index ~key =
   let n = collect_candidates t ix ~slot key_bytes in
   let res = Tupbuf.result t.scratch ~slot in
   let hit = probe_candidates t txn ix ~key cols (Tupbuf.rids t.scratch ~slot) n 0 res (-1) in
-  (* lint: allow hot-path-alloc — the result pair, once per statement *)
-  if hit < 0 then None else Some (hit, res)
+  max hit 0
+
+let found_row t (txn : txn) = Tupbuf.result t.scratch ~slot:txn.Txnmgr.slot
 
 let index_prefix ?cols t txn ~index ~prefix f =
   statement_begin t txn;
@@ -730,13 +737,14 @@ let pop_chain t ~page_key ~rid (undo : Undo.t) =
 let rollback_undo t (undo : Undo.t) =
   let rid = undo.Undo.rid in
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Table_tree.Absent -> ()
-  | Table_tree.In_frozen _ ->
+  | -1 -> ()
+  | -2 ->
     (match undo.Undo.kind with
     | Undo.Deleted _ -> ignore (Table_tree.undelete t.ttree ~row_id:rid)
     | Undo.Created | Undo.Updated _ -> ());
     pop_chain t ~page_key:(frozen_twin_key t rid) ~rid undo
-  | Table_tree.In_page (frame, slot) ->
+  | slot ->
+    let frame = Table_tree.located_frame t.ttree in
     let page_key = Bufmgr.page_id frame in
     let page = Bufmgr.payload frame in
     (match undo.Undo.kind with
@@ -777,14 +785,16 @@ let gc_reclaim_undo t (undo : Undo.t) =
        costs nothing here; otherwise the row is located once, without
        warming, and a live page slot pays one tuple read *)
     match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-    | Table_tree.In_page (frame, slot) ->
-      let page = Bufmgr.payload frame in
+    | -1 -> ()
+    | -2 ->
+      Option.iter (drop_old_keys t ~rid before)
+        (frozen_live_row t (Table_tree.located_block t.ttree) ~rid)
+    | slot ->
+      let page = Bufmgr.payload (Table_tree.located_frame t.ttree) in
       if not (Pax.is_deleted page ~slot) then begin
         Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
         drop_old_keys t ~rid before (Pax.get page ~slot)
-      end
-    | Table_tree.In_frozen block -> Option.iter (drop_old_keys t ~rid before) (frozen_live_row t block ~rid)
-    | Table_tree.Absent -> ())
+      end)
   | Undo.Updated _ | Undo.Created -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -810,7 +820,12 @@ let raw_write t frame ~slot ~rid cols =
    its delete, so all of them are added back. *)
 let raw_insert t ~rid row =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Table_tree.In_page (frame, slot) ->
+  | -1 ->
+    Table_tree.append_exact t.ttree ~row_id:rid row;
+    row_keys t ~add:true ~rid row t.indexes
+  | -2 -> () (* block images are immutable and already durable *)
+  | slot ->
+    let frame = Table_tree.located_frame t.ttree in
     let page = Bufmgr.payload frame in
     if Pax.is_deleted page ~slot then begin
       Array.iteri (fun col v -> Pax.set_col page ~slot ~col v) row;
@@ -819,20 +834,13 @@ let raw_insert t ~rid row =
       row_keys t ~add:true ~rid row t.indexes
     end
     else raw_write t frame ~slot ~rid (Array.mapi (fun col v -> (col, v)) row)
-  | Table_tree.In_frozen _ -> () (* block images are immutable and already durable *)
-  | Table_tree.Absent ->
-    Table_tree.append_exact t.ttree ~row_id:rid row;
-    row_keys t ~add:true ~rid row t.indexes
 
-let raw_exists t ~rid =
-  match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Table_tree.Absent -> false
-  | Table_tree.In_page _ | Table_tree.In_frozen _ -> true
+let raw_exists t ~rid = Table_tree.locate ~touch:false t.ttree ~row_id:rid <> -1
 
 let raw_update t ~rid cols =
   match Table_tree.locate ~touch:false t.ttree ~row_id:rid with
-  | Table_tree.In_page (frame, slot) -> raw_write t frame ~slot ~rid cols
-  | Table_tree.In_frozen _ | Table_tree.Absent -> ()
+  | -1 | -2 -> ()
+  | slot -> raw_write t (Table_tree.located_frame t.ttree) ~slot ~rid cols
 
 (* One locate, warming the leaf as a delete does; a live row's entries
    are dropped, then the row is delete-marked through the slot located.
@@ -841,16 +849,19 @@ let raw_update t ~rid cols =
    which touches no leaf). *)
 let raw_delete t ~rid =
   match Table_tree.locate t.ttree ~row_id:rid with
-  | Table_tree.In_page (frame, slot) ->
+  | -1 -> ()
+  | -2 ->
+    Option.iter
+      (fun row -> row_keys t ~add:false ~rid row t.indexes)
+      (frozen_live_row t (Table_tree.located_block t.ttree) ~rid);
+    ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
+  | slot ->
+    let frame = Table_tree.located_frame t.ttree in
     let page = Bufmgr.payload frame in
     if not (Pax.is_deleted page ~slot) then begin
       row_keys t ~add:false ~rid (Pax.get page ~slot) t.indexes;
       ignore (Table_tree.mark_deleted_at t.ttree frame ~slot)
     end
-  | Table_tree.In_frozen block ->
-    Option.iter (fun row -> row_keys t ~add:false ~rid row t.indexes) (frozen_live_row t block ~rid);
-    ignore (Table_tree.mark_deleted t.ttree ~row_id:rid)
-  | Table_tree.Absent -> ()
 
 let maybe_freeze t ~max_access =
   Table_tree.decay_access_counts t.ttree;
@@ -876,7 +887,8 @@ let warm_hot_frozen t txn ~read_threshold =
     (fun first_rid ->
       Hashtbl.remove t.frozen_read_counts first_rid;
       match Table_tree.locate ~touch:false t.ttree ~row_id:first_rid with
-      | Table_tree.In_frozen block ->
+      | -2 ->
+        let block = Table_tree.located_block t.ttree in
         let rids = ref [] in
         Frozen.iter_all block (fun rid ~deleted row ->
             ignore row;

@@ -103,20 +103,23 @@ val get : t -> txn -> rid:int -> Phoebe_storage.Value.t array option
 (** {1 Index access (visibility-filtered)} *)
 
 val index_lookup_first :
-  ?cols:int array ->
-  t -> txn -> index:string -> key:Phoebe_storage.Value.t list ->
-  (int * Phoebe_storage.Value.t array) option
-(** The first visible row, in rid order, whose indexed columns still
-    equal [key] (stale entries from in-flight key updates are filtered by
-    re-checking the key). The row lives in the slot's dedicated result
-    buffer: it survives subsequent reads and updates, and is only
-    overwritten by this transaction's next [index_lookup_first] on the
-    same table; copy to retain beyond that.
+  ?cols:int array -> t -> txn -> index:string -> key:Phoebe_storage.Value.t list -> int
+(** The row id of the first visible row, in rid order, whose indexed
+    columns still equal [key] (stale entries from in-flight key updates
+    are filtered by re-checking the key), or [0] when there is none (row
+    ids start at 1). The row is {!found_row}.
 
     [cols] projects the read (DESIGN.md §4h): only the index key columns
     and the listed column indexes are decoded, and every other cell of
-    the row is [Value.Null]. Apart from the returned pair, the lookup
-    allocates nothing per candidate row. *)
+    the row is [Value.Null]. Apart from the encoded probe key, the
+    lookup allocates nothing per call or per candidate row. *)
+
+val found_row : t -> txn -> Phoebe_storage.Value.t array
+(** The row of the transaction's last {!index_lookup_first} hit on this
+    table: the slot's dedicated result buffer. It survives subsequent
+    reads and updates, and is only overwritten by the transaction's next
+    [index_lookup_first] on the same table; copy to retain beyond
+    that. *)
 
 val index_prefix :
   ?cols:int array ->

@@ -198,6 +198,26 @@ let alloc t ~partition payload =
 
 let swip_of frame = { ptr = Swizzled frame }
 
+(* One latch for every vacant frame: nothing ever takes it. *)
+let vacant_latch = Latch.create ()
+
+let vacant () =
+  {
+    fpage_id = -1;
+    fpartition = 0;
+    flatch = vacant_latch;
+    fpayload = None;
+    fstate = Hot;
+    fdirty = false;
+    fin_flight = false;
+    fqueued = false;
+    fpinned = 0;
+    fsize = 0;
+    faccess_count = 0;
+    flast_access = 0;
+    fparent = None;
+  }
+
 let payload frame =
   match frame.fpayload with
   | Some p -> p

@@ -62,6 +62,10 @@ val alloc : 'p t -> partition:int -> 'p -> 'p frame
 val swip_of : 'p frame -> 'p swip
 (** A (swizzled) swip for a freshly allocated frame. *)
 
+val vacant : unit -> 'p frame
+(** A frame of no pool that is never resident: the initial value of a
+    mutable frame field that is always written before it is read. *)
+
 val resolve : ?touch:bool -> 'p t -> 'p swip -> 'p frame
 (** Follow a swip. Hot hit: direct dereference. Cooling: swizzle back to
     hot. Cold: fault the page in from the store (the calling fiber

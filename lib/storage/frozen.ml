@@ -135,7 +135,7 @@ let cell t ~idx ~col =
   if bitmap_get t.nulls.(col) idx then Value.Null
   else
     match t.cols.(col) with
-    | C_int_delta b -> Value.Int (decompress_ints b (count t)).(idx)
+    | C_int_delta b -> Value.of_int (decompress_ints b (count t)).(idx)
     | C_float_raw b ->
       let v, _ = Varint.read_float b (idx * 8) in
       Value.Float v
@@ -193,7 +193,7 @@ let materialise_columns t =
     (function
       | C_int_delta b ->
         let ints = decompress_ints b n in
-        fun i -> Value.Int ints.(i)
+        fun i -> Value.of_int ints.(i)
       | C_float_raw b ->
         fun i ->
           let v, _ = Varint.read_float b (i * 8) in
@@ -236,7 +236,7 @@ let fold_col t ~col ~init ~f =
     match t.cols.(col) with
     | C_int_delta b ->
       let ints = decompress_ints b n in
-      fun i -> Value.Int ints.(i)
+      fun i -> Value.of_int ints.(i)
     | C_float_raw b ->
       fun i ->
         let v, _ = Varint.read_float b (i * 8) in

@@ -112,10 +112,11 @@ let store_set t ~slot ~col v =
 let store_get t ~slot ~col =
   if bitmap_get t.nulls.(col) slot then Value.Null
   else
-    (* a decoded cell is a boxed [Value.t]; a projected read (Table's
-       [?cols]) decodes only the cells it needs *)
+    (* a decoded cell is a boxed [Value.t], except a small int, which is
+       a shared cell; a projected read (Table's [?cols]) decodes only the
+       cells it needs *)
     match t.cols.(col) with
-    | Ints a -> Value.Int a.(slot) (* lint: allow hot-path-alloc — the decoded cell *)
+    | Ints a -> Value.of_int a.(slot)
     | Floats a -> Value.Float a.(slot) (* lint: allow hot-path-alloc — the decoded cell *)
     | Strs a -> Value.Str a.(slot) (* lint: allow hot-path-alloc — the decoded cell *)
     | Bools bm -> Value.Bool (bitmap_get bm slot) (* lint: allow hot-path-alloc — the decoded cell *)

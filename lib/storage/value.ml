@@ -24,6 +24,17 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Shared int cells (DESIGN.md section 4h): every decoder builds its
+   [Int] through [of_int], and the ids, quantities and counts that make
+   up most int cells read one prebuilt immutable cell instead of
+   allocating two words each. *)
+let shared_ints = 4096
+let int_cells = Array.init shared_ints (fun n -> Int n)
+
+let of_int n =
+  if n >= 0 && n < shared_ints then Array.unsafe_get int_cells n
+  else Int n (* lint: allow hot-path-alloc — an int cell past the shared range *)
+
 (* Shortest decimal form that round-trips exactly: "%.15g" loses bits on
    roughly one double in ten thousand (e.g. 0.1 +. 0.2), so fall back to
    "%.17g" — always exact — when re-parsing disagrees. *)
@@ -71,7 +82,7 @@ let decode b off =
   | '\x00' -> (Null, off)
   | '\x01' ->
     let v, off = Varint.read_int b off in
-    (Int v, off)
+    (of_int v, off)
   | '\x02' ->
     let v, off = Varint.read_float b off in
     (Float v, off)

@@ -14,6 +14,13 @@ val compare : t -> t -> int
     constructor order (only meaningful inside one column in practice). *)
 
 val equal : t -> t -> bool
+
+val of_int : int -> t
+(** [Int n]. For [0 <= n < 4096] it is one prebuilt cell shared by every
+    caller, so decoding allocates nothing; outside that range it
+    allocates as [Int n] does. Sharing is safe because a [t] is
+    immutable: compare cells with {!equal} or {!compare}, never [==]. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

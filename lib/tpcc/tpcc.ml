@@ -5,7 +5,6 @@ module Txnmgr = Phoebe_txn.Txnmgr
 module Scheduler = Phoebe_runtime.Scheduler
 module Engine = Phoebe_sim.Engine
 module Prng = Phoebe_util.Prng
-module Int_tbl = Phoebe_util.Int_tbl
 module Zipf = Phoebe_util.Zipf
 module Stats = Phoebe_util.Stats
 module Trace = Phoebe_obs.Trace
@@ -65,7 +64,7 @@ let standard_mix =
 (* ------------------------------------------------------------------ *)
 (* Value helpers *)
 
-let vi v = Value.Int v
+let vi = Value.of_int
 let vf v = Value.Float v
 let vs v = Value.Str v
 let iv = function Value.Int v -> v | v -> Fmt.failwith "expected int, got %s" (Value.to_string v)
@@ -320,11 +319,17 @@ let d_ytd_rmw = [| d_ytd |]
 let w_ytd_rmw = [| w_ytd |]
 let blind = [||]
 
+(* The rid of the row [key] names, which must exist; the row is
+   [Table.found_row table txn]. *)
 let find_one ?cols t table txn ~index ~key what =
   match Table.index_lookup_first ?cols table txn ~index ~key with
-  | Some hit -> hit
-  | None -> Fmt.failwith "tpcc: missing %s (warehouses=%d)" what t.n_warehouses
+  | 0 -> Fmt.failwith "tpcc: missing %s (warehouses=%d)" what t.n_warehouses
+  | rid -> rid
 
+(* The rid of the customer a last name picks, or 0 when none has it. The
+   row is left where a lookup by id leaves its hit,
+   [Table.found_row t.customer txn], so both ways of naming a customer
+   are read the same way. *)
 let customer_by_name ?cols t txn ~w ~d ~last =
   (* spec 2.5.2.2: position ceil(n/2) in first-name order *)
   let hits = ref [] in
@@ -340,11 +345,12 @@ let customer_by_name ?cols t txn ~w ~d ~last =
         if c <> 0 then c else Int.compare r1 r2)
       !hits
   with
-  | [] -> None
+  | [] -> 0
   | sorted ->
     let n = List.length sorted in
     let _, rid, row = List.nth sorted ((n - 1) / 2) in
-    Some (rid, row)
+    Array.blit row 0 (Table.found_row t.customer txn) 0 (Array.length row);
+    rid
 
 (* ------------------------------------------------------------------ *)
 (* Transactions *)
@@ -368,9 +374,10 @@ let other_warehouse rng ~home ~total = 1 + ((home + Prng.int rng (total - 1)) mo
 (* One order line's stock update on warehouse [w_id]; returns S_DIST_xx.
    [remote]: the line's order is homed at another warehouse. *)
 let stock_line t txn ~w_id ~i_id ~qty ~remote =
-  let srid, srow =
+  let srid =
     find_one ?cols:s_dist_only t t.stock txn ~index:"stock_pk" ~key:[ vi w_id; vi i_id ] "stock"
   in
+  let srow = Table.found_row t.stock txn in
   ignore
     (Table.update ~reads:stock_rmw t.stock txn ~rid:srid (fun row ->
          let s_qty = iv row.(s_quantity) in
@@ -387,16 +394,15 @@ let stock_line t txn ~w_id ~i_id ~qty ~remote =
    C_DATA for bad credit) and the history row, whose H_W_ID/H_D_ID name
    the paying warehouse and district. *)
 let pay_customer t txn ~w_id ~d_id ~customer ~amount ~h_d_id ~h_w_id =
-  let target =
+  let crid =
     match customer with
     | By_name last -> customer_by_name ?cols:c_first_and_id t txn ~w:w_id ~d:d_id ~last
     | By_id cid ->
       Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
         ~key:[ vi w_id; vi d_id; vi cid ]
   in
-  match target with
-  | None -> () (* a last name with no customers: spec allows skipping *)
-  | Some (crid, crow) ->
+  if crid > 0 (* a last name with no customers: spec allows skipping *) then begin
+    let crow = Table.found_row t.customer txn in
     ignore
       (Table.update ~reads:payment_rmw t.customer txn ~rid:crid (fun row ->
            let balance = (c_balance, vf (fv row.(c_balance) -. amount))
@@ -420,6 +426,7 @@ let pay_customer t txn ~w_id ~d_id ~customer ~amount ~h_d_id ~h_w_id =
            crow.(c_id); crow.(c_d_id); crow.(c_w_id); vi h_d_id; vi h_w_id; vi (Db.now t.tdb); vf amount;
            vs "payment";
          |])
+  end
 
 let run_stmt t txn ~w_id = function
   | Stock_line { i_id; qty } -> stock_line t txn ~w_id ~i_id ~qty ~remote:true
@@ -435,13 +442,12 @@ let new_order ?at t txn rng ~w_id =
   let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
   let ol_cnt = Prng.int_incl rng 5 15 in
   let rollback_last = Prng.int rng 100 = 0 in
-  let _, wrow =
-    find_one ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse"
-  in
-  let w_tax = fv wrow.(w_tax) in
-  let drid, drow =
+  ignore (find_one ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse");
+  let w_tax = fv (Table.found_row t.warehouse txn).(w_tax) in
+  let drid =
     find_one ?cols:d_tax_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
   in
+  let drow = Table.found_row t.district txn in
   (* claim the order id atomically: the closure runs under the tuple lock *)
   let next_o = ref 0 in
   ignore
@@ -449,11 +455,10 @@ let new_order ?at t txn rng ~w_id =
          next_o := iv row.(d_next_o_id);
          [| (d_next_o_id, vi (!next_o + 1)) |]));
   let next_o = !next_o in
-  let _, crow =
-    find_one ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
-      "customer"
-  in
-  let c_disc = fv crow.(c_discount) in
+  ignore
+    (find_one ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
+       "customer");
+  let c_disc = fv (Table.found_row t.customer txn).(c_discount) in
   let d_tax_v = fv drow.(d_tax) in
   ignore
     (Table.insert t.orders txn
@@ -470,9 +475,9 @@ let new_order ?at t txn rng ~w_id =
       if total > 1 && Prng.int rng 100 = 0 then other_warehouse rng ~home ~total else home
     in
     (match Table.index_lookup_first ?cols:i_price_only t.item txn ~index:"item_pk" ~key:[ vi iid ] with
-    | None -> raise Rollback (* spec: 1% of NewOrders roll back on a bad item *)
-    | Some (_, irow) ->
-      let price = fv irow.(i_price) in
+    | 0 -> raise Rollback (* spec: 1% of NewOrders roll back on a bad item *)
+    | _ ->
+      let price = fv (Table.found_row t.item txn).(i_price) in
       let qty = Prng.int_incl rng 1 10 in
       let remote = supply_w <> home in
       let dist =
@@ -498,13 +503,13 @@ let payment ?at t txn rng ~w_id =
   let total = match at with Some p -> p.total_warehouses | None -> t.n_warehouses in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let amount = float_of_int (Prng.int_incl rng 100 500_000) /. 100.0 in
-  let wrid, _ =
+  let wrid =
     find_one ?cols:key_cols_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse"
   in
   ignore
     (Table.update ~reads:w_ytd_rmw t.warehouse txn ~rid:wrid (fun row ->
          [| (w_ytd, vf (fv row.(w_ytd) +. amount)) |]));
-  let drid, _ =
+  let drid =
     find_one ?cols:key_cols_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
   in
   ignore
@@ -534,7 +539,7 @@ let payment ?at t txn rng ~w_id =
 let order_status t txn rng ~w_id =
   let sc = t.sc in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
-  let target =
+  let crid =
     if Prng.int rng 100 < 60 then
       let last =
         c_last_of (Zipf.nurand rng ~a:255 ~c:t.c_last ~x:0 ~y:(min 999 (sc.customers_per_district - 1)))
@@ -545,10 +550,8 @@ let order_status t txn rng ~w_id =
       Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
         ~key:[ vi w_id; vi d; vi cid ]
   in
-  match target with
-  | None -> ()
-  | Some (_, crow) ->
-    let cid = iv crow.(c_id) in
+  if crid > 0 then begin
+    let cid = iv (Table.found_row t.customer txn).(c_id) in
     (* most recent order of this customer *)
     let last_order = ref None in
     Table.index_prefix ?cols:key_cols_only t.orders txn ~index:"orders_by_customer"
@@ -563,6 +566,7 @@ let order_status t txn rng ~w_id =
         ~prefix:[ vi w_id; vi d; vi oid ] (fun _ olrow ->
           ignore (iv olrow.(ol_quantity));
           true))
+  end
 
 let delivery t txn rng ~w_id =
   let sc = t.sc in
@@ -582,11 +586,11 @@ let delivery t txn rng ~w_id =
           Table.index_lookup_first ?cols:o_c_id_only t.orders txn ~index:"orders_pk"
             ~key:[ vi w_id; vi d; vi oid ]
         with
-        | None -> ()
-        | Some (orid, orow) ->
+        | 0 -> ()
+        | orid ->
+          let cid = iv (Table.found_row t.orders txn).(o_c_id) in
           ignore
             (Table.update ~reads:blind t.orders txn ~rid:orid (fun _ -> [| (o_carrier_id, vi carrier) |]));
-          let cid = iv orow.(o_c_id) in
           let sum = ref 0.0 in
           let lines = ref [] in
           Table.index_prefix ?cols:ol_amount_only t.orderline txn ~index:"orderline_pk"
@@ -606,8 +610,8 @@ let delivery t txn rng ~w_id =
              Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
                ~key:[ vi w_id; vi d; vi cid ]
            with
-          | None -> ()
-          | Some (crid, _) ->
+          | 0 -> ()
+          | crid ->
             ignore
               (Table.update ~reads:delivery_rmw t.customer txn ~rid:crid (fun row ->
                    [|
@@ -621,24 +625,30 @@ let stock_level t txn rng ~w_id =
   let sc = t.sc in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let threshold = Prng.int_incl rng 10 20 in
-  let _, drow = find_one t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district" in
-  let next_o = iv drow.(d_next_o_id) in
-  let seen = Int_tbl.create 64 in
+  ignore (find_one t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district");
+  let next_o = iv (Table.found_row t.district txn).(d_next_o_id) in
+  (* the distinct items seen, one bit per item id, checked in discovery
+     order so the stock lookups run in that order *)
+  let seen = Bytes.make ((sc.items / 8) + 1) '\000' in
   let low = ref 0 in
+  (* one closure for every order's lines *)
+  let line _ row =
+    let iid = iv row.(ol_i_id) in
+    let byte = Bytes.get_uint8 seen (iid lsr 3) and bit = 1 lsl (iid land 7) in
+    if byte land bit = 0 then begin
+      Bytes.set_uint8 seen (iid lsr 3) (byte lor bit);
+      if
+        Table.index_lookup_first ?cols:s_quantity_only t.stock txn ~index:"stock_pk"
+          ~key:[ vi w_id; vi iid ]
+        > 0
+        && iv (Table.found_row t.stock txn).(s_quantity) < threshold
+      then incr low
+    end;
+    true
+  in
   for oid = max 1 (next_o - 20) to next_o - 1 do
     Table.index_prefix ?cols:ol_i_id_only t.orderline txn ~index:"orderline_pk"
-      ~prefix:[ vi w_id; vi d; vi oid ] (fun _ row ->
-        let iid = iv row.(ol_i_id) in
-        if not (Int_tbl.mem seen iid) then begin
-          Int_tbl.add seen iid ();
-          match
-            Table.index_lookup_first ?cols:s_quantity_only t.stock txn ~index:"stock_pk"
-              ~key:[ vi w_id; vi iid ]
-          with
-          | Some (_, srow) -> if iv srow.(s_quantity) < threshold then incr low
-          | None -> ()
-        end;
-        true)
+      ~prefix:[ vi w_id; vi d; vi oid ] line
   done;
   ignore !low
 
@@ -785,10 +795,12 @@ let consistency_checks t =
       let ok_wd = ref true and ok_next = ref true and ok_ol_cnt = ref true and ok_no = ref true in
       for w = 1 to t.n_warehouses do
         (* 1: W_YTD = sum(D_YTD) *)
-        let _, wrow = find_one t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w ] "warehouse" in
+        ignore (find_one t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w ] "warehouse");
+        let ytd = fv (Table.found_row t.warehouse txn).(w_ytd) in
         let dsum = ref 0.0 in
         for d = 1 to t.sc.districts_per_warehouse do
-          let _, drow = find_one t t.district txn ~index:"district_pk" ~key:[ vi w; vi d ] "district" in
+          ignore (find_one t t.district txn ~index:"district_pk" ~key:[ vi w; vi d ] "district");
+          let drow = Table.found_row t.district txn in
           dsum := !dsum +. fv drow.(d_ytd);
           (* 2: D_NEXT_O_ID - 1 = max(O_ID) *)
           let max_oid = ref 0 in
@@ -811,17 +823,18 @@ let consistency_checks t =
             match
               Table.index_lookup_first t.orders txn ~index:"orders_pk" ~key:[ vi w; vi d; vi !max_oid ]
             with
-            | None -> ok_ol_cnt := false
-            | Some (_, orow) ->
+            | 0 -> ok_ol_cnt := false
+            | _ ->
+              let ol_cnt = iv (Table.found_row t.orders txn).(o_ol_cnt) in
               let n = ref 0 in
               Table.index_prefix t.orderline txn ~index:"orderline_pk"
                 ~prefix:[ vi w; vi d; vi !max_oid ] (fun _ _ ->
                   incr n;
                   true);
-              if !n <> iv orow.(o_ol_cnt) then ok_ol_cnt := false
+              if !n <> ol_cnt then ok_ol_cnt := false
           end
         done;
-        if abs_float (fv wrow.(w_ytd) -. 300_000.0 -. (!dsum -. (30_000.0 *. float_of_int t.sc.districts_per_warehouse))) > 0.01
+        if abs_float (ytd -. 300_000.0 -. (!dsum -. (30_000.0 *. float_of_int t.sc.districts_per_warehouse))) > 0.01
         then ok_wd := false
       done;
       [

@@ -210,10 +210,15 @@ let test_tt_model_random_ops () =
    untouched leaves become eligible *)
 let age eng = Engine.run_until eng ~time:(Engine.now eng + 1_000_000)
 
-let location_id = function
-  | Table_tree.Absent -> `Absent
-  | Table_tree.In_frozen b -> `Frozen (Phoebe_storage.Frozen.first_row_id b)
-  | Table_tree.In_page (frame, slot) -> `Page (Bufmgr.page_id frame, slot)
+(* Where a locate finds [row_id], as a comparable value, with the frame
+   of a page-tier row. *)
+let locate_at ?touch t ~row_id =
+  match Table_tree.locate ?touch t ~row_id with
+  | -1 -> (`Absent, None)
+  | -2 -> (`Frozen (Phoebe_storage.Frozen.first_row_id (Table_tree.located_block t)), None)
+  | slot ->
+    let frame = Table_tree.located_frame t in
+    (`Page (Bufmgr.page_id frame, slot), Some frame)
 
 let test_tt_fence_hit_matches_descent () =
   let rng = Phoebe_util.Prng.create ~seed:2024 in
@@ -239,19 +244,17 @@ let test_tt_fence_hit_matches_descent () =
       if hi > 0 then begin
         let rid = 1 + Phoebe_util.Prng.int rng hi in
         let elsewhere = if rid > hi / 2 then Table_tree.max_frozen_row_id t + 1 else hi in
-        let bust = location_id (Table_tree.locate ~touch:false t ~row_id:elsewhere) in
-        let descent = Table_tree.locate t ~row_id:rid in
+        let bust, _ = locate_at ~touch:false t ~row_id:elsewhere in
+        let descent, descent_frame = locate_at t ~row_id:rid in
         let count_after_descent =
-          match descent with
-          | Table_tree.In_page (frame, _) -> Bufmgr.access_count frame
-          | _ -> 0
+          match descent_frame with Some frame -> Bufmgr.access_count frame | None -> 0
         in
         if Phoebe_util.Prng.int rng 2 = 0 then age eng;
-        let hit = Table_tree.locate t ~row_id:rid in
-        if location_id descent <> location_id hit then
+        let hit, _ = locate_at t ~row_id:rid in
+        if descent <> hit then
           Alcotest.failf "step %d: rid %d located differently by descent and fence hit" step rid;
-        (match (descent, bust) with
-        | Table_tree.In_page (frame, _), `Page (pid, _) when pid <> Bufmgr.page_id frame ->
+        (match (descent_frame, bust) with
+        | Some frame, `Page (pid, _) when pid <> Bufmgr.page_id frame ->
           incr compared;
           (* the hit did a resolve's bookkeeping: one access, fresh recency *)
           check_int "hit counts one access" (count_after_descent + 1) (Bufmgr.access_count frame);
@@ -282,7 +285,7 @@ let test_tt_fence_skips_frozen_leaf () =
   ignore (Table_tree.read t ~row_id:7);
   ignore (Table_tree.freeze_prefix t ~up_to_rid:8);
   check_int "block ends at the last live row" 7 (Table_tree.max_frozen_row_id t);
-  check_bool "deleted tail row is absent" true (location_id (Table_tree.locate t ~row_id:8) = `Absent);
+  check_bool "deleted tail row is absent" true (fst (locate_at t ~row_id:8) = `Absent);
   check_bool "frozen row readable" true (Table_tree.read t ~row_id:7 <> None)
 
 (* A fence hit refreshes eviction recency: after virtual time passes, a
@@ -294,9 +297,9 @@ let test_tt_fence_hit_keeps_leaf_warm () =
     ignore (Table_tree.append t (row i "x"))
   done;
   let frame_of rid =
-    match Table_tree.locate ~touch:false t ~row_id:rid with
-    | Table_tree.In_page (frame, _) -> frame
-    | _ -> Alcotest.failf "rid %d not in a page" rid
+    match locate_at ~touch:false t ~row_id:rid with
+    | _, Some frame -> frame
+    | _, None -> Alcotest.failf "rid %d not in a page" rid
   in
   let first = frame_of 2 and rightmost = frame_of 6 in
   ignore (Table_tree.read t ~row_id:2);

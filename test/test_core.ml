@@ -160,10 +160,10 @@ let test_index_lookup () =
   let rid = insert_account db t "henry" 42 in
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"accounts_by_owner" ~key:[ Value.Str "henry" ] with
-      | Some (r, row) ->
+      | 0 -> Alcotest.fail "index lookup failed"
+      | r ->
         check_int "rid" rid r;
-        check_bool "balance" true (row.(1) = Value.Int 42)
-      | None -> Alcotest.fail "index lookup failed")
+        check_bool "balance" true (Value.equal (Table.found_row t txn).(1) (Value.Int 42)))
 
 let test_index_prefix_scan () =
   let db = make_db () in
@@ -216,11 +216,11 @@ let test_projection_nulls_other_cells () =
       Table.index_prefix t txn ~index:"proj_pk" ~prefix:[] (fun _ _ -> true);
       ignore (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 3 ]);
       (match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 4 ] with
-      | Some (_, row) ->
+      | 0 -> Alcotest.fail "k = 4 not found"
+      | _ ->
         Alcotest.check row_t "key and a decoded, the rest Null"
           [| Value.Int 4; Value.Int 40; Value.Null; Value.Null |]
-          row
-      | None -> Alcotest.fail "k = 4 not found");
+          (Table.found_row t txn));
       let seen = ref 0 in
       Table.index_prefix ~cols:[| 2 |] t txn ~index:"proj_pk" ~prefix:[] (fun _ row ->
           incr seen;
@@ -240,8 +240,8 @@ let test_projection_at_older_snapshot () =
   let rid =
     Db.with_txn db (fun txn ->
         match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
-        | Some (rid, _) -> rid
-        | None -> Alcotest.fail "k = 5 not found")
+        | 0 -> Alcotest.fail "k = 5 not found"
+        | rid -> rid)
   in
   let old_view = ref [||] and new_view = ref [||] in
   let q = Scheduler.Waitq.create () in
@@ -252,9 +252,8 @@ let test_projection_at_older_snapshot () =
       in
       ignore (Table.get t txn ~rid);
       Scheduler.Waitq.wait q;
-      (match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
-      | Some (_, row) -> old_view := Array.copy row
-      | None -> ());
+      if Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] > 0 then
+        old_view := Array.copy (Table.found_row t txn);
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
@@ -268,9 +267,8 @@ let test_projection_at_older_snapshot () =
     [| Value.Int 5; Value.Int 50; Value.Null; Value.Null |]
     !old_view;
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
-      | Some (_, row) -> new_view := Array.copy row
-      | None -> ());
+      if Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] > 0 then
+        new_view := Array.copy (Table.found_row t txn));
   Alcotest.check row_t "a new snapshot reads the update"
     [| Value.Int 5; Value.Int 0; Value.Null; Value.Null |]
     !new_view
@@ -283,10 +281,10 @@ let test_projection_filters_stale_entry () =
   let rid =
     Db.with_txn db (fun txn ->
         match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 6 ] with
-        | Some (rid, _) -> rid
-        | None -> Alcotest.fail "k = 6 not found")
+        | 0 -> Alcotest.fail "k = 6 not found"
+        | rid -> rid)
   in
-  let old_hit = ref None in
+  let old_hit = ref 0 in
   let q = Scheduler.Waitq.create () in
   Scheduler.submit (Db.scheduler db) (fun () ->
       let txn =
@@ -295,31 +293,28 @@ let test_projection_filters_stale_entry () =
       in
       ignore (Table.get t txn ~rid);
       Scheduler.Waitq.wait q;
-      old_hit :=
-        Option.map fst
-          (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ]);
+      old_hit := Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ];
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
       Db.with_txn db (fun txn -> ignore (set_col t txn ~rid "k" (Value.Int 60)));
       Scheduler.Waitq.signal_all q);
   Db.run db;
-  Alcotest.(check (option int)) "the old snapshot still finds k = 6 (entry kept)" (Some rid) !old_hit;
+  check_int "the old snapshot still finds k = 6 (entry kept)" rid !old_hit;
   Db.with_txn db (fun txn ->
-      Alcotest.(check (option int))
-        "the stale k = 6 entry is filtered" None
-        (Option.map fst
-           (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ]));
+      check_int "the stale k = 6 entry is filtered" 0
+        (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ]);
       let prefix_hits = ref 0 in
       Table.index_prefix ~cols:[| 1 |] t txn ~index:"proj_pk" ~prefix:[ Value.Int 6 ] (fun _ _ ->
           incr prefix_hits;
           true);
       check_int "the stale entry is filtered from a prefix scan" 0 !prefix_hits;
       match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 60 ] with
-      | Some (r, row) ->
+      | 0 -> Alcotest.fail "k = 60 not found"
+      | r ->
         check_int "the new key finds the row" rid r;
-        Alcotest.check row_t "under its new key" [| Value.Int 60; Value.Int 60; Value.Null; Value.Null |] row
-      | None -> Alcotest.fail "k = 60 not found")
+        Alcotest.check row_t "under its new key" [| Value.Int 60; Value.Int 60; Value.Null; Value.Null |]
+          (Table.found_row t txn))
 
 let test_scan_visibility () =
   let db, t = accounts_db () in
@@ -696,8 +691,8 @@ let test_uncontended_write_probes_once () =
 
 let frame_of t rid =
   match Table_tree.locate ~touch:false (Table.tree t) ~row_id:rid with
-  | Table_tree.In_page (frame, slot) -> (frame, slot)
-  | _ -> Alcotest.fail "row not in a leaf"
+  | -1 | -2 -> Alcotest.fail "row not in a leaf"
+  | slot -> (Table_tree.located_frame (Table.tree t), slot)
 
 (* A writer parks on a tuple lock; while it waits, its leaf leaves the
    pool and faults back in as a new frame. The write must re-locate and
@@ -1044,8 +1039,8 @@ let row_of db t rid =
 let rid_of_k db t k =
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int k ] with
-      | Some (rid, _) -> rid
-      | None -> Alcotest.failf "k = %d not found" k)
+      | 0 -> Alcotest.failf "k = %d not found" k
+      | rid -> rid)
 
 (* The closure sees its declared columns and Null elsewhere, even after
    whole-row reads left data in every cell of the scratch ring. *)
@@ -1101,9 +1096,8 @@ let test_update_key_column_adds_entry () =
   check_bool "updated" true ok;
   check_int "found under the new key" rid (rid_of_k db t 90);
   Db.with_txn db (fun txn ->
-      Alcotest.(check (option int))
-        "the old key no longer matches" None
-        (Option.map fst (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 9 ])))
+      check_int "the old key no longer matches" 0
+        (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 9 ]))
 
 let test_col_resolves_names () =
   let _, t = projection_db () in

@@ -84,8 +84,8 @@ let submit_plan db t (plan : txn_record) =
           match op with
           | Upd { k; v } -> (
             match Table.index_lookup_first t txn ~index:"kv_pk" ~key:[ Value.Int k ] with
-            | Some (rid, _) -> ignore (set_col t txn ~rid "v" (Value.Int v))
-            | None -> Alcotest.failf "base row %d missing" k)
+            | 0 -> Alcotest.failf "base row %d missing" k
+            | rid -> ignore (set_col t txn ~rid "v" (Value.Int v)))
           | Ins { k; v } -> ignore (Table.insert t txn [| Value.Int k; Value.Int v |]))
         plan.ops;
       plan.body_done <- true)

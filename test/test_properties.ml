@@ -272,15 +272,15 @@ let test_frozen_update_moves_row () =
   (* update a frozen row through its index *)
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 5 ] with
-      | Some (rid, _) -> ignore (set_col t txn ~rid "v" (Value.Int 5555))
-      | None -> Alcotest.fail "frozen row not found via index");
+      | 0 -> Alcotest.fail "frozen row not found via index"
+      | rid -> ignore (set_col t txn ~rid "v" (Value.Int 5555)));
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 5 ] with
-      | Some (rid, row) ->
-        check_int "updated value visible via index" 5555 (int_of row.(1));
+      | 0 -> Alcotest.fail "moved row lost from index"
+      | rid ->
+        check_int "updated value visible via index" 5555 (int_of (Table.found_row t txn).(1));
         check_bool "row moved to a fresh hot rid" true
-          (rid > Phoebe_btree.Table_tree.max_frozen_row_id (Table.tree t))
-      | None -> Alcotest.fail "moved row lost from index")
+          (rid > Phoebe_btree.Table_tree.max_frozen_row_id (Table.tree t)))
 
 let test_concurrent_index_split_storm () =
   (* regression for the stale-idx split race: thousands of concurrent
@@ -298,8 +298,8 @@ let test_concurrent_index_split_storm () =
   Db.with_txn db (fun txn ->
       for k = 1 to n do
         match Table.index_lookup_first t txn ~index:"storm_pk" ~key:[ Value.Int k ] with
-        | Some (_, row) -> if row.(1) <> Value.Int (k * 7) then incr missing
-        | None -> incr missing
+        | 0 -> incr missing
+        | _ -> if not (Value.equal (Table.found_row t txn).(1) (Value.Int (k * 7))) then incr missing
       done);
   check_int "every insert reachable via the index" 0 !missing;
   Db.with_txn db (fun txn ->
@@ -331,10 +331,10 @@ let test_warm_hot_frozen () =
   (* content survives, reachable through the index at a fresh hot rid *)
   Db.with_txn db (fun txn ->
       match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 3 ] with
-      | Some (rid, row) ->
-        check_int "value preserved" 3 (int_of row.(1));
-        check_bool "now hot" true (rid > Phoebe_btree.Table_tree.max_frozen_row_id tree)
-      | None -> Alcotest.fail "warmed row lost");
+      | 0 -> Alcotest.fail "warmed row lost"
+      | rid ->
+        check_int "value preserved" 3 (int_of (Table.found_row t txn).(1));
+        check_bool "now hot" true (rid > Phoebe_btree.Table_tree.max_frozen_row_id tree));
   (* scan agrees on the full key set *)
   Db.with_txn db (fun txn ->
       let n = ref 0 in

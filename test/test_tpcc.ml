@@ -66,8 +66,8 @@ let district_next_o_id db ~w ~d =
         Table.index_lookup_first district txn ~index:"district_pk"
           ~key:[ Value.Int w; Value.Int d ]
       with
-      | Some (_, row) -> ( match row.(5) with Value.Int v -> v | _ -> -1)
-      | None -> -1)
+      | 0 -> -1
+      | _ -> ( match (Table.found_row district txn).(5) with Value.Int v -> v | _ -> -1))
 
 let test_new_order_effects () =
   let db, t = make () in
@@ -274,8 +274,11 @@ let test_sharded_payment_history () =
           Table.index_lookup_first (Db.table shard0 "customer") txn ~index:"customer_pk"
             ~key:[ Value.Int 1; Value.Int 1; Value.Int 1 ]
         with
-        | Some (_, row) -> ( match row.(4) with Value.Str s -> s | _ -> Alcotest.fail "c_last")
-        | None -> Alcotest.fail "customer (1, 1, 1) missing")
+        | 0 -> Alcotest.fail "customer (1, 1, 1) missing"
+        | _ -> (
+          match (Table.found_row (Db.table shard0 "customer") txn).(4) with
+          | Value.Str s -> s
+          | _ -> Alcotest.fail "c_last"))
   in
   Cluster.submit_dtxn cl ~home:1 (fun dtx ->
       let at = TS.placement ts dtx ~home_g:3 in

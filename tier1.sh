@@ -78,15 +78,17 @@ cat "$check_a"
 echo "== bench smoke (5 virtual seconds of exp1 at W=2, --json)"
 bench_json smoke exp1 smoke
 
-echo "== allocation regression gates (txn.alloc.minor_words_per_txn, process_minor_words_per_txn)"
+echo "== allocation regression gates (txn.alloc.minor_words_per_txn, process_minor_words_per_txn, StockLevel's)"
 # Checked-in budgets, each the seed-42 smoke's figure plus ~14% headroom.
 # The bracketed figure counts what transactions allocate while they hold
-# a CPU: 2,754 minor words once the unique-key check took its candidates
-# through the charge-free equal-key walk (2,824 before). The process-wide
+# a CPU: 1,947 minor words once int cells were shared, a locate returned
+# a slot and a point lookup its rid (2,667 before). The process-wide
 # figure counts everything allocated over the measured run, engine and
-# scheduler included: 3,555 (3,627 before). If either trips,
-# something put fresh allocation back on the execute path or the
-# simulation core — see DESIGN.md section 4h.
+# scheduler included: 2,565 (3,288 before). StockLevel's own figure,
+# the read path's heaviest kind, is 2,657 (9,355 before, when it also
+# kept its distinct items in a hash table). If any trips, something put
+# fresh allocation back on the execute path or the simulation core —
+# see DESIGN.md section 4h.
 # alloc_gate KEY BUDGET: the smoke's KEY must be present and <= BUDGET.
 alloc_gate() {
   key="$1"
@@ -103,8 +105,9 @@ alloc_gate() {
   fi
   echo "   $key = $measured minor words/txn (budget $budget)"
 }
-alloc_gate txn.alloc.minor_words_per_txn 3140
-alloc_gate process_minor_words_per_txn 4050
+alloc_gate txn.alloc.minor_words_per_txn 2220
+alloc_gate process_minor_words_per_txn 2925
+alloc_gate trace.txn.stock_level.alloc.minor_words_per_txn 3030
 
 echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + pinned digest and tpmC)"
 double_run det exp1 smoke --sanitize --seed 42 > /dev/null
@@ -177,8 +180,12 @@ zero_findings ha
 # killed primary or follow a real drop), but rewinds toward the killed
 # primary fell at other instants, so the re-ship lists the committing
 # fiber builds changed length: node 1's minor words per transaction in
-# the two lossy cells moved it from "332150003 89784".
-cksum_pin ha "3190867785 89784"
+# the two lossy cells moved it from "332150003 89784". Shared int cells,
+# a locate that returns a slot and a point lookup that returns its rid
+# then took about 4 minor words off each transaction on every node that
+# ran any (nothing else in the JSON moved), which moved it from
+# "3190867785 89784".
+cksum_pin ha "2373530968 89784"
 echo "   failover grid parses, double run byte-identical and pinned, zero sanitizer findings"
 
 echo "== tier-1: OK"
