@@ -24,7 +24,7 @@ let default_config = { replicas = 2; latency_ns = 50_000; drop_p = 0.0; net_seed
 let gbps = 10.0 (* per-link fabric bandwidth *)
 let poll_interval_ns = 200_000 (* primary pull/ship/heartbeat tick *)
 let election_timeout_ns = 10_000_000 (* base primary-silence timeout *)
-let retransmit_timeout_ns = 1_000_000 (* go-back-N rewind after no ack progress *)
+let retransmit_timeout_ns = 1_000_000 (* go-back-N's first rewind after no ack progress *)
 let staleness_bound_ns = 5_000_000 (* default follower-read bound *)
 
 exception Stale_read of { node : int; staleness_ns : int; bound_ns : int }
@@ -112,6 +112,9 @@ type node = {
   recv_chunk : int array;  (** received, as of the peer's last ack: go-back-N's rewind point *)
   acked_chunk : int array;  (** durable, as of the peer's last ack: its quorum vote *)
   ack_progress_at : int array;  (** when the received count last moved, or an idle peer was shipped *)
+  heard_at : int array;  (** when the peer last acked *)
+  rewind_after : int array;
+      (** silence before the next rewind: doubled by each unanswered one, reset by progress *)
   mutable waiters : waiter list;  (** quorum commit waits *)
 }
 
@@ -571,11 +574,14 @@ and on_ack t nd ~view ~src ~received ~durable ~off =
          streams diverged"
         src durable off nd.id durable mine;
     Obs.Counter.incr t.c_acks;
+    nd.heard_at.(src) <- Engine.now t.eng;
     let received = min received nd.n_chunks in
     if received <> nd.recv_chunk.(src) then begin
       (* a follower that cut its copy (restart, a view's base) or held
-         less than presumed at promotion is re-shipped from what it holds *)
-      if received < nd.recv_chunk.(src) then nd.sent_chunk.(src) <- received;
+         less than presumed at promotion is re-shipped from what it holds;
+         one that took more is answering, so its rewinds back off no more *)
+      if received < nd.recv_chunk.(src) then nd.sent_chunk.(src) <- received
+      else nd.rewind_after.(src) <- retransmit_timeout_ns;
       nd.recv_chunk.(src) <- received;
       nd.ack_progress_at.(src) <- Engine.now t.eng
     end;
@@ -676,10 +682,15 @@ and pull t nd =
 
 and tick_ship t nd j =
   let now = Engine.now t.eng in
-  if nd.recv_chunk.(j) < nd.sent_chunk.(j) && now - nd.ack_progress_at.(j) > retransmit_timeout_ns
+  if nd.recv_chunk.(j) < nd.sent_chunk.(j) && now - nd.ack_progress_at.(j) > nd.rewind_after.(j)
   then begin
     (* go-back-N: rewind to what the peer holds and re-ship; a slow
-       mirror delays its durable count, not its received one *)
+       mirror delays its durable count, not its received one. A peer
+       that has not acked since the last rewind (or progress) waits
+       twice as long for the next, up to the election timeout, so a
+       dead peer is not re-sent the whole view every millisecond. *)
+    if nd.heard_at.(j) <= nd.ack_progress_at.(j) then
+      nd.rewind_after.(j) <- min election_timeout_ns (2 * nd.rewind_after.(j));
     nd.sent_chunk.(j) <- nd.recv_chunk.(j);
     nd.ack_progress_at.(j) <- now;
     Obs.Counter.incr t.c_retransmits
@@ -799,7 +810,8 @@ and become_primary t nd =
     nd.sent_chunk.(j) <- nd.n_chunks;
     nd.recv_chunk.(j) <- nd.n_chunks;
     nd.acked_chunk.(j) <- nd.n_chunks;
-    nd.ack_progress_at.(j) <- now
+    nd.ack_progress_at.(j) <- now;
+    nd.rewind_after.(j) <- retransmit_timeout_ns
   done;
   broadcast t ~src:nd.id (New_view { view = nd.view; primary = nd.id; base = nd.view_base });
   schedule_tick t nd nd.gen
@@ -1039,6 +1051,8 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       recv_chunk = Array.make n 0;
       acked_chunk = Array.make n 0;
       ack_progress_at = Array.make n 0;
+      heard_at = Array.make n 0;
+      rewind_after = Array.make n retransmit_timeout_ns;
       waiters = [];
     }
   in

@@ -276,6 +276,34 @@ let test_slow_mirror_not_reshipped () =
     (Obs.Counter.get (Obs.counter (Quorum.obs q) "quorum.retransmits"));
   Quorum.shutdown q
 
+(* A dead follower leaves every rewind unanswered, so each waits twice
+   as long as the last, up to the election timeout: over 50 ms of steady
+   commits it is re-sent the view's chunks at about 1, 3, 7, 15, 25, 35
+   and 45 ms, where a fixed 1 ms interval re-sent them 43 times. *)
+let rewinds_to_a_dead_follower_bound = 8
+
+let test_dead_follower_rewinds_back_off () =
+  let q, prim = group () in
+  let retransmits () = Obs.Counter.get (Obs.counter (Quorum.obs q) "quorum.retransmits") in
+  for k = 1 to 10 do
+    Db.submit prim (insert_kv prim k k)
+  done;
+  Quorum.run_for q ~ns:10_000_000;
+  check_int "no rewind while every follower answers" 0 (retransmits ());
+  Quorum.kill q ~node:2;
+  let acked = ref 0 in
+  for k = 11 to 110 do
+    Db.submit prim ~on_done:(fun () -> incr acked) (insert_kv prim k k);
+    Quorum.run_for q ~ns:500_000
+  done;
+  check_int "the live majority acknowledges every commit" 100 !acked;
+  let rewinds = retransmits () in
+  if rewinds > rewinds_to_a_dead_follower_bound then
+    Alcotest.failf "the dead follower was rewound %d times in 50 ms (bound %d)" rewinds
+      rewinds_to_a_dead_follower_bound;
+  check_rows "the live follower holds every row" (dump prim) (dump (Quorum.db q ~node:1));
+  Quorum.shutdown q
+
 (* The promoted follower holds every row the old primary committed and
    serves new writes through its own indexes. *)
 let test_failover_promote () =
@@ -777,6 +805,7 @@ let () =
           fixed "uncommitted withheld" (test_convergence aborted_txn);
           fixed "volatile tail withheld" test_volatile_tail_withheld;
           fixed "a slow mirror is not re-shipped" test_slow_mirror_not_reshipped;
+          fixed "rewinds to a dead follower back off" test_dead_follower_rewinds_back_off;
         ] );
       ( "failover",
         [
