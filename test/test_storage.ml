@@ -1042,7 +1042,6 @@ let test_index_prefix_alloc_pin () =
 (* Locating a resident row allocates nothing: the slot comes back as an
    int and the frame stays in the tree. *)
 let test_locate_allocates_nothing () =
-  let module Db = Phoebe_core.Db in
   let module Table = Phoebe_core.Table in
   let rows = 1000 in
   let _, t = stock_db ~rows in
