@@ -326,6 +326,11 @@ let find_one ?cols t table txn ~index ~key what =
   | 0 -> Fmt.failwith "tpcc: missing %s (warehouses=%d)" what t.n_warehouses
   | rid -> rid
 
+(* The row [key] names, which must exist. *)
+let find_row ?cols t table txn ~index ~key what =
+  ignore (find_one ?cols t table txn ~index ~key what);
+  Table.found_row table txn
+
 (* The rid of the customer a last name picks, or 0 when none has it. The
    row is left where a lookup by id leaves its hit,
    [Table.found_row t.customer txn], so both ways of naming a customer
@@ -442,8 +447,8 @@ let new_order ?at t txn rng ~w_id =
   let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
   let ol_cnt = Prng.int_incl rng 5 15 in
   let rollback_last = Prng.int rng 100 = 0 in
-  ignore (find_one ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse");
-  let w_tax = fv (Table.found_row t.warehouse txn).(w_tax) in
+  let wrow = find_row ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse" in
+  let w_tax = fv wrow.(w_tax) in
   let drid =
     find_one ?cols:d_tax_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
   in
@@ -455,10 +460,11 @@ let new_order ?at t txn rng ~w_id =
          next_o := iv row.(d_next_o_id);
          [| (d_next_o_id, vi (!next_o + 1)) |]));
   let next_o = !next_o in
-  ignore
-    (find_one ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
-       "customer");
-  let c_disc = fv (Table.found_row t.customer txn).(c_discount) in
+  let crow =
+    find_row ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
+      "customer"
+  in
+  let c_disc = fv crow.(c_discount) in
   let d_tax_v = fv drow.(d_tax) in
   ignore
     (Table.insert t.orders txn
@@ -625,8 +631,8 @@ let stock_level t txn rng ~w_id =
   let sc = t.sc in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let threshold = Prng.int_incl rng 10 20 in
-  ignore (find_one t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district");
-  let next_o = iv (Table.found_row t.district txn).(d_next_o_id) in
+  let drow = find_row t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district" in
+  let next_o = iv drow.(d_next_o_id) in
   (* the distinct items seen, one bit per item id, checked in discovery
      order so the stock lookups run in that order *)
   let seen = Bytes.make ((sc.items / 8) + 1) '\000' in
@@ -795,12 +801,10 @@ let consistency_checks t =
       let ok_wd = ref true and ok_next = ref true and ok_ol_cnt = ref true and ok_no = ref true in
       for w = 1 to t.n_warehouses do
         (* 1: W_YTD = sum(D_YTD) *)
-        ignore (find_one t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w ] "warehouse");
-        let ytd = fv (Table.found_row t.warehouse txn).(w_ytd) in
+        let wrow = find_row t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w ] "warehouse" in
         let dsum = ref 0.0 in
         for d = 1 to t.sc.districts_per_warehouse do
-          ignore (find_one t t.district txn ~index:"district_pk" ~key:[ vi w; vi d ] "district");
-          let drow = Table.found_row t.district txn in
+          let drow = find_row t t.district txn ~index:"district_pk" ~key:[ vi w; vi d ] "district" in
           dsum := !dsum +. fv drow.(d_ytd);
           (* 2: D_NEXT_O_ID - 1 = max(O_ID) *)
           let max_oid = ref 0 in
@@ -834,7 +838,7 @@ let consistency_checks t =
               if !n <> ol_cnt then ok_ol_cnt := false
           end
         done;
-        if abs_float (ytd -. 300_000.0 -. (!dsum -. (30_000.0 *. float_of_int t.sc.districts_per_warehouse))) > 0.01
+        if abs_float (fv wrow.(w_ytd) -. 300_000.0 -. (!dsum -. (30_000.0 *. float_of_int t.sc.districts_per_warehouse))) > 0.01
         then ok_wd := false
       done;
       [
