@@ -112,9 +112,8 @@ type node = {
   recv_chunk : int array;  (** received, as of the peer's last ack: go-back-N's rewind point *)
   acked_chunk : int array;  (** durable, as of the peer's last ack: its quorum vote *)
   ack_progress_at : int array;  (** when the received count last moved, or an idle peer was shipped *)
-  heard_at : int array;  (** when the peer last acked *)
   rewind_after : int array;
-      (** silence before the next rewind: doubled by each unanswered one, reset by progress *)
+      (** silence before the next rewind: doubled by each rewind, reset by each ack *)
   mutable waiters : waiter list;  (** quorum commit waits *)
 }
 
@@ -574,14 +573,12 @@ and on_ack t nd ~view ~src ~received ~durable ~off =
          streams diverged"
         src durable off nd.id durable mine;
     Obs.Counter.incr t.c_acks;
-    nd.heard_at.(src) <- Engine.now t.eng;
+    nd.rewind_after.(src) <- retransmit_timeout_ns;
     let received = min received nd.n_chunks in
     if received <> nd.recv_chunk.(src) then begin
       (* a follower that cut its copy (restart, a view's base) or held
-         less than presumed at promotion is re-shipped from what it holds;
-         one that took more is answering, so its rewinds back off no more *)
-      if received < nd.recv_chunk.(src) then nd.sent_chunk.(src) <- received
-      else nd.rewind_after.(src) <- retransmit_timeout_ns;
+         less than presumed at promotion is re-shipped from what it holds *)
+      if received < nd.recv_chunk.(src) then nd.sent_chunk.(src) <- received;
       nd.recv_chunk.(src) <- received;
       nd.ack_progress_at.(src) <- Engine.now t.eng
     end;
@@ -685,12 +682,11 @@ and tick_ship t nd j =
   if nd.recv_chunk.(j) < nd.sent_chunk.(j) && now - nd.ack_progress_at.(j) > nd.rewind_after.(j)
   then begin
     (* go-back-N: rewind to what the peer holds and re-ship; a slow
-       mirror delays its durable count, not its received one. A peer
-       that has not acked since the last rewind (or progress) waits
-       twice as long for the next, up to the election timeout, so a
-       dead peer is not re-sent the whole view every millisecond. *)
-    if nd.heard_at.(j) <= nd.ack_progress_at.(j) then
-      nd.rewind_after.(j) <- min election_timeout_ns (2 * nd.rewind_after.(j));
+       mirror delays its durable count, not its received one. Each
+       rewind doubles the wait for the next, up to the election timeout,
+       and any ack resets it: a dead peer is not re-sent the whole view
+       every millisecond, and a live one acks the heartbeats. *)
+    nd.rewind_after.(j) <- min election_timeout_ns (2 * nd.rewind_after.(j));
     nd.sent_chunk.(j) <- nd.recv_chunk.(j);
     nd.ack_progress_at.(j) <- now;
     Obs.Counter.incr t.c_retransmits
@@ -1051,7 +1047,6 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       recv_chunk = Array.make n 0;
       acked_chunk = Array.make n 0;
       ack_progress_at = Array.make n 0;
-      heard_at = Array.make n 0;
       rewind_after = Array.make n retransmit_timeout_ns;
       waiters = [];
     }

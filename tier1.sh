@@ -185,7 +185,7 @@ zero_findings ha
 # then took about 4 minor words off each transaction on every node that
 # ran any (nothing else in the JSON moved), which moved it from
 # "3190867785 89784". Go-back-N then doubled a peer's rewind interval
-# after each rewind it left unanswered (up to the election timeout): the
+# at each rewind (up to the election timeout; any ack resets it): the
 # grid's retransmits fell from 263 to 63 (8 per clean cell, all toward
 # the killed primary), and the promoted node 1 stopped rebuilding the
 # view's chunk list in its committing fibers every millisecond (about
