@@ -67,6 +67,8 @@ val locate : ?touch:bool -> t -> row_id:int -> int
     written after the locate's last charge. The caller reads it before
     it makes any charge of its own: a charge can suspend the fiber, and
     another fiber's locate on the same tree overwrites the field.
+    Sanitized runs check it where [Table] reads and writes a located
+    row.
 
     Every tree keeps a swizzled-leaf fence cache: the last leaf a
     descent reached, with its row-id fences. A lookup inside the fences

@@ -16,6 +16,7 @@ module Record = Phoebe_wal.Record
 module Scheduler = Phoebe_runtime.Scheduler
 module Component = Phoebe_sim.Component
 module Cost = Phoebe_sim.Cost
+module Sanitize = Phoebe_sanitize.Sanitize
 
 type txn = Txnmgr.txn
 
@@ -262,9 +263,22 @@ let read_frozen t txn block ~rid ~key_cols cols dst =
          ~page_key:(frozen_twin_key t rid) ~rid
      end
 
+(* The locate contract (DESIGN.md §4h) hands a frame over in a field of
+   the tree that every fiber shares, so a charge between a locate and
+   the read of its frame could hand over another fiber's. Sanitized runs
+   check, before the first charge, that the page holds [rid] at [slot];
+   the check charges nothing, and its exception is built once. *)
+let located_elsewhere =
+  Phoebe_util.Phoebe_error.Bug
+    { subsystem = "core.table"; context = "a located frame does not hold the row at its slot" }
+
+let check_located page ~slot ~rid =
+  if Sanitize.on () && not (Int.equal (Pax.find page ~row_id:rid) slot) then raise located_elsewhere
+
 (* A located page-tier row: one tuple materialisation, then Algorithm 1. *)
 let read_in_page t txn frame ~slot ~rid ~key_cols cols dst =
   let page = Bufmgr.payload frame in
+  check_located page ~slot ~rid;
   Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.pax_read;
   decode_in_page page ~slot ~key_cols cols dst;
   visible_into t txn ~key_cols cols dst ~deleted:(Pax.is_deleted page ~slot)
@@ -493,6 +507,7 @@ let before_image page ~slot reads (cur : Value.t array) (cols : (int * Value.t) 
 let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
   let c = Scheduler.current_cost () in
   let page = Bufmgr.payload frame in
+  check_located page ~slot ~rid;
   let cur = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
   decode_in_page page ~slot ~key_cols:no_cols reads cur;
   let cols = compute cur in
