@@ -716,7 +716,7 @@ let recovery () =
       Db.submit db (fun txn ->
           (match
              Phoebe_core.Table.index_lookup_first t txn ~index:"kv_pk"
-               ~key:[ Value.Int (1 + (i mod n_base)) ]
+               ~key:(Phoebe_core.Table.key t txn |> Phoebe_core.Table.Key.add (Value.Int (1 + (i mod n_base))))
            with
           | 0 -> ()
           | rid ->

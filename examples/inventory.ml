@@ -89,7 +89,7 @@ let () =
   Db.with_txn db (fun txn ->
       Printf.printf "order history for customer %d:\n" report_customer;
       Table.index_prefix orders txn ~index:"orders_by_customer"
-        ~prefix:[ Value.Int report_customer ] (fun _ row ->
+        ~prefix:(Table.key orders txn |> Table.Key.add (Value.Int report_customer)) (fun _ row ->
           Printf.printf "  #%-3s qty=%-2s total=%8s  %s\n"
             (Value.to_string row.(1)) (Value.to_string row.(3)) (Value.to_string row.(4))
             (Value.to_string row.(5));

@@ -49,7 +49,7 @@ let () =
 
   (* Point lookup through the secondary index. *)
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first users txn ~index:"users_by_name" ~key:[ Value.Str "alice" ] with
+      match Table.index_lookup_first users txn ~index:"users_by_name" ~key:(Table.key users txn |> Table.Key.add (Value.Str "alice")) with
       | 0 -> print_endline "alice not found?!"
       | _ ->
         (* the hit's row is the table's found row until the next lookup *)

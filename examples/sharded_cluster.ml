@@ -54,7 +54,7 @@ let () =
   (* the remote half of a transfer, installed on every shard *)
   let credit ~shard:_ db txn args =
     let t = Db.table db "accounts" in
-    (match Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ args.(0) ] with
+    (match Table.index_lookup_first t txn ~index:"accounts_pk" ~key:(Table.key t txn |> Table.Key.add (args.(0))) with
     | 0 -> raise (Phoebe_txn.Txnmgr.Abort (Phoebe_txn.Txnmgr.User, "no such account"))
     | rid ->
       let amount = match args.(1) with Value.Int a -> a | _ -> assert false in
@@ -81,7 +81,7 @@ let () =
           let txn = Cluster.dtxn_txn dtx in
           let t = Db.table db "accounts" in
           (match
-             Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ Value.Int (local_id src) ]
+             Table.index_lookup_first t txn ~index:"accounts_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int (local_id src)))
            with
           | 0 -> assert false
           | rid -> add_balance t txn ~rid (-10));
@@ -96,7 +96,7 @@ let () =
           let db = Cluster.shard cl home in
           let t = Db.table db "accounts" in
           match
-            Table.index_lookup_first t txn ~index:"accounts_pk" ~key:[ Value.Int (local_id src) ]
+            Table.index_lookup_first t txn ~index:"accounts_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int (local_id src)))
           with
           | 0 -> assert false
           | rid -> add_balance t txn ~rid 1))

@@ -50,34 +50,103 @@ let name t = t.iname
 let count t = t.entries
 let depth t = t.idepth
 
-let cmp_entry k1 r1 k2 r2 =
-  let c = String.compare k1 k2 in
+(* The one key comparison: the first [kn] bytes of the stored key [k]
+   against the first [pn] bytes of the probe [p], ordered exactly as
+   [String.compare] orders the two as strings (-1, 0 or 1). Every search
+   of the tree goes through it; a string probe enters as
+   [Bytes.unsafe_of_string], which nothing here writes. Both are read
+   eight bytes at a time up to the shorter length [m]: the first pair of
+   words that differs decides, read big-endian with the sign bit flipped
+   so that signed order is byte order. The last, partial word is read as
+   the word ending at [m], whose bytes before [i] are already known
+   equal; keys shorter than a word go byte by byte. When the first [m]
+   bytes agree, the shorter key sorts first. The loads are unchecked
+   because [m] bounds both keys. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] by_length (kn : int) (pn : int) = if kn < pn then -1 else if kn > pn then 1 else 0
+
+let rec cmp_bytes k kn p pn m i =
+  if i >= m then by_length kn pn
+  else
+    let a = Char.code (String.unsafe_get k i) and b = Char.code (Bytes.unsafe_get p i) in
+    if a < b then -1 else if a > b then 1 else cmp_bytes k kn p pn m (i + 1)
+
+let rec cmp_words k kn p pn m i =
+  if i + 8 <= m then begin
+    let a = get64u k i and b = bytes_get64u p i in
+    if a = b then cmp_words k kn p pn m (i + 8)
+    else
+      let a = Int64.logxor (if Sys.big_endian then a else bswap64 a) Int64.min_int
+      and b = Int64.logxor (if Sys.big_endian then b else bswap64 b) Int64.min_int in
+      if a < b then -1 else 1
+  end
+  else if i >= m then by_length kn pn
+  else if m < 8 then cmp_bytes k kn p pn m i
+  else begin
+    let a = get64u k (m - 8) and b = bytes_get64u p (m - 8) in
+    if a = b then by_length kn pn
+    else
+      let a = Int64.logxor (if Sys.big_endian then a else bswap64 a) Int64.min_int
+      and b = Int64.logxor (if Sys.big_endian then b else bswap64 b) Int64.min_int in
+      if a < b then -1 else 1
+  end
+
+let[@inline] cmp_upto k kn p pn = cmp_words k kn p pn (if kn < pn then kn else pn) 0
+
+(* A probe's length must lie inside its bytes: the comparison reads
+   them unchecked. Built once, so the check allocates nothing. *)
+let past_bytes = Invalid_argument "Index_tree: probe length past its bytes"
+
+let check_len key len = if len < 0 || len > Bytes.length key then raise past_bytes
+
+let[@inline] cmp_key k p pn = cmp_upto k (String.length k) p pn
+
+let compare_key k p pn =
+  check_len p pn;
+  cmp_key k p pn
+
+(* [k] starts with the probe's [pn] bytes: a comparison of [k] cut at
+   [pn], with no substring carved. *)
+let has_prefix k p pn = String.length k >= pn && cmp_upto k pn p pn = 0
+
+let[@inline] cmp_entry k1 r1 p pn r2 =
+  let c = cmp_key k1 p pn in
   if c <> 0 then c else Int.compare r1 r2
 
-(* First slot in [lo, hi) of the leaf with entry >= (key, rid). The
+(* First slot in [lo, hi) of the leaf with entry >= (probe, rid). The
    bisections are module-level loops rather than [ref] cells so that the
    equal-key walk below is visibly allocation-free to [phoebe_check]. *)
-let rec leaf_bound l key rid lo hi =
+let rec leaf_bound l p pn rid lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if cmp_entry l.keys.(mid) l.rids.(mid) key rid < 0 then leaf_bound l key rid (mid + 1) hi
-    else leaf_bound l key rid lo mid
+    if cmp_entry l.keys.(mid) l.rids.(mid) p pn rid < 0 then leaf_bound l p pn rid (mid + 1) hi
+    else leaf_bound l p pn rid lo mid
 
-let leaf_lower_bound l key rid = leaf_bound l key rid 0 l.ln
+let[@inline] leaf_lower_bound l p pn rid = leaf_bound l p pn rid 0 l.ln
 
 (* Child index for an entry: the separator of child i+1 is its smallest
    entry, so descend into the rightmost child whose separator is <= the
    probe entry. *)
-let rec child_bound inner key rid lo hi =
+let rec child_bound inner p pn rid lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi + 1) / 2 in
-    if cmp_entry inner.sep_keys.(mid - 1) inner.sep_rids.(mid - 1) key rid <= 0 then
-      child_bound inner key rid mid hi
-    else child_bound inner key rid lo (mid - 1)
+    if cmp_entry inner.sep_keys.(mid - 1) inner.sep_rids.(mid - 1) p pn rid <= 0 then
+      child_bound inner p pn rid mid hi
+    else child_bound inner p pn rid lo (mid - 1)
 
-let inner_child_index inner key rid = child_bound inner key rid 0 (inner.inn - 1)
+let[@inline] inner_child_index inner p pn rid = child_bound inner p pn rid 0 (inner.inn - 1)
+
+(* The same searches for a string key ([insert], [delete]): the key
+   enters as [Bytes.unsafe_of_string], the identity, so the closures
+   around the latches capture the string alone. *)
+let[@inline] str_lower_bound l key rid = leaf_lower_bound l (Bytes.unsafe_of_string key) (String.length key) rid
+let[@inline] str_child_index inner key rid = inner_child_index inner (Bytes.unsafe_of_string key) (String.length key) rid
+let[@inline] str_equal k key = cmp_key k (Bytes.unsafe_of_string key) (String.length key) = 0
 
 let split_leaf t l =
   let half = l.ln / 2 in
@@ -164,10 +233,10 @@ let insert t ~key ~rid =
             if l.ln >= t.fanout then false
             else begin
               if t.unique then begin
-                let pos = leaf_lower_bound l key min_int in
-                if pos < l.ln && l.keys.(pos) = key then raise (Duplicate_key key)
+                let pos = str_lower_bound l key min_int in
+                if pos < l.ln && str_equal l.keys.(pos) key then raise (Duplicate_key key)
               end;
-              let pos = leaf_lower_bound l key rid in
+              let pos = str_lower_bound l key rid in
               Array.blit l.keys pos l.keys (pos + 1) (l.ln - pos);
               Array.blit l.rids pos l.rids (pos + 1) (l.ln - pos);
               l.keys.(pos) <- key;
@@ -177,7 +246,7 @@ let insert t ~key ~rid =
               true
             end)
       | Inner inner ->
-        let idx = Latch.optimistic_read inner.platch (fun () -> inner_child_index inner key rid) in
+        let idx = Latch.optimistic_read inner.platch (fun () -> str_child_index inner key rid) in
         if idx < inner.inn && node_full t inner.kids.(idx) then begin
           split_child t inner idx;
           (* splits (ours or a concurrent one observed during the latch
@@ -198,37 +267,15 @@ let rec find_leaf node key rid =
   match node with
   | Leaf l -> l
   | Inner inner ->
-    let idx = Latch.optimistic_read inner.platch (fun () -> inner_child_index inner key rid) in
+    let idx = Latch.optimistic_read inner.platch (fun () -> str_child_index inner key rid) in
     find_leaf inner.kids.(idx) key rid
-
-(* Leaves are not chained; [prefix]'s streaming walk goes through the tree. *)
-let rec iter_from node key rid f =
-  match node with
-  | Leaf l ->
-    let start = leaf_lower_bound l key rid in
-    let continue = ref true in
-    let i = ref start in
-    while !continue && !i < l.ln do
-      continue := f l.keys.(!i) l.rids.(!i);
-      incr i
-    done;
-    !continue
-  | Inner inner ->
-    let start = inner_child_index inner key rid in
-    let continue = ref true in
-    let i = ref start in
-    while !continue && !i < inner.inn do
-      continue := iter_from inner.kids.(!i) key rid f;
-      incr i
-    done;
-    !continue
 
 let delete t ~key ~rid =
   let l = find_leaf t.root key rid in
   Latch.with_exclusive l.llatch (fun () ->
       charge_leaf_op ();
-      let pos = leaf_lower_bound l key rid in
-      if pos < l.ln && l.keys.(pos) = key && l.rids.(pos) = rid then begin
+      let pos = str_lower_bound l key rid in
+      if pos < l.ln && str_equal l.keys.(pos) key && l.rids.(pos) = rid then begin
         Array.blit l.keys (pos + 1) l.keys pos (l.ln - pos - 1);
         Array.blit l.rids (pos + 1) l.rids pos (l.ln - pos - 1);
         l.ln <- l.ln - 1;
@@ -237,56 +284,67 @@ let delete t ~key ~rid =
       end
       else false)
 
-(* The equal-key walk: store the rids of [key]'s entries in [dst], in
-   ascending order, and return how many there are. Module-level loops
+(* The equal-key walk: store the rids of the probe's entries in [dst],
+   in ascending order, and return how many there are. Module-level loops
    with every variable passed explicitly, so no closure or cell is
    built. A walk's count is [lnot n] once it has met a greater key, which
    stops the walk over the remaining children. *)
-let rec collect_leaf l key dst i n =
+let rec collect_leaf l p pn dst i n =
   if i >= l.ln then n
-  else if String.equal l.keys.(i) key then begin
+  else if cmp_key l.keys.(i) p pn = 0 then begin
     if n < Array.length dst then dst.(n) <- l.rids.(i);
-    collect_leaf l key dst (i + 1) (n + 1)
+    collect_leaf l p pn dst (i + 1) (n + 1)
   end
   else lnot n
 
-let rec collect_from node key dst n =
+let rec collect_from node p pn dst n =
   match node with
-  | Leaf l -> collect_leaf l key dst (leaf_lower_bound l key min_int) n
-  | Inner inner -> collect_kids inner key dst (inner_child_index inner key min_int) n
+  | Leaf l -> collect_leaf l p pn dst (leaf_lower_bound l p pn min_int) n
+  | Inner inner -> collect_kids inner p pn dst (inner_child_index inner p pn min_int) n
 
-and collect_kids inner key dst i n =
+and collect_kids inner p pn dst i n =
   if n < 0 || i >= inner.inn then n
-  else collect_kids inner key dst (i + 1) (collect_from inner.kids.(i) key dst n)
+  else collect_kids inner p pn dst (i + 1) (collect_from inner.kids.(i) p pn dst n)
 
 (* lint: hot-path *)
-let collect_key t ~key dst =
-  let n = collect_from t.root key dst 0 in
+let collect_key t ~key ~len dst =
+  check_len key len;
+  let n = collect_from t.root key len dst 0 in
   if n < 0 then lnot n else n
 
 (* [lookup_first]'s one-entry destination; the walk makes no charge, so
    no fiber can interleave while it holds a rid *)
 let first_scratch = [| 0 |]
 
-let lookup_first t ~key = if collect_key t ~key first_scratch = 0 then None else Some first_scratch.(0)
+let lookup_first t ~key =
+  if collect_key t ~key:(Bytes.unsafe_of_string key) ~len:(String.length key) first_scratch = 0 then None
+  else Some first_scratch.(0)
 
-(* [String.sub]-free, closure-free prefix test: [prefix] runs once per
-   visited entry on the scan path, so carving a fresh substring (or
-   building a loop closure) per key would allocate all through
-   stock-level and by-name scans. Eight bytes are compared per step,
-   then the tail byte by byte. *)
-let rec same_from k p i =
-  let n = String.length p in
-  if i + 8 <= n then
-    String.get_int64_ne k i = String.get_int64_ne p i && same_from k p (i + 8)
-  else i >= n || (Char.equal (String.unsafe_get k i) (String.unsafe_get p i) && same_from k p (i + 1))
+(* The one streaming walk, in key order from the first entry >= the
+   prefix: module-level recursion with the prefix and the visitor passed
+   down, so a scan builds no closure. An entry that has the prefix is
+   visited; one that sorts before it (only at the start) is passed over;
+   the first that sorts after it ends the walk, as does a visitor that
+   returns [false]. Leaves are not chained, so the walk goes through the
+   tree. *)
+let rec prefix_leaf l p pn f i =
+  i >= l.ln
+  ||
+  let k = l.keys.(i) in
+  if has_prefix k p pn then f k l.rids.(i) && prefix_leaf l p pn f (i + 1)
+  else cmp_key k p pn < 0 && prefix_leaf l p pn f (i + 1)
 
-let has_prefix k p = String.length k >= String.length p && same_from k p 0
+let rec prefix_node node p pn f =
+  match node with
+  | Leaf l -> prefix_leaf l p pn f (leaf_lower_bound l p pn min_int)
+  | Inner inner -> prefix_kids inner p pn f (inner_child_index inner p pn min_int)
 
-let prefix t ~prefix:p f =
-  ignore
-    (iter_from t.root p min_int (fun k rid ->
-         if has_prefix k p then f k rid else String.compare k p < 0))
+and prefix_kids inner p pn f i = i >= inner.inn || (prefix_node inner.kids.(i) p pn f && prefix_kids inner p pn f (i + 1))
+
+(* lint: hot-path *)
+let prefix t ~prefix ~len f =
+  check_len prefix len;
+  ignore (prefix_node t.root prefix len f)
 
 (* Module-level key scratch: encoding makes no charge, so a fiber
    finishes an encode before any other can start one (the same argument
@@ -302,5 +360,4 @@ let rec add_key_values buf = function
 let encode_key values =
   Buffer.clear key_scratch;
   add_key_values key_scratch values;
-  (* lint: allow hot-path-alloc — the probe key string, one per statement, not per row *)
   Buffer.contents key_scratch

@@ -22,7 +22,27 @@ type txn = Txnmgr.txn
 
 type index = { ix_name : string; ix : Index_tree.t; key_cols : int array; ix_unique : bool }
 
-type t = {
+(* A key probe (DESIGN.md section 4h): the key values of one index
+   statement and their encoded bytes, owned by one table, scheduler slot
+   and nesting depth, and reused by every statement there. A prefix
+   walk's state sits in the [w_*] fields, where the visitor [visit],
+   built once with the probe, reads it. *)
+type probe = {
+  owner : t;
+  pslot : int;
+  pdepth : int;  (** the slot's walk depth on the table that [key] hands this probe out at *)
+  mutable vals : Value.t array;
+  mutable n : int;  (** values added since [key] handed the probe out *)
+  mutable bytes : Bytes.t;
+  mutable len : int;  (** encoded length, valid from the statement's encode *)
+  mutable w_txn : txn;
+  mutable w_key_cols : int array;
+  mutable w_cols : int array option;
+  mutable w_f : int -> Value.t array -> bool;
+  visit : string -> int -> bool;
+}
+
+and t = {
   tid : int;
   tbl_name : string;
   tschema : Value.Schema.t;
@@ -40,6 +60,11 @@ type t = {
   (* reusable key-encode buffer; each use is confined to one
      charge-free stretch, so fibers can never interleave inside it *)
   key_scratch : Buffer.t;
+  (* key probes: slot -> nesting depth -> probe, grown lazily *)
+  mutable probes : probe array array;
+  (* per slot, the depth whose probe [key] hands out: the number of
+     prefix walks the slot has open on this table *)
+  mutable walk_depth : int array;
 }
 
 let id t = t.tid
@@ -63,6 +88,8 @@ let create ?manifest ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr
     frozen_reads_total = 0;
     scratch = Tupbuf.create ~arity:(Value.Schema.arity schema);
     key_scratch = Buffer.create 64;
+    probes = [||];
+    walk_depth = [||];
   }
 
 let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
@@ -394,15 +421,16 @@ let live_slot t (txn : txn) entry frame ~slot ~rid =
   if Table_tree.holds_live t.ttree frame ~slot ~row_id:rid then slot
   else relocate_live t txn entry ~rid
 
-(* The equal-key rids of [key_bytes] in the slot's rid scratch, grown
-   until they all fit; returns how many. The walk makes no charge. *)
-let rec collect_candidates t ix ~slot key_bytes =
+(* The rids of the entries whose key is [key]'s first [len] bytes, in
+   the slot's rid scratch, grown until they all fit; returns how many.
+   The walk makes no charge. *)
+let rec collect_candidates t ix ~slot key len =
   let dst = Tupbuf.rids t.scratch ~slot in
-  let n = Index_tree.collect_key ix.ix ~key:key_bytes dst in
+  let n = Index_tree.collect_key ix.ix ~key ~len dst in
   if n <= Array.length dst then n
   else begin
     Tupbuf.grow_rids t.scratch ~slot n;
-    collect_candidates t ix ~slot key_bytes
+    collect_candidates t ix ~slot key len
   end
 
 let unique_violation () = raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"))
@@ -441,7 +469,7 @@ let rec check_candidates t txn ~inserting_rid rids n i =
 
 let check_unique t (txn : txn) ix ~key ~inserting_rid =
   let slot = txn.Txnmgr.slot in
-  let n = collect_candidates t ix ~slot key in
+  let n = collect_candidates t ix ~slot (Bytes.unsafe_of_string key) (String.length key) in
   check_candidates t txn ~inserting_rid (Tupbuf.rids t.scratch ~slot) n 0
 
 (* ------------------------------------------------------------------ *)
@@ -650,37 +678,157 @@ let delete t (txn : txn) ~rid =
 (* ------------------------------------------------------------------ *)
 (* Index access *)
 
-(* Candidate filtering compares the row's key columns to the probe
-   values directly: re-encoding a key per candidate ([key_of_row]) would
-   allocate a buffer and a string on every index probe. Equivalent to
-   comparing encoded keys — [Value.encode_key] is pure, injective and
-   self-delimiting (order-preserving concatenation requires it). *)
-let rec key_matches_vals (cols : int array) i (row : Value.t array) = function
-  | [] -> i = Array.length cols
-  | v :: tl ->
-    i < Array.length cols && Value.equal row.(cols.(i)) v && key_matches_vals cols (i + 1) row tl
-
-(* Prefix-scan candidate check: each of the row's key columns must be the
-   next encoded component of the tree key, read in place, and together
-   they must cover the whole key. *)
-let rec key_cols_at key (cols : int array) (row : Value.t array) i off =
-  if i >= Array.length cols then off = String.length key
+(* The one candidate key check: each of the row's key columns must be
+   the next encoded component of [key]'s first [len] bytes, read in
+   place, and together they must cover them all. A point lookup checks
+   against its probe's bytes, a prefix walk against the tree key.
+   Equivalent to comparing encoded keys, since [Value.encode_key] is
+   pure, injective and self-delimiting; nothing is re-encoded. *)
+let rec key_cols_at key len (cols : int array) (row : Value.t array) i off =
+  if i >= Array.length cols then off = len
   else
-    let off = Value.key_at key off row.(cols.(i)) in
-    off >= 0 && key_cols_at key cols row (i + 1) off
+    let off = Value.key_at key len off row.(cols.(i)) in
+    off >= 0 && key_cols_at key len cols row (i + 1) off
 
-let row_key_equals ix (row : Value.t array) key = key_cols_at key ix.key_cols row 0 0
+let row_key_at (cols : int array) row key len = key_cols_at key len cols row 0 0
+
+(* A prefix walk's visitor, over the walk's state in the probe: read the
+   candidate, and hand it on if it is visible and its key is still the
+   tree key (stale entries of in-flight key updates are filtered). *)
+(* lint: hot-path *)
+let visit_entry t p key rid =
+  let txn = p.w_txn in
+  let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+  if
+    read_into t txn ~rid ~key_cols:p.w_key_cols p.w_cols row
+    && row_key_at p.w_key_cols row (Bytes.unsafe_of_string key) (String.length key)
+  then p.w_f rid row
+  else true
+
+(* What a probe's walk state holds outside a walk, so that a probe keeps
+   no finished transaction (and its undo chain) or callback alive. No
+   walk reads them: a walk sets its own before it starts. *)
+let keep_going _ _ = true
+
+let no_txn : txn =
+  {
+    Txnmgr.xid = 0;
+    start_ts = 0;
+    isolation = Txnmgr.Read_committed;
+    slot = -1;
+    snapshot = 0;
+    cts = 0;
+    state = Txnmgr.Active;
+    undo_newest = None;
+    undo_count = 0;
+    waiters = Scheduler.Waitq.create ();
+    needs_remote = false;
+    remote_gsn = 0;
+    wrote = false;
+    waiting_on = 0;
+    held_table_locks = [];
+  }
+
+let new_probe t ~slot ~depth =
+  let rec p =
+    {
+      owner = t;
+      pslot = slot;
+      pdepth = depth;
+      vals = Array.make 4 Value.Null;
+      n = 0;
+      bytes = Bytes.create 64;
+      len = 0;
+      w_txn = no_txn;
+      w_key_cols = no_cols;
+      w_cols = None;
+      w_f = keep_going;
+      visit = (fun key rid -> visit_entry t p key rid);
+    }
+  in
+  p
+
+(* The slot's first probe at [depth]: the per-slot arrays grow as
+   [Tupbuf]'s do. *)
+let add_probe t ~slot ~depth =
+  let n = Array.length t.probes in
+  if slot >= n then begin
+    let n' = max (slot + 1) (max 4 (2 * n)) in
+    let probes = Array.make n' [||] and walk_depth = Array.make n' 0 in
+    Array.blit t.probes 0 probes 0 n;
+    Array.blit t.walk_depth 0 walk_depth 0 n;
+    t.probes <- probes;
+    t.walk_depth <- walk_depth
+  end;
+  t.probes.(slot) <- Array.append t.probes.(slot) [| new_probe t ~slot ~depth |]
+
+(* lint: hot-path *)
+let key t (txn : txn) =
+  let slot = txn.Txnmgr.slot in
+  let depth = if slot < Array.length t.walk_depth then t.walk_depth.(slot) else 0 in
+  if slot >= Array.length t.probes || depth >= Array.length t.probes.(slot) then
+    (* lint: allow hot-path-alloc — a slot's first probe at a depth, off steady state *)
+    add_probe t ~slot ~depth;
+  let p = t.probes.(slot).(depth) in
+  p.n <- 0;
+  p
+
+module Key = struct
+  type t = probe
+
+  let grow p =
+    let vals = Array.make (2 * Array.length p.vals) Value.Null in
+    Array.blit p.vals 0 vals 0 p.n;
+    p.vals <- vals
+
+  (* lint: hot-path *)
+  let add v p =
+    if p.n >= Array.length p.vals then
+      (* lint: allow hot-path-alloc — a probe's first key longer than any before, off steady state *)
+      grow p;
+    p.vals.(p.n) <- v;
+    p.n <- p.n + 1;
+    p
+
+  let rec add_list vs p = match vs with [] -> p | v :: rest -> add_list rest (add v p)
+end
+
+(* Built once: a probe used on another table or slot is refused without
+   allocating. *)
+let foreign_probe = Invalid_argument "Table: a key probe of another table or slot"
+
+let check_probe t (txn : txn) p = if p.owner != t || p.pslot <> txn.Txnmgr.slot then raise foreign_probe
+
+let rec encode_vals buf (vals : Value.t array) n i =
+  if i < n then begin
+    Value.encode_key buf vals.(i);
+    encode_vals buf vals n (i + 1)
+  end
+
+(* The probe's bytes: its values encoded through the table's key
+   scratch, then blitted out before any charge can let another slot's
+   encode in. *)
+let encode_probe t p =
+  let buf = t.key_scratch in
+  Buffer.clear buf;
+  encode_vals buf p.vals p.n 0;
+  let len = Buffer.length buf in
+  if len > Bytes.length p.bytes then
+    (* lint: allow hot-path-alloc — a probe's first key longer than any before, off steady state *)
+    p.bytes <- Bytes.create (max len (2 * Bytes.length p.bytes));
+  Buffer.blit buf 0 p.bytes 0 len;
+  p.len <- len
 
 (* Probe candidates [i..n) in rid order, the order the index walk
-   visits them in; the first visible row whose key still matches is
-   blitted into [res]. Every candidate is read, hit or not. *)
-let rec probe_candidates t txn ix ~key cols rids n i res hit =
+   visits them in; the first visible row whose key is still the probe's
+   is blitted into [res]. Every candidate is read, hit or not. *)
+let rec probe_candidates t txn ix p cols rids n i res hit =
   if i >= n then hit
   else begin
     let rid = rids.(i) in
     let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
     let hit =
-      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && key_matches_vals ix.key_cols 0 row key
+      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_at ix.key_cols row p.bytes p.len
          && hit < 0
       then begin
         Array.blit row 0 res 0 (Array.length row);
@@ -688,37 +836,56 @@ let rec probe_candidates t txn ix ~key cols rids n i res hit =
       end
       else hit
     in
-    probe_candidates t txn ix ~key cols rids n (i + 1) res hit
+    probe_candidates t txn ix p cols rids n (i + 1) res hit
   end
 
-(* Point lookup: the candidates are taken first, in one charge-free
-   index walk, and every one is probed, hit or not. The first hit is
-   blitted into the slot's dedicated result buffer instead of copied —
-   so the row stays valid across later ring takes, clobbered only by
-   this transaction's next [index_lookup_first] on the same table — and
-   its rid is returned, with no pair around the two. *)
+(* Point lookup: the probe is encoded after the statement begins, the
+   candidates are taken in one charge-free index walk, and every one is
+   probed, hit or not. The first hit is blitted into the slot's
+   dedicated result buffer instead of copied — so the row stays valid
+   across later ring takes, clobbered only by this transaction's next
+   [index_lookup_first] on the same table — and its rid is returned,
+   with no pair around the two. *)
 (* lint: hot-path *)
-let index_lookup_first ?cols t txn ~index ~key =
+let index_lookup_first ?cols t txn ~index ~key:p =
+  check_probe t txn p;
   statement_begin t txn;
   let ix = find_index t index in
-  let key_bytes = Index_tree.encode_key key in
+  encode_probe t p;
   let slot = txn.Txnmgr.slot in
-  let n = collect_candidates t ix ~slot key_bytes in
+  let n = collect_candidates t ix ~slot p.bytes p.len in
   let res = Tupbuf.result t.scratch ~slot in
-  let hit = probe_candidates t txn ix ~key cols (Tupbuf.rids t.scratch ~slot) n 0 res (-1) in
-  max hit 0
+  let hit = probe_candidates t txn ix p cols (Tupbuf.rids t.scratch ~slot) n 0 res (-1) in
+  if hit > 0 then hit else 0
 
 let found_row t (txn : txn) = Tupbuf.result t.scratch ~slot:txn.Txnmgr.slot
 
-let index_prefix ?cols t txn ~index ~prefix f =
+let set_walk t p ~depth txn key_cols cols f =
+  t.walk_depth.(p.pslot) <- depth;
+  p.w_txn <- txn;
+  p.w_key_cols <- key_cols;
+  p.w_cols <- cols;
+  p.w_f <- f
+
+(* A prefix walk hands the tree the probe's visitor, built once, and
+   leaves its state in the probe, saved and restored on both exits. The
+   slot's probe depth is one deeper for the walk's length, so a
+   statement its callback starts on this table takes a probe of its
+   own instead of re-encoding this one under the walk. *)
+(* lint: hot-path *)
+let index_prefix ?cols t txn ~index ~prefix:p f =
+  check_probe t txn p;
   statement_begin t txn;
   let ix = find_index t index in
-  let prefix_bytes = Index_tree.encode_key prefix in
-  Index_tree.prefix ix.ix ~prefix:prefix_bytes (fun key rid ->
-      let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
-      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_equals ix row key then
-        f rid row
-      else true)
+  encode_probe t p;
+  let depth = t.walk_depth.(p.pslot) in
+  let txn0 = p.w_txn and key_cols0 = p.w_key_cols and cols0 = p.w_cols and f0 = p.w_f in
+  set_walk t p ~depth:(p.pdepth + 1) txn ix.key_cols cols f;
+  match Index_tree.prefix ix.ix ~prefix:p.bytes ~len:p.len p.visit with
+  | () -> set_walk t p ~depth txn0 key_cols0 cols0 f0
+  | exception e ->
+    set_walk t p ~depth txn0 key_cols0 cols0 f0;
+    raise e
 
 let scan t txn f =
   statement_begin t txn;

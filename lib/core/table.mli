@@ -102,17 +102,43 @@ val get : t -> txn -> rid:int -> Phoebe_storage.Value.t array option
 
 (** {1 Index access (visibility-filtered)} *)
 
-val index_lookup_first :
-  ?cols:int array -> t -> txn -> index:string -> key:Phoebe_storage.Value.t list -> int
+(** A key probe: the key of one index statement, built value by value
+    and encoded by the statement itself.
+
+    Ownership (DESIGN.md §4h): each table keeps one probe per scheduler
+    slot and nesting depth, preallocated and reused, so building a key
+    and running the statement allocate nothing. {!key} hands out the
+    slot's probe, emptied; it stays the caller's until the next {!key}
+    on the same table and slot at the same depth. A statement started
+    inside an {!index_prefix} callback on the same table gets the next
+    depth's probe, so it never re-encodes the probe of the walk it runs
+    in. *)
+module Key : sig
+  type t
+
+  val add : Phoebe_storage.Value.t -> t -> t
+  (** Append the next key column's value; returns the probe, so a key
+      reads [Table.key t txn |> Table.Key.add a |> Table.Key.add b]. *)
+
+  val add_list : Phoebe_storage.Value.t list -> t -> t
+  (** [add] each value in order: for cold callers holding a list. *)
+end
+
+val key : t -> txn -> Key.t
+(** The transaction's slot's probe on this table, emptied. *)
+
+val index_lookup_first : ?cols:int array -> t -> txn -> index:string -> key:Key.t -> int
 (** The row id of the first visible row, in rid order, whose indexed
-    columns still equal [key] (stale entries from in-flight key updates
-    are filtered by re-checking the key), or [0] when there is none (row
-    ids start at 1). The row is {!found_row}.
+    columns still encode to [key] (stale entries from in-flight key
+    updates are filtered by re-checking the key), or [0] when there is
+    none (row ids start at 1). The row is {!found_row}. The probe is
+    encoded once the statement has begun.
 
     [cols] projects the read (DESIGN.md §4h): only the index key columns
     and the listed column indexes are decoded, and every other cell of
-    the row is [Value.Null]. Apart from the encoded probe key, the
-    lookup allocates nothing per call or per candidate row. *)
+    the row is [Value.Null]. A lookup over resident rows allocates
+    nothing, per call or per candidate row.
+    @raise Invalid_argument if [key] is another table's or slot's probe. *)
 
 val found_row : t -> txn -> Phoebe_storage.Value.t array
 (** The row of the transaction's last {!index_lookup_first} hit on this
@@ -123,13 +149,16 @@ val found_row : t -> txn -> Phoebe_storage.Value.t array
 
 val index_prefix :
   ?cols:int array ->
-  t -> txn -> index:string -> prefix:Phoebe_storage.Value.t list ->
+  t -> txn -> index:string -> prefix:Key.t ->
   (int -> Phoebe_storage.Value.t array -> bool) -> unit
 (** Visit visible rows with the given key prefix in key order; callback
     returns false to stop; with the full key it visits every visible
-    match. The row argument is scratch, valid only for
-    the duration of the callback; copy to retain. [cols] projects each
-    row as in {!index_lookup_first}. *)
+    match. The row argument is scratch, valid only for the duration of
+    the callback; copy to retain. [cols] projects each row as in
+    {!index_lookup_first}. With a callback built once, a scan over
+    resident rows allocates nothing, per call or per row.
+    @raise Invalid_argument if [prefix] is another table's or slot's
+    probe. *)
 
 val scan : t -> txn -> (int -> Phoebe_storage.Value.t array -> unit) -> unit
 (** Full-table scan of visible rows (does not warm pages, §5.2). The

@@ -117,9 +117,10 @@ and waitq = { mutable qhead : waiter option; mutable qtail : waiter option }
 let no_queue = { qhead = None; qtail = None }
 
 (* [E_park]'s request (urgency, deadline, phase, register) rides in the
-   fiber's [park_*] fields, so a park performs a constant effect. *)
+   fiber's [park_*] fields, and a charge flush's instruction count in
+   its [pending_instr], so both perform a constant effect. *)
 type _ Effect.t +=
-  | E_charge_time : int -> unit Effect.t  (** instructions already counted; advance time only *)
+  | E_charge_time : unit Effect.t  (** the fiber's pending instructions, already counted; advance time only *)
   | E_yield : urgency -> unit Effect.t
   | E_park : unit Effect.t
 
@@ -420,8 +421,9 @@ and run_fiber w f main =
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | E_charge_time instr ->
-            w.charge_ns <- ns_of_instr t w instr;
+          | E_charge_time ->
+            w.charge_ns <- ns_of_instr t w f.pending_instr;
+            f.pending_instr <- 0;
             w.disposition <- Charged;
             suspend
           | E_yield u ->
@@ -556,10 +558,7 @@ let charge_granule_instr = 20_000
 
 let flush_pending () =
   match !cur with
-  | Some f when f.pending_instr > 0 ->
-    let n = f.pending_instr in
-    f.pending_instr <- 0;
-    Effect.perform (E_charge_time n) (* lint: allow hot-path-alloc — one suspension per charge granule *)
+  | Some f when f.pending_instr > 0 -> Effect.perform E_charge_time
   | _ -> ()
 
 (* lint: hot-path *)

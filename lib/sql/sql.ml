@@ -124,7 +124,9 @@ let matching_rows s txn table (where : predicate list) ~limit_hint =
           | None -> fail "planner bound a missing predicate")
         prefix_cols
     in
-    Table.index_prefix table txn ~index ~prefix (fun rid row -> consider rid row)
+    Table.index_prefix table txn ~index
+      ~prefix:(Table.key table txn |> Table.Key.add_list prefix)
+      (fun rid row -> consider rid row)
   | Full_scan ->
     (* early exit only when the caller may truncate arbitrarily *)
     let stop = ref false in

@@ -130,35 +130,35 @@ let encode_key buf v =
   | Bool b -> Buffer.add_char buf (if b then '\x01' else '\x00')
 
 (* [key_at]'s string walk: [s] from [i], escaped, then the terminator,
-   read in [key] from [p] without building the escaped copy. *)
-let rec escaped_at key p s i =
-  let n = String.length key in
+   read in the first [n] bytes of [key] from [p] without building the
+   escaped copy. *)
+let rec escaped_at key n p s i =
   if i >= String.length s then
-    if p + 2 <= n && Char.equal (String.unsafe_get key p) '\x00'
-       && Char.equal (String.unsafe_get key (p + 1)) '\x00'
+    if p + 2 <= n && Char.equal (Bytes.unsafe_get key p) '\x00'
+       && Char.equal (Bytes.unsafe_get key (p + 1)) '\x00'
     then p + 2
     else -1
   else
     let c = String.unsafe_get s i in
-    if p >= n || not (Char.equal (String.unsafe_get key p) c) then -1
-    else if not (Char.equal c '\x00') then escaped_at key (p + 1) s (i + 1)
-    else if p + 1 < n && Char.equal (String.unsafe_get key (p + 1)) '\xff' then
-      escaped_at key (p + 2) s (i + 1)
+    if p >= n || not (Char.equal (Bytes.unsafe_get key p) c) then -1
+    else if not (Char.equal c '\x00') then escaped_at key n (p + 1) s (i + 1)
+    else if p + 1 < n && Char.equal (Bytes.unsafe_get key (p + 1)) '\xff' then
+      escaped_at key n (p + 2) s (i + 1)
     else -1
 
 (* lint: hot-path *)
-let key_at key off v =
-  let n = String.length key in
-  if off >= n || Char.code (String.unsafe_get key off) <> rank v then -1
+let key_at key len off v =
+  let n = if len < Bytes.length key then len else Bytes.length key in
+  if off < 0 || off >= n || Char.code (Bytes.unsafe_get key off) <> rank v then -1
   else
     let p = off + 1 in
     match v with
     | Null -> p
-    | Int x -> if p + 8 <= n && String.get_int64_be key p = int_key x then p + 8 else -1
-    | Float f -> if p + 8 <= n && String.get_int64_be key p = float_key f then p + 8 else -1
-    | Str s -> escaped_at key p s 0
+    | Int x -> if p + 8 <= n && Bytes.get_int64_be key p = int_key x then p + 8 else -1
+    | Float f -> if p + 8 <= n && Bytes.get_int64_be key p = float_key f then p + 8 else -1
+    | Str s -> escaped_at key n p s 0
     | Bool b ->
-      if p < n && Char.equal (String.unsafe_get key p) (if b then '\x01' else '\x00') then p + 1
+      if p < n && Char.equal (Bytes.unsafe_get key p) (if b then '\x01' else '\x00') then p + 1
       else -1
 
 module Schema = struct

@@ -35,11 +35,13 @@ val encode_key : Buffer.t -> t -> unit
     encoded keys matches {!compare} per component. Used for secondary
     index keys. Does not support [Float] NaN. *)
 
-val key_at : string -> int -> t -> int
-(** [key_at key off v] is the offset just past [v]'s {!encode_key} form
-    when [key] holds exactly that form at [off], and [-1] otherwise. It
-    compares in place: an int or float is one 8-byte load, a string is
-    walked through its escapes, and nothing is encoded or allocated. *)
+val key_at : Bytes.t -> int -> int -> t -> int
+(** [key_at key len off v] is the offset just past [v]'s {!encode_key}
+    form when the first [len] bytes of [key] hold exactly that form at
+    [off], and [-1] otherwise. It compares in place: an int or float is
+    one 8-byte load, a string is walked through its escapes, and nothing
+    is encoded or allocated. A stored key string enters as
+    [Bytes.unsafe_of_string], which [key_at] never writes. *)
 
 (** {1 Schemas} *)
 

@@ -1,5 +1,6 @@
 module Db = Phoebe_core.Db
 module Table = Phoebe_core.Table
+module Key = Phoebe_core.Table.Key
 module Value = Phoebe_storage.Value
 module Txnmgr = Phoebe_txn.Txnmgr
 module Scheduler = Phoebe_runtime.Scheduler
@@ -338,7 +339,7 @@ let find_row ?cols t table txn ~index ~key what =
 let customer_by_name ?cols t txn ~w ~d ~last =
   (* spec 2.5.2.2: position ceil(n/2) in first-name order *)
   let hits = ref [] in
-  Table.index_prefix ?cols t.customer txn ~index:"customer_by_name" ~prefix:[ vi w; vi d; vs last ]
+  Table.index_prefix ?cols t.customer txn ~index:"customer_by_name" ~prefix:(Table.key t.customer txn |> Key.add (vi w) |> Key.add (vi d) |> Key.add (vs last))
     (fun rid row ->
       (* index_prefix rows are scratch: copy the retained candidates *)
       hits := (sv row.(c_first), rid, Array.copy row) :: !hits;
@@ -380,7 +381,7 @@ let other_warehouse rng ~home ~total = 1 + ((home + Prng.int rng (total - 1)) mo
    [remote]: the line's order is homed at another warehouse. *)
 let stock_line t txn ~w_id ~i_id ~qty ~remote =
   let srid =
-    find_one ?cols:s_dist_only t t.stock txn ~index:"stock_pk" ~key:[ vi w_id; vi i_id ] "stock"
+    find_one ?cols:s_dist_only t t.stock txn ~index:"stock_pk" ~key:(Table.key t.stock txn |> Key.add (vi w_id) |> Key.add (vi i_id)) "stock"
   in
   let srow = Table.found_row t.stock txn in
   ignore
@@ -404,7 +405,7 @@ let pay_customer t txn ~w_id ~d_id ~customer ~amount ~h_d_id ~h_w_id =
     | By_name last -> customer_by_name ?cols:c_first_and_id t txn ~w:w_id ~d:d_id ~last
     | By_id cid ->
       Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
-        ~key:[ vi w_id; vi d_id; vi cid ]
+        ~key:(Table.key t.customer txn |> Key.add (vi w_id) |> Key.add (vi d_id) |> Key.add (vi cid))
   in
   if crid > 0 (* a last name with no customers: spec allows skipping *) then begin
     let crow = Table.found_row t.customer txn in
@@ -447,10 +448,10 @@ let new_order ?at t txn rng ~w_id =
   let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
   let ol_cnt = Prng.int_incl rng 5 15 in
   let rollback_last = Prng.int rng 100 = 0 in
-  let wrow = find_row ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse" in
+  let wrow = find_row ?cols:w_tax_only t t.warehouse txn ~index:"warehouse_pk" ~key:(Table.key t.warehouse txn |> Key.add (vi w_id)) "warehouse" in
   let w_tax = fv wrow.(w_tax) in
   let drid =
-    find_one ?cols:d_tax_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
+    find_one ?cols:d_tax_only t t.district txn ~index:"district_pk" ~key:(Table.key t.district txn |> Key.add (vi w_id) |> Key.add (vi d)) "district"
   in
   let drow = Table.found_row t.district txn in
   (* claim the order id atomically: the closure runs under the tuple lock *)
@@ -461,7 +462,7 @@ let new_order ?at t txn rng ~w_id =
          [| (d_next_o_id, vi (!next_o + 1)) |]));
   let next_o = !next_o in
   let crow =
-    find_row ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:[ vi w_id; vi d; vi cid ]
+    find_row ?cols:c_discount_only t t.customer txn ~index:"customer_pk" ~key:(Table.key t.customer txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi cid))
       "customer"
   in
   let c_disc = fv crow.(c_discount) in
@@ -480,7 +481,7 @@ let new_order ?at t txn rng ~w_id =
     let supply_w =
       if total > 1 && Prng.int rng 100 = 0 then other_warehouse rng ~home ~total else home
     in
-    (match Table.index_lookup_first ?cols:i_price_only t.item txn ~index:"item_pk" ~key:[ vi iid ] with
+    (match Table.index_lookup_first ?cols:i_price_only t.item txn ~index:"item_pk" ~key:(Table.key t.item txn |> Key.add (vi iid)) with
     | 0 -> raise Rollback (* spec: 1% of NewOrders roll back on a bad item *)
     | _ ->
       let price = fv (Table.found_row t.item txn).(i_price) in
@@ -510,13 +511,13 @@ let payment ?at t txn rng ~w_id =
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let amount = float_of_int (Prng.int_incl rng 100 500_000) /. 100.0 in
   let wrid =
-    find_one ?cols:key_cols_only t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w_id ] "warehouse"
+    find_one ?cols:key_cols_only t t.warehouse txn ~index:"warehouse_pk" ~key:(Table.key t.warehouse txn |> Key.add (vi w_id)) "warehouse"
   in
   ignore
     (Table.update ~reads:w_ytd_rmw t.warehouse txn ~rid:wrid (fun row ->
          [| (w_ytd, vf (fv row.(w_ytd) +. amount)) |]));
   let drid =
-    find_one ?cols:key_cols_only t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district"
+    find_one ?cols:key_cols_only t t.district txn ~index:"district_pk" ~key:(Table.key t.district txn |> Key.add (vi w_id) |> Key.add (vi d)) "district"
   in
   ignore
     (Table.update ~reads:d_ytd_rmw t.district txn ~rid:drid (fun row ->
@@ -554,14 +555,14 @@ let order_status t txn rng ~w_id =
     else
       let cid = 1 + Zipf.nurand rng ~a:1023 ~c:t.c_cid ~x:0 ~y:(sc.customers_per_district - 1) in
       Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
-        ~key:[ vi w_id; vi d; vi cid ]
+        ~key:(Table.key t.customer txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi cid))
   in
   if crid > 0 then begin
     let cid = iv (Table.found_row t.customer txn).(c_id) in
     (* most recent order of this customer *)
     let last_order = ref None in
     Table.index_prefix ?cols:key_cols_only t.orders txn ~index:"orders_by_customer"
-      ~prefix:[ vi w_id; vi d; vi cid ] (fun _ row ->
+      ~prefix:(Table.key t.orders txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi cid)) (fun _ row ->
         (* the prefix row is scratch: keep only the order id *)
         last_order := Some (iv row.(o_id));
         true);
@@ -569,7 +570,7 @@ let order_status t txn rng ~w_id =
     | None -> ()
     | Some oid ->
       Table.index_prefix ?cols:ol_quantity_only t.orderline txn ~index:"orderline_pk"
-        ~prefix:[ vi w_id; vi d; vi oid ] (fun _ olrow ->
+        ~prefix:(Table.key t.orderline txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi oid)) (fun _ olrow ->
           ignore (iv olrow.(ol_quantity));
           true))
   end
@@ -580,7 +581,7 @@ let delivery t txn rng ~w_id =
   for d = 1 to sc.districts_per_warehouse do
     (* oldest undelivered order in this district *)
     let oldest = ref None in
-    Table.index_prefix ?cols:key_cols_only t.neworder txn ~index:"neworder_pk" ~prefix:[ vi w_id; vi d ]
+    Table.index_prefix ?cols:key_cols_only t.neworder txn ~index:"neworder_pk" ~prefix:(Table.key t.neworder txn |> Key.add (vi w_id) |> Key.add (vi d))
       (fun rid row ->
         oldest := Some (rid, iv row.(no_o_id));
         false);
@@ -590,7 +591,7 @@ let delivery t txn rng ~w_id =
       if Table.delete t.neworder txn ~rid:no_rid then begin
         match
           Table.index_lookup_first ?cols:o_c_id_only t.orders txn ~index:"orders_pk"
-            ~key:[ vi w_id; vi d; vi oid ]
+            ~key:(Table.key t.orders txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi oid))
         with
         | 0 -> ()
         | orid ->
@@ -600,7 +601,7 @@ let delivery t txn rng ~w_id =
           let sum = ref 0.0 in
           let lines = ref [] in
           Table.index_prefix ?cols:ol_amount_only t.orderline txn ~index:"orderline_pk"
-            ~prefix:[ vi w_id; vi d; vi oid ] (fun rid row ->
+            ~prefix:(Table.key t.orderline txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi oid)) (fun rid row ->
               sum := !sum +. fv row.(ol_amount);
               lines := rid :: !lines;
               true);
@@ -614,7 +615,7 @@ let delivery t txn rng ~w_id =
             !lines;
           (match
              Table.index_lookup_first ?cols:key_cols_only t.customer txn ~index:"customer_pk"
-               ~key:[ vi w_id; vi d; vi cid ]
+               ~key:(Table.key t.customer txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi cid))
            with
           | 0 -> ()
           | crid ->
@@ -631,7 +632,7 @@ let stock_level t txn rng ~w_id =
   let sc = t.sc in
   let d = Prng.int_incl rng 1 sc.districts_per_warehouse in
   let threshold = Prng.int_incl rng 10 20 in
-  let drow = find_row t t.district txn ~index:"district_pk" ~key:[ vi w_id; vi d ] "district" in
+  let drow = find_row t t.district txn ~index:"district_pk" ~key:(Table.key t.district txn |> Key.add (vi w_id) |> Key.add (vi d)) "district" in
   let next_o = iv drow.(d_next_o_id) in
   (* the distinct items seen, one bit per item id, checked in discovery
      order so the stock lookups run in that order *)
@@ -645,7 +646,7 @@ let stock_level t txn rng ~w_id =
       Bytes.set_uint8 seen (iid lsr 3) (byte lor bit);
       if
         Table.index_lookup_first ?cols:s_quantity_only t.stock txn ~index:"stock_pk"
-          ~key:[ vi w_id; vi iid ]
+          ~key:(Table.key t.stock txn |> Key.add (vi w_id) |> Key.add (vi iid))
         > 0
         && iv (Table.found_row t.stock txn).(s_quantity) < threshold
       then incr low
@@ -654,7 +655,7 @@ let stock_level t txn rng ~w_id =
   in
   for oid = max 1 (next_o - 20) to next_o - 1 do
     Table.index_prefix ?cols:ol_i_id_only t.orderline txn ~index:"orderline_pk"
-      ~prefix:[ vi w_id; vi d; vi oid ] line
+      ~prefix:(Table.key t.orderline txn |> Key.add (vi w_id) |> Key.add (vi d) |> Key.add (vi oid)) line
   done;
   ignore !low
 
@@ -801,20 +802,20 @@ let consistency_checks t =
       let ok_wd = ref true and ok_next = ref true and ok_ol_cnt = ref true and ok_no = ref true in
       for w = 1 to t.n_warehouses do
         (* 1: W_YTD = sum(D_YTD) *)
-        let wrow = find_row t t.warehouse txn ~index:"warehouse_pk" ~key:[ vi w ] "warehouse" in
+        let wrow = find_row t t.warehouse txn ~index:"warehouse_pk" ~key:(Table.key t.warehouse txn |> Key.add (vi w)) "warehouse" in
         let dsum = ref 0.0 in
         for d = 1 to t.sc.districts_per_warehouse do
-          let drow = find_row t t.district txn ~index:"district_pk" ~key:[ vi w; vi d ] "district" in
+          let drow = find_row t t.district txn ~index:"district_pk" ~key:(Table.key t.district txn |> Key.add (vi w) |> Key.add (vi d)) "district" in
           dsum := !dsum +. fv drow.(d_ytd);
           (* 2: D_NEXT_O_ID - 1 = max(O_ID) *)
           let max_oid = ref 0 in
-          Table.index_prefix t.orders txn ~index:"orders_pk" ~prefix:[ vi w; vi d ] (fun _ row ->
+          Table.index_prefix t.orders txn ~index:"orders_pk" ~prefix:(Table.key t.orders txn |> Key.add (vi w) |> Key.add (vi d)) (fun _ row ->
               max_oid := max !max_oid (iv row.(o_id));
               true);
           if iv drow.(d_next_o_id) - 1 <> !max_oid then ok_next := false;
           (* 3: NEWORDER contiguity *)
           let no_ids = ref [] in
-          Table.index_prefix t.neworder txn ~index:"neworder_pk" ~prefix:[ vi w; vi d ] (fun _ row ->
+          Table.index_prefix t.neworder txn ~index:"neworder_pk" ~prefix:(Table.key t.neworder txn |> Key.add (vi w) |> Key.add (vi d)) (fun _ row ->
               no_ids := iv row.(no_o_id) :: !no_ids;
               true);
           (match List.sort Int.compare !no_ids with
@@ -825,14 +826,14 @@ let consistency_checks t =
           (* 4: O_OL_CNT = count(order lines), sampled on the last order *)
           if !max_oid > 0 then begin
             match
-              Table.index_lookup_first t.orders txn ~index:"orders_pk" ~key:[ vi w; vi d; vi !max_oid ]
+              Table.index_lookup_first t.orders txn ~index:"orders_pk" ~key:(Table.key t.orders txn |> Key.add (vi w) |> Key.add (vi d) |> Key.add (vi !max_oid))
             with
             | 0 -> ok_ol_cnt := false
             | _ ->
               let ol_cnt = iv (Table.found_row t.orders txn).(o_ol_cnt) in
               let n = ref 0 in
               Table.index_prefix t.orderline txn ~index:"orderline_pk"
-                ~prefix:[ vi w; vi d; vi !max_oid ] (fun _ _ ->
+                ~prefix:(Table.key t.orderline txn |> Key.add (vi w) |> Key.add (vi d) |> Key.add (vi !max_oid)) (fun _ _ ->
                   incr n;
                   true);
               if !n <> ol_cnt then ok_ol_cnt := false

@@ -338,7 +338,7 @@ let test_ix_unique_violation () =
    destination starts at one entry and doubles until the count fits. *)
 let rids_of ix ~key =
   let rec go dst =
-    let n = Index_tree.collect_key ix ~key dst in
+    let n = Index_tree.collect_key ix ~key:(Bytes.of_string key) ~len:(String.length key) dst in
     if n > Array.length dst then go (Array.make (2 * n) 0) else Array.to_list (Array.sub dst 0 n)
   in
   go [| 0 |]
@@ -368,13 +368,13 @@ let test_ix_prefix () =
     (fun i k -> Index_tree.insert ix ~key:k ~rid:i)
     [ "apple"; "applesauce"; "banana"; "app"; "application" ];
   let seen = ref [] in
-  Index_tree.prefix ix ~prefix:"apple" (fun k _ ->
+  Index_tree.prefix ix ~prefix:(Bytes.of_string "apple") ~len:5 (fun k _ ->
       seen := k :: !seen;
       true);
   Alcotest.(check (list string)) "prefix matches" [ "apple"; "applesauce" ] (List.rev !seen);
   (* the callback stops the walk early *)
   let seen = ref 0 in
-  Index_tree.prefix ix ~prefix:"app" (fun _ _ ->
+  Index_tree.prefix ix ~prefix:(Bytes.of_string "app") ~len:3 (fun _ _ ->
       incr seen;
       !seen < 2);
   check_int "early stop" 2 !seen
@@ -391,16 +391,16 @@ let test_ix_duplicate_keys_across_splits () =
   done;
   let all = List.init 300 (fun i -> i + 1) in
   let dst = Array.make 300 0 in
-  check_int "all same-key entries counted" 300 (Index_tree.collect_key ix ~key:"same" dst);
+  check_int "all same-key entries counted" 300 (Index_tree.collect_key ix ~key:(Bytes.of_string "same") ~len:4 dst);
   Alcotest.(check (list int)) "same-key rids ascending" all (Array.to_list dst);
-  check_int "other key intact" 50 (Index_tree.collect_key ix ~key:"other" dst);
+  check_int "other key intact" 50 (Index_tree.collect_key ix ~key:(Bytes.of_string "other") ~len:5 dst);
   (* a destination too small gets the count and only its first entries:
      grow it and walk again *)
   let small = Array.make 16 (-1) in
-  check_int "count exceeds the destination" 300 (Index_tree.collect_key ix ~key:"same" small);
+  check_int "count exceeds the destination" 300 (Index_tree.collect_key ix ~key:(Bytes.of_string "same") ~len:4 small);
   Alcotest.(check (list int)) "prefix of the rids written" (List.init 16 (fun i -> i + 1)) (Array.to_list small);
   let grown = Array.make 300 (-1) in
-  check_int "grown destination holds every rid" 300 (Index_tree.collect_key ix ~key:"same" grown);
+  check_int "grown destination holds every rid" 300 (Index_tree.collect_key ix ~key:(Bytes.of_string "same") ~len:4 grown);
   Alcotest.(check (list int)) "same ascending rids after growing" all (Array.to_list grown)
 
 let test_ix_composite_keys () =
@@ -420,7 +420,8 @@ let test_ix_composite_keys () =
     = Some 234);
   (* prefix over (w_id=2, d_id=3) returns its 5 customers in order *)
   let seen = ref [] in
-  Index_tree.prefix ix ~prefix:(Index_tree.encode_key [ Value.Int 2; Value.Int 3 ]) (fun _ rid ->
+  let p = Index_tree.encode_key [ Value.Int 2; Value.Int 3 ] in
+  Index_tree.prefix ix ~prefix:(Bytes.of_string p) ~len:(String.length p) (fun _ rid ->
       seen := rid :: !seen;
       true);
   Alcotest.(check (list int)) "prefix scan" [ 231; 232; 233; 234; 235 ] (List.rev !seen)

@@ -44,7 +44,7 @@ let test_checkpoint_restore_roundtrip () =
   ignore (Db.with_txn db1 (fun txn -> Table.insert t1 txn [| Value.Int 1000; Value.Int 1 |]));
   ignore
     (Db.with_txn db1 (fun txn ->
-         match Table.index_lookup_first t1 txn ~index:"kv_pk" ~key:[ Value.Int 7 ] with
+         match Table.index_lookup_first t1 txn ~index:"kv_pk" ~key:(Table.key t1 txn |> Table.Key.add (Value.Int 7)) with
          | 0 -> ()
          | rid -> ignore (set_col t1 txn ~rid "v" (Value.Int 777))));
   Db.checkpoint db1;
@@ -55,7 +55,7 @@ let test_checkpoint_restore_roundtrip () =
   Alcotest.(check (list (pair int int))) "state identical" (dump db1 t1) (dump db2 t2);
   (* the rebuilt index works *)
   Db.with_txn db2 (fun txn ->
-      match Table.index_lookup_first t2 txn ~index:"kv_pk" ~key:[ Value.Int 7 ] with
+      match Table.index_lookup_first t2 txn ~index:"kv_pk" ~key:(Table.key t2 txn |> Table.Key.add (Value.Int 7)) with
       | 0 -> Alcotest.fail "index lookup after restore"
       | _ ->
         check_bool "suffix update present via index" true
@@ -63,7 +63,7 @@ let test_checkpoint_restore_roundtrip () =
   (* the restored instance serves new transactions *)
   ignore (Db.with_txn db2 (fun txn -> Table.insert t2 txn [| Value.Int 2000; Value.Int 9 |]));
   Db.with_txn db2 (fun txn ->
-      if Table.index_lookup_first t2 txn ~index:"kv_pk" ~key:[ Value.Int 2000 ] = 0 then
+      if Table.index_lookup_first t2 txn ~index:"kv_pk" ~key:(Table.key t2 txn |> Table.Key.add (Value.Int 2000)) = 0 then
         Alcotest.fail "restored instance must accept writes")
 
 let test_checkpoint_bounds_replay () =

@@ -36,7 +36,7 @@ let insert_account db t owner balance =
    key, each row copied out of its scratch buffer. *)
 let index_rows t txn ~index ~key =
   let acc = ref [] in
-  Table.index_prefix t txn ~index ~prefix:key (fun rid row ->
+  Table.index_prefix t txn ~index ~prefix:(Table.key t txn |> Table.Key.add_list key) (fun rid row ->
       acc := (rid, Array.copy row) :: !acc;
       true);
   List.rev !acc
@@ -159,7 +159,7 @@ let test_index_lookup () =
   let db, t = accounts_db () in
   let rid = insert_account db t "henry" 42 in
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first t txn ~index:"accounts_by_owner" ~key:[ Value.Str "henry" ] with
+      match Table.index_lookup_first t txn ~index:"accounts_by_owner" ~key:(Table.key t txn |> Table.Key.add (Value.Str "henry")) with
       | 0 -> Alcotest.fail "index lookup failed"
       | r ->
         check_int "rid" rid r;
@@ -182,7 +182,7 @@ let test_index_prefix_scan () =
       done);
   Db.with_txn db (fun txn ->
       let seen = ref [] in
-      Table.index_prefix t txn ~index:"orders_pk" ~prefix:[ Value.Int 1; Value.Int 2 ] (fun _ row ->
+      Table.index_prefix t txn ~index:"orders_pk" ~prefix:(Table.key t txn |> Table.Key.add (Value.Int 1) |> Table.Key.add (Value.Int 2)) (fun _ row ->
           (match row.(2) with Value.Int o -> seen := o :: !seen | _ -> ());
           true);
       Alcotest.(check (list int)) "prefix rows in order" [ 1; 2; 3; 4 ] (List.rev !seen))
@@ -213,16 +213,16 @@ let test_projection_nulls_other_cells () =
   let db, t = projection_db () in
   Db.with_txn db (fun txn ->
       (* whole-row reads first, so the scratch rows hold data in every cell *)
-      Table.index_prefix t txn ~index:"proj_pk" ~prefix:[] (fun _ _ -> true);
-      ignore (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 3 ]);
-      (match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 4 ] with
+      Table.index_prefix t txn ~index:"proj_pk" ~prefix:(Table.key t txn) (fun _ _ -> true);
+      ignore (Table.index_lookup_first t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 3)));
+      (match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 4)) with
       | 0 -> Alcotest.fail "k = 4 not found"
       | _ ->
         Alcotest.check row_t "key and a decoded, the rest Null"
           [| Value.Int 4; Value.Int 40; Value.Null; Value.Null |]
           (Table.found_row t txn));
       let seen = ref 0 in
-      Table.index_prefix ~cols:[| 2 |] t txn ~index:"proj_pk" ~prefix:[] (fun _ row ->
+      Table.index_prefix ~cols:[| 2 |] t txn ~index:"proj_pk" ~prefix:(Table.key t txn) (fun _ row ->
           incr seen;
           let k = match row.(0) with Value.Int k -> k | _ -> -1 in
           Alcotest.check row_t "key and b decoded, the rest Null"
@@ -239,7 +239,7 @@ let test_projection_at_older_snapshot () =
   let db, t = projection_db () in
   let rid =
     Db.with_txn db (fun txn ->
-        match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] with
+        match Table.index_lookup_first t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 5)) with
         | 0 -> Alcotest.fail "k = 5 not found"
         | rid -> rid)
   in
@@ -252,7 +252,7 @@ let test_projection_at_older_snapshot () =
       in
       ignore (Table.get t txn ~rid);
       Scheduler.Waitq.wait q;
-      if Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] > 0 then
+      if Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 5)) > 0 then
         old_view := Array.copy (Table.found_row t txn);
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
@@ -267,7 +267,7 @@ let test_projection_at_older_snapshot () =
     [| Value.Int 5; Value.Int 50; Value.Null; Value.Null |]
     !old_view;
   Db.with_txn db (fun txn ->
-      if Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 5 ] > 0 then
+      if Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 5)) > 0 then
         new_view := Array.copy (Table.found_row t txn));
   Alcotest.check row_t "a new snapshot reads the update"
     [| Value.Int 5; Value.Int 0; Value.Null; Value.Null |]
@@ -280,7 +280,7 @@ let test_projection_filters_stale_entry () =
   let db, t = projection_db () in
   let rid =
     Db.with_txn db (fun txn ->
-        match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 6 ] with
+        match Table.index_lookup_first t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 6)) with
         | 0 -> Alcotest.fail "k = 6 not found"
         | rid -> rid)
   in
@@ -293,7 +293,7 @@ let test_projection_filters_stale_entry () =
       in
       ignore (Table.get t txn ~rid);
       Scheduler.Waitq.wait q;
-      old_hit := Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ];
+      old_hit := Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 6));
       Txnmgr.commit (Db.txnmgr db) txn);
   Scheduler.submit (Db.scheduler db) (fun () ->
       Scheduler.charge Phoebe_sim.Component.Effective 100_000;
@@ -303,13 +303,13 @@ let test_projection_filters_stale_entry () =
   check_int "the old snapshot still finds k = 6 (entry kept)" rid !old_hit;
   Db.with_txn db (fun txn ->
       check_int "the stale k = 6 entry is filtered" 0
-        (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 6 ]);
+        (Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 6)));
       let prefix_hits = ref 0 in
-      Table.index_prefix ~cols:[| 1 |] t txn ~index:"proj_pk" ~prefix:[ Value.Int 6 ] (fun _ _ ->
+      Table.index_prefix ~cols:[| 1 |] t txn ~index:"proj_pk" ~prefix:(Table.key t txn |> Table.Key.add (Value.Int 6)) (fun _ _ ->
           incr prefix_hits;
           true);
       check_int "the stale entry is filtered from a prefix scan" 0 !prefix_hits;
-      match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:[ Value.Int 60 ] with
+      match Table.index_lookup_first ~cols:[| 1 |] t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 60)) with
       | 0 -> Alcotest.fail "k = 60 not found"
       | r ->
         check_int "the new key finds the row" rid r;
@@ -1038,7 +1038,7 @@ let row_of db t rid =
 
 let rid_of_k db t k =
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int k ] with
+      match Table.index_lookup_first t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int k)) with
       | 0 -> Alcotest.failf "k = %d not found" k
       | rid -> rid)
 
@@ -1050,7 +1050,7 @@ let test_update_projects_closure_row () =
   let seen = ref [||] in
   let ok =
     Db.with_txn db (fun txn ->
-        Table.index_prefix t txn ~index:"proj_pk" ~prefix:[] (fun _ _ -> true);
+        Table.index_prefix t txn ~index:"proj_pk" ~prefix:(Table.key t txn) (fun _ _ -> true);
         Table.update ~reads:[| Table.col t "b" |] t txn ~rid (fun row ->
             seen := Array.copy row;
             match row.(2) with
@@ -1097,7 +1097,7 @@ let test_update_key_column_adds_entry () =
   check_int "found under the new key" rid (rid_of_k db t 90);
   Db.with_txn db (fun txn ->
       check_int "the old key no longer matches" 0
-        (Table.index_lookup_first t txn ~index:"proj_pk" ~key:[ Value.Int 9 ]))
+        (Table.index_lookup_first t txn ~index:"proj_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 9))))
 
 let test_col_resolves_names () =
   let _, t = projection_db () in

@@ -83,7 +83,7 @@ let submit_plan db t (plan : txn_record) =
         (fun op ->
           match op with
           | Upd { k; v } -> (
-            match Table.index_lookup_first t txn ~index:"kv_pk" ~key:[ Value.Int k ] with
+            match Table.index_lookup_first t txn ~index:"kv_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int k)) with
             | 0 -> Alcotest.failf "base row %d missing" k
             | rid -> ignore (set_col t txn ~rid "v" (Value.Int v)))
           | Ins { k; v } -> ignore (Table.insert t txn [| Value.Int k; Value.Int v |]))

@@ -271,11 +271,11 @@ let test_frozen_update_moves_row () =
   check_bool "prefix frozen" true (frozen > 100);
   (* update a frozen row through its index *)
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 5 ] with
+      match Table.index_lookup_first t txn ~index:"log_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 5)) with
       | 0 -> Alcotest.fail "frozen row not found via index"
       | rid -> ignore (set_col t txn ~rid "v" (Value.Int 5555)));
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 5 ] with
+      match Table.index_lookup_first t txn ~index:"log_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 5)) with
       | 0 -> Alcotest.fail "moved row lost from index"
       | rid ->
         check_int "updated value visible via index" 5555 (int_of (Table.found_row t txn).(1));
@@ -297,7 +297,7 @@ let test_concurrent_index_split_storm () =
   let missing = ref 0 in
   Db.with_txn db (fun txn ->
       for k = 1 to n do
-        match Table.index_lookup_first t txn ~index:"storm_pk" ~key:[ Value.Int k ] with
+        match Table.index_lookup_first t txn ~index:"storm_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int k)) with
         | 0 -> incr missing
         | _ -> if not (Value.equal (Table.found_row t txn).(1) (Value.Int (k * 7))) then incr missing
       done);
@@ -330,7 +330,7 @@ let test_warm_hot_frozen () =
   check_bool "hot block warmed" true (warmed > 0);
   (* content survives, reachable through the index at a fresh hot rid *)
   Db.with_txn db (fun txn ->
-      match Table.index_lookup_first t txn ~index:"log_pk" ~key:[ Value.Int 3 ] with
+      match Table.index_lookup_first t txn ~index:"log_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int 3)) with
       | 0 -> Alcotest.fail "warmed row lost"
       | rid ->
         check_int "value preserved" 3 (int_of (Table.found_row t txn).(1));

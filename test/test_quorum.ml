@@ -218,7 +218,7 @@ let test_follower_key_update_and_delete () =
   Db.submit prim (fun txn -> ignore (Table.delete (kv prim) txn ~rid:!gone));
   Quorum.run_for q ~ns:60_000_000;
   let lookup db k =
-    Db.with_txn db (fun txn -> Table.index_lookup_first (kv db) txn ~index:"kv_pk" ~key:[ Value.Int k ])
+    Db.with_txn db (fun txn -> Table.index_lookup_first (kv db) txn ~index:"kv_pk" ~key:(Table.key (kv db) txn |> Table.Key.add (Value.Int k)))
   in
   for node = 1 to Quorum.nodes q - 1 do
     let db = Quorum.db q ~node in
@@ -320,7 +320,7 @@ let test_failover_promote () =
   check_rows "committed txns survived failover" d (dump pdb);
   Db.with_txn pdb (insert_kv pdb 999 1);
   Db.with_txn pdb (fun txn ->
-      if Table.index_lookup_first (kv pdb) txn ~index:"kv_pk" ~key:[ Value.Int 999 ] = 0 then
+      if Table.index_lookup_first (kv pdb) txn ~index:"kv_pk" ~key:(Table.key (kv pdb) txn |> Table.Key.add (Value.Int 999)) = 0 then
         Alcotest.fail "promoted follower must accept writes");
   Quorum.shutdown q
 

@@ -107,7 +107,7 @@ let transfer cl proc ~home ~remote ~id ~acked =
 let has_row cl k id =
   let db = Cluster.shard cl k in
   Db.with_txn db (fun txn ->
-      Table.index_lookup_first (Db.table db "xfer") txn ~index:"xfer_pk" ~key:[ Value.Int id ] > 0)
+      Table.index_lookup_first (Db.table db "xfer") txn ~index:"xfer_pk" ~key:(Table.key (Db.table db "xfer") txn |> Table.Key.add (Value.Int id)) > 0)
 
 (* ------------------------------------------------------------------ *)
 

@@ -75,6 +75,9 @@ let key_bytes v =
   Value.encode_key buf v;
   Buffer.contents buf
 
+(* [Value.key_at] over a whole string key. *)
+let key_at k off v = Value.key_at (Bytes.of_string k) (String.length k) off v
+
 let prop_key_encoding_order =
   (* Order of encoded keys must match value order (same-type pairs). *)
   let pair_gen =
@@ -125,8 +128,8 @@ let test_key_at_agrees () =
     (fun v ->
       let k = key_bytes v in
       let name = Value.to_string v in
-      check_int (name ^ ": whole key") (String.length k) (Value.key_at k 0 v);
-      check_int (name ^ ": at an offset") (String.length k + 3) (Value.key_at ("abc" ^ k ^ "z") 3 v))
+      check_int (name ^ ": whole key") (String.length k) (key_at k 0 v);
+      check_int (name ^ ": at an offset") (String.length k + 3) (key_at ("abc" ^ k ^ "z") 3 v))
     key_at_cases
 
 (* A key that differs in any one byte and a truncated key are rejected.
@@ -142,26 +145,53 @@ let test_key_at_rejects () =
         let b = Bytes.of_string k in
         Bytes.set b i (Char.chr ((Char.code k.[i] + 1) land 0xff));
         check_int (Printf.sprintf "%s: byte %d altered" name i) (-1)
-          (Value.key_at (Bytes.to_string b) 0 v)
+          (key_at (Bytes.to_string b) 0 v)
       done;
       for n = 0 to String.length k - 1 do
         check_int (Printf.sprintf "%s: truncated to %d" name n) (-1)
-          (Value.key_at (String.sub k 0 n) 0 v)
+          (key_at (String.sub k 0 n) 0 v);
+        check_int (Printf.sprintf "%s: cut to %d by the length" name n) (-1)
+          (Value.key_at (Bytes.of_string k) n 0 v)
       done;
       check_int (name ^ ": trailing byte left over") (String.length k)
-        (Value.key_at (k ^ "\x00") 0 v))
+        (key_at (k ^ "\x00") 0 v))
     key_at_cases;
-  check_int "another value of the same type" (-1) (Value.key_at (key_bytes (Value.Int 7)) 0 (Value.Int 8));
-  check_int "another type" (-1) (Value.key_at (key_bytes (Value.Int 0)) 0 (Value.Bool false))
+  check_int "another value of the same type" (-1) (key_at (key_bytes (Value.Int 7)) 0 (Value.Int 8));
+  check_int "another type" (-1) (key_at (key_bytes (Value.Int 0)) 0 (Value.Bool false))
 
 let prop_key_at_agrees =
   QCheck.Test.make ~name:"key_at walks concatenated keys" ~count:1000
     (QCheck.pair value_arb value_arb) (fun (a, b) ->
       let ka = key_bytes a and kb = key_bytes b in
       let ab = ka ^ kb in
-      Value.key_at ab 0 a = String.length ka
-      && Value.key_at ab (String.length ka) b = String.length ab
-      && (Value.key_at kb 0 a = String.length kb) = String.equal ka kb)
+      key_at ab 0 a = String.length ka
+      && key_at ab (String.length ka) b = String.length ab
+      && (key_at kb 0 a = String.length kb) = String.equal ka kb)
+
+(* The index tree's one key comparison orders a stored key against a
+   (bytes, length) probe as [String.compare] orders the two strings.
+   Keys are drawn over an alphabet of [\x00], [\xff] and two letters,
+   so equal prefixes, a key that is a prefix of the other and the byte
+   extremes come up often; the probe's bytes run past its length with
+   junk that must not be read, and half the probes extend or cut the
+   key. *)
+let prop_compare_key_is_string_compare =
+  let byte = QCheck.Gen.oneofl [ '\x00'; '\xff'; 'a'; 'b' ] in
+  let key = QCheck.Gen.(string_size ~gen:byte (int_range 0 20)) in
+  let probe_of k =
+    QCheck.Gen.(
+      oneof
+        [
+          key;
+          map2 (fun n tail -> String.sub k 0 (min n (String.length k)) ^ tail) (int_range 0 20) key;
+        ])
+  in
+  let gen = QCheck.Gen.(key >>= fun k -> map2 (fun p junk -> (k, p, junk)) (probe_of k) key) in
+  QCheck.Test.make ~name:"compare_key orders as String.compare" ~count:2000
+    (QCheck.make ~print:(fun (k, p, j) -> Printf.sprintf "%S / %S + %S" k p j) gen)
+    (fun (k, p, junk) ->
+      Phoebe_btree.Index_tree.compare_key k (Bytes.of_string (p ^ junk)) (String.length p)
+      = String.compare k p)
 
 (* A shared cell is indistinguishable from a fresh [Int n]: equal to
    it, ordered like it against any other value, and keyed identically.
@@ -182,7 +212,7 @@ let prop_of_int_agrees =
       && Value.compare shared other = Value.compare fresh other
       && Value.compare other shared = Value.compare other fresh
       && String.equal (key_bytes shared) key
-      && Value.key_at key 0 shared = String.length key)
+      && key_at key 0 shared = String.length key)
 
 let test_schema () =
   let s = Value.Schema.make [ ("id", Value.T_int); ("name", Value.T_str); ("ok", Value.T_bool) ] in
@@ -951,10 +981,10 @@ let test_key_at_allocates_nothing () =
         | 1 -> Value.Float (float_of_int (i - 500) *. 0.37)
         | _ -> Value.Str (Printf.sprintf "key\x00%d" i))
   in
-  let keys = Array.map key_bytes vals in
+  let keys = Array.map (fun v -> Bytes.of_string (key_bytes v)) vals in
   let match_all () =
     for i = 0 to Array.length vals - 1 do
-      ignore (Sys.opaque_identity (Value.key_at keys.(i) 0 vals.(i)))
+      ignore (Sys.opaque_identity (Value.key_at keys.(i) (Bytes.length keys.(i)) 0 vals.(i)))
     done
   in
   check_int "key_at: minor words" 0 (int_of_float (measure_minor_words match_all))
@@ -976,51 +1006,49 @@ let stock_db ~rows =
       done);
   (db, t)
 
-(* A warm point lookup allocates its probe key and nothing else: the
-   encoded two-int key is an 18-byte string, 4 words with its header.
-   The located row, the result, and the int cells the projection decodes
-   (w, i, qty, all below the shared-cell bound) are allocation-free. *)
-let lookup_words_bound = 4
+(* A warm point lookup allocates nothing: the key is built in the
+   slot's probe and encoded into its bytes, and the located row, the
+   result, and the int cells the projection decodes (w, i, qty, all
+   below the shared-cell bound) are allocation-free. *)
+let lookup_words_bound = 0
 
 let test_index_lookup_first_alloc_pin () =
   let module Db = Phoebe_core.Db in
   let module Table = Phoebe_core.Table in
   let rows = 2000 and probes = 1000 in
   let db, t = stock_db ~rows in
-  let keys =
-    Array.init probes (fun k ->
-        let i = 1 + (k * 37 mod rows) in
-        [ Value.Int (1 + (i mod 2)); Value.Int i ])
-  in
+  let ws = Array.init probes (fun k -> Value.Int (1 + (1 + (k * 37 mod rows)) mod 2)) in
+  let is = Array.init probes (fun k -> Value.Int (1 + (k * 37 mod rows))) in
   let cols = Some [| 2 |] in
   Db.with_txn db (fun txn ->
       let hits = ref 0 in
       let probe () =
         for k = 0 to probes - 1 do
-          if Table.index_lookup_first ?cols t txn ~index:"stock_pk" ~key:keys.(k) > 0 then incr hits
+          let key = Table.key t txn |> Table.Key.add ws.(k) |> Table.Key.add is.(k) in
+          if Table.index_lookup_first ?cols t txn ~index:"stock_pk" ~key > 0 then incr hits
         done
       in
       let words = measure_minor_words probe in
       check_int "every probe hits" (2 * probes) !hits;
       let per_hit = words /. float_of_int probes in
       if per_hit > float_of_int lookup_words_bound then
-        Alcotest.failf "a warm index_lookup_first hit allocated %.1f words (bound %d)" per_hit
+        Alcotest.failf "a warm index_lookup_first hit allocated %.2f words (bound %d)" per_hit
           lookup_words_bound)
 
 (* Reading a resident row through a prefix scan allocates nothing: the
    per-row words are the difference between 1,000 scans that read every
    row of the prefix and 1,000 that stop after its first, which share
-   the per-scan cost. That cost is bounded on its own: the one-int probe
-   key string (3 words), the row callback's closure (8) and the tree
-   walk's closure (5): 18 words per scan. *)
-let prefix_scan_words_bound = 18
+   the per-scan cost. That cost is bounded on its own: with the prefix
+   built in the slot's probe and the callback built once, a scan builds
+   no closure, key list or probe string, so 0 words per scan. *)
+let prefix_scan_words_bound = 0
 
 let test_index_prefix_alloc_pin () =
   let module Db = Phoebe_core.Db in
   let module Table = Phoebe_core.Table in
   let rows = 200 and scans = 1000 in
   let db, t = stock_db ~rows in
-  let prefix = [ Value.Int 1 ] in
+  let w = Value.Int 1 in
   let cols = Some [| 2 |] in
   Db.with_txn db (fun txn ->
       let visited = ref 0 in
@@ -1033,7 +1061,7 @@ let test_index_prefix_alloc_pin () =
       in
       let scan f () =
         for _ = 1 to scans do
-          Table.index_prefix ?cols t txn ~index:"stock_pk" ~prefix f
+          Table.index_prefix ?cols t txn ~index:"stock_pk" ~prefix:(Table.key t txn |> Table.Key.add w) f
         done
       in
       let words_all = measure_minor_words (scan all) in
@@ -1044,8 +1072,46 @@ let test_index_prefix_alloc_pin () =
         Alcotest.failf "index_prefix allocated %.2f words per resident row (bound 0)" per_row;
       let per_scan = words_first /. float_of_int scans in
       if per_scan > float_of_int prefix_scan_words_bound then
-        Alcotest.failf "index_prefix allocated %.1f words per scan of one row (bound %d)" per_scan
+        Alcotest.failf "index_prefix allocated %.2f words per scan of one row (bound %d)" per_scan
           prefix_scan_words_bound)
+
+(* A statement started inside a prefix callback on the same table and
+   slot takes a probe of its own, so the walk it runs in keeps its
+   prefix: every outer row is visited once, in key order, while each
+   callback runs a point lookup, a nested prefix walk of the other
+   warehouse and, once, a walk over the outer probe itself. *)
+let test_index_prefix_nesting () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let rows = 40 in
+  let db, t = stock_db ~rows in
+  let int_of = function Value.Int n -> n | _ -> Alcotest.fail "int cell expected" in
+  Db.with_txn db (fun txn ->
+      let outer = Table.key t txn |> Table.Key.add (Value.Int 1) in
+      let seen = ref [] and inner_rows = ref 0 and again = ref 0 in
+      Table.index_prefix t txn ~index:"stock_pk" ~prefix:outer (fun _ row ->
+          let i = int_of row.(1) in
+          seen := i :: !seen;
+          let key = Table.key t txn |> Table.Key.add (Value.Int 2) |> Table.Key.add (Value.Int (i + 1)) in
+          if Table.index_lookup_first t txn ~index:"stock_pk" ~key = 0 && i < rows then
+            Alcotest.failf "nested lookup of (2, %d) missed" (i + 1);
+          Table.index_prefix t txn ~index:"stock_pk" ~prefix:(Table.key t txn |> Table.Key.add (Value.Int 2))
+            (fun _ _ ->
+              incr inner_rows;
+              true);
+          if i = 2 then
+            Table.index_prefix t txn ~index:"stock_pk" ~prefix:outer (fun _ _ ->
+                incr again;
+                true);
+          true);
+      let expected = List.init (rows / 2) (fun k -> 2 * (k + 1)) in
+      Alcotest.(check (list int)) "outer walk intact" expected (List.rev !seen);
+      check_int "every nested walk saw warehouse 2" (rows / 2 * (rows / 2)) !inner_rows;
+      check_int "a walk over the outer probe, nested in its own walk" (rows / 2) !again;
+      (* after the walks, the slot is back at depth 0: a probe built now
+         is the outer one *)
+      let k = Table.key t txn |> Table.Key.add (Value.Int 1) |> Table.Key.add (Value.Int 4) in
+      check_bool "probe depth restored" true (k == outer))
 
 (* Locating a resident row allocates nothing: the slot comes back as an
    int and the frame stays in the tree. *)
@@ -1085,7 +1151,7 @@ let test_update_alloc_pin () =
     Db.with_txn db (fun txn ->
         Array.init updates (fun k ->
             let i = 1 + (k * 37 mod rows) in
-            let key = [ Value.Int (1 + (i mod 2)); Value.Int i ] in
+            let key = Table.key t txn |> Table.Key.add (Value.Int (1 + (i mod 2))) |> Table.Key.add (Value.Int i) in
             match Table.index_lookup_first t txn ~index:"stock_pk" ~key with
             | 0 -> Alcotest.fail "stock row missing"
             | rid -> rid))
@@ -1278,6 +1344,7 @@ let () =
                prop_float_to_string_roundtrip;
                prop_key_encoding_order;
                prop_key_at_agrees;
+               prop_compare_key_is_string_compare;
                prop_of_int_agrees;
              ] );
       ( "pax",
@@ -1316,6 +1383,8 @@ let () =
           Alcotest.test_case "warm index_lookup_first hit allocation pin" `Quick
             test_index_lookup_first_alloc_pin;
           Alcotest.test_case "index_prefix per-row allocation pin" `Quick test_index_prefix_alloc_pin;
+          Alcotest.test_case "a statement nested in a prefix walk keeps the walk's probe" `Quick
+            test_index_prefix_nesting;
           Alcotest.test_case "resident locate allocates nothing" `Quick test_locate_allocates_nothing;
           Alcotest.test_case "warm non-key update allocation pin" `Quick test_update_alloc_pin;
           Alcotest.test_case "insert allocation pin" `Quick test_insert_alloc_pin;

@@ -64,7 +64,7 @@ let district_next_o_id db ~w ~d =
   Db.with_txn db (fun txn ->
       match
         Table.index_lookup_first district txn ~index:"district_pk"
-          ~key:[ Value.Int w; Value.Int d ]
+          ~key:(Table.key district txn |> Table.Key.add (Value.Int w) |> Table.Key.add (Value.Int d))
       with
       | 0 -> -1
       | _ -> ( match (Table.found_row district txn).(5) with Value.Int v -> v | _ -> -1))
@@ -272,7 +272,7 @@ let test_sharded_payment_history () =
     Db.with_txn shard0 (fun txn ->
         match
           Table.index_lookup_first (Db.table shard0 "customer") txn ~index:"customer_pk"
-            ~key:[ Value.Int 1; Value.Int 1; Value.Int 1 ]
+            ~key:(Table.key (Db.table shard0 "customer") txn |> Table.Key.add (Value.Int 1) |> Table.Key.add (Value.Int 1) |> Table.Key.add (Value.Int 1))
         with
         | 0 -> Alcotest.fail "customer (1, 1, 1) missing"
         | _ -> (

@@ -81,14 +81,16 @@ bench_json smoke exp1 smoke
 echo "== allocation regression gates (txn.alloc.minor_words_per_txn, process_minor_words_per_txn, StockLevel's)"
 # Checked-in budgets, each the seed-42 smoke's figure plus ~14% headroom.
 # The bracketed figure counts what transactions allocate while they hold
-# a CPU: 1,947 minor words once int cells were shared, a locate returned
-# a slot and a point lookup its rid (2,667 before). The process-wide
-# figure counts everything allocated over the measured run, engine and
-# scheduler included: 2,565 (3,288 before). StockLevel's own figure,
-# the read path's heaviest kind, is 2,657 (9,355 before, when it also
-# kept its distinct items in a hash table). If any trips, something put
-# fresh allocation back on the execute path or the simulation core —
-# see DESIGN.md section 4h.
+# a CPU: 1,683 minor words once an index statement took the slot's key
+# probe and a charge flush performed a constant effect (1,947 before,
+# 2,667 before int cells were shared, a locate returned a slot and a
+# point lookup its rid). The process-wide figure counts everything
+# allocated over the measured run, engine and scheduler included: 2,299
+# (2,565 before). StockLevel's own figure, the read path's heaviest
+# kind, is 325 (2,657 before, 9,355 when it also kept its distinct
+# items in a hash table). If any trips, something put fresh allocation
+# back on the execute path or the simulation core — see DESIGN.md
+# section 4h.
 # alloc_gate KEY BUDGET: the smoke's KEY must be present and <= BUDGET.
 alloc_gate() {
   key="$1"
@@ -105,9 +107,9 @@ alloc_gate() {
   fi
   echo "   $key = $measured minor words/txn (budget $budget)"
 }
-alloc_gate txn.alloc.minor_words_per_txn 2220
-alloc_gate process_minor_words_per_txn 2925
-alloc_gate trace.txn.stock_level.alloc.minor_words_per_txn 3030
+alloc_gate txn.alloc.minor_words_per_txn 1920
+alloc_gate process_minor_words_per_txn 2620
+alloc_gate trace.txn.stock_level.alloc.minor_words_per_txn 370
 
 echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + pinned digest and tpmC)"
 double_run det exp1 smoke --sanitize --seed 42 > /dev/null
