@@ -1,7 +1,6 @@
 module Value = Phoebe_storage.Value
 module Pax = Phoebe_storage.Pax
 module Frozen = Phoebe_storage.Frozen
-module Tupbuf = Phoebe_storage.Tupbuf
 module Bufmgr = Phoebe_storage.Bufmgr
 module Table_tree = Phoebe_btree.Table_tree
 module Index_tree = Phoebe_btree.Index_tree
@@ -22,24 +21,32 @@ type txn = Txnmgr.txn
 
 type index = { ix_name : string; ix : Index_tree.t; key_cols : int array; ix_unique : bool }
 
-(* A key probe (DESIGN.md section 4h): the key values of one index
-   statement and their encoded bytes, owned by one table, scheduler slot
-   and nesting depth, and reused by every statement there. A prefix
+(* A key probe (DESIGN.md section 4h): the encoded key of one index
+   statement, owned by one slot's context at one walk depth and reused
+   by every statement there. [Key.add] encodes each value into [buf];
+   the statement blits it into [bytes], which its walk reads. A prefix
    walk's state sits in the [w_*] fields, where the visitor [visit],
    built once with the probe, reads it. *)
 type probe = {
-  owner : t;
-  pslot : int;
-  pdepth : int;  (** the slot's walk depth on the table that [key] hands this probe out at *)
-  mutable vals : Value.t array;
-  mutable n : int;  (** values added since [key] handed the probe out *)
+  owner : slot_ctx;
+  buf : Buffer.t;
   mutable bytes : Bytes.t;
-  mutable len : int;  (** encoded length, valid from the statement's encode *)
   mutable w_txn : txn;
   mutable w_key_cols : int array;
   mutable w_cols : int array option;
   mutable w_f : int -> Value.t array -> bool;
   visit : string -> int -> bool;
+}
+
+(* One scheduler slot's statement scratch on one table (DESIGN.md §4h).
+   One fiber occupies a slot at a time, so nothing here is shared. *)
+and slot_ctx = {
+  ring : Value.t array array;  (** transient rows, taken in turn *)
+  mutable cursor : int;
+  found : Value.t array;  (** the last [index_lookup_first] hit *)
+  mutable rids : int array;  (** the candidate row ids of a point lookup or unique check *)
+  mutable probes : probe array;  (** by walk depth *)
+  mutable depth : int;  (** the prefix walks the slot has open on the table *)
 }
 
 and t = {
@@ -55,16 +62,11 @@ and t = {
   (* per-frozen-block OLTP read counters, keyed by first_row_id (§5.2) *)
   frozen_read_counts : (int, int ref) Hashtbl.t;
   mutable frozen_reads_total : int;
-  (* reusable per-slot row buffers for the execute path (DESIGN.md §4h) *)
-  scratch : Tupbuf.t;
-  (* reusable key-encode buffer; each use is confined to one
+  (* the per-slot statement contexts, grown lazily *)
+  mutable slots : slot_ctx array;
+  (* [key_of_row]'s encode buffer; each use is confined to one
      charge-free stretch, so fibers can never interleave inside it *)
   key_scratch : Buffer.t;
-  (* key probes: slot -> nesting depth -> probe, grown lazily *)
-  mutable probes : probe array array;
-  (* per slot, the depth whose probe [key] hands out: the number of
-     prefix walks the slot has open on this table *)
-  mutable walk_depth : int array;
 }
 
 let id t = t.tid
@@ -86,10 +88,8 @@ let create ?manifest ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr
     tlock = Tablelock.create ();
     frozen_read_counts = Hashtbl.create 16;
     frozen_reads_total = 0;
-    scratch = Tupbuf.create ~arity:(Value.Schema.arity schema);
+    slots = [||];
     key_scratch = Buffer.create 64;
-    probes = [||];
-    walk_depth = [||];
   }
 
 let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
@@ -101,6 +101,43 @@ let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
 (* Shared empty arrays: an empty column list and a row not taken. *)
 let no_cols : int array = [||]
 let no_row : Value.t array = [||]
+
+(* The rows a slot has live at once on the execute path are three (the
+   visible row handed to an update closure, plus the old and new images
+   for index maintenance); a ring of 4 leaves one spare. *)
+let ring = 4
+
+let new_slot arity =
+  {
+    ring = Array.init ring (fun _ -> Array.make arity Value.Null);
+    cursor = 0;
+    found = Array.make arity Value.Null;
+    rids = Array.make 8 0;
+    probes = [||];
+    depth = 0;
+  }
+
+(* The one growth routine: contexts up to [slot], at least doubling. *)
+let grow_slots t slot =
+  let n = Array.length t.slots and arity = Value.Schema.arity t.tschema in
+  t.slots <-
+    Array.init (max (slot + 1) (max 4 (2 * n))) (fun i -> if i < n then t.slots.(i) else new_slot arity)
+
+(* The transaction's slot context: looked up once per statement. *)
+let ctx t (txn : txn) =
+  let slot = txn.Txnmgr.slot in
+  if slot >= Array.length t.slots then
+    (* lint: allow hot-path-alloc — a slot's first statement on the table, off steady state *)
+    grow_slots t slot;
+  t.slots.(slot)
+
+(* The next ring row: valid until the slot takes [ring] more rows from
+   the table. Contents are whatever the previous use left, so the
+   caller overwrites every cell it reads. *)
+let take c =
+  let i = c.cursor in
+  c.cursor <- (if i + 1 >= ring then 0 else i + 1);
+  c.ring.(i)
 
 (* [index]'s key of [row], encoded through the table's key scratch: one
    string per key and no [Buffer.create]. *)
@@ -312,7 +349,7 @@ let read_in_page t txn frame ~slot ~rid ~key_cols cols dst =
     ~page_key:(Bufmgr.page_id frame) ~rid
 
 (* The row read: decode [rid]'s version visible to [txn] into the
-   caller-owned [dst] (a {!Tupbuf} scratch row, DESIGN.md §4h) and say
+   caller-owned [dst] (a slot's ring row, DESIGN.md §4h) and say
    whether there is one. {!Mvcc.visible_version} assembles before-image
    deltas into the same buffer in place. With [cols] (see
    [mask_unprojected]) only [key_cols] and [cols] are decoded. *)
@@ -325,16 +362,16 @@ let read_into t (txn : txn) ~rid ~key_cols cols dst =
     read_frozen t txn (Table_tree.located_block t.ttree) ~rid ~key_cols cols dst
   | slot -> read_in_page t txn (Table_tree.located_frame t.ttree) ~slot ~rid ~key_cols cols dst
 
-(* A whole-row read into the slot's scratch ring. The returned row obeys
-   the {!Tupbuf} ownership rule: valid until this slot reads a few more
-   rows of this table; paths that retain a row copy it. *)
-let visible_at t (txn : txn) ~rid =
-  let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+(* A whole-row read into a ring row of the slot context [c]: valid until
+   the slot reads a few more rows of this table; paths that retain a row
+   copy it. *)
+let visible_at t c (txn : txn) ~rid =
+  let row = take c in
   if read_into t txn ~rid ~key_cols:[||] None row then Some row else None
 
 let get t txn ~rid =
   statement_begin t txn;
-  visible_at t txn ~rid
+  visible_at t (ctx t txn) txn ~rid
 
 (* ------------------------------------------------------------------ *)
 (* Write protocol (§6.2) *)
@@ -422,15 +459,15 @@ let live_slot t (txn : txn) entry frame ~slot ~rid =
   else relocate_live t txn entry ~rid
 
 (* The rids of the entries whose key is [key]'s first [len] bytes, in
-   the slot's rid scratch, grown until they all fit; returns how many.
-   The walk makes no charge. *)
-let rec collect_candidates t ix ~slot key len =
-  let dst = Tupbuf.rids t.scratch ~slot in
-  let n = Index_tree.collect_key ix.ix ~key ~len dst in
-  if n <= Array.length dst then n
+   the slot context's rid scratch, grown until they all fit; returns how
+   many. The walk makes no charge. *)
+let rec collect_candidates ix c key len =
+  let n = Index_tree.collect_key ix.ix ~key ~len c.rids in
+  if n <= Array.length c.rids then n
   else begin
-    Tupbuf.grow_rids t.scratch ~slot n;
-    collect_candidates t ix ~slot key len
+    (* lint: allow hot-path-alloc — more candidates than any lookup before, off steady state *)
+    c.rids <- Array.make (max n (2 * Array.length c.rids)) 0;
+    collect_candidates ix c key len
   end
 
 let unique_violation () = raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"))
@@ -468,9 +505,9 @@ let rec check_candidates t txn ~inserting_rid rids n i =
   end
 
 let check_unique t (txn : txn) ix ~key ~inserting_rid =
-  let slot = txn.Txnmgr.slot in
-  let n = collect_candidates t ix ~slot (Bytes.unsafe_of_string key) (String.length key) in
-  check_candidates t txn ~inserting_rid (Tupbuf.rids t.scratch ~slot) n 0
+  let c = ctx t txn in
+  let n = collect_candidates ix c (Bytes.unsafe_of_string key) (String.length key) in
+  check_candidates t txn ~inserting_rid c.rids n 0
 
 (* ------------------------------------------------------------------ *)
 (* Insert *)
@@ -536,12 +573,13 @@ let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
   let c = Scheduler.current_cost () in
   let page = Bufmgr.payload frame in
   check_located page ~slot ~rid;
-  let cur = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+  let sc = ctx t txn in
+  let cur = take sc in
   decode_in_page page ~slot ~key_cols:no_cols reads cur;
   let cols = compute cur in
   let before = before_image page ~slot reads cur cols in
   let key_write = writes_any_key cols t.indexes in
-  let old_row = if key_write then Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot else no_row in
+  let old_row = if key_write then take sc else no_row in
   if key_write then Pax.get_into page ~slot old_row;
   (* lint: allow hot-path-alloc — the undo entry's before-image delta *)
   let kind = Undo.Updated before in
@@ -556,7 +594,7 @@ let write_in_page t (txn : txn) ~page_key entry frame ~slot ~rid reads compute =
   let op = Record.Update { table = t.tid; rid; cols } in
   log_page_write t txn entry frame op;
   if key_write then begin
-    let new_row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+    let new_row = take sc in
     Pax.get_into page ~slot new_row;
     (* A key-column update adds the new-key entries; the old-key entries
        stay until GC so older snapshots can still find the row. *)
@@ -698,7 +736,7 @@ let row_key_at (cols : int array) row key len = key_cols_at key len cols row 0 0
 (* lint: hot-path *)
 let visit_entry t p key rid =
   let txn = p.w_txn in
-  let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+  let row = take p.owner in
   if
     read_into t txn ~rid ~key_cols:p.w_key_cols p.w_cols row
     && row_key_at p.w_key_cols row (Bytes.unsafe_of_string key) (String.length key)
@@ -729,16 +767,12 @@ let no_txn : txn =
     held_table_locks = [];
   }
 
-let new_probe t ~slot ~depth =
+let new_probe t c =
   let rec p =
     {
-      owner = t;
-      pslot = slot;
-      pdepth = depth;
-      vals = Array.make 4 Value.Null;
-      n = 0;
+      owner = c;
+      buf = Buffer.create 64;
       bytes = Bytes.create 64;
-      len = 0;
       w_txn = no_txn;
       w_key_cols = no_cols;
       w_cols = None;
@@ -748,46 +782,31 @@ let new_probe t ~slot ~depth =
   in
   p
 
-(* The slot's first probe at [depth]: the per-slot arrays grow as
-   [Tupbuf]'s do. *)
-let add_probe t ~slot ~depth =
-  let n = Array.length t.probes in
-  if slot >= n then begin
-    let n' = max (slot + 1) (max 4 (2 * n)) in
-    let probes = Array.make n' [||] and walk_depth = Array.make n' 0 in
-    Array.blit t.probes 0 probes 0 n;
-    Array.blit t.walk_depth 0 walk_depth 0 n;
-    t.probes <- probes;
-    t.walk_depth <- walk_depth
-  end;
-  t.probes.(slot) <- Array.append t.probes.(slot) [| new_probe t ~slot ~depth |]
+(* Probes for every depth up to the slot's current one: a walk over a
+   shallower probe, nested in a walk, can raise the depth past the
+   deepest probe built. *)
+let rec add_probes t c =
+  if c.depth >= Array.length c.probes then begin
+    c.probes <- Array.append c.probes [| new_probe t c |];
+    add_probes t c
+  end
 
 (* lint: hot-path *)
 let key t (txn : txn) =
-  let slot = txn.Txnmgr.slot in
-  let depth = if slot < Array.length t.walk_depth then t.walk_depth.(slot) else 0 in
-  if slot >= Array.length t.probes || depth >= Array.length t.probes.(slot) then
+  let c = ctx t txn in
+  if c.depth >= Array.length c.probes then
     (* lint: allow hot-path-alloc — a slot's first probe at a depth, off steady state *)
-    add_probe t ~slot ~depth;
-  let p = t.probes.(slot).(depth) in
-  p.n <- 0;
+    add_probes t c;
+  let p = c.probes.(c.depth) in
+  Buffer.clear p.buf;
   p
 
 module Key = struct
   type t = probe
 
-  let grow p =
-    let vals = Array.make (2 * Array.length p.vals) Value.Null in
-    Array.blit p.vals 0 vals 0 p.n;
-    p.vals <- vals
-
   (* lint: hot-path *)
   let add v p =
-    if p.n >= Array.length p.vals then
-      (* lint: allow hot-path-alloc — a probe's first key longer than any before, off steady state *)
-      grow p;
-    p.vals.(p.n) <- v;
-    p.n <- p.n + 1;
+    Value.encode_key p.buf v;
     p
 
   let rec add_list vs p = match vs with [] -> p | v :: rest -> add_list rest (add v p)
@@ -797,71 +816,61 @@ end
    allocating. *)
 let foreign_probe = Invalid_argument "Table: a key probe of another table or slot"
 
-let check_probe t (txn : txn) p = if p.owner != t || p.pslot <> txn.Txnmgr.slot then raise foreign_probe
+let check_probe c p = if p.owner != c then raise foreign_probe
 
-let rec encode_vals buf (vals : Value.t array) n i =
-  if i < n then begin
-    Value.encode_key buf vals.(i);
-    encode_vals buf vals n (i + 1)
-  end
-
-(* The probe's bytes: its values encoded through the table's key
-   scratch, then blitted out before any charge can let another slot's
-   encode in. *)
-let encode_probe t p =
-  let buf = t.key_scratch in
-  Buffer.clear buf;
-  encode_vals buf p.vals p.n 0;
-  let len = Buffer.length buf in
+(* The probe's key, encoded as it was built, blitted into the bytes the
+   statement's walk reads; returns its length. *)
+let load_probe p =
+  let len = Buffer.length p.buf in
   if len > Bytes.length p.bytes then
     (* lint: allow hot-path-alloc — a probe's first key longer than any before, off steady state *)
     p.bytes <- Bytes.create (max len (2 * Bytes.length p.bytes));
-  Buffer.blit buf 0 p.bytes 0 len;
-  p.len <- len
+  Buffer.blit p.buf 0 p.bytes 0 len;
+  len
 
-(* Probe candidates [i..n) in rid order, the order the index walk
-   visits them in; the first visible row whose key is still the probe's
-   is blitted into [res]. Every candidate is read, hit or not. *)
-let rec probe_candidates t txn ix p cols rids n i res hit =
+(* Probe the candidates [i..n) of the slot context [c] in rid order, the
+   order the index walk visits them in; the first visible row whose key
+   is still the probe's is blitted into [c.found]. Every candidate is
+   read, hit or not. *)
+let rec probe_candidates t txn ix c p len cols n i hit =
   if i >= n then hit
   else begin
-    let rid = rids.(i) in
-    let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+    let rid = c.rids.(i) in
+    let row = take c in
     let hit =
-      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_at ix.key_cols row p.bytes p.len
+      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_at ix.key_cols row p.bytes len
          && hit < 0
       then begin
-        Array.blit row 0 res 0 (Array.length row);
+        Array.blit row 0 c.found 0 (Array.length row);
         rid
       end
       else hit
     in
-    probe_candidates t txn ix p cols rids n (i + 1) res hit
+    probe_candidates t txn ix c p len cols n (i + 1) hit
   end
 
-(* Point lookup: the probe is encoded after the statement begins, the
-   candidates are taken in one charge-free index walk, and every one is
-   probed, hit or not. The first hit is blitted into the slot's
-   dedicated result buffer instead of copied — so the row stays valid
-   across later ring takes, clobbered only by this transaction's next
+(* Point lookup: the probe's key is loaded after the statement begins,
+   the candidates are taken in one charge-free index walk, and every one
+   is probed, hit or not. The first hit is blitted into the slot's found
+   row instead of copied — so the row stays valid across later ring
+   takes, clobbered only by this transaction's next
    [index_lookup_first] on the same table — and its rid is returned,
    with no pair around the two. *)
 (* lint: hot-path *)
 let index_lookup_first ?cols t txn ~index ~key:p =
-  check_probe t txn p;
+  let c = ctx t txn in
+  check_probe c p;
   statement_begin t txn;
   let ix = find_index t index in
-  encode_probe t p;
-  let slot = txn.Txnmgr.slot in
-  let n = collect_candidates t ix ~slot p.bytes p.len in
-  let res = Tupbuf.result t.scratch ~slot in
-  let hit = probe_candidates t txn ix p cols (Tupbuf.rids t.scratch ~slot) n 0 res (-1) in
+  let len = load_probe p in
+  let n = collect_candidates ix c p.bytes len in
+  let hit = probe_candidates t txn ix c p len cols n 0 (-1) in
   if hit > 0 then hit else 0
 
-let found_row t (txn : txn) = Tupbuf.result t.scratch ~slot:txn.Txnmgr.slot
+let found_row t txn = (ctx t txn).found
 
-let set_walk t p ~depth txn key_cols cols f =
-  t.walk_depth.(p.pslot) <- depth;
+let set_walk p ~depth txn key_cols cols f =
+  p.owner.depth <- depth;
   p.w_txn <- txn;
   p.w_key_cols <- key_cols;
   p.w_cols <- cols;
@@ -869,22 +878,23 @@ let set_walk t p ~depth txn key_cols cols f =
 
 (* A prefix walk hands the tree the probe's visitor, built once, and
    leaves its state in the probe, saved and restored on both exits. The
-   slot's probe depth is one deeper for the walk's length, so a
-   statement its callback starts on this table takes a probe of its
-   own instead of re-encoding this one under the walk. *)
+   slot's depth is one deeper for the walk's length, so a statement its
+   callback starts on this table takes a probe of its own instead of
+   reloading this one under the walk. *)
 (* lint: hot-path *)
 let index_prefix ?cols t txn ~index ~prefix:p f =
-  check_probe t txn p;
+  let c = ctx t txn in
+  check_probe c p;
   statement_begin t txn;
   let ix = find_index t index in
-  encode_probe t p;
-  let depth = t.walk_depth.(p.pslot) in
+  let len = load_probe p in
+  let depth = c.depth in
   let txn0 = p.w_txn and key_cols0 = p.w_key_cols and cols0 = p.w_cols and f0 = p.w_f in
-  set_walk t p ~depth:(p.pdepth + 1) txn ix.key_cols cols f;
-  match Index_tree.prefix ix.ix ~prefix:p.bytes ~len:p.len p.visit with
-  | () -> set_walk t p ~depth txn0 key_cols0 cols0 f0
+  set_walk p ~depth:(depth + 1) txn ix.key_cols cols f;
+  match Index_tree.prefix ix.ix ~prefix:p.bytes ~len p.visit with
+  | () -> set_walk p ~depth txn0 key_cols0 cols0 f0
   | exception e ->
-    set_walk t p ~depth txn0 key_cols0 cols0 f0;
+    set_walk p ~depth txn0 key_cols0 cols0 f0;
     raise e
 
 let scan t txn f =
@@ -894,12 +904,13 @@ let scan t txn f =
      rendered through Algorithm 1. A frozen row goes through the point
      read; a page-tier row is read in place from the pinned leaf walk's
      frame and slot, with no second locate. *)
+  let c = ctx t txn in
   let to_rid = Table_tree.next_row_id t.ttree - 1 in
   Table_tree.iter_blocks t.ttree (fun b ->
       Frozen.iter_all b (fun rid ~deleted:_ _ ->
-          match visible_at t txn ~rid with Some row -> f rid row | None -> ()));
+          match visible_at t c txn ~rid with Some row -> f rid row | None -> ()));
   Table_tree.iter_slots t.ttree ~to_rid (fun frame ~slot ~rid ->
-      let row = Tupbuf.take t.scratch ~slot:txn.Txnmgr.slot in
+      let row = take c in
       if read_in_page t txn frame ~slot ~rid ~key_cols:no_cols None row then f rid row)
 
 (* ------------------------------------------------------------------ *)

@@ -96,29 +96,30 @@ val delete : t -> txn -> rid:int -> bool
 val get : t -> txn -> rid:int -> Phoebe_storage.Value.t array option
 (** The version visible to the transaction's snapshot (Algorithm 1).
 
-    Ownership (DESIGN.md §4h): the row is decoded into a per-slot
-    scratch ring and stays valid only until this transaction reads a
-    few ([Tupbuf.ring]) more rows of this table; copy to retain. *)
+    Ownership (DESIGN.md §4h): the row is decoded into the slot's ring
+    of 4 rows on this table and stays valid only until this transaction
+    reads 4 more rows of it; copy to retain. *)
 
 (** {1 Index access (visibility-filtered)} *)
 
-(** A key probe: the key of one index statement, built value by value
-    and encoded by the statement itself.
+(** A key probe: the key of one index statement, built value by value,
+    each value encoded into the probe's own buffer as it is added.
 
     Ownership (DESIGN.md §4h): each table keeps one probe per scheduler
-    slot and nesting depth, preallocated and reused, so building a key
-    and running the statement allocate nothing. {!key} hands out the
-    slot's probe, emptied; it stays the caller's until the next {!key}
-    on the same table and slot at the same depth. A statement started
-    inside an {!index_prefix} callback on the same table gets the next
-    depth's probe, so it never re-encodes the probe of the walk it runs
-    in. *)
+    slot and nesting depth, in the slot's statement context, reused by
+    every statement there, so building a key and running the statement
+    allocate nothing. {!key} hands out the slot's probe, emptied; it
+    stays the caller's until the next {!key} on the same table and slot
+    at the same depth. A statement started inside an {!index_prefix}
+    callback on the same table gets the next depth's probe, so it never
+    rebuilds the probe of the walk it runs in. *)
 module Key : sig
   type t
 
   val add : Phoebe_storage.Value.t -> t -> t
-  (** Append the next key column's value; returns the probe, so a key
-      reads [Table.key t txn |> Table.Key.add a |> Table.Key.add b]. *)
+  (** Encode the next key column's value onto the probe's key; returns
+      the probe, so a key reads
+      [Table.key t txn |> Table.Key.add a |> Table.Key.add b]. *)
 
   val add_list : Phoebe_storage.Value.t list -> t -> t
   (** [add] each value in order: for cold callers holding a list. *)
@@ -131,8 +132,9 @@ val index_lookup_first : ?cols:int array -> t -> txn -> index:string -> key:Key.
 (** The row id of the first visible row, in rid order, whose indexed
     columns still encode to [key] (stale entries from in-flight key
     updates are filtered by re-checking the key), or [0] when there is
-    none (row ids start at 1). The row is {!found_row}. The probe is
-    encoded once the statement has begun.
+    none (row ids start at 1). The row is {!found_row}. The probe's
+    key is copied into the bytes the lookup reads once the statement
+    has begun.
 
     [cols] projects the read (DESIGN.md §4h): only the index key columns
     and the listed column indexes are decoded, and every other cell of
@@ -142,7 +144,7 @@ val index_lookup_first : ?cols:int array -> t -> txn -> index:string -> key:Key.
 
 val found_row : t -> txn -> Phoebe_storage.Value.t array
 (** The row of the transaction's last {!index_lookup_first} hit on this
-    table: the slot's dedicated result buffer. It survives subsequent
+    table: the slot's found row, apart from its ring. It survives subsequent
     reads and updates, and is only overwritten by the transaction's next
     [index_lookup_first] on the same table; copy to retain beyond
     that. *)

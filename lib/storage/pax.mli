@@ -55,8 +55,8 @@ val get : t -> slot:int -> Value.t array
 val get_into : t -> slot:int -> Value.t array -> unit
 (** [get_into t ~slot dst] decodes the tuple at [slot] into the first
     [arity] cells of the caller-owned [dst] — the allocation-free
-    variant of {!get} for the execute hot path (typically paired with a
-    {!Tupbuf} pool). @raise Invalid_argument if [dst] is too small. *)
+    variant of {!get} for the execute hot path (typically a table's
+    per-slot ring row). @raise Invalid_argument if [dst] is too small. *)
 
 val get_cols_into : t -> slot:int -> int array -> Value.t array -> unit
 (** [get_cols_into t ~slot cols dst] decodes only the listed columns of

@@ -11,8 +11,8 @@ let rec apply_cols (tuple : Value.t array) (cols : (int * Value.t) array) i =
   end
 
 (* Walk the chain, assembling before-image deltas (lines 5-9) directly
-   into [tuple]: the caller owns the buffer (a Tupbuf scratch row or a
-   fresh decode) and the in-page tuple is never page-backed storage, so
+   into [tuple]: the caller owns the buffer (a table's per-slot ring row or
+   a fresh decode) and the in-page tuple is never page-backed storage, so
    mutating in place is safe and saves a per-read copy (DESIGN.md §4h).
    [exists] is whether the image assembled so far is a live row. *)
 let rec assemble (c : Cost.t) ~snapshot tuple exists = function

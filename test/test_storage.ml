@@ -1035,21 +1035,46 @@ let test_index_lookup_first_alloc_pin () =
         Alcotest.failf "a warm index_lookup_first hit allocated %.2f words (bound %d)" per_hit
           lookup_words_bound)
 
-(* Reading a resident row through a prefix scan allocates nothing: the
-   per-row words are the difference between 1,000 scans that read every
-   row of the prefix and 1,000 that stop after its first, which share
-   the per-scan cost. That cost is bounded on its own: with the prefix
-   built in the slot's probe and the callback built once, a scan builds
-   no closure, key list or probe string, so 0 words per scan. *)
-let prefix_scan_words_bound = 0
+(* A customer-shaped table for the by-name walk: (w, d, last, id), two
+   ints then a last name; half of warehouse 1's rows are "BARBARBAR". *)
+let by_name_db ~rows =
+  let module Db = Phoebe_core.Db in
+  let db = Db.create { Phoebe_core.Config.default with Phoebe_core.Config.n_workers = 1 } in
+  let t =
+    Db.create_table db ~name:"customer"
+      ~schema:
+        [ ("w", Value.T_int); ("d", Value.T_int); ("last", Value.T_str); ("id", Value.T_int); ("bal", Value.T_int) ]
+  in
+  Db.create_index db t ~name:"customer_by_name" ~cols:[ "w"; "d"; "last"; "id" ] ~unique:false;
+  Db.with_txn db (fun txn ->
+      for i = 1 to rows do
+        let last = if i mod 4 < 2 then "BARBARBAR" else "OUGHTPRES" in
+        ignore
+          (Phoebe_core.Table.insert t txn
+             [| Value.Int (1 + (i mod 2)); Value.Int 3; Value.Str last; Value.Int i; Value.Int (i mod 90) |])
+      done);
+  (db, t)
 
-let test_index_prefix_alloc_pin () =
+(* Reading a resident row through a prefix scan allocates nothing but
+   its decoded string cells: the per-row words are the difference
+   between 1,000 scans that read every row of the prefix and 1,000 that
+   stop after its first, which share the per-scan cost. That cost, the
+   scans of one row less that row's words, is bounded on its own: with
+   the prefix built in the slot's probe and the callback built once, a
+   scan builds no closure, key list or probe string, so 0 words per
+   scan. Two inputs: stock's int prefix, whose rows decode only shared
+   int cells (0 words per row), and the customer-by-name prefix, whose
+   last name goes through [Value.encode_key]'s string branch as the
+   probe is built, and whose rows decode the last-name key column into
+   a fresh [Value.Str] cell ([Pax.get_cols_into]'s "decoded cell",
+   2 words per row). *)
+let prefix_scan_words_bound = 0
+let str_cell_words = 2
+
+let check_prefix_alloc ~what db t ~index ~cols ~prefix ~matches ~row_words =
   let module Db = Phoebe_core.Db in
   let module Table = Phoebe_core.Table in
-  let rows = 200 and scans = 1000 in
-  let db, t = stock_db ~rows in
-  let w = Value.Int 1 in
-  let cols = Some [| 2 |] in
+  let scans = 1000 and cols = Some cols in
   Db.with_txn db (fun txn ->
       let visited = ref 0 in
       let all _ _ =
@@ -1061,25 +1086,41 @@ let test_index_prefix_alloc_pin () =
       in
       let scan f () =
         for _ = 1 to scans do
-          Table.index_prefix ?cols t txn ~index:"stock_pk" ~prefix:(Table.key t txn |> Table.Key.add w) f
+          Table.index_prefix ?cols t txn ~index ~prefix:(prefix t txn) f
         done
       in
       let words_all = measure_minor_words (scan all) in
-      check_int "the prefix visits half the rows, twice per measure" (2 * scans * rows / 2) !visited;
+      check_int (what ^ ": the prefix visits its rows, twice per measure") (2 * scans * matches) !visited;
       let words_first = measure_minor_words (scan first) in
-      let per_row = (words_all -. words_first) /. float_of_int (scans * ((rows / 2) - 1)) in
-      if per_row > 0.0 then
-        Alcotest.failf "index_prefix allocated %.2f words per resident row (bound 0)" per_row;
-      let per_scan = words_first /. float_of_int scans in
+      let per_row = (words_all -. words_first) /. float_of_int (scans * (matches - 1)) in
+      if per_row > float_of_int row_words then
+        Alcotest.failf "%s: index_prefix allocated %.2f words per resident row (bound %d)" what per_row
+          row_words;
+      let per_scan = (words_first /. float_of_int scans) -. per_row in
       if per_scan > float_of_int prefix_scan_words_bound then
-        Alcotest.failf "index_prefix allocated %.2f words per scan of one row (bound %d)" per_scan
-          prefix_scan_words_bound)
+        Alcotest.failf "%s: index_prefix allocated %.2f words per scan, less its row (bound %d)" what
+          per_scan prefix_scan_words_bound)
+
+let test_index_prefix_alloc_pin () =
+  let module Table = Phoebe_core.Table in
+  let rows = 200 in
+  let db, t = stock_db ~rows in
+  let w = Value.Int 1 in
+  check_prefix_alloc ~what:"stock (w)" db t ~index:"stock_pk" ~cols:[| 2 |]
+    ~prefix:(fun t txn -> Table.key t txn |> Table.Key.add w)
+    ~matches:(rows / 2) ~row_words:0;
+  let db, t = by_name_db ~rows in
+  let d = Value.Int 3 and last = Value.Str "BARBARBAR" in
+  check_prefix_alloc ~what:"customer (w, d, last)" db t ~index:"customer_by_name" ~cols:[| 4 |]
+    ~prefix:(fun t txn -> Table.key t txn |> Table.Key.add w |> Table.Key.add d |> Table.Key.add last)
+    ~matches:(rows / 4) ~row_words:str_cell_words
 
 (* A statement started inside a prefix callback on the same table and
    slot takes a probe of its own, so the walk it runs in keeps its
    prefix: every outer row is visited once, in key order, while each
-   callback runs a point lookup, a nested prefix walk of the other
-   warehouse and, once, a walk over the outer probe itself. *)
+   callback runs a point lookup and a nested prefix walk of the other
+   warehouse, and the first one also a walk over the outer probe itself
+   with a point lookup inside it, two walks deep. *)
 let test_index_prefix_nesting () =
   let module Db = Phoebe_core.Db in
   let module Table = Phoebe_core.Table in
@@ -1092,6 +1133,15 @@ let test_index_prefix_nesting () =
       Table.index_prefix t txn ~index:"stock_pk" ~prefix:outer (fun _ row ->
           let i = int_of row.(1) in
           seen := i :: !seen;
+          (* before any probe at depth 1 exists, the walk over the outer
+             probe raises the depth to 2, where the lookup takes one *)
+          if i = 2 then
+            Table.index_prefix t txn ~index:"stock_pk" ~prefix:outer (fun _ _ ->
+                incr again;
+                let key = Table.key t txn |> Table.Key.add (Value.Int 2) |> Table.Key.add (Value.Int 1) in
+                if Table.index_lookup_first t txn ~index:"stock_pk" ~key = 0 then
+                  Alcotest.fail "lookup nested two walks deep missed";
+                true);
           let key = Table.key t txn |> Table.Key.add (Value.Int 2) |> Table.Key.add (Value.Int (i + 1)) in
           if Table.index_lookup_first t txn ~index:"stock_pk" ~key = 0 && i < rows then
             Alcotest.failf "nested lookup of (2, %d) missed" (i + 1);
@@ -1099,10 +1149,6 @@ let test_index_prefix_nesting () =
             (fun _ _ ->
               incr inner_rows;
               true);
-          if i = 2 then
-            Table.index_prefix t txn ~index:"stock_pk" ~prefix:outer (fun _ _ ->
-                incr again;
-                true);
           true);
       let expected = List.init (rows / 2) (fun k -> 2 * (k + 1)) in
       Alcotest.(check (list int)) "outer walk intact" expected (List.rev !seen);
@@ -1112,6 +1158,63 @@ let test_index_prefix_nesting () =
          is the outer one *)
       let k = Table.key t txn |> Table.Key.add (Value.Int 1) |> Table.Key.add (Value.Int 4) in
       check_bool "probe depth restored" true (k == outer))
+
+(* [found_row] survives subsequent reads and updates until the slot's
+   next lookup on the table: more reads than the slot's ring holds (point
+   reads and a prefix walk) and an update of another row leave the hit's
+   cells in place, so the found row is never a ring row. *)
+let test_found_row_survives_reads () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let db, t = stock_db ~rows:40 in
+  let hit = [| Value.Int 2; Value.Int 7; Value.Int 7; Value.Str "dist-info" |] in
+  let holds what row = check_bool what true (Array.for_all2 Value.equal hit row) in
+  Db.with_txn db (fun txn ->
+      let key = Table.key t txn |> Table.Key.add (Value.Int 2) |> Table.Key.add (Value.Int 7) in
+      let rid = Table.index_lookup_first t txn ~index:"stock_pk" ~key in
+      check_bool "the lookup hits" true (rid > 0);
+      let found = Table.found_row t txn in
+      holds "found_row is the hit" found;
+      for r = 1 to 6 do
+        ignore (Table.get t txn ~rid:(if r = rid then r + 10 else r))
+      done;
+      Table.index_prefix t txn ~index:"stock_pk" ~prefix:(Table.key t txn |> Table.Key.add (Value.Int 1))
+        (fun _ _ -> true);
+      let other = if rid = 1 then 2 else 1 in
+      check_bool "another row updated" true
+        (Table.update t txn ~rid:other (fun _ -> [| (2, Value.Int 99) |]));
+      holds "found_row after 6 reads, a walk and an update" found;
+      check_bool "still the slot's found row" true (Table.found_row t txn == found))
+
+(* A probe is refused by a statement on another table or in another
+   slot: it is checked against the statement's own slot context before
+   anything is read. *)
+let test_foreign_probe_refused () =
+  let module Db = Phoebe_core.Db in
+  let module Table = Phoebe_core.Table in
+  let db, t = stock_db ~rows:10 in
+  let other = Db.create_table db ~name:"other" ~schema:[ ("w", Value.T_int); ("i", Value.T_int) ] in
+  Db.create_index db other ~name:"other_pk" ~cols:[ "w"; "i" ] ~unique:true;
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  Db.with_txn db (fun txn ->
+      let elsewhere = { txn with Phoebe_txn.Txnmgr.slot = txn.Phoebe_txn.Txnmgr.slot + 1 } in
+      List.iter
+        (fun (what, probe) ->
+          refused (what ^ ", index_lookup_first") (fun () ->
+              ignore (Table.index_lookup_first t txn ~index:"stock_pk" ~key:(probe ())));
+          refused (what ^ ", index_prefix") (fun () ->
+              Table.index_prefix t txn ~index:"stock_pk" ~prefix:(probe ()) (fun _ _ -> true)))
+        [
+          ("another table's probe", fun () -> Table.key other txn |> Table.Key.add (Value.Int 2));
+          ("another slot's probe", fun () -> Table.key t elsewhere |> Table.Key.add (Value.Int 2));
+        ];
+      let own = Table.key t txn |> Table.Key.add (Value.Int 1) |> Table.Key.add (Value.Int 4) in
+      check_bool "the slot's own probe is taken" true
+        (Table.index_lookup_first t txn ~index:"stock_pk" ~key:own > 0))
 
 (* Locating a resident row allocates nothing: the slot comes back as an
    int and the frame stays in the tree. *)
@@ -1385,6 +1488,9 @@ let () =
           Alcotest.test_case "index_prefix per-row allocation pin" `Quick test_index_prefix_alloc_pin;
           Alcotest.test_case "a statement nested in a prefix walk keeps the walk's probe" `Quick
             test_index_prefix_nesting;
+          Alcotest.test_case "found_row survives reads and updates" `Quick
+            test_found_row_survives_reads;
+          Alcotest.test_case "a foreign probe is refused" `Quick test_foreign_probe_refused;
           Alcotest.test_case "resident locate allocates nothing" `Quick test_locate_allocates_nothing;
           Alcotest.test_case "warm non-key update allocation pin" `Quick test_update_alloc_pin;
           Alcotest.test_case "insert allocation pin" `Quick test_insert_alloc_pin;
