@@ -23,7 +23,7 @@ let () =
   in
   let q = Quorum.create cfg ~ddl in
   Printf.printf "group: %d nodes, majority %d, node 0 primary of view %d\n" (Quorum.nodes q)
-    (Quorum.majority q) (Quorum.view q);
+    ((Quorum.nodes q / 2) + 1) (Quorum.view q);
 
   let count db =
     let t = Db.table db "orders" in

@@ -57,12 +57,13 @@ let view_stride = 1 lsl 16
 let stream_file ~view ~file = (view * view_stride) + file
 let view_of_file f = f / view_stride
 
+(* Immutable once cut: every copy of the stream shares the values. *)
 type chunk = {
   c_file : int;  (** view-namespaced WAL file id *)
   c_bytes : Bytes.t;
-  mutable c_start : int;  (** cumulative stream offset of the first byte *)
+  c_start : int;  (** cumulative stream offset of the first byte *)
   c_as_of : int;  (** primary virtual time when the pull was cut *)
-  mutable c_barrier : bool;  (** last chunk of its pull: a safe cut point *)
+  c_barrier : bool;  (** last chunk of its pull: a safe cut point *)
 }
 
 type role = Primary | Follower | Candidate | Down
@@ -117,15 +118,6 @@ type node = {
   mutable waiters : waiter list;  (** quorum commit waits *)
 }
 
-(* The checker's record of the highest chunk count at which view
-   [m_view] released a commit wait (see [verify]). *)
-type release_mark = {
-  m_view : int;
-  mutable m_count : int;
-  mutable m_chunk_view : int;
-  mutable m_end : int;
-}
-
 type t = {
   eng : Engine.t;
   dbcfg : Config.t;
@@ -137,9 +129,9 @@ type t = {
   n : int;
   majority : int;
   mutable stopped : bool;
-  mutable replay_seq : int;
   mutable promotions : (int * int) list;  (** checker record: (view, node) per promotion *)
-  mutable marks : release_mark list;  (** checker record: one per view that released *)
+  mutable releases : Quorum_check.release list;
+      (** checker record: one per view that released, the highest view first *)
   c_ships : Obs.Counter.t;
   c_acks : Obs.Counter.t;
   c_retransmits : Obs.Counter.t;
@@ -156,11 +148,12 @@ type msg =
       src : int;
       view : int;
       base : int;
+      prev_view : int;  (** the view of the primary's chunk before the first shipped *)
       chunks : chunk list;
       stream_chunks : int;
       sent_at : int;
     }
-  | Ack of { view : int; src : int; received : int; durable : int; off : int }
+  | Ack of { view : int; src : int; received : int; durable : int; last_view : int; off : int }
   | Vote_req of { view : int; cand : int; last_view : int; durable : int }
   | Vote_grant of { view : int; src : int }
   | New_view of { view : int; primary : int; base : int }
@@ -236,22 +229,25 @@ let quorum_chunks t p =
    floor), so the quorum must reach the stream's current end. *)
 let commit_target nd ~floor ~gsn = if (gsn : int) <= floor then Some nd.n_chunks else None
 
-let rec mark_of t v = function
-  | m :: _ when m.m_view = v -> m
-  | _ :: rest -> mark_of t v rest
-  | [] ->
-    let m = { m_view = v; m_count = 0; m_chunk_view = 0; m_end = 0 } in
-    t.marks <- m :: t.marks;
-    m
+(* Checker record: view [p.view] released a commit wait at [target].
+   Records are kept highest view first, so a release in the current view
+   meets its view's record at the head. *)
+let rec mark_release p ~target = function
+  | (r : Quorum_check.release) :: rest as rs when r.r_view = p.view ->
+    if target <= r.r_count then rs else mark_release p ~target rest
+  | r :: rest when r.r_view > p.view -> r :: mark_release p ~target rest
+  | rs ->
+    { r_view = p.view; r_count = target; r_chunk_view = view_at p target; r_end = off_of p target }
+    :: rs
 
-(* Checker record: view [p.view] released a commit wait at [target]. *)
-let note_release t p ~target =
-  let m = mark_of t p.view t.marks in
-  if target > m.m_count then begin
-    m.m_count <- target;
-    m.m_chunk_view <- view_at p target;
-    m.m_end <- off_of p target
-  end
+let note_release t p ~target = t.releases <- mark_release p ~target t.releases
+
+(* Park a committing fiber until [register]'s waker runs, if ever. *)
+let park_commit register =
+  if Scheduler.in_fiber () then
+    ignore
+      (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Quorum_wait
+         register)
 
 let wake_commit_waiters t p =
   match p.waiters with
@@ -278,37 +274,12 @@ let advance_durable nd =
   done;
   nd.durable_chunks > from
 
-(* ------------------------------------------------------------------ *)
-(* Invariant checker: Raft's safety properties (Ongaro 2014, fig. 3.2)
-   over a plain snapshot, so fixtures can corrupt one *)
-
-type entry = { e_view : int; e_start : int; e_len : int }
-
-type node_state = {
-  s_id : int;
-  s_leads : int option;
-  s_chunks : entry array;
-  s_durable : int;
-  s_safe : int;
-  s_applied : int;
-}
-
-type release = { r_view : int; r_count : int; r_chunk_view : int; r_end : int }
-type snapshot = { members : node_state array; leaders : (int * int) list; releases : release list }
-type rule = Election_safety | Log_matching | Leader_completeness | Node_order
-type finding = { rule : rule; detail : string }
-
-let rule_name = function
-  | Election_safety -> "election-safety"
-  | Log_matching -> "log-matching"
-  | Leader_completeness -> "leader-completeness"
-  | Node_order -> "node-order"
-
-let snapshot t =
-  let entry c =
+(* The checker's view of the group (Quorum_check) *)
+let snapshot t : Quorum_check.snapshot =
+  let entry c : Quorum_check.entry =
     { e_view = view_of_file c.c_file; e_start = c.c_start; e_len = Bytes.length c.c_bytes }
   in
-  let state nd =
+  let state nd : Quorum_check.node_state =
     {
       s_id = nd.id;
       s_leads = (match nd.role with Primary -> Some nd.view | Follower | Candidate | Down -> None);
@@ -318,111 +289,7 @@ let snapshot t =
       s_applied = nd.applied_chunks;
     }
   in
-  let release m =
-    { r_view = m.m_view; r_count = m.m_count; r_chunk_view = m.m_chunk_view; r_end = m.m_end }
-  in
-  {
-    members = Array.map state t.nodes;
-    leaders = t.promotions;
-    releases = List.sort (fun a b -> Int.compare a.r_view b.r_view) (List.map release t.marks);
-  }
-
-let verify s =
-  let out = ref [] in
-  let add rule fmt = Printf.ksprintf (fun detail -> out := { rule; detail } :: !out) fmt in
-  let by_view (v, a) (v', b) = if v <> v' then Int.compare v v' else Int.compare a b in
-  (* Election Safety: at most one primary per view, over every promotion
-     and every node now leading *)
-  let leads =
-    Array.fold_left
-      (fun acc m -> match m.s_leads with Some v -> (v, m.s_id) :: acc | None -> acc)
-      s.leaders s.members
-  in
-  let rec pairs = function
-    | (v, a) :: ((v', b) :: _ as rest) ->
-      if v = v' then add Election_safety "nodes %d and %d both led view %d" a b v;
-      pairs rest
-    | [ _ ] | [] -> ()
-  in
-  pairs (List.sort_uniq by_view leads);
-  (* per node: applied <= safe <= durable <= received, and views never
-     decrease along the chunk table *)
-  Array.iter
-    (fun m ->
-      let n = Array.length m.s_chunks in
-      if not (m.s_applied <= m.s_safe && m.s_safe <= m.s_durable && m.s_durable <= n) then
-        add Node_order "node %d: applied %d, safe %d, durable %d, received %d" m.s_id m.s_applied
-          m.s_safe m.s_durable n;
-      let i = ref 1 in
-      while !i < n && m.s_chunks.(!i).e_view >= m.s_chunks.(!i - 1).e_view do
-        incr i
-      done;
-      if !i < n then
-        add Node_order "node %d: chunk %d of view %d follows one of view %d" m.s_id !i
-          m.s_chunks.(!i).e_view
-          m.s_chunks.(!i - 1).e_view)
-    s.members;
-  (* Log Matching: if two nodes hold index i in the same view, their
-     chunks agree at every index <= i *)
-  let same a b = a.e_view = b.e_view && a.e_start = b.e_start && a.e_len = b.e_len in
-  Array.iter
-    (fun a ->
-      Array.iter
-        (fun b ->
-          if a.s_id < b.s_id then begin
-            let n = min (Array.length a.s_chunks) (Array.length b.s_chunks) in
-            let d = ref 0 in
-            while !d < n && same a.s_chunks.(!d) b.s_chunks.(!d) do
-              incr d
-            done;
-            let i = ref (n - 1) in
-            while !i >= !d && a.s_chunks.(!i).e_view <> b.s_chunks.(!i).e_view do
-              decr i
-            done;
-            if !i >= !d then
-              add Log_matching
-                "nodes %d and %d both hold chunk %d in view %d but differ at chunk %d" a.s_id
-                b.s_id !i a.s_chunks.(!i).e_view !d
-          end)
-        s.members)
-    s.members;
-  (* Leader Completeness: the highest-view primary holds the chunk at
-     which every view up to its own last released a commit wait *)
-  let top =
-    Array.fold_left
-      (fun acc m ->
-        match (m.s_leads, acc) with
-        | Some v, Some (v', _) when v <= v' -> acc
-        | Some v, _ -> Some (v, m)
-        | None, _ -> acc)
-      None s.members
-  in
-  Option.iter
-    (fun (v, p) ->
-      List.iter
-        (fun r ->
-          let holds k =
-            k <= Array.length p.s_chunks
-            &&
-            let e = p.s_chunks.(k - 1) in
-            e.e_view = r.r_chunk_view && e.e_start + e.e_len = r.r_end
-          in
-          if r.r_view <= v && r.r_count > 0 && not (holds r.r_count) then
-            add Leader_completeness
-              "primary %d of view %d lacks chunk %d (view %d, ending at byte %d), released in \
-               view %d"
-              p.s_id v (r.r_count - 1) r.r_chunk_view r.r_end r.r_view)
-        s.releases)
-    top;
-  List.rev !out
-
-(* The hook [deliver] runs under the sanitizer: a finding is a bug. *)
-let check t =
-  match verify (snapshot t) with
-  | [] -> ()
-  | fs ->
-    Error.bug ~subsystem:"replication.quorum" "invariant broken: %s"
-      (String.concat "; " (List.map (fun f -> rule_name f.rule ^ ": " ^ f.detail) fs))
+  { members = Array.map state t.nodes; leaders = t.promotions; releases = List.rev t.releases }
 
 (* ------------------------------------------------------------------ *)
 (* Replica-side apply: crash recovery's run machine and apply order, fed
@@ -442,17 +309,14 @@ let base_missing db (r : Record.t) =
     not (Table.raw_exists (Db.table_by_id db table) ~rid)
   | Record.Insert _ | Record.Commit _ | Record.Abort _ | Record.Prepare _ -> false
 
-let consume_chunk nd c =
-  let len = Bytes.length c.c_bytes in
-  let off = ref 0 in
-  while !off < len do
-    match Record.decode c.c_bytes !off with
+let rec consume_chunk nd c off =
+  if off < Bytes.length c.c_bytes then
+    match Record.decode c.c_bytes off with
     | r, off' ->
-      off := off';
-      Recovery.feed nd.runs ~file:c.c_file r
+      Recovery.feed nd.runs ~file:c.c_file r;
+      consume_chunk nd c off'
     | exception Failure msg ->
       Error.bug ~subsystem:"replication.quorum" "corrupt stream chunk on node %d: %s" nd.id msg
-  done
 
 (* Consume chunks [applied_chunks, upto) and apply their committed
    transactions — at promotion also the in-doubt branches [decide]
@@ -462,7 +326,7 @@ let apply_upto ?decide nd ~upto =
   if nd.applied_chunks < upto || Option.is_some decide then begin
     for i = nd.applied_chunks to upto - 1 do
       let c = nd.chunks.(i) in
-      consume_chunk nd c;
+      consume_chunk nd c 0;
       nd.applied_as_of <- c.c_as_of
     done;
     nd.applied_chunks <- upto;
@@ -476,20 +340,20 @@ let apply_upto ?decide nd ~upto =
       ordered
   end
 
-let apply_safe nd =
-  match nd.role with Primary | Down -> () | Follower | Candidate -> apply_upto nd ~upto:nd.safe_chunks
-
 (* ------------------------------------------------------------------ *)
 (* The protocol *)
+
+(* [f j] for every node [j] but [id] *)
+let each_peer t id f =
+  for j = 0 to t.n - 1 do
+    if j <> id then f j
+  done
 
 let rec send t ~src ~dst m =
   if not t.stopped then
     Netchan.send t.chan ~src ~dst ~bytes:(msg_bytes m) (fun () -> deliver t ~dst m)
 
-and broadcast t ~src m =
-  for j = 0 to t.n - 1 do
-    if j <> src then send t ~src ~dst:j m
-  done
+and broadcast t ~src m = each_peer t src (fun dst -> send t ~src ~dst m)
 
 and deliver t ~dst m =
   let nd = t.nodes.(dst) in
@@ -498,23 +362,25 @@ and deliver t ~dst m =
   | Primary | Follower | Candidate -> (
     if not t.stopped then
       match m with
-      | Ship { src; view; base; chunks; stream_chunks; sent_at } ->
-        on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at
-      | Ack { view; src; received; durable; off } -> on_ack t nd ~view ~src ~received ~durable ~off
+      | Ship { src; view; base; prev_view; chunks; stream_chunks; sent_at } ->
+        on_ship t nd ~src ~view ~base ~prev_view ~chunks ~stream_chunks ~sent_at
+      | Ack { view; src; received; durable; last_view; off } ->
+        on_ack t nd ~view ~src ~received ~durable ~last_view ~off
       | Vote_req { view; cand; last_view; durable } -> on_vote_req t nd ~view ~cand ~last_view ~durable
       | Vote_grant { view; src = _ } -> on_vote_grant t nd ~view
       | New_view { view; primary; base } -> on_new_view t nd ~view ~primary ~base);
-    if Sanitize.on () then check t
+    (* the sanitizer hook: a broken invariant is a bug *)
+    if Sanitize.on () then Quorum_check.check (snapshot t)
 
 (* Acknowledge the received and durable prefixes to the node followed,
-   the durable one with its byte offset so the primary can check the
-   copies share chunk boundaries. A fenced node acks nothing. *)
+   the durable one with its last chunk's view and end offset, so the
+   primary can check the copies match. A fenced node acks nothing. *)
 and ack t nd =
   if not (fenced nd) then begin
     let durable = nd.durable_chunks in
+    let last_view = view_at nd durable and off = off_of nd durable in
     send t ~src:nd.id ~dst:nd.leader
-      (Ack
-         { view = nd.view; src = nd.id; received = nd.n_chunks; durable; off = off_of nd durable })
+      (Ack { view = nd.view; src = nd.id; received = nd.n_chunks; durable; last_view; off })
   end
 
 (* Hear from [leader], the primary of this node's view: stop
@@ -528,30 +394,37 @@ and follow t nd ~leader =
     nd.deadline <- Engine.now t.eng + follower_timeout nd.id
   end
 
-and on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at =
+and on_ship t nd ~src ~view ~base ~prev_view ~chunks ~stream_chunks ~sent_at =
   if view >= nd.view then begin
     if view > nd.view then enter_view t nd ~view ~base;
     follow t nd ~leader:src;
-    List.iter
-      (fun c ->
-        (* accept only the next contiguous chunk; gaps and duplicates
-           (drops, retransmits, rebuilds) heal via go-back-N *)
-        if c.c_start = off_of nd nd.n_chunks then begin
-          push_chunk nd c;
-          let idx = nd.n_chunks - 1 and gen = nd.gen in
-          Walstore.append nd.mirror ~file:c.c_file c.c_bytes ~on_durable:(fun () ->
-              (* the replica's ack means *its mirror media* holds the
-                 chunk — an honest durability vote, fault injection and
-                 all — not merely that the bytes arrived *)
-              if nd.gen = gen then begin
-                nd.on_media.(idx) <- true;
-                if advance_durable nd then begin
-                  apply_safe nd;
-                  ack t nd
-                end
-              end)
-        end)
-      chunks;
+    (* Take only the next contiguous chunk: gaps and duplicates (drops,
+       retransmits, rebuilds) heal via go-back-N. Its predecessor must
+       be ours in view and end offset (Raft's prevLogTerm check), or our
+       copy holds a deposed view's chunks the primary lacks: rebuild. *)
+    let rec take i pv = function
+      | [] -> ()
+      | c :: rest ->
+        if i = nd.n_chunks then
+          if view_at nd i <> pv || off_of nd i <> c.c_start then rebuild_follower t nd
+          else begin
+            push_chunk nd c;
+            let gen = nd.gen in
+            Walstore.append nd.mirror ~file:c.c_file c.c_bytes ~on_durable:(fun () ->
+                (* the replica's ack means *its mirror media* holds the
+                   chunk — an honest durability vote, fault injection and
+                   all — not merely that the bytes arrived *)
+                if nd.gen = gen then begin
+                  nd.on_media.(i) <- true;
+                  if advance_durable nd then begin
+                    apply_upto nd ~upto:nd.safe_chunks;
+                    ack t nd
+                  end
+                end)
+          end;
+        take (i + 1) (view_of_file c.c_file) rest
+    in
+    take (stream_chunks - List.length chunks) prev_view chunks;
     (* a fully caught-up replica is as fresh as the primary's durable
        state at the heartbeat's send instant *)
     if
@@ -562,12 +435,15 @@ and on_ship t nd ~src ~view ~base ~chunks ~stream_chunks ~sent_at =
     ack t nd
   end
 
-and on_ack t nd ~view ~src ~received ~durable ~off =
+and on_ack t nd ~view ~src ~received ~durable ~last_view ~off =
   if nd.role = Primary && view = nd.view && durable <= nd.n_chunks then begin
-    (* an ack past our stream end comes from a follower ahead of the
-       new history; the view's base, in flight, will truncate or rebuild it *)
-    let mine = off_of nd durable in
-    if off <> mine then
+    (* An ack past our stream end comes from a follower ahead of the new
+       history; the view's base, in flight, will truncate or rebuild it.
+       A durable prefix ending in another view than ours at that count
+       is a deposed view's: no vote, and the re-ship from its received
+       count rebuilds it. In one view, one count is one chunk. *)
+    let matches = view_at nd durable = last_view and mine = off_of nd durable in
+    if matches && off <> mine then
       Error.bug ~subsystem:"replication.quorum"
         "node %d acks %d chunks ending at byte %d; node %d's first %d end at byte %d: the \
          streams diverged"
@@ -582,9 +458,11 @@ and on_ack t nd ~view ~src ~received ~durable ~off =
       nd.recv_chunk.(src) <- received;
       nd.ack_progress_at.(src) <- Engine.now t.eng
     end;
-    let grew = durable > nd.acked_chunk.(src) in
-    nd.acked_chunk.(src) <- durable;
-    if grew then wake_commit_waiters t nd
+    if matches then begin
+      let grew = durable > nd.acked_chunk.(src) in
+      nd.acked_chunk.(src) <- durable;
+      if grew then wake_commit_waiters t nd
+    end
   end
 
 (* Sweep the primary's own WAL durable frontiers and cut the newly
@@ -609,70 +487,48 @@ and pull t nd =
     (fun file ->
       let contents = Walstore.contents store ~file in
       let limit = min (Walstore.durable_frontier store ~file) (Bytes.length contents) in
+      (* stop at the first record beyond the floor or straddling the
+         durable frontier *)
+      let rec sweep off =
+        if off >= limit then off
+        else
+          match Record.decode contents off with
+          | r, off' when r.Record.gsn <= floor && off' <= limit ->
+            recs := (r, file, Bytes.sub contents off (off' - off)) :: !recs;
+            sweep off'
+          | _ | (exception Failure _) -> off
+      in
       let from_off = Option.value ~default:0 (Hashtbl.find_opt nd.pulled file) in
-      if limit > from_off then begin
-        let off = ref from_off in
-        let continue = ref true in
-        while !continue && !off < limit do
-          match Record.decode contents !off with
-          | r, _ when r.Record.gsn > floor -> continue := false (* beyond the floor *)
-          | r, off' when off' <= limit ->
-            recs := (r, file, Bytes.sub contents !off (off' - !off)) :: !recs;
-            off := off'
-          | _, _ -> continue := false (* record straddles the frontier *)
-          | exception Failure _ -> continue := false
-        done;
-        Hashtbl.replace nd.pulled file !off
-      end)
+      Hashtbl.replace nd.pulled file (sweep from_off))
     (Walstore.files store);
-  (match !recs with
-  | [] -> ()
-  | recs_ ->
-    let ordered =
-      List.sort
-        (fun ((a : Record.t), fa, _) ((b : Record.t), fb, _) ->
-          if a.gsn <> b.gsn then Int.compare a.gsn b.gsn
-          else if fa <> fb then Int.compare fa fb
-          else Int.compare a.lsn b.lsn)
-        (List.rev recs_)
-    in
-    let now = Engine.now t.eng in
-    let batch = ref [] in
-    let cur_file = ref (-1) in
-    let cur_bufs = ref [] in
-    let flush () =
-      if !cur_bufs <> [] then begin
-        let bytes_ = Bytes.concat Bytes.empty (List.rev !cur_bufs) in
-        batch :=
-          {
-            c_file = stream_file ~view:nd.view ~file:!cur_file;
-            c_bytes = bytes_;
-            c_start = 0;
-            c_as_of = now;
-            c_barrier = false;
-          }
-          :: !batch;
-        cur_bufs := []
-      end
-    in
-    List.iter
-      (fun ((_ : Record.t), file, buf) ->
-        if file <> !cur_file then begin
-          flush ();
-          cur_file := file
-        end;
-        cur_bufs := buf :: !cur_bufs)
-      ordered;
-    flush ();
-    (match !batch with last :: _ -> last.c_barrier <- true | [] -> ());
-    List.iter
-      (fun c ->
-        c.c_start <- off_of nd nd.n_chunks;
-        push_chunk nd c;
-        (* cut from the primary's own durable WAL: durable here already *)
-        nd.on_media.(nd.n_chunks - 1) <- true;
-        ignore (advance_durable nd))
-      (List.rev !batch));
+  let ordered =
+    List.sort
+      (fun ((a : Record.t), fa, _) ((b : Record.t), fb, _) ->
+        if a.gsn <> b.gsn then Int.compare a.gsn b.gsn
+        else if fa <> fb then Int.compare fa fb
+        else Int.compare a.lsn b.lsn)
+      !recs
+  in
+  (* push each same-file run as it ends, the pull's last as its barrier;
+     cut from the primary's own durable WAL, a chunk is durable here
+     already *)
+  let now = Engine.now t.eng in
+  let rec cut_runs file bufs = function
+    | (_, f, buf) :: rest when f = file -> cut_runs file (buf :: bufs) rest
+    | rest -> (
+      push_chunk nd
+        {
+          c_file = stream_file ~view:nd.view ~file;
+          c_bytes = Bytes.concat Bytes.empty (List.rev bufs);
+          c_start = off_of nd nd.n_chunks;
+          c_as_of = now;
+          c_barrier = rest = [];
+        };
+      nd.on_media.(nd.n_chunks - 1) <- true;
+      match rest with (_, f, buf) :: rest -> cut_runs f [ buf ] rest | [] -> ())
+  in
+  (match ordered with (_, f, buf) :: rest -> cut_runs f [ buf ] rest | [] -> ());
+  ignore (advance_durable nd);
   List.iter
     (fun w -> if Option.is_none w.w_target then w.w_target <- commit_target nd ~floor ~gsn:w.w_gsn)
     nd.waiters
@@ -695,9 +551,7 @@ and tick_ship t nd j =
     (* nothing outstanding: the retransmit clock starts with this ship *)
     nd.ack_progress_at.(j) <- now;
   let from = nd.sent_chunk.(j) in
-  let chunks =
-    if from < nd.n_chunks then Array.to_list (Array.sub nd.chunks from (nd.n_chunks - from)) else []
-  in
+  let chunks = Array.to_list (Array.sub nd.chunks from (nd.n_chunks - from)) in
   Obs.Counter.incr t.c_ships;
   send t ~src:nd.id ~dst:j
     (Ship
@@ -705,6 +559,7 @@ and tick_ship t nd j =
          src = nd.id;
          view = nd.view;
          base = nd.view_base;
+         prev_view = view_at nd from;
          chunks;
          stream_chunks = nd.n_chunks;
          sent_at = now;
@@ -727,12 +582,9 @@ and start_election t nd =
      phase-lock two candidates into refusing each other forever *)
   nd.deadline <- Engine.now t.eng + election_timeout_ns + Prng.int nd.rng election_timeout_ns;
   Obs.Counter.incr t.c_elections;
-  if nd.votes >= t.majority then become_primary t nd
-  else begin
-    let durable = nd.durable_chunks in
-    broadcast t ~src:nd.id
-      (Vote_req { view = v; cand = nd.id; last_view = view_at nd durable; durable })
-  end
+  let durable = nd.durable_chunks in
+  broadcast t ~src:nd.id
+    (Vote_req { view = v; cand = nd.id; last_view = view_at nd durable; durable })
 
 and on_vote_req t nd ~view ~cand ~last_view ~durable =
   match nd.role with
@@ -849,9 +701,7 @@ and on_new_view t nd ~view ~primary ~base =
 and rebuild_follower t nd =
   Obs.Counter.incr t.c_rebuilds;
   cut nd ~keep:0;
-  reset_replica t nd;
-  Hashtbl.reset nd.pulled;
-  nd.waiters <- []
+  reset_replica t nd
 (* the mirror keeps orphaned bytes of the abandoned stream copy;
    re-shipped chunks append again (append-only media) and replay reads
    the chunk stream, so orphans are never decoded *)
@@ -895,30 +745,23 @@ and commit_barrier t nd ~slot ~lsn:_ =
     if satisfied () then Option.iter (fun target -> note_release t nd ~target) target
     else begin
       Obs.Counter.incr t.c_quorum_waits;
-      for j = 0 to t.n - 1 do
-        if j <> nd.id then tick_ship t nd j
-      done;
-      if (not (satisfied ())) && Scheduler.in_fiber () then
-        ignore
-          (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Quorum_wait
-             (fun wt ->
-               nd.waiters <-
-                 {
-                   w_gsn = gsn;
-                   w_target = target;
-                   w_resume = (fun () -> ignore (Scheduler.wake_waiter wt Scheduler.Signalled));
-                 }
-                 :: nd.waiters))
+      each_peer t nd.id (tick_ship t nd);
+      if not (satisfied ()) then
+        park_commit (fun wt ->
+            nd.waiters <-
+              {
+                w_gsn = gsn;
+                w_target = target;
+                w_resume = (fun () -> ignore (Scheduler.wake_waiter wt Scheduler.Signalled));
+              }
+              :: nd.waiters)
     end
   | Follower | Candidate | Down ->
     (* The executing db is not an accepting primary: the process died
        or was deposed with this transaction in flight. Its commit must
        never be acknowledged — the client's server went silent — so
        park the fiber with no waker. *)
-    if Scheduler.in_fiber () then
-      ignore
-        (Scheduler.park ~deadline:Scheduler.Never ~urgency:Scheduler.High ~phase:Trace.Quorum_wait
-           (fun _ -> ()))
+    park_commit ignore
 
 and schedule_tick t nd gen =
   Engine.schedule t.eng ~delay:poll_interval_ns (fun () ->
@@ -928,9 +771,7 @@ and schedule_tick t nd gen =
         if List.exists (fun w -> Option.is_none w.w_target) nd.waiters then
           Wal.flush_all (Db.wal nd.db) ~on_done:(fun () -> ());
         pull t nd;
-        for j = 0 to t.n - 1 do
-          if j <> nd.id then tick_ship t nd j
-        done;
+        each_peer t nd.id (tick_ship t nd);
         wake_commit_waiters t nd;
         schedule_tick t nd gen
       end)
@@ -955,8 +796,7 @@ let replay_durable_prefix t ~node ~into =
   let i = ref 0 in
   while !i < nd.safe_chunks do
     let v = view_of_file nd.chunks.(!i).c_file in
-    t.replay_seq <- t.replay_seq + 1;
-    let name = Printf.sprintf "replay-v%d-%d" v t.replay_seq in
+    let name = Printf.sprintf "replay-v%d" v in
     let store = Walstore.create (Device.create t.eng ~name Device.pm9a3) in
     while !i < nd.safe_chunks && view_of_file nd.chunks.(!i).c_file = v do
       let c = nd.chunks.(!i) in
@@ -993,9 +833,8 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       n;
       majority = (n / 2) + 1;
       stopped = false;
-      replay_seq = 0;
       promotions = [ (1, 0) ];
-      marks = [];
+      releases = [];
       c_ships = Obs.counter obs "quorum.ship_msgs";
       c_acks = Obs.counter obs "quorum.acks";
       c_retransmits = Obs.counter obs "quorum.retransmits";
@@ -1064,7 +903,6 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
 let engine t = t.eng
 let obs t = t.obs
 let nodes t = t.n
-let majority t = t.majority
 
 let primary t =
   Array.fold_left
@@ -1093,16 +931,13 @@ let set_partitioned t ~node p = Netchan.set_partitioned t.chan ~node p
 
 let kill t ~node =
   let nd = t.nodes.(node) in
-  match nd.role with
-  | Down -> ()
-  | Primary | Follower | Candidate ->
-    (* a dead process: stop serving, void pending durability closures,
-       and drop off the network. Its parked commit fibers never resume —
-       those commits were never acknowledged to anyone. *)
-    nd.gen <- nd.gen + 1;
-    nd.role <- Down;
-    Netchan.set_partitioned t.chan ~node true;
-    nd.waiters <- []
+  (* a dead process: stop serving, void pending durability closures,
+     and drop off the network. Its parked commit fibers never resume —
+     those commits were never acknowledged to anyone. *)
+  nd.gen <- nd.gen + 1;
+  nd.role <- Down;
+  Netchan.set_partitioned t.chan ~node true;
+  nd.waiters <- []
 
 let staleness_ns t ~node =
   let nd = t.nodes.(node) in

@@ -32,7 +32,11 @@
     crash recovery, refuses loudly (Bug) if committed operations
     reference rows that never arrived, and announces the new view;
     followers whose stream diverged past the new history truncate or
-    rebuild from scratch. *)
+    rebuild from scratch. A follower takes a shipped chunk only where its
+    own chunk before it is the primary's in view and end offset (Raft's
+    prevLogTerm check), and rebuilds where it is not; the primary counts
+    an ack as a vote only where the sender's last durable chunk is of the
+    view its own chunk at that count is. *)
 
 type config = {
   replicas : int;  (** followers; group size is [replicas + 1] *)
@@ -74,8 +78,6 @@ val obs : t -> Phoebe_obs.Obs.t
 
 val nodes : t -> int
 (** Group size, [replicas + 1]. Node ids are [0 .. nodes - 1]. *)
-
-val majority : t -> int
 
 val view : t -> int
 (** Highest view any node has entered: the view it follows or leads. A
@@ -153,58 +155,12 @@ val replay_durable_prefix : t -> node:int -> into:Phoebe_core.Db.t -> unit
     an independent recovery of that node's journal would reconstruct.
     Property tests compare this against the promoted primary. *)
 
-(** {1 Invariant checker}
+(** {1 Invariant checker} *)
 
-    Raft's safety properties (Ongaro, {i Consensus: Bridging Theory and
-    Practice}, 2014, fig. 3.2) over a plain snapshot of the group, so a
-    fixture can corrupt a snapshot without reaching into the group.
-    Under the sanitizer ({!Phoebe_sanitize.Sanitize.on}) the group checks
-    itself after every delivered message and raises
+val snapshot : t -> Quorum_check.snapshot
+(** The group as {!Quorum_check.verify} reads it. Under the sanitizer
+    the group verifies itself after every delivered message and raises
     {!Phoebe_util.Phoebe_error.Bug} on a finding. *)
-
-type entry = { e_view : int; e_start : int; e_len : int }
-(** One chunk: the view whose primary cut it, its stream offset and its
-    length in bytes. *)
-
-type node_state = {
-  s_id : int;
-  s_leads : int option;  (** [Some v] while the node is the primary of view [v] *)
-  s_chunks : entry array;  (** the received chunk table *)
-  s_durable : int;
-  s_safe : int;
-  s_applied : int;  (** frontiers, as chunk counts *)
-}
-
-type release = { r_view : int; r_count : int; r_chunk_view : int; r_end : int }
-(** The highest chunk count at which the primary of view [r_view]
-    released a commit wait, with that chunk's view and end offset. *)
-
-type snapshot = {
-  members : node_state array;
-  leaders : (int * int) list;  (** (view, node) of every promotion, node 0's view 1 included *)
-  releases : release list;  (** one per view that released a commit *)
-}
-
-type rule =
-  | Election_safety  (** at most one primary per view *)
-  | Log_matching
-      (** two nodes that hold index [i] in the same view agree on view,
-          offset and length at every index [<= i] *)
-  | Leader_completeness
-      (** the highest-view primary holds every released chunk of its
-          view and earlier ones *)
-  | Node_order
-      (** applied [<=] safe [<=] durable [<=] received, and views never
-          decrease along a chunk table *)
-
-type finding = { rule : rule; detail : string }
-
-val rule_name : rule -> string
-val snapshot : t -> snapshot
-
-val verify : snapshot -> finding list
-(** Every broken rule, with the nodes and indexes involved; [[]] on a
-    sound group. *)
 
 (** {1 Introspection}
 

@@ -64,8 +64,6 @@ type dtxn = {
   mutable dt_ok : bool;
 }
 
-type hooks = { mutable drop_decides : bool; mutable hold_before_decide : bool }
-
 type t = {
   ceng : Engine.t;
   cobs : Obs.t;
@@ -82,7 +80,8 @@ type t = {
          participant serving both must keep their branches apart *)
   coords : (int, dtxn) Hashtbl.t array;
   decisions : (int, decision) Hashtbl.t array;
-  hooks : hooks;
+  mutable drop_decides : bool;  (** fault hook: decisions are never sent *)
+  mutable hold_before_decide : bool;  (** crash-test hook, see [prepare_phase] *)
   c_started : Obs.Counter.t;
   c_committed : Obs.Counter.t;
   c_aborted : Obs.Counter.t;
@@ -120,6 +119,12 @@ let wake w = match w with Some w -> ignore (Scheduler.wake_waiter w Scheduler.Si
 
 let reply t (m : Msg.t) payload = Net.send t.cnet { Msg.gxid = m.Msg.gxid; src = m.Msg.dst; dst = m.Msg.src; payload }
 
+(* Branch [br]'s message to its coordinator. *)
+let to_coord t p br payload = Net.send t.cnet { Msg.gxid = br.br_gxid; src = p; dst = br.br_coord; payload }
+
+(* The branch is done: it leaves the participant's table. *)
+let forget t p br = Hashtbl.remove t.branches.(p) (br.br_coord, br.br_gxid)
+
 (* The branch fiber after a successful Exec: consume protocol commands
    until the decision, parking (with a poll deadline) in between. The
    poll is what makes the protocol live under message loss: a dropped
@@ -134,39 +139,21 @@ let rec branch_loop t p br txn =
   | Some cmd -> begin
     br.br_cmd <- None;
     match cmd with
-    | CExec (proc, args) -> begin
-      match run_proc t ~shard:p db txn ~proc args with
-      | results ->
-        Net.send t.cnet
-          { Msg.gxid = br.br_gxid; src = p; dst = br.br_coord; payload = Msg.Exec_ok { results } };
-        branch_loop t p br txn
-      | exception Txnmgr.Abort (reason, _) ->
-        Db.abort_txn db txn;
-        Hashtbl.remove t.branches.(p) (br.br_coord, br.br_gxid);
-        Obs.Counter.incr t.c_br_aborted;
-        Net.send t.cnet
-          {
-            Msg.gxid = br.br_gxid;
-            src = p;
-            dst = br.br_coord;
-            payload = Msg.Exec_failed { reason = reason_code reason };
-          }
-    end
+    | CExec (proc, args) -> exec_step t p br txn ~proc args
     | CPrepare ->
       Txnmgr.prepare (Db.txnmgr db) txn ~gxid:br.br_gxid ~coord:br.br_coord;
       br.br_prepared <- true;
       Obs.Counter.incr t.c_br_prepared;
-      Net.send t.cnet
-        { Msg.gxid = br.br_gxid; src = p; dst = br.br_coord; payload = Msg.Vote_yes };
+      to_coord t p br Msg.Vote_yes;
       branch_loop t p br txn
     | CCommit ->
       Txnmgr.commit (Db.txnmgr db) txn;
-      Hashtbl.remove t.branches.(p) (br.br_coord, br.br_gxid);
+      forget t p br;
       Obs.Counter.incr t.c_br_committed;
       Db.after_commit_housekeeping db
     | CAbort ->
       Db.abort_txn db txn;
-      Hashtbl.remove t.branches.(p) (br.br_coord, br.br_gxid);
+      forget t p br;
       Obs.Counter.incr t.c_br_aborted
   end
   | None ->
@@ -179,10 +166,23 @@ let rec branch_loop t p br txn =
     (match r with
     | Scheduler.Timed_out ->
       Obs.Counter.incr t.c_status_polls;
-      Net.send t.cnet
-        { Msg.gxid = br.br_gxid; src = p; dst = br.br_coord; payload = Msg.Status_req }
+      to_coord t p br Msg.Status_req
     | Scheduler.Signalled -> ());
     branch_loop t p br txn
+
+(* One Exec on the branch: reply with its results and consume the next
+   command, or abort the branch and report why. *)
+and exec_step t p br txn ~proc args =
+  let db = t.cshards.(p) in
+  match run_proc t ~shard:p db txn ~proc args with
+  | results ->
+    to_coord t p br (Msg.Exec_ok { results });
+    branch_loop t p br txn
+  | exception Txnmgr.Abort (reason, _) ->
+    Db.abort_txn db txn;
+    forget t p br;
+    Obs.Counter.incr t.c_br_aborted;
+    to_coord t p br (Msg.Exec_failed { reason = reason_code reason })
 
 let start_branch t p (m : Msg.t) ~proc ~args =
   let br =
@@ -193,24 +193,29 @@ let start_branch t p (m : Msg.t) ~proc ~args =
   (* a plain scheduler task, not [Db.submit]: the admission decision was
      made at the coordinator's front door, and a refused branch would
      wedge an already-admitted global transaction *)
-  Scheduler.submit (Db.scheduler db) (fun () ->
-      let txn = Db.begin_txn db in
-      match run_proc t ~shard:p db txn ~proc args with
-      | results ->
-        Net.send t.cnet
-          { Msg.gxid = br.br_gxid; src = p; dst = br.br_coord; payload = Msg.Exec_ok { results } };
-        branch_loop t p br txn
-      | exception Txnmgr.Abort (reason, _) ->
-        Db.abort_txn db txn;
-        Hashtbl.remove t.branches.(p) (br.br_coord, br.br_gxid);
-        Obs.Counter.incr t.c_br_aborted;
-        Net.send t.cnet
-          {
-            Msg.gxid = br.br_gxid;
-            src = p;
-            dst = br.br_coord;
-            payload = Msg.Exec_failed { reason = reason_code reason };
-          })
+  Scheduler.submit (Db.scheduler db) (fun () -> exec_step t p br (Db.begin_txn db) ~proc args)
+
+(* Hand the command [m] carries to the branch it names and wake its
+   fiber. With no such branch, an Exec starts one, and a Prepare votes
+   no: the branch is gone (it aborted, or never existed because the Exec
+   was lost), so it cannot possibly commit. A decision for no branch is
+   a duplicate. *)
+let to_branch t p (m : Msg.t) =
+  (* [Some CPrepare] and the like are constants: passing the option
+     allocates nothing for them *)
+  let command br cmd =
+    br.br_cmd <- cmd;
+    wake br.br_waiter
+  in
+  match (Hashtbl.find_opt t.branches.(p) (m.Msg.src, m.Msg.gxid), m.Msg.payload) with
+  | Some br, Msg.Exec { proc; args } -> command br (Some (CExec (proc, args)))
+  | Some br, Msg.Prepare -> command br (Some CPrepare)
+  | Some br, Msg.Decide_commit -> command br (Some CCommit)
+  | Some br, Msg.Decide_abort -> command br (Some CAbort)
+  | None, Msg.Exec { proc; args } -> start_branch t p m ~proc ~args
+  | None, Msg.Prepare -> reply t m Msg.Vote_no
+  | None, (Msg.Decide_commit | Msg.Decide_abort) -> ()
+  | _, (Msg.Exec_ok _ | Msg.Exec_failed _ | Msg.Vote_yes | Msg.Vote_no | Msg.Status_req) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator side *)
@@ -239,7 +244,7 @@ let coordinator_abort t dtx =
   if dtx.dt_parts <> [] then begin
     Hashtbl.replace t.decisions.(dtx.dt_home) dtx.dt_gxid Dabort;
     Hashtbl.remove t.coords.(dtx.dt_home) dtx.dt_gxid;
-    if not t.hooks.drop_decides then send_decision t dtx Msg.Decide_abort;
+    if not t.drop_decides then send_decision t dtx Msg.Decide_abort;
     Obs.Counter.incr t.c_aborted
   end
 
@@ -287,7 +292,7 @@ let prepare_phase t dtx =
     let reason = if dtx.dt_vote_failed then Txnmgr.Conflict else Txnmgr.Deadline in
     raise (Txnmgr.Abort (reason, "two-phase commit prepare failed"))
   end;
-  if t.hooks.hold_before_decide then
+  if t.hold_before_decide then
     (* crash-test hook: every vote is in, the decision is not yet
        logged — freeze here until the cluster is crashed *)
     ignore
@@ -307,7 +312,7 @@ let submit_dtxn ?affinity ?(on_done = fun ~committed:_ -> ()) t ~home body =
            release the branches. *)
         Hashtbl.replace t.decisions.(dtx.dt_home) dtx.dt_gxid Dcommit;
         Hashtbl.remove t.coords.(dtx.dt_home) dtx.dt_gxid;
-        if not t.hooks.drop_decides then send_decision t dtx Msg.Decide_commit;
+        if not t.drop_decides then send_decision t dtx Msg.Decide_commit;
         Obs.Counter.incr t.c_committed
       | _ -> ());
       let committed = match !cell with Some dtx -> dtx.dt_ok | None -> false in
@@ -344,39 +349,30 @@ let dtxn_txn dtx = dtx.dt_txn
 (* ------------------------------------------------------------------ *)
 (* Message dispatch *)
 
+(* An Exec reply or a prepare vote for the global transaction [m]
+   names; once it stopped deciding, a late one is dropped. *)
+let to_dtxn t k (m : Msg.t) =
+  match Hashtbl.find_opt t.coords.(k) m.Msg.gxid with
+  | None -> ()
+  | Some dtx -> (
+    match m.Msg.payload with
+    | Msg.Exec_ok { results } ->
+      dtx.dt_reply <- Some (Ok results);
+      wake_coord dtx
+    | Msg.Exec_failed { reason } ->
+      dtx.dt_reply <- Some (Error reason);
+      wake_coord dtx
+    | Msg.Vote_yes ->
+      dtx.dt_votes_pending <- dtx.dt_votes_pending - 1;
+      if dtx.dt_votes_pending = 0 then wake_coord dtx
+    | Msg.Vote_no ->
+      dtx.dt_vote_failed <- true;
+      wake_coord dtx
+    | Msg.Exec _ | Msg.Prepare | Msg.Decide_commit | Msg.Decide_abort | Msg.Status_req -> ())
+
 let handle t k (m : Msg.t) =
   match m.Msg.payload with
-  | Msg.Exec { proc; args } -> begin
-    match Hashtbl.find_opt t.branches.(k) (m.Msg.src, m.Msg.gxid) with
-    | Some br ->
-      br.br_cmd <- Some (CExec (proc, args));
-      wake br.br_waiter
-    | None -> start_branch t k m ~proc ~args
-  end
-  | Msg.Prepare -> begin
-    match Hashtbl.find_opt t.branches.(k) (m.Msg.src, m.Msg.gxid) with
-    | Some br ->
-      br.br_cmd <- Some CPrepare;
-      wake br.br_waiter
-    | None ->
-      (* the branch is gone (it aborted, or never existed because the
-         Exec was lost): it cannot possibly commit *)
-      reply t m Msg.Vote_no
-  end
-  | Msg.Decide_commit -> begin
-    match Hashtbl.find_opt t.branches.(k) (m.Msg.src, m.Msg.gxid) with
-    | Some br ->
-      br.br_cmd <- Some CCommit;
-      wake br.br_waiter
-    | None -> ()
-  end
-  | Msg.Decide_abort -> begin
-    match Hashtbl.find_opt t.branches.(k) (m.Msg.src, m.Msg.gxid) with
-    | Some br ->
-      br.br_cmd <- Some CAbort;
-      wake br.br_waiter
-    | None -> ()
-  end
+  | Msg.Exec _ | Msg.Prepare | Msg.Decide_commit | Msg.Decide_abort -> to_branch t k m
   | Msg.Status_req -> begin
     match Hashtbl.find_opt t.decisions.(k) m.Msg.gxid with
     | Some Dcommit -> reply t m Msg.Decide_commit
@@ -386,34 +382,7 @@ let handle t k (m : Msg.t) =
       reply t m Msg.Decide_abort
     | Some Deciding -> ()
   end
-  | Msg.Exec_ok { results } -> begin
-    match Hashtbl.find_opt t.coords.(k) m.Msg.gxid with
-    | Some dtx ->
-      dtx.dt_reply <- Some (Ok results);
-      wake_coord dtx
-    | None -> ()
-  end
-  | Msg.Exec_failed { reason } -> begin
-    match Hashtbl.find_opt t.coords.(k) m.Msg.gxid with
-    | Some dtx ->
-      dtx.dt_reply <- Some (Error reason);
-      wake_coord dtx
-    | None -> ()
-  end
-  | Msg.Vote_yes -> begin
-    match Hashtbl.find_opt t.coords.(k) m.Msg.gxid with
-    | Some dtx ->
-      dtx.dt_votes_pending <- dtx.dt_votes_pending - 1;
-      if dtx.dt_votes_pending = 0 then wake_coord dtx
-    | None -> ()
-  end
-  | Msg.Vote_no -> begin
-    match Hashtbl.find_opt t.coords.(k) m.Msg.gxid with
-    | Some dtx ->
-      dtx.dt_vote_failed <- true;
-      wake_coord dtx
-    | None -> ()
-  end
+  | Msg.Exec_ok _ | Msg.Exec_failed _ | Msg.Vote_yes | Msg.Vote_no -> to_dtxn t k m
 
 (* ------------------------------------------------------------------ *)
 (* Construction, stats, crash/recovery *)
@@ -442,7 +411,8 @@ let build ~eng ~net_cfg ~decision_poll_ns ~shard_cfg shards_arr =
       branches = Array.init n (fun _ -> Hashtbl.create 64);
       coords = Array.init n (fun _ -> Hashtbl.create 64);
       decisions = Array.init n (fun _ -> Hashtbl.create 256);
-      hooks = { drop_decides = false; hold_before_decide = false };
+      drop_decides = false;
+      hold_before_decide = false;
       c_started = Obs.counter cobs "twopc.started";
       c_committed = Obs.counter cobs "twopc.committed";
       c_aborted = Obs.counter cobs "twopc.aborted";
@@ -518,8 +488,8 @@ let registry_json t =
     ]
   @ per_shard
 
-let set_drop_decides t v = t.hooks.drop_decides <- v
-let set_hold_before_decide t v = t.hooks.hold_before_decide <- v
+let set_drop_decides t v = t.drop_decides <- v
+let set_hold_before_decide t v = t.hold_before_decide <- v
 let set_partitioned t ~shard:k v = Net.set_partitioned t.cnet ~node:k v
 
 let crash ?tear t = Array.map (fun db -> Db.crash ?tear db) t.cshards

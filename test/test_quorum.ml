@@ -9,11 +9,12 @@
    a prefix by the view of its last chunk, the 100-seed randomized
    crash-during-replication durability property, and a 100-seed live
    primary election property. The fixed cases run under the sanitizer,
-   so the group checks Raft's invariants ([Quorum.verify]) after every
+   so the group checks Raft's invariants ([Quorum_check.verify]) after every
    delivered message; the properties check them at quiescent points, and
    one seeded-corruption fixture per rule shows that each is named. *)
 open Phoebe_core
 module Quorum = Phoebe_replication.Quorum
+module Quorum_check = Phoebe_replication.Quorum_check
 module Value = Phoebe_storage.Value
 module Device = Phoebe_io.Device
 module Prng = Phoebe_util.Prng
@@ -55,8 +56,8 @@ let checked f () =
 
 let findings q =
   List.map
-    (fun (f : Quorum.finding) -> Quorum.rule_name f.rule ^ ": " ^ f.detail)
-    (Quorum.verify (Quorum.snapshot q))
+    (fun (f : Quorum_check.finding) -> Quorum_check.rule_name f.rule ^ ": " ^ f.detail)
+    (Quorum_check.verify (Quorum.snapshot q))
 
 (* A quiescent point of a property: no rule may be broken. *)
 let check_group ~seed q =
@@ -635,6 +636,55 @@ let test_later_view_outranks_longer_prefix () =
   check_rows "node 3 converged" d (dump (Quorum.db q ~node:3));
   Quorum.shutdown q
 
+(* Raft's prevLogTerm check: a follower appends a chunk only if the
+   chunk before it is the primary's. In a five-node group node 0, the
+   primary of view 1, ships 10 more commits, one pull each, to node 3
+   alone. Node 3 is cut off and node 0 killed; nodes 1, 2 and 4 elect
+   node 1 in view 2, which commits 20 keys, one pull each, past node 3's
+   tail. Node 1 is killed and node 3 heals: node 2 wins a later view
+   with its vote. Node 3's view-1 tail sits below that view's base,
+   where node 2 holds view 2's chunks: node 3 must rebuild and converge
+   onto node 2's history, not count its tail toward the quorum. *)
+let test_follower_rebuilds_a_deposed_tail_below_the_base () =
+  let q, prim = group ~group:{ Quorum.default_config with Quorum.replicas = 4 } () in
+  let acked = ref [] in
+  let submit db k = Db.submit db ~on_done:(fun () -> acked := k :: !acked) (insert_kv db k k) in
+  for k = 1 to 10 do
+    submit prim k
+  done;
+  Quorum.run_for q ~ns:20_000_000;
+  List.iter (fun node -> Quorum.set_partitioned q ~node true) [ 1; 2; 4 ];
+  for k = 11 to 20 do
+    submit prim k;
+    Quorum.run_for q ~ns:400_000
+  done;
+  Quorum.set_partitioned q ~node:3 true;
+  Quorum.kill q ~node:0;
+  List.iter (fun node -> Quorum.set_partitioned q ~node false) [ 1; 2; 4 ];
+  Quorum.run_for q ~ns:40_000_000;
+  check_int "node 1 leads" 1 (elected q);
+  let pdb = elected_db q in
+  for k = 100 to 119 do
+    submit pdb k;
+    Quorum.run_for q ~ns:400_000
+  done;
+  Quorum.run_for q ~ns:10_000_000;
+  check_bool "view 2's keys acknowledged" true (List.mem 119 !acked);
+  let rebuilds = Obs.counter (Quorum.obs q) "quorum.rebuilds" in
+  let before = Obs.Counter.get rebuilds in
+  Quorum.kill q ~node:1;
+  Quorum.set_partitioned q ~node:3 false;
+  Quorum.run_for q ~ns:150_000_000;
+  check_int "node 2 leads" 2 (elected q);
+  check_bool "node 3 rebuilt" true (Obs.Counter.get rebuilds > before);
+  let d = dump (elected_db q) in
+  List.iter
+    (fun k -> if not (List.mem_assoc k d) then Alcotest.failf "acknowledged key %d lost" k)
+    !acked;
+  check_rows "node 3 converged" d (dump (Quorum.db q ~node:3));
+  check_int "node 3 durable to the stream end" (Quorum.stream_len q) (Quorum.durable_off q ~node:3);
+  Quorum.shutdown q
+
 (* A live primary during elections, randomized over 100 seeds: on a
    lossy network with fault-injected mirrors, one of the three nodes
    (the primary on about a third of the seeds) is cut off for 10-25 ms
@@ -742,18 +792,18 @@ let sound_snapshot () =
   Quorum.shutdown q;
   (Quorum.snapshot q, elected q)
 
-let named (s : Quorum.snapshot) =
+let named (s : Quorum_check.snapshot) =
   List.sort_uniq String.compare
-    (List.map (fun (f : Quorum.finding) -> Quorum.rule_name f.rule) (Quorum.verify s))
+    (List.map (fun (f : Quorum_check.finding) -> Quorum_check.rule_name f.rule) (Quorum_check.verify s))
 
 let test_verify_fixtures () =
   let s, p = sound_snapshot () in
   let f = if p = 1 then 2 else 1 in
-  let views = List.map (fun (r : Quorum.release) -> r.r_view) s.releases in
+  let views = List.map (fun (r : Quorum_check.release) -> r.r_view) s.releases in
   Alcotest.(check (list int)) "views 1 and 2 released commits" [ 1; 2 ] views;
   Alcotest.(check (list string)) "a sound group" [] (named s);
   let with_member id g =
-    { s with members = Array.map (fun m -> if m.Quorum.s_id = id then g m else m) s.members }
+    { s with members = Array.map (fun m -> if m.Quorum_check.s_id = id then g m else m) s.members }
   in
   let expect rule corrupt = Alcotest.(check (list string)) rule [ rule ] (named corrupt) in
   let pv = Option.get s.members.(p).s_leads in
@@ -768,7 +818,7 @@ let test_verify_fixtures () =
   expect "leader-completeness"
     {
       s with
-      releases = List.map (fun (r : Quorum.release) -> { r with r_end = r.r_end + 1 }) s.releases;
+      releases = List.map (fun (r : Quorum_check.release) -> { r with r_end = r.r_end + 1 }) s.releases;
     };
   expect "node-order" (with_member f (fun m -> { m with s_applied = m.s_safe + 1 }));
   expect "node-order"
@@ -818,6 +868,8 @@ let () =
             test_grant_fences_old_primary;
           fixed "a later view outranks a longer prefix"
             test_later_view_outranks_longer_prefix;
+          fixed "a follower rebuilds a deposed tail below the base"
+            test_follower_rebuilds_a_deposed_tail_below_the_base;
           fixed "a cut drops chunks not yet durable"
             test_cut_drops_chunks_not_yet_durable;
           Alcotest.test_case "primary crash property (100 seeds)" `Slow
