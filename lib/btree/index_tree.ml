@@ -6,30 +6,32 @@ module Cost = Phoebe_sim.Cost
 
 exception Duplicate_key of string
 
-(* Entries are ordered by (key, rid); a leaf stores a sorted slice. *)
-type node =
-  | Leaf of leaf
-  | Inner of inner
-
-and leaf = {
-  mutable keys : string array;
+(* One node of either kind (DESIGN.md, "Index nodes"). Its keys are
+   ordered by (key, rid): a leaf's are its entries, an inner node's the
+   separators between its children, separator i being the smallest entry
+   of child i+1. Every key starts with [prefix]; the rest of key i, its
+   suffix, is [suf] from [off i] to [off (i+1)], the suffixes packed back
+   to back in key order behind [n + 1] 16-bit offsets in [offs]. [rids]
+   and [offs] are sized to the keys and grow by doubling up to the
+   fanout. An inner node's [kids] keeps the fanout's length: a descent
+   can read a child slot past the live count after a concurrent split
+   (its optimistic read validates a version the split does not bump),
+   and the slot still holds the child it held before. *)
+type node = {
+  mutable prefix : string;
+  mutable suf : Bytes.t;
+  mutable offs : Bytes.t;
   mutable rids : int array;
-  mutable ln : int;
-  llatch : Latch.t;
-}
-
-and inner = {
-  mutable sep_keys : string array;  (** separator i = smallest entry of [kids.(i+1)] *)
-  mutable sep_rids : int array;
-  mutable kids : node array;
-  mutable inn : int;  (** number of children *)
-  platch : Latch.t;
+  mutable n : int;  (** keys: a leaf's entries, an inner node's separators *)
+  kids : node array;  (** [[||]] in a leaf; an inner node's [n + 1] children *)
+  latch : Latch.t;
 }
 
 type t = {
   iname : string;
   fanout : int;
   unique : bool;
+  max_key : int;  (** the longest key: a full node's suffixes fit 16-bit offsets *)
   mutable root : node;
   mutable entries : int;
   mutable idepth : int;
@@ -38,63 +40,73 @@ type t = {
 let charge_search () = Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.btree_search_per_level
 let charge_leaf_op () = Scheduler.charge Component.Effective (Scheduler.current_cost ()).Cost.btree_leaf_op
 
-let new_leaf fanout =
-  let l = { keys = Array.make fanout ""; rids = Array.make fanout 0; ln = 0; llatch = Latch.create () } in
-  Latch.set_class l.llatch "index_tree.llatch";
-  l
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let[@inline] off nd i = get16u nd.offs (2 * i)
+let[@inline] set_off offs i v = set16u offs (2 * i) v
+let[@inline] is_leaf nd = Array.length nd.kids = 0
+
+(* An empty node's offsets: the one offset, 0. Never written, since a
+   node grows its arrays before its first key. *)
+let no_offs = Bytes.make 2 '\000'
+
+let new_node kids =
+  let nd = { prefix = ""; suf = Bytes.empty; offs = no_offs; rids = [||]; n = 0; kids; latch = Latch.create () } in
+  Latch.set_class nd.latch "index_tree.latch";
+  nd
 
 let create ~name ?(fanout = 64) ~unique () =
-  { iname = name; fanout; unique; root = Leaf (new_leaf fanout); entries = 0; idepth = 1 }
+  if fanout < 4 then invalid_arg "Index_tree.create: fanout below 4";
+  { iname = name; fanout; unique; max_key = 0xFFFF / fanout; root = new_node [||]; entries = 0; idepth = 1 }
 
 let name t = t.iname
 let count t = t.entries
 let depth t = t.idepth
 
-(* The one key comparison: the first [kn] bytes of the stored key [k]
-   against the first [pn] bytes of the probe [p], ordered exactly as
-   [String.compare] orders the two as strings (-1, 0 or 1). Every search
-   of the tree goes through it; a string probe enters as
-   [Bytes.unsafe_of_string], which nothing here writes. Both are read
-   eight bytes at a time up to the shorter length [m]: the first pair of
-   words that differs decides, read big-endian with the sign bit flipped
-   so that signed order is byte order. The last, partial word is read as
-   the word ending at [m], whose bytes before [i] are already known
-   equal; keys shorter than a word go byte by byte. When the first [m]
-   bytes agree, the shorter key sorts first. The loads are unchecked
-   because [m] bounds both keys. *)
-external get64u : string -> int -> int64 = "%caml_string_get64u"
-external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+(* The one key comparison: [a] from [ao] for [an] bytes against [b] from
+   [bo] for [bn] bytes, ordered exactly as [String.compare] orders the
+   two as strings (-1, 0 or 1). Both are read eight bytes at a time up
+   to the shorter length [m]: the first pair of words that differs
+   decides, read big-endian with the sign bit flipped so that signed
+   order is byte order. The last, partial word is read as the word
+   ending at [m], whose bytes before [i] are already known equal; keys
+   shorter than a word go byte by byte. When the first [m] bytes agree,
+   the shorter key sorts first. The loads are unchecked because every
+   caller's ranges lie inside their bytes. A string enters as
+   [Bytes.unsafe_of_string], which nothing here writes. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline] by_length (kn : int) (pn : int) = if kn < pn then -1 else if kn > pn then 1 else 0
+let[@inline] by_length (an : int) (bn : int) = if an < bn then -1 else if an > bn then 1 else 0
 
-let rec cmp_bytes k kn p pn m i =
-  if i >= m then by_length kn pn
+let rec cmp_bytes a ao an b bo bn m i =
+  if i >= m then by_length an bn
   else
-    let a = Char.code (String.unsafe_get k i) and b = Char.code (Bytes.unsafe_get p i) in
-    if a < b then -1 else if a > b then 1 else cmp_bytes k kn p pn m (i + 1)
+    let x = Char.code (Bytes.unsafe_get a (ao + i)) and y = Char.code (Bytes.unsafe_get b (bo + i)) in
+    if x < y then -1 else if x > y then 1 else cmp_bytes a ao an b bo bn m (i + 1)
 
-let rec cmp_words k kn p pn m i =
+let rec cmp_words a ao an b bo bn m i =
   if i + 8 <= m then begin
-    let a = get64u k i and b = bytes_get64u p i in
-    if a = b then cmp_words k kn p pn m (i + 8)
+    let x = get64u a (ao + i) and y = get64u b (bo + i) in
+    if x = y then cmp_words a ao an b bo bn m (i + 8)
     else
-      let a = Int64.logxor (if Sys.big_endian then a else bswap64 a) Int64.min_int
-      and b = Int64.logxor (if Sys.big_endian then b else bswap64 b) Int64.min_int in
-      if a < b then -1 else 1
+      let x = Int64.logxor (if Sys.big_endian then x else bswap64 x) Int64.min_int
+      and y = Int64.logxor (if Sys.big_endian then y else bswap64 y) Int64.min_int in
+      if x < y then -1 else 1
   end
-  else if i >= m then by_length kn pn
-  else if m < 8 then cmp_bytes k kn p pn m i
+  else if i >= m then by_length an bn
+  else if m < 8 then cmp_bytes a ao an b bo bn m i
   else begin
-    let a = get64u k (m - 8) and b = bytes_get64u p (m - 8) in
-    if a = b then by_length kn pn
+    let x = get64u a (ao + m - 8) and y = get64u b (bo + m - 8) in
+    if x = y then by_length an bn
     else
-      let a = Int64.logxor (if Sys.big_endian then a else bswap64 a) Int64.min_int
-      and b = Int64.logxor (if Sys.big_endian then b else bswap64 b) Int64.min_int in
-      if a < b then -1 else 1
+      let x = Int64.logxor (if Sys.big_endian then x else bswap64 x) Int64.min_int
+      and y = Int64.logxor (if Sys.big_endian then y else bswap64 y) Int64.min_int in
+      if x < y then -1 else 1
   end
 
-let[@inline] cmp_upto k kn p pn = cmp_words k kn p pn (if kn < pn then kn else pn) 0
+let[@inline] cmp_range a ao an b bo bn = cmp_words a ao an b bo bn (if an < bn then an else bn) 0
 
 (* A probe's length must lie inside its bytes: the comparison reads
    them unchecked. Built once, so the check allocates nothing. *)
@@ -102,209 +114,376 @@ let past_bytes = Invalid_argument "Index_tree: probe length past its bytes"
 
 let check_len key len = if len < 0 || len > Bytes.length key then raise past_bytes
 
-let[@inline] cmp_key k p pn = cmp_upto k (String.length k) p pn
-
 let compare_key k p pn =
   check_len p pn;
-  cmp_key k p pn
+  cmp_range (Bytes.unsafe_of_string k) 0 (String.length k) p 0 pn
 
-(* [k] starts with the probe's [pn] bytes: a comparison of [k] cut at
-   [pn], with no substring carved. *)
-let has_prefix k p pn = String.length k >= pn && cmp_upto k pn p pn = 0
+(* Where the probe [p] of [pn] bytes falls against [nd]'s prefix: -1
+   when it sorts before every key of the node, 1 after every key, and 0
+   when it starts with the prefix, so that the suffixes decide. One
+   comparison per node, whatever its keys. *)
+let side nd p pn =
+  let m = String.length nd.prefix in
+  let c = if m < pn then m else pn in
+  match cmp_words (Bytes.unsafe_of_string nd.prefix) 0 c p 0 c c 0 with
+  | 0 -> if pn < m then -1 else 0
+  | d -> -d
 
-let[@inline] cmp_entry k1 r1 p pn r2 =
-  let c = cmp_key k1 p pn in
-  if c <> 0 then c else Int.compare r1 r2
+(* Key [i]'s suffix against the probe's, [p] from [pm] to [pn], for a
+   probe that carries the node's prefix of [pm] bytes; then the entry
+   (key [i], its rid) against the probe entry. *)
+let[@inline] cmp_suffix nd i p pm pn =
+  let o = off nd i in
+  cmp_range nd.suf o (off nd (i + 1) - o) p pm (pn - pm)
 
-(* First slot in [lo, hi) of the leaf with entry >= (probe, rid). The
-   bisections are module-level loops rather than [ref] cells so that the
-   equal-key walk below is visibly allocation-free to [phoebe_check]. *)
-let rec leaf_bound l p pn rid lo hi =
+let[@inline] cmp_entry nd i p pm pn rid =
+  let c = cmp_suffix nd i p pm pn in
+  if c <> 0 then c else Int.compare nd.rids.(i) rid
+
+(* Key [i] of [nd] against the probe, as [String.compare] orders them. *)
+let cmp_at nd i p pn = match side nd p pn with 0 -> cmp_suffix nd i p (String.length nd.prefix) pn | s -> -s
+
+(* Key [i] of [nd] starts with the probe's [pn] bytes: a comparison cut
+   at [pn], with no key rebuilt. *)
+let has_prefix_at nd i p pn =
+  let m = String.length nd.prefix in
+  if pn <= m then cmp_words (Bytes.unsafe_of_string nd.prefix) 0 pn p 0 pn pn 0 = 0
+  else
+    let o = off nd i and r = pn - m in
+    cmp_words (Bytes.unsafe_of_string nd.prefix) 0 m p 0 m m 0 = 0
+    && off nd (i + 1) - o >= r
+    && cmp_words nd.suf o r p m r r 0 = 0
+
+(* First slot in [lo, hi) of [nd] with entry >= (probe, rid), over the
+   suffixes read in place: the probe carries the node's prefix of [pm]
+   bytes, and its own suffix is [p] from [pm] to [pn]. The bisections are
+   module-level loops rather than [ref] cells, so the walks below are
+   visibly allocation-free to [phoebe_check]. *)
+let rec leaf_bound nd p pm pn rid lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if cmp_entry l.keys.(mid) l.rids.(mid) p pn rid < 0 then leaf_bound l p pn rid (mid + 1) hi
-    else leaf_bound l p pn rid lo mid
+    if cmp_entry nd mid p pm pn rid < 0 then leaf_bound nd p pm pn rid (mid + 1) hi else leaf_bound nd p pm pn rid lo mid
 
-let[@inline] leaf_lower_bound l p pn rid = leaf_bound l p pn rid 0 l.ln
+let lower_bound nd p pn rid =
+  match side nd p pn with
+  | 0 -> leaf_bound nd p (String.length nd.prefix) pn rid 0 nd.n
+  | s -> if s < 0 then 0 else nd.n
 
 (* Child index for an entry: the separator of child i+1 is its smallest
    entry, so descend into the rightmost child whose separator is <= the
    probe entry. *)
-let rec child_bound inner p pn rid lo hi =
+let rec child_bound nd p pm pn rid lo hi =
   if lo >= hi then lo
   else
     let mid = (lo + hi + 1) / 2 in
-    if cmp_entry inner.sep_keys.(mid - 1) inner.sep_rids.(mid - 1) p pn rid <= 0 then
-      child_bound inner p pn rid mid hi
-    else child_bound inner p pn rid lo (mid - 1)
+    if cmp_entry nd (mid - 1) p pm pn rid <= 0 then child_bound nd p pm pn rid mid hi else child_bound nd p pm pn rid lo (mid - 1)
 
-let[@inline] inner_child_index inner p pn rid = child_bound inner p pn rid 0 (inner.inn - 1)
+let child_index nd p pn rid =
+  match side nd p pn with
+  | 0 -> child_bound nd p (String.length nd.prefix) pn rid 0 nd.n
+  | s -> if s < 0 then 0 else nd.n
 
-(* The same searches for a string key ([insert], [delete]): the key
-   enters as [Bytes.unsafe_of_string], the identity, so the closures
-   around the latches capture the string alone. *)
-let[@inline] str_lower_bound l key rid = leaf_lower_bound l (Bytes.unsafe_of_string key) (String.length key) rid
-let[@inline] str_child_index inner key rid = inner_child_index inner (Bytes.unsafe_of_string key) (String.length key) rid
-let[@inline] str_equal k key = cmp_key k (Bytes.unsafe_of_string key) (String.length key) = 0
+(* A buffer that a key is rebuilt into (its prefix, then its suffix). *)
+type key_buf = { mutable kbytes : Bytes.t }
 
-let split_leaf t l =
-  let half = l.ln / 2 in
-  let right = new_leaf t.fanout in
-  Array.blit l.keys half right.keys 0 (l.ln - half);
-  Array.blit l.rids half right.rids 0 (l.ln - half);
-  right.ln <- l.ln - half;
-  l.ln <- half;
-  (right.keys.(0), right.rids.(0), Leaf right)
+let key_buf () = { kbytes = Bytes.create 64 }
 
-let split_inner t inner =
-  let half = inner.inn / 2 in
-  let right =
-    {
-      sep_keys = Array.make t.fanout "";
-      sep_rids = Array.make t.fanout 0;
-      kids = Array.make t.fanout inner.kids.(0);
-      inn = inner.inn - half;
-      platch = Latch.create ();
-    }
+let key_into kb nd i =
+  let m = String.length nd.prefix and o = off nd i in
+  let len = m + off nd (i + 1) - o in
+  if len > Bytes.length kb.kbytes then
+    (* lint: allow hot-path-alloc — a key longer than any the buffer held, off steady state *)
+    kb.kbytes <- Bytes.create (max len (2 * Bytes.length kb.kbytes));
+  Bytes.blit_string nd.prefix 0 kb.kbytes 0 m;
+  Bytes.blit nd.suf o kb.kbytes m (len - m);
+  len
+
+(* ------------------------------------------------------------------ *)
+(* Node layout changes *)
+
+(* Room for one more key: [rids] and [offs] double, up to the fanout. *)
+let grow_keys t nd =
+  let cap = min t.fanout (max 2 (2 * Array.length nd.rids)) in
+  let rids = Array.make cap 0 and offs = Bytes.create (2 * (cap + 1)) in
+  Array.blit nd.rids 0 rids 0 nd.n;
+  Bytes.blit nd.offs 0 offs 0 (2 * (nd.n + 1));
+  nd.rids <- rids;
+  nd.offs <- offs
+
+(* Room for [need] more suffix bytes: the bytes double, or grow to fit. *)
+let grow_suffixes nd need =
+  let used = off nd nd.n in
+  if used + need > Bytes.length nd.suf then begin
+    let suf = Bytes.create (max (used + need) (2 * Bytes.length nd.suf)) in
+    Bytes.blit nd.suf 0 suf 0 used;
+    nd.suf <- suf
+  end
+
+(* How many leading bytes two byte ranges share. *)
+let rec common a ao b bo m i =
+  if i < m && Char.equal (Bytes.unsafe_get a (ao + i)) (Bytes.unsafe_get b (bo + i)) then
+    common a ao b bo m (i + 1)
+  else i
+
+(* The repack: [nd]'s prefix cut to its first [m'] bytes, each suffix
+   lengthened by the bytes cut, into suffix bytes sized to the keys plus
+   [spare]. *)
+let shorten_prefix nd m' spare =
+  let m = String.length nd.prefix in
+  let d = m - m' and used = off nd nd.n in
+  let suf = Bytes.create (used + (nd.n * d) + spare) in
+  for i = 0 to nd.n - 1 do
+    let o = off nd i in
+    let o' = o + (i * d) in
+    Bytes.blit_string nd.prefix m' suf o' d;
+    Bytes.blit nd.suf o suf (o' + d) (off nd (i + 1) - o)
+  done;
+  for i = 1 to nd.n do
+    set_off nd.offs i (off nd i + (i * d))
+  done;
+  nd.prefix <- String.sub nd.prefix 0 m';
+  nd.suf <- suf
+
+(* Insert the key [k] of [kn] bytes with [rid] at slot [pos]. A key that
+   does not carry the prefix is a new first or last key: the prefix
+   shortens to what it shares with the key, and the node is repacked. An
+   empty node takes the key as its prefix. *)
+let insert_key t nd pos k kn rid =
+  if nd.n >= Array.length nd.rids then grow_keys t nd;
+  let m = String.length nd.prefix in
+  if nd.n = 0 then nd.prefix <- Bytes.sub_string k 0 kn
+  else if (pos = 0 || pos = nd.n) && side nd k kn <> 0 then begin
+    let m' = common (Bytes.unsafe_of_string nd.prefix) 0 k 0 (min m kn) 0 in
+    shorten_prefix nd m' (kn - m')
+  end;
+  let m = String.length nd.prefix in
+  let s = kn - m in
+  grow_suffixes nd s;
+  let used = off nd nd.n and o = off nd pos in
+  Bytes.blit nd.suf o nd.suf (o + s) (used - o);
+  Bytes.blit k m nd.suf o s;
+  for i = nd.n downto pos + 1 do
+    set_off nd.offs (i + 1) (off nd i + s)
+  done;
+  set_off nd.offs (pos + 1) (o + s);
+  Array.blit nd.rids pos nd.rids (pos + 1) (nd.n - pos);
+  nd.rids.(pos) <- rid;
+  nd.n <- nd.n + 1
+
+(* Remove the key at slot [pos]; the prefix stays, since every remaining
+   key still carries it. *)
+let remove_key nd pos =
+  let o = off nd pos and e = off nd (pos + 1) in
+  let s = e - o and used = off nd nd.n in
+  Bytes.blit nd.suf e nd.suf o (used - e);
+  for i = pos + 1 to nd.n - 1 do
+    set_off nd.offs i (off nd (i + 1) - s)
+  done;
+  Array.blit nd.rids (pos + 1) nd.rids pos (nd.n - pos - 1);
+  nd.n <- nd.n - 1
+
+(* [src]'s keys [lo, hi) into [dst] (which may be [src]), in arrays of
+   their own size behind the longest prefix of the first and last. *)
+let repack_range dst src lo hi =
+  let k = hi - lo and m = String.length src.prefix in
+  let olo = off src lo in
+  let extra =
+    if k = 0 then 0
+    else
+      let ohi = off src (hi - 1) in
+      common src.suf olo src.suf ohi (min (off src (lo + 1) - olo) (off src hi - ohi)) 0
   in
-  Latch.set_class right.platch "index_tree.platch";
-  Array.blit inner.kids half right.kids 0 right.inn;
-  Array.blit inner.sep_keys half right.sep_keys 0 (right.inn - 1);
-  Array.blit inner.sep_rids half right.sep_rids 0 (right.inn - 1);
-  let sk = inner.sep_keys.(half - 1) and sr = inner.sep_rids.(half - 1) in
-  inner.inn <- half;
-  (sk, sr, Inner right)
+  let prefix = Bytes.create (m + extra) in
+  Bytes.blit_string src.prefix 0 prefix 0 m;
+  Bytes.blit src.suf olo prefix m extra;
+  let suf = Bytes.create (off src hi - olo - (k * extra)) and offs = Bytes.create (2 * (k + 1)) in
+  set_off offs 0 0;
+  for i = 0 to k - 1 do
+    let o = off src (lo + i) + extra in
+    let len = off src (lo + i + 1) - o and o' = off src (lo + i) - olo - (i * extra) in
+    Bytes.blit src.suf o suf o' len;
+    set_off offs (i + 1) (o' + len)
+  done;
+  let rids = Array.sub src.rids lo k in
+  dst.prefix <- Bytes.unsafe_to_string prefix;
+  dst.suf <- suf;
+  dst.offs <- offs;
+  dst.rids <- rids;
+  dst.n <- k
 
-let node_full t = function
-  | Leaf l -> l.ln >= t.fanout
-  | Inner i -> i.inn >= t.fanout
+(* The separator a split pushes up, rebuilt here: splits make no charge,
+   so no other fiber runs between the split that writes it and the
+   parent insert that reads it. *)
+let sep_key = key_buf ()
+
+(* Split a full leaf in half; returns the right half, its first entry in
+   [sep_key] and the returned rid. *)
+let split_leaf left =
+  let half = left.n / 2 in
+  let right = new_node [||] in
+  let sn = key_into sep_key left half and sr = left.rids.(half) in
+  repack_range right left half left.n;
+  repack_range left left 0 half;
+  (right, sn, sr)
+
+let split_inner t left =
+  let half = (left.n + 1) / 2 in
+  let right = new_node (Array.make t.fanout left.kids.(0)) in
+  Array.blit left.kids half right.kids 0 (left.n + 1 - half);
+  let sn = key_into sep_key left (half - 1) and sr = left.rids.(half - 1) in
+  repack_range right left half left.n;
+  repack_range left left 0 (half - 1);
+  (right, sn, sr)
+
+let node_full t nd = if is_leaf nd then nd.n >= t.fanout else nd.n + 1 >= t.fanout
 
 let split_child t parent idx =
-  Latch.with_exclusive parent.platch (fun () ->
+  Latch.with_exclusive parent.latch (fun () ->
       (* re-check under the latch: while acquiring it, a concurrent fiber
          may have split this child — or split [parent] itself, halving it
          and invalidating [idx] *)
-      if idx < parent.inn then begin
-      let child = parent.kids.(idx) in
-      if node_full t child && parent.inn < t.fanout then begin
-        let sk, sr, right =
-          match child with Leaf l -> split_leaf t l | Inner i -> split_inner t i
-        in
-        Array.blit parent.kids (idx + 1) parent.kids (idx + 2) (parent.inn - idx - 1);
-        Array.blit parent.sep_keys idx parent.sep_keys (idx + 1) (parent.inn - 1 - idx);
-        Array.blit parent.sep_rids idx parent.sep_rids (idx + 1) (parent.inn - 1 - idx);
-        parent.kids.(idx + 1) <- right;
-        parent.sep_keys.(idx) <- sk;
-        parent.sep_rids.(idx) <- sr;
-        parent.inn <- parent.inn + 1
-      end
+      if idx <= parent.n then begin
+        let child = parent.kids.(idx) in
+        if node_full t child && parent.n + 1 < t.fanout then begin
+          let right, sn, sr = if is_leaf child then split_leaf child else split_inner t child in
+          Array.blit parent.kids (idx + 1) parent.kids (idx + 2) (parent.n - idx);
+          parent.kids.(idx + 1) <- right;
+          insert_key t parent idx sep_key.kbytes sn sr
+        end
       end)
+
+(* ------------------------------------------------------------------ *)
+(* Insert and delete *)
 
 exception Restart
 
-let insert t ~key ~rid =
-  let rec attempt () =
-    (* Preemptive splits: if the root is full, grow the tree first. *)
-    if node_full t t.root then begin
-      let old = t.root in
-      let fresh =
-        {
-          sep_keys = Array.make t.fanout "";
-          sep_rids = Array.make t.fanout 0;
-          kids = Array.make t.fanout old;
-          inn = 1;
-          platch = Latch.create ();
-        }
-      in
-      Latch.set_class fresh.platch "index_tree.platch";
-      t.root <- Inner fresh;
-      t.idepth <- t.idepth + 1;
-      split_child t fresh 0
+(* An insert's or delete's entry, read at every level of its descent. *)
+type entry = { ek : Bytes.t; en : int; erid : int }
+
+let child_of nd e = child_index nd e.ek e.en e.erid
+
+let key_too_long = Invalid_argument "Index_tree: key longer than the tree's limit"
+
+(* The leaf step of an insert, under the leaf's exclusive latch: false
+   when the leaf filled up since the descent checked it. *)
+let insert_in_leaf t nd e =
+  charge_leaf_op ();
+  (* fullness can change between the descent's check and latch
+     acquisition (fibers interleave at charges): restart *)
+  if nd.n >= t.fanout then false
+  else begin
+    if t.unique then begin
+      let pos = lower_bound nd e.ek e.en min_int in
+      if pos < nd.n && cmp_at nd pos e.ek e.en = 0 then
+        (* lint: allow hot-path-alloc — a duplicate key: the error path *)
+        raise (Duplicate_key (Bytes.sub_string e.ek 0 e.en))
     end;
-    let rec go node =
-      charge_search ();
-      match node with
-      | Leaf l ->
-        Latch.with_exclusive l.llatch (fun () ->
-            charge_leaf_op ();
-            (* fullness can change between the descent's check and latch
-               acquisition (fibers interleave at charges): restart *)
-            if l.ln >= t.fanout then false
-            else begin
-              if t.unique then begin
-                let pos = str_lower_bound l key min_int in
-                if pos < l.ln && str_equal l.keys.(pos) key then raise (Duplicate_key key)
-              end;
-              let pos = str_lower_bound l key rid in
-              Array.blit l.keys pos l.keys (pos + 1) (l.ln - pos);
-              Array.blit l.rids pos l.rids (pos + 1) (l.ln - pos);
-              l.keys.(pos) <- key;
-              l.rids.(pos) <- rid;
-              l.ln <- l.ln + 1;
-              t.entries <- t.entries + 1;
-              true
-            end)
-      | Inner inner ->
-        let idx = Latch.optimistic_read inner.platch (fun () -> str_child_index inner key rid) in
-        if idx < inner.inn && node_full t inner.kids.(idx) then begin
-          split_child t inner idx;
-          (* splits (ours or a concurrent one observed during the latch
-             spin) can move our key range to a sibling unreachable from
-             here: restart the descent from the root *)
-          raise_notrace Restart
-        end
-        else go inner.kids.(idx)
-    in
-    match go t.root with
-    | inserted -> if not inserted then attempt ()
-    | exception Restart -> attempt ()
-  in
-  attempt ()
+    insert_key t nd (lower_bound nd e.ek e.en e.erid) e.ek e.en e.erid;
+    t.entries <- t.entries + 1;
+    true
+  end
 
-let rec find_leaf node key rid =
+let rec descend_insert t nd e =
   charge_search ();
-  match node with
-  | Leaf l -> l
-  | Inner inner ->
-    let idx = Latch.optimistic_read inner.platch (fun () -> str_child_index inner key rid) in
-    find_leaf inner.kids.(idx) key rid
+  if is_leaf nd then begin
+    Latch.acquire_exclusive nd.latch;
+    match insert_in_leaf t nd e with
+    | inserted ->
+      Latch.release_exclusive nd.latch;
+      inserted
+    | exception ex ->
+      Latch.release_exclusive nd.latch;
+      raise ex
+  end
+  else
+    let idx = Latch.optimistic_read_with nd.latch child_of nd e in
+    if idx <= nd.n && node_full t nd.kids.(idx) then begin
+      split_child t nd idx;
+      (* splits (ours or a concurrent one observed during the latch
+         spin) can move our key range to a sibling unreachable from
+         here: restart the descent from the root *)
+      raise_notrace Restart
+    end
+    else descend_insert t nd.kids.(idx) e
 
-let delete t ~key ~rid =
-  let l = find_leaf t.root key rid in
-  Latch.with_exclusive l.llatch (fun () ->
-      charge_leaf_op ();
-      let pos = str_lower_bound l key rid in
-      if pos < l.ln && str_equal l.keys.(pos) key && l.rids.(pos) = rid then begin
-        Array.blit l.keys (pos + 1) l.keys pos (l.ln - pos - 1);
-        Array.blit l.rids (pos + 1) l.rids pos (l.ln - pos - 1);
-        l.ln <- l.ln - 1;
-        t.entries <- t.entries - 1;
-        true
-      end
-      else false)
+let rec insert_entry t e =
+  (* Preemptive splits: if the root is full, grow the tree first. *)
+  if node_full t t.root then begin
+    let old = t.root in
+    let fresh = new_node (Array.make t.fanout old) in
+    t.root <- fresh;
+    t.idepth <- t.idepth + 1;
+    split_child t fresh 0
+  end;
+  match descend_insert t t.root e with
+  | inserted -> if not inserted then insert_entry t e
+  | exception Restart -> insert_entry t e
+
+let insert_bytes t ~key ~len ~rid =
+  check_len key len;
+  if len > t.max_key then raise key_too_long;
+  insert_entry t { ek = key; en = len; erid = rid }
+
+let insert t ~key ~rid = insert_bytes t ~key:(Bytes.unsafe_of_string key) ~len:(String.length key) ~rid
+
+let rec find_leaf nd e =
+  charge_search ();
+  if is_leaf nd then nd else find_leaf nd.kids.(Latch.optimistic_read_with nd.latch child_of nd e) e
+
+let delete_in_leaf t nd e =
+  charge_leaf_op ();
+  let pos = lower_bound nd e.ek e.en e.erid in
+  if pos < nd.n && cmp_at nd pos e.ek e.en = 0 && nd.rids.(pos) = e.erid then begin
+    remove_key nd pos;
+    t.entries <- t.entries - 1;
+    true
+  end
+  else false
+
+let delete_bytes t ~key ~len ~rid =
+  check_len key len;
+  let e = { ek = key; en = len; erid = rid } in
+  let nd = find_leaf t.root e in
+  Latch.acquire_exclusive nd.latch;
+  match delete_in_leaf t nd e with
+  | deleted ->
+    Latch.release_exclusive nd.latch;
+    deleted
+  | exception ex ->
+    Latch.release_exclusive nd.latch;
+    raise ex
+
+let delete t ~key ~rid = delete_bytes t ~key:(Bytes.unsafe_of_string key) ~len:(String.length key) ~rid
+
+(* ------------------------------------------------------------------ *)
+(* Walks *)
 
 (* The equal-key walk: store the rids of the probe's entries in [dst],
    in ascending order, and return how many there are. Module-level loops
    with every variable passed explicitly, so no closure or cell is
    built. A walk's count is [lnot n] once it has met a greater key, which
-   stops the walk over the remaining children. *)
-let rec collect_leaf l p pn dst i n =
-  if i >= l.ln then n
-  else if cmp_key l.keys.(i) p pn = 0 then begin
-    if n < Array.length dst then dst.(n) <- l.rids.(i);
-    collect_leaf l p pn dst (i + 1) (n + 1)
+   stops the walk over the remaining children. In a leaf the probe
+   carries the prefix of [pm] bytes, so only suffixes are compared. *)
+let rec collect_leaf nd p pm pn dst i n =
+  if i >= nd.n then n
+  else if cmp_suffix nd i p pm pn = 0 then begin
+      if n < Array.length dst then dst.(n) <- nd.rids.(i);
+    collect_leaf nd p pm pn dst (i + 1) (n + 1)
   end
   else lnot n
 
-let rec collect_from node p pn dst n =
-  match node with
-  | Leaf l -> collect_leaf l p pn dst (leaf_lower_bound l p pn min_int) n
-  | Inner inner -> collect_kids inner p pn dst (inner_child_index inner p pn min_int) n
+let rec collect_from nd p pn dst n =
+  if is_leaf nd then
+    match side nd p pn with
+    | 0 ->
+      let pm = String.length nd.prefix in
+      collect_leaf nd p pm pn dst (leaf_bound nd p pm pn min_int 0 nd.n) n
+    | s -> if s > 0 || nd.n = 0 then n else lnot n
+  else collect_kids nd p pn dst (child_index nd p pn min_int) n
 
-and collect_kids inner p pn dst i n =
-  if n < 0 || i >= inner.inn then n
-  else collect_kids inner p pn dst (i + 1) (collect_from inner.kids.(i) p pn dst n)
+and collect_kids nd p pn dst i n =
+  if n < 0 || i > nd.n then n else collect_kids nd p pn dst (i + 1) (collect_from nd.kids.(i) p pn dst n)
 
 (* lint: hot-path *)
 let collect_key t ~key ~len dst =
@@ -321,30 +500,109 @@ let lookup_first t ~key =
   else Some first_scratch.(0)
 
 (* The one streaming walk, in key order from the first entry >= the
-   prefix: module-level recursion with the prefix and the visitor passed
-   down, so a scan builds no closure. An entry that has the prefix is
-   visited; one that sorts before it (only at the start) is passed over;
-   the first that sorts after it ends the walk, as does a visitor that
-   returns [false]. Leaves are not chained, so the walk goes through the
-   tree. *)
-let rec prefix_leaf l p pn f i =
-  i >= l.ln
+   prefix: module-level recursion with the prefix, the key buffer and
+   the visitor passed down, so a scan builds no closure. An entry that
+   has the prefix is rebuilt into [kb] and visited; one that sorts before
+   it (only at the start) is passed over; the first that sorts after it
+   ends the walk, as does a visitor that returns [false]. The walk goes
+   by position and reads the node again after every visit, since the
+   visitor can suspend the fiber while other fibers change the node.
+   Leaves are not chained, so the walk goes through the tree. *)
+let rec prefix_leaf nd p pn kb f i =
+  i >= nd.n
   ||
-  let k = l.keys.(i) in
-  if has_prefix k p pn then f k l.rids.(i) && prefix_leaf l p pn f (i + 1)
-  else cmp_key k p pn < 0 && prefix_leaf l p pn f (i + 1)
+  if has_prefix_at nd i p pn then
+    let len = key_into kb nd i in
+    f kb.kbytes len nd.rids.(i) && prefix_leaf nd p pn kb f (i + 1)
+  else cmp_at nd i p pn < 0 && prefix_leaf nd p pn kb f (i + 1)
 
-let rec prefix_node node p pn f =
-  match node with
-  | Leaf l -> prefix_leaf l p pn f (leaf_lower_bound l p pn min_int)
-  | Inner inner -> prefix_kids inner p pn f (inner_child_index inner p pn min_int)
+let rec prefix_node nd p pn kb f =
+  if is_leaf nd then prefix_leaf nd p pn kb f (lower_bound nd p pn min_int)
+  else prefix_kids nd p pn kb f (child_index nd p pn min_int)
 
-and prefix_kids inner p pn f i = i >= inner.inn || (prefix_node inner.kids.(i) p pn f && prefix_kids inner p pn f (i + 1))
+and prefix_kids nd p pn kb f i = i > nd.n || (prefix_node nd.kids.(i) p pn kb f && prefix_kids nd p pn kb f (i + 1))
 
 (* lint: hot-path *)
-let prefix t ~prefix ~len f =
+let prefix t ~prefix ~len kb f =
   check_len prefix len;
-  ignore (prefix_node t.root prefix len f)
+  ignore (prefix_node t.root prefix len kb f)
+
+(* ------------------------------------------------------------------ *)
+(* Structural check *)
+
+type rule =
+  | Key_order
+  | Child_range
+  | Prefix
+  | Count
+  | Depth
+
+type finding = { rule : rule; detail : string }
+
+let rule_name = function
+  | Key_order -> "key_order"
+  | Child_range -> "child_range"
+  | Prefix -> "prefix"
+  | Count -> "count"
+  | Depth -> "depth"
+
+(* The packed layout decodes: offsets start at 0, never decrease and end
+   inside the suffix bytes, and the keys fit their arrays. *)
+let layout_ok nd =
+  let rec offs_ok i = i >= nd.n || (off nd i <= off nd (i + 1) && offs_ok (i + 1)) in
+  nd.n >= 0
+  && nd.n <= Array.length nd.rids
+  && Bytes.length nd.offs >= 2 * (nd.n + 1)
+  && off nd 0 = 0 && offs_ok 0
+  && off nd nd.n <= Bytes.length nd.suf
+
+let key_string nd i = nd.prefix ^ Bytes.sub_string nd.suf (off nd i) (off nd (i + 1) - off nd i)
+
+let cmp_entry (k1, r1) (k2, r2) =
+  let c = String.compare k1 k2 in
+  if c <> 0 then c else Int.compare r1 r2
+
+let verify t =
+  let found = ref [] in
+  let add rule fmt = Printf.ksprintf (fun detail -> found := { rule; detail } :: !found) fmt in
+  let leaves = ref 0 in
+  let show (k, r) = Printf.sprintf "(%S, %d)" k r in
+  (* [lo] is the node's least allowed entry, [hi] the entry it must stay
+     below (the parent's separators), [None] at the tree's edges *)
+  let rec walk nd path level lo hi =
+    if not (layout_ok nd) then add Prefix "%s %s: its offsets do not decode %d keys" t.iname path nd.n
+    else begin
+      let keys = Array.init nd.n (fun i -> (key_string nd i, nd.rids.(i))) in
+      Array.iteri
+        (fun i e ->
+          if i > 0 && cmp_entry keys.(i - 1) e >= 0 then
+            add Key_order "%s %s: key %d %s does not follow %s" t.iname path i (show e) (show keys.(i - 1));
+          (match lo with
+          | Some l when cmp_entry e l < 0 ->
+            add Child_range "%s %s: key %d %s below its bound %s" t.iname path i (show e) (show l)
+          | _ -> ());
+          match hi with
+          | Some h when cmp_entry e h >= 0 ->
+            add Child_range "%s %s: key %d %s not below its bound %s" t.iname path i (show e) (show h)
+          | _ -> ())
+        keys;
+      if is_leaf nd then begin
+        leaves := !leaves + nd.n;
+        if level <> t.idepth then add Depth "%s %s: a leaf at depth %d of %d" t.iname path level t.idepth
+      end
+      else
+        for i = 0 to nd.n do
+          let lo = if i = 0 then lo else Some keys.(i - 1) and hi = if i = nd.n then hi else Some keys.(i) in
+          walk nd.kids.(i) (Printf.sprintf "%s.%d" path i) (level + 1) lo hi
+        done
+    end
+  in
+  walk t.root "root" 1 None None;
+  if !leaves <> t.entries then add Count "%s: %d entries counted, %d in the leaves" t.iname t.entries !leaves;
+  List.rev !found
+
+(* ------------------------------------------------------------------ *)
+(* Key encoding *)
 
 (* Module-level key scratch: encoding makes no charge, so a fiber
    finishes an encode before any other can start one (the same argument

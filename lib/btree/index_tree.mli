@@ -5,7 +5,11 @@
     then row id, which makes non-unique indexes a range of adjacent
     entries. Traversal uses optimistic lock coupling; leaf modifications
     take the leaf latch exclusively. Splits are performed preemptively on
-    the way down so at most one (parent, child) latch pair is held. *)
+    the way down so at most one (parent, child) latch pair is held.
+
+    A node stores one prefix that all its keys share and the rest of each
+    key packed into one byte string behind 16-bit offsets, in arrays
+    sized to its keys (DESIGN.md, "Index nodes"). *)
 
 type t
 
@@ -17,9 +21,22 @@ exception Duplicate_key of string
 (** Raised by {!insert} on a unique index when the key is present. *)
 
 val insert : t -> key:string -> rid:int -> unit
+(** [insert_bytes] over a whole string. *)
+
+val insert_bytes : t -> key:Bytes.t -> len:int -> rid:int -> unit
+(** Add the entry of the key made of the first [len] bytes of [key]. The
+    node copies the key's bytes, so the caller may reuse [key] once the
+    call returns (not before: the descent charges, and so can suspend).
+    @raise Invalid_argument when [len] is past [key]'s bytes or above the
+    tree's key limit (65,535 bytes divided by the fanout: 1,023 at the
+    default fanout of 64). *)
 
 val delete : t -> key:string -> rid:int -> bool
-(** Remove one (key, rid) entry; false if absent. *)
+(** [delete_bytes] over a whole string. *)
+
+val delete_bytes : t -> key:Bytes.t -> len:int -> rid:int -> bool
+(** Remove one (key, rid) entry, its key the first [len] bytes of [key];
+    false if absent. *)
 
 val lookup_first : t -> key:string -> int option
 (** The lowest row id for [key], through {!collect_key}. *)
@@ -33,22 +50,56 @@ val collect_key : t -> key:Bytes.t -> len:int -> int array -> int
     a caller can take every candidate first and probe them afterwards.
     @raise Invalid_argument when [len] is past [key]'s bytes. *)
 
-val prefix : t -> prefix:Bytes.t -> len:int -> (string -> int -> bool) -> unit
+type key_buf
+(** A buffer that a walk rebuilds each visited key into. *)
+
+val key_buf : unit -> key_buf
+
+val prefix : t -> prefix:Bytes.t -> len:int -> key_buf -> (Bytes.t -> int -> int -> bool) -> unit
 (** In-order visit of the entries whose key starts with the first [len]
-    bytes of [prefix]; the visitor gets each entry's key and rid and
-    returns [false] to stop early. The walk makes no charge and, apart
-    from what the visitor does, allocates nothing.
+    bytes of [prefix]; the visitor gets each entry's key as bytes and a
+    length, and its rid, and returns [false] to stop early. The key is
+    rebuilt into the [key_buf] for each entry and is valid until the walk
+    visits the next one: a walk that its visitor starts, or another
+    fiber's walk, needs a buffer of its own. The walk makes no charge
+    and, apart from what the visitor does and a buffer grown for a key
+    longer than any before, allocates nothing.
     @raise Invalid_argument when [len] is past [prefix]'s bytes. *)
 
 val compare_key : string -> Bytes.t -> int -> int
 (** [compare_key k p len] orders the stored key [k] against the probe
     made of the first [len] bytes of [p] exactly as [String.compare]
-    orders [k] and [Bytes.sub_string p 0 len]. It is the one key
-    comparison of every search above; it allocates nothing.
+    orders [k] and [Bytes.sub_string p 0 len]. Every search above makes
+    the same comparison, of a node's prefix and then of its suffixes read
+    in place; it allocates nothing.
     @raise Invalid_argument when [len] is past [p]'s bytes. *)
 
 val count : t -> int
 val depth : t -> int
+
+(** {1 Structural check} *)
+
+type rule =
+  | Key_order  (** each node's entries strictly ascend by (key, rid) *)
+  | Child_range
+      (** every entry of child [i] is at or above separator [i - 1] and
+          below separator [i] of its parent (and so of every ancestor) *)
+  | Prefix
+      (** a node's packed layout decodes: its offsets start at 0, never
+          decrease and end inside its suffix bytes, so each key is the
+          node's prefix followed by a suffix of its own *)
+  | Count  (** {!count} equals the number of leaf entries *)
+  | Depth  (** every leaf sits at {!depth} *)
+
+type finding = { rule : rule; detail : string }
+
+val rule_name : rule -> string
+
+val verify : t -> finding list
+(** Every broken rule, with the index, the node's path from the root
+    and the keys involved; [[]] on a sound tree. Walks the whole tree
+    and allocates freely: a check for tests and sanitized runs, not for
+    the execute path. *)
 
 (** {1 Key encoding helpers} *)
 

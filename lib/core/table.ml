@@ -25,17 +25,19 @@ type index = { ix_name : string; ix : Index_tree.t; key_cols : int array; ix_uni
    statement, owned by one slot's context at one walk depth and reused
    by every statement there. [Key.add] encodes each value into [buf];
    the statement blits it into [bytes], which its walk reads. A prefix
-   walk's state sits in the [w_*] fields, where the visitor [visit],
-   built once with the probe, reads it. *)
+   walk rebuilds each tree key it visits into [tree_key], and its state
+   sits in the [w_*] fields, where the visitor [visit], built once with
+   the probe, reads it. *)
 type probe = {
   owner : slot_ctx;
   buf : Buffer.t;
   mutable bytes : Bytes.t;
+  tree_key : Index_tree.key_buf;
   mutable w_txn : txn;
   mutable w_key_cols : int array;
   mutable w_cols : int array option;
   mutable w_f : int -> Value.t array -> bool;
-  visit : string -> int -> bool;
+  visit : Bytes.t -> int -> int -> bool;
 }
 
 (* One scheduler slot's statement scratch on one table (DESIGN.md §4h).
@@ -48,6 +50,9 @@ and slot_ctx = {
   mutable probes : probe array;  (** by walk depth *)
   mutable depth : int;  (** the prefix walks the slot has open on the table *)
 }
+
+(* An index entry's key for one tree call: the first [kn] bytes of [kb]. *)
+and entry_key = { mutable kb : Bytes.t; mutable kn : int }
 
 and t = {
   tid : int;
@@ -67,6 +72,10 @@ and t = {
   (* [key_of_row]'s encode buffer; each use is confined to one
      charge-free stretch, so fibers can never interleave inside it *)
   key_scratch : Buffer.t;
+  (* the entry keys not in use, [spare_keys.(0 .. spares - 1)]: a tree
+     call charges and so can suspend, so each holds a key of its own *)
+  mutable spare_keys : entry_key array;
+  mutable spares : int;
 }
 
 let id t = t.tid
@@ -90,6 +99,8 @@ let create ?manifest ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr
     frozen_reads_total = 0;
     slots = [||];
     key_scratch = Buffer.create 64;
+    spare_keys = [||];
+    spares = 0;
   }
 
 let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
@@ -139,22 +150,56 @@ let take c =
   c.cursor <- (if i + 1 >= ring then 0 else i + 1);
   c.ring.(i)
 
-(* [index]'s key of [row], encoded through the table's key scratch: one
-   string per key and no [Buffer.create]. *)
+(* The table's key scratch (DESIGN.md section 4h): an entry key taken
+   for one tree call and given back when it returns, so a key costs no
+   string. The spares grow to the most calls in flight at once. *)
+let take_key t =
+  if t.spares = 0 then
+    (* lint: allow hot-path-alloc — more index calls in flight on the table than before, off steady state *)
+    { kb = Bytes.create 64; kn = 0 }
+  else begin
+    t.spares <- t.spares - 1;
+    t.spare_keys.(t.spares)
+  end
+
+let give_key t k =
+  if t.spares >= Array.length t.spare_keys then begin
+    (* lint: allow hot-path-alloc — more index calls in flight on the table than before, off steady state *)
+    let spare = Array.make (max 4 (2 * t.spares)) k in
+    Array.blit t.spare_keys 0 spare 0 t.spares;
+    t.spare_keys <- spare
+  end;
+  t.spare_keys.(t.spares) <- k;
+  t.spares <- t.spares + 1
+
+(* [index]'s key of [row], encoded through the table's encode buffer
+   into an entry key taken from the spares; the caller gives it back. *)
 let key_of_row t index (row : Value.t array) =
-  let buf = t.key_scratch in
+  let buf = t.key_scratch and k = take_key t in
   Buffer.clear buf;
   encode_row_key buf index.key_cols row 0;
-  (* lint: allow hot-path-alloc — the key string, one per index entry touched *)
-  Buffer.contents buf
+  let len = Buffer.length buf in
+  if len > Bytes.length k.kb then
+    (* lint: allow hot-path-alloc — a key longer than any this entry key held, off steady state *)
+    k.kb <- Bytes.create (max len (2 * Bytes.length k.kb));
+  Buffer.blit buf 0 k.kb 0 len;
+  k.kn <- len;
+  k
+
+let ix_insert ix k ~rid = Index_tree.insert_bytes ix.ix ~key:k.kb ~len:k.kn ~rid
+let ix_delete ix k ~rid = ignore (Index_tree.delete_bytes ix.ix ~key:k.kb ~len:k.kn ~rid)
 
 (* All keys of a row: add or drop [row]'s entry in each index of the
    list. A module-level loop rather than a closure, as [key_delta]. *)
 let rec row_keys t ~add ~rid row = function
   | [] -> ()
   | ix :: rest ->
-    let key = key_of_row t ix row in
-    if add then Index_tree.insert ix.ix ~key ~rid else ignore (Index_tree.delete ix.ix ~key ~rid);
+    let k = key_of_row t ix row in
+    (match if add then ix_insert ix k ~rid else ix_delete ix k ~rid with
+    | () -> give_key t k
+    | exception e ->
+      give_key t k;
+      raise e);
     row_keys t ~add ~rid row rest
 
 (* Whether writing the columns of [cols] (an update's column list or an
@@ -174,6 +219,15 @@ let rec writes_any_key cols = function
   | [] -> false
   | ix :: rest -> writes_key ix cols || writes_any_key cols rest
 
+let rec same_bytes a b n i = i >= n || (Char.equal (Bytes.get a i) (Bytes.get b i) && same_bytes a b n (i + 1))
+let same_key a b = a.kn = b.kn && same_bytes a.kb b.kb a.kn 0
+
+let key_change ~drop ~add ~rid ix from_key to_key =
+  if not (same_key from_key to_key) then begin
+    if drop then ix_delete ix from_key ~rid;
+    if add then ix_insert ix to_key ~rid
+  end
+
 (* The key delta between two versions of a row: over the indexes whose
    key columns [cols] wrote, where the key of [from_row] differs from
    that of [to_row], drop the [from_row] entry ([drop]) and add the
@@ -182,11 +236,16 @@ let rec key_delta t ~drop ~add ~rid cols from_row to_row = function
   | [] -> ()
   | ix :: rest ->
     if writes_key ix cols then begin
-      let from_key = key_of_row t ix from_row and to_key = key_of_row t ix to_row in
-      if not (String.equal from_key to_key) then begin
-        if drop then ignore (Index_tree.delete ix.ix ~key:from_key ~rid);
-        if add then Index_tree.insert ix.ix ~key:to_key ~rid
-      end
+      let from_key = key_of_row t ix from_row in
+      let to_key = key_of_row t ix to_row in
+      match key_change ~drop ~add ~rid ix from_key to_key with
+      | () ->
+        give_key t from_key;
+        give_key t to_key
+      | exception e ->
+        give_key t from_key;
+        give_key t to_key;
+        raise e
     end;
     key_delta t ~drop ~add ~rid cols from_row to_row rest
 
@@ -204,6 +263,7 @@ let add_index t ~name ~cols ~unique =
   t.indexes <- index :: t.indexes
 
 let index_names t = List.map (fun ix -> ix.ix_name) t.indexes
+let verify_indexes t = List.concat_map (fun ix -> Index_tree.verify ix.ix) t.indexes
 
 let index_is_unique t name =
   match List.find_opt (fun ix -> ix.ix_name = name) t.indexes with
@@ -504,9 +564,9 @@ let rec check_candidates t txn ~inserting_rid rids n i =
     check_candidates t txn ~inserting_rid rids n (i + 1)
   end
 
-let check_unique t (txn : txn) ix ~key ~inserting_rid =
+let check_unique t (txn : txn) ix k ~inserting_rid =
   let c = ctx t txn in
-  let n = collect_candidates ix c (Bytes.unsafe_of_string key) (String.length key) in
+  let n = collect_candidates ix c k.kb k.kn in
   check_candidates t txn ~inserting_rid c.rids n 0
 
 (* ------------------------------------------------------------------ *)
@@ -516,13 +576,20 @@ let check_unique t (txn : txn) ix ~key ~inserting_rid =
    against the live row set just before its entry goes in. The check
    takes the key the entry stores, so each key is encoded once, and the
    checks and the adds keep their per-index order. *)
+let add_key t txn ix k ~rid =
+  if ix.ix_unique then check_unique t txn ix k ~inserting_rid:rid;
+  (* lint: allow hot-path-alloc — the index entry: node growth, repacks and splits in the tree *)
+  ix_insert ix k ~rid
+
 let rec insert_keys t txn ~rid row = function
   | [] -> ()
   | ix :: rest ->
-    let key = key_of_row t ix row in
-    if ix.ix_unique then check_unique t txn ix ~key ~inserting_rid:rid;
-    (* lint: allow hot-path-alloc — the index entry: node growth and splits in the tree *)
-    Index_tree.insert ix.ix ~key ~rid;
+    let k = key_of_row t ix row in
+    (match add_key t txn ix k ~rid with
+    | () -> give_key t k
+    | exception e ->
+      give_key t k;
+      raise e);
     insert_keys t txn ~rid row rest
 
 (* lint: hot-path *)
@@ -732,15 +799,15 @@ let row_key_at (cols : int array) row key len = key_cols_at key len cols row 0 0
 
 (* A prefix walk's visitor, over the walk's state in the probe: read the
    candidate, and hand it on if it is visible and its key is still the
-   tree key (stale entries of in-flight key updates are filtered). *)
+   tree key (stale entries of in-flight key updates are filtered). The
+   tree key sits in the probe's [tree_key], which only this walk
+   rewrites, and only once the visitor returns. *)
 (* lint: hot-path *)
-let visit_entry t p key rid =
+let visit_entry t p key len rid =
   let txn = p.w_txn in
   let row = take p.owner in
-  if
-    read_into t txn ~rid ~key_cols:p.w_key_cols p.w_cols row
-    && row_key_at p.w_key_cols row (Bytes.unsafe_of_string key) (String.length key)
-  then p.w_f rid row
+  if read_into t txn ~rid ~key_cols:p.w_key_cols p.w_cols row && row_key_at p.w_key_cols row key len then
+    p.w_f rid row
   else true
 
 (* What a probe's walk state holds outside a walk, so that a probe keeps
@@ -773,11 +840,12 @@ let new_probe t c =
       owner = c;
       buf = Buffer.create 64;
       bytes = Bytes.create 64;
+      tree_key = Index_tree.key_buf ();
       w_txn = no_txn;
       w_key_cols = no_cols;
       w_cols = None;
       w_f = keep_going;
-      visit = (fun key rid -> visit_entry t p key rid);
+      visit = (fun key len rid -> visit_entry t p key len rid);
     }
   in
   p
@@ -891,7 +959,7 @@ let index_prefix ?cols t txn ~index ~prefix:p f =
   let depth = c.depth in
   let txn0 = p.w_txn and key_cols0 = p.w_key_cols and cols0 = p.w_cols and f0 = p.w_f in
   set_walk p ~depth:(depth + 1) txn ix.key_cols cols f;
-  match Index_tree.prefix ix.ix ~prefix:p.bytes ~len p.visit with
+  match Index_tree.prefix ix.ix ~prefix:p.bytes ~len p.tree_key p.visit with
   | () -> set_walk p ~depth txn0 key_cols0 cols0 f0
   | exception e ->
     set_walk p ~depth txn0 key_cols0 cols0 f0;

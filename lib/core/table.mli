@@ -53,6 +53,10 @@ val index_cols : t -> string -> string list
 (** Key columns of the named index, in key order.
     @raise Invalid_argument for an unknown index. *)
 
+val verify_indexes : t -> Phoebe_btree.Index_tree.finding list
+(** {!Phoebe_btree.Index_tree.verify} over every index of the table: the
+    index half of a whole-database check, for a quiescent point. *)
+
 val index_is_unique : t -> string -> bool
 
 val lock_exclusive : t -> txn -> unit

@@ -44,7 +44,7 @@ type fiber = {
   fslot : int;  (** slot index within the worker *)
   fresume : unit -> unit;  (** [resume] of this fiber, built once for every dispatch *)
   fsome : fiber option;  (** [Some] of this fiber, the current-fiber register's value *)
-  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable cont : (unit, unit) Effect.Deep.continuation;  (** [no_cont] when not suspended *)
   mutable main : (unit -> unit) option;  (** set until first run *)
   mutable done_ : bool;
   mutable pending_instr : int;  (** charged instructions not yet turned into time *)
@@ -128,6 +128,25 @@ type _ Effect.t +=
    is never a static constant. *)
 let yield_high = E_yield High
 let yield_low = E_yield Low
+
+(* A fiber's [cont] when it is not suspended: a continuation captured
+   once, at start-up, and never resumed. A suspension then stores its
+   continuation as it is, with no option cell around it. *)
+type _ Effect.t += E_never : unit Effect.t
+
+let no_cont : (unit, unit) Effect.Deep.continuation =
+  let held : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform E_never
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | E_never -> Some (fun (k : (unit, unit) Effect.Deep.continuation) -> held := Some k)
+          | _ -> None);
+    };
+  match !held with Some k -> k | None -> assert false
 
 (* The runtime is cooperative and single-OS-threaded, so a module-global
    current-fiber register is safe and avoids threading a context through
@@ -307,7 +326,7 @@ and start_task w task =
       fslot = slot;
       fresume = (fun () -> resume w f);
       fsome = Some f;
-      cont = None;
+      cont = no_cont;
       main = Some task.run;
       done_ = false;
       pending_instr = 0;
@@ -330,10 +349,10 @@ and resume w f =
   cur_cost := t.cfg.cost;
   cur_ctrs := t.ctrs;
   (match f.cont with
-  | Some k ->
-    f.cont <- None;
+  | k when k != no_cont ->
+    f.cont <- no_cont;
     Effect.Deep.continue k ()
-  | None -> (
+  | _ -> (
     match f.main with
     | None ->
       Phoebe_error.bug ~subsystem:"runtime.scheduler" "resume: fiber %d has neither continuation nor main" f.fid
@@ -384,12 +403,12 @@ and continue_after_carry w =
 and run_fiber w f main =
   let t = w.wsched in
   let open Effect.Deep in
-  let suspend = Some (fun (k : (unit, unit) continuation) -> f.cont <- Some k) in
+  let suspend = Some (fun (k : (unit, unit) continuation) -> f.cont <- k) in
   let park =
     Some
       (fun (k : (unit, unit) continuation) ->
         w.disposition <- Suspended;
-        f.cont <- Some k;
+        f.cont <- k;
         probe_suspend t f f.park_phase;
         let wt = alloc_waiter t f ~urgency:f.park_urgency in
         f.fwaiter <- Some wt;

@@ -2,7 +2,9 @@
     and the checksummed image frame of PAX pages and frozen blocks. *)
 
 val bytes : Bytes.t -> pos:int -> len:int -> int
-(** Checksum of a byte range; result fits in 32 bits. *)
+(** Checksum of a byte range; result fits in 32 bits. Folds eight bytes
+    per step and allocates nothing.
+    @raise Invalid_argument when the range is not inside [b]. *)
 
 val string : string -> int
 (** Checksum of a whole string. *)

@@ -368,13 +368,13 @@ let test_ix_prefix () =
     (fun i k -> Index_tree.insert ix ~key:k ~rid:i)
     [ "apple"; "applesauce"; "banana"; "app"; "application" ];
   let seen = ref [] in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string "apple") ~len:5 (fun k _ ->
-      seen := k :: !seen;
+  Index_tree.prefix ix ~prefix:(Bytes.of_string "apple") ~len:5 (Index_tree.key_buf ()) (fun k len _ ->
+      seen := Bytes.sub_string k 0 len :: !seen;
       true);
   Alcotest.(check (list string)) "prefix matches" [ "apple"; "applesauce" ] (List.rev !seen);
   (* the callback stops the walk early *)
   let seen = ref 0 in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string "app") ~len:3 (fun _ _ ->
+  Index_tree.prefix ix ~prefix:(Bytes.of_string "app") ~len:3 (Index_tree.key_buf ()) (fun _ _ _ ->
       incr seen;
       !seen < 2);
   check_int "early stop" 2 !seen
@@ -421,47 +421,179 @@ let test_ix_composite_keys () =
   (* prefix over (w_id=2, d_id=3) returns its 5 customers in order *)
   let seen = ref [] in
   let p = Index_tree.encode_key [ Value.Int 2; Value.Int 3 ] in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string p) ~len:(String.length p) (fun _ rid ->
+  Index_tree.prefix ix ~prefix:(Bytes.of_string p) ~len:(String.length p) (Index_tree.key_buf ()) (fun _ _ rid ->
       seen := rid :: !seen;
       true);
   Alcotest.(check (list int)) "prefix scan" [ 231; 232; 233; 234; 235 ] (List.rev !seen)
 
+(* Every finding of the structural check, named, for a failure message. *)
+let check_sound what ix =
+  match Index_tree.verify ix with
+  | [] -> ()
+  | fs ->
+    Alcotest.failf "%s: %s" what
+      (String.concat "; "
+         (List.map (fun f -> Index_tree.rule_name f.Index_tree.rule ^ ": " ^ f.Index_tree.detail) fs))
+
+(* Every (key, rid) under [prefix], in walk order, stopping after
+   [stop] visits. *)
+let walk_prefix ix prefix ~stop =
+  let seen = ref [] and n = ref 0 in
+  Index_tree.prefix ix ~prefix:(Bytes.of_string prefix) ~len:(String.length prefix) (Index_tree.key_buf ())
+    (fun k len rid ->
+      seen := (Bytes.sub_string k 0 len, rid) :: !seen;
+      incr n;
+      !n < stop);
+  List.rev !seen
+
+let test_ix_prefix_shortens () =
+  (* keys below the first and above the last shorten a node's prefix;
+     every key must still be found, and the tree stays sound *)
+  let ix = Index_tree.create ~name:"ix" ~fanout:8 ~unique:false () in
+  let keys = [ "abcdef1"; "abcdef2"; "abcdef0"; "abc"; "abcz"; "ab\x00"; "b"; ""; "abcdef10" ] in
+  List.iteri
+    (fun i k ->
+      Index_tree.insert ix ~key:k ~rid:i;
+      check_sound ("after inserting " ^ String.escaped k) ix)
+    keys;
+  List.iteri (fun i k -> Alcotest.(check (list int)) ("rids of " ^ String.escaped k) [ i ] (rids_of ix ~key:k)) keys;
+  Alcotest.(check (list (pair string int)))
+    "prefix walk over abcdef"
+    [ ("abcdef0", 2); ("abcdef1", 0); ("abcdef10", 8); ("abcdef2", 1) ]
+    (walk_prefix ix "abcdef" ~stop:max_int)
+
+let test_ix_empty_leaves () =
+  (* deletes that empty leaves in the middle of the tree, then inserts
+     into the emptied range *)
+  let ix = Index_tree.create ~name:"ix" ~fanout:4 ~unique:false () in
+  let key i = Index_tree.encode_key [ Value.Int 7; Value.Str "district"; Value.Int i ] in
+  for i = 1 to 200 do
+    Index_tree.insert ix ~key:(key i) ~rid:i
+  done;
+  for i = 40 to 160 do
+    check_bool "delete" true (Index_tree.delete ix ~key:(key i) ~rid:i)
+  done;
+  check_sound "after emptying leaves" ix;
+  check_int "count" 79 (Index_tree.count ix);
+  Alcotest.(check (list int)) "deleted key gone" [] (rids_of ix ~key:(key 100));
+  for i = 160 downto 40 do
+    Index_tree.insert ix ~key:(key i) ~rid:(1000 + i)
+  done;
+  check_sound "after refilling" ix;
+  for i = 1 to 200 do
+    let want = if i >= 40 && i <= 160 then 1000 + i else i in
+    check_bool "lookup" true (Index_tree.lookup_first ix ~key:(key i) = Some want)
+  done
+
+(* A key the model test draws: TPC-C-shaped components behind long
+   shared prefixes, strings with [\x00] bytes (escaped by the encoding),
+   and prefixes of other keys. *)
+let model_strings =
+  [| ""; "\x00"; "a\x00b"; "a\x00\x00"; "customer-last-name-BARBARBAR"; "customer-last-name-BARBAROUGHT";
+     "customer-last-name-BAR"; "\xff\x00\xff" |]
+
+let model_key (w, s, i) =
+  Index_tree.encode_key [ Value.Int w; Value.Str model_strings.(s); Value.Int i ]
+
+(* The probes a prefix walk draws: the empty key, one or two components,
+   a whole key, and a key cut inside a component. *)
+let model_prefix (w, s, i) cut =
+  match cut with
+  | 0 -> ""
+  | 1 -> Index_tree.encode_key [ Value.Int w ]
+  | 2 -> Index_tree.encode_key [ Value.Int w; Value.Str model_strings.(s) ]
+  | 3 -> model_key (w, s, i)
+  | _ ->
+    let k = model_key (w, s, i) in
+    String.sub k 0 (String.length k - 3)
+
+module Entries = Set.Make (struct
+  type t = string * int
+
+  let compare (k1, r1) (k2, r2) =
+    let c = String.compare k1 k2 in
+    if c <> 0 then c else Int.compare r1 r2
+end)
+
+let model_op_gen =
+  QCheck.Gen.(
+    map
+      (fun (op, w, s, i, r, cut) -> (op, (w, s, i), r, cut))
+      (tup6 (int_range 0 6) (int_range 1 2)
+         (int_range 0 (Array.length model_strings - 1))
+         (oneof [ int_range 0 2; int_range 0 40 ])
+         (int_range 0 5) (int_range 0 4)))
+
 let prop_ix_model =
-  (* Random (insert|delete|lookup) sequences against a reference model. *)
-  let op_gen =
-    QCheck.Gen.(
-      map2
-        (fun k r -> (k mod 20, r mod 8))
-        small_nat small_nat)
-  in
-  QCheck.Test.make ~name:"index tree vs model" ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 200) (pair (int_range 0 2) op_gen)))
+  (* insert, delete, collect_key, lookup_first and prefix against a
+     sorted model, with the structural check after every step; inserts
+     outnumber deletes two to one, and fanout 4 makes every few keys a
+     node, so prefixes shorten and leaves empty often; half the keys
+     end in one of three ints, so one key's rids span leaves *)
+  QCheck.Test.make ~name:"index tree vs model" ~count:1000
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 150) model_op_gen))
     (fun ops ->
       let ix = Index_tree.create ~name:"m" ~fanout:4 ~unique:false () in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (op, (k, r)) ->
-          let key = Printf.sprintf "k%02d" k in
-          match op with
-          | 0 ->
-            if not (List.mem r (Hashtbl.find_opt model key |> Option.value ~default:[])) then begin
+      let model = ref Entries.empty in
+      let rids_under key =
+        Entries.elements !model |> List.filter (fun (k, _) -> String.equal k key) |> List.map snd
+      in
+      List.iteri
+        (fun step (op, kc, r, cut) ->
+          let key = model_key kc in
+          (match op with
+          | 0 | 1 | 2 ->
+            if not (Entries.mem (key, r) !model) then begin
               Index_tree.insert ix ~key ~rid:r;
-              Hashtbl.replace model key
-                (List.sort compare (r :: (Hashtbl.find_opt model key |> Option.value ~default:[])))
+              model := Entries.add (key, r) !model
             end
-          | 1 ->
-            let present = List.mem r (Hashtbl.find_opt model key |> Option.value ~default:[]) in
-            let deleted = Index_tree.delete ix ~key ~rid:r in
-            if deleted <> present then failwith "delete disagrees";
-            if present then
-              Hashtbl.replace model key
-                (List.filter (( <> ) r) (Hashtbl.find_opt model key |> Option.value ~default:[]))
+          | 3 ->
+            let present = Entries.mem (key, r) !model in
+            if Index_tree.delete ix ~key ~rid:r <> present then failwith "delete disagrees";
+            model := Entries.remove (key, r) !model
+          | 4 -> if rids_of ix ~key <> rids_under key then failwith "collect_key disagrees"
+          | 5 ->
+            let want = match rids_under key with [] -> None | r :: _ -> Some r in
+            if Index_tree.lookup_first ix ~key <> want then failwith "lookup_first disagrees"
           | _ ->
-            let got = rids_of ix ~key in
-            let want = Hashtbl.find_opt model key |> Option.value ~default:[] in
-            if got <> want then failwith "lookup disagrees")
+            let p = model_prefix kc cut in
+            let stop = if r = 0 then max_int else r in
+            let all = Entries.elements !model |> List.filter (fun (k, _) -> String.starts_with ~prefix:p k) in
+            let want = List.filteri (fun i _ -> i < stop) all in
+            if walk_prefix ix p ~stop <> want then failwith "prefix disagrees");
+          if Index_tree.count ix <> Entries.cardinal !model then failwith "count disagrees";
+          match Index_tree.verify ix with
+          | [] -> ()
+          | f :: _ ->
+            failwith
+              (Printf.sprintf "step %d: %s: %s" step (Index_tree.rule_name f.Index_tree.rule) f.Index_tree.detail))
         ops;
       true)
+
+let test_ix_bytes_per_entry () =
+  (* orderline_pk's key (w, d, o, ol_number) for 100k lines inserted in
+     the order TPC-C loads them: 5 to 15 lines per order, rids ascending.
+     The packed nodes hold each entry in at most 4 words; one string
+     per key plus two fanout-sized arrays per half-full leaf took about
+     10. *)
+  let ix = Index_tree.create ~name:"orderline_pk" ~unique:false () in
+  let rid = ref 0 and o = ref 0 in
+  while !rid < 100_000 do
+    incr o;
+    for d = 1 to 10 do
+      for ol = 1 to 5 + (((!o * 7) + d) mod 11) do
+        if !rid < 100_000 then begin
+          incr rid;
+          Index_tree.insert ix
+            ~key:(Index_tree.encode_key [ Value.Int 1; Value.Int d; Value.Int !o; Value.Int ol ])
+            ~rid:!rid
+        end
+      done
+    done
+  done;
+  check_sound "orderline-shaped tree" ix;
+  let words = float_of_int (Obj.reachable_words (Obj.repr ix)) /. 100_000. in
+  if words > 4.0 then Alcotest.failf "%.2f words per entry (at most 4)" words
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -494,5 +626,8 @@ let () =
         :: Alcotest.test_case "prefix" `Quick test_ix_prefix
         :: Alcotest.test_case "duplicates across splits" `Quick test_ix_duplicate_keys_across_splits
         :: Alcotest.test_case "composite keys" `Quick test_ix_composite_keys
+        :: Alcotest.test_case "prefix shortens" `Quick test_ix_prefix_shortens
+        :: Alcotest.test_case "emptied leaves" `Quick test_ix_empty_leaves
+        :: Alcotest.test_case "bytes per entry" `Quick test_ix_bytes_per_entry
         :: qsuite [ prop_ix_model ] );
     ]

@@ -151,6 +151,20 @@ let test_new_order_rollback_rate () =
 (* ------------------------------------------------------------------ *)
 (* Mix runs *)
 
+(* Every index tree of every table passes the structural check. *)
+let indexes_sound db =
+  List.iter
+    (fun tbl ->
+      match Table.verify_indexes tbl with
+      | [] -> ()
+      | fs ->
+        Alcotest.failf "%s: %s" (Table.name tbl)
+          (String.concat "; "
+             (List.map
+                (fun f -> Phoebe_btree.Index_tree.rule_name f.Phoebe_btree.Index_tree.rule ^ ": " ^ f.detail)
+                fs)))
+    (Db.tables db)
+
 let test_mix_run_and_consistency () =
   let db, t = make () in
   let r = T.run_mix t ~concurrency:8 ~duration_ns:300_000_000 ~seed:3 () in
@@ -161,6 +175,8 @@ let test_mix_run_and_consistency () =
      share > 0.30 && share < 0.60);
   ignore (Db.gc db);
   List.iter (fun (n, ok) -> check_bool ("post-run " ^ n) true ok) (T.consistency_checks t)
+  ;
+  indexes_sound db
 
 let test_mix_run_without_affinity () =
   let _, t = make () in
@@ -186,6 +202,8 @@ let test_mix_spilling_pool () =
   ignore (T.run_mix t ~concurrency:8 ~duration_ns:500_000_000 ~seed:42 ());
   check_bool "the pool spilled" true ((Db.cleaner_stats db).Phoebe_storage.Bufmgr.clean_evicts > 0);
   List.iter (fun (n, ok) -> check_bool ("spilling " ^ n) true ok) (T.consistency_checks t)
+  ;
+  indexes_sound db
 
 let test_rfa_mostly_local_commits () =
   (* tuple-level RFA (paper 8): under the standard affine mix at

@@ -206,6 +206,43 @@ let test_crc32_range () =
   let sub = Crc32.bytes buf ~pos:5 ~len:10 in
   check_bool "sub range differs" false (whole = sub)
 
+(* The byte loop, one bit at a time: the definition the eight-byte steps
+   must agree with. *)
+let crc32_reference b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc := if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc32_every_range =
+  (* every offset and length from 0 to 64 of random bytes, so each
+     alignment and each tail length of the eight-byte loop is met *)
+  QCheck.Test.make ~name:"crc32 matches the byte loop at every offset and length" ~count:20
+    (QCheck.make QCheck.Gen.(string_size (return 128)))
+    (fun s ->
+      let b = Bytes.of_string s in
+      let ok = ref true in
+      for pos = 0 to 64 do
+        for len = 0 to 64 do
+          if Crc32.bytes b ~pos ~len <> crc32_reference b ~pos ~len then ok := false
+        done
+      done;
+      !ok)
+
+let test_crc32_page () =
+  (* one page-sized body, the size a PAX leaf image reaches *)
+  let rng = Prng.create ~seed:23 in
+  let b = Bytes.init (23 * 1024) (fun _ -> Char.chr (Prng.int rng 256)) in
+  check_int "23 KB page" (crc32_reference b ~pos:0 ~len:(Bytes.length b)) (Crc32.bytes b ~pos:0 ~len:(Bytes.length b));
+  check_int "23 KB page at an odd offset" (crc32_reference b ~pos:3 ~len:(Bytes.length b - 7))
+    (Crc32.bytes b ~pos:3 ~len:(Bytes.length b - 7));
+  Alcotest.check_raises "range past the bytes" (Invalid_argument "Crc32.bytes: range past the bytes") (fun () ->
+      ignore (Crc32.bytes b ~pos:1 ~len:(Bytes.length b)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -413,7 +450,9 @@ let () =
           Alcotest.test_case "known vector" `Quick test_crc32_known;
           Alcotest.test_case "distinguishes" `Quick test_crc32_distinguishes;
           Alcotest.test_case "range" `Quick test_crc32_range;
-        ] );
+          Alcotest.test_case "page against the byte loop" `Quick test_crc32_page;
+        ]
+        @ qsuite [ prop_crc32_every_range ] );
       ( "stats",
         [
           Alcotest.test_case "scalar" `Quick test_scalar;

@@ -81,13 +81,16 @@ bench_json smoke exp1 smoke
 echo "== allocation regression gates (txn.alloc.minor_words_per_txn, process_minor_words_per_txn, StockLevel's)"
 # Checked-in budgets, each the seed-42 smoke's figure plus ~14% headroom.
 # The bracketed figure counts what transactions allocate while they hold
-# a CPU: 1,683 minor words once an index statement took the slot's key
-# probe and a charge flush performed a constant effect (1,947 before,
-# 2,667 before int cells were shared, a locate returned a slot and a
-# point lookup its rid). The process-wide figure counts everything
-# allocated over the measured run, engine and scheduler included: 2,299
-# (2,565 before). StockLevel's own figure, the read path's heaviest
-# kind, is 325 (2,657 before, 9,355 when it also kept its distinct
+# a CPU: 1,485 minor words once index entries went in as bytes from the
+# table's key scratch (no key string, no closures in the descent) and a
+# suspended fiber held its continuation without an option cell (1,683
+# before, 1,947 before an index statement took the slot's key probe and
+# a charge flush performed a constant effect, 2,667 before int cells were
+# shared, a locate returned a slot and a point lookup its rid). The
+# process-wide figure counts everything allocated over the measured run,
+# engine and scheduler included: 2,091 (2,299 before, 2,565 before
+# that). StockLevel's own figure, the read path's heaviest kind, is 209
+# (325 before, 2,657 before that, 9,355 when it also kept its distinct
 # items in a hash table). If any trips, something put fresh allocation
 # back on the execute path or the simulation core — see DESIGN.md
 # section 4h.
@@ -107,9 +110,9 @@ alloc_gate() {
   fi
   echo "   $key = $measured minor words/txn (budget $budget)"
 }
-alloc_gate txn.alloc.minor_words_per_txn 1920
-alloc_gate process_minor_words_per_txn 2620
-alloc_gate trace.txn.stock_level.alloc.minor_words_per_txn 370
+alloc_gate txn.alloc.minor_words_per_txn 1690
+alloc_gate process_minor_words_per_txn 2385
+alloc_gate trace.txn.stock_level.alloc.minor_words_per_txn 238
 
 echo "== determinism (fixed-seed double run under --sanitize, json parses, byte-identical + pinned digest and tpmC)"
 double_run det exp1 smoke --sanitize --seed 42 > /dev/null
@@ -203,7 +206,13 @@ zero_findings ha
 # values, and the prevLogTerm fields on Ship and Ack changed what the
 # nodes allocate per transaction (by at most about 15 minor words; only
 # alloc.* fields moved), which moved it from "1953699214 89780".
-cksum_pin ha "1214491708 89784"
+# Packed index nodes (entries inserted as bytes, descents without
+# closures) and a continuation held without an option cell then lowered
+# the nodes' minor words per transaction by about 22 (a diff of the
+# --json against the parent's shows only txn.alloc and
+# trace.txn.other.alloc fields moved), which moved it from
+# "1214491708 89784".
+cksum_pin ha "1525628113 89784"
 echo "   failover grid parses, double run byte-identical and pinned, zero sanitizer findings"
 
 echo "== tier-1: OK"
