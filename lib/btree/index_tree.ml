@@ -1,5 +1,5 @@
 module Latch = Phoebe_storage.Latch
-module Value = Phoebe_storage.Value
+module Keybuf = Phoebe_storage.Keybuf
 module Scheduler = Phoebe_runtime.Scheduler
 module Component = Phoebe_sim.Component
 module Cost = Phoebe_sim.Cost
@@ -73,7 +73,9 @@ let depth t = t.idepth
    ending at [m], whose bytes before [i] are already known equal; keys
    shorter than a word go byte by byte. When the first [m] bytes agree,
    the shorter key sorts first. The loads are unchecked because every
-   caller's ranges lie inside their bytes. A string enters as
+   range lies inside its bytes: a key buffer's length does by
+   construction ({!Keybuf}), a string's is its own, and a node's offsets
+   stay inside its suffix bytes. A string enters as
    [Bytes.unsafe_of_string], which nothing here writes. *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
@@ -108,15 +110,7 @@ let rec cmp_words a ao an b bo bn m i =
 
 let[@inline] cmp_range a ao an b bo bn = cmp_words a ao an b bo bn (if an < bn then an else bn) 0
 
-(* A probe's length must lie inside its bytes: the comparison reads
-   them unchecked. Built once, so the check allocates nothing. *)
-let past_bytes = Invalid_argument "Index_tree: probe length past its bytes"
-
-let check_len key len = if len < 0 || len > Bytes.length key then raise past_bytes
-
-let compare_key k p pn =
-  check_len p pn;
-  cmp_range (Bytes.unsafe_of_string k) 0 (String.length k) p 0 pn
+let compare_key k p = cmp_range (Bytes.unsafe_of_string k) 0 (String.length k) (Keybuf.bytes p) 0 (Keybuf.length p)
 
 (* Where the probe [p] of [pn] bytes falls against [nd]'s prefix: -1
    when it sorts before every key of the node, 1 after every key, and 0
@@ -184,20 +178,10 @@ let child_index nd p pn rid =
   | 0 -> child_bound nd p (String.length nd.prefix) pn rid 0 nd.n
   | s -> if s < 0 then 0 else nd.n
 
-(* A buffer that a key is rebuilt into (its prefix, then its suffix). *)
-type key_buf = { mutable kbytes : Bytes.t }
-
-let key_buf () = { kbytes = Bytes.create 64 }
-
+(* Key [i] of [nd] rebuilt into [kb]: the node's prefix, then its suffix. *)
 let key_into kb nd i =
-  let m = String.length nd.prefix and o = off nd i in
-  let len = m + off nd (i + 1) - o in
-  if len > Bytes.length kb.kbytes then
-    (* lint: allow hot-path-alloc — a key longer than any the buffer held, off steady state *)
-    kb.kbytes <- Bytes.create (max len (2 * Bytes.length kb.kbytes));
-  Bytes.blit_string nd.prefix 0 kb.kbytes 0 m;
-  Bytes.blit nd.suf o kb.kbytes m (len - m);
-  len
+  let o = off nd i in
+  Keybuf.set_concat kb nd.prefix nd.suf o (off nd (i + 1) - o)
 
 (* ------------------------------------------------------------------ *)
 (* Node layout changes *)
@@ -249,7 +233,7 @@ let shorten_prefix nd m' spare =
    does not carry the prefix is a new first or last key: the prefix
    shortens to what it shares with the key, and the node is repacked. An
    empty node takes the key as its prefix. *)
-let insert_key t nd pos k kn rid =
+let add_at t nd pos k kn rid =
   if nd.n >= Array.length nd.rids then grow_keys t nd;
   let m = String.length nd.prefix in
   if nd.n = 0 then nd.prefix <- Bytes.sub_string k 0 kn
@@ -273,7 +257,7 @@ let insert_key t nd pos k kn rid =
 
 (* Remove the key at slot [pos]; the prefix stays, since every remaining
    key still carries it. *)
-let remove_key nd pos =
+let remove_at nd pos =
   let o = off nd pos and e = off nd (pos + 1) in
   let s = e - o and used = off nd nd.n in
   Bytes.blit nd.suf e nd.suf o (used - e);
@@ -315,26 +299,28 @@ let repack_range dst src lo hi =
 (* The separator a split pushes up, rebuilt here: splits make no charge,
    so no other fiber runs between the split that writes it and the
    parent insert that reads it. *)
-let sep_key = key_buf ()
+let sep_key = Keybuf.create ()
 
 (* Split a full leaf in half; returns the right half, its first entry in
    [sep_key] and the returned rid. *)
 let split_leaf left =
   let half = left.n / 2 in
   let right = new_node [||] in
-  let sn = key_into sep_key left half and sr = left.rids.(half) in
+  key_into sep_key left half;
+  let sr = left.rids.(half) in
   repack_range right left half left.n;
   repack_range left left 0 half;
-  (right, sn, sr)
+  (right, sr)
 
 let split_inner t left =
   let half = (left.n + 1) / 2 in
   let right = new_node (Array.make t.fanout left.kids.(0)) in
   Array.blit left.kids half right.kids 0 (left.n + 1 - half);
-  let sn = key_into sep_key left (half - 1) and sr = left.rids.(half - 1) in
+  key_into sep_key left (half - 1);
+  let sr = left.rids.(half - 1) in
   repack_range right left half left.n;
   repack_range left left 0 (half - 1);
-  (right, sn, sr)
+  (right, sr)
 
 let node_full t nd = if is_leaf nd then nd.n >= t.fanout else nd.n + 1 >= t.fanout
 
@@ -346,10 +332,10 @@ let split_child t parent idx =
       if idx <= parent.n then begin
         let child = parent.kids.(idx) in
         if node_full t child && parent.n + 1 < t.fanout then begin
-          let right, sn, sr = if is_leaf child then split_leaf child else split_inner t child in
+          let right, sr = if is_leaf child then split_leaf child else split_inner t child in
           Array.blit parent.kids (idx + 1) parent.kids (idx + 2) (parent.n - idx);
           parent.kids.(idx + 1) <- right;
-          insert_key t parent idx sep_key.kbytes sn sr
+          add_at t parent idx (Keybuf.bytes sep_key) (Keybuf.length sep_key) sr
         end
       end)
 
@@ -379,7 +365,7 @@ let insert_in_leaf t nd e =
         (* lint: allow hot-path-alloc — a duplicate key: the error path *)
         raise (Duplicate_key (Bytes.sub_string e.ek 0 e.en))
     end;
-    insert_key t nd (lower_bound nd e.ek e.en e.erid) e.ek e.en e.erid;
+    add_at t nd (lower_bound nd e.ek e.en e.erid) e.ek e.en e.erid;
     t.entries <- t.entries + 1;
     true
   end
@@ -420,12 +406,15 @@ let rec insert_entry t e =
   | inserted -> if not inserted then insert_entry t e
   | exception Restart -> insert_entry t e
 
-let insert_bytes t ~key ~len ~rid =
-  check_len key len;
+(* The entry of the key made of [len] bytes of [key]: the string form
+   reads a string's bytes, the key form a key buffer's, both unchecked
+   since [len] lies inside them. *)
+let insert_entry_of t key len rid =
   if len > t.max_key then raise key_too_long;
   insert_entry t { ek = key; en = len; erid = rid }
 
-let insert t ~key ~rid = insert_bytes t ~key:(Bytes.unsafe_of_string key) ~len:(String.length key) ~rid
+let insert t ~key ~rid = insert_entry_of t (Bytes.unsafe_of_string key) (String.length key) rid
+let insert_key t k ~rid = insert_entry_of t (Keybuf.bytes k) (Keybuf.length k) rid
 
 let rec find_leaf nd e =
   charge_search ();
@@ -435,14 +424,13 @@ let delete_in_leaf t nd e =
   charge_leaf_op ();
   let pos = lower_bound nd e.ek e.en e.erid in
   if pos < nd.n && cmp_at nd pos e.ek e.en = 0 && nd.rids.(pos) = e.erid then begin
-    remove_key nd pos;
+    remove_at nd pos;
     t.entries <- t.entries - 1;
     true
   end
   else false
 
-let delete_bytes t ~key ~len ~rid =
-  check_len key len;
+let delete_entry_of t key len rid =
   let e = { ek = key; en = len; erid = rid } in
   let nd = find_leaf t.root e in
   Latch.acquire_exclusive nd.latch;
@@ -454,7 +442,8 @@ let delete_bytes t ~key ~len ~rid =
     Latch.release_exclusive nd.latch;
     raise ex
 
-let delete t ~key ~rid = delete_bytes t ~key:(Bytes.unsafe_of_string key) ~len:(String.length key) ~rid
+let delete t ~key ~rid = delete_entry_of t (Bytes.unsafe_of_string key) (String.length key) rid
+let delete_key t k ~rid = delete_entry_of t (Keybuf.bytes k) (Keybuf.length k) rid
 
 (* ------------------------------------------------------------------ *)
 (* Walks *)
@@ -485,18 +474,19 @@ let rec collect_from nd p pn dst n =
 and collect_kids nd p pn dst i n =
   if n < 0 || i > nd.n then n else collect_kids nd p pn dst (i + 1) (collect_from nd.kids.(i) p pn dst n)
 
-(* lint: hot-path *)
-let collect_key t ~key ~len dst =
-  check_len key len;
-  let n = collect_from t.root key len dst 0 in
+let collect t p pn dst =
+  let n = collect_from t.root p pn dst 0 in
   if n < 0 then lnot n else n
+
+(* lint: hot-path *)
+let collect_key t ~key dst = collect t (Keybuf.bytes key) (Keybuf.length key) dst
 
 (* [lookup_first]'s one-entry destination; the walk makes no charge, so
    no fiber can interleave while it holds a rid *)
 let first_scratch = [| 0 |]
 
 let lookup_first t ~key =
-  if collect_key t ~key:(Bytes.unsafe_of_string key) ~len:(String.length key) first_scratch = 0 then None
+  if collect t (Bytes.unsafe_of_string key) (String.length key) first_scratch = 0 then None
   else Some first_scratch.(0)
 
 (* The one streaming walk, in key order from the first entry >= the
@@ -511,9 +501,10 @@ let lookup_first t ~key =
 let rec prefix_leaf nd p pn kb f i =
   i >= nd.n
   ||
-  if has_prefix_at nd i p pn then
-    let len = key_into kb nd i in
-    f kb.kbytes len nd.rids.(i) && prefix_leaf nd p pn kb f (i + 1)
+  if has_prefix_at nd i p pn then begin
+    key_into kb nd i;
+    f kb nd.rids.(i) && prefix_leaf nd p pn kb f (i + 1)
+  end
   else cmp_at nd i p pn < 0 && prefix_leaf nd p pn kb f (i + 1)
 
 let rec prefix_node nd p pn kb f =
@@ -523,9 +514,7 @@ let rec prefix_node nd p pn kb f =
 and prefix_kids nd p pn kb f i = i > nd.n || (prefix_node nd.kids.(i) p pn kb f && prefix_kids nd p pn kb f (i + 1))
 
 (* lint: hot-path *)
-let prefix t ~prefix ~len kb f =
-  check_len prefix len;
-  ignore (prefix_node t.root prefix len kb f)
+let prefix t ~prefix kb f = ignore (prefix_node t.root (Keybuf.bytes prefix) (Keybuf.length prefix) kb f)
 
 (* ------------------------------------------------------------------ *)
 (* Structural check *)
@@ -604,18 +593,18 @@ let verify t =
 (* ------------------------------------------------------------------ *)
 (* Key encoding *)
 
-(* Module-level key scratch: encoding makes no charge, so a fiber
+(* The module-level encode buffer: encoding makes no charge, so a fiber
    finishes an encode before any other can start one (the same argument
    as [Record.encode]'s body scratch). *)
-let key_scratch = Buffer.create 64
+let encoded = Keybuf.create ()
 
-let rec add_key_values buf = function
+let rec add_values k = function
   | [] -> ()
   | v :: rest ->
-    Value.encode_key buf v;
-    add_key_values buf rest
+    Keybuf.add k v;
+    add_values k rest
 
 let encode_key values =
-  Buffer.clear key_scratch;
-  add_key_values key_scratch values;
-  Buffer.contents key_scratch
+  Keybuf.clear encoded;
+  add_values encoded values;
+  Keybuf.to_string encoded

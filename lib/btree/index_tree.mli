@@ -21,58 +21,49 @@ exception Duplicate_key of string
 (** Raised by {!insert} on a unique index when the key is present. *)
 
 val insert : t -> key:string -> rid:int -> unit
-(** [insert_bytes] over a whole string. *)
+(** {!insert_key} over a whole string. *)
 
-val insert_bytes : t -> key:Bytes.t -> len:int -> rid:int -> unit
-(** Add the entry of the key made of the first [len] bytes of [key]. The
-    node copies the key's bytes, so the caller may reuse [key] once the
-    call returns (not before: the descent charges, and so can suspend).
-    @raise Invalid_argument when [len] is past [key]'s bytes or above the
-    tree's key limit (65,535 bytes divided by the fanout: 1,023 at the
-    default fanout of 64). *)
+val insert_key : t -> Phoebe_storage.Keybuf.t -> rid:int -> unit
+(** Add the entry of the key. The node copies the key's bytes, so the
+    caller may reuse the key once the call returns (not before: the
+    descent charges, and so can suspend).
+    @raise Invalid_argument when the key is longer than the tree's limit
+    (65,535 bytes divided by the fanout: 1,023 at the default fanout of
+    64). *)
 
 val delete : t -> key:string -> rid:int -> bool
-(** [delete_bytes] over a whole string. *)
+(** {!delete_key} over a whole string. *)
 
-val delete_bytes : t -> key:Bytes.t -> len:int -> rid:int -> bool
-(** Remove one (key, rid) entry, its key the first [len] bytes of [key];
-    false if absent. *)
+val delete_key : t -> Phoebe_storage.Keybuf.t -> rid:int -> bool
+(** Remove one (key, rid) entry; false if absent. *)
 
 val lookup_first : t -> key:string -> int option
-(** The lowest row id for [key], through {!collect_key}. *)
+(** The lowest row id for [key], through the walk of {!collect_key}. *)
 
-val collect_key : t -> key:Bytes.t -> len:int -> int array -> int
-(** [collect_key t ~key ~len dst] writes the row ids of the entries whose
-    key is the first [len] bytes of [key] into [dst] in ascending order
-    and returns how many there are. When that count exceeds
-    [Array.length dst], only the first [Array.length dst] are written:
-    grow [dst] and walk again. Makes no charge and allocates nothing, so
-    a caller can take every candidate first and probe them afterwards.
-    @raise Invalid_argument when [len] is past [key]'s bytes. *)
+val collect_key : t -> key:Phoebe_storage.Keybuf.t -> int array -> int
+(** [collect_key t ~key dst] writes the row ids of the entries whose key
+    is [key] into [dst] in ascending order and returns how many there
+    are. When that count exceeds [Array.length dst], only the first
+    [Array.length dst] are written: grow [dst] and walk again. Makes no
+    charge and allocates nothing, so a caller can take every candidate
+    first and probe them afterwards. *)
 
-type key_buf
-(** A buffer that a walk rebuilds each visited key into. *)
+val prefix :
+  t -> prefix:Phoebe_storage.Keybuf.t -> Phoebe_storage.Keybuf.t -> (Phoebe_storage.Keybuf.t -> int -> bool) -> unit
+(** [prefix t ~prefix kb f] visits, in order, the entries whose key
+    starts with [prefix]: each entry's key is rebuilt into [kb] and [f]
+    gets [kb] and the entry's rid, and returns [false] to stop early.
+    The key in [kb] is valid until [f] returns, since the walk rebuilds
+    the next entry's key there only then: a walk that [f] starts, or
+    another fiber's walk, needs a buffer of its own. The walk makes no
+    charge and, apart from what [f] does and [kb] grown for a key longer
+    than any before, allocates nothing. *)
 
-val key_buf : unit -> key_buf
-
-val prefix : t -> prefix:Bytes.t -> len:int -> key_buf -> (Bytes.t -> int -> int -> bool) -> unit
-(** In-order visit of the entries whose key starts with the first [len]
-    bytes of [prefix]; the visitor gets each entry's key as bytes and a
-    length, and its rid, and returns [false] to stop early. The key is
-    rebuilt into the [key_buf] for each entry and is valid until the walk
-    visits the next one: a walk that its visitor starts, or another
-    fiber's walk, needs a buffer of its own. The walk makes no charge
-    and, apart from what the visitor does and a buffer grown for a key
-    longer than any before, allocates nothing.
-    @raise Invalid_argument when [len] is past [prefix]'s bytes. *)
-
-val compare_key : string -> Bytes.t -> int -> int
-(** [compare_key k p len] orders the stored key [k] against the probe
-    made of the first [len] bytes of [p] exactly as [String.compare]
-    orders [k] and [Bytes.sub_string p 0 len]. Every search above makes
-    the same comparison, of a node's prefix and then of its suffixes read
-    in place; it allocates nothing.
-    @raise Invalid_argument when [len] is past [p]'s bytes. *)
+val compare_key : string -> Phoebe_storage.Keybuf.t -> int
+(** [compare_key k p] orders the stored key [k] against the probe [p]
+    exactly as [String.compare] orders [k] and [p]'s bytes as a string.
+    Every search above makes the same comparison, of a node's prefix and
+    then of its suffixes read in place; it allocates nothing. *)
 
 val count : t -> int
 val depth : t -> int
@@ -105,6 +96,6 @@ val verify : t -> finding list
 
 val encode_key : Phoebe_storage.Value.t list -> string
 (** Memcomparable composite key from column values, through
-    {!Phoebe_storage.Value.encode_key}. Encodes through one module-level
+    {!Phoebe_storage.Keybuf.add}. Encodes through one module-level key
     buffer; only the returned string is allocated. *)
 

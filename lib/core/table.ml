@@ -1,4 +1,5 @@
 module Value = Phoebe_storage.Value
+module Keybuf = Phoebe_storage.Keybuf
 module Pax = Phoebe_storage.Pax
 module Frozen = Phoebe_storage.Frozen
 module Bufmgr = Phoebe_storage.Bufmgr
@@ -23,21 +24,20 @@ type index = { ix_name : string; ix : Index_tree.t; key_cols : int array; ix_uni
 
 (* A key probe (DESIGN.md section 4h): the encoded key of one index
    statement, owned by one slot's context at one walk depth and reused
-   by every statement there. [Key.add] encodes each value into [buf];
-   the statement blits it into [bytes], which its walk reads. A prefix
-   walk rebuilds each tree key it visits into [tree_key], and its state
-   sits in the [w_*] fields, where the visitor [visit], built once with
-   the probe, reads it. *)
+   by every statement there. [Key.add] encodes each value into [key],
+   which the statement's walk reads. A prefix walk rebuilds each tree
+   key it visits into [tree_key], and its state sits in the [w_*]
+   fields, where the visitor [visit], built once with the probe, reads
+   it. *)
 type probe = {
   owner : slot_ctx;
-  buf : Buffer.t;
-  mutable bytes : Bytes.t;
-  tree_key : Index_tree.key_buf;
+  key : Keybuf.t;
+  tree_key : Keybuf.t;
   mutable w_txn : txn;
   mutable w_key_cols : int array;
   mutable w_cols : int array option;
   mutable w_f : int -> Value.t array -> bool;
-  visit : Bytes.t -> int -> int -> bool;
+  visit : Keybuf.t -> int -> bool;
 }
 
 (* One scheduler slot's statement scratch on one table (DESIGN.md §4h).
@@ -49,10 +49,13 @@ and slot_ctx = {
   mutable rids : int array;  (** the candidate row ids of a point lookup or unique check *)
   mutable probes : probe array;  (** by walk depth *)
   mutable depth : int;  (** the prefix walks the slot has open on the table *)
+  keys : key_pair;  (** the entry keys of the fiber running in the slot *)
 }
 
-(* An index entry's key for one tree call: the first [kn] bytes of [kb]. *)
-and entry_key = { mutable kb : Bytes.t; mutable kn : int }
+(* The entry keys of one index-maintenance call: [key_delta] holds both
+   at once, every other call [ka] alone. A tree call charges, and so can
+   suspend, so each fiber keeps its own pair ([maint_keys]). *)
+and key_pair = { ka : Keybuf.t; kb : Keybuf.t }
 
 and t = {
   tid : int;
@@ -69,14 +72,12 @@ and t = {
   mutable frozen_reads_total : int;
   (* the per-slot statement contexts, grown lazily *)
   mutable slots : slot_ctx array;
-  (* [key_of_row]'s encode buffer; each use is confined to one
-     charge-free stretch, so fibers can never interleave inside it *)
-  key_scratch : Buffer.t;
-  (* the entry keys not in use, [spare_keys.(0 .. spares - 1)]: a tree
-     call charges and so can suspend, so each holds a key of its own *)
-  mutable spare_keys : entry_key array;
-  mutable spares : int;
+  (* the entry keys of code outside any fiber, which makes no charge
+     and so never suspends *)
+  loose_keys : key_pair;
 }
+
+let key_pair () = { ka = Keybuf.create (); kb = Keybuf.create () }
 
 let id t = t.tid
 let name t = t.tbl_name
@@ -98,15 +99,13 @@ let create ?manifest ~id ~name ~schema ~buf ~block_store ~block_id_alloc ~txnmgr
     frozen_read_counts = Hashtbl.create 16;
     frozen_reads_total = 0;
     slots = [||];
-    key_scratch = Buffer.create 64;
-    spare_keys = [||];
-    spares = 0;
+    loose_keys = key_pair ();
   }
 
-let rec encode_row_key buf (cols : int array) (row : Value.t array) i =
+let rec encode_row_key k (cols : int array) (row : Value.t array) i =
   if i < Array.length cols then begin
-    Value.encode_key buf row.(cols.(i));
-    encode_row_key buf cols row (i + 1)
+    Keybuf.add k row.(cols.(i));
+    encode_row_key k cols row (i + 1)
   end
 
 (* Shared empty arrays: an empty column list and a row not taken. *)
@@ -126,6 +125,7 @@ let new_slot arity =
     rids = Array.make 8 0;
     probes = [||];
     depth = 0;
+    keys = key_pair ();
   }
 
 (* The one growth routine: contexts up to [slot], at least doubling. *)
@@ -134,13 +134,15 @@ let grow_slots t slot =
   t.slots <-
     Array.init (max (slot + 1) (max 4 (2 * n))) (fun i -> if i < n then t.slots.(i) else new_slot arity)
 
-(* The transaction's slot context: looked up once per statement. *)
-let ctx t (txn : txn) =
-  let slot = txn.Txnmgr.slot in
+(* Slot [slot]'s context, the table's contexts grown on its first use. *)
+let slot_ctx t slot =
   if slot >= Array.length t.slots then
     (* lint: allow hot-path-alloc — a slot's first statement on the table, off steady state *)
     grow_slots t slot;
   t.slots.(slot)
+
+(* The transaction's slot context: looked up once per statement. *)
+let ctx t (txn : txn) = slot_ctx t txn.Txnmgr.slot
 
 (* The next ring row: valid until the slot takes [ring] more rows from
    the table. Contents are whatever the previous use left, so the
@@ -150,56 +152,28 @@ let take c =
   c.cursor <- (if i + 1 >= ring then 0 else i + 1);
   c.ring.(i)
 
-(* The table's key scratch (DESIGN.md section 4h): an entry key taken
-   for one tree call and given back when it returns, so a key costs no
-   string. The spares grow to the most calls in flight at once. *)
-let take_key t =
-  if t.spares = 0 then
-    (* lint: allow hot-path-alloc — more index calls in flight on the table than before, off steady state *)
-    { kb = Bytes.create 64; kn = 0 }
-  else begin
-    t.spares <- t.spares - 1;
-    t.spare_keys.(t.spares)
-  end
+(* The entry keys of an index-maintenance call (DESIGN.md section 4h):
+   the pair of the slot that the running fiber occupies, not the
+   transaction's, since rollback and GC run in whichever fiber reaches
+   them; outside any fiber, the table's own. *)
+let maint_keys t = match Scheduler.current_slot () with -1 -> t.loose_keys | slot -> (slot_ctx t slot).keys
 
-let give_key t k =
-  if t.spares >= Array.length t.spare_keys then begin
-    (* lint: allow hot-path-alloc — more index calls in flight on the table than before, off steady state *)
-    let spare = Array.make (max 4 (2 * t.spares)) k in
-    Array.blit t.spare_keys 0 spare 0 t.spares;
-    t.spare_keys <- spare
-  end;
-  t.spare_keys.(t.spares) <- k;
-  t.spares <- t.spares + 1
-
-(* [index]'s key of [row], encoded through the table's encode buffer
-   into an entry key taken from the spares; the caller gives it back. *)
-let key_of_row t index (row : Value.t array) =
-  let buf = t.key_scratch and k = take_key t in
-  Buffer.clear buf;
-  encode_row_key buf index.key_cols row 0;
-  let len = Buffer.length buf in
-  if len > Bytes.length k.kb then
-    (* lint: allow hot-path-alloc — a key longer than any this entry key held, off steady state *)
-    k.kb <- Bytes.create (max len (2 * Bytes.length k.kb));
-  Buffer.blit buf 0 k.kb 0 len;
-  k.kn <- len;
+(* [index]'s key of [row], encoded into the entry key [k]. *)
+let key_of_row k index (row : Value.t array) =
+  Keybuf.clear k;
+  encode_row_key k index.key_cols row 0;
   k
 
-let ix_insert ix k ~rid = Index_tree.insert_bytes ix.ix ~key:k.kb ~len:k.kn ~rid
-let ix_delete ix k ~rid = ignore (Index_tree.delete_bytes ix.ix ~key:k.kb ~len:k.kn ~rid)
+let ix_insert ix k ~rid = Index_tree.insert_key ix.ix k ~rid
+let ix_delete ix k ~rid = ignore (Index_tree.delete_key ix.ix k ~rid)
 
 (* All keys of a row: add or drop [row]'s entry in each index of the
    list. A module-level loop rather than a closure, as [key_delta]. *)
 let rec row_keys t ~add ~rid row = function
   | [] -> ()
   | ix :: rest ->
-    let k = key_of_row t ix row in
-    (match if add then ix_insert ix k ~rid else ix_delete ix k ~rid with
-    | () -> give_key t k
-    | exception e ->
-      give_key t k;
-      raise e);
+    let k = key_of_row (maint_keys t).ka ix row in
+    if add then ix_insert ix k ~rid else ix_delete ix k ~rid;
     row_keys t ~add ~rid row rest
 
 (* Whether writing the columns of [cols] (an update's column list or an
@@ -219,11 +193,8 @@ let rec writes_any_key cols = function
   | [] -> false
   | ix :: rest -> writes_key ix cols || writes_any_key cols rest
 
-let rec same_bytes a b n i = i >= n || (Char.equal (Bytes.get a i) (Bytes.get b i) && same_bytes a b n (i + 1))
-let same_key a b = a.kn = b.kn && same_bytes a.kb b.kb a.kn 0
-
 let key_change ~drop ~add ~rid ix from_key to_key =
-  if not (same_key from_key to_key) then begin
+  if not (Keybuf.equal from_key to_key) then begin
     if drop then ix_delete ix from_key ~rid;
     if add then ix_insert ix to_key ~rid
   end
@@ -236,16 +207,8 @@ let rec key_delta t ~drop ~add ~rid cols from_row to_row = function
   | [] -> ()
   | ix :: rest ->
     if writes_key ix cols then begin
-      let from_key = key_of_row t ix from_row in
-      let to_key = key_of_row t ix to_row in
-      match key_change ~drop ~add ~rid ix from_key to_key with
-      | () ->
-        give_key t from_key;
-        give_key t to_key
-      | exception e ->
-        give_key t from_key;
-        give_key t to_key;
-        raise e
+      let keys = maint_keys t in
+      key_change ~drop ~add ~rid ix (key_of_row keys.ka ix from_row) (key_of_row keys.kb ix to_row)
     end;
     key_delta t ~drop ~add ~rid cols from_row to_row rest
 
@@ -518,16 +481,16 @@ let live_slot t (txn : txn) entry frame ~slot ~rid =
   if Table_tree.holds_live t.ttree frame ~slot ~row_id:rid then slot
   else relocate_live t txn entry ~rid
 
-(* The rids of the entries whose key is [key]'s first [len] bytes, in
-   the slot context's rid scratch, grown until they all fit; returns how
-   many. The walk makes no charge. *)
-let rec collect_candidates ix c key len =
-  let n = Index_tree.collect_key ix.ix ~key ~len c.rids in
+(* The rids of the entries whose key is [key], in the slot context's rid
+   scratch, grown until they all fit; returns how many. The walk makes
+   no charge. *)
+let rec collect_candidates ix c key =
+  let n = Index_tree.collect_key ix.ix ~key c.rids in
   if n <= Array.length c.rids then n
   else begin
     (* lint: allow hot-path-alloc — more candidates than any lookup before, off steady state *)
     c.rids <- Array.make (max n (2 * Array.length c.rids)) 0;
-    collect_candidates ix c key len
+    collect_candidates ix c key
   end
 
 let unique_violation () = raise (Txnmgr.Abort (Txnmgr.Conflict, "unique constraint violation"))
@@ -566,7 +529,7 @@ let rec check_candidates t txn ~inserting_rid rids n i =
 
 let check_unique t (txn : txn) ix k ~inserting_rid =
   let c = ctx t txn in
-  let n = collect_candidates ix c k.kb k.kn in
+  let n = collect_candidates ix c k in
   check_candidates t txn ~inserting_rid c.rids n 0
 
 (* ------------------------------------------------------------------ *)
@@ -584,12 +547,7 @@ let add_key t txn ix k ~rid =
 let rec insert_keys t txn ~rid row = function
   | [] -> ()
   | ix :: rest ->
-    let k = key_of_row t ix row in
-    (match add_key t txn ix k ~rid with
-    | () -> give_key t k
-    | exception e ->
-      give_key t k;
-      raise e);
+    add_key t txn ix (key_of_row (maint_keys t).ka ix row) ~rid;
     insert_keys t txn ~rid row rest
 
 (* lint: hot-path *)
@@ -784,18 +742,18 @@ let delete t (txn : txn) ~rid =
 (* Index access *)
 
 (* The one candidate key check: each of the row's key columns must be
-   the next encoded component of [key]'s first [len] bytes, read in
-   place, and together they must cover them all. A point lookup checks
-   against its probe's bytes, a prefix walk against the tree key.
-   Equivalent to comparing encoded keys, since [Value.encode_key] is
-   pure, injective and self-delimiting; nothing is re-encoded. *)
-let rec key_cols_at key len (cols : int array) (row : Value.t array) i off =
-  if i >= Array.length cols then off = len
+   the next encoded component of [key], read in place, and together they
+   must cover it all. A point lookup checks against its probe's key, a
+   prefix walk against the tree key. Equivalent to comparing encoded
+   keys, since [Keybuf.add] is pure, injective and self-delimiting;
+   nothing is re-encoded. *)
+let rec key_cols_at key (cols : int array) (row : Value.t array) i off =
+  if i >= Array.length cols then off = Keybuf.length key
   else
-    let off = Value.key_at key len off row.(cols.(i)) in
-    off >= 0 && key_cols_at key len cols row (i + 1) off
+    let off = Keybuf.value_at key off row.(cols.(i)) in
+    off >= 0 && key_cols_at key cols row (i + 1) off
 
-let row_key_at (cols : int array) row key len = key_cols_at key len cols row 0 0
+let row_key_at (cols : int array) row key = key_cols_at key cols row 0 0
 
 (* A prefix walk's visitor, over the walk's state in the probe: read the
    candidate, and hand it on if it is visible and its key is still the
@@ -803,10 +761,10 @@ let row_key_at (cols : int array) row key len = key_cols_at key len cols row 0 0
    tree key sits in the probe's [tree_key], which only this walk
    rewrites, and only once the visitor returns. *)
 (* lint: hot-path *)
-let visit_entry t p key len rid =
+let visit_entry t p key rid =
   let txn = p.w_txn in
   let row = take p.owner in
-  if read_into t txn ~rid ~key_cols:p.w_key_cols p.w_cols row && row_key_at p.w_key_cols row key len then
+  if read_into t txn ~rid ~key_cols:p.w_key_cols p.w_cols row && row_key_at p.w_key_cols row key then
     p.w_f rid row
   else true
 
@@ -838,14 +796,13 @@ let new_probe t c =
   let rec p =
     {
       owner = c;
-      buf = Buffer.create 64;
-      bytes = Bytes.create 64;
-      tree_key = Index_tree.key_buf ();
+      key = Keybuf.create ();
+      tree_key = Keybuf.create ();
       w_txn = no_txn;
       w_key_cols = no_cols;
       w_cols = None;
       w_f = keep_going;
-      visit = (fun key len rid -> visit_entry t p key len rid);
+      visit = (fun key rid -> visit_entry t p key rid);
     }
   in
   p
@@ -866,7 +823,7 @@ let key t (txn : txn) =
     (* lint: allow hot-path-alloc — a slot's first probe at a depth, off steady state *)
     add_probes t c;
   let p = c.probes.(c.depth) in
-  Buffer.clear p.buf;
+  Keybuf.clear p.key;
   p
 
 module Key = struct
@@ -874,7 +831,7 @@ module Key = struct
 
   (* lint: hot-path *)
   let add v p =
-    Value.encode_key p.buf v;
+    Keybuf.add p.key v;
     p
 
   let rec add_list vs p = match vs with [] -> p | v :: rest -> add_list rest (add v p)
@@ -886,27 +843,17 @@ let foreign_probe = Invalid_argument "Table: a key probe of another table or slo
 
 let check_probe c p = if p.owner != c then raise foreign_probe
 
-(* The probe's key, encoded as it was built, blitted into the bytes the
-   statement's walk reads; returns its length. *)
-let load_probe p =
-  let len = Buffer.length p.buf in
-  if len > Bytes.length p.bytes then
-    (* lint: allow hot-path-alloc — a probe's first key longer than any before, off steady state *)
-    p.bytes <- Bytes.create (max len (2 * Bytes.length p.bytes));
-  Buffer.blit p.buf 0 p.bytes 0 len;
-  len
-
 (* Probe the candidates [i..n) of the slot context [c] in rid order, the
    order the index walk visits them in; the first visible row whose key
    is still the probe's is blitted into [c.found]. Every candidate is
    read, hit or not. *)
-let rec probe_candidates t txn ix c p len cols n i hit =
+let rec probe_candidates t txn ix c p cols n i hit =
   if i >= n then hit
   else begin
     let rid = c.rids.(i) in
     let row = take c in
     let hit =
-      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_at ix.key_cols row p.bytes len
+      if read_into t txn ~rid ~key_cols:ix.key_cols cols row && row_key_at ix.key_cols row p.key
          && hit < 0
       then begin
         Array.blit row 0 c.found 0 (Array.length row);
@@ -914,25 +861,23 @@ let rec probe_candidates t txn ix c p len cols n i hit =
       end
       else hit
     in
-    probe_candidates t txn ix c p len cols n (i + 1) hit
+    probe_candidates t txn ix c p cols n (i + 1) hit
   end
 
-(* Point lookup: the probe's key is loaded after the statement begins,
-   the candidates are taken in one charge-free index walk, and every one
-   is probed, hit or not. The first hit is blitted into the slot's found
-   row instead of copied — so the row stays valid across later ring
-   takes, clobbered only by this transaction's next
-   [index_lookup_first] on the same table — and its rid is returned,
-   with no pair around the two. *)
+(* Point lookup: the candidates of the probe's key are taken in one
+   charge-free index walk, and every one is probed, hit or not. The
+   first hit is blitted into the slot's found row instead of copied — so
+   the row stays valid across later ring takes, clobbered only by this
+   transaction's next [index_lookup_first] on the same table — and its
+   rid is returned, with no pair around the two. *)
 (* lint: hot-path *)
 let index_lookup_first ?cols t txn ~index ~key:p =
   let c = ctx t txn in
   check_probe c p;
   statement_begin t txn;
   let ix = find_index t index in
-  let len = load_probe p in
-  let n = collect_candidates ix c p.bytes len in
-  let hit = probe_candidates t txn ix c p len cols n 0 (-1) in
+  let n = collect_candidates ix c p.key in
+  let hit = probe_candidates t txn ix c p cols n 0 (-1) in
   if hit > 0 then hit else 0
 
 let found_row t txn = (ctx t txn).found
@@ -948,18 +893,17 @@ let set_walk p ~depth txn key_cols cols f =
    leaves its state in the probe, saved and restored on both exits. The
    slot's depth is one deeper for the walk's length, so a statement its
    callback starts on this table takes a probe of its own instead of
-   reloading this one under the walk. *)
+   rebuilding this one under the walk. *)
 (* lint: hot-path *)
 let index_prefix ?cols t txn ~index ~prefix:p f =
   let c = ctx t txn in
   check_probe c p;
   statement_begin t txn;
   let ix = find_index t index in
-  let len = load_probe p in
   let depth = c.depth in
   let txn0 = p.w_txn and key_cols0 = p.w_key_cols and cols0 = p.w_cols and f0 = p.w_f in
   set_walk p ~depth:(depth + 1) txn ix.key_cols cols f;
-  match Index_tree.prefix ix.ix ~prefix:p.bytes ~len p.tree_key p.visit with
+  match Index_tree.prefix ix.ix ~prefix:p.key p.tree_key p.visit with
   | () -> set_walk p ~depth txn0 key_cols0 cols0 f0
   | exception e ->
     set_walk p ~depth txn0 key_cols0 cols0 f0;

@@ -136,9 +136,7 @@ val index_lookup_first : ?cols:int array -> t -> txn -> index:string -> key:Key.
 (** The row id of the first visible row, in rid order, whose indexed
     columns still encode to [key] (stale entries from in-flight key
     updates are filtered by re-checking the key), or [0] when there is
-    none (row ids start at 1). The row is {!found_row}. The probe's
-    key is copied into the bytes the lookup reads once the statement
-    has begun.
+    none (row ids start at 1). The row is {!found_row}.
 
     [cols] projects the read (DESIGN.md §4h): only the index key columns
     and the listed column indexes are decoded, and every other cell of

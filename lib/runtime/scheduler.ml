@@ -693,9 +693,7 @@ let current_fiber_id () = match !cur with Some f -> f.fid | None -> 0
 
 let current_worker () = (current_fiber ()).fworker.wid
 
-let current_slot () =
-  let f = current_fiber () in
-  (f.fworker.wid * f.fworker.wsched.cfg.slots_per_worker) + f.fslot
+let current_slot () = match !cur with Some f -> global_slot f | None -> -1
 
 let current_cost () = !cur_cost
 

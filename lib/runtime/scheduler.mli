@@ -166,9 +166,9 @@ val current_worker : unit -> int
     @raise Phoebe_util.Phoebe_error.Bug outside a fiber. *)
 
 val current_slot : unit -> int
-(** Global task-slot id ([worker * slots_per_worker + slot]). Slot-scoped
-    engine state (WAL writers, UNDO arenas, tuple-lock registers) indexes
-    off this. @raise Phoebe_util.Phoebe_error.Bug outside a fiber. *)
+(** Global task-slot id ([worker * slots_per_worker + slot]), or [-1]
+    outside a fiber. Slot-scoped engine state (WAL writers, UNDO arenas,
+    tuple-lock registers, a table's entry keys) indexes off this. *)
 
 val current_cost : unit -> Phoebe_sim.Cost.t
 (** Cost model of the running fiber's scheduler, or

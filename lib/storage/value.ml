@@ -92,75 +92,6 @@ let decode b off =
   | '\x04' -> (Bool (Bytes.get b off = '\x01'), off + 1)
   | c -> Fmt.failwith "Value.decode: bad tag %C" c
 
-(* Memcomparable encoding: a type-rank byte, then a representation whose
-   bytewise order matches value order. Ints are biased to unsigned
-   big-endian; floats get the standard sign-flip trick; strings are
-   escaped with 0x00->0x00 0xFF so that the 0x00 0x00 terminator sorts
-   shorter strings first.
-
-   Runs on every index probe, so it allocates nothing: each number is
-   one [Buffer.add_int64_be] of an expression the compiler keeps
-   unboxed, and the string escape is a module-level loop, not a
-   closure. *)
-let rec add_escaped buf s i =
-  if i < String.length s then begin
-    let c = String.unsafe_get s i in
-    Buffer.add_char buf c;
-    if Char.equal c '\x00' then Buffer.add_char buf '\xff';
-    add_escaped buf s (i + 1)
-  end
-
-(* Inlined so that no caller boxes the int64. *)
-let[@inline] int_key x = Int64.add (Int64.of_int x) Int64.min_int
-
-let[@inline] float_key f =
-  let bits = Int64.bits_of_float f in
-  if Int64.compare bits 0L >= 0 then Int64.logxor bits Int64.min_int else Int64.lognot bits
-
-(* lint: hot-path *)
-let encode_key buf v =
-  Buffer.add_char buf (Char.unsafe_chr (rank v));
-  match v with
-  | Null -> ()
-  | Int x -> Buffer.add_int64_be buf (int_key x)
-  | Float f -> Buffer.add_int64_be buf (float_key f)
-  | Str s ->
-    add_escaped buf s 0;
-    Buffer.add_string buf "\x00\x00"
-  | Bool b -> Buffer.add_char buf (if b then '\x01' else '\x00')
-
-(* [key_at]'s string walk: [s] from [i], escaped, then the terminator,
-   read in the first [n] bytes of [key] from [p] without building the
-   escaped copy. *)
-let rec escaped_at key n p s i =
-  if i >= String.length s then
-    if p + 2 <= n && Char.equal (Bytes.unsafe_get key p) '\x00'
-       && Char.equal (Bytes.unsafe_get key (p + 1)) '\x00'
-    then p + 2
-    else -1
-  else
-    let c = String.unsafe_get s i in
-    if p >= n || not (Char.equal (Bytes.unsafe_get key p) c) then -1
-    else if not (Char.equal c '\x00') then escaped_at key n (p + 1) s (i + 1)
-    else if p + 1 < n && Char.equal (Bytes.unsafe_get key (p + 1)) '\xff' then
-      escaped_at key n (p + 2) s (i + 1)
-    else -1
-
-(* lint: hot-path *)
-let key_at key len off v =
-  let n = if len < Bytes.length key then len else Bytes.length key in
-  if off < 0 || off >= n || Char.code (Bytes.unsafe_get key off) <> rank v then -1
-  else
-    let p = off + 1 in
-    match v with
-    | Null -> p
-    | Int x -> if p + 8 <= n && Bytes.get_int64_be key p = int_key x then p + 8 else -1
-    | Float f -> if p + 8 <= n && Bytes.get_int64_be key p = float_key f then p + 8 else -1
-    | Str s -> escaped_at key n p s 0
-    | Bool b ->
-      if p < n && Char.equal (Bytes.unsafe_get key p) (if b then '\x01' else '\x00') then p + 1
-      else -1
-
 module Schema = struct
   type value = t
 

@@ -30,19 +30,6 @@ val size_bytes : t -> int
 val encode : Buffer.t -> t -> unit
 val decode : Bytes.t -> int -> t * int
 
-val encode_key : Buffer.t -> t -> unit
-(** Order-preserving (memcomparable) encoding: byte-wise comparison of two
-    encoded keys matches {!compare} per component. Used for secondary
-    index keys. Does not support [Float] NaN. *)
-
-val key_at : Bytes.t -> int -> int -> t -> int
-(** [key_at key len off v] is the offset just past [v]'s {!encode_key}
-    form when the first [len] bytes of [key] hold exactly that form at
-    [off], and [-1] otherwise. It compares in place: an int or float is
-    one 8-byte load, a string is walked through its escapes, and nothing
-    is encoded or allocated. A stored key string enters as
-    [Bytes.unsafe_of_string], which [key_at] never writes. *)
-
 (** {1 Schemas} *)
 
 module Schema : sig

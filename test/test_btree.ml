@@ -316,6 +316,12 @@ let test_tt_fence_hit_keeps_leaf_warm () =
 let key_of_int i =
   Index_tree.encode_key [ Value.Int i ]
 
+(* A key buffer holding the bytes [s]. *)
+let kb s =
+  let k = Phoebe_storage.Keybuf.create () in
+  Phoebe_storage.Keybuf.add_string k s;
+  k
+
 let test_ix_insert_lookup () =
   let ix = Index_tree.create ~name:"ix" ~unique:true () in
   for i = 1 to 500 do
@@ -338,7 +344,7 @@ let test_ix_unique_violation () =
    destination starts at one entry and doubles until the count fits. *)
 let rids_of ix ~key =
   let rec go dst =
-    let n = Index_tree.collect_key ix ~key:(Bytes.of_string key) ~len:(String.length key) dst in
+    let n = Index_tree.collect_key ix ~key:(kb key) dst in
     if n > Array.length dst then go (Array.make (2 * n) 0) else Array.to_list (Array.sub dst 0 n)
   in
   go [| 0 |]
@@ -368,13 +374,13 @@ let test_ix_prefix () =
     (fun i k -> Index_tree.insert ix ~key:k ~rid:i)
     [ "apple"; "applesauce"; "banana"; "app"; "application" ];
   let seen = ref [] in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string "apple") ~len:5 (Index_tree.key_buf ()) (fun k len _ ->
-      seen := Bytes.sub_string k 0 len :: !seen;
+  Index_tree.prefix ix ~prefix:(kb "apple") (kb "") (fun k _ ->
+      seen := Phoebe_storage.Keybuf.to_string k :: !seen;
       true);
   Alcotest.(check (list string)) "prefix matches" [ "apple"; "applesauce" ] (List.rev !seen);
   (* the callback stops the walk early *)
   let seen = ref 0 in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string "app") ~len:3 (Index_tree.key_buf ()) (fun _ _ _ ->
+  Index_tree.prefix ix ~prefix:(kb "app") (kb "") (fun _ _ ->
       incr seen;
       !seen < 2);
   check_int "early stop" 2 !seen
@@ -391,16 +397,16 @@ let test_ix_duplicate_keys_across_splits () =
   done;
   let all = List.init 300 (fun i -> i + 1) in
   let dst = Array.make 300 0 in
-  check_int "all same-key entries counted" 300 (Index_tree.collect_key ix ~key:(Bytes.of_string "same") ~len:4 dst);
+  check_int "all same-key entries counted" 300 (Index_tree.collect_key ix ~key:(kb "same") dst);
   Alcotest.(check (list int)) "same-key rids ascending" all (Array.to_list dst);
-  check_int "other key intact" 50 (Index_tree.collect_key ix ~key:(Bytes.of_string "other") ~len:5 dst);
+  check_int "other key intact" 50 (Index_tree.collect_key ix ~key:(kb "other") dst);
   (* a destination too small gets the count and only its first entries:
      grow it and walk again *)
   let small = Array.make 16 (-1) in
-  check_int "count exceeds the destination" 300 (Index_tree.collect_key ix ~key:(Bytes.of_string "same") ~len:4 small);
+  check_int "count exceeds the destination" 300 (Index_tree.collect_key ix ~key:(kb "same") small);
   Alcotest.(check (list int)) "prefix of the rids written" (List.init 16 (fun i -> i + 1)) (Array.to_list small);
   let grown = Array.make 300 (-1) in
-  check_int "grown destination holds every rid" 300 (Index_tree.collect_key ix ~key:(Bytes.of_string "same") ~len:4 grown);
+  check_int "grown destination holds every rid" 300 (Index_tree.collect_key ix ~key:(kb "same") grown);
   Alcotest.(check (list int)) "same ascending rids after growing" all (Array.to_list grown)
 
 let test_ix_composite_keys () =
@@ -421,7 +427,7 @@ let test_ix_composite_keys () =
   (* prefix over (w_id=2, d_id=3) returns its 5 customers in order *)
   let seen = ref [] in
   let p = Index_tree.encode_key [ Value.Int 2; Value.Int 3 ] in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string p) ~len:(String.length p) (Index_tree.key_buf ()) (fun _ _ rid ->
+  Index_tree.prefix ix ~prefix:(kb p) (kb "") (fun _ rid ->
       seen := rid :: !seen;
       true);
   Alcotest.(check (list int)) "prefix scan" [ 231; 232; 233; 234; 235 ] (List.rev !seen)
@@ -439,9 +445,9 @@ let check_sound what ix =
    [stop] visits. *)
 let walk_prefix ix prefix ~stop =
   let seen = ref [] and n = ref 0 in
-  Index_tree.prefix ix ~prefix:(Bytes.of_string prefix) ~len:(String.length prefix) (Index_tree.key_buf ())
-    (fun k len rid ->
-      seen := (Bytes.sub_string k 0 len, rid) :: !seen;
+  Index_tree.prefix ix ~prefix:(kb prefix) (kb "")
+    (fun k rid ->
+      seen := (Phoebe_storage.Keybuf.to_string k, rid) :: !seen;
       incr n;
       !n < stop);
   List.rev !seen
@@ -461,6 +467,28 @@ let test_ix_prefix_shortens () =
     "prefix walk over abcdef"
     [ ("abcdef0", 2); ("abcdef1", 0); ("abcdef10", 8); ("abcdef2", 1) ]
     (walk_prefix ix "abcdef" ~stop:max_int)
+
+(* The longest key a node's 16-bit offsets hold at the default fanout
+   of 64 is 65,535 / 64 = 1,023 bytes: that key goes in, in either form,
+   and a byte more is refused before the tree is touched. *)
+let test_ix_key_length_limit () =
+  let ix = Index_tree.create ~name:"ix" ~unique:false () in
+  let at_limit = String.make 1023 'k' and over = String.make 1024 'k' in
+  Index_tree.insert ix ~key:at_limit ~rid:1;
+  Index_tree.insert_key ix (kb at_limit) ~rid:2;
+  Alcotest.(check (list int)) "both entries at the limit" [ 1; 2 ] (rids_of ix ~key:at_limit);
+  Alcotest.(check (list (pair string int)))
+    "a walk rebuilds both into a buffer grown from 64 bytes" [ (at_limit, 1); (at_limit, 2) ]
+    (walk_prefix ix "k" ~stop:max_int);
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: a key of 1,024 bytes was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "string form" (fun () -> Index_tree.insert ix ~key:over ~rid:3);
+  refused "key form" (fun () -> Index_tree.insert_key ix (kb over) ~rid:3);
+  check_int "count" 2 (Index_tree.count ix);
+  check_sound "after the refusals" ix
 
 let test_ix_empty_leaves () =
   (* deletes that empty leaves in the middle of the tree, then inserts
@@ -621,6 +649,7 @@ let () =
       ( "index_tree",
         Alcotest.test_case "insert/lookup" `Quick test_ix_insert_lookup
         :: Alcotest.test_case "unique violation" `Quick test_ix_unique_violation
+        :: Alcotest.test_case "key length limit" `Quick test_ix_key_length_limit
         :: Alcotest.test_case "non-unique" `Quick test_ix_non_unique
         :: Alcotest.test_case "delete" `Quick test_ix_delete
         :: Alcotest.test_case "prefix" `Quick test_ix_prefix

@@ -11,6 +11,31 @@ let set_col t txn ~rid name v =
   let c = Table.col t name in
   Table.update ~reads:[||] t txn ~rid (fun _ -> [| (c, v) |])
 
+(* Every index of every table of [db] is structurally sound
+   ([Table.verify_indexes]). *)
+let check_indexes db =
+  match List.concat_map Table.verify_indexes (Db.tables db) with
+  | [] -> ()
+  | fs ->
+    let module Index_tree = Phoebe_btree.Index_tree in
+    Alcotest.failf "index findings: %s"
+      (String.concat "; " (List.map (fun f -> Index_tree.rule_name f.Index_tree.rule ^ ": " ^ f.Index_tree.detail) fs))
+
+(* [Checkpoint.restore], with the restored indexes checked. *)
+let restore ~from ~snapshot cfg =
+  let ((db, _) as restored) = Checkpoint.restore ~from ~snapshot cfg in
+  check_indexes db;
+  restored
+
+(* [Cluster.recover], with every recovered shard's indexes checked. *)
+let recover cl ~ddl =
+  let module Cluster = Phoebe_shard.Cluster in
+  let ((cl', _) as recovered) = Cluster.recover cl ~ddl in
+  for k = 0 to Cluster.shards cl' - 1 do
+    check_indexes (Cluster.shard cl' k)
+  done;
+  recovered
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -49,7 +74,7 @@ let test_checkpoint_restore_roundtrip () =
          | rid -> ignore (set_col t1 txn ~rid "v" (Value.Int 777))));
   Db.checkpoint db1;
   (* crash + restore over the surviving stores *)
-  let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, report = restore ~from:db1 ~snapshot cfg in
   check_bool "only the suffix was replayed" true (report.Phoebe_wal.Recovery.ops_replayed <= 4);
   let t2 = Db.table db2 "kv" in
   Alcotest.(check (list (pair int int))) "state identical" (dump db1 t1) (dump db2 t2);
@@ -81,7 +106,7 @@ let test_checkpoint_bounds_replay () =
   check_bool "manifest used batched submissions" true (Device.total_batches dev Device.Write >= 1);
   check_bool "batches carry multiple pages" true
     (Device.total_ops dev Device.Write > Device.total_batches dev Device.Write);
-  let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, report = restore ~from:db1 ~snapshot cfg in
   check_int "nothing to replay after a clean checkpoint" 0 report.Phoebe_wal.Recovery.ops_replayed;
   check_int "all rows present from the image alone" 500 (List.length (dump db2 (Db.table db2 "kv")))
 
@@ -98,7 +123,7 @@ let test_checkpoint_with_frozen_tier () =
   let frozen = Db.freeze_tables db1 in
   check_bool "frozen something" true (frozen > 100);
   let snapshot = Checkpoint.take db1 in
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   let t2 = Db.table db2 "kv" in
   check_bool "frozen tier restored" true
     (Phoebe_btree.Table_tree.frozen_block_count (Table.tree t2) > 0);
@@ -121,7 +146,7 @@ let test_freeze_after_checkpoint () =
   check_bool "froze leaves the snapshot names" true (Db.freeze_tables db1 > 100);
   Db.checkpoint db1;
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   check_int "every row restored" 600 (List.length (dump db2 (Db.table db2 "kv")))
 
 let test_checkpoint_rejects_active_txns () =
@@ -159,7 +184,7 @@ let test_checkpoint_after_concurrent_run () =
   done;
   Db.run db1;
   Db.checkpoint db1;
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   Alcotest.(check (list (pair int int))) "image + suffix = primary state" (dump db1 t1)
     (dump db2 (Db.table db2 "kv"))
 
@@ -175,7 +200,7 @@ let test_fiberless_commits_durable_at_checkpoint () =
   done;
   Db.checkpoint db1;
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   Alcotest.(check (list (pair int int)))
     "all 200 rows survive the crash" (List.init 200 (fun i -> (i + 1, i + 1)))
     (dump db2 (Db.table db2 "kv"))
@@ -199,7 +224,7 @@ let test_restore_keeps_lock_style () =
   check_bool "fresh instance waits on the lock table" true (update_lock_wait db1 > 0.);
   let snapshot = Checkpoint.take db1 in
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   check_bool "restored instance waits on the lock table" true (update_lock_wait db2 > 0.)
 
 (* ------------------------------------------------------------------ *)
@@ -260,7 +285,7 @@ let check_writers_match_files db2 =
 let test_restore_resumes_wal_writers () =
   let db1, snapshot = kv_after_checkpoint ~rows:200 ~txns:60 ~ns:None () in
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   check_writers_match_files db2;
   (* a new record takes the next LSN: each file stays one unbroken
      sequence *)
@@ -287,7 +312,7 @@ let test_restore_resumes_after_torn_tail () =
         kv_after_checkpoint ~inserts:30 ~rows:200 ~txns:40 ~ns:(Some (100_000 + (seed * 37_000))) ()
       in
       ignore (Db.crash ~tear:(Prng.create ~seed) db1);
-      let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
+      let db2, report = restore ~from:db1 ~snapshot cfg in
       if report.Phoebe_wal.Recovery.torn_tails = 0 then attempt (seed + 1) else check_writers_match_files db2
     end
   in
@@ -337,7 +362,7 @@ let test_second_restart_after_torn_tail () =
         kv_after_checkpoint ~inserts:30 ~rows:200 ~txns:40 ~ns:(Some (100_000 + (seed * 37_000))) ()
       in
       ignore (Db.crash ~tear:(Prng.create ~seed) db1);
-      let db2, report = Checkpoint.restore ~from:db1 ~snapshot cfg in
+      let db2, report = restore ~from:db1 ~snapshot cfg in
       if report.Phoebe_wal.Recovery.torn_tails = 0 then None else Some (db2, snapshot))
     ~check:(fun seed (db2, snapshot) ->
       let label what = Printf.sprintf "seed %d: %s" seed what in
@@ -345,7 +370,7 @@ let test_second_restart_after_torn_tail () =
       insert_acked db2 ~run:(fun () -> Db.run db2) ~commits:200 ~from:100_000;
       check_int (label "rows after the acknowledged commits") (survived + 200) (count_rows db2);
       ignore (Db.crash db2);
-      let db3, report = Checkpoint.restore ~from:db2 ~snapshot cfg in
+      let db3, report = restore ~from:db2 ~snapshot cfg in
       check_int (label "no torn tail left to stop the second replay") 0
         report.Phoebe_wal.Recovery.torn_tails;
       check_int
@@ -373,7 +398,7 @@ let test_cluster_second_restart_after_torn_tail () =
       done;
       Cluster.run_for cl ~ns:(100_000 + (seed * 37_000));
       ignore (Cluster.crash ~tear:(Prng.create ~seed) cl);
-      let cl', report = Cluster.recover cl ~ddl in
+      let cl', report = recover cl ~ddl in
       if report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails = 0 then None else Some cl')
     ~check:(fun seed cl ->
       let label what = Printf.sprintf "seed %d: %s" seed what in
@@ -381,7 +406,7 @@ let test_cluster_second_restart_after_torn_tail () =
       insert_acked (Cluster.shard cl 0) ~run:(fun () -> Cluster.run cl) ~commits:200 ~from:100_000;
       check_int (label "rows after the acknowledged commits") (survived + 200) (shard_rows cl);
       ignore (Cluster.crash cl);
-      let cl', report = Cluster.recover cl ~ddl in
+      let cl', report = recover cl ~ddl in
       check_int (label "no torn tail left to stop the second replay") 0
         report.Cluster.shard_reports.(0).Phoebe_wal.Recovery.torn_tails;
       check_int
@@ -393,7 +418,7 @@ let test_cluster_second_restart_after_torn_tail () =
 let test_restore_allocates_fresh_page_ids () =
   let db1, snapshot = kv_after_checkpoint ~rows:3_000 ~txns:20 ~ns:None () in
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   let t2 = Db.table db2 "kv" in
   let buf = Db.buffer db2 in
   let leaves = (Table_tree.manifest (Table.tree t2)).Table_tree.leaves in
@@ -426,10 +451,10 @@ let test_commit_survives_two_restarts () =
   done;
   set db1 ~worker:0 ~rid:1 111;
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   set db2 ~worker:1 ~rid:1 222;
   ignore (Db.crash db2);
-  let db3, _ = Checkpoint.restore ~from:db2 ~snapshot cfg in
+  let db3, _ = restore ~from:db2 ~snapshot cfg in
   check_int "the last acknowledged write of rid 1" 222 (List.assoc 1 (dump db3 (Db.table db3 "kv")))
 
 module Tpcc = Phoebe_tpcc.Tpcc
@@ -462,7 +487,7 @@ let test_tpcc_restore_spilling_pool () =
   check_bool "the pool spilled" true ((Db.cleaner_stats db1).Bufmgr.clean_evicts > 0);
   let live = List.map (table_digest db1) tpcc_tables in
   ignore (Db.crash db1);
-  let db2, _ = Checkpoint.restore ~from:db1 ~snapshot cfg in
+  let db2, _ = restore ~from:db1 ~snapshot cfg in
   List.iter2
     (fun name (n, h, _) ->
       let n', h', dups = table_digest db2 name in

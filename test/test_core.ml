@@ -656,6 +656,34 @@ let test_rollback_drops_new_key_entry () =
         check_bool "owner restored" true (Value.equal row.(0) (Value.Str "erin"))
       | l -> Alcotest.failf "old key finds %d rows" (List.length l))
 
+(* An index key over the tree's limit (1,023 bytes at the default
+   fanout) is refused by the second index an insert maintains: the
+   exception leaves the transaction, whose rollback drops the entry the
+   first index already took, so the row is nowhere and the trees stay
+   sound. The indexes are maintained newest first, so [notes_pk],
+   created last, takes its entry before [notes_by_text] refuses its. *)
+let test_over_limit_key_rolls_back () =
+  let db = make_db () in
+  let t = Db.create_table db ~name:"notes" ~schema:[ ("id", Value.T_int); ("text", Value.T_str) ] in
+  Db.create_index db t ~name:"notes_by_text" ~cols:[ "text" ] ~unique:false;
+  Db.create_index db t ~name:"notes_pk" ~cols:[ "id" ] ~unique:true;
+  let long = String.make 1100 'x' in
+  (match Db.with_txn db (fun txn -> Table.insert t txn [| Value.Int 1; Value.Str long |]) with
+  | _ -> Alcotest.fail "an over-limit key was accepted"
+  | exception Invalid_argument _ -> ());
+  let pk txn = Table.key t txn |> Table.Key.add (Value.Int 1) in
+  Db.with_txn db (fun txn ->
+      check_int "no row under the key" 0 (Table.index_lookup_first t txn ~index:"notes_pk" ~key:(pk txn));
+      let rows = ref 0 in
+      Table.scan t txn (fun _ _ -> incr rows);
+      check_int "no row in the table" 0 !rows);
+  check_int "index findings" 0 (List.length (Table.verify_indexes t));
+  let rid = Db.with_txn db (fun txn -> Table.insert t txn [| Value.Int 1; Value.Str "short" |]) in
+  Db.with_txn db (fun txn ->
+      check_int "the key takes a new row" rid (Table.index_lookup_first t txn ~index:"notes_pk" ~key:(pk txn));
+      check_int "found by its text" 1
+        (List.length (index_rows t txn ~index:"notes_by_text" ~key:[ Value.Str "short" ])))
+
 (* ------------------------------------------------------------------ *)
 (* The write path locates its row once *)
 
@@ -1123,6 +1151,7 @@ let () =
           Alcotest.test_case "insert rollback" `Quick test_abort_rolls_back_insert;
           Alcotest.test_case "delete rollback" `Quick test_abort_rolls_back_delete;
           Alcotest.test_case "key update rollback" `Quick test_rollback_drops_new_key_entry;
+          Alcotest.test_case "over-limit key rolls back" `Quick test_over_limit_key_rolls_back;
         ] );
       ( "unique",
         [

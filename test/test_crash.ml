@@ -14,6 +14,22 @@ module Value = Phoebe_storage.Value
 module Prng = Phoebe_util.Prng
 module Device = Phoebe_io.Device
 
+(* Every index of every table of [db] is structurally sound
+   ([Table.verify_indexes]). *)
+let check_indexes db =
+  match List.concat_map Table.verify_indexes (Db.tables db) with
+  | [] -> ()
+  | fs ->
+    let module Index_tree = Phoebe_btree.Index_tree in
+    Alcotest.failf "index findings: %s"
+      (String.concat "; " (List.map (fun f -> Index_tree.rule_name f.Index_tree.rule ^ ": " ^ f.Index_tree.detail) fs))
+
+(* [Checkpoint.restore], with the restored indexes checked. *)
+let restore ~from ~snapshot cfg =
+  let ((db, _) as restored) = Checkpoint.restore ~from ~snapshot cfg in
+  check_indexes db;
+  restored
+
 (* A blind write of one named column through the index-based update. *)
 let set_col t txn ~rid name v =
   let c = Table.col t name in
@@ -179,7 +195,7 @@ let crash_trial ~seed =
   check_bool "crash truncates to the durable frontier" true
     (List.for_all (fun (_, survive, lost) -> survive >= 0 && lost >= 0) report.Db.wal_files);
   (* restore without fault injection: verification reads must be clean *)
-  let db2, _ = Checkpoint.restore ~from:db ~snapshot:!snapshot (base_cfg ~small_buffer ~faults:None) in
+  let db2, _ = restore ~from:db ~snapshot:!snapshot (base_cfg ~small_buffer ~faults:None) in
   check_recovered ~seed plans (dump db2 (Db.table db2 "kv"))
 
 let test_crash_recovery_property () =
@@ -210,7 +226,7 @@ let test_crash_between_wal_flush_and_image () =
   Db.checkpoint db;
   let report = Db.crash db in
   check_int "WAL fully durable at the cut" 0 (Db.wal_lost_bytes report);
-  let db2, rep = Checkpoint.restore ~from:db ~snapshot:snapshot1 cfg in
+  let db2, rep = restore ~from:db ~snapshot:snapshot1 cfg in
   check_bool "suffix came back through replay" true (rep.Phoebe_wal.Recovery.ops_replayed >= 25);
   let rows = dump db2 (Db.table db2 "kv") in
   check_int "all rows present" (n_base + 25) (List.length rows);

@@ -282,30 +282,83 @@ let test_frozen_update_moves_row () =
         check_bool "row moved to a fresh hot rid" true
           (rid > Phoebe_btree.Table_tree.max_frozen_row_id (Table.tree t)))
 
+(* The storm's string key of row [k]: its loaded value, or the value a
+   committed key-column update gave it (every third row). *)
+let storm_s k = if k mod 3 = 0 then Printf.sprintf "updated-%02d" (k mod 40) else Printf.sprintf "loaded-%02d" (k mod 50)
+
 let test_concurrent_index_split_storm () =
   (* regression for the stale-idx split race: thousands of concurrent
      inserts drive deep index-node splits while fibers interleave at
-     latch spins; every row must remain reachable through the index *)
+     latch spins; every row must remain reachable through the index.
+     A second, string-keyed, non-unique index then takes a wave of
+     concurrent key-column updates, mixed with forced user aborts of
+     updates and inserts, whose rollbacks drop entries in the aborting
+     fibers, and a GC that drops the old keys outside any fiber. Each
+     index-maintenance call holds its slot's entry keys across the
+     charges of its descent, so fibers that interleave there must never
+     see each other's keys. *)
   let db = Db.create { Config.default with Config.n_workers = 4; slots_per_worker = 8 } in
-  let t = Db.create_table db ~name:"storm" ~schema:[ ("k", Value.T_int); ("v", Value.T_int) ] in
+  let t =
+    Db.create_table db ~name:"storm" ~schema:[ ("k", Value.T_int); ("v", Value.T_int); ("s", Value.T_str) ]
+  in
   Db.create_index db t ~name:"storm_pk" ~cols:[ "k" ] ~unique:true;
+  Db.create_index db t ~name:"storm_by_s" ~cols:[ "s" ] ~unique:false;
   let n = 3000 in
   for k = 1 to n do
-    Db.submit db (fun txn -> ignore (Table.insert t txn [| Value.Int k; Value.Int (k * 7) |]))
+    Db.submit db (fun txn ->
+        ignore (Table.insert t txn [| Value.Int k; Value.Int (k * 7); Value.Str (Printf.sprintf "loaded-%02d" (k mod 50)) |]))
   done;
   Db.run db;
-  let missing = ref 0 in
+  let s_col = Table.col t "s" in
+  let rid_of txn k = Table.index_lookup_first t txn ~index:"storm_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int k)) in
+  let user_abort () = raise (Txnmgr.Abort (Txnmgr.User, "forced")) in
+  for k = 1 to n do
+    if k mod 3 = 0 then
+      Db.submit db (fun txn ->
+          ignore (Table.update t txn ~rid:(rid_of txn k) (fun _ -> [| (s_col, Value.Str (storm_s k)) |])))
+    else if k mod 7 = 1 then
+      Db.submit db (fun txn ->
+          ignore (Table.update t txn ~rid:(rid_of txn k) (fun _ -> [| (s_col, Value.Str "aborted") |]));
+          user_abort ())
+    else if k mod 11 = 2 then
+      Db.submit db (fun txn ->
+          ignore (Table.insert t txn [| Value.Int (n + k); Value.Int 0; Value.Str "aborted" |]);
+          user_abort ())
+  done;
+  Db.run db;
+  ignore (Db.gc db);
+  check_bool "user aborts ran" true (Txnmgr.stats_aborted_for (Db.txnmgr db) Txnmgr.User > 0);
+  (match Table.verify_indexes t with
+  | [] -> ()
+  | f :: _ -> Alcotest.failf "index finding: %s" f.Phoebe_btree.Index_tree.detail);
+  let missing = ref 0 and unreached = ref 0 in
   Db.with_txn db (fun txn ->
       for k = 1 to n do
-        match Table.index_lookup_first t txn ~index:"storm_pk" ~key:(Table.key t txn |> Table.Key.add (Value.Int k)) with
+        match rid_of txn k with
         | 0 -> incr missing
-        | _ -> if not (Value.equal (Table.found_row t txn).(1) (Value.Int (k * 7))) then incr missing
+        | rid ->
+          let row = Table.found_row t txn in
+          if not (Value.equal row.(1) (Value.Int (k * 7)) && Value.equal row.(2) (Value.Str (storm_s k))) then
+            incr missing;
+          let found = ref false in
+          Table.index_prefix t txn ~index:"storm_by_s" ~prefix:(Table.key t txn |> Table.Key.add (Value.Str (storm_s k)))
+            (fun r _ ->
+              if r = rid then found := true;
+              not !found);
+          if not !found then incr unreached
       done);
   check_int "every insert reachable via the index" 0 !missing;
+  check_int "every row reachable via its string key" 0 !unreached;
   Db.with_txn db (fun txn ->
       let c = ref 0 in
       Table.scan t txn (fun _ _ -> incr c);
-      check_int "scan agrees" n !c)
+      check_int "scan agrees" n !c;
+      let stale = ref 0 in
+      Table.index_prefix t txn ~index:"storm_by_s" ~prefix:(Table.key t txn |> Table.Key.add (Value.Str "aborted"))
+        (fun _ _ ->
+          incr stale;
+          true);
+      check_int "no aborted key visible" 0 !stale)
 
 let test_warm_hot_frozen () =
   let db = Db.create cfg in

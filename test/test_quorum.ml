@@ -34,7 +34,20 @@ let ddl db =
 let kv db = Db.table db "kv"
 let int_of = function Value.Int v -> v | _ -> Alcotest.fail "int expected"
 
+(* Every index of every table of [db] is structurally sound
+   ([Table.verify_indexes]). *)
+let check_indexes db =
+  match List.concat_map Table.verify_indexes (Db.tables db) with
+  | [] -> ()
+  | fs ->
+    let module Index_tree = Phoebe_btree.Index_tree in
+    Alcotest.failf "index findings: %s"
+      (String.concat "; " (List.map (fun f -> Index_tree.rule_name f.Index_tree.rule ^ ": " ^ f.Index_tree.detail) fs))
+
+(* A node's rows, once its indexes are checked: every node a test reads
+   after a restart, a rebuild or a promotion is checked here. *)
 let dump db =
+  check_indexes db;
   let t = kv db in
   Db.with_txn db (fun txn ->
       let acc = ref [] in
@@ -61,9 +74,12 @@ let findings q =
 
 (* A quiescent point of a property: no rule may be broken. *)
 let check_group ~seed q =
-  match findings q with
+  (match findings q with
   | [] -> ()
-  | fs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " fs)
+  | fs -> Alcotest.failf "seed %d: %s" seed (String.concat "; " fs));
+  for node = 0 to Quorum.nodes q - 1 do
+    if Quorum.is_alive q ~node then check_indexes (Quorum.db q ~node)
+  done
 
 let elected q =
   match Quorum.primary q with

@@ -70,13 +70,29 @@ let prop_value_roundtrip =
       let got, off = Value.decode (Buffer.to_bytes buf) 0 in
       Value.equal got v && off = Buffer.length buf)
 
-let key_bytes v =
-  let buf = Buffer.create 16 in
-  Value.encode_key buf v;
-  Buffer.contents buf
+module Keybuf = Phoebe_storage.Keybuf
 
-(* [Value.key_at] over a whole string key. *)
-let key_at k off v = Value.key_at (Bytes.of_string k) (String.length k) off v
+let key_bytes v =
+  let k = Keybuf.create () in
+  Keybuf.add k v;
+  Keybuf.to_string k
+
+(* A key buffer holding the bytes [s]. *)
+let keybuf_of s =
+  let k = Keybuf.create () in
+  Keybuf.add_string k s;
+  k
+
+(* A key buffer holding [s] whose bytes run on with [junk] past its
+   length: a reader that went past the length would see the junk. *)
+let keybuf_before_junk s junk =
+  let k = keybuf_of (s ^ junk) in
+  Keybuf.clear k;
+  Keybuf.add_string k s;
+  k
+
+(* [Keybuf.value_at] over a whole string key. *)
+let key_at k off v = Keybuf.value_at (keybuf_of k) off v
 
 let prop_key_encoding_order =
   (* Order of encoded keys must match value order (same-type pairs). *)
@@ -99,7 +115,7 @@ let prop_key_encoding_order =
       let ca = compare (key_bytes a) (key_bytes b) and cv = Value.compare a b in
       (ca < 0) = (cv < 0) && (ca = 0) = (cv = 0))
 
-(* [key_at] agrees with [encode_key]: on its encoding, with bytes before
+(* [value_at] agrees with [add]: on its encoding, with bytes before
    and after, it returns the offset just past the value. *)
 let key_at_cases =
   [
@@ -151,7 +167,7 @@ let test_key_at_rejects () =
         check_int (Printf.sprintf "%s: truncated to %d" name n) (-1)
           (key_at (String.sub k 0 n) 0 v);
         check_int (Printf.sprintf "%s: cut to %d by the length" name n) (-1)
-          (Value.key_at (Bytes.of_string k) n 0 v)
+          (Keybuf.value_at (keybuf_before_junk (String.sub k 0 n) (String.sub k n (String.length k - n))) 0 v)
       done;
       check_int (name ^ ": trailing byte left over") (String.length k)
         (key_at (k ^ "\x00") 0 v))
@@ -169,7 +185,7 @@ let prop_key_at_agrees =
       && (key_at kb 0 a = String.length kb) = String.equal ka kb)
 
 (* The index tree's one key comparison orders a stored key against a
-   (bytes, length) probe as [String.compare] orders the two strings.
+   key buffer as [String.compare] orders the two strings.
    Keys are drawn over an alphabet of [\x00], [\xff] and two letters,
    so equal prefixes, a key that is a prefix of the other and the byte
    extremes come up often; the probe's bytes run past its length with
@@ -190,8 +206,7 @@ let prop_compare_key_is_string_compare =
   QCheck.Test.make ~name:"compare_key orders as String.compare" ~count:2000
     (QCheck.make ~print:(fun (k, p, j) -> Printf.sprintf "%S / %S + %S" k p j) gen)
     (fun (k, p, junk) ->
-      Phoebe_btree.Index_tree.compare_key k (Bytes.of_string (p ^ junk)) (String.length p)
-      = String.compare k p)
+      Phoebe_btree.Index_tree.compare_key k (keybuf_before_junk p junk) = String.compare k p)
 
 (* A shared cell is indistinguishable from a fresh [Int n]: equal to
    it, ordered like it against any other value, and keyed identically.
@@ -960,11 +975,12 @@ let test_encode_key_allocates_nothing () =
   let ints = Array.init 1000 (fun i -> Value.Int ((i * 7919) - 3_000_000)) in
   let floats = Array.init 1000 (fun i -> Value.Float (float_of_int (i - 500) *. 0.37)) in
   let strs = Array.init 1000 (fun i -> Value.Str (Printf.sprintf "key\x00%d" i)) in
-  let buf = Buffer.create (32 * 1024) in
+  let k = Keybuf.create () in
+  Keybuf.add_string k (String.make (32 * 1024) '\x00');
   let encode_all vs () =
-    Buffer.clear buf;
+    Keybuf.clear k;
     for i = 0 to Array.length vs - 1 do
-      Value.encode_key buf vs.(i)
+      Keybuf.add k vs.(i)
     done
   in
   check_int "Int keys: minor words" 0 (int_of_float (measure_minor_words (encode_all ints)));
@@ -981,10 +997,10 @@ let test_key_at_allocates_nothing () =
         | 1 -> Value.Float (float_of_int (i - 500) *. 0.37)
         | _ -> Value.Str (Printf.sprintf "key\x00%d" i))
   in
-  let keys = Array.map (fun v -> Bytes.of_string (key_bytes v)) vals in
+  let keys = Array.map (fun v -> keybuf_of (key_bytes v)) vals in
   let match_all () =
     for i = 0 to Array.length vals - 1 do
-      ignore (Sys.opaque_identity (Value.key_at keys.(i) (Bytes.length keys.(i)) 0 vals.(i)))
+      ignore (Sys.opaque_identity (Keybuf.value_at keys.(i) 0 vals.(i)))
     done
   in
   check_int "key_at: minor words" 0 (int_of_float (measure_minor_words match_all))
@@ -1064,7 +1080,7 @@ let by_name_db ~rows =
    scan builds no closure, key list or probe string, so 0 words per
    scan. Two inputs: stock's int prefix, whose rows decode only shared
    int cells (0 words per row), and the customer-by-name prefix, whose
-   last name goes through [Value.encode_key]'s string branch as the
+   last name goes through [Keybuf.add]'s string branch as the
    probe is built, and whose rows decode the last-name key column into
    a fresh [Value.Str] cell ([Pax.get_cols_into]'s "decoded cell",
    2 words per row). *)

@@ -211,8 +211,15 @@ zero_findings ha
 # the nodes' minor words per transaction by about 22 (a diff of the
 # --json against the parent's shows only txn.alloc and
 # trace.txn.other.alloc fields moved), which moved it from
-# "1214491708 89784".
-cksum_pin ha "1525628113 89784"
+# "1214491708 89784". Every encoded index key then became one key
+# buffer type, and each slot context took two entry keys of its own in
+# place of the table's pool of spares: a slot's first statement on a
+# table allocates those two buffers with the context, which raised the
+# nodes' minor words per transaction by 0.3 to 2.3 (a diff of the
+# --json against the parent's shows only the txn.alloc and
+# trace.txn.other.alloc fields moved), and that moved it from
+# "1525628113 89784".
+cksum_pin ha "2959025451 89782"
 echo "   failover grid parses, double run byte-identical and pinned, zero sanitizer findings"
 
 echo "== tier-1: OK"

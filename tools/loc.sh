@@ -7,8 +7,9 @@
 #
 # Paths are taken relative to the repository root; each is a directory
 # (its *.ml files, recursively) or one .ml file. Without paths the last
-# line counts the "(* lint: allow" pragmas in lib/ (.ml and .mli), the
-# escape hatch of phoebe_check's rules (DESIGN.md §4k).
+# two lines count the "(* lint: allow" pragmas in lib/ (.ml and .mli),
+# the escape hatch of phoebe_check's rules (DESIGN.md §4k), and how many
+# of them are "hot-path-alloc" pragmas (DESIGN.md §4h).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,8 +22,9 @@ per_file() {
 
 if [ $# -eq 0 ]; then
   per_file lib | awk '{ print; total += $1 } END { printf "%6d total\n", total }'
-  printf '%6d lint: allow pragmas in lib/\n' \
-    "$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | grep -o '(\* lint: allow ' | wc -l)"
+  pragmas="$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | grep -o '(\* lint: allow [a-z-]*')"
+  printf '%6d lint: allow pragmas in lib/\n' "$(printf '%s\n' "$pragmas" | wc -l)"
+  printf '%6d of them hot-path-alloc\n' "$(printf '%s\n' "$pragmas" | grep -c 'allow hot-path-alloc$' || true)"
 else
   for p in "$@"; do
     [ -e "$p" ] || { echo "loc.sh: no such path: $p" >&2; exit 1; }
